@@ -221,7 +221,7 @@ fn load_test(seed: u64, smoke: bool, bench: &mut BenchData) -> String {
 
     // The traffic must leave the service equivalent to a full re-match.
     {
-        let mut s = svc.write();
+        let s = svc.read();
         let incremental = s.matching();
         assert_eq!(
             incremental,

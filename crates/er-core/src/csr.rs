@@ -21,6 +21,8 @@
 //! trip through [`CsrGraph`] yields the same edge set with bit-identical
 //! weights, listed in the canonical `(left asc, right asc)` order.
 
+use std::sync::OnceLock;
+
 use crate::delta::{DeltaOp, GraphDelta, RowDelta, Side};
 use crate::error::{CoreError, Result};
 use crate::graph::{Edge, SimilarityGraph};
@@ -45,7 +47,7 @@ use crate::graph::{Edge, SimilarityGraph};
 /// assert_eq!(rights, &[1, 2], "rows are sorted by right id");
 /// assert_eq!(weights, &[0.4, 0.9]);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct CsrGraph {
     n_left: u32,
     n_right: u32,
@@ -72,6 +74,30 @@ pub struct CsrGraph {
     /// Live edge count: slab entries minus tombstone-masked ones, plus
     /// the patch.
     live: usize,
+    /// Lazy column index for right-side reads: per right id, the left ids
+    /// whose rows hold it, ascending. Ids only — weights are read from the
+    /// row by binary search, so every weight keeps exactly one copy.
+    /// Built on the first [`live_column`](Self::live_column) call (batch
+    /// paths never pay for it), then kept current by the inserts. Entries
+    /// of tombstoned left rows are filtered on read and dropped by
+    /// [`compact`](Self::compact); a removed column is emptied.
+    by_right: OnceLock<Vec<Vec<u32>>>,
+}
+
+/// Equality over the stored graph; the column index is a cache of the
+/// rows and is ignored.
+impl PartialEq for CsrGraph {
+    fn eq(&self, other: &Self) -> bool {
+        self.n_left == other.n_left
+            && self.n_right == other.n_right
+            && self.offsets == other.offsets
+            && self.rights == other.rights
+            && self.weights == other.weights
+            && self.dead_left == other.dead_left
+            && self.dead_right == other.dead_right
+            && self.patch == other.patch
+            && self.live == other.live
+    }
 }
 
 impl CsrGraph {
@@ -101,6 +127,7 @@ impl CsrGraph {
             dead_right: Vec::new(),
             live: cells.len(),
             patch: Vec::new(),
+            by_right: OnceLock::new(),
         }
     }
 
@@ -225,9 +252,15 @@ impl CsrGraph {
     /// assert_eq!(csr.weight_of(9, 9), None);
     /// ```
     pub fn weight_of(&self, left: u32, right: u32) -> Option<f64> {
-        if left >= self.n_left || !self.is_live_left(left) || !self.is_live_right(right) {
+        if !self.is_live_left(left) || !self.is_live_right(right) {
             return None;
         }
+        self.stored_weight(left, right)
+    }
+
+    /// The stored weight of `(left, right)` in row `left` — slab row, then
+    /// patch row — with no liveness check. `left` must be in bounds.
+    fn stored_weight(&self, left: u32, right: u32) -> Option<f64> {
         let (rights, weights) = self.row(left);
         if let Ok(i) = rights.binary_search(&right) {
             return Some(weights[i]);
@@ -297,6 +330,7 @@ impl CsrGraph {
             dead_right,
             patch: Vec::new(),
             live,
+            by_right: OnceLock::new(),
         }
     }
 
@@ -412,6 +446,50 @@ impl CsrGraph {
             .chain(patch.iter().map(|e| (e.right, e.weight)))
     }
 
+    /// Column `right`'s **live** edges as `(left, weight)` pairs, left ids
+    /// ascending — the transpose of [`live_row`](Self::live_row).
+    /// Tombstoned or out-of-bounds ids yield nothing.
+    ///
+    /// `O(degree · log d)`: the column index lists the column's left ids,
+    /// and each weight is one binary search in its row. The first call on
+    /// a store builds that index in `O(m)`.
+    ///
+    /// ```
+    /// # use er_core::{CsrGraph, GraphBuilder};
+    /// let mut b = GraphBuilder::new(3, 2);
+    /// b.add_edge(2, 1, 0.4).unwrap();
+    /// b.add_edge(0, 1, 0.7).unwrap();
+    /// let mut csr = CsrGraph::from_graph(&b.build());
+    /// csr.insert_left(&[(1, 0.9)]).unwrap();
+    /// let col: Vec<(u32, f64)> = csr.live_column(1).collect();
+    /// assert_eq!(col, vec![(0, 0.7), (2, 0.4), (3, 0.9)]);
+    /// assert_eq!(csr.live_column(0).count(), 0);
+    /// ```
+    pub fn live_column(&self, right: u32) -> impl Iterator<Item = (u32, f64)> + '_ {
+        let lefts: &[u32] = if self.is_live_right(right) {
+            &self.columns()[right as usize]
+        } else {
+            &[]
+        };
+        lefts
+            .iter()
+            .filter(move |&&l| self.is_live_left(l))
+            .filter_map(move |&l| self.stored_weight(l, right).map(|w| (l, w)))
+    }
+
+    /// The column index, built from the live rows on first use.
+    fn columns(&self) -> &[Vec<u32>] {
+        self.by_right.get_or_init(|| {
+            let mut cols = vec![Vec::new(); self.n_right as usize];
+            for l in 0..self.n_left {
+                for (r, _) in self.live_row(l) {
+                    cols[r as usize].push(l);
+                }
+            }
+            cols
+        })
+    }
+
     /// Validate the edge list of an insert on side `inserting`: the
     /// counterpart ids must be in bounds and live, weights finite in
     /// `[0, 1]`, no duplicate ids. Returns the list sorted ascending by
@@ -470,6 +548,12 @@ impl CsrGraph {
         self.offsets.push(self.rights.len());
         self.n_left += 1;
         self.live += sorted.len();
+        if let Some(cols) = self.by_right.get_mut() {
+            // The new id is the largest left id: columns stay ascending.
+            for &(r, _) in &sorted {
+                cols[r as usize].push(id);
+            }
+        }
         Ok(id)
     }
 
@@ -495,6 +579,9 @@ impl CsrGraph {
         // Restore (left, right) order. The new edges all carry the
         // maximal right id, so a stable sort is a single merge pass.
         self.patch.sort_by_key(|e| (e.left, e.right));
+        if let Some(cols) = self.by_right.get_mut() {
+            cols.push(sorted.iter().map(|&(l, _)| l).collect());
+        }
         Ok(id)
     }
 
@@ -537,7 +624,8 @@ impl CsrGraph {
     /// Tombstone right column `right` and return its live
     /// `(left, weight)` edges at removal time, left ids ascending —
     /// exactly the edge list a [`RowDelta::delete_right`] should carry.
-    /// `O(n_left · log d)` (one binary search per live row) plus one
+    /// Reads the column through [`live_column`](Self::live_column)
+    /// (`O(degree · log d)`, plus the one-time index build) and makes one
     /// patch pass. Errors on out-of-bounds or already-dead ids.
     pub fn remove_right(&mut self, right: u32) -> Result<Vec<(u32, f64)>> {
         if right >= self.n_right {
@@ -553,20 +641,10 @@ impl CsrGraph {
                 id: right,
             });
         }
-        let mut removed = Vec::new();
-        for l in 0..self.n_left {
-            if self.dead_left.binary_search(&l).is_ok() {
-                continue;
-            }
-            let (rights, weights) = self.row(l);
-            if let Ok(i) = rights.binary_search(&right) {
-                removed.push((l, weights[i]));
-            }
+        let removed: Vec<(u32, f64)> = self.live_column(right).collect();
+        if let Some(cols) = self.by_right.get_mut() {
+            cols[right as usize] = Vec::new();
         }
-        for e in self.patch.iter().filter(|e| e.right == right) {
-            removed.push((e.left, e.weight));
-        }
-        removed.sort_unstable_by_key(|&(l, _)| l);
         self.patch.retain(|e| e.right != right);
         let at = self.dead_right.partition_point(|&d| d < right);
         self.dead_right.insert(at, right);
@@ -614,9 +692,10 @@ impl CsrGraph {
     }
 
     /// Fold pending deltas into the slabs: drop tombstone-masked entries,
-    /// merge the patch into its rows, clear the patch. Tombstoned **ids**
-    /// stay dead forever (liveness queries are unaffected); only their
-    /// storage is reclaimed. `O(m)`.
+    /// merge the patch into its rows, clear the patch, drop tombstoned
+    /// rows from a built column index. Tombstoned **ids** stay dead
+    /// forever (liveness queries are unaffected); only their storage is
+    /// reclaimed. `O(m)`.
     ///
     /// ```
     /// # use er_core::{CsrGraph, GraphBuilder};
@@ -646,6 +725,12 @@ impl CsrGraph {
         self.rights = rights;
         self.weights = weights;
         self.patch.clear();
+        let dead_left = &self.dead_left;
+        if let Some(cols) = self.by_right.get_mut() {
+            for col in cols.iter_mut() {
+                col.retain(|l| dead_left.binary_search(l).is_err());
+            }
+        }
     }
 }
 

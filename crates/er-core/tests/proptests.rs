@@ -1,8 +1,8 @@
 //! Property tests for the core substrate.
 
 use er_core::{
-    min_max_normalize, Edge, GraphBuilder, GroundTruth, Matching, SimilarityGraph, ThresholdGrid,
-    UnionFind,
+    min_max_normalize, CsrGraph, Edge, GraphBuilder, GroundTruth, Matching, SimilarityGraph,
+    ThresholdGrid, UnionFind,
 };
 use proptest::prelude::*;
 
@@ -149,4 +149,80 @@ proptest! {
         prop_assert_eq!(rebuilt.n_edges(), g.n_edges());
         prop_assert_eq!(rebuilt.weight_range(), g.weight_range());
     }
+
+    /// The lazy column index under arbitrary delta traffic, first built
+    /// before the traffic, midway through it, or never (`build_at` past
+    /// the end; a `remove_right` still builds it, as it reads the column).
+    /// After every step, `live_column` equals the brute-force gather over
+    /// the rows, `remove_right` returns exactly that gather, and a clone
+    /// whose index was just built compares equal to the original.
+    #[test]
+    fn column_index_tracks_brute_force_under_deltas(
+        g in arb_graph(),
+        ops in proptest::collection::vec(
+            (0u8..5, 0u16..64, proptest::collection::vec((0u16..64, 0.0f64..=1.0), 0..4)),
+            0..12,
+        ),
+        build_at in 0usize..16,
+    ) {
+        let mut csr = CsrGraph::from_graph(&g);
+        for (i, (op, pick, edges)) in ops.into_iter().enumerate() {
+            if i == build_at {
+                for r in 0..csr.n_right() {
+                    csr.live_column(r).count();
+                }
+            }
+            match op {
+                0 | 1 => {
+                    // Insert on the left (0) or the right (1), edges to
+                    // distinct live counterparts.
+                    let (n, live): (u32, &dyn Fn(u32) -> bool) = if op == 0 {
+                        (csr.n_right(), &|r| csr.is_live_right(r))
+                    } else {
+                        (csr.n_left(), &|l| csr.is_live_left(l))
+                    };
+                    let mut list: Vec<(u32, f64)> = Vec::new();
+                    for (id, w) in edges {
+                        let id = id as u32 % n.max(1);
+                        if n > 0 && live(id) && list.iter().all(|&(x, _)| x != id) {
+                            list.push((id, w));
+                        }
+                    }
+                    if op == 0 {
+                        csr.insert_left(&list).unwrap();
+                    } else {
+                        csr.insert_right(&list).unwrap();
+                    }
+                }
+                2 => {
+                    let n = csr.n_left();
+                    if let Some(l) = (0..n).map(|d| (pick as u32 + d) % n).find(|&l| csr.is_live_left(l)) {
+                        csr.remove_left(l).unwrap();
+                    }
+                }
+                3 => {
+                    let n = csr.n_right();
+                    if let Some(r) = (0..n).map(|d| (pick as u32 + d) % n).find(|&r| csr.is_live_right(r)) {
+                        let want = brute_column(&csr, r);
+                        prop_assert_eq!(csr.remove_right(r).unwrap(), want);
+                    }
+                }
+                _ => csr.compact(),
+            }
+            let probe = csr.clone();
+            for r in 0..=csr.n_right() {
+                let got: Vec<(u32, f64)> = probe.live_column(r).collect();
+                prop_assert_eq!(got, brute_column(&csr, r), "column {} after step {}", r, i);
+            }
+            prop_assert_eq!(&probe, &csr, "the column index is invisible to equality");
+        }
+    }
+}
+
+/// Column `right` by scanning every row — the oracle for
+/// `CsrGraph::live_column`.
+fn brute_column(csr: &CsrGraph, right: u32) -> Vec<(u32, f64)> {
+    (0..csr.n_left())
+        .filter_map(|l| csr.weight_of(l, right).map(|w| (l, w)))
+        .collect()
 }

@@ -31,6 +31,7 @@
 //! ([`CoreError::DeltaIdMismatch`](er_core::CoreError)).
 
 use std::cmp::Ordering;
+use std::sync::OnceLock;
 
 use er_core::delta::{DeltaOp, GraphDelta, RowDelta, Side};
 use er_core::float::edge_key_desc;
@@ -46,6 +47,11 @@ use crate::matcher::{Matcher, PreparedGraph};
 /// the corresponding one-shot [`Matcher`] run from scratch on the
 /// resulting graph — same threshold, same id space (deleted ids remain
 /// as isolated nodes, exactly as in [`CsrGraph`]).
+///
+/// Reads take `&self`: the replay-based implementations recompute their
+/// assignment lazily behind an interior cache that
+/// [`apply_delta`](DeltaMatcher::apply_delta) resets, so concurrent
+/// readers can share one matcher behind a read lock.
 pub trait DeltaMatcher: Send + Sync {
     /// Short algorithm acronym, as in [`Matcher::name`].
     fn name(&self) -> &'static str;
@@ -64,7 +70,41 @@ pub trait DeltaMatcher: Send + Sync {
     }
 
     /// The current assignment.
-    fn matching(&mut self) -> Matching;
+    fn matching(&self) -> Matching;
+
+    /// The current partner of `id` on `side`, or `None` when `id` is
+    /// unmatched, deleted or out of range. Equal to a scan of
+    /// [`matching`](DeltaMatcher::matching), without building it: `O(1)`
+    /// for [`UmcDelta`], `O(log n)` over the cached assignment otherwise.
+    fn partner(&self, side: Side, id: u32) -> Option<u32>;
+}
+
+/// A recomputed assignment plus a right-keyed copy of its pairs, so
+/// partner lookups on either side are one binary search.
+struct Solved {
+    matching: Matching,
+    /// `(right, left)` pairs, ascending.
+    by_right: Vec<(u32, u32)>,
+}
+
+impl Solved {
+    fn new(matching: Matching) -> Self {
+        let mut by_right: Vec<(u32, u32)> = matching.iter().map(|(l, r)| (r, l)).collect();
+        by_right.sort_unstable();
+        Solved { matching, by_right }
+    }
+
+    fn partner(&self, side: Side, id: u32) -> Option<u32> {
+        // Both pair lists are sorted by their first id, which is unique.
+        let pairs = match side {
+            Side::Left => self.matching.pairs(),
+            Side::Right => &self.by_right,
+        };
+        pairs
+            .binary_search_by_key(&id, |&(a, _)| a)
+            .ok()
+            .map(|i| pairs[i].1)
+    }
 }
 
 /// The global greedy key of edge `(l, r, w)`; [`edge_key_desc`]'s
@@ -357,7 +397,7 @@ impl DeltaMatcher for UmcDelta {
         }
     }
 
-    fn matching(&mut self) -> Matching {
+    fn matching(&self) -> Matching {
         Matching::new(
             self.match_left
                 .iter()
@@ -365,6 +405,14 @@ impl DeltaMatcher for UmcDelta {
                 .filter_map(|(l, m)| m.map(|(r, _)| (l as u32, r)))
                 .collect(),
         )
+    }
+
+    fn partner(&self, side: Side, id: u32) -> Option<u32> {
+        let held = match side {
+            Side::Left => self.match_left.get(id as usize),
+            Side::Right => self.match_right.get(id as usize),
+        };
+        held.copied().flatten().map(|(p, _)| p)
     }
 }
 
@@ -388,7 +436,8 @@ pub struct BahDelta {
     n_right: u32,
     d: FxHashMap<(u32, u32), f64>,
     config: BahConfig,
-    cached: Option<Matching>,
+    /// The replayed search, computed on the first read after a change.
+    cached: OnceLock<Solved>,
 }
 
 impl BahDelta {
@@ -411,7 +460,7 @@ impl BahDelta {
             n_right,
             d,
             config,
-            cached: None,
+            cached: OnceLock::new(),
         }
     }
 
@@ -425,6 +474,11 @@ impl BahDelta {
         if left_drives(self.n_left, self.n_right) != was {
             self.d = self.d.drain().map(|((a, b), w)| ((b, a), w)).collect();
         }
+    }
+
+    fn solved(&self) -> &Solved {
+        self.cached
+            .get_or_init(|| Solved::new(search(self.n_left, self.n_right, &self.d, self.config)))
     }
 }
 
@@ -462,7 +516,7 @@ impl DeltaMatcher for BahDelta {
                         self.d.insert(driver_key(l, r, ld), w);
                     }
                 }
-                self.cached = None;
+                self.cached.take();
             }
             DeltaOp::Delete => {
                 // Dimensions are id-space sizes and ids are never reused,
@@ -480,16 +534,17 @@ impl DeltaMatcher for BahDelta {
                         self.d.remove(&driver_key(l, r, ld));
                     }
                 }
-                self.cached = None;
+                self.cached.take();
             }
         }
     }
 
-    fn matching(&mut self) -> Matching {
-        if self.cached.is_none() {
-            self.cached = Some(search(self.n_left, self.n_right, &self.d, self.config));
-        }
-        self.cached.clone().expect("just computed")
+    fn matching(&self) -> Matching {
+        self.solved().matching.clone()
+    }
+
+    fn partner(&self, side: Side, id: u32) -> Option<u32> {
+        self.solved().partner(side, id)
     }
 }
 
@@ -511,7 +566,9 @@ pub struct ReplayDelta {
     t: f64,
     csr: CsrGraph,
     matcher: Box<dyn Matcher>,
-    cached: Option<Matching>,
+    /// The re-match over the live edges, computed on the first read after
+    /// a change.
+    cached: OnceLock<Solved>,
 }
 
 impl ReplayDelta {
@@ -522,8 +579,15 @@ impl ReplayDelta {
             t,
             csr,
             matcher,
-            cached: None,
+            cached: OnceLock::new(),
         }
+    }
+
+    fn solved(&self) -> &Solved {
+        self.cached.get_or_init(|| {
+            let prepared = PreparedGraph::from_csr(&self.csr);
+            Solved::new(self.matcher.run(&prepared, self.t))
+        })
     }
 }
 
@@ -542,16 +606,16 @@ impl DeltaMatcher for ReplayDelta {
             .apply(delta)
             .expect("delta must be valid for the resident store");
         if !graph_unchanged {
-            self.cached = None;
+            self.cached.take();
         }
     }
 
-    fn matching(&mut self) -> Matching {
-        if self.cached.is_none() {
-            let prepared = PreparedGraph::from_csr(&self.csr);
-            self.cached = Some(self.matcher.run(&prepared, self.t));
-        }
-        self.cached.clone().expect("just computed")
+    fn matching(&self) -> Matching {
+        self.solved().matching.clone()
+    }
+
+    fn partner(&self, side: Side, id: u32) -> Option<u32> {
+        self.solved().partner(side, id)
     }
 }
 
@@ -574,7 +638,7 @@ mod tests {
     fn umc_initial_matching_equals_full_run() {
         let csr = csr_figure1();
         for t in [0.0, 0.3, 0.5, 0.6, 0.75, 0.95] {
-            let mut dm = UmcDelta::from_csr(&csr, t);
+            let dm = UmcDelta::from_csr(&csr, t);
             assert_eq!(dm.matching(), umc_reference(&csr, t), "t={t}");
         }
     }

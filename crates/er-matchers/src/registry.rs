@@ -303,7 +303,7 @@ mod tests {
         let pg = PreparedGraph::new(&g);
         let cfg = AlgorithmConfig::default();
         for k in AlgorithmKind::ALL {
-            let mut dm = cfg.delta_matcher(k, &csr, 0.5);
+            let dm = cfg.delta_matcher(k, &csr, 0.5);
             assert_eq!(dm.name(), k.name());
             assert_eq!(dm.threshold(), 0.5);
             assert_eq!(dm.matching(), cfg.run(k, &pg, 0.5), "{k}");

@@ -196,10 +196,21 @@ impl ResidentScorer {
         };
         let keep_positive = self.cfg.keep_positive_only;
         let mut row = TopKRow::new(self.k);
+        // Each family encodes the probe once: scoring returns the
+        // encoding and registration stores it.
         match &mut self.family {
-            Family::Token(f) => f.score_probe(profile, side, dead, keep_positive, &mut row),
-            Family::Char(f) => f.score_probe(profile, side, dead, keep_positive, &mut row),
-            Family::Dense(f) => f.score_probe(profile, side, dead, keep_positive, &mut row),
+            Family::Token(f) => {
+                let v = f.score_probe(profile, side, dead, keep_positive, &mut row);
+                f.register(v, side);
+            }
+            Family::Char(f) => {
+                let bag = f.score_probe(profile, side, dead, keep_positive, &mut row);
+                f.register(profile, bag, side);
+            }
+            Family::Dense(f) => {
+                let v = f.score_probe(profile, side, dead, keep_positive, &mut row);
+                f.register(v, side);
+            }
             Family::Fallback => fallback_probe(
                 &self.left,
                 &self.right,
@@ -218,13 +229,6 @@ impl ResidentScorer {
             .into_iter()
             .map(|(other, w)| (other, self.frame.apply(w)))
             .collect();
-        // Register after scoring (a record never edges to its own side).
-        match &mut self.family {
-            Family::Token(f) => f.register(profile, side),
-            Family::Char(f) => f.register(profile, side),
-            Family::Dense(f) => f.register(profile, side),
-            Family::Fallback => {}
-        }
         match side {
             Side::Left => {
                 self.left.profiles.push(profile.clone());
@@ -367,6 +371,8 @@ impl TokenFamily {
         self.mark
     }
 
+    /// Score the probe into `row` and return its vector for
+    /// [`register`](Self::register).
     fn score_probe(
         &mut self,
         p: &EntityProfile,
@@ -374,7 +380,7 @@ impl TokenFamily {
         dead: &FxHashSet<u32>,
         keep_positive: bool,
         row: &mut TopKRow,
-    ) {
+    ) -> SparseVector {
         let mark = self.next_mark();
         let pv = self.probe_vector(p);
         let dfs = Some((&self.df_left, &self.df_right));
@@ -403,10 +409,10 @@ impl TokenFamily {
                 offer(row, j, w, keep_positive)
             },
         );
+        pv
     }
 
-    fn register(&mut self, p: &EntityProfile, side: Side) {
-        let v = self.probe_vector(p);
+    fn register(&mut self, v: SparseVector, side: Side) {
         match side {
             Side::Left => self.left.push(v),
             Side::Right => self.right.push(v),
@@ -445,8 +451,8 @@ impl CharSide {
         }
     }
 
-    fn push(&mut self, id: u32, value: String) {
-        self.bags.push(char_bag(&value));
+    fn push(&mut self, id: u32, value: String, bag: Vec<u32>) {
+        self.bags.push(bag);
         self.values.push(value);
         self.ids.push(id);
         let overflow = self.bags.len() - self.indexed_len;
@@ -568,6 +574,9 @@ impl CharFamily {
         }
     }
 
+    /// Score the probe into `row` and return its character bag for
+    /// [`register`](Self::register) — `None` when the probe lacks the
+    /// attribute.
     fn score_probe(
         &mut self,
         p: &EntityProfile,
@@ -575,9 +584,9 @@ impl CharFamily {
         dead: &FxHashSet<u32>,
         keep_positive: bool,
         row: &mut TopKRow,
-    ) {
+    ) -> Option<Vec<u32>> {
         let Some(value) = p.value(&self.attribute) else {
-            return; // No attribute, no edges — as in the batch scorer.
+            return None; // No attribute, no edges — as in the batch scorer.
         };
         let probe_bag = char_bag(value);
         let probe_len = probe_bag.len();
@@ -670,7 +679,7 @@ impl CharFamily {
                     row,
                 );
             }
-            return;
+            return Some(probe_bag);
         }
         let score = |slot: u32, row: &mut TopKRow| -> f64 {
             let id = target.ids[slot as usize];
@@ -707,14 +716,15 @@ impl CharFamily {
             }
             score(slot as u32, row);
         }
+        Some(probe_bag)
     }
 
-    fn register(&mut self, p: &EntityProfile, side: Side) {
-        if let Some(v) = p.value(&self.attribute) {
+    fn register(&mut self, p: &EntityProfile, bag: Option<Vec<u32>>, side: Side) {
+        if let (Some(v), Some(bag)) = (p.value(&self.attribute), bag) {
             let v = v.to_string();
             match side {
-                Side::Left => self.left.push(p.id, v),
-                Side::Right => self.right.push(p.id, v),
+                Side::Left => self.left.push(p.id, v, bag),
+                Side::Right => self.right.push(p.id, v, bag),
             }
         }
     }
@@ -814,6 +824,8 @@ impl DenseFamily {
         }
     }
 
+    /// Score the probe into `row` and return its encoding for
+    /// [`register`](Self::register).
     fn score_probe(
         &mut self,
         p: &EntityProfile,
@@ -821,10 +833,10 @@ impl DenseFamily {
         dead: &FxHashSet<u32>,
         keep_positive: bool,
         row: &mut TopKRow,
-    ) {
+    ) -> DenseVector {
         let a = self.encoder.encode(&scoped_text(p, &self.scope));
         if a.is_zero() {
-            return;
+            return a;
         }
         let cosine = matches!(self.measure, SemanticMeasure::Cosine);
         let probe_owned;
@@ -867,10 +879,10 @@ impl DenseFamily {
             }
             score(j as u32, row);
         }
+        a
     }
 
-    fn register(&mut self, p: &EntityProfile, side: Side) {
-        let v = self.encoder.encode(&scoped_text(p, &self.scope));
+    fn register(&mut self, v: DenseVector, side: Side) {
         let cosine = matches!(self.measure, SemanticMeasure::Cosine);
         match side {
             Side::Left => self.left.push(v, cosine),

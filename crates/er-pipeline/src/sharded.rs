@@ -587,16 +587,21 @@ fn merge_serial(
 }
 
 /// One parallel-merge worker: finalize a contiguous group of spill
-/// files (rows `lo_row..hi_row`) into a segment file — rows in
-/// ascending-left order, right-ascending within a row, weights
-/// normalized. Row-local work only, so the segment bytes are identical
-/// to what the direct merge writes for those rows.
+/// files into a segment file — rows in ascending-left order,
+/// right-ascending within a row, weights normalized. Row-local work
+/// only, so the segment bytes are identical to what the direct merge
+/// writes for those rows.
+///
+/// A group's left-id range is not known up front: shards cut the
+/// scorer's rows, and schema-based scorers skip entities that lack the
+/// attribute, so shard `s` need not start at left id `s · shard_rows`.
+/// The worker checks only that ids ascend and stay below `n_left`; the
+/// sink rejects segments whose rows overlap or go backwards.
 fn merge_group(
     spills: &[PathBuf],
     frame: NormFrame,
     seg_path: &Path,
-    lo_row: u32,
-    hi_row: u32,
+    n_left: u32,
 ) -> Result<(), StoreError> {
     let mut out = BufWriter::new(File::create(seg_path)?);
     let mut row: Vec<(u32, f64)> = Vec::new();
@@ -614,7 +619,7 @@ fn merge_group(
     for p in spills {
         let mut rd = SpillReader::open(p)?;
         while let Some((l, r, w)) = rd.next {
-            if l < lo_row || l >= hi_row || cur.is_some_and(|c| l < c) {
+            if l >= n_left || cur.is_some_and(|c| l < c) {
                 return Err(StoreError::Format(
                     "spill records outside the left id space".into(),
                 ));
@@ -643,7 +648,6 @@ fn merge_parallel(
     spills: &[PathBuf],
     frame: NormFrame,
     sink: &mut StoreSink,
-    shard_rows: usize,
     n_left: u32,
     workers: usize,
     spill_dir: &Path,
@@ -663,11 +667,7 @@ fn merge_parallel(
             .zip(&seg_paths)
             .map(|(&(s, e), seg)| {
                 let group_spills = &spills[s..e];
-                scope.spawn(move || {
-                    let lo_row = (s * shard_rows).min(n_left as usize) as u32;
-                    let hi_row = (e * shard_rows).min(n_left as usize) as u32;
-                    merge_group(group_spills, frame, seg, lo_row, hi_row)
-                })
+                scope.spawn(move || merge_group(group_spills, frame, seg, n_left))
             })
             .collect();
         handles
@@ -865,7 +865,6 @@ pub fn build_graph_sharded(
                 &spills,
                 frame,
                 &mut sink,
-                sharding.shard_rows,
                 n_left,
                 workers,
                 &sharding.spill_dir,

@@ -291,4 +291,51 @@ proptest! {
         }
         std::fs::remove_dir_all(&dir).ok();
     }
+
+    /// Regression: a schema-based scorer skips entities that lack its
+    /// attribute, so its shards cut scorer rows, not left ids. The
+    /// parallel merge once assumed shard `s` started at left id
+    /// `s · shard_rows` and rejected such builds with "spill records
+    /// outside the left id space". Every merge-worker count must accept
+    /// them and write the serial build's bytes.
+    #[test]
+    fn parallel_merge_accepts_schema_based_shards(
+        left in arb_collection(10),
+        right in arb_collection(6),
+        shard_rows in 1usize..=3,
+        merge_threads in 2usize..=4,
+    ) {
+        // `desc` is absent wherever an entity drew no desc tokens.
+        let function = SimilarityFunction::SchemaBasedSyntactic {
+            attribute: "desc".into(),
+            measure: SchemaBasedMeasure::Char(CharMeasure::Levenshtein),
+        };
+        let k = 2;
+        let config = cfg(2);
+        let (ram_graph, _, _) =
+            build_graph_topk_framed(&left, &right, &function, k, CandidateMode::Indexed, &config);
+        let want = CsrGraph::from_graph(&ram_graph);
+
+        let dir = scratch_dir();
+        let mut files = Vec::new();
+        for (tag, sharding) in [
+            ("serial", ShardedConfig::serial(shard_rows, dir.join("sp-serial"))),
+            ("parallel", {
+                let mut s = ShardedConfig::new(shard_rows, dir.join("sp-par"));
+                s.merge_threads = merge_threads;
+                s
+            }),
+        ] {
+            let out = dir.join(format!("{tag}.slab"));
+            let (mapped, _, _) = build_graph_sharded(
+                &left, &right, &function, k, CandidateMode::Indexed, &config, &sharding, &out,
+            )
+            .unwrap_or_else(|e| panic!("{tag} sharded build failed: {e}"));
+            prop_assert_eq!(mapped.to_csr(), want.clone(), "{}: store equals RAM build", tag);
+            drop(mapped);
+            files.push(std::fs::read(&out).unwrap());
+        }
+        prop_assert_eq!(&files[1], &files[0], "parallel merge differs from the serial build");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -27,7 +27,7 @@
 //! number of updates returns exactly what the batch protocol would.
 //!
 //! The service itself is single-writer plain Rust (`&mut self` on
-//! updates); concurrent deployments wrap it in a reader-writer lock, as
+//! updates, `&self` on every query); concurrent deployments wrap it in a reader-writer lock, as
 //! the load harness in `er-bench` does. See `DESIGN.md` §17 for the
 //! drift contract inherited from the resident scorer (frozen statistics,
 //! right-insert admission, tombstone residue) and when to
@@ -307,36 +307,29 @@ impl ErService {
     }
 
     /// Point query: the live graph neighbors of `id` on `side`, weight
-    /// descending. Left rows read straight off the CSR row (`O(degree)`);
-    /// right nodes gather across rows (`O(n_left log degree)` — the store
-    /// is row-major by design, see `ARCHITECTURE.md`).
+    /// descending. Left rows read straight off the CSR row (`O(d log d)`
+    /// with the sort); right nodes read the store's column index
+    /// ([`CsrGraph::live_column`], one row binary search per edge), built
+    /// once in `O(m)` by the first right-side read.
     pub fn neighbors(&self, side: Side, id: u32) -> Vec<(u32, f64)> {
-        if !self.is_live(side, id) {
-            return Vec::new();
-        }
         let mut out: Vec<(u32, f64)> = match side {
             Side::Left => self.csr.live_row(id).collect(),
-            Side::Right => (0..self.csr.n_left())
-                .filter(|&l| self.csr.is_live_left(l))
-                .filter_map(|l| self.csr.weight_of(l, id).map(|w| (l, w)))
-                .collect(),
+            Side::Right => self.csr.live_column(id).collect(),
         };
         out.sort_by(|a, b| er_core::total_cmp_desc(&a.1, &b.1).then(a.0.cmp(&b.0)));
         out
     }
 
     /// Point query: the record `id` on `side` is currently matched to,
-    /// under the service's algorithm and threshold.
-    pub fn match_of(&mut self, side: Side, id: u32) -> Option<u32> {
-        let m = self.matcher.matching();
-        match side {
-            Side::Left => m.iter().find(|&(l, _)| l == id).map(|(_, r)| r),
-            Side::Right => m.iter().find(|&(_, r)| r == id).map(|(l, _)| l),
-        }
+    /// under the service's algorithm and threshold
+    /// ([`DeltaMatcher::partner`]: an array read for UMC, a binary search
+    /// over the cached assignment otherwise).
+    pub fn match_of(&self, side: Side, id: u32) -> Option<u32> {
+        self.matcher.partner(side, id)
     }
 
     /// The full current matching (incrementally maintained).
-    pub fn matching(&mut self) -> Matching {
+    pub fn matching(&self) -> Matching {
         self.matcher.matching()
     }
 
@@ -465,7 +458,7 @@ mod tests {
 
     #[test]
     fn load_matches_batch_protocol() {
-        let (mut s, _) = service();
+        let (s, _) = service();
         assert_eq!(s.matching(), s.full_rematch());
         assert!(s.n_edges() > 0);
     }
@@ -518,7 +511,7 @@ mod tests {
 
     #[test]
     fn match_of_is_consistent_with_matching() {
-        let (mut s, _) = service();
+        let (s, _) = service();
         let m = s.matching();
         for (l, r) in m.iter() {
             assert_eq!(s.match_of(Side::Left, l), Some(r));

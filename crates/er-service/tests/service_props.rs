@@ -3,7 +3,7 @@
 //! equal to a from-scratch re-match on the resident store, and the point
 //! queries stay consistent with the store.
 
-use er_core::Side;
+use er_core::{total_cmp_desc, Side};
 use er_matchers::AlgorithmKind;
 use er_pipeline::SimilarityFunction;
 use er_service::{ErService, ServiceConfig};
@@ -62,6 +62,29 @@ fn step(s: &mut ErService, sel: u8, pick: u16) {
     }
 }
 
+/// Check both point queries against brute-force oracles over the whole
+/// id space (tombstoned ids and one past the end included): `match_of`
+/// against a scan of `matching()`, `neighbors(Right, _)` against a
+/// gather over every left row, weight-descending then by left id.
+fn assert_point_queries(s: &ErService) -> Result<(), TestCaseError> {
+    let m = s.matching();
+    for id in 0..=s.n_left() {
+        let want = m.iter().find(|&(l, _)| l == id).map(|(_, r)| r);
+        prop_assert_eq!(s.match_of(Side::Left, id), want, "left {}", id);
+    }
+    for id in 0..=s.n_right() {
+        let want = m.iter().find(|&(_, r)| r == id).map(|(l, _)| l);
+        prop_assert_eq!(s.match_of(Side::Right, id), want, "right {}", id);
+
+        let mut gather: Vec<(u32, f64)> = (0..s.n_left())
+            .filter_map(|l| s.store().weight_of(l, id).map(|w| (l, w)))
+            .collect();
+        gather.sort_by(|a, b| total_cmp_desc(&a.1, &b.1).then(a.0.cmp(&b.0)));
+        prop_assert_eq!(s.neighbors(Side::Right, id), gather, "column {}", id);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -105,6 +128,23 @@ proptest! {
             for (r, w) in s.neighbors(Side::Left, l) {
                 prop_assert!(s.is_live(Side::Right, r));
                 prop_assert!(s.neighbors(Side::Right, r).contains(&(l, w)));
+            }
+        }
+    }
+
+    /// Point queries answer exactly what the whole-graph reads imply, for
+    /// the array-backed partner lookup (UMC), the cached BAH search and
+    /// the replay fallback (KRC).
+    #[test]
+    fn point_queries_match_brute_force(
+        ops in proptest::collection::vec((0u8..8, 0u16..512), 1..8),
+    ) {
+        for kind in [AlgorithmKind::Umc, AlgorithmKind::Bah, AlgorithmKind::Krc] {
+            let mut s = boot(kind, 0.3);
+            assert_point_queries(&s)?;
+            for &(sel, pick) in &ops {
+                step(&mut s, sel, pick);
+                assert_point_queries(&s)?;
             }
         }
     }
