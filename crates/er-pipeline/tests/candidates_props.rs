@@ -30,8 +30,8 @@ use er_core::SimilarityGraph;
 use er_datasets::{EntityCollection, EntityProfile};
 use er_embed::{EmbeddingModel, SemanticMeasure};
 use er_pipeline::{
-    build_graph_over, build_graph_topk_mode, CandidateMode, PipelineConfig, SemanticScope,
-    SimilarityFunction, TopKStats,
+    build_graph_over, build_graph_topk_mode, CandidateMode, KernelMode, PipelineConfig,
+    SemanticScope, SimilarityFunction, TopKStats,
 };
 use er_textsim::{
     CharMeasure, GraphSimilarity, NGramScheme, SchemaBasedMeasure, TokenMeasure, VectorMeasure,
@@ -122,7 +122,8 @@ fn assert_counters_consistent(stats: &TopKStats, what: &str) {
     );
 }
 
-/// Run one function through both modes and check invariants 1 and 2.
+/// Run one function through both modes, under both kernel modes, and
+/// check invariants 1 and 2.
 fn check_function(
     left: &EntityCollection,
     right: &EntityCollection,
@@ -130,21 +131,29 @@ fn check_function(
     k: usize,
     threads: usize,
 ) {
-    let cfg = cfg_with(threads);
-    let what = format!("{} k={k} threads={threads}", function.name());
-    let (g_enum, s_enum) =
-        build_graph_topk_mode(left, right, function, k, CandidateMode::Enumerated, &cfg);
-    let (g_idx, s_idx) =
-        build_graph_topk_mode(left, right, function, k, CandidateMode::Indexed, &cfg);
-    assert_bit_identical(&g_enum, &g_idx, &what);
-    assert_counters_consistent(&s_enum, &format!("{what} enumerated"));
-    assert_counters_consistent(&s_idx, &format!("{what} indexed"));
-    assert!(
-        s_idx.generated_pairs <= s_enum.generated_pairs,
-        "{what}: indexed generated {} > enumerated generated {}",
-        s_idx.generated_pairs,
-        s_enum.generated_pairs
-    );
+    for kernel_mode in [KernelMode::Scalar, KernelMode::Lanes] {
+        let cfg = PipelineConfig {
+            kernel_mode,
+            ..cfg_with(threads)
+        };
+        let what = format!(
+            "{} k={k} threads={threads} kernel={kernel_mode:?}",
+            function.name()
+        );
+        let (g_enum, s_enum) =
+            build_graph_topk_mode(left, right, function, k, CandidateMode::Enumerated, &cfg);
+        let (g_idx, s_idx) =
+            build_graph_topk_mode(left, right, function, k, CandidateMode::Indexed, &cfg);
+        assert_bit_identical(&g_enum, &g_idx, &what);
+        assert_counters_consistent(&s_enum, &format!("{what} enumerated"));
+        assert_counters_consistent(&s_idx, &format!("{what} indexed"));
+        assert!(
+            s_idx.generated_pairs <= s_enum.generated_pairs,
+            "{what}: indexed generated {} > enumerated generated {}",
+            s_idx.generated_pairs,
+            s_enum.generated_pairs
+        );
+    }
 }
 
 /// The taxonomy branches with a candidate index.
@@ -284,10 +293,10 @@ proptest! {
         }
     }
 
-    /// Invariants 1 and 2 for branches without an index: the fallback is
-    /// the scorer's own enumeration, bit-identical by construction but
-    /// checked anyway (the counters must stay consistent through the
-    /// default `score_row_indexed`).
+    /// Invariants 1 and 2 for branches without an index: their `Index`
+    /// candidate source walks the scorer's own enumeration, bit-identical
+    /// by construction but checked anyway (the counters must stay
+    /// consistent through that fallback walk).
     #[test]
     fn fallback_indexed_matches_enumerated(
         left in arb_collection(6),

@@ -14,14 +14,16 @@
 //!   plus the operand-order symmetry the WMD cache prefill relies on;
 //! * whole graphs: for all 7 character measures and the three semantic
 //!   measures (cosine, Euclidean, Word Mover's), dense and top-k builds
-//!   under `KernelMode::Lanes` equal `KernelMode::Scalar` bit for bit.
+//!   under `KernelMode::Lanes` equal `KernelMode::Scalar` bit for bit —
+//!   over every candidate source: the branch's own enumeration, its
+//!   candidate index, and blocked candidate lists (`token_blocking`).
 
 use er_core::SimilarityGraph;
 use er_datasets::{EntityCollection, EntityProfile};
 use er_embed::{lanes as embed_lanes, DenseVector, EmbeddingModel, SemanticMeasure};
 use er_pipeline::{
-    build_graph_over, build_graph_topk_mode, CandidateMode, KernelMode, PipelineConfig,
-    SemanticScope, SimilarityFunction,
+    build_graph_over, build_graph_restricted, build_graph_topk_mode, build_graph_topk_restricted,
+    token_blocking, CandidateMode, KernelMode, PipelineConfig, SemanticScope, SimilarityFunction,
 };
 use er_textsim::lanes::{
     bag_upper_bounds_from_common, length_upper_bounds, sorted_common_counts, MyersBatch, LANE_WIDTH,
@@ -58,7 +60,24 @@ fn sorted_bag(s: &str) -> Vec<u32> {
 /// small enough for dense reference builds, adversarial enough to hit
 /// multi-block patterns and supplementary-plane chars in the pipeline.
 fn arb_unicode_collection(max_entities: usize) -> impl Strategy<Value = EntityCollection> {
-    proptest::collection::vec(arb_text(70), 1..=max_entities).prop_map(|names| EntityCollection {
+    collection_of(arb_text(70), max_entities)
+}
+
+/// [`arb_unicode_collection`] with spaces between the characters, so
+/// values split into short tokens that `token_blocking` can share across
+/// sides — enough blocked candidates per row to fill whole lanes.
+fn arb_tokenized_collection(max_entities: usize) -> impl Strategy<Value = EntityCollection> {
+    let alphabet: Vec<char> = ALPHABET.iter().copied().chain([' ', ' ', ' ']).collect();
+    let text = proptest::collection::vec(proptest::sample::select(alphabet), 0..=70)
+        .prop_map(|cs| cs.into_iter().collect::<String>());
+    collection_of(text, max_entities)
+}
+
+fn collection_of(
+    text: impl Strategy<Value = String>,
+    max_entities: usize,
+) -> impl Strategy<Value = EntityCollection> {
+    proptest::collection::vec(text, 1..=max_entities).prop_map(|names| EntityCollection {
         profiles: names
             .into_iter()
             .enumerate()
@@ -249,12 +268,18 @@ proptest! {
     /// collections include > 64-char values (multi-block Myers) and
     /// supplementary-plane chars; right-side counts indivisible by the
     /// lane width exercise ragged tails through every chunked path.
+    /// The blocked builds (`build_graph_restricted` and
+    /// `build_graph_topk_restricted`) run over separate space-separated
+    /// collections whose `token_blocking` candidates fill whole lanes.
     #[test]
     fn graphs_are_bit_identical_across_kernel_modes(
         left in arb_unicode_collection(5),
         right in arb_unicode_collection(7),
+        blocked_left in arb_tokenized_collection(5),
+        blocked_right in arb_tokenized_collection(12),
         k in 1usize..=2,
     ) {
+        let candidates = token_blocking(&blocked_left, &blocked_right).candidate_pairs();
         let mut functions: Vec<SimilarityFunction> = CharMeasure::all()
             .into_iter()
             .map(|m| SimilarityFunction::SchemaBasedSyntactic {
@@ -315,6 +340,23 @@ proptest! {
                     &format!("{} topk k={k} mode={mode:?}", function.name()),
                 );
             }
+            let (bl, br) = (&blocked_left, &blocked_right);
+            let restricted = |kernel| {
+                build_graph_restricted(bl, br, &function, &candidates, &cfg(kernel))
+            };
+            assert_bit_identical(
+                &restricted(KernelMode::Scalar),
+                &restricted(KernelMode::Lanes),
+                &format!("{} restricted", function.name()),
+            );
+            let topk_restricted = |kernel| {
+                build_graph_topk_restricted(bl, br, &function, &candidates, k, &cfg(kernel))
+            };
+            assert_bit_identical(
+                &topk_restricted(KernelMode::Scalar),
+                &topk_restricted(KernelMode::Lanes),
+                &format!("{} topk restricted k={k}", function.name()),
+            );
         }
     }
 }
