@@ -1,15 +1,30 @@
-//! Index-driven candidate generation: the sub-quadratic alternative to
-//! enumerating all `n_left × n_right` pairs.
+//! Candidate sources: where the score phase takes each row's candidate
+//! pairs from, and the index-driven generators that make candidate
+//! generation sub-quadratic.
 //!
-//! PR 5's bound-driven engine pruned candidates *after* enumerating them —
-//! the scored volume shrank but the generated volume stayed `Θ(n²)`. This
-//! module inverts each branch's pruning filter into an index probe, so the
-//! filtered-out pairs are never even produced:
+//! Every scorer has exactly one row walk, over a `CandidateSource`:
+//!
+//! * `Enumerate` — the branch's own enumeration (the full cross product,
+//!   or every term-sharing pair for the inverted-index branches);
+//! * `Index` — generation from the branch's prepared candidate index
+//!   under the sink's admission bound ([`CandidateMode::Indexed`]);
+//! * `Blocked` — the per-row lists of a blocked candidate set
+//!   (`CandidateLists`).
+//!
+//! All three hand each candidate `j` to the scorer's one `score(j)`
+//! callback. The index generators below also take the sink's refreshed
+//! admission bound back from it (`score(j) -> bound`), so their pruning
+//! tightens as the row's heap fills; the two list walks ignore it.
+//!
+//! The bound-driven engine prunes candidates *after* enumerating them —
+//! the scored volume shrinks but the generated volume stays `Θ(n²)`. The
+//! generators invert each branch's pruning filter into an index probe,
+//! so the filtered-out pairs are never even produced:
 //!
 //! * **Token vector measures** (`generate_token_candidates`) — an
 //!   AllPairs/PPJoin-style prefix filter: the probe's terms are visited in
-//!   the [`ProbePlan`] order over the existing right-side inverted index,
-//!   and generation stops at the first plan step whose *suffix bound* (the
+//!   the [`ProbePlan`] order over the right-side inverted index, and
+//!   generation stops at the first plan step whose *suffix bound* (the
 //!   best similarity any still-undiscovered candidate could reach) falls
 //!   strictly below the sink's admission bound.
 //! * **Character edit measures** (`generate_char_candidates`) — the
@@ -49,7 +64,7 @@
 //! [`LengthBucketIndex`]: er_textsim::LengthBucketIndex
 //! [`VectorBallIndex`]: er_embed::VectorBallIndex
 
-use er_core::FxHashMap;
+use er_core::{FxHashMap, FxHashSet};
 use er_embed::{DenseVector, VectorBallIndex};
 use er_textsim::{CharMeasure, LengthBucketIndex, ProbePlan};
 
@@ -58,8 +73,8 @@ use er_textsim::{CharMeasure, LengthBucketIndex, ProbePlan};
 pub enum CandidateMode {
     /// Enumerate every pair the branch's scorer would consider (full cross
     /// product, or every term-sharing pair for the inverted-index
-    /// branches) and let the sink's bounds prune after the fact — PR 5
-    /// behaviour, `Θ(n²)` generated pairs on the all-pairs branches.
+    /// branches) and let the sink's bounds prune after the fact —
+    /// `Θ(n²)` generated pairs on the all-pairs branches.
     #[default]
     Enumerated,
     /// Generate candidates from the branch's index (prefix-filtered
@@ -70,6 +85,77 @@ pub enum CandidateMode {
     ///
     /// [`Enumerated`]: CandidateMode::Enumerated
     Indexed,
+}
+
+/// Where one build takes each row's candidates from (see the module
+/// docs). `I` is the branch's prepared candidate index; a scorer builds
+/// it only for the `Index` source, so a walk can never reach an index
+/// that was not prepared.
+#[derive(Clone, Copy)]
+pub(crate) enum CandidateSource<'a, I> {
+    /// The branch's own enumeration.
+    Enumerate,
+    /// Generation from the branch's candidate index under the sink's
+    /// admission bound. Branches without an index (`I = ()`) walk their
+    /// own enumeration — still correct, just not sub-quadratic.
+    Index(I),
+    /// Only the pairs of a blocked candidate set.
+    Blocked(&'a CandidateLists),
+}
+
+/// A candidate-source request, made before any scorer (and with it the
+/// index) exists.
+pub(crate) type SourceKind<'a> = CandidateSource<'a, ()>;
+
+impl<'a> SourceKind<'a> {
+    /// The source a streaming top-k build in `mode` walks.
+    pub(crate) fn of_mode(mode: CandidateMode) -> Self {
+        match mode {
+            CandidateMode::Enumerated => CandidateSource::Enumerate,
+            CandidateMode::Indexed => CandidateSource::Index(()),
+        }
+    }
+
+    /// The prepared source: an `Index` request receives the index
+    /// `build` produces; the other sources carry over unchanged.
+    pub(crate) fn with_index<I>(self, build: impl FnOnce() -> I) -> CandidateSource<'a, I> {
+        match self {
+            CandidateSource::Enumerate => CandidateSource::Enumerate,
+            CandidateSource::Index(()) => CandidateSource::Index(build()),
+            CandidateSource::Blocked(lists) => CandidateSource::Blocked(lists),
+        }
+    }
+}
+
+/// Per-left-entity candidate lists (right ids, ascending) of the
+/// `Blocked` source, built once from the blocked pair set.
+pub(crate) struct CandidateLists {
+    rows: Vec<Vec<u32>>,
+}
+
+impl CandidateLists {
+    /// Group `pairs` by left id; pairs referencing out-of-range entity
+    /// ids are dropped.
+    pub(crate) fn new(n_left: u32, n_right: u32, pairs: &FxHashSet<(u32, u32)>) -> Self {
+        let mut rows = vec![Vec::new(); n_left as usize];
+        for &(l, r) in pairs {
+            if l < n_left && r < n_right {
+                rows[l as usize].push(r);
+            }
+        }
+        for row in &mut rows {
+            row.sort_unstable();
+        }
+        CandidateLists { rows }
+    }
+
+    /// The candidate right ids of left entity `left_id`, ascending.
+    #[inline]
+    pub(crate) fn row(&self, left_id: u32) -> &[u32] {
+        self.rows
+            .get(left_id as usize)
+            .map_or(&[], |row| row.as_slice())
+    }
 }
 
 /// Prefix-filtered token-measure generation: probe the right-side postings

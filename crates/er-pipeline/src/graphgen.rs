@@ -26,7 +26,23 @@
 //! [`GraphBuilder`] — so results are **bit-identical** to the serial path
 //! for any thread count (property-tested in `tests/graphgen_props.rs`).
 //!
-//! [`build_graph_restricted`] reuses the same scorers to score *only*
+//! # One scoring loop per scorer
+//!
+//! Each taxonomy branch has one scorer with exactly one row walk,
+//! `RowScorer::score_row`, over a *candidate source*
+//! (`crate::candidates::CandidateSource`): the branch's own enumeration
+//! (full cross product, or every term-sharing pair), its candidate index
+//! ([`CandidateMode::Indexed`]), or blocked candidate lists. Every source
+//! hands candidates to the same per-scorer callback, so a candidate is
+//! scored — screened, batched into lanes under [`KernelMode::Lanes`],
+//! counted and emitted — in one place whatever produced it. Prepare
+//! builds only the structures the requested source reads. The score
+//! phase is one chunked loop generic over the sink: the dense build
+//! collects every triple, the top-k build streams each row through a
+//! bounded heap, and the in-RAM build is the single-shard case of the
+//! out-of-core one (`crate::sharded`).
+//!
+//! [`build_graph_restricted`] uses the blocked source to score *only*
 //! blocked candidate pairs — the production "blocking first" pipeline —
 //! instead of building the full graph and discarding most of it, and
 //! [`build_prepared`] emits the sorted edge view alongside the graph, so
@@ -65,7 +81,10 @@
 //! measure and thread count). [`TopKStats`] reports the
 //! offered/pruned/scored accounting.
 
+use std::hash::Hash;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use crossbeam::thread;
 use parking_lot::Mutex;
@@ -88,7 +107,8 @@ use er_textsim::{
 use serde::Serialize;
 
 use crate::candidates::{
-    generate_ball_candidates, generate_char_candidates, generate_token_candidates, CandidateMode,
+    generate_ball_candidates, generate_char_candidates, generate_token_candidates, CandidateLists,
+    CandidateMode, CandidateSource, SourceKind,
 };
 use crate::config::{KernelMode, PipelineConfig};
 use crate::taxonomy::{SemanticScope, SimilarityFunction};
@@ -163,9 +183,13 @@ impl NormFrame {
     }
 }
 
-/// Where a scorer's retained triples go. The dense path collects them
-/// verbatim (`Vec<Triple>`); the top-k path routes them through a bounded
-/// per-row heap so rejected candidates never occupy memory.
+/// Where a scorer's retained triples go. The dense sink collects them
+/// verbatim (`Vec<Triple>`); the top-k sink ([`TopKSink`]) routes them
+/// through a bounded per-row heap so rejected candidates never occupy
+/// memory. The score phase drives one sink per row chunk: the scorer
+/// emits into it, [`end_row`](EdgeSink::end_row) closes each row, and
+/// [`into_triples`](EdgeSink::into_triples) hands over the chunk's
+/// retained triples.
 ///
 /// The sink also drives **bound-driven scoring**: before paying for a
 /// full similarity computation a scorer may ask for the sink's
@@ -201,12 +225,33 @@ trait EdgeSink {
     /// Count one candidate fully scored (emitted or positivity-dropped).
     #[inline]
     fn note_scored(&mut self) {}
+
+    /// Count one fully scored candidate and emit it unless the
+    /// positivity filter drops it (`keep_positive` and `weight <= 0`).
+    #[inline]
+    fn scored(&mut self, left: u32, right: u32, weight: f64, keep_positive: bool) {
+        self.note_scored();
+        if weight > 0.0 || !keep_positive {
+            self.emit(left, right, weight);
+        }
+    }
+
+    /// Close the current row (the next emit starts a new one).
+    #[inline]
+    fn end_row(&mut self) {}
+
+    /// The chunk's retained triples, in row order.
+    fn into_triples(self) -> Vec<Triple>;
 }
 
 impl EdgeSink for Vec<Triple> {
     #[inline]
     fn emit(&mut self, left: u32, right: u32, weight: f64) {
         self.push((left, right, weight));
+    }
+
+    fn into_triples(self) -> Vec<Triple> {
+        self
     }
 }
 
@@ -257,7 +302,14 @@ pub fn build_graph_over(
     finalize(
         left,
         right,
-        score_shards(left, right, function, None, cfg, ScoreMode::Dense),
+        score_shards(
+            left,
+            right,
+            function,
+            CandidateSource::Enumerate,
+            cfg,
+            ScoreMode::Dense,
+        ),
         cfg,
     )
 }
@@ -428,13 +480,9 @@ pub fn build_graph_topk_framed(
         left,
         right,
         function,
-        None,
+        SourceKind::of_mode(mode),
         cfg,
-        ScoreMode::TopK {
-            k,
-            acct: &acct,
-            indexed: mode == CandidateMode::Indexed,
-        },
+        ScoreMode::TopK { k, acct: &acct },
     );
     let (graph, frame) = finalize_framed(left, right, shards, cfg);
     let stats = TopKStats {
@@ -486,13 +534,9 @@ pub fn build_graph_topk_restricted(
         left,
         right,
         function,
-        Some(&lists),
+        CandidateSource::Blocked(&lists),
         cfg,
-        ScoreMode::TopK {
-            k,
-            acct: &acct,
-            indexed: false,
-        },
+        ScoreMode::TopK { k, acct: &acct },
     );
     finalize(left, right, shards, cfg)
 }
@@ -599,41 +643,27 @@ pub fn build_graph_restricted(
     finalize(
         left,
         right,
-        score_shards(left, right, function, Some(&lists), cfg, ScoreMode::Dense),
+        score_shards(
+            left,
+            right,
+            function,
+            CandidateSource::Blocked(&lists),
+            cfg,
+            ScoreMode::Dense,
+        ),
         cfg,
     )
 }
 
-/// Per-left-entity candidate lists (right ids, ascending) for the
-/// restricted path, built once from the blocked pair set.
-pub(crate) struct CandidateLists {
-    rows: Vec<Vec<u32>>,
-}
-
-impl CandidateLists {
-    fn new(n_left: u32, n_right: u32, pairs: &FxHashSet<(u32, u32)>) -> Self {
-        let mut rows = vec![Vec::new(); n_left as usize];
-        for &(l, r) in pairs {
-            if l < n_left && r < n_right {
-                rows[l as usize].push(r);
-            }
-        }
-        for row in &mut rows {
-            row.sort_unstable();
-        }
-        CandidateLists { rows }
-    }
-
-    #[inline]
-    fn row(&self, left_id: u32) -> &[u32] {
-        self.rows
-            .get(left_id as usize)
-            .map_or(&[], |row| row.as_slice())
-    }
-}
-
 /// One taxonomy branch's scoring state: prepared serially, then shared
 /// read-only (`Sync`) by every worker of the score phase.
+///
+/// A scorer has exactly **one** row method: [`score_row`] walks the
+/// row's candidates from a [`CandidateSource`] — the branch's own
+/// enumeration, its candidate index, or blocked candidate lists — and
+/// scores every candidate in one place, so each source runs the same
+/// screens and kernels. Prepare builds only what the requested source
+/// reads; structures another source would read are left empty.
 ///
 /// Each scorer carries the `keep_positive` flag
 /// (`cfg.keep_positive_only`): when set (the paper's protocol), only
@@ -642,9 +672,15 @@ impl CandidateLists {
 /// (e.g. semantic cosine) reach `finalize`'s plain min-max fallback. Note
 /// the inverted-index branches enumerate only term-sharing pairs either
 /// way — that is their exactness guarantee, not a positivity filter.
+///
+/// [`score_row`]: RowScorer::score_row
 trait RowScorer: Sync {
     /// Per-worker mutable scratch (probe stamps, distance caches).
     type Scratch: Send;
+
+    /// The candidate index the `Index` source walks; `()` for branches
+    /// without one.
+    type Index: Sync;
 
     /// Number of left rows to score.
     fn n_rows(&self) -> usize;
@@ -652,29 +688,52 @@ trait RowScorer: Sync {
     /// Fresh scratch for one worker.
     fn scratch(&self) -> Self::Scratch;
 
-    /// Score row `row` against the scorer's own candidate enumeration
-    /// (inverted index or full cross product), emitting retained triples.
-    fn score_row<O: EdgeSink>(&self, row: usize, scratch: &mut Self::Scratch, out: &mut O);
+    /// Build the candidate index over the prepared right side.
+    fn index(&self) -> Self::Index;
 
-    /// Score row `row` with **index-driven candidate generation** (the
-    /// [`CandidateMode::Indexed`] top-k path): produce candidates from
-    /// the scorer's index under the sink's admission bound instead of
-    /// enumerating them, so ruled-out pairs are never generated at all.
-    /// Scorers without a candidate index fall back to their own
-    /// enumeration — still correct (the same bounded sink receives every
-    /// candidate), just not sub-quadratic.
-    fn score_row_indexed<O: EdgeSink>(&self, row: usize, scratch: &mut Self::Scratch, out: &mut O) {
-        self.score_row(row, scratch, out);
-    }
-
-    /// Score row `row` against the blocked candidates only.
-    fn score_row_restricted<O: EdgeSink>(
+    /// Score row `row` against the candidates `source` yields, emitting
+    /// retained triples into `out`.
+    fn score_row<O: EdgeSink>(
         &self,
         row: usize,
-        cands: &CandidateLists,
+        source: &CandidateSource<'_, Self::Index>,
         scratch: &mut Self::Scratch,
         out: &mut O,
     );
+}
+
+/// Candidates batched for a lane kernel: [`push`](Self::push) hands
+/// every full batch of `N` to its `flush`, [`finish`](Self::finish) the
+/// ragged tail, so candidates reach the kernel in source order.
+struct LaneBuffer<T, const N: usize> {
+    items: [T; N],
+    len: usize,
+}
+
+impl<T: Copy + Default, const N: usize> LaneBuffer<T, N> {
+    fn new() -> Self {
+        LaneBuffer {
+            items: [T::default(); N],
+            len: 0,
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, item: T, flush: impl FnOnce(&[T])) {
+        self.items[self.len] = item;
+        self.len += 1;
+        if self.len == N {
+            flush(&self.items);
+            self.len = 0;
+        }
+    }
+
+    fn finish(&mut self, flush: impl FnOnce(&[T])) {
+        if self.len > 0 {
+            flush(&self.items[..self.len]);
+            self.len = 0;
+        }
+    }
 }
 
 /// Fan `n_chunks` work units out over `threads` scoped workers claiming
@@ -719,30 +778,37 @@ fn fan_out_chunks<S: RowScorer>(
         .collect()
 }
 
-/// The dense score phase: shard rows into contiguous chunks and collect
-/// every retained triple.
-fn run_rows<S: RowScorer>(
+/// The chunked score phase over a contiguous range of the scorer's rows:
+/// the rows are split into chunks fanned out over the workers, and each
+/// chunk is scored into a fresh sink from `new_sink`. Every sink is
+/// row-local — the dense sink keeps every retained triple, [`TopKSink`]
+/// a bounded heap per row — so scoring `rows` in isolation yields
+/// exactly the triples a full run emits for those rows, in the same
+/// order: the output is bit-identical for any thread count, chunk size
+/// and range split.
+fn score_rows<S: RowScorer, K: EdgeSink>(
     scorer: &S,
-    cands: Option<&CandidateLists>,
+    source: &CandidateSource<'_, S::Index>,
     cfg: &PipelineConfig,
+    rows: Range<usize>,
+    new_sink: impl Fn() -> K + Sync,
 ) -> Vec<Vec<Triple>> {
-    let n_rows = scorer.n_rows();
+    let n_rows = rows.len();
     if n_rows == 0 {
         return Vec::new();
     }
+    let base = rows.start;
     let threads = cfg.effective_threads().clamp(1, n_rows);
     let chunk = cfg.effective_chunk_rows(n_rows, threads);
     let n_chunks = n_rows.div_ceil(chunk);
 
     let score_chunk = |c: usize, scratch: &mut S::Scratch| -> Vec<Triple> {
-        let mut buf = Vec::new();
-        for row in c * chunk..((c + 1) * chunk).min(n_rows) {
-            match cands {
-                None => scorer.score_row(row, scratch, &mut buf),
-                Some(lists) => scorer.score_row_restricted(row, lists, scratch, &mut buf),
-            }
+        let mut sink = new_sink();
+        for row in base + c * chunk..base + ((c + 1) * chunk).min(n_rows) {
+            scorer.score_row(row, source, scratch, &mut sink);
+            sink.end_row();
         }
-        buf
+        sink.into_triples()
     };
 
     fan_out_chunks(scorer, threads, n_chunks, score_chunk)
@@ -761,6 +827,8 @@ struct TopKSink<'a> {
     pruned: usize,
     scored: usize,
     drain_scratch: Vec<(u32, f64)>,
+    /// The chunk's finished rows (weight desc, right asc within a row).
+    buf: Vec<Triple>,
     acct: &'a ConstructionCounters,
 }
 
@@ -774,17 +842,9 @@ impl<'a> TopKSink<'a> {
             pruned: 0,
             scored: 0,
             drain_scratch: Vec::new(),
+            buf: Vec::new(),
             acct,
         }
-    }
-
-    /// Flush the finished row's survivors into the chunk buffer (sorted
-    /// by weight desc, right asc) and reset the heap for the next row.
-    fn drain_row_into(&mut self, buf: &mut Vec<Triple>) {
-        self.drain_scratch.clear();
-        self.row.drain_sorted_into(&mut self.drain_scratch);
-        let left = self.left;
-        buf.extend(self.drain_scratch.iter().map(|&(r, w)| (left, r, w)));
     }
 }
 
@@ -819,68 +879,24 @@ impl EdgeSink for TopKSink<'_> {
     fn note_scored(&mut self) {
         self.scored += 1;
     }
-}
 
-/// The streaming top-k score phase: like [`run_rows`], but each row's
-/// candidates pass through a bounded heap so at most `k` of them are ever
-/// resident per row. Selection is row-local, so sharding cannot change
-/// results: the output is bit-identical for any thread count and chunk
-/// size, exactly as for the dense path.
-fn run_rows_topk<S: RowScorer>(
-    scorer: &S,
-    cands: Option<&CandidateLists>,
-    k: usize,
-    cfg: &PipelineConfig,
-    acct: &ConstructionCounters,
-    indexed: bool,
-) -> Vec<Vec<Triple>> {
-    run_rows_topk_range(scorer, cands, k, cfg, acct, indexed, 0..scorer.n_rows())
-}
-
-/// [`run_rows_topk`] over a contiguous sub-range of the scorer's rows —
-/// the per-shard score phase of the out-of-core build
-/// (`crate::sharded`). Each row's retained set is row-local, so scoring
-/// `rows` in isolation yields exactly the triples the full run emits
-/// for those rows, in the same order: concatenating consecutive range
-/// outputs reproduces the full run's output bit for bit regardless of
-/// the range boundaries, thread count, or chunk size.
-fn run_rows_topk_range<S: RowScorer>(
-    scorer: &S,
-    cands: Option<&CandidateLists>,
-    k: usize,
-    cfg: &PipelineConfig,
-    acct: &ConstructionCounters,
-    indexed: bool,
-    rows: std::ops::Range<usize>,
-) -> Vec<Vec<Triple>> {
-    let n_rows = rows.len();
-    if n_rows == 0 {
-        return Vec::new();
+    /// Move the finished row's survivors into the chunk buffer and reset
+    /// the heap for the next row.
+    fn end_row(&mut self) {
+        self.drain_scratch.clear();
+        self.row.drain_sorted_into(&mut self.drain_scratch);
+        let left = self.left;
+        self.buf
+            .extend(self.drain_scratch.iter().map(|&(r, w)| (left, r, w)));
     }
-    let base = rows.start;
-    let threads = cfg.effective_threads().clamp(1, n_rows);
-    let chunk = cfg.effective_chunk_rows(n_rows, threads);
-    let n_chunks = n_rows.div_ceil(chunk);
 
-    let score_chunk = |c: usize, scratch: &mut S::Scratch| -> Vec<Triple> {
-        let mut buf = Vec::new();
-        let mut sink = TopKSink::new(k, acct);
-        for row in base + c * chunk..base + ((c + 1) * chunk).min(n_rows) {
-            match cands {
-                None if indexed => scorer.score_row_indexed(row, scratch, &mut sink),
-                None => scorer.score_row(row, scratch, &mut sink),
-                Some(lists) => scorer.score_row_restricted(row, lists, scratch, &mut sink),
-            }
-            sink.drain_row_into(&mut buf);
-        }
-        acct.add_generated(sink.generated);
-        acct.add_offered(sink.offered);
-        acct.add_pruned(sink.pruned);
-        acct.add_scored(sink.scored);
-        buf
-    };
-
-    fan_out_chunks(scorer, threads, n_chunks, score_chunk)
+    fn into_triples(self) -> Vec<Triple> {
+        self.acct.add_generated(self.generated);
+        self.acct.add_offered(self.offered);
+        self.acct.add_pruned(self.pruned);
+        self.acct.add_scored(self.scored);
+        self.buf
+    }
 }
 
 /// How the score phase collects a row's retained triples.
@@ -894,104 +910,102 @@ pub(crate) enum ScoreMode<'a> {
         k: usize,
         /// Shared candidate-flow and resident/peak counters.
         acct: &'a ConstructionCounters,
-        /// Generate candidates from indexes ([`CandidateMode::Indexed`])
-        /// instead of enumerating them.
-        indexed: bool,
     },
 }
 
-impl ScoreMode<'_> {
-    /// Whether the scorers should prepare their candidate indexes.
-    #[inline]
-    fn is_indexed(&self) -> bool {
-        matches!(self, ScoreMode::TopK { indexed: true, .. })
+/// The score phase of one build, ready to run over whichever scorer the
+/// branch dispatch in [`score_sharded`] prepares.
+struct ScorePhase<'a, F> {
+    source: SourceKind<'a>,
+    cfg: &'a PipelineConfig,
+    mode: ScoreMode<'a>,
+    shard_rows: usize,
+    on_shard: F,
+}
+
+impl<F: FnMut(usize, Vec<Vec<Triple>>)> ScorePhase<'_, F> {
+    /// Build the source's index (if any), then score the rows
+    /// `shard_rows` at a time, handing each shard's chunk buffers to
+    /// `on_shard` before the next shard starts.
+    fn run<S: RowScorer>(mut self, scorer: &S) {
+        let source = self.source.with_index(|| scorer.index());
+        let n_rows = scorer.n_rows();
+        for (shard, start) in (0..n_rows).step_by(self.shard_rows).enumerate() {
+            let rows = start..n_rows.min(start.saturating_add(self.shard_rows));
+            let bufs = match self.mode {
+                ScoreMode::Dense => score_rows(scorer, &source, self.cfg, rows, Vec::new),
+                ScoreMode::TopK { k, acct } => {
+                    score_rows(scorer, &source, self.cfg, rows, || TopKSink::new(k, acct))
+                }
+            };
+            (self.on_shard)(shard, bufs);
+        }
     }
 }
 
-/// Dispatch one prepared scorer into the requested score phase.
-fn run_scorer<S: RowScorer>(
-    scorer: &S,
-    cands: Option<&CandidateLists>,
-    cfg: &PipelineConfig,
-    mode: ScoreMode<'_>,
-) -> Vec<Vec<Triple>> {
-    match mode {
-        ScoreMode::Dense => run_rows(scorer, cands, cfg),
-        ScoreMode::TopK { k, acct, indexed } => run_rows_topk(scorer, cands, k, cfg, acct, indexed),
-    }
-}
-
-/// A continuation over the branch-dispatched prepared scorer: the one
-/// place that knows every taxonomy branch's prepare signature
-/// ([`visit_scorer`]) hands the prepared scorer to `visit`, which runs
-/// whatever score phase(s) the caller wants over it. Generic rather
-/// than object-safe on purpose — each visitor monomorphizes per scorer,
-/// exactly like the direct calls it replaces.
-trait ScorerVisitor {
-    /// What the continuation produces.
-    type Out;
-
-    /// Run over the prepared scorer.
-    fn visit<S: RowScorer>(self, scorer: &S) -> Self::Out;
-}
-
-/// Prepare the branch's scorer — DF statistics, inverted indexes,
-/// encoded vectors, interned token tables, all over the **full**
-/// collections — and hand it to `v`. `with_bounds` / `indexed` pick the
-/// bound-driven / index-backed prepare variants (the top-k engine);
-/// both flags only add pruning structures, never change scores.
-fn visit_scorer<V: ScorerVisitor>(
+/// Prepare the branch's scorer **once** over the full collections — DF
+/// statistics, indexes, encoded vectors, interned token tables — then
+/// run the score phase shard by shard: `shard_rows` scorer rows at a
+/// time, each finished shard's triple buffers passed to `on_shard` in
+/// row order and dropped before the next shard is scored.
+///
+/// The in-RAM build is the single-shard case ([`score_shards`]). Because
+/// the prepared scorer (and with it every statistic that feeds the raw
+/// scores) is the same however the rows are sharded, and each row's
+/// retained set is row-local, concatenating the `on_shard` payloads in
+/// call order reproduces the single-shard output bit for bit — the
+/// out-of-core builder (`crate::sharded`) owes its equivalence proof to
+/// exactly this invariant. `shard_rows` must be at least 1.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn score_sharded(
     left: &EntityCollection,
     right: &EntityCollection,
     function: &SimilarityFunction,
+    source: SourceKind<'_>,
     cfg: &PipelineConfig,
-    with_bounds: bool,
-    indexed: bool,
-    v: V,
-) -> V::Out {
+    mode: ScoreMode<'_>,
+    shard_rows: usize,
+    on_shard: impl FnMut(usize, Vec<Vec<Triple>>),
+) {
+    let keep = cfg.keep_positive_only;
+    let phase = ScorePhase {
+        source,
+        cfg,
+        mode,
+        shard_rows,
+        on_shard,
+    };
     match function {
         SimilarityFunction::SchemaBasedSyntactic { attribute, measure } => match measure {
             // Character measures ride the bound-driven engine: interned
             // char tables, bit-parallel Levenshtein, prune-aware sinks.
-            SchemaBasedMeasure::Char(m) => {
-                let s = CharScorer::prepare(
-                    left,
-                    right,
-                    attribute,
-                    *m,
-                    cfg.keep_positive_only,
-                    indexed,
-                    cfg.kernel_mode,
-                );
-                v.visit(&s)
-            }
-            SchemaBasedMeasure::Token(_) => {
-                let s = SchemaBasedScorer::prepare(
-                    left,
-                    right,
-                    attribute,
-                    *measure,
-                    cfg.keep_positive_only,
-                );
-                v.visit(&s)
-            }
+            SchemaBasedMeasure::Char(m) => phase.run(&CharScorer::prepare(
+                left,
+                right,
+                attribute,
+                *m,
+                source,
+                keep,
+                cfg.kernel_mode,
+            )),
+            SchemaBasedMeasure::Token(_) => phase.run(&SchemaBasedScorer::prepare(
+                left, right, attribute, *measure, source, keep,
+            )),
         },
         SimilarityFunction::SchemaAgnosticVector { scheme, measure } => {
-            let s = VectorScorer::prepare(
+            phase.run(&VectorScorer::prepare(
                 left,
                 right,
                 *scheme,
                 *measure,
-                cfg.keep_positive_only,
+                source,
+                keep,
                 cfg.kernel_mode,
-            );
-            v.visit(&s)
+            ))
         }
-        SimilarityFunction::SchemaAgnosticGraph { scheme, measure } => {
-            let s =
-                GraphModelScorer::prepare(left, right, *scheme, *measure, cfg.keep_positive_only);
-            v.visit(&s)
-        }
+        SimilarityFunction::SchemaAgnosticGraph { scheme, measure } => phase.run(
+            &GraphModelScorer::prepare(left, right, *scheme, *measure, source, keep),
+        ),
         SimilarityFunction::Semantic {
             model,
             measure,
@@ -999,138 +1013,43 @@ fn visit_scorer<V: ScorerVisitor>(
         } => {
             let enc = model.encoder();
             if measure.needs_token_vectors() {
-                let s = WmdScorer::prepare(left, right, &enc, scope, cfg, with_bounds, indexed);
-                v.visit(&s)
+                phase.run(&WmdScorer::prepare(left, right, &enc, scope, cfg))
             } else {
-                let s = DenseSemanticScorer::prepare(
+                phase.run(&DenseSemanticScorer::prepare(
                     left,
                     right,
                     &enc,
                     *measure,
                     scope,
-                    cfg.keep_positive_only,
-                    indexed,
+                    keep,
                     cfg.kernel_mode,
-                );
-                v.visit(&s)
+                ))
             }
         }
     }
 }
 
-/// The in-RAM continuation: one score phase over all rows.
-struct RunAllRows<'a, 'b> {
-    cands: Option<&'a CandidateLists>,
-    cfg: &'a PipelineConfig,
-    mode: ScoreMode<'b>,
-}
-
-impl ScorerVisitor for RunAllRows<'_, '_> {
-    type Out = Vec<Vec<Triple>>;
-
-    fn visit<S: RowScorer>(self, scorer: &S) -> Vec<Vec<Triple>> {
-        run_scorer(scorer, self.cands, self.cfg, self.mode)
-    }
-}
-
-/// Prepare the branch's scorer and run the score phase.
+/// Prepare the branch's scorer and run the score phase over all rows.
 pub(crate) fn score_shards(
     left: &EntityCollection,
     right: &EntityCollection,
     function: &SimilarityFunction,
-    cands: Option<&CandidateLists>,
+    source: SourceKind<'_>,
     cfg: &PipelineConfig,
     mode: ScoreMode<'_>,
 ) -> Vec<Vec<Triple>> {
-    visit_scorer(
+    let mut all = Vec::new();
+    score_sharded(
         left,
         right,
         function,
+        source,
         cfg,
-        matches!(mode, ScoreMode::TopK { .. }),
-        mode.is_indexed(),
-        RunAllRows { cands, cfg, mode },
-    )
-}
-
-/// The out-of-core continuation: the same prepared scorer, scored one
-/// contiguous left-row range ("shard") at a time through the streaming
-/// top-k engine, each finished shard handed to `on_shard` (which spills
-/// it and frees the memory) before the next shard starts.
-struct RunShardedRows<'a, F> {
-    k: usize,
-    indexed: bool,
-    cfg: &'a PipelineConfig,
-    acct: &'a ConstructionCounters,
-    shard_rows: usize,
-    on_shard: F,
-}
-
-impl<F: FnMut(usize, Vec<Vec<Triple>>)> ScorerVisitor for RunShardedRows<'_, F> {
-    type Out = ();
-
-    fn visit<S: RowScorer>(mut self, scorer: &S) {
-        let n_rows = scorer.n_rows();
-        let mut start = 0;
-        let mut shard = 0;
-        while start < n_rows {
-            let end = (start + self.shard_rows).min(n_rows);
-            let bufs = run_rows_topk_range(
-                scorer,
-                None,
-                self.k,
-                self.cfg,
-                self.acct,
-                self.indexed,
-                start..end,
-            );
-            (self.on_shard)(shard, bufs);
-            start = end;
-            shard += 1;
-        }
-    }
-}
-
-/// Prepare the branch's scorer **once** over the full collections, then
-/// run the streaming top-k score phase shard by shard: `shard_rows`
-/// scorer rows at a time, each finished shard's triple buffers passed to
-/// `on_shard` in row order and dropped before the next shard is scored.
-///
-/// Because the scorer (and with it every DF statistic, index and
-/// encoding that feeds the raw scores) is identical to the in-RAM
-/// build's, and each row's top-k selection is row-local, concatenating
-/// the `on_shard` payloads in call order reproduces
-/// [`score_shards`]`(…, ScoreMode::TopK, …)`'s output bit for bit — the
-/// out-of-core builder (`crate::sharded`) owes its equivalence proof to
-/// exactly this invariant.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn score_topk_sharded<F: FnMut(usize, Vec<Vec<Triple>>)>(
-    left: &EntityCollection,
-    right: &EntityCollection,
-    function: &SimilarityFunction,
-    k: usize,
-    indexed: bool,
-    cfg: &PipelineConfig,
-    shard_rows: usize,
-    acct: &ConstructionCounters,
-    on_shard: F,
-) {
-    visit_scorer(
-        left,
-        right,
-        function,
-        cfg,
-        true,
-        indexed,
-        RunShardedRows {
-            k,
-            indexed,
-            cfg,
-            acct,
-            shard_rows,
-            on_shard,
-        },
-    )
+        mode,
+        usize::MAX,
+        |_, bufs| all.extend(bufs),
+    );
+    all
 }
 
 /// Filter non-positive weights, min-max normalize with a `0.0` floor, and
@@ -1183,14 +1102,21 @@ fn finalize_framed(
 // Schema-based syntactic: all-pairs scoring of one attribute.
 // ---------------------------------------------------------------------------
 
+/// Right entity id → position among the right entries that carry the
+/// attribute (the last one wins on a repeated id) — the lookup the
+/// `Blocked` source needs, whose candidate lists carry entity ids.
+fn slots_by_id(ids: impl Iterator<Item = u32>) -> FxHashMap<u32, u32> {
+    ids.enumerate().map(|(j, id)| (id, j as u32)).collect()
+}
+
 /// All-pairs scoring of one attribute with a string measure. Entities
 /// missing the attribute produce no edges; rows range over the left
 /// entities that *have* the attribute.
 struct SchemaBasedScorer<'a> {
     left: Vec<(u32, &'a str)>,
     right: Vec<(u32, &'a str)>,
-    /// Right attribute values by entity id, for candidate lookups.
-    right_by_id: FxHashMap<u32, &'a str>,
+    /// Right entity id → slot in `right`; `Blocked` source only.
+    right_slot_by_id: FxHashMap<u32, u32>,
     measure: SchemaBasedMeasure,
     keep_positive: bool,
 }
@@ -1201,6 +1127,7 @@ impl<'a> SchemaBasedScorer<'a> {
         right: &'a EntityCollection,
         attribute: &str,
         measure: SchemaBasedMeasure,
+        source: SourceKind<'_>,
         keep_positive: bool,
     ) -> Self {
         let with_attr = |c: &'a EntityCollection| -> Vec<(u32, &'a str)> {
@@ -1210,10 +1137,14 @@ impl<'a> SchemaBasedScorer<'a> {
                 .collect()
         };
         let right = with_attr(right);
+        let right_slot_by_id = match source {
+            CandidateSource::Blocked(_) => slots_by_id(right.iter().map(|&(id, _)| id)),
+            _ => FxHashMap::default(),
+        };
         SchemaBasedScorer {
             left: with_attr(left),
-            right_by_id: right.iter().copied().collect(),
             right,
+            right_slot_by_id,
             measure,
             keep_positive,
         }
@@ -1222,6 +1153,7 @@ impl<'a> SchemaBasedScorer<'a> {
 
 impl RowScorer for SchemaBasedScorer<'_> {
     type Scratch = ();
+    type Index = ();
 
     fn n_rows(&self) -> usize {
         self.left.len()
@@ -1229,33 +1161,34 @@ impl RowScorer for SchemaBasedScorer<'_> {
 
     fn scratch(&self) -> Self::Scratch {}
 
-    fn score_row<O: EdgeSink>(&self, row: usize, _scratch: &mut (), out: &mut O) {
-        let (li, lv) = self.left[row];
-        for &(ri, rv) in &self.right {
-            out.note_generated();
-            let w = self.measure.similarity(lv, rv);
-            out.note_scored();
-            if w > 0.0 || !self.keep_positive {
-                out.emit(li, ri, w);
-            }
-        }
-    }
+    fn index(&self) {}
 
-    fn score_row_restricted<O: EdgeSink>(
+    fn score_row<O: EdgeSink>(
         &self,
         row: usize,
-        cands: &CandidateLists,
+        source: &CandidateSource<'_, ()>,
         _scratch: &mut (),
         out: &mut O,
     ) {
         let (li, lv) = self.left[row];
-        for &r in cands.row(li) {
-            if let Some(rv) = self.right_by_id.get(&r) {
-                out.note_generated();
-                let w = self.measure.similarity(lv, rv);
-                out.note_scored();
-                if w > 0.0 || !self.keep_positive {
-                    out.emit(li, r, w);
+        let mut score = |j: u32| {
+            let (ri, rv) = self.right[j as usize];
+            out.note_generated();
+            let w = self.measure.similarity(lv, rv);
+            out.scored(li, ri, w, self.keep_positive);
+        };
+        match source {
+            // No candidate index: the `Index` source walks the enumeration.
+            CandidateSource::Enumerate | CandidateSource::Index(()) => {
+                for j in 0..self.right.len() as u32 {
+                    score(j);
+                }
+            }
+            CandidateSource::Blocked(lists) => {
+                for r in lists.row(li) {
+                    if let Some(&j) = self.right_slot_by_id.get(r) {
+                        score(j);
+                    }
                 }
             }
         }
@@ -1296,15 +1229,11 @@ struct CharScorer {
     table: CharTable,
     /// Left entity ids that carry the attribute, in profile order.
     left_ids: Vec<u32>,
-    /// Right entity ids that carry the attribute, in profile order.
+    /// Right entity ids that carry the attribute, in profile order. Right
+    /// slot `j` is table entry `left_ids.len() + j`.
     right_ids: Vec<u32>,
-    /// Right entity id → table entry index, for the restricted path.
-    right_entry_by_id: FxHashMap<u32, usize>,
-    /// Length-bucketed index over the right entries' character bags —
-    /// the inverted form of the length and counting filters, prepared
-    /// only for [`CandidateMode::Indexed`]. Slot `j` is the `j`-th right
-    /// entry (table entry `left_ids.len() + j`).
-    index: Option<LengthBucketIndex>,
+    /// Right entity id → right slot; `Blocked` source only.
+    right_slot_by_id: FxHashMap<u32, u32>,
     measure: CharMeasure,
     keep_positive: bool,
     kernel: KernelMode,
@@ -1316,8 +1245,8 @@ impl CharScorer {
         right: &EntityCollection,
         attribute: &str,
         measure: CharMeasure,
+        source: SourceKind<'_>,
         keep_positive: bool,
-        indexed: bool,
         kernel: KernelMode,
     ) -> Self {
         fn with_attr<'a>(c: &'a EntityCollection, attribute: &str) -> (Vec<u32>, Vec<&'a str>) {
@@ -1339,20 +1268,15 @@ impl CharScorer {
                 .copied()
                 .chain(right_values.iter().copied()),
         );
-        let right_entry_by_id = right_ids
-            .iter()
-            .enumerate()
-            .map(|(j, &id)| (id, left_ids.len() + j))
-            .collect();
-        let index = indexed.then(|| {
-            LengthBucketIndex::build((0..right_ids.len()).map(|j| table.bag(left_ids.len() + j)))
-        });
+        let right_slot_by_id = match source {
+            CandidateSource::Blocked(_) => slots_by_id(right_ids.iter().copied()),
+            _ => FxHashMap::default(),
+        };
         CharScorer {
             table,
             left_ids,
             right_ids,
-            right_entry_by_id,
-            index,
+            right_slot_by_id,
             measure,
             keep_positive,
             kernel,
@@ -1383,10 +1307,11 @@ impl CharScorer {
     }
 
     /// Similarity under an admission bound: the edit-distance measures
-    /// run the banded early-exit kernel with the largest cutoff the
-    /// bound still admits; `None` means the pair provably scores below
-    /// the bound (counted as pruned). Other measures are fully scored —
-    /// their bounds already did the pruning.
+    /// run the banded early-exit kernel with the largest cutoff a
+    /// positive bound still admits; `None` means the pair provably scores
+    /// below the bound (counted as pruned). Every other case — other
+    /// measures, or no positive bound (`-∞` on the dense path) — is the
+    /// full similarity.
     fn bounded_similarity(
         &self,
         a: &[u32],
@@ -1425,82 +1350,38 @@ impl CharScorer {
         }
     }
 
-    /// Score one candidate: bounds first (when the sink has an
-    /// admission bound), then the measure.
+    /// Score one candidate (`(right id, table entry)`): under a live
+    /// admission bound the length and counting-filter bounds first —
+    /// unless `prescreened`, i.e. an index generator already applied them
+    /// through the [`LengthBucketIndex`] — then the bounded kernel.
     fn score_candidate<O: EdgeSink>(
         &self,
         li: u32,
         row_entry: usize,
-        ri: u32,
-        right_entry: usize,
+        (ri, right_entry): (u32, u32),
+        prescreened: bool,
         scratch: &mut CharScratch,
         out: &mut O,
     ) {
         out.note_generated();
+        let right_entry = right_entry as usize;
         let a = self.table.codes(row_entry);
         let b = self.table.codes(right_entry);
         let bound = out.admission_bound();
-        let w = if bound == f64::NEG_INFINITY {
-            self.full_similarity(a, b, scratch)
-        } else {
-            if self.measure.length_upper_bound(a.len(), b.len()) < bound {
-                out.note_pruned();
-                return;
-            }
-            if let Some(ub) = self
-                .measure
-                .bag_upper_bound(self.table.bag(row_entry), self.table.bag(right_entry))
-            {
-                if ub < bound {
-                    out.note_pruned();
-                    return;
-                }
-            }
-            match self.bounded_similarity(a, b, bound, scratch) {
-                Some(w) => w,
-                None => {
-                    out.note_pruned();
-                    return;
-                }
-            }
-        };
-        out.note_scored();
-        if w > 0.0 || !self.keep_positive {
-            out.emit(li, ri, w);
+        let screened_out = bound != f64::NEG_INFINITY
+            && !prescreened
+            && (self.measure.length_upper_bound(a.len(), b.len()) < bound
+                || self
+                    .measure
+                    .bag_upper_bound(self.table.bag(row_entry), self.table.bag(right_entry))
+                    .is_some_and(|ub| ub < bound));
+        if screened_out {
+            out.note_pruned();
+            return;
         }
-    }
-
-    /// Score one **index-generated** candidate: the generator already
-    /// applied the length and counting-filter bounds through the
-    /// [`LengthBucketIndex`], so only the banded-kernel short-circuit
-    /// stands between the candidate and a full score.
-    fn score_generated<O: EdgeSink>(
-        &self,
-        li: u32,
-        row_entry: usize,
-        ri: u32,
-        right_entry: usize,
-        scratch: &mut CharScratch,
-        out: &mut O,
-    ) {
-        out.note_generated();
-        let a = self.table.codes(row_entry);
-        let b = self.table.codes(right_entry);
-        let bound = out.admission_bound();
-        let w = if bound == f64::NEG_INFINITY {
-            self.full_similarity(a, b, scratch)
-        } else {
-            match self.bounded_similarity(a, b, bound, scratch) {
-                Some(w) => w,
-                None => {
-                    out.note_pruned();
-                    return;
-                }
-            }
-        };
-        out.note_scored();
-        if w > 0.0 || !self.keep_positive {
-            out.emit(li, ri, w);
+        match self.bounded_similarity(a, b, bound, scratch) {
+            Some(w) => out.scored(li, ri, w, self.keep_positive),
+            None => out.note_pruned(),
         }
     }
 
@@ -1528,10 +1409,8 @@ impl CharScorer {
     ///   bounded kernel with a *refreshed* per-candidate bound —
     ///   unchanged behaviour, the chunk only reordered the screens.
     ///
-    /// `prescreened` marks candidates that already passed the
-    /// length/bag bounds inside an index generator (the
-    /// [`Self::score_generated`] contract) so the chunk screens are
-    /// skipped for them.
+    /// `prescreened` skips the chunk screens, as in
+    /// [`Self::score_candidate`].
     #[allow(clippy::too_many_arguments)]
     fn score_lane_chunk<O: EdgeSink>(
         &self,
@@ -1624,33 +1503,14 @@ impl CharScorer {
                 } else {
                     1.0 - dists[i] as f64 / max_len as f64
                 };
-                out.note_scored();
-                if w > 0.0 || !self.keep_positive {
-                    out.emit(li, ri, w);
-                }
+                out.scored(li, ri, w, self.keep_positive);
             }
         } else {
-            for l in 0..n {
-                if !keep[l] {
-                    continue;
-                }
-                let (ri, entry) = cands[l];
+            for (&(ri, entry), _) in cands.iter().zip(keep).filter(|&(_, kept)| kept) {
                 let b = self.table.codes(entry as usize);
-                let bound_now = out.admission_bound();
-                let w = if bound_now == f64::NEG_INFINITY {
-                    self.full_similarity(a, b, chars)
-                } else {
-                    match self.bounded_similarity(a, b, bound_now, chars) {
-                        Some(w) => w,
-                        None => {
-                            out.note_pruned();
-                            continue;
-                        }
-                    }
-                };
-                out.note_scored();
-                if w > 0.0 || !self.keep_positive {
-                    out.emit(li, ri, w);
+                match self.bounded_similarity(a, b, out.admission_bound(), chars) {
+                    Some(w) => out.scored(li, ri, w, self.keep_positive),
+                    None => out.note_pruned(),
                 }
             }
         }
@@ -1684,8 +1544,8 @@ fn edit_cutoff(bound: f64, max_len: usize) -> usize {
 }
 
 /// Per-worker scratch of the char scorer: the kernel scratch, the
-/// indexed path's bucket-order and common-count buffers, and the
-/// lane kernels' multi-text Myers state.
+/// index walk's bucket-order and common-count buffers, and the lane
+/// kernels' multi-text Myers state.
 struct CharGenScratch {
     chars: CharScratch,
     order: Vec<u32>,
@@ -1695,6 +1555,10 @@ struct CharGenScratch {
 
 impl RowScorer for CharScorer {
     type Scratch = CharGenScratch;
+    /// Length-bucketed index over the right entries' character bags —
+    /// the inverted form of the length and counting filters; slot `j` is
+    /// the `j`-th right entry.
+    type Index = LengthBucketIndex;
 
     fn n_rows(&self) -> usize {
         self.left_ids.len()
@@ -1709,184 +1573,82 @@ impl RowScorer for CharScorer {
         }
     }
 
-    fn score_row<O: EdgeSink>(&self, row: usize, scratch: &mut CharGenScratch, out: &mut O) {
-        let li = self.left_ids[row];
+    fn index(&self) -> LengthBucketIndex {
         let offset = self.left_ids.len();
-        if matches!(self.kernel, KernelMode::Lanes) {
-            if self.uses_pattern() {
-                scratch.batch.prepare(self.table.codes(row));
-            }
-            let mut chunk = [(0u32, 0u32); LANE_WIDTH];
-            let mut cn = 0;
-            for (j, &ri) in self.right_ids.iter().enumerate() {
-                chunk[cn] = (ri, (offset + j) as u32);
-                cn += 1;
-                if cn == LANE_WIDTH {
-                    self.score_lane_chunk(
-                        li,
-                        row,
-                        &chunk[..cn],
-                        false,
-                        &mut scratch.chars,
-                        &mut scratch.batch,
-                        out,
-                    );
-                    cn = 0;
-                }
-            }
-            if cn > 0 {
-                self.score_lane_chunk(
-                    li,
-                    row,
-                    &chunk[..cn],
-                    false,
-                    &mut scratch.chars,
-                    &mut scratch.batch,
-                    out,
-                );
-            }
-            return;
-        }
-        if self.uses_pattern() {
-            scratch.chars.set_pattern(self.table.codes(row));
-        }
-        for (j, &ri) in self.right_ids.iter().enumerate() {
-            self.score_candidate(li, row, ri, offset + j, &mut scratch.chars, out);
-        }
+        LengthBucketIndex::build((0..self.right_ids.len()).map(|j| self.table.bag(offset + j)))
     }
 
-    fn score_row_indexed<O: EdgeSink>(
+    fn score_row<O: EdgeSink>(
         &self,
         row: usize,
+        source: &CandidateSource<'_, LengthBucketIndex>,
         scratch: &mut CharGenScratch,
         out: &mut O,
     ) {
-        let index = self
-            .index
-            .as_ref()
-            .expect("indexed mode prepared without a length-bucket index");
         let li = self.left_ids[row];
         let offset = self.left_ids.len();
-        if matches!(self.kernel, KernelMode::Lanes) && self.uses_pattern() {
-            // Buffer generated candidates into lanes and flush through
-            // the multi-text Myers batch. Between flushes the generator
-            // keeps working with the bound as of the last flush — it
-            // therefore enumerates a *superset* of the scalar
-            // generator's candidates, and every extra one scores
-            // strictly below the final admission bound (see
-            // [`Self::score_lane_chunk`]); the retained graph is
-            // bit-identical.
-            scratch.batch.prepare(self.table.codes(row));
-            let CharGenScratch {
-                chars,
-                order,
-                counts,
-                batch,
-            } = scratch;
-            let mut chunk = [(0u32, 0u32); LANE_WIDTH];
-            let mut cn = 0usize;
-            generate_char_candidates(
+        let prescreened = matches!(source, CandidateSource::Index(_));
+        // Lane kernels batch the candidates of every source, except the
+        // index walk of the measures without a multi-text kernel: their
+        // batches would only reorder the screens the generator already
+        // applied, so they score one candidate at a time. Between
+        // flushes a generator keeps the bound of the last flush and
+        // yields a superset of the scalar walk's candidates, every extra
+        // one scoring strictly below the final admission bound (see
+        // [`Self::score_lane_chunk`]).
+        let batched =
+            matches!(self.kernel, KernelMode::Lanes) && (self.uses_pattern() || !prescreened);
+        let CharGenScratch {
+            chars,
+            order,
+            counts,
+            batch,
+        } = scratch;
+        if self.uses_pattern() {
+            if batched {
+                batch.prepare(self.table.codes(row));
+            } else {
+                chars.set_pattern(self.table.codes(row));
+            }
+        }
+        let mut chunk = LaneBuffer::<(u32, u32), LANE_WIDTH>::new();
+        let bound = out.admission_bound();
+        let mut score = |j: u32| {
+            let cand = (self.right_ids[j as usize], (offset + j as usize) as u32);
+            if batched {
+                chunk.push(cand, |c| {
+                    self.score_lane_chunk(li, row, c, prescreened, chars, batch, out)
+                });
+            } else {
+                self.score_candidate(li, row, cand, prescreened, chars, out);
+            }
+            out.admission_bound()
+        };
+        match source {
+            CandidateSource::Enumerate => {
+                for j in 0..self.right_ids.len() as u32 {
+                    score(j);
+                }
+            }
+            CandidateSource::Index(index) => generate_char_candidates(
                 index,
                 self.measure,
                 self.table.char_len(row),
                 self.table.bag(row),
                 order,
                 counts,
-                out.admission_bound(),
-                |j| {
-                    let ri = self.right_ids[j as usize];
-                    chunk[cn] = (ri, (offset + j as usize) as u32);
-                    cn += 1;
-                    if cn == LANE_WIDTH {
-                        self.score_lane_chunk(li, row, &chunk[..cn], true, chars, batch, out);
-                        cn = 0;
-                    }
-                    out.admission_bound()
-                },
-            );
-            if cn > 0 {
-                self.score_lane_chunk(li, row, &chunk[..cn], true, chars, batch, out);
-            }
-            return;
-        }
-        if self.uses_pattern() {
-            scratch.chars.set_pattern(self.table.codes(row));
-        }
-        let CharGenScratch {
-            chars,
-            order,
-            counts,
-            ..
-        } = scratch;
-        generate_char_candidates(
-            index,
-            self.measure,
-            self.table.char_len(row),
-            self.table.bag(row),
-            order,
-            counts,
-            out.admission_bound(),
-            |j| {
-                let ri = self.right_ids[j as usize];
-                self.score_generated(li, row, ri, offset + j as usize, chars, out);
-                out.admission_bound()
-            },
-        );
-    }
-
-    fn score_row_restricted<O: EdgeSink>(
-        &self,
-        row: usize,
-        cands: &CandidateLists,
-        scratch: &mut CharGenScratch,
-        out: &mut O,
-    ) {
-        let li = self.left_ids[row];
-        if matches!(self.kernel, KernelMode::Lanes) {
-            if self.uses_pattern() {
-                scratch.batch.prepare(self.table.codes(row));
-            }
-            let mut chunk = [(0u32, 0u32); LANE_WIDTH];
-            let mut cn = 0;
-            for &r in cands.row(li) {
-                if let Some(&entry) = self.right_entry_by_id.get(&r) {
-                    chunk[cn] = (r, entry as u32);
-                    cn += 1;
-                    if cn == LANE_WIDTH {
-                        self.score_lane_chunk(
-                            li,
-                            row,
-                            &chunk[..cn],
-                            false,
-                            &mut scratch.chars,
-                            &mut scratch.batch,
-                            out,
-                        );
-                        cn = 0;
+                bound,
+                &mut score,
+            ),
+            CandidateSource::Blocked(lists) => {
+                for r in lists.row(li) {
+                    if let Some(&j) = self.right_slot_by_id.get(r) {
+                        score(j);
                     }
                 }
             }
-            if cn > 0 {
-                self.score_lane_chunk(
-                    li,
-                    row,
-                    &chunk[..cn],
-                    false,
-                    &mut scratch.chars,
-                    &mut scratch.batch,
-                    out,
-                );
-            }
-            return;
         }
-        if self.uses_pattern() {
-            scratch.chars.set_pattern(self.table.codes(row));
-        }
-        for &r in cands.row(li) {
-            if let Some(&entry) = self.right_entry_by_id.get(&r) {
-                self.score_candidate(li, row, r, entry, &mut scratch.chars, out);
-            }
-        }
+        chunk.finish(|c| self.score_lane_chunk(li, row, c, prescreened, chars, batch, out));
     }
 }
 
@@ -1900,10 +1662,73 @@ impl RowScorer for CharScorer {
 struct ProbeScratch {
     stamp: Vec<u32>,
     candidates: Vec<u32>,
-    /// Per-right-id dot accumulators of the lane cosine path (empty when
-    /// the scorer runs scalar kernels). A slot is zeroed when its
-    /// candidate is first discovered, so no end-of-row sweep is needed.
+    /// Per-right-id dot accumulators of the lane cosine walk (empty
+    /// otherwise). A slot is zeroed when its candidate is first
+    /// discovered, so no end-of-row sweep is needed.
     acc: Vec<f64>,
+}
+
+impl ProbeScratch {
+    fn new(n_right: usize, n_acc: usize) -> Self {
+        ProbeScratch {
+            stamp: vec![0u32; n_right],
+            candidates: Vec::new(),
+            acc: vec![0.0; n_acc],
+        }
+    }
+
+    /// The distinct right ids the postings of `keys` list, in discovery
+    /// order.
+    fn discover<K: Hash + Eq>(
+        &mut self,
+        mark: u32,
+        keys: impl Iterator<Item = K>,
+        postings: &FxHashMap<K, Vec<u32>>,
+    ) -> &[u32] {
+        self.candidates.clear();
+        for key in keys {
+            if let Some(js) = postings.get(&key) {
+                for &j in js {
+                    if self.stamp[j as usize] != mark {
+                        self.stamp[j as usize] = mark;
+                        self.candidates.push(j);
+                    }
+                }
+            }
+        }
+        &self.candidates
+    }
+}
+
+/// Inverted postings over the right vectors: `entry(j, weight)` per
+/// term of right vector `j`, in ascending `j` order.
+fn postings_of<T>(vecs: &[SparseVector], entry: impl Fn(u32, f64) -> T) -> FxHashMap<u64, Vec<T>> {
+    let mut postings: FxHashMap<u64, Vec<T>> = FxHashMap::default();
+    for (j, v) in vecs.iter().enumerate() {
+        for &(t, w) in v.terms() {
+            postings.entry(t).or_default().push(entry(j as u32, w));
+        }
+    }
+    postings
+}
+
+/// The right-side postings the `Enumerate` source walks.
+enum TermPostings {
+    /// Right ids per term, scored through the scalar measure kernels.
+    Plain(FxHashMap<u64, Vec<u32>>),
+    /// `(right id, weight)` per term for the lane cosine walk
+    /// ([`KernelMode::Lanes`] + a cosine measure): one pass over these
+    /// accumulates every candidate's dot product in the probe's term
+    /// order — the **same ascending-term-id order** (and hence the same
+    /// f64 addition sequence, bit for bit) that `SparseVector::dot`'s
+    /// sorted merge join produces per pair. `right_norms[j]` caches
+    /// `right_vecs[j].norm()` — recomputing a norm is deterministic, so
+    /// the cached value equals the scalar path's per-pair recomputation
+    /// bit for bit.
+    Weighted {
+        postings: FxHashMap<u64, Vec<(u32, f64)>>,
+        right_norms: Vec<f64>,
+    },
 }
 
 /// Inverted-index scoring of n-gram vector models.
@@ -1912,21 +1737,9 @@ struct VectorScorer {
     right_vecs: Vec<SparseVector>,
     df_left: DfIndex,
     df_right: DfIndex,
-    /// Inverted index over right-side terms.
-    index: FxHashMap<u64, Vec<u32>>,
-    /// Weight-carrying postings for the lane cosine path
-    /// ([`KernelMode::Lanes`] + a cosine measure): one pass over these
-    /// accumulates every candidate's dot product in the probe's term
-    /// order — the **same ascending-term-id order** (and hence the same
-    /// f64 addition sequence, bit for bit) that
-    /// `SparseVector::dot`'s sorted merge join produces per pair. The
-    /// other measures and the indexed path (whose prefix-filter early
-    /// stop needs a fresh bound after every single score) stay scalar.
-    windex: Option<FxHashMap<u64, Vec<(u32, f64)>>>,
-    /// `right_vecs[j].norm()` under the lane path — recomputing a norm
-    /// is deterministic, so the cached value equals the scalar path's
-    /// per-pair recomputation bit for bit.
-    right_norms: Vec<f64>,
+    /// The `Enumerate` walk's postings; empty under the other sources
+    /// (the `Index` source owns its postings, `Blocked` reads none).
+    postings: TermPostings,
     measure: VectorMeasure,
     keep_positive: bool,
 }
@@ -1937,6 +1750,7 @@ impl VectorScorer {
         right: &EntityCollection,
         scheme: NGramScheme,
         measure: VectorMeasure,
+        source: SourceKind<'_>,
         keep_positive: bool,
         kernel: KernelMode,
     ) -> Self {
@@ -1965,31 +1779,18 @@ impl VectorScorer {
         let left_vecs: Vec<SparseVector> = texts_left.iter().map(vec_of).collect();
         let right_vecs: Vec<SparseVector> = texts_right.iter().map(vec_of).collect();
 
-        let mut index: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-        for (j, v) in right_vecs.iter().enumerate() {
-            for &(t, _) in v.terms() {
-                index.entry(t).or_default().push(j as u32);
-            }
-        }
-
         let lane_cosine = matches!(kernel, KernelMode::Lanes)
             && matches!(
                 measure,
                 VectorMeasure::CosineTf | VectorMeasure::CosineTfIdf
             );
-        let windex = lane_cosine.then(|| {
-            let mut w: FxHashMap<u64, Vec<(u32, f64)>> = FxHashMap::default();
-            for (j, v) in right_vecs.iter().enumerate() {
-                for &(t, wt) in v.terms() {
-                    w.entry(t).or_default().push((j as u32, wt));
-                }
-            }
-            w
-        });
-        let right_norms = if lane_cosine {
-            right_vecs.iter().map(SparseVector::norm).collect()
-        } else {
-            Vec::new()
+        let postings = match source {
+            CandidateSource::Enumerate if lane_cosine => TermPostings::Weighted {
+                postings: postings_of(&right_vecs, |j, w| (j, w)),
+                right_norms: right_vecs.iter().map(SparseVector::norm).collect(),
+            },
+            CandidateSource::Enumerate => TermPostings::Plain(postings_of(&right_vecs, |j, _| j)),
+            _ => TermPostings::Plain(FxHashMap::default()),
         };
 
         VectorScorer {
@@ -1997,9 +1798,7 @@ impl VectorScorer {
             right_vecs,
             df_left,
             df_right,
-            index,
-            windex,
-            right_norms,
+            postings,
             measure,
             keep_positive,
         }
@@ -2013,132 +1812,110 @@ impl VectorScorer {
 
 impl RowScorer for VectorScorer {
     type Scratch = ProbeScratch;
+    /// Right ids per term, probed in [`er_textsim::ProbePlan`] order by
+    /// the prefix filter.
+    type Index = FxHashMap<u64, Vec<u32>>;
 
     fn n_rows(&self) -> usize {
         self.left_vecs.len()
     }
 
     fn scratch(&self) -> ProbeScratch {
-        ProbeScratch {
-            stamp: vec![0u32; self.right_vecs.len()],
-            candidates: Vec::new(),
-            acc: vec![
-                0.0;
-                if self.windex.is_some() {
-                    self.right_vecs.len()
-                } else {
-                    0
-                }
-            ],
-        }
+        let n_acc = match self.postings {
+            TermPostings::Weighted { .. } => self.right_vecs.len(),
+            TermPostings::Plain(_) => 0,
+        };
+        ProbeScratch::new(self.right_vecs.len(), n_acc)
     }
 
-    fn score_row<O: EdgeSink>(&self, row: usize, scratch: &mut ProbeScratch, out: &mut O) {
-        let lv = &self.left_vecs[row];
-        let mark = row as u32 + 1;
-        scratch.candidates.clear();
-        if let Some(windex) = &self.windex {
-            // Lane cosine path: one pass over the weighted postings
-            // accumulates every candidate's dot product. Candidate `j`'s
-            // products arrive in ascending probe-term order — exactly
-            // the order `SparseVector::dot`'s sorted merge adds them —
-            // from an accumulator zeroed at discovery, so `acc[j]`
-            // equals the scalar per-pair dot bit for bit; the cached
-            // norms and the `denom == 0 → 0` / clamp steps replicate
-            // `VectorMeasure::similarity`'s cosine arm exactly.
-            for &(t, wa) in lv.terms() {
-                if let Some(js) = windex.get(&t) {
-                    for &(j, wb) in js {
-                        let ju = j as usize;
-                        if scratch.stamp[ju] != mark {
-                            scratch.stamp[ju] = mark;
-                            scratch.candidates.push(j);
-                            scratch.acc[ju] = 0.0;
-                        }
-                        scratch.acc[ju] += wa * wb;
-                    }
-                }
-            }
-            let norm_a = lv.norm();
-            for &j in &scratch.candidates {
-                out.note_generated();
-                let denom = norm_a * self.right_norms[j as usize];
-                let w = if denom == 0.0 {
-                    0.0
-                } else {
-                    (scratch.acc[j as usize] / denom).clamp(0.0, 1.0)
-                };
-                out.note_scored();
-                if w > 0.0 || !self.keep_positive {
-                    out.emit(row as u32, j, w);
-                }
-            }
-            return;
-        }
-        for &(t, _) in lv.terms() {
-            if let Some(js) = self.index.get(&t) {
-                for &j in js {
-                    if scratch.stamp[j as usize] != mark {
-                        scratch.stamp[j as usize] = mark;
-                        scratch.candidates.push(j);
-                    }
-                }
-            }
-        }
-        for &j in &scratch.candidates {
-            out.note_generated();
-            let w = self
-                .measure
-                .similarity(lv, &self.right_vecs[j as usize], self.dfs());
-            out.note_scored();
-            if w > 0.0 || !self.keep_positive {
-                out.emit(row as u32, j, w);
-            }
-        }
+    fn index(&self) -> FxHashMap<u64, Vec<u32>> {
+        postings_of(&self.right_vecs, |j, _| j)
     }
 
-    fn score_row_indexed<O: EdgeSink>(&self, row: usize, scratch: &mut ProbeScratch, out: &mut O) {
-        let lv = &self.left_vecs[row];
-        let plan = self.measure.probe_plan(lv, self.dfs());
-        let mark = row as u32 + 1;
-        let li = row as u32;
-        generate_token_candidates(
-            &plan,
-            lv.terms(),
-            &self.index,
-            &mut scratch.stamp,
-            mark,
-            out.admission_bound(),
-            |j| {
-                out.note_generated();
-                let w = self
-                    .measure
-                    .similarity(lv, &self.right_vecs[j as usize], self.dfs());
-                out.note_scored();
-                if w > 0.0 || !self.keep_positive {
-                    out.emit(li, j, w);
-                }
-                out.admission_bound()
-            },
-        );
-    }
-
-    fn score_row_restricted<O: EdgeSink>(
+    fn score_row<O: EdgeSink>(
         &self,
         row: usize,
-        cands: &CandidateLists,
-        _scratch: &mut ProbeScratch,
+        source: &CandidateSource<'_, FxHashMap<u64, Vec<u32>>>,
+        scratch: &mut ProbeScratch,
         out: &mut O,
     ) {
         let lv = &self.left_vecs[row];
-        for &j in cands.row(row as u32) {
+        let li = row as u32;
+        let mark = li + 1;
+        let bound = out.admission_bound();
+        let mut score = |j: u32| {
             out.note_generated();
             let w = self
                 .measure
                 .similarity(lv, &self.right_vecs[j as usize], self.dfs());
-            out.note_scored();
-            if w > 0.0 || !self.keep_positive {
-                out.emit(row as u32, j, w);
+            out.scored(li, j, w, self.keep_positive);
+            out.admission_bound()
+        };
+        match source {
+            CandidateSource::Enumerate => match &self.postings {
+                TermPostings::Plain(postings) => {
+                    let terms = lv.terms().iter().map(|&(t, _)| t);
+                    for &j in scratch.discover(mark, terms, postings) {
+                        score(j);
+                    }
+                }
+                TermPostings::Weighted {
+                    postings,
+                    right_norms,
+                } => {
+                    // Candidate `j`'s products arrive in ascending probe-term
+                    // order — exactly the order `SparseVector::dot`'s sorted
+                    // merge adds them — from an accumulator zeroed at
+                    // discovery, so `acc[j]` equals the scalar per-pair dot
+                    // bit for bit; the cached norms and the
+                    // `denom == 0 → 0` / clamp steps replicate
+                    // `VectorMeasure::similarity`'s cosine arm exactly.
+                    let ProbeScratch {
+                        stamp,
+                        candidates,
+                        acc,
+                    } = scratch;
+                    candidates.clear();
+                    for &(t, wa) in lv.terms() {
+                        for &(j, wb) in postings.get(&t).into_iter().flatten() {
+                            let ju = j as usize;
+                            if stamp[ju] != mark {
+                                stamp[ju] = mark;
+                                candidates.push(j);
+                                acc[ju] = 0.0;
+                            }
+                            acc[ju] += wa * wb;
+                        }
+                    }
+                    let norm_a = lv.norm();
+                    for &j in candidates.iter() {
+                        out.note_generated();
+                        let denom = norm_a * right_norms[j as usize];
+                        let w = if denom == 0.0 {
+                            0.0
+                        } else {
+                            (acc[j as usize] / denom).clamp(0.0, 1.0)
+                        };
+                        out.scored(li, j, w, self.keep_positive);
+                    }
+                }
+            },
+            CandidateSource::Index(postings) => {
+                let plan = self.measure.probe_plan(lv, self.dfs());
+                generate_token_candidates(
+                    &plan,
+                    lv.terms(),
+                    postings,
+                    &mut scratch.stamp,
+                    mark,
+                    bound,
+                    &mut score,
+                );
+            }
+            CandidateSource::Blocked(lists) => {
+                for &j in lists.row(li) {
+                    score(j);
+                }
             }
         }
     }
@@ -2152,7 +1929,8 @@ impl RowScorer for VectorScorer {
 struct GraphModelScorer {
     left_graphs: Vec<NGramGraph>,
     right_graphs: Vec<NGramGraph>,
-    index: FxHashMap<(u64, u64), Vec<u32>>,
+    /// Right ids per graph edge key; empty under the `Blocked` source.
+    postings: FxHashMap<(u64, u64), Vec<u32>>,
     measure: GraphSimilarity,
     keep_positive: bool,
 }
@@ -2163,6 +1941,7 @@ impl GraphModelScorer {
         right: &EntityCollection,
         scheme: NGramScheme,
         measure: GraphSimilarity,
+        source: SourceKind<'_>,
         keep_positive: bool,
     ) -> Self {
         let graphs_of = |c: &EntityCollection| -> Vec<NGramGraph> {
@@ -2172,16 +1951,18 @@ impl GraphModelScorer {
                 .collect()
         };
         let right_graphs = graphs_of(right);
-        let mut index: FxHashMap<(u64, u64), Vec<u32>> = FxHashMap::default();
-        for (j, g) in right_graphs.iter().enumerate() {
-            for k in g.edge_keys() {
-                index.entry(k).or_default().push(j as u32);
+        let mut postings: FxHashMap<(u64, u64), Vec<u32>> = FxHashMap::default();
+        if !matches!(source, CandidateSource::Blocked(_)) {
+            for (j, g) in right_graphs.iter().enumerate() {
+                for k in g.edge_keys() {
+                    postings.entry(k).or_default().push(j as u32);
+                }
             }
         }
         GraphModelScorer {
             left_graphs: graphs_of(left),
             right_graphs,
-            index,
+            postings,
             measure,
             keep_positive,
         }
@@ -2190,57 +1971,43 @@ impl GraphModelScorer {
 
 impl RowScorer for GraphModelScorer {
     type Scratch = ProbeScratch;
+    type Index = ();
 
     fn n_rows(&self) -> usize {
         self.left_graphs.len()
     }
 
     fn scratch(&self) -> ProbeScratch {
-        ProbeScratch {
-            stamp: vec![0u32; self.right_graphs.len()],
-            candidates: Vec::new(),
-            acc: Vec::new(),
-        }
+        ProbeScratch::new(self.right_graphs.len(), 0)
     }
 
-    fn score_row<O: EdgeSink>(&self, row: usize, scratch: &mut ProbeScratch, out: &mut O) {
-        let lg = &self.left_graphs[row];
-        let mark = row as u32 + 1;
-        scratch.candidates.clear();
-        for k in lg.edge_keys() {
-            if let Some(js) = self.index.get(&k) {
-                for &j in js {
-                    if scratch.stamp[j as usize] != mark {
-                        scratch.stamp[j as usize] = mark;
-                        scratch.candidates.push(j);
-                    }
-                }
-            }
-        }
-        for &j in &scratch.candidates {
-            out.note_generated();
-            let w = self.measure.similarity(lg, &self.right_graphs[j as usize]);
-            out.note_scored();
-            if w > 0.0 || !self.keep_positive {
-                out.emit(row as u32, j, w);
-            }
-        }
-    }
+    fn index(&self) {}
 
-    fn score_row_restricted<O: EdgeSink>(
+    fn score_row<O: EdgeSink>(
         &self,
         row: usize,
-        cands: &CandidateLists,
-        _scratch: &mut ProbeScratch,
+        source: &CandidateSource<'_, ()>,
+        scratch: &mut ProbeScratch,
         out: &mut O,
     ) {
         let lg = &self.left_graphs[row];
-        for &j in cands.row(row as u32) {
+        let li = row as u32;
+        let mut score = |j: u32| {
             out.note_generated();
             let w = self.measure.similarity(lg, &self.right_graphs[j as usize]);
-            out.note_scored();
-            if w > 0.0 || !self.keep_positive {
-                out.emit(row as u32, j, w);
+            out.scored(li, j, w, self.keep_positive);
+        };
+        match source {
+            // No candidate index: the `Index` source walks the enumeration.
+            CandidateSource::Enumerate | CandidateSource::Index(()) => {
+                for &j in scratch.discover(li + 1, lg.edge_keys(), &self.postings) {
+                    score(j);
+                }
+            }
+            CandidateSource::Blocked(lists) => {
+                for &j in lists.row(li) {
+                    score(j);
+                }
             }
         }
     }
@@ -2286,19 +2053,12 @@ pub(crate) fn unit_probe(v: &DenseVector) -> (DenseVector, f64) {
 struct DenseSemanticScorer {
     left: Vec<DenseVector>,
     right: Vec<DenseVector>,
-    /// Centroid-ball index over the non-zero right vectors
-    /// ([`CandidateMode::Indexed`] only). Euclidean indexes the raw
-    /// vectors; cosine indexes unit-normalized copies (angles become
-    /// chord distances), dropped after the build — only ball leaders
-    /// are retained.
-    ball: Option<VectorBallIndex>,
     measure: SemanticMeasure,
     keep_positive: bool,
     kernel: KernelMode,
 }
 
 impl DenseSemanticScorer {
-    #[allow(clippy::too_many_arguments)]
     fn prepare(
         left: &EntityCollection,
         right: &EntityCollection,
@@ -2306,7 +2066,6 @@ impl DenseSemanticScorer {
         measure: SemanticMeasure,
         scope: &SemanticScope,
         keep_positive: bool,
-        indexed: bool,
         kernel: KernelMode,
     ) -> Self {
         let encode_all = |c: &EntityCollection| -> Vec<DenseVector> {
@@ -2315,36 +2074,9 @@ impl DenseSemanticScorer {
                 .map(|p| enc.encode(&scoped_text(p, scope)))
                 .collect()
         };
-        let left = encode_all(left);
-        let right = encode_all(right);
-        let ball = indexed.then(|| {
-            if matches!(measure, SemanticMeasure::Cosine) {
-                let normalized: Vec<(u32, DenseVector, f64)> = right
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, v)| !v.is_zero())
-                    .map(|(j, v)| {
-                        let (u, r) = unit_probe(v);
-                        (j as u32, u, r)
-                    })
-                    .collect();
-                let entries: Vec<(u32, &DenseVector, f64)> =
-                    normalized.iter().map(|(j, u, r)| (*j, u, *r)).collect();
-                VectorBallIndex::build(&entries)
-            } else {
-                let entries: Vec<(u32, &DenseVector, f64)> = right
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, v)| !v.is_zero())
-                    .map(|(j, v)| (j as u32, v, 0.0))
-                    .collect();
-                VectorBallIndex::build(&entries)
-            }
-        });
         DenseSemanticScorer {
-            left,
-            right,
-            ball,
+            left: encode_all(left),
+            right: encode_all(right),
             measure,
             keep_positive,
             kernel,
@@ -2365,20 +2097,21 @@ impl DenseSemanticScorer {
         }
         let mut sims = [0.0f64; embed_lanes::LANE_WIDTH];
         embed_lanes::similarity_vectors_batch(self.measure, a, &refs[..js.len()], &mut sims);
-        for (i, &j) in js.iter().enumerate() {
+        for (&j, &w) in js.iter().zip(&sims) {
             out.note_generated();
-            let w = sims[i];
-            out.note_scored();
-            if w > 0.0 || !self.keep_positive {
-                out.emit(li, j, w);
-            }
+            out.scored(li, j, w, self.keep_positive);
         }
     }
 }
 
 impl RowScorer for DenseSemanticScorer {
-    /// Ball-distance scratch of the indexed path (unused otherwise).
+    /// Ball-distance scratch of the index walk (unused otherwise).
     type Scratch = Vec<(f64, u32)>;
+    /// Centroid-ball index over the non-zero right vectors. Euclidean
+    /// indexes the raw vectors; cosine indexes unit-normalized copies
+    /// (angles become chord distances), dropped after the build — only
+    /// ball leaders are retained.
+    type Index = VectorBallIndex;
 
     fn n_rows(&self) -> usize {
         self.left.len()
@@ -2388,159 +2121,98 @@ impl RowScorer for DenseSemanticScorer {
         Vec::new()
     }
 
-    fn score_row<O: EdgeSink>(&self, row: usize, _scratch: &mut Self::Scratch, out: &mut O) {
-        let a = &self.left[row];
-        if a.is_zero() {
-            return;
-        }
-        if matches!(self.kernel, KernelMode::Lanes) {
-            let mut js = [0u32; embed_lanes::LANE_WIDTH];
-            let mut cn = 0;
-            for (j, b) in self.right.iter().enumerate() {
-                if b.is_zero() {
-                    continue;
-                }
-                js[cn] = j as u32;
-                cn += 1;
-                if cn == embed_lanes::LANE_WIDTH {
-                    self.emit_dense_lanes(row as u32, &js[..cn], out);
-                    cn = 0;
-                }
-            }
-            if cn > 0 {
-                self.emit_dense_lanes(row as u32, &js[..cn], out);
-            }
-            return;
-        }
-        for (j, b) in self.right.iter().enumerate() {
-            if b.is_zero() {
-                continue;
-            }
-            out.note_generated();
-            let w = self.measure.similarity_vectors(a, b);
-            out.note_scored();
-            if w > 0.0 || !self.keep_positive {
-                out.emit(row as u32, j as u32, w);
-            }
+    fn index(&self) -> VectorBallIndex {
+        let nonzero = || self.right.iter().enumerate().filter(|(_, v)| !v.is_zero());
+        if matches!(self.measure, SemanticMeasure::Cosine) {
+            let normalized: Vec<(u32, DenseVector, f64)> = nonzero()
+                .map(|(j, v)| {
+                    let (u, r) = unit_probe(v);
+                    (j as u32, u, r)
+                })
+                .collect();
+            let entries: Vec<(u32, &DenseVector, f64)> =
+                normalized.iter().map(|(j, u, r)| (*j, u, *r)).collect();
+            VectorBallIndex::build(&entries)
+        } else {
+            let entries: Vec<(u32, &DenseVector, f64)> =
+                nonzero().map(|(j, v)| (j as u32, v, 0.0)).collect();
+            VectorBallIndex::build(&entries)
         }
     }
 
-    fn score_row_indexed<O: EdgeSink>(&self, row: usize, scratch: &mut Self::Scratch, out: &mut O) {
-        let ball = self
-            .ball
-            .as_ref()
-            .expect("indexed mode prepared without a ball index");
-        let a = &self.left[row];
-        if a.is_zero() {
-            return;
-        }
-        let li = row as u32;
-        let cosine = matches!(self.measure, SemanticMeasure::Cosine);
-        let probe_owned;
-        let (probe, probe_radius) = if cosine {
-            let (u, r) = unit_probe(a);
-            probe_owned = u;
-            (&probe_owned, r)
-        } else {
-            (a, 0.0)
-        };
-        let map: fn(f64) -> f64 = if cosine {
-            cosine_distance_bound
-        } else {
-            inverse_distance_bound
-        };
-        if matches!(self.kernel, KernelMode::Lanes) {
-            // Generated candidates are buffered into lanes; between
-            // flushes the generator keeps the bound of the last flush,
-            // enumerating a superset whose extras all score strictly
-            // below the final admission bound (the generator's prune is
-            // strict `<` against a non-decreasing bound) — the retained
-            // graph is bit-identical to the scalar path.
-            let mut js = [0u32; embed_lanes::LANE_WIDTH];
-            let mut cn = 0usize;
-            generate_ball_candidates(
-                ball,
-                probe,
-                probe_radius,
-                scratch,
-                map,
-                out.admission_bound(),
-                |j| {
-                    js[cn] = j;
-                    cn += 1;
-                    if cn == embed_lanes::LANE_WIDTH {
-                        self.emit_dense_lanes(li, &js[..cn], out);
-                        cn = 0;
-                    }
-                    out.admission_bound()
-                },
-            );
-            if cn > 0 {
-                self.emit_dense_lanes(li, &js[..cn], out);
-            }
-            return;
-        }
-        generate_ball_candidates(
-            ball,
-            probe,
-            probe_radius,
-            scratch,
-            map,
-            out.admission_bound(),
-            |j| {
-                out.note_generated();
-                let w = self.measure.similarity_vectors(a, &self.right[j as usize]);
-                out.note_scored();
-                if w > 0.0 || !self.keep_positive {
-                    out.emit(li, j, w);
-                }
-                out.admission_bound()
-            },
-        );
-    }
-
-    fn score_row_restricted<O: EdgeSink>(
+    fn score_row<O: EdgeSink>(
         &self,
         row: usize,
-        cands: &CandidateLists,
-        _scratch: &mut Self::Scratch,
+        source: &CandidateSource<'_, VectorBallIndex>,
+        scratch: &mut Self::Scratch,
         out: &mut O,
     ) {
         let a = &self.left[row];
         if a.is_zero() {
             return;
         }
-        if matches!(self.kernel, KernelMode::Lanes) {
-            let mut js = [0u32; embed_lanes::LANE_WIDTH];
-            let mut cn = 0;
-            for &j in cands.row(row as u32) {
-                if self.right[j as usize].is_zero() {
-                    continue;
+        let li = row as u32;
+        let batched = matches!(self.kernel, KernelMode::Lanes);
+        // Between lane flushes a generator keeps the bound of the last
+        // flush, enumerating a superset whose extras all score strictly
+        // below the final admission bound (the generator's prune is
+        // strict `<` against a non-decreasing bound) — the retained
+        // graph is bit-identical to the scalar path.
+        let mut chunk = LaneBuffer::<u32, { embed_lanes::LANE_WIDTH }>::new();
+        let bound = out.admission_bound();
+        let mut score = |j: u32| {
+            if batched {
+                chunk.push(j, |js| self.emit_dense_lanes(li, js, out));
+            } else {
+                out.note_generated();
+                let w = self.measure.similarity_vectors(a, &self.right[j as usize]);
+                out.scored(li, j, w, self.keep_positive);
+            }
+            out.admission_bound()
+        };
+        let nonzero = |j: u32| !self.right[j as usize].is_zero();
+        match source {
+            CandidateSource::Enumerate => {
+                for j in 0..self.right.len() as u32 {
+                    if nonzero(j) {
+                        score(j);
+                    }
                 }
-                js[cn] = j;
-                cn += 1;
-                if cn == embed_lanes::LANE_WIDTH {
-                    self.emit_dense_lanes(row as u32, &js[..cn], out);
-                    cn = 0;
+            }
+            CandidateSource::Index(ball) => {
+                let cosine = matches!(self.measure, SemanticMeasure::Cosine);
+                let probe_owned;
+                let (probe, probe_radius) = if cosine {
+                    let (u, r) = unit_probe(a);
+                    probe_owned = u;
+                    (&probe_owned, r)
+                } else {
+                    (a, 0.0)
+                };
+                let map: fn(f64) -> f64 = if cosine {
+                    cosine_distance_bound
+                } else {
+                    inverse_distance_bound
+                };
+                generate_ball_candidates(
+                    ball,
+                    probe,
+                    probe_radius,
+                    scratch,
+                    map,
+                    bound,
+                    &mut score,
+                );
+            }
+            CandidateSource::Blocked(lists) => {
+                for &j in lists.row(li) {
+                    if nonzero(j) {
+                        score(j);
+                    }
                 }
             }
-            if cn > 0 {
-                self.emit_dense_lanes(row as u32, &js[..cn], out);
-            }
-            return;
         }
-        for &j in cands.row(row as u32) {
-            let b = &self.right[j as usize];
-            if b.is_zero() {
-                continue;
-            }
-            out.note_generated();
-            let w = self.measure.similarity_vectors(a, b);
-            out.note_scored();
-            if w > 0.0 || !self.keep_positive {
-                out.emit(row as u32, j, w);
-            }
-        }
+        chunk.finish(|js| self.emit_dense_lanes(li, js, out));
     }
 }
 
@@ -2579,6 +2251,10 @@ impl DistCache {
     }
 }
 
+/// Per-bag centroid + radius summaries (`None` for empty bags) of the
+/// left and the right bags.
+type BagSummaries = [Vec<Option<BagSummary>>; 2];
+
 /// Word Mover's scoring with a token-distance cache: contextual token
 /// vectors repeat heavily across profiles, so each distinct unordered
 /// (token, token) distance is computed once per worker. Bags are truncated
@@ -2593,18 +2269,12 @@ struct WmdScorer {
     vectors: Vec<DenseVector>,
     left_bags: Vec<Vec<u32>>,
     right_bags: Vec<Vec<u32>>,
-    /// Per-bag centroid + radius summaries (`None` for empty bags):
     /// `RWMD(a, b) ≥ ‖c_a − c_b‖ − r_a − r_b`, so one vector distance
     /// upper-bounds the similarity of a pair before any transport work.
-    /// Left **empty** on the dense path, whose sink never exposes an
-    /// admission bound — the summaries would be pure prepare overhead.
-    left_summaries: Vec<Option<BagSummary>>,
-    right_summaries: Vec<Option<BagSummary>>,
-    /// Centroid-ball index over the non-empty right bags' summary
-    /// centroids, entry radius = summary radius, so a ball's distance
-    /// lower bound is simultaneously a relaxed-WMD lower bound
-    /// ([`CandidateMode::Indexed`] only).
-    ball: Option<VectorBallIndex>,
+    /// Built on first read — by the ball index build or the first live
+    /// admission bound — so the dense path, whose sink never exposes a
+    /// bound, never pays for them.
+    summaries: OnceLock<BagSummaries>,
     keep_positive: bool,
     kernel: KernelMode,
 }
@@ -2616,8 +2286,6 @@ impl WmdScorer {
         enc: &er_embed::measures::Encoder,
         scope: &SemanticScope,
         cfg: &PipelineConfig,
-        with_bounds: bool,
-        indexed: bool,
     ) -> Self {
         let mut vectors: Vec<DenseVector> = Vec::new();
         let mut intern: FxHashMap<Vec<u32>, u32> = FxHashMap::default();
@@ -2636,36 +2304,31 @@ impl WmdScorer {
         };
         let left_bags: Vec<Vec<u32>> = left.profiles.iter().map(&mut bag_of).collect();
         let right_bags: Vec<Vec<u32>> = right.profiles.iter().map(&mut bag_of).collect();
-        let summarize = |bags: &[Vec<u32>]| -> Vec<Option<BagSummary>> {
-            if !with_bounds {
-                return Vec::new();
-            }
-            bags.iter()
-                .map(|bag| {
-                    BagSummary::from_vectors(bag.len(), bag.iter().map(|&id| &vectors[id as usize]))
-                })
-                .collect()
-        };
-        let left_summaries = summarize(&left_bags);
-        let right_summaries = summarize(&right_bags);
-        let ball = (indexed && with_bounds).then(|| {
-            let entries: Vec<(u32, &DenseVector, f64)> = right_summaries
-                .iter()
-                .enumerate()
-                .filter_map(|(j, s)| s.as_ref().map(|s| (j as u32, s.centroid(), s.radius())))
-                .collect();
-            VectorBallIndex::build(&entries)
-        });
         WmdScorer {
             vectors,
             left_bags,
             right_bags,
-            left_summaries,
-            right_summaries,
-            ball,
+            summaries: OnceLock::new(),
             keep_positive: cfg.keep_positive_only,
             kernel: cfg.kernel_mode,
         }
+    }
+
+    /// The left and right bag summaries, built on first call.
+    fn summaries(&self) -> &BagSummaries {
+        self.summaries.get_or_init(|| {
+            let summarize = |bags: &[Vec<u32>]| -> Vec<Option<BagSummary>> {
+                bags.iter()
+                    .map(|bag| {
+                        BagSummary::from_vectors(
+                            bag.len(),
+                            bag.iter().map(|&id| &self.vectors[id as usize]),
+                        )
+                    })
+                    .collect()
+            };
+            [summarize(&self.left_bags), summarize(&self.right_bags)]
+        })
     }
 
     /// Lanes-mode cache prefill: gather the token pairs `(x, y)` for
@@ -2774,9 +2437,8 @@ impl WmdScorer {
         let (a, b) = (&self.left_bags[row], &self.right_bags[j]);
         let bound = out.admission_bound();
         if bound != f64::NEG_INFINITY {
-            if let (Some(Some(sa)), Some(Some(sb))) =
-                (self.left_summaries.get(row), self.right_summaries.get(j))
-            {
+            let [left, right] = self.summaries();
+            if let (Some(sa), Some(sb)) = (&left[row], &right[j]) {
                 if sa.wms_upper_bound(sb) < bound {
                     out.note_pruned();
                     return;
@@ -2785,18 +2447,13 @@ impl WmdScorer {
         }
         match self.similarity_bounded(cache, a, b, bound, missing) {
             None => out.note_pruned(),
-            Some(w) => {
-                out.note_scored();
-                if w > 0.0 || !self.keep_positive {
-                    out.emit(row as u32, j as u32, w);
-                }
-            }
+            Some(w) => out.scored(row as u32, j as u32, w, self.keep_positive),
         }
     }
 }
 
 /// Per-worker scratch of the WMD scorer: the symmetric token-distance
-/// cache, the indexed path's ball-distance buffer, and the lane
+/// cache, the index walk's ball-distance buffer, and the lane
 /// prefill's uncached-partner buffer.
 struct WmdScratch {
     cache: DistCache,
@@ -2806,6 +2463,10 @@ struct WmdScratch {
 
 impl RowScorer for WmdScorer {
     type Scratch = WmdScratch;
+    /// Centroid-ball index over the non-empty right bags' summary
+    /// centroids, entry radius = summary radius, so a ball's distance
+    /// lower bound is simultaneously a relaxed-WMD lower bound.
+    type Index = VectorBallIndex;
 
     fn n_rows(&self) -> usize {
         self.left_bags.len()
@@ -2819,69 +2480,65 @@ impl RowScorer for WmdScorer {
         }
     }
 
-    fn score_row<O: EdgeSink>(&self, row: usize, scratch: &mut WmdScratch, out: &mut O) {
-        if self.left_bags[row].is_empty() {
-            return;
-        }
-        for (j, b) in self.right_bags.iter().enumerate() {
-            if b.is_empty() {
-                continue;
-            }
-            self.score_pair(row, j, &mut scratch.cache, &mut scratch.missing, out);
-        }
+    fn index(&self) -> VectorBallIndex {
+        let [_, right] = self.summaries();
+        let entries: Vec<(u32, &DenseVector, f64)> = right
+            .iter()
+            .enumerate()
+            .filter_map(|(j, s)| s.as_ref().map(|s| (j as u32, s.centroid(), s.radius())))
+            .collect();
+        VectorBallIndex::build(&entries)
     }
 
-    fn score_row_indexed<O: EdgeSink>(&self, row: usize, scratch: &mut WmdScratch, out: &mut O) {
-        let ball = self
-            .ball
-            .as_ref()
-            .expect("indexed mode prepared without a ball index");
-        if self.left_bags[row].is_empty() {
-            return;
-        }
-        let sa = self.left_summaries[row]
-            .as_ref()
-            .expect("non-empty bag has a summary");
-        let WmdScratch {
-            cache,
-            bounds,
-            missing,
-        } = scratch;
-        generate_ball_candidates(
-            ball,
-            sa.centroid(),
-            sa.radius(),
-            bounds,
-            inverse_distance_bound,
-            out.admission_bound(),
-            |j| {
-                self.score_pair(row, j as usize, cache, missing, out);
-                out.admission_bound()
-            },
-        );
-    }
-
-    fn score_row_restricted<O: EdgeSink>(
+    fn score_row<O: EdgeSink>(
         &self,
         row: usize,
-        cands: &CandidateLists,
+        source: &CandidateSource<'_, VectorBallIndex>,
         scratch: &mut WmdScratch,
         out: &mut O,
     ) {
         if self.left_bags[row].is_empty() {
             return;
         }
-        for &j in cands.row(row as u32) {
-            if self.right_bags[j as usize].is_empty() {
-                continue;
+        let WmdScratch {
+            cache,
+            bounds,
+            missing,
+        } = scratch;
+        let bound = out.admission_bound();
+        let mut score = |j: u32| {
+            self.score_pair(row, j as usize, cache, missing, out);
+            out.admission_bound()
+        };
+        let nonempty = |j: u32| !self.right_bags[j as usize].is_empty();
+        match source {
+            CandidateSource::Enumerate => {
+                for j in 0..self.right_bags.len() as u32 {
+                    if nonempty(j) {
+                        score(j);
+                    }
+                }
             }
-            self.score_pair(
-                row,
-                j as usize,
-                &mut scratch.cache,
-                &mut scratch.missing,
-                out,
-            );
+            CandidateSource::Index(ball) => {
+                let [left, _] = self.summaries();
+                let sa = left[row].as_ref().expect("non-empty bag has a summary");
+                generate_ball_candidates(
+                    ball,
+                    sa.centroid(),
+                    sa.radius(),
+                    bounds,
+                    inverse_distance_bound,
+                    bound,
+                    &mut score,
+                );
+            }
+            CandidateSource::Blocked(lists) => {
+                for &j in lists.row(row as u32) {
+                    if nonempty(j) {
+                        score(j);
+                    }
+                }
+            }
         }
     }
 }
@@ -3178,13 +2835,11 @@ mod tests {
                 attribute: "name".into(),
             },
             &cfg,
-            false,
-            false,
         );
         assert_eq!(scorer.vectors.len(), 3, "3 distinct interned tokens");
         let mut scratch = scorer.scratch();
         let mut out = Vec::new();
-        scorer.score_row(0, &mut scratch, &mut out);
+        scorer.score_row(0, &CandidateSource::Enumerate, &mut scratch, &mut out);
         assert_eq!(out.len(), 1);
         assert!((out[0].2 - 1.0).abs() < 1e-12, "identical bags score 1");
         assert_eq!(

@@ -61,10 +61,10 @@ use er_textsim::{
 };
 
 use crate::candidates::{
-    generate_ball_candidates, generate_char_candidates, generate_token_candidates,
+    generate_ball_candidates, generate_char_candidates, generate_token_candidates, CandidateSource,
 };
 use crate::config::{KernelMode, PipelineConfig};
-use crate::graphgen::{scoped_text, unit_probe, NormFrame, ScoreMode};
+use crate::graphgen::{scoped_text, score_shards, unit_probe, NormFrame, ScoreMode};
 use crate::taxonomy::{SemanticScope, SimilarityFunction};
 
 /// Fraction of un-indexed overflow entries (relative to the indexed
@@ -918,14 +918,18 @@ fn fallback_probe(
             Side::Right => right.attribute_names.clone(),
         },
     };
-    let shards = match side {
-        Side::Left => {
-            crate::graphgen::score_shards(&singleton, right, function, None, cfg, ScoreMode::Dense)
-        }
-        Side::Right => {
-            crate::graphgen::score_shards(left, &singleton, function, None, cfg, ScoreMode::Dense)
-        }
+    let (left, right) = match side {
+        Side::Left => (&singleton, right),
+        Side::Right => (left, &singleton),
     };
+    let shards = score_shards(
+        left,
+        right,
+        function,
+        CandidateSource::Enumerate,
+        cfg,
+        ScoreMode::Dense,
+    );
     for (l, r, w) in shards.into_iter().flatten() {
         // The probe's own component carries whatever id its branch
         // assigns (positional or entity id); only the resident side's

@@ -53,7 +53,7 @@
 //!    top-k selection is row-local; and row ranges are scored in
 //!    ascending order. Concatenating the shard outputs therefore
 //!    reproduces the in-RAM score phase's triple stream bit for bit
-//!    (see `graphgen::score_topk_sharded`).
+//!    (see `graphgen::score_sharded`).
 //! 2. **Frame.** The positivity filter is applied per shard before
 //!    spilling — the same per-triple predicate the in-RAM finalize
 //!    applies — and the normalization frame is folded from per-shard
@@ -83,9 +83,9 @@ use std::path::{Path, PathBuf};
 use er_core::{ConstructionCounters, MappedCsr, SlabWriter, StoreError, StoreMeta};
 use er_datasets::EntityCollection;
 
-use crate::candidates::CandidateMode;
+use crate::candidates::{CandidateMode, SourceKind};
 use crate::config::PipelineConfig;
-use crate::graphgen::{score_topk_sharded, NormFrame, Triple};
+use crate::graphgen::{score_sharded, NormFrame, ScoreMode, Triple};
 use crate::taxonomy::SimilarityFunction;
 
 /// Bytes of one spill record: `(left u32, right u32, raw weight f64)`.
@@ -777,15 +777,14 @@ pub fn build_graph_sharded(
                     );
                 }
             });
-            score_topk_sharded(
+            score_sharded(
                 left,
                 right,
                 function,
-                k,
-                mode == CandidateMode::Indexed,
+                SourceKind::of_mode(mode),
                 cfg,
+                ScoreMode::TopK { k, acct: &acct },
                 sharding.shard_rows,
-                &acct,
                 |shard, bufs| {
                     let resident: usize = bufs.iter().map(Vec::len).sum();
                     let _ = tx.send((shard, bufs, resident));
@@ -795,15 +794,14 @@ pub fn build_graph_sharded(
             worker.join().expect("spill worker panicked");
         });
     } else {
-        score_topk_sharded(
+        score_sharded(
             left,
             right,
             function,
-            k,
-            mode == CandidateMode::Indexed,
+            SourceKind::of_mode(mode),
             cfg,
+            ScoreMode::TopK { k, acct: &acct },
             sharding.shard_rows,
-            &acct,
             |shard, bufs| {
                 let resident: usize = bufs.iter().map(Vec::len).sum();
                 state.spill_shard(
