@@ -10,12 +10,11 @@
 //! BERT-family models famously occupy a narrow cone, which is exactly the
 //! behaviour behind the paper's weak schema-agnostic semantic results.
 
-use er_textsim::normalize_text;
+use crate::dense::{normalize_slice, scale_slice, DenseVector};
+use crate::hashing::{anisotropy_direction, pseudo_unit_vector_into};
+use crate::vocab::{self, KernelScratch, UnitModel};
 
-use crate::dense::DenseVector;
-use crate::hashing::{anisotropy_direction, pseudo_unit_vector};
-
-const ALBERT_SEED: u64 = 0xa1be_0007;
+pub(crate) const ALBERT_SEED: u64 = 0xa1be_0007;
 
 /// The paper's ALBERT dimensionality.
 pub const ALBERT_DIM: usize = 768;
@@ -23,9 +22,9 @@ pub const ALBERT_DIM: usize = 768;
 /// An ALBERT-like contextual text encoder.
 #[derive(Debug, Clone)]
 pub struct AlbertLike {
-    dim: usize,
-    anisotropy: f32,
-    common: DenseVector,
+    pub(crate) dim: usize,
+    pub(crate) anisotropy: f32,
+    pub(crate) common: DenseVector,
 }
 
 impl Default for AlbertLike {
@@ -50,59 +49,64 @@ impl AlbertLike {
         self.dim
     }
 
-    /// Contextual vector of the token at `idx` within `tokens`:
-    /// `0.6·e(token) + 0.2·e(prev⊕token) + 0.2·e(token⊕next)`, normalized.
-    fn contextual_token_vector(&self, tokens: &[&str], idx: usize) -> DenseVector {
-        let tok = tokens[idx];
-        let mut v = pseudo_unit_vector(tok, self.dim, ALBERT_SEED);
-        v.scale(0.6);
-        let prev = if idx > 0 { tokens[idx - 1] } else { "[CLS]" };
-        let next = if idx + 1 < tokens.len() {
-            tokens[idx + 1]
-        } else {
-            "[SEP]"
-        };
-        v.add_scaled(
-            &pseudo_unit_vector(&format!("{prev}\u{1}{tok}"), self.dim, ALBERT_SEED),
-            0.2,
-        );
-        v.add_scaled(
-            &pseudo_unit_vector(&format!("{tok}\u{1}{next}"), self.dim, ALBERT_SEED),
-            0.2,
-        );
-        v.normalize();
-        v
-    }
-
     /// Embed a text: mean-pooled contextual token vectors blended into the
     /// anisotropy cone. Empty text embeds to the zero vector.
     pub fn encode(&self, text: &str) -> DenseVector {
-        let normalized = normalize_text(text);
-        let toks: Vec<&str> = normalized.split_whitespace().collect();
-        if toks.is_empty() {
-            return DenseVector::zeros(self.dim);
-        }
-        let mut mean = DenseVector::zeros(self.dim);
-        for i in 0..toks.len() {
-            mean.add_assign(&self.contextual_token_vector(&toks, i));
-        }
-        mean.scale(1.0 / toks.len() as f32);
-        mean.normalize();
-        let mut out = self.common.clone();
-        out.scale(self.anisotropy);
-        out.add_scaled(&mean, 1.0 - self.anisotropy);
-        out.normalize();
-        out
+        vocab::encode_all(self, &[text], 1).remove(0)
     }
 
     /// Contextual per-token vectors (for Word Mover's similarity), without
     /// the anisotropy blend.
     pub fn token_vectors(&self, text: &str) -> Vec<DenseVector> {
-        let normalized = normalize_text(text);
-        let toks: Vec<&str> = normalized.split_whitespace().collect();
-        (0..toks.len())
-            .map(|i| self.contextual_token_vector(&toks, i))
-            .collect()
+        vocab::token_units(self, &[text], usize::MAX, 1)
+            .into_bags()
+            .remove(0)
+    }
+}
+
+impl UnitModel for AlbertLike {
+    /// A contextual vector depends on the token and both neighbours: the
+    /// unit is the `(prev, token, next)` signature, with `[CLS]`/`[SEP]`
+    /// standing in at the text's ends.
+    type Unit<'a> = [&'a str; 3];
+
+    fn unit<'a>(tokens: &[&'a str], idx: usize) -> [&'a str; 3] {
+        let prev = if idx > 0 { tokens[idx - 1] } else { "[CLS]" };
+        let next = tokens.get(idx + 1).copied().unwrap_or("[SEP]");
+        [prev, tokens[idx], next]
+    }
+
+    /// `0.6·e(token) + 0.2·e(prev⊕token) + 0.2·e(token⊕next)`, normalized,
+    /// into `out`; each signature is hashed from one reused key buffer.
+    fn unit_vector_into(
+        &self,
+        [prev, tok, next]: [&str; 3],
+        s: &mut KernelScratch,
+        out: &mut [f32],
+    ) {
+        let KernelScratch { key, unit, .. } = s;
+        unit.resize(self.dim, 0.0);
+        pseudo_unit_vector_into(tok.as_bytes(), ALBERT_SEED, out);
+        scale_slice(out, 0.6);
+        for (a, b) in [(prev, tok), (tok, next)] {
+            key.clear();
+            key.push_str(a);
+            key.push('\u{1}');
+            key.push_str(b);
+            pseudo_unit_vector_into(key.as_bytes(), ALBERT_SEED, unit);
+            for (o, &u) in out.iter_mut().zip(unit.iter()) {
+                *o += 0.2 * u;
+            }
+        }
+        normalize_slice(out);
+    }
+
+    fn cone(&self) -> (&DenseVector, f32) {
+        (&self.common, self.anisotropy)
+    }
+
+    fn dim(&self) -> usize {
+        self.dim
     }
 }
 

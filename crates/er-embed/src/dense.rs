@@ -78,17 +78,31 @@ impl DenseVector {
 
     /// Scale in place.
     pub fn scale(&mut self, s: f32) {
-        for a in &mut self.0 {
-            *a *= s;
-        }
+        scale_slice(&mut self.0, s);
     }
 
     /// Normalize to unit length in place (no-op for the zero vector).
     pub fn normalize(&mut self) {
-        let n = self.norm() as f32;
-        if n > 0.0 {
-            self.scale(1.0 / n);
-        }
+        normalize_slice(&mut self.0);
+    }
+}
+
+/// [`DenseVector::scale`] over a component slice.
+#[inline]
+pub(crate) fn scale_slice(v: &mut [f32], s: f32) {
+    for a in v {
+        *a *= s;
+    }
+}
+
+/// [`DenseVector::normalize`] over a component slice: the same float
+/// sequence — f64 sum of squares in component order, norm rounded to
+/// `f32`, every component multiplied by `1/n`.
+#[inline]
+pub(crate) fn normalize_slice(v: &mut [f32]) {
+    let n = v.iter().map(|&a| a as f64 * a as f64).sum::<f64>().sqrt() as f32;
+    if n > 0.0 {
+        scale_slice(v, 1.0 / n);
     }
 }
 

@@ -8,13 +8,11 @@
 //! typo'd tokens stay close to their originals because they share most
 //! sub-word units.
 
-use er_core::FxHashMap;
-use er_textsim::normalize_text;
+use crate::dense::{normalize_slice, scale_slice, DenseVector};
+use crate::hashing::{anisotropy_direction, pseudo_unit_vector_into};
+use crate::vocab::{self, KernelScratch, UnitModel};
 
-use crate::dense::DenseVector;
-use crate::hashing::{anisotropy_direction, pseudo_unit_vector};
-
-const FASTTEXT_SEED: u64 = 0xfa57_7e87;
+pub(crate) const FASTTEXT_SEED: u64 = 0xfa57_7e87;
 
 /// The paper's fastText dimensionality.
 pub const FASTTEXT_DIM: usize = 300;
@@ -22,12 +20,12 @@ pub const FASTTEXT_DIM: usize = 300;
 /// A fastText-like text encoder.
 #[derive(Debug, Clone)]
 pub struct FastTextLike {
-    dim: usize,
+    pub(crate) dim: usize,
     /// Blend factor of the shared anisotropy direction in `[0, 1)`:
     /// higher values push all pairwise similarities up, mimicking the
     /// embedding cone of real pre-trained models.
-    anisotropy: f32,
-    common: DenseVector,
+    pub(crate) anisotropy: f32,
+    pub(crate) common: DenseVector,
 }
 
 impl Default for FastTextLike {
@@ -55,66 +53,80 @@ impl FastTextLike {
     /// Embed one token: the normalized sum of its boundary-marked character
     /// 3–6-gram vectors plus the full-word vector.
     pub fn token_vector(&self, token: &str) -> DenseVector {
-        let marked = format!("<{token}>");
-        let chars: Vec<char> = marked.chars().collect();
-        let mut sum = DenseVector::zeros(self.dim);
-        let mut parts = 0usize;
-        for n in 3..=6 {
-            if chars.len() < n {
-                break;
-            }
-            for w in chars.windows(n) {
-                let gram: String = w.iter().collect();
-                sum.add_assign(&pseudo_unit_vector(&gram, self.dim, FASTTEXT_SEED));
-                parts += 1;
-            }
-        }
-        // The whole word is always one of the units.
-        sum.add_assign(&pseudo_unit_vector(&marked, self.dim, FASTTEXT_SEED));
-        parts += 1;
-        sum.scale(1.0 / parts as f32);
-        sum.normalize();
-        sum
+        let mut v = DenseVector::zeros(self.dim);
+        self.unit_vector_into(token, &mut KernelScratch::default(), &mut v.0);
+        v
     }
 
     /// Embed a text: mean of token vectors, blended with the anisotropy
     /// direction and re-normalized. Empty text embeds to the zero vector.
     pub fn encode(&self, text: &str) -> DenseVector {
-        let normalized = normalize_text(text);
-        let toks: Vec<&str> = normalized.split_whitespace().collect();
-        if toks.is_empty() {
-            return DenseVector::zeros(self.dim);
-        }
-        let mut mean = DenseVector::zeros(self.dim);
-        // Cache repeated tokens within a text (common in concatenated
-        // schema-agnostic profiles).
-        let mut cache: FxHashMap<&str, DenseVector> = FxHashMap::default();
-        for t in &toks {
-            let v = cache
-                .entry(t)
-                .or_insert_with(|| self.token_vector(t))
-                .clone();
-            mean.add_assign(&v);
-        }
-        mean.scale(1.0 / toks.len() as f32);
-        mean.normalize();
-        // Blend into the cone: v ← (1-α)·v + α·common.
-        let mut out = self.common.clone();
-        out.scale(self.anisotropy);
-        out.add_scaled(&mean, 1.0 - self.anisotropy);
-        out.normalize();
-        out
+        vocab::encode_all(self, &[text], 1).remove(0)
     }
 
     /// Per-token context-free vectors of a text (for Word Mover's
     /// similarity). Tokens embed *without* the anisotropy blend so the
     /// transport costs keep their contrast.
     pub fn token_vectors(&self, text: &str) -> Vec<DenseVector> {
-        let normalized = normalize_text(text);
-        normalized
-            .split_whitespace()
-            .map(|t| self.token_vector(t))
-            .collect()
+        vocab::token_units(self, &[text], usize::MAX, 1)
+            .into_bags()
+            .remove(0)
+    }
+}
+
+impl UnitModel for FastTextLike {
+    /// fastText vectors are context-free: the unit is the token.
+    type Unit<'a> = &'a str;
+
+    fn unit<'a>(tokens: &[&'a str], idx: usize) -> &'a str {
+        tokens[idx]
+    }
+
+    /// [`FastTextLike::token_vector`] into `out`: every n-gram is hashed
+    /// as a byte slice of the marked token (cut at char boundaries, so
+    /// the bytes equal the `String` the n-gram's chars would collect
+    /// into) and its unit vector added straight into the sum.
+    fn unit_vector_into(&self, token: &str, s: &mut KernelScratch, out: &mut [f32]) {
+        let KernelScratch { key, bounds, unit } = s;
+        key.clear();
+        key.push('<');
+        key.push_str(token);
+        key.push('>');
+        bounds.clear();
+        bounds.extend(key.char_indices().map(|(i, _)| i));
+        bounds.push(key.len());
+        let n_chars = bounds.len() - 1;
+        unit.resize(self.dim, 0.0);
+        out.fill(0.0);
+        let mut add = |bytes: &[u8]| {
+            pseudo_unit_vector_into(bytes, FASTTEXT_SEED, unit);
+            for (a, &b) in out.iter_mut().zip(unit.iter()) {
+                *a += b;
+            }
+        };
+        let mut parts = 0usize;
+        for n in 3..=6 {
+            if n_chars < n {
+                break;
+            }
+            for start in 0..=n_chars - n {
+                add(&key.as_bytes()[bounds[start]..bounds[start + n]]);
+                parts += 1;
+            }
+        }
+        // The whole word is always one of the units.
+        add(key.as_bytes());
+        parts += 1;
+        scale_slice(out, 1.0 / parts as f32);
+        normalize_slice(out);
+    }
+
+    fn cone(&self) -> (&DenseVector, f32) {
+        (&self.common, self.anisotropy)
+    }
+
+    fn dim(&self) -> usize {
+        self.dim
     }
 }
 

@@ -6,28 +6,30 @@
 
 use er_core::hash::seeded_hash64;
 
-use crate::dense::DenseVector;
+use crate::dense::{normalize_slice, DenseVector};
 
-/// Generate the unit pseudo-embedding of `key` in `dim` dimensions under a
-/// model-specific `seed`.
-pub fn pseudo_unit_vector(key: &str, dim: usize, seed: u64) -> DenseVector {
-    let mut state = seeded_hash64(key.as_bytes(), seed);
-    let mut v = Vec::with_capacity(dim);
-    for _ in 0..dim {
+/// Write the unit pseudo-embedding of the byte string `key` under a
+/// model-specific `seed` into `out` (its length is the dimension).
+///
+/// Component `i` is the top 24 bits of the `i`-th splitmix64 step from
+/// the key's seeded hash, mapped to a uniform value in `[-1, 1)`; the
+/// vector is then normalized in place. Writing into a caller buffer
+/// keeps the encoders' n-gram loops allocation-free.
+pub fn pseudo_unit_vector_into(key: &[u8], seed: u64, out: &mut [f32]) {
+    let mut state = seeded_hash64(key, seed);
+    for v in out.iter_mut() {
         state = splitmix64(state);
-        // Map the top 24 bits to a uniform value in [-1, 1).
-        let u = (state >> 40) as f32 / (1u64 << 23) as f32 - 1.0;
-        v.push(u);
+        *v = (state >> 40) as f32 / (1u64 << 23) as f32 - 1.0;
     }
-    let mut dv = DenseVector(v);
-    dv.normalize();
-    dv
+    normalize_slice(out);
 }
 
 /// The shared anisotropy direction of a model: every encoded text blends a
 /// fraction of this vector, concentrating all embeddings in a cone.
 pub fn anisotropy_direction(dim: usize, seed: u64) -> DenseVector {
-    pseudo_unit_vector("\u{0}__anisotropy__", dim, seed)
+    let mut v = DenseVector::zeros(dim);
+    pseudo_unit_vector_into("\u{0}__anisotropy__".as_bytes(), seed, &mut v.0);
+    v
 }
 
 #[inline]
@@ -42,19 +44,25 @@ fn splitmix64(mut z: u64) -> u64 {
 mod tests {
     use super::*;
 
+    fn unit(key: &str, dim: usize, seed: u64) -> DenseVector {
+        let mut v = DenseVector::zeros(dim);
+        pseudo_unit_vector_into(key.as_bytes(), seed, &mut v.0);
+        v
+    }
+
     #[test]
     fn vectors_are_deterministic_unit_length() {
-        let a = pseudo_unit_vector("token", 64, 1);
-        let b = pseudo_unit_vector("token", 64, 1);
+        let a = unit("token", 64, 1);
+        let b = unit("token", 64, 1);
         assert_eq!(a, b);
         assert!((a.norm() - 1.0).abs() < 1e-5);
     }
 
     #[test]
     fn different_keys_or_seeds_decorrelate() {
-        let a = pseudo_unit_vector("token", 256, 1);
-        let b = pseudo_unit_vector("other", 256, 1);
-        let c = pseudo_unit_vector("token", 256, 2);
+        let a = unit("token", 256, 1);
+        let b = unit("other", 256, 1);
+        let c = unit("token", 256, 2);
         // Random unit vectors in 256-d are nearly orthogonal.
         assert!(a.dot(&b).abs() < 0.25);
         assert!(a.dot(&c).abs() < 0.25);
@@ -62,8 +70,27 @@ mod tests {
 
     #[test]
     fn components_are_centered() {
-        let v = pseudo_unit_vector("statistics", 512, 7);
+        let v = unit("statistics", 512, 7);
         let mean: f32 = v.0.iter().sum::<f32>() / v.0.len() as f32;
         assert!(mean.abs() < 0.05, "mean {mean} should be near zero");
+    }
+
+    #[test]
+    fn into_kernel_matches_the_frozen_allocating_kernel() {
+        for key in [
+            "",
+            "<a>",
+            "<ab",
+            "héllo",
+            "漢字\u{1}x",
+            "\u{0}__anisotropy__",
+        ] {
+            for dim in [0usize, 1, 7, 300] {
+                let got = unit(key, dim, 0xfa57_7e87);
+                let want = crate::oracle::pseudo_unit_vector(key, dim, 0xfa57_7e87);
+                let bits = |v: &DenseVector| v.0.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "key {key:?} dim {dim}");
+            }
+        }
     }
 }

@@ -120,6 +120,72 @@ pub fn euclidean_distance_batch(a: &DenseVector, bs: &[&DenseVector], out: &mut 
     }
 }
 
+/// Vectors of one dimension stored in [`LANE_WIDTH`]-interleaved blocks:
+/// block `b` holds vectors `b·W .. b·W + W`, component `k` of lane `l` at
+/// offset `k·W + l`, so the block kernel loads one component of all `W`
+/// lanes as one contiguous run. The last block is zero-padded.
+///
+/// ```
+/// use er_embed::lanes::{InterleavedBlocks, LANE_WIDTH};
+/// use er_embed::DenseVector;
+///
+/// let vs: Vec<DenseVector> = (0..10).map(|i| DenseVector(vec![i as f32, 1.0, -2.0])).collect();
+/// let blocks = InterleavedBlocks::new(3, vs.iter());
+/// assert_eq!(blocks.n_blocks(), 2);
+/// let a = DenseVector(vec![0.5, 0.25, 4.0]);
+/// let mut out = [0.0f64; LANE_WIDTH];
+/// blocks.euclidean_distances(&a, 1, &mut out);
+/// assert_eq!(out[1].to_bits(), a.euclidean_distance(&vs[9]).to_bits());
+/// ```
+#[derive(Debug, Clone)]
+pub struct InterleavedBlocks {
+    dim: usize,
+    len: usize,
+    data: Vec<f32>,
+}
+
+impl InterleavedBlocks {
+    /// Interleave `vectors`, each of dimension `dim`.
+    pub fn new<'a>(dim: usize, vectors: impl ExactSizeIterator<Item = &'a DenseVector>) -> Self {
+        let len = vectors.len();
+        let mut data = vec![0.0f32; len.div_ceil(LANE_WIDTH) * dim * LANE_WIDTH];
+        for (i, v) in vectors.enumerate() {
+            assert_eq!(v.dim(), dim, "dimension mismatch");
+            let block = &mut data[(i / LANE_WIDTH) * dim * LANE_WIDTH..];
+            for (k, &x) in v.0.iter().enumerate() {
+                block[k * LANE_WIDTH + i % LANE_WIDTH] = x;
+            }
+        }
+        InterleavedBlocks { dim, len, data }
+    }
+
+    /// Number of blocks, `⌈len / W⌉`.
+    pub fn n_blocks(&self) -> usize {
+        self.len.div_ceil(LANE_WIDTH)
+    }
+
+    /// `out[l] = a.euclidean_distance(v)` for the vector `v` in lane `l` of
+    /// `block`, bit for bit: each lane accumulates the squared differences
+    /// in the scalar component order (and `(a − b)² = (b − a)²` exactly, so
+    /// operand order is irrelevant). Padding lanes hold `‖a‖`.
+    pub fn euclidean_distances(&self, a: &DenseVector, block: usize, out: &mut [f64; LANE_WIDTH]) {
+        assert_eq!(a.dim(), self.dim, "dimension mismatch");
+        let width = self.dim * LANE_WIDTH;
+        let (comps, _) = self.data[block * width..(block + 1) * width].as_chunks::<LANE_WIDTH>();
+        let mut acc = [0.0f64; LANE_WIDTH];
+        for (&av, lanes) in a.0.iter().zip(comps) {
+            let av = av as f64;
+            for l in 0..LANE_WIDTH {
+                let d = av - lanes[l] as f64;
+                acc[l] += d * d;
+            }
+        }
+        for l in 0..LANE_WIDTH {
+            out[l] = acc[l].sqrt();
+        }
+    }
+}
+
 /// Batched [`SemanticMeasure::similarity_vectors`] for the dense
 /// measures (cosine, Euclidean `1/(1+d)`): `out[l]` equals the scalar
 /// call bit for bit, zero-vector guards included. Panics for
@@ -207,6 +273,43 @@ mod tests {
             similarity_vectors_batch(m, &z, &refs, &mut out);
             for (l, b) in bs.iter().enumerate() {
                 assert_eq!(out[l].to_bits(), m.similarity_vectors(&z, b).to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn interleaved_blocks_are_bit_identical_to_scalar() {
+        // 19 vectors: two full blocks and a ragged third.
+        let vs: Vec<DenseVector> = (0..19)
+            .map(|i| {
+                let i = i as f32;
+                DenseVector(vec![
+                    i * 0.37 - 3.0,
+                    1e-3 * i,
+                    -i * i,
+                    7.5,
+                    1e20 / (i + 1.0),
+                ])
+            })
+            .collect();
+        let blocks = InterleavedBlocks::new(5, vs.iter());
+        assert_eq!(blocks.n_blocks(), 3);
+        let mut out = [0.0f64; LANE_WIDTH];
+        for a in [
+            &vs[3],
+            &DenseVector::zeros(5),
+            &DenseVector(vec![-1.0, 2.0, 0.0, 9.0, 1e-30]),
+        ] {
+            for b in 0..blocks.n_blocks() {
+                blocks.euclidean_distances(a, b, &mut out);
+                for (l, &d) in out.iter().enumerate() {
+                    let Some(v) = vs.get(b * LANE_WIDTH + l) else {
+                        assert_eq!(d.to_bits(), a.norm().to_bits(), "padding lane");
+                        continue;
+                    };
+                    assert_eq!(d.to_bits(), a.euclidean_distance(v).to_bits());
+                    assert_eq!(d.to_bits(), v.euclidean_distance(a).to_bits());
+                }
             }
         }
     }

@@ -25,6 +25,23 @@
 //! Similarities: cosine, Euclidean (`1/(1+d)`) and Word Mover's
 //! (`1/(1+RWMD)` with the standard relaxed-WMD bound) — the three semantic
 //! measures of Figure 6.
+//!
+//! # Encoding at kernel speed
+//!
+//! The hash kernels write each n-gram / context-signature unit vector
+//! into a reused buffer ([`hashing::pseudo_unit_vector_into`]): an n-gram
+//! is hashed as a byte slice of the marked token, cut at char
+//! boundaries, with no `String` or `Vec` per n-gram. Over a collection,
+//! [`Encoder::encode_all`](measures::Encoder::encode_all) and
+//! [`Encoder::token_units`](measures::Encoder::token_units) ([`vocab`])
+//! number the distinct token *units* — fastText tokens, ALBERT
+//! `(prev, token, next)` signatures — in first-appearance order and
+//! compute each once, spread over worker threads. Every path keeps the
+//! float sequence of the original per-text encoders, and a test-only
+//! frozen copy of those encoders pins them bit for bit. The
+//! [`lanes`] module adds the eight-lane dense kernels and the
+//! interleaved block kernel ([`lanes::InterleavedBlocks`]) that fills
+//! Word Mover's distance tables.
 
 pub mod albert;
 pub mod ballindex;
@@ -33,6 +50,9 @@ pub mod fasttext;
 pub mod hashing;
 pub mod lanes;
 pub mod measures;
+#[cfg(test)]
+mod oracle;
+pub mod vocab;
 pub mod wmd;
 
 pub use albert::AlbertLike;
@@ -42,15 +62,16 @@ pub use ballindex::{
 pub use dense::DenseVector;
 pub use fasttext::FastTextLike;
 pub use measures::{EmbeddingModel, SemanticMeasure};
+pub use vocab::UnitTable;
 pub use wmd::{relaxed_wmd, word_movers_similarity, BagSummary};
 
 #[cfg(test)]
 mod sync_tests {
     //! `er-pipeline`'s parallel construction engine shares encoders,
-    //! dense vectors and the interned WMD token table immutably across
-    //! scoped worker threads. Pin the `Send + Sync` contract at compile
-    //! time so an accidental interior-mutability addition fails here, not
-    //! in a downstream crate.
+    //! dense vectors, the interned WMD token table and its interleaved
+    //! right blocks immutably across scoped worker threads. Pin the
+    //! `Send + Sync` contract at compile time so an accidental
+    //! interior-mutability addition fails here, not in a downstream crate.
     use super::*;
     use crate::measures::Encoder;
 
@@ -64,5 +85,7 @@ mod sync_tests {
         assert_shared_read_side::<DenseVector>();
         assert_shared_read_side::<EmbeddingModel>();
         assert_shared_read_side::<SemanticMeasure>();
+        assert_shared_read_side::<UnitTable>();
+        assert_shared_read_side::<lanes::InterleavedBlocks>();
     }
 }

@@ -5,6 +5,7 @@ use serde::{Deserialize, Serialize};
 use crate::albert::AlbertLike;
 use crate::dense::DenseVector;
 use crate::fasttext::FastTextLike;
+use crate::vocab::{self, UnitTable};
 use crate::wmd::word_movers_similarity;
 
 /// Which pre-trained-model stand-in encodes the texts.
@@ -62,6 +63,37 @@ impl Encoder {
         match self {
             Encoder::FastText(m) => m.token_vectors(text),
             Encoder::Albert(m) => m.token_vectors(text),
+        }
+    }
+
+    /// [`encode`](Self::encode) every text of a collection, each distinct
+    /// token unit computed once and the work spread over up to `threads`
+    /// workers. Bit-identical to encoding each text on its own.
+    pub fn encode_all<T: AsRef<str> + Sync>(
+        &self,
+        texts: &[T],
+        threads: usize,
+    ) -> Vec<DenseVector> {
+        match self {
+            Encoder::FastText(m) => vocab::encode_all(m, texts, threads),
+            Encoder::Albert(m) => vocab::encode_all(m, texts, threads),
+        }
+    }
+
+    /// The per-token vectors of every text's first `cap` tokens as one
+    /// interned [`UnitTable`]: fastText units are tokens, ALBERT units
+    /// `(prev, token, next)` signatures (a kept last token still sees the
+    /// dropped token after it as its context). Each bag resolves to
+    /// exactly the first `cap` vectors of [`token_vectors`](Self::token_vectors).
+    pub fn token_units<T: AsRef<str> + Sync>(
+        &self,
+        texts: &[T],
+        cap: usize,
+        threads: usize,
+    ) -> UnitTable {
+        match self {
+            Encoder::FastText(m) => vocab::token_units(m, texts, cap, threads),
+            Encoder::Albert(m) => vocab::token_units(m, texts, cap, threads),
         }
     }
 

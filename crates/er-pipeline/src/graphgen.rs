@@ -14,13 +14,15 @@
 //!
 //! # The parallel construction engine
 //!
-//! Construction of one graph is split into a serial **prepare** phase that
+//! Construction of one graph is split into a **prepare** phase that
 //! builds the immutable read-side structures — DF indexes, the inverted
 //! index, encoded vectors / n-gram graphs, the interned WMD token table —
 //! and a **score** phase that shards the left-entity rows over
-//! `cfg.effective_threads()` crossbeam scoped workers. Workers share the
+//! `cfg.effective_threads()` crossbeam scoped workers. Prepare is serial
+//! except for the semantic branches, whose collection encode spreads the
+//! distinct token units over the same workers. Workers share the
 //! prepared state read-only (plain `&` reads, no locks on the hot path),
-//! keep their own scratch (probe stamps, WMD distance caches), claim
+//! keep their own scratch (probe stamps, WMD row tables), claim
 //! contiguous row chunks through an atomic cursor, and emit local triple
 //! buffers that a deterministic chunk-order merge feeds into
 //! [`GraphBuilder`] — so results are **bit-identical** to the serial path
@@ -95,9 +97,11 @@ use er_core::{
 };
 use er_datasets::{Dataset, EntityCollection, EntityProfile};
 use er_embed::lanes as embed_lanes;
+use er_embed::lanes::InterleavedBlocks;
+use er_embed::measures::Encoder;
 use er_embed::{
     cosine_distance_bound, inverse_distance_bound, BagSummary, DenseVector, SemanticMeasure,
-    VectorBallIndex,
+    UnitTable, VectorBallIndex,
 };
 use er_textsim::lanes::{self, MyersBatch, LANE_WIDTH};
 use er_textsim::{
@@ -675,7 +679,7 @@ pub fn build_graph_restricted(
 ///
 /// [`score_row`]: RowScorer::score_row
 trait RowScorer: Sync {
-    /// Per-worker mutable scratch (probe stamps, distance caches).
+    /// Per-worker mutable scratch (probe stamps, WMD row tables).
     type Scratch: Send;
 
     /// The candidate index the `Index` source walks; `()` for branches
@@ -1016,13 +1020,7 @@ pub(crate) fn score_sharded(
                 phase.run(&WmdScorer::prepare(left, right, &enc, scope, cfg))
             } else {
                 phase.run(&DenseSemanticScorer::prepare(
-                    left,
-                    right,
-                    &enc,
-                    *measure,
-                    scope,
-                    keep,
-                    cfg.kernel_mode,
+                    left, right, &enc, *measure, scope, cfg,
                 ))
             }
         }
@@ -2049,6 +2047,27 @@ pub(crate) fn unit_probe(v: &DenseVector) -> (DenseVector, f64) {
     (u, radius)
 }
 
+/// Both sides' scoped texts embedded through one collection encode
+/// ([`Encoder::encode_all`]): each distinct token unit of either side is
+/// computed once, spread over `threads` workers.
+pub(crate) fn encode_sides(
+    left: &EntityCollection,
+    right: &EntityCollection,
+    enc: &Encoder,
+    scope: &SemanticScope,
+    threads: usize,
+) -> (Vec<DenseVector>, Vec<DenseVector>) {
+    let texts: Vec<String> = left
+        .profiles
+        .iter()
+        .chain(&right.profiles)
+        .map(|p| scoped_text(p, scope))
+        .collect();
+    let mut lv = enc.encode_all(&texts, threads);
+    let rv = lv.split_off(left.len());
+    (lv, rv)
+}
+
 /// All-pairs semantic scoring over pre-encoded text vectors.
 struct DenseSemanticScorer {
     left: Vec<DenseVector>,
@@ -2062,24 +2081,18 @@ impl DenseSemanticScorer {
     fn prepare(
         left: &EntityCollection,
         right: &EntityCollection,
-        enc: &er_embed::measures::Encoder,
+        enc: &Encoder,
         measure: SemanticMeasure,
         scope: &SemanticScope,
-        keep_positive: bool,
-        kernel: KernelMode,
+        cfg: &PipelineConfig,
     ) -> Self {
-        let encode_all = |c: &EntityCollection| -> Vec<DenseVector> {
-            c.profiles
-                .iter()
-                .map(|p| enc.encode(&scoped_text(p, scope)))
-                .collect()
-        };
+        let (left, right) = encode_sides(left, right, enc, scope, cfg.effective_threads());
         DenseSemanticScorer {
-            left: encode_all(left),
-            right: encode_all(right),
+            left,
+            right,
             measure,
-            keep_positive,
-            kernel,
+            keep_positive: cfg.keep_positive_only,
+            kernel: cfg.kernel_mode,
         }
     }
 
@@ -2217,58 +2230,40 @@ impl RowScorer for DenseSemanticScorer {
 }
 
 // ---------------------------------------------------------------------------
-// Semantic: Word Mover's over interned token bags with distance caching.
+// Semantic: Word Mover's over interned token bags with row-local distance
+// tables.
 // ---------------------------------------------------------------------------
-
-/// Symmetric token-distance cache. Euclidean distance is symmetric, so
-/// keys are canonicalized to `(min, max)`: each unordered vector pair is
-/// computed and stored **once** (a plain `(a, b)` key held every pair
-/// twice). One cache per worker — values are pure functions of the shared
-/// interned table, so per-worker caches cannot diverge.
-struct DistCache {
-    map: FxHashMap<(u32, u32), f64>,
-}
-
-impl DistCache {
-    fn new() -> Self {
-        DistCache {
-            map: FxHashMap::default(),
-        }
-    }
-
-    #[inline]
-    fn dist(&mut self, vectors: &[DenseVector], a: u32, b: u32) -> f64 {
-        let key = (a.min(b), a.max(b));
-        *self
-            .map
-            .entry(key)
-            .or_insert_with(|| vectors[key.0 as usize].euclidean_distance(&vectors[key.1 as usize]))
-    }
-
-    #[cfg(test)]
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-}
 
 /// Per-bag centroid + radius summaries (`None` for empty bags) of the
 /// left and the right bags.
 type BagSummaries = [Vec<Option<BagSummary>>; 2];
 
-/// Word Mover's scoring with a token-distance cache: contextual token
-/// vectors repeat heavily across profiles, so each distinct unordered
-/// (token, token) distance is computed once per worker. Bags are truncated
-/// to `cfg.wmd_token_cap` tokens (documented substitution — relaxed WMD is
-/// quadratic in bag size).
+/// Word Mover's scoring over interned token bags. Bags are truncated to
+/// `cfg.wmd_token_cap` tokens (documented substitution — relaxed WMD is
+/// quadratic in bag size), and only the kept tokens are encoded.
+///
+/// The transport loops read token distances from a row-local
+/// [`RowTable`]: for the current left row, the distances from its
+/// distinct tokens to the right token universe, filled one
+/// [`LANE_WIDTH`](embed_lanes::LANE_WIDTH)-wide block of right tokens at
+/// a time on first touch — so the `Index` and `Blocked` sources compute
+/// only the blocks their candidates reach.
 struct WmdScorer {
-    /// Interned token-vector table: identical vectors share one id.
-    /// Contextual encoders produce per-(token, context) vectors, interned
-    /// by the (prev, token, next) signature embedded in the vector bits.
-    /// Built serially in prepare, then shared across workers behind a
-    /// lock-free read path (plain immutable slice reads).
+    /// Interned token-vector table of both sides. Units are the
+    /// encoder's (fastText tokens, ALBERT `(prev, token, next)`
+    /// signatures), numbered in first-appearance order; shared across
+    /// workers as plain immutable slice reads.
     vectors: Vec<DenseVector>,
+    /// Left bags as unit ids.
     left_bags: Vec<Vec<u32>>,
+    /// Right bags as positions in `right_units`.
     right_bags: Vec<Vec<u32>>,
+    /// The right token universe: unit ids by position, in
+    /// first-appearance order over the right bags.
+    right_units: Vec<u32>,
+    /// The right universe's vectors, interleaved for the block kernel
+    /// that fills row tables under [`KernelMode::Lanes`].
+    right_blocks: InterleavedBlocks,
     /// `RWMD(a, b) ≥ ‖c_a − c_b‖ − r_a − r_b`, so one vector distance
     /// upper-bounds the similarity of a pair before any transport work.
     /// Built on first read — by the ball index build or the first live
@@ -2279,98 +2274,155 @@ struct WmdScorer {
     kernel: KernelMode,
 }
 
+/// One left row's token-distance table (per-worker scratch, reset per
+/// row): `d(x, y)` for every distinct token `x` of the row and every
+/// right-universe token `y` in a filled block.
+///
+/// Slot `s` of `dists` holds one block's `m × W` distances, row-token
+/// major — `dists[s·m·W + xi·W + lane]` — so a fill writes each row
+/// token's `W` lanes contiguously and a lookup is one add off a base
+/// precomputed per right token.
+struct RowTable {
+    /// Distinct unit ids of the row's bag, first-appearance order.
+    tokens: Vec<u32>,
+    /// The row's bag as indexes into `tokens`, scaled by `W`.
+    local: Vec<usize>,
+    /// Unit id → index in `tokens`, for building `local`.
+    index_of: FxHashMap<u32, u32>,
+    /// Right block → its slot in `dists`; `u32::MAX` while unfilled.
+    slot: Vec<u32>,
+    /// The blocks filled for the current row, in fill order.
+    filled: Vec<u32>,
+    dists: Vec<f64>,
+    /// Per token of the current right bag, its column base in `dists`.
+    column: Vec<usize>,
+}
+
 impl WmdScorer {
+    const W: usize = embed_lanes::LANE_WIDTH;
+
     fn prepare(
         left: &EntityCollection,
         right: &EntityCollection,
-        enc: &er_embed::measures::Encoder,
+        enc: &Encoder,
         scope: &SemanticScope,
         cfg: &PipelineConfig,
     ) -> Self {
-        let mut vectors: Vec<DenseVector> = Vec::new();
-        let mut intern: FxHashMap<Vec<u32>, u32> = FxHashMap::default();
-        let mut bag_of = |p: &EntityProfile| -> Vec<u32> {
-            let mut toks = enc.token_vectors(&scoped_text(p, scope));
-            toks.truncate(cfg.wmd_token_cap);
-            toks.into_iter()
-                .map(|v| {
-                    let bits: Vec<u32> = v.0.iter().map(|f| f.to_bits()).collect();
-                    *intern.entry(bits).or_insert_with(|| {
-                        vectors.push(v);
-                        vectors.len() as u32 - 1
-                    })
-                })
-                .collect()
-        };
-        let left_bags: Vec<Vec<u32>> = left.profiles.iter().map(&mut bag_of).collect();
-        let right_bags: Vec<Vec<u32>> = right.profiles.iter().map(&mut bag_of).collect();
+        let texts: Vec<String> = left
+            .profiles
+            .iter()
+            .chain(&right.profiles)
+            .map(|p| scoped_text(p, scope))
+            .collect();
+        let UnitTable { vectors, mut bags } =
+            enc.token_units(&texts, cfg.wmd_token_cap, cfg.effective_threads());
+        let mut right_bags = bags.split_off(left.len());
+        let mut position = vec![u32::MAX; vectors.len()];
+        let mut right_units = Vec::new();
+        for id in right_bags.iter_mut().flatten() {
+            let pos = &mut position[*id as usize];
+            if *pos == u32::MAX {
+                *pos = right_units.len() as u32;
+                right_units.push(*id);
+            }
+            *id = *pos;
+        }
+        let right_blocks =
+            InterleavedBlocks::new(enc.dim(), right_units.iter().map(|&u| &vectors[u as usize]));
         WmdScorer {
             vectors,
-            left_bags,
+            left_bags: bags,
             right_bags,
+            right_units,
+            right_blocks,
             summaries: OnceLock::new(),
             keep_positive: cfg.keep_positive_only,
             kernel: cfg.kernel_mode,
         }
     }
 
+    /// The vector of right-universe token `pos`.
+    fn right_vector(&self, pos: u32) -> &DenseVector {
+        &self.vectors[self.right_units[pos as usize] as usize]
+    }
+
     /// The left and right bag summaries, built on first call.
     fn summaries(&self) -> &BagSummaries {
         self.summaries.get_or_init(|| {
-            let summarize = |bags: &[Vec<u32>]| -> Vec<Option<BagSummary>> {
-                bags.iter()
-                    .map(|bag| {
-                        BagSummary::from_vectors(
-                            bag.len(),
-                            bag.iter().map(|&id| &self.vectors[id as usize]),
-                        )
-                    })
-                    .collect()
-            };
-            [summarize(&self.left_bags), summarize(&self.right_bags)]
+            let left = self
+                .left_bags
+                .iter()
+                .map(|bag| {
+                    BagSummary::from_vectors(
+                        bag.len(),
+                        bag.iter().map(|&id| &self.vectors[id as usize]),
+                    )
+                })
+                .collect();
+            let right = self
+                .right_bags
+                .iter()
+                .map(|bag| {
+                    BagSummary::from_vectors(bag.len(), bag.iter().map(|&p| self.right_vector(p)))
+                })
+                .collect();
+            [left, right]
         })
     }
 
-    /// Lanes-mode cache prefill: gather the token pairs `(x, y)` for
-    /// `y ∈ ys` whose canonical distance is not cached yet and compute
-    /// them through the lane-parallel Euclidean kernel.
-    ///
-    /// Bit-identity with the scalar on-demand fill: the batch always
-    /// computes `‖v_x − v_y‖` while the canonical scalar fill computes
-    /// `‖v_min − v_max‖`, but per dimension `a − b = −(b − a)` exactly
-    /// and squaring erases the sign, so operand order never changes the
-    /// bits (pinned in `kernel_props.rs`). Only *when* distances enter
-    /// the cache changes — and since the scalar inner loop touches every
-    /// `(x, y)` pair of the fold this prefill covers, the cache contents
-    /// after each fold step are identical too.
-    fn fill_distances(&self, cache: &mut DistCache, x: u32, ys: &[u32], missing: &mut Vec<u32>) {
-        missing.clear();
-        for &y in ys {
-            let key = (x.min(y), x.max(y));
-            if !cache.map.contains_key(&key) && !missing.contains(&y) {
-                missing.push(y);
-            }
+    /// Reset the row table to left row `row`: empty it and intern the
+    /// row's distinct tokens.
+    fn start_row(&self, t: &mut RowTable, row: usize) {
+        for &b in &t.filled {
+            t.slot[b as usize] = u32::MAX;
         }
-        if missing.is_empty() {
-            return;
+        t.filled.clear();
+        t.dists.clear();
+        t.tokens.clear();
+        t.index_of.clear();
+        t.local.clear();
+        for &x in &self.left_bags[row] {
+            let xi = *t.index_of.entry(x).or_insert_with(|| {
+                t.tokens.push(x);
+                t.tokens.len() as u32 - 1
+            });
+            t.local.push(xi as usize * Self::W);
         }
-        let xv = &self.vectors[x as usize];
-        let mut dists = [0.0f64; embed_lanes::LANE_WIDTH];
-        for chunk in missing.chunks(embed_lanes::LANE_WIDTH) {
-            let mut refs: [&DenseVector; embed_lanes::LANE_WIDTH] = [xv; embed_lanes::LANE_WIDTH];
-            for (i, &y) in chunk.iter().enumerate() {
-                refs[i] = &self.vectors[y as usize];
-            }
-            embed_lanes::euclidean_distance_batch(xv, &refs[..chunk.len()], &mut dists);
-            for (i, &y) in chunk.iter().enumerate() {
-                cache.map.insert((x.min(y), x.max(y)), dists[i]);
+    }
+
+    /// Fill right block `block` of the row table: the distances from
+    /// every row token to the block's `W` right tokens, through the
+    /// interleaved block kernel under [`KernelMode::Lanes`] or one
+    /// [`DenseVector::euclidean_distance`] per entry under
+    /// [`KernelMode::Scalar`] — the same bits either way (the block
+    /// kernel runs the scalar float sequence per lane).
+    fn fill_block(&self, t: &mut RowTable, block: usize) {
+        t.slot[block] = t.filled.len() as u32;
+        t.filled.push(block as u32);
+        let base = t.dists.len();
+        t.dists.resize(base + t.tokens.len() * Self::W, 0.0);
+        let rows = t.dists[base..]
+            .as_chunks_mut::<{ embed_lanes::LANE_WIDTH }>()
+            .0;
+        for (&x, out) in t.tokens.iter().zip(rows) {
+            let xv = &self.vectors[x as usize];
+            match self.kernel {
+                KernelMode::Lanes => self.right_blocks.euclidean_distances(xv, block, out),
+                KernelMode::Scalar => {
+                    let lanes =
+                        block * Self::W..((block + 1) * Self::W).min(self.right_units.len());
+                    for (d, pos) in out.iter_mut().zip(lanes) {
+                        *d = xv.euclidean_distance(self.right_vector(pos as u32));
+                    }
+                }
             }
         }
     }
 
-    /// Relaxed WMD similarity of two non-empty bags:
-    /// `1 / (1 + max of the two directed nearest-neighbor means)` —
-    /// with an **exact** admission-bound short-circuit.
+    /// Relaxed WMD similarity of the table's row bag and right bag `b`
+    /// (both non-empty): `1 / (1 + max of the two directed
+    /// nearest-neighbor means)` — with an **exact** admission-bound
+    /// short-circuit.
     ///
     /// `None` means the final similarity is provably `< bound`: the
     /// directed sums accumulate non-negative terms, and every float
@@ -2380,38 +2432,39 @@ impl WmdScorer {
     /// similarity must too, bit for bit. Passing
     /// `bound = f64::NEG_INFINITY` disables the short-circuit and
     /// reproduces the plain computation exactly.
-    fn similarity_bounded(
-        &self,
-        cache: &mut DistCache,
-        a: &[u32],
-        b: &[u32],
-        bound: f64,
-        missing: &mut Vec<u32>,
-    ) -> Option<f64> {
-        let lanes = matches!(self.kernel, KernelMode::Lanes);
-        let mut d_ab = 0.0;
-        for &x in a {
-            if lanes {
-                self.fill_distances(cache, x, b, missing);
+    fn similarity_bounded(&self, t: &mut RowTable, b: &[u32], bound: f64) -> Option<f64> {
+        t.column.clear();
+        for &pos in b {
+            let (block, lane) = (pos as usize / Self::W, pos as usize % Self::W);
+            if t.slot[block] == u32::MAX {
+                self.fill_block(t, block);
             }
+            t.column
+                .push(t.slot[block] as usize * t.tokens.len() * Self::W + lane);
+        }
+        let RowTable {
+            local,
+            dists,
+            column,
+            ..
+        } = t;
+        let mut d_ab = 0.0;
+        for &xi in local.iter() {
             let mut best = f64::INFINITY;
-            for &y in b {
-                best = best.min(cache.dist(&self.vectors, x, y));
+            for &c in column.iter() {
+                best = best.min(dists[c + xi]);
             }
             d_ab += best;
-            if 1.0 / (1.0 + d_ab / a.len() as f64) < bound {
+            if 1.0 / (1.0 + d_ab / local.len() as f64) < bound {
                 return None;
             }
         }
-        d_ab /= a.len() as f64;
+        d_ab /= local.len() as f64;
         let mut d_ba = 0.0;
-        for &y in b {
-            if lanes {
-                self.fill_distances(cache, y, a, missing);
-            }
+        for &c in column.iter() {
             let mut best = f64::INFINITY;
-            for &x in a {
-                best = best.min(cache.dist(&self.vectors, x, y));
+            for &xi in local.iter() {
+                best = best.min(dists[c + xi]);
             }
             d_ba += best;
             if 1.0 / (1.0 + d_ab.max(d_ba / b.len() as f64)) < bound {
@@ -2422,19 +2475,11 @@ impl WmdScorer {
         Some(1.0 / (1.0 + d_ab.max(d_ba)))
     }
 
-    /// Score the candidate pair `(left row, right j)` — both known
+    /// Score the candidate pair `(table row, right j)` — both known
     /// non-empty: centroid upper bound first, then the short-circuiting
     /// transport computation.
-    fn score_pair<O: EdgeSink>(
-        &self,
-        row: usize,
-        j: usize,
-        cache: &mut DistCache,
-        missing: &mut Vec<u32>,
-        out: &mut O,
-    ) {
+    fn score_pair<O: EdgeSink>(&self, row: usize, j: usize, t: &mut RowTable, out: &mut O) {
         out.note_generated();
-        let (a, b) = (&self.left_bags[row], &self.right_bags[j]);
         let bound = out.admission_bound();
         if bound != f64::NEG_INFINITY {
             let [left, right] = self.summaries();
@@ -2445,20 +2490,18 @@ impl WmdScorer {
                 }
             }
         }
-        match self.similarity_bounded(cache, a, b, bound, missing) {
+        match self.similarity_bounded(t, &self.right_bags[j], bound) {
             None => out.note_pruned(),
             Some(w) => out.scored(row as u32, j as u32, w, self.keep_positive),
         }
     }
 }
 
-/// Per-worker scratch of the WMD scorer: the symmetric token-distance
-/// cache, the index walk's ball-distance buffer, and the lane
-/// prefill's uncached-partner buffer.
+/// Per-worker scratch of the WMD scorer: the row table and the index
+/// walk's ball-distance buffer.
 struct WmdScratch {
-    cache: DistCache,
+    table: RowTable,
     bounds: Vec<(f64, u32)>,
-    missing: Vec<u32>,
 }
 
 impl RowScorer for WmdScorer {
@@ -2474,9 +2517,16 @@ impl RowScorer for WmdScorer {
 
     fn scratch(&self) -> WmdScratch {
         WmdScratch {
-            cache: DistCache::new(),
+            table: RowTable {
+                tokens: Vec::new(),
+                local: Vec::new(),
+                index_of: FxHashMap::default(),
+                slot: vec![u32::MAX; self.right_blocks.n_blocks()],
+                filled: Vec::new(),
+                dists: Vec::new(),
+                column: Vec::new(),
+            },
             bounds: Vec::new(),
-            missing: Vec::new(),
         }
     }
 
@@ -2500,14 +2550,11 @@ impl RowScorer for WmdScorer {
         if self.left_bags[row].is_empty() {
             return;
         }
-        let WmdScratch {
-            cache,
-            bounds,
-            missing,
-        } = scratch;
+        let WmdScratch { table, bounds } = scratch;
+        self.start_row(table, row);
         let bound = out.admission_bound();
         let mut score = |j: u32| {
-            self.score_pair(row, j as usize, cache, missing, out);
+            self.score_pair(row, j as usize, table, out);
             out.admission_bound()
         };
         let nonempty = |j: u32| !self.right_bags[j as usize].is_empty();
@@ -2748,74 +2795,88 @@ mod tests {
     }
 
     #[test]
-    fn cached_wmd_matches_direct_computation() {
-        // Full equivalence: recompute the raw score matrix directly via the
-        // measure (no interning, no distance cache), apply the same
-        // positive-filter + floored min-max normalization, and require the
-        // graph weights to agree within 1e-12.
+    fn wmd_raw_scores_match_direct_computation_bitwise() {
+        // The row-table transport runs the measure's own float sequence,
+        // so every raw score must equal `similarity_tokens` over the
+        // capped per-text bags (no interning, no table) bit for bit —
+        // for context-free and contextual units, under both kernels. The
+        // ALBERT texts run past the cap, so this also pins the capped
+        // encode: the last kept token keeps its real right neighbour.
         let d = tiny();
-        let f = SimilarityFunction::Semantic {
-            model: EmbeddingModel::FastText,
-            measure: SemanticMeasure::WordMovers,
-            scope: SemanticScope::SchemaBased {
-                attribute: "name".into(),
-            },
-        };
-        let cfg = PipelineConfig::default();
-        let g = build_graph(&d, &f, &cfg);
-
-        let enc = EmbeddingModel::FastText.encoder();
-        let bag = |p: &EntityProfile| -> Vec<DenseVector> {
-            let mut toks = enc.token_vectors(p.value("name").unwrap_or_default());
-            toks.truncate(cfg.wmd_token_cap);
-            toks
-        };
-        let left: Vec<Vec<DenseVector>> = d.left.profiles.iter().map(&bag).collect();
-        let right: Vec<Vec<DenseVector>> = d.right.profiles.iter().map(&bag).collect();
-        let mut raws: Vec<(u32, u32, f64)> = Vec::new();
-        for (i, a) in left.iter().enumerate() {
-            if a.is_empty() {
-                continue;
-            }
-            for (j, b) in right.iter().enumerate() {
-                if b.is_empty() {
-                    continue;
-                }
-                let raw = SemanticMeasure::WordMovers.similarity_tokens(a, b);
-                if raw > 0.0 {
-                    raws.push((i as u32, j as u32, raw));
-                }
-            }
-        }
-        assert_eq!(g.n_edges(), raws.len(), "same positive pair set");
-        let hi = raws
-            .iter()
-            .map(|&(_, _, w)| w)
-            .fold(f64::NEG_INFINITY, f64::max);
-        let span = hi - 0.0;
-        for (l, r, raw) in raws {
-            let expect = if span <= f64::EPSILON {
-                1.0
-            } else {
-                (raw / span).clamp(0.0, 1.0)
+        let cases = [
+            (
+                EmbeddingModel::FastText,
+                SemanticScope::SchemaBased {
+                    attribute: "name".into(),
+                },
+            ),
+            (EmbeddingModel::Albert, SemanticScope::SchemaAgnostic),
+        ];
+        for (model, scope) in cases {
+            let f = SimilarityFunction::Semantic {
+                model,
+                measure: SemanticMeasure::WordMovers,
+                scope: scope.clone(),
             };
-            let got = g
-                .weight_of(l, r)
-                .unwrap_or_else(|| panic!("edge ({l},{r}) missing"));
-            assert!(
-                (got - expect).abs() < 1e-12,
-                "({l},{r}): cached {got} vs direct {expect}"
-            );
+            // A cap below the whole-profile lengths, so truncation bites.
+            let cap = 4;
+            let enc = model.encoder();
+            let bag = |p: &EntityProfile| -> Vec<DenseVector> {
+                let mut toks = enc.token_vectors(&scoped_text(p, &scope));
+                toks.truncate(cap);
+                toks
+            };
+            let left: Vec<Vec<DenseVector>> = d.left.profiles.iter().map(&bag).collect();
+            let right: Vec<Vec<DenseVector>> = d.right.profiles.iter().map(&bag).collect();
+            if scope == SemanticScope::SchemaAgnostic {
+                assert!(
+                    d.left
+                        .profiles
+                        .iter()
+                        .any(|p| scoped_text(p, &scope).split_whitespace().count() > cap),
+                    "some whole-profile text must exceed the cap"
+                );
+            }
+            let mut want: Vec<(u32, u32, u64)> = Vec::new();
+            for (i, a) in left.iter().enumerate() {
+                for (j, b) in right.iter().enumerate() {
+                    if a.is_empty() || b.is_empty() {
+                        continue;
+                    }
+                    let raw = SemanticMeasure::WordMovers.similarity_tokens(a, b);
+                    if raw > 0.0 {
+                        want.push((i as u32, j as u32, raw.to_bits()));
+                    }
+                }
+            }
+            for kernel_mode in [KernelMode::Scalar, KernelMode::Lanes] {
+                let cfg = PipelineConfig {
+                    kernel_mode,
+                    wmd_token_cap: cap,
+                    ..PipelineConfig::default()
+                };
+                let got: Vec<(u32, u32, u64)> = score_shards(
+                    &d.left,
+                    &d.right,
+                    &f,
+                    CandidateSource::Enumerate,
+                    &cfg,
+                    ScoreMode::Dense,
+                )
+                .into_iter()
+                .flatten()
+                .map(|(l, r, w)| (l, r, w.to_bits()))
+                .collect();
+                assert_eq!(got, want, "{} {kernel_mode:?}", model.name());
+            }
         }
     }
 
     #[test]
-    fn wmd_cache_canonicalizes_symmetric_pairs() {
-        // Symmetric workload: identical token bags on both sides, so every
-        // ordered (a, b) distance is also queried as (b, a). With 3
-        // distinct interned tokens the scoring queries all 9 ordered pairs;
-        // the canonical (min, max) key stores only the 6 unordered ones —
-        // the old (a, b) key held all 9.
+    fn wmd_row_table_fills_each_block_once_per_row() {
+        // Identical bags score exactly 1, and a row scored against every
+        // right bag fills each right block of its table at most once:
+        // the table holds exactly one `m × W` slab per filled block.
         let collection = |texts: &[&str]| EntityCollection {
             profiles: texts
                 .iter()
@@ -2824,29 +2885,48 @@ mod tests {
                 .collect(),
             attribute_names: vec!["name".into()],
         };
-        let left = collection(&["alpha beta gamma"]);
-        let right = collection(&["alpha beta gamma"]);
-        let cfg = PipelineConfig::default();
-        let scorer = WmdScorer::prepare(
-            &left,
-            &right,
-            &EmbeddingModel::FastText.encoder(),
-            &SemanticScope::SchemaBased {
-                attribute: "name".into(),
-            },
-            &cfg,
-        );
-        assert_eq!(scorer.vectors.len(), 3, "3 distinct interned tokens");
-        let mut scratch = scorer.scratch();
-        let mut out = Vec::new();
-        scorer.score_row(0, &CandidateSource::Enumerate, &mut scratch, &mut out);
-        assert_eq!(out.len(), 1);
-        assert!((out[0].2 - 1.0).abs() < 1e-12, "identical bags score 1");
-        assert_eq!(
-            scratch.cache.len(),
-            6,
-            "canonical keys store 3·4/2 = 6 unordered pairs, not 9 ordered"
-        );
+        let left = collection(&["alpha beta gamma alpha", "delta"]);
+        // 3 + 10 right tokens: two blocks, both touched by row 0.
+        let right = collection(&[
+            "alpha beta gamma alpha",
+            "zeta eta theta iota kappa lambda mu nu xi omicron",
+            "gamma beta",
+        ]);
+        let w = embed_lanes::LANE_WIDTH;
+        for kernel_mode in [KernelMode::Scalar, KernelMode::Lanes] {
+            let cfg = PipelineConfig {
+                kernel_mode,
+                ..PipelineConfig::default()
+            };
+            let scorer = WmdScorer::prepare(
+                &left,
+                &right,
+                &EmbeddingModel::FastText.encoder(),
+                &SemanticScope::SchemaBased {
+                    attribute: "name".into(),
+                },
+                &cfg,
+            );
+            assert_eq!(scorer.right_units.len(), 13, "13 distinct right tokens");
+            assert_eq!(scorer.right_blocks.n_blocks(), 13usize.div_ceil(w));
+            let mut scratch = scorer.scratch();
+            for row in 0..2 {
+                let mut out = Vec::new();
+                scorer.score_row(row, &CandidateSource::Enumerate, &mut scratch, &mut out);
+                assert_eq!(out.len(), 3, "{kernel_mode:?} row {row}");
+                if row == 0 {
+                    assert_eq!(out[0], (0, 0, 1.0), "identical bags score exactly 1");
+                }
+                let t = &scratch.table;
+                assert_eq!(t.tokens.len(), [3, 1][row], "distinct row tokens");
+                let mut blocks = t.filled.clone();
+                blocks.sort_unstable();
+                blocks.dedup();
+                assert_eq!(blocks.len(), t.filled.len(), "no block filled twice");
+                assert_eq!(t.filled.len(), scorer.right_blocks.n_blocks());
+                assert_eq!(t.dists.len(), t.filled.len() * t.tokens.len() * w);
+            }
+        }
     }
 
     #[test]

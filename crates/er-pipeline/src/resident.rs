@@ -64,7 +64,7 @@ use crate::candidates::{
     generate_ball_candidates, generate_char_candidates, generate_token_candidates, CandidateSource,
 };
 use crate::config::{KernelMode, PipelineConfig};
-use crate::graphgen::{scoped_text, score_shards, unit_probe, NormFrame, ScoreMode};
+use crate::graphgen::{encode_sides, scoped_text, score_shards, unit_probe, NormFrame, ScoreMode};
 use crate::taxonomy::{SemanticScope, SimilarityFunction};
 
 /// Fraction of un-indexed overflow entries (relative to the indexed
@@ -117,30 +117,34 @@ impl ResidentScorer {
         for (i, p) in right.profiles.iter().enumerate() {
             assert_eq!(p.id as usize, i, "right profile ids must be positional");
         }
-        let family =
-            match function {
-                SimilarityFunction::SchemaAgnosticVector { scheme, measure } => Family::Token(
-                    Box::new(TokenFamily::prepare(left, right, *scheme, *measure)),
-                ),
-                SimilarityFunction::SchemaBasedSyntactic { attribute, measure } => match measure {
-                    SchemaBasedMeasure::Char(m) => Family::Char(Box::new(CharFamily::prepare(
-                        left,
-                        right,
-                        attribute,
-                        *m,
-                        cfg.kernel_mode,
-                    ))),
-                    SchemaBasedMeasure::Token(_) => Family::Fallback,
-                },
-                SimilarityFunction::Semantic {
-                    model,
-                    measure,
-                    scope,
-                } if !measure.needs_token_vectors() => Family::Dense(Box::new(
-                    DenseFamily::prepare(left, right, model.encoder(), *measure, scope.clone()),
-                )),
-                _ => Family::Fallback,
-            };
+        let family = match function {
+            SimilarityFunction::SchemaAgnosticVector { scheme, measure } => Family::Token(
+                Box::new(TokenFamily::prepare(left, right, *scheme, *measure)),
+            ),
+            SimilarityFunction::SchemaBasedSyntactic { attribute, measure } => match measure {
+                SchemaBasedMeasure::Char(m) => Family::Char(Box::new(CharFamily::prepare(
+                    left,
+                    right,
+                    attribute,
+                    *m,
+                    cfg.kernel_mode,
+                ))),
+                SchemaBasedMeasure::Token(_) => Family::Fallback,
+            },
+            SimilarityFunction::Semantic {
+                model,
+                measure,
+                scope,
+            } if !measure.needs_token_vectors() => Family::Dense(Box::new(DenseFamily::prepare(
+                left,
+                right,
+                model.encoder(),
+                *measure,
+                scope.clone(),
+                cfg.effective_threads(),
+            ))),
+            _ => Family::Fallback,
+        };
         ResidentScorer {
             left: left.clone(),
             right: right.clone(),
@@ -804,16 +808,10 @@ impl DenseFamily {
         encoder: Encoder,
         measure: SemanticMeasure,
         scope: SemanticScope,
+        threads: usize,
     ) -> Self {
         let cosine = matches!(measure, SemanticMeasure::Cosine);
-        let encode_all = |c: &EntityCollection| -> Vec<DenseVector> {
-            c.profiles
-                .iter()
-                .map(|p| encoder.encode(&scoped_text(p, &scope)))
-                .collect()
-        };
-        let lv = encode_all(left);
-        let rv = encode_all(right);
+        let (lv, rv) = encode_sides(left, right, &encoder, &scope, threads);
         DenseFamily {
             encoder,
             measure,

@@ -24,10 +24,10 @@
 //!    dense-then-prune for `threads ∈ {1, 4}`, and the offered/pruned/
 //!    scored accounting stays consistent;
 //! 7. **kernel modes are equivalent**: `KernelMode::Lanes` (batched
-//!    screens, multi-text Myers, lane-parallel dense kernels, batched
-//!    WMD cache fills) builds bit-identical top-k graphs to
-//!    `KernelMode::Scalar` for every bounded scorer, across both
-//!    candidate modes and `threads ∈ {1, 4}`.
+//!    screens, multi-text Myers, lane-parallel dense kernels, WMD row
+//!    tables filled by the interleaved block kernel) builds
+//!    bit-identical top-k graphs to `KernelMode::Scalar` for every
+//!    bounded scorer, across both candidate modes and `threads ∈ {1, 4}`.
 
 use er_core::{FxHashSet, SimilarityGraph};
 use er_datasets::{EntityCollection, EntityProfile};
@@ -80,7 +80,7 @@ fn arb_collection(max_entities: usize) -> impl Strategy<Value = EntityCollection
 }
 
 /// One representative function per taxonomy branch (the WMD variant covers
-/// the token-vector semantic sub-path with its per-worker distance cache).
+/// the token-vector semantic sub-path with its per-worker row tables).
 fn branch_representatives() -> Vec<SimilarityFunction> {
     vec![
         SimilarityFunction::SchemaBasedSyntactic {

@@ -11,7 +11,8 @@
 //!   per-candidate bound formulas, for all 7 character measures;
 //! * the lane-parallel dense kernels (dot, cosine, Euclidean, the
 //!   guarded similarity wrapper) vs. the scalar `DenseVector` geometry,
-//!   plus the operand-order symmetry the WMD cache prefill relies on;
+//!   plus the operand-order symmetry the WMD row tables rely on, and
+//!   the interleaved block kernel that fills those tables;
 //! * whole graphs: for all 7 character measures and the three semantic
 //!   measures (cosine, Euclidean, Word Mover's), dense and top-k builds
 //!   under `KernelMode::Lanes` equal `KernelMode::Scalar` bit for bit —
@@ -198,9 +199,9 @@ proptest! {
     /// The lane-parallel dense kernels equal the scalar `DenseVector`
     /// geometry bit for bit — including zero vectors (the guarded
     /// similarity wrapper) and ragged batches. Also pins the symmetry
-    /// `‖a − b‖ ≡ ‖b − a‖` at the bit level: the WMD cache prefill
-    /// computes distances probe-first while the scalar cache computes
-    /// them in canonical key order, and this is why the two fills agree.
+    /// `‖a − b‖ ≡ ‖b − a‖` at the bit level: a WMD row table holds
+    /// `d(row token, right token)` while the measure's directed sums
+    /// read it in both directions, and this is why one table serves both.
     #[test]
     fn dense_lane_kernels_match_scalar_bits(
         a in proptest::collection::vec(-1000.0f32..1000.0, 5),
@@ -249,6 +250,45 @@ proptest! {
                     m.similarity_vectors(&a, b).to_bits(),
                     "{} lane {}",
                     m.name(),
+                    l
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    /// The interleaved block kernel that fills WMD row tables equals the
+    /// scalar distance bit for bit in every lane of every block —
+    /// ragged final blocks and zero vectors included.
+    #[test]
+    fn interleaved_block_kernel_matches_scalar_bits(
+        dim in 1usize..12,
+        seeds in proptest::collection::vec((0usize..6, -1000.0f32..1000.0), 1..=3 * embed_lanes::LANE_WIDTH),
+        probe in proptest::collection::vec(-1000.0f32..1000.0, 12),
+    ) {
+        // Vector i: a zero vector for selector 0, else a ramp off its seed.
+        let vectors: Vec<DenseVector> = seeds
+            .iter()
+            .map(|&(z, x)| {
+                if z == 0 {
+                    DenseVector::zeros(dim)
+                } else {
+                    DenseVector((0..dim).map(|k| x * (k as f32 + 0.5) - z as f32).collect())
+                }
+            })
+            .collect();
+        let a = DenseVector(probe[..dim].to_vec());
+        let blocks = embed_lanes::InterleavedBlocks::new(dim, vectors.iter());
+        let mut out = [0.0f64; embed_lanes::LANE_WIDTH];
+        for b in 0..blocks.n_blocks() {
+            blocks.euclidean_distances(&a, b, &mut out);
+            for (l, v) in vectors.iter().enumerate().skip(b * embed_lanes::LANE_WIDTH).take(embed_lanes::LANE_WIDTH) {
+                prop_assert_eq!(
+                    out[l % embed_lanes::LANE_WIDTH].to_bits(),
+                    a.euclidean_distance(v).to_bits(),
+                    "block {} lane {}",
+                    b,
                     l
                 );
             }
