@@ -2047,6 +2047,20 @@ pub(crate) fn unit_probe(v: &DenseVector) -> (DenseVector, f64) {
     (u, radius)
 }
 
+/// The scoped texts of the left then the right profiles — one collection,
+/// so a token unit shared by both sides is encoded once.
+fn scoped_texts(
+    left: &EntityCollection,
+    right: &EntityCollection,
+    scope: &SemanticScope,
+) -> Vec<String> {
+    left.profiles
+        .iter()
+        .chain(&right.profiles)
+        .map(|p| scoped_text(p, scope))
+        .collect()
+}
+
 /// Both sides' scoped texts embedded through one collection encode
 /// ([`Encoder::encode_all`]): each distinct token unit of either side is
 /// computed once, spread over `threads` workers.
@@ -2057,13 +2071,7 @@ pub(crate) fn encode_sides(
     scope: &SemanticScope,
     threads: usize,
 ) -> (Vec<DenseVector>, Vec<DenseVector>) {
-    let texts: Vec<String> = left
-        .profiles
-        .iter()
-        .chain(&right.profiles)
-        .map(|p| scoped_text(p, scope))
-        .collect();
-    let mut lv = enc.encode_all(&texts, threads);
+    let mut lv = enc.encode_all(&scoped_texts(left, right, scope), threads);
     let rv = lv.split_off(left.len());
     (lv, rv)
 }
@@ -2308,14 +2316,11 @@ impl WmdScorer {
         scope: &SemanticScope,
         cfg: &PipelineConfig,
     ) -> Self {
-        let texts: Vec<String> = left
-            .profiles
-            .iter()
-            .chain(&right.profiles)
-            .map(|p| scoped_text(p, scope))
-            .collect();
-        let UnitTable { vectors, mut bags } =
-            enc.token_units(&texts, cfg.wmd_token_cap, cfg.effective_threads());
+        let UnitTable { vectors, mut bags } = enc.token_units(
+            &scoped_texts(left, right, scope),
+            cfg.wmd_token_cap,
+            cfg.effective_threads(),
+        );
         let mut right_bags = bags.split_off(left.len());
         let mut position = vec![u32::MAX; vectors.len()];
         let mut right_units = Vec::new();
