@@ -88,9 +88,9 @@ pub enum CandidateMode {
 }
 
 /// Where one build takes each row's candidates from (see the module
-/// docs). `I` is the branch's prepared candidate index; a scorer builds
-/// it only for the `Index` source, so a walk can never reach an index
-/// that was not prepared.
+/// docs). `I` is the branch's prepared candidate index (borrowed by the
+/// row walks); a scorer builds it only for the `Index` source, so a walk
+/// can never reach an index that was not prepared.
 #[derive(Clone, Copy)]
 pub(crate) enum CandidateSource<'a, I> {
     /// The branch's own enumeration.
@@ -122,6 +122,17 @@ impl<'a> SourceKind<'a> {
         match self {
             CandidateSource::Enumerate => CandidateSource::Enumerate,
             CandidateSource::Index(()) => CandidateSource::Index(build()),
+            CandidateSource::Blocked(lists) => CandidateSource::Blocked(lists),
+        }
+    }
+}
+
+impl<'a, I> CandidateSource<'a, I> {
+    /// The same source with the index borrowed — what the row walks take.
+    pub(crate) fn as_ref(&self) -> CandidateSource<'a, &I> {
+        match self {
+            CandidateSource::Enumerate => CandidateSource::Enumerate,
+            CandidateSource::Index(index) => CandidateSource::Index(index),
             CandidateSource::Blocked(lists) => CandidateSource::Blocked(lists),
         }
     }
@@ -205,7 +216,8 @@ pub(crate) fn generate_token_candidates(
 /// shorter-than-probe bucket says nothing about the next
 /// longer-than-probe one), and buckets are few (one per distinct length).
 ///
-/// `order` and `counts` are caller-provided scratch.
+/// `order` and `counts` are caller-provided scratch. Returns the last
+/// admission bound `score` reported.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn generate_char_candidates(
     index: &LengthBucketIndex,
@@ -216,7 +228,7 @@ pub(crate) fn generate_char_candidates(
     counts: &mut Vec<u32>,
     mut bound: f64,
     mut score: impl FnMut(u32) -> f64,
-) {
+) -> f64 {
     index.bucket_order_closest_first(probe_len, order);
     let use_bag = measure.has_bag_bound();
     for &b in order.iter() {
@@ -244,6 +256,7 @@ pub(crate) fn generate_char_candidates(
             bound = score(slot);
         }
     }
+    bound
 }
 
 /// Centroid-ball semantic generation: visit balls in ascending

@@ -92,8 +92,8 @@ use crossbeam::thread;
 use parking_lot::Mutex;
 
 use er_core::{
-    ConstructionCounters, Edge, FxHashMap, FxHashSet, GraphBuilder, SimilarityGraph, SortedEdges,
-    TopKRow,
+    ConstructionCounters, Edge, FxHashMap, FxHashSet, GraphBuilder, Side, SimilarityGraph,
+    SortedEdges, TopKRow,
 };
 use er_datasets::{Dataset, EntityCollection, EntityProfile};
 use er_embed::lanes as embed_lanes;
@@ -106,7 +106,7 @@ use er_embed::{
 use er_textsim::lanes::{self, MyersBatch, LANE_WIDTH};
 use er_textsim::{
     CharMeasure, CharScratch, CharTable, DfIndex, GraphSimilarity, LengthBucketIndex, NGramGraph,
-    NGramScheme, SchemaBasedMeasure, SparseVector, VectorMeasure, VectorModel,
+    NGramScheme, SchemaBasedMeasure, SparseVector, TermWeighting, VectorMeasure, VectorModel,
 };
 use serde::Serialize;
 
@@ -202,9 +202,13 @@ impl NormFrame {
 /// emit could not have entered the sink, so results stay bit-identical.
 /// The dense sink admits everything (bound `-∞`, pruning never fires);
 /// [`TopKSink`] answers with its row heap's current k-th weight.
-trait EdgeSink {
+///
+/// A pair is `(row, other)`: the id of the probing entry and of the
+/// candidate. The score phase probes from the left, so its pairs are
+/// `(left, right)`; a resident right insert probes the left side.
+pub(crate) trait EdgeSink {
     /// Accept one scored pair (already positivity-filtered by the scorer).
-    fn emit(&mut self, left: u32, right: u32, weight: f64);
+    fn emit(&mut self, row: u32, other: u32, weight: f64);
 
     /// The weight a new candidate of the current row must reach to
     /// possibly be retained. A scorer may skip a candidate iff its upper
@@ -213,6 +217,15 @@ trait EdgeSink {
     #[inline]
     fn admission_bound(&self) -> f64 {
         f64::NEG_INFINITY
+    }
+
+    /// Whether the sink takes pairs with candidate `other` at all; a
+    /// scorer skips a refused candidate before scoring it. The score
+    /// phase's sinks take every candidate; a resident probe's sink
+    /// refuses tombstoned ones.
+    #[inline]
+    fn takes(&self, _other: u32) -> bool {
+        true
     }
 
     /// Count one candidate pair materialized and handed to a measure
@@ -233,10 +246,10 @@ trait EdgeSink {
     /// Count one fully scored candidate and emit it unless the
     /// positivity filter drops it (`keep_positive` and `weight <= 0`).
     #[inline]
-    fn scored(&mut self, left: u32, right: u32, weight: f64, keep_positive: bool) {
+    fn scored(&mut self, row: u32, other: u32, weight: f64, keep_positive: bool) {
         self.note_scored();
         if weight > 0.0 || !keep_positive {
-            self.emit(left, right, weight);
+            self.emit(row, other, weight);
         }
     }
 
@@ -250,8 +263,8 @@ trait EdgeSink {
 
 impl EdgeSink for Vec<Triple> {
     #[inline]
-    fn emit(&mut self, left: u32, right: u32, weight: f64) {
-        self.push((left, right, weight));
+    fn emit(&mut self, row: u32, other: u32, weight: f64) {
+        self.push((row, other, weight));
     }
 
     fn into_triples(self) -> Vec<Triple> {
@@ -678,7 +691,7 @@ pub fn build_graph_restricted(
 /// way — that is their exactness guarantee, not a positivity filter.
 ///
 /// [`score_row`]: RowScorer::score_row
-trait RowScorer: Sync {
+pub(crate) trait RowScorer: Sync {
     /// Per-worker mutable scratch (probe stamps, WMD row tables).
     type Scratch: Send;
 
@@ -692,18 +705,71 @@ trait RowScorer: Sync {
     /// Fresh scratch for one worker.
     fn scratch(&self) -> Self::Scratch;
 
-    /// Build the candidate index over the prepared right side.
-    fn index(&self) -> Self::Index;
+    /// Build the candidate index over `side`'s prepared entries (the
+    /// score phase indexes the right side).
+    fn index(&self, side: Side) -> Self::Index;
 
-    /// Score row `row` against the candidates `source` yields, emitting
-    /// retained triples into `out`.
+    /// Score entry `row` of `side` against the candidates `source`
+    /// yields from the opposite side, emitting retained pairs into `out`.
+    /// The score phase scores left rows; only the append-capable scorers
+    /// ([`AppendScorer`]) also score right entries, and each keeps the
+    /// batch `(left, right)` argument order of its measure either way.
     fn score_row<O: EdgeSink>(
         &self,
+        side: Side,
         row: usize,
-        source: &CandidateSource<'_, Self::Index>,
+        source: CandidateSource<'_, &Self::Index>,
         scratch: &mut Self::Scratch,
         out: &mut O,
     );
+}
+
+/// Rebuild a length-bucket or ball index once the entries appended after
+/// its build — scored one by one, unindexed — outnumber this fraction of
+/// the entries it covers, so probes never degrade to linear scans.
+const OVERFLOW_REBUILD_FRACTION: f64 = 0.25;
+
+/// Whether an index over the first `indexed` of a side's `len` entries is
+/// due for a rebuild.
+fn overflow_passes_rebuild(indexed: usize, len: usize) -> bool {
+    (len - indexed) as f64 > indexed.max(4) as f64 * OVERFLOW_REBUILD_FRACTION
+}
+
+/// A scorer whose prepared entries grow on either side: the indexed
+/// families (token vectors, character measures, dense semantic), whose
+/// prepared state the resident scorer (`crate::resident`) keeps between
+/// inserts and probes through [`RowScorer::score_row`].
+pub(crate) trait AppendScorer: RowScorer {
+    /// What turns a profile into an entry: the token family's frozen
+    /// vectorizer (handed out by its prepare, dropped by batch builds),
+    /// the char family's attribute, the dense family's encoder and
+    /// scope. Only the resident scorer keeps one.
+    type ProfileEncoder: Send + Sync;
+
+    /// Append `profile` to `side`'s entries and return its row; `None`
+    /// when it yields no entry (a char measure's attribute is missing).
+    fn append(
+        &mut self,
+        enc: &Self::ProfileEncoder,
+        side: Side,
+        profile: &EntityProfile,
+    ) -> Option<usize>;
+
+    /// Bring `side`'s index up to date with its just-appended entry
+    /// `row`: postings take the entry at once; length buckets and balls
+    /// are rebuilt once [`overflow_passes_rebuild`].
+    fn index_appended(&self, side: Side, row: usize, index: &mut Self::Index);
+}
+
+/// A probe/candidate pair in batch `(left, right)` order, whichever side
+/// probes, so a right probe's bits never rest on a measure being
+/// symmetric in its arguments.
+#[inline]
+fn oriented<T>(side: Side, probe: T, candidate: T) -> (T, T) {
+    match side {
+        Side::Left => (probe, candidate),
+        Side::Right => (candidate, probe),
+    }
 }
 
 /// Candidates batched for a lane kernel: [`push`](Self::push) hands
@@ -792,7 +858,7 @@ fn fan_out_chunks<S: RowScorer>(
 /// and range split.
 fn score_rows<S: RowScorer, K: EdgeSink>(
     scorer: &S,
-    source: &CandidateSource<'_, S::Index>,
+    source: CandidateSource<'_, &S::Index>,
     cfg: &PipelineConfig,
     rows: Range<usize>,
     new_sink: impl Fn() -> K + Sync,
@@ -809,7 +875,7 @@ fn score_rows<S: RowScorer, K: EdgeSink>(
     let score_chunk = |c: usize, scratch: &mut S::Scratch| -> Vec<Triple> {
         let mut sink = new_sink();
         for row in base + c * chunk..base + ((c + 1) * chunk).min(n_rows) {
-            scorer.score_row(row, source, scratch, &mut sink);
+            scorer.score_row(Side::Left, row, source, scratch, &mut sink);
             sink.end_row();
         }
         sink.into_triples()
@@ -854,11 +920,11 @@ impl<'a> TopKSink<'a> {
 
 impl EdgeSink for TopKSink<'_> {
     #[inline]
-    fn emit(&mut self, left: u32, right: u32, weight: f64) {
-        self.left = left;
+    fn emit(&mut self, row: u32, other: u32, weight: f64) {
+        self.left = row;
         self.offered += 1;
         let before = self.row.len();
-        self.row.offer(right, weight);
+        self.row.offer(other, weight);
         if self.row.len() > before {
             self.acct.add_resident();
         }
@@ -928,23 +994,53 @@ struct ScorePhase<'a, F> {
 }
 
 impl<F: FnMut(usize, Vec<Vec<Triple>>)> ScorePhase<'_, F> {
-    /// Build the source's index (if any), then score the rows
-    /// `shard_rows` at a time, handing each shard's chunk buffers to
-    /// `on_shard` before the next shard starts.
-    fn run<S: RowScorer>(mut self, scorer: &S) {
-        let source = self.source.with_index(|| scorer.index());
+    /// Build the source's right-side index (if any), then
+    /// [`run_over`](Self::run_over) it.
+    fn run<S: RowScorer>(self, scorer: &S) {
+        let source = self.source.with_index(|| scorer.index(Side::Right));
+        self.run_over(scorer, source.as_ref());
+    }
+
+    /// Score the rows `shard_rows` at a time, handing each shard's chunk
+    /// buffers to `on_shard` before the next shard starts.
+    fn run_over<S: RowScorer>(mut self, scorer: &S, source: CandidateSource<'_, &S::Index>) {
         let n_rows = scorer.n_rows();
         for (shard, start) in (0..n_rows).step_by(self.shard_rows).enumerate() {
             let rows = start..n_rows.min(start.saturating_add(self.shard_rows));
             let bufs = match self.mode {
-                ScoreMode::Dense => score_rows(scorer, &source, self.cfg, rows, Vec::new),
+                ScoreMode::Dense => score_rows(scorer, source, self.cfg, rows, Vec::new),
                 ScoreMode::TopK { k, acct } => {
-                    score_rows(scorer, &source, self.cfg, rows, || TopKSink::new(k, acct))
+                    score_rows(scorer, source, self.cfg, rows, || TopKSink::new(k, acct))
                 }
             };
             (self.on_shard)(shard, bufs);
         }
     }
+}
+
+/// The indexed top-k build over a scorer prepared (and kept) by the
+/// caller, walking the caller's right-side `index`: the build
+/// [`build_graph_topk_framed`] runs in [`CandidateMode::Indexed`], minus
+/// the prepare — the resident scorer's load-time graph.
+pub(crate) fn build_topk_prepared<S: RowScorer>(
+    scorer: &S,
+    index: &S::Index,
+    left: &EntityCollection,
+    right: &EntityCollection,
+    k: usize,
+    cfg: &PipelineConfig,
+) -> (SimilarityGraph, NormFrame) {
+    let acct = ConstructionCounters::default();
+    let mut shards = Vec::new();
+    ScorePhase {
+        source: CandidateSource::Index(()),
+        cfg,
+        mode: ScoreMode::TopK { k, acct: &acct },
+        shard_rows: usize::MAX,
+        on_shard: |_, bufs| shards.extend(bufs),
+    }
+    .run_over(scorer, CandidateSource::Index(index));
+    finalize_framed(left, right, shards, cfg)
 }
 
 /// Prepare the branch's scorer **once** over the full collections — DF
@@ -996,8 +1092,8 @@ pub(crate) fn score_sharded(
                 left, right, attribute, *measure, source, keep,
             )),
         },
-        SimilarityFunction::SchemaAgnosticVector { scheme, measure } => {
-            phase.run(&VectorScorer::prepare(
+        SimilarityFunction::SchemaAgnosticVector { scheme, measure } => phase.run(
+            &VectorScorer::prepare(
                 left,
                 right,
                 *scheme,
@@ -1005,8 +1101,9 @@ pub(crate) fn score_sharded(
                 source,
                 keep,
                 cfg.kernel_mode,
-            ))
-        }
+            )
+            .0,
+        ),
         SimilarityFunction::SchemaAgnosticGraph { scheme, measure } => phase.run(
             &GraphModelScorer::prepare(left, right, *scheme, *measure, source, keep),
         ),
@@ -1159,12 +1256,13 @@ impl RowScorer for SchemaBasedScorer<'_> {
 
     fn scratch(&self) -> Self::Scratch {}
 
-    fn index(&self) {}
+    fn index(&self, _: Side) {}
 
     fn score_row<O: EdgeSink>(
         &self,
+        _: Side,
         row: usize,
-        source: &CandidateSource<'_, ()>,
+        source: CandidateSource<'_, &()>,
         _scratch: &mut (),
         out: &mut O,
     ) {
@@ -1177,7 +1275,7 @@ impl RowScorer for SchemaBasedScorer<'_> {
         };
         match source {
             // No candidate index: the `Index` source walks the enumeration.
-            CandidateSource::Enumerate | CandidateSource::Index(()) => {
+            CandidateSource::Enumerate | CandidateSource::Index(_) => {
                 for j in 0..self.right.len() as u32 {
                     score(j);
                 }
@@ -1201,12 +1299,11 @@ impl RowScorer for SchemaBasedScorer<'_> {
 /// All-pairs scoring of one attribute with a **character-level** measure,
 /// rebuilt around upper bounds that prune before scoring.
 ///
-/// The prepare phase interns every attribute value (both sides) once
-/// into one shared [`CharTable`] — contiguous scalar-value slab, offsets
-/// and sorted character bags — so the score phase never re-decodes a
-/// string or allocates a `Vec<char>` per pair. Per candidate the scorer
-/// asks the sink for its admission bound and, when one exists (the
-/// top-k path):
+/// The prepare phase interns every attribute value once into one
+/// [`CharTable`] per side — contiguous scalar-value slab, offsets and
+/// sorted character bags — so the score phase never re-decodes a string
+/// or allocates a `Vec<char>` per pair. Per candidate the scorer asks the
+/// sink for its admission bound and, when one exists (the top-k path):
 ///
 /// 1. checks the `O(1)` length bound, then the `O(|a| + |b|)`
 ///    counting-filter bag bound ([`CharMeasure::length_upper_bound`] /
@@ -1220,16 +1317,18 @@ impl RowScorer for SchemaBasedScorer<'_> {
 /// the retained edge set — and therefore the finished graph — is
 /// bit-identical to the unpruned build (property-proven per measure in
 /// `tests/graphgen_props.rs`). The dense path reports bound `-∞` and
-/// skips the bound machinery entirely; it still gains the char table
-/// and the row-prepared Myers bit-parallel Levenshtein.
-struct CharScorer {
-    /// One shared table: left entries first, then right entries.
-    table: CharTable,
-    /// Left entity ids that carry the attribute, in profile order.
-    left_ids: Vec<u32>,
-    /// Right entity ids that carry the attribute, in profile order. Right
-    /// slot `j` is table entry `left_ids.len() + j`.
-    right_ids: Vec<u32>,
+/// skips the bound machinery entirely; it still gains the char tables
+/// and the row-prepared Myers bit-parallel Levenshtein. Both bounds and
+/// every edit distance are symmetric in the pair, so a right entry
+/// probes the left side through the same screens and kernels; the other
+/// measures see the batch `(left, right)` order.
+pub(crate) struct CharScorer {
+    /// Per side (`Side as usize`): the ids of the entities carrying the
+    /// attribute, in profile order; slot `j` is entry `j` of the side's
+    /// table.
+    ids: [Vec<u32>; 2],
+    /// Per side: the interned attribute values.
+    tables: [CharTable; 2],
     /// Right entity id → right slot; `Blocked` source only.
     right_slot_by_id: FxHashMap<u32, u32>,
     measure: CharMeasure,
@@ -1238,7 +1337,7 @@ struct CharScorer {
 }
 
 impl CharScorer {
-    fn prepare(
+    pub(crate) fn prepare(
         left: &EntityCollection,
         right: &EntityCollection,
         attribute: &str,
@@ -1247,38 +1346,36 @@ impl CharScorer {
         keep_positive: bool,
         kernel: KernelMode,
     ) -> Self {
-        fn with_attr<'a>(c: &'a EntityCollection, attribute: &str) -> (Vec<u32>, Vec<&'a str>) {
-            let mut ids = Vec::new();
-            let mut values = Vec::new();
-            for p in &c.profiles {
-                if let Some(v) = p.value(attribute) {
-                    ids.push(p.id);
-                    values.push(v);
-                }
-            }
-            (ids, values)
-        }
-        let (left_ids, left_values) = with_attr(left, attribute);
-        let (right_ids, right_values) = with_attr(right, attribute);
-        let table = CharTable::build(
-            left_values
+        let side = |c: &EntityCollection| -> (Vec<u32>, CharTable) {
+            let (ids, values): (Vec<u32>, Vec<&str>) = c
+                .profiles
                 .iter()
-                .copied()
-                .chain(right_values.iter().copied()),
-        );
+                .filter_map(|p| p.value(attribute).map(|v| (p.id, v)))
+                .unzip();
+            (ids, CharTable::build(values))
+        };
+        let (left_ids, left_table) = side(left);
+        let (right_ids, right_table) = side(right);
         let right_slot_by_id = match source {
             CandidateSource::Blocked(_) => slots_by_id(right_ids.iter().copied()),
             _ => FxHashMap::default(),
         };
         CharScorer {
-            table,
-            left_ids,
-            right_ids,
+            ids: [left_ids, right_ids],
+            tables: [left_table, right_table],
             right_slot_by_id,
             measure,
             keep_positive,
             kernel,
         }
+    }
+
+    /// The probing side's table and the opposite side's.
+    fn tables(&self, side: Side) -> (&CharTable, &CharTable) {
+        (
+            &self.tables[side as usize],
+            &self.tables[side.opposite() as usize],
+        )
     }
 
     /// Whether the row-level Myers pattern is worth preparing (only the
@@ -1288,35 +1385,50 @@ impl CharScorer {
         matches!(self.measure, CharMeasure::Levenshtein)
     }
 
-    /// Full (unbounded) similarity; Levenshtein rides the row-prepared
-    /// bit-parallel pattern, everything else the shared slice kernels.
-    fn full_similarity(&self, a: &[u32], b: &[u32], s: &mut CharScratch) -> f64 {
+    /// The length and counting-filter screens: whether a candidate with
+    /// character bag `bag` provably scores below a live `bound`.
+    fn screened_out(&self, probe_bag: &[u32], bag: &[u32], bound: f64) -> bool {
+        bound != f64::NEG_INFINITY
+            && (self.measure.length_upper_bound(probe_bag.len(), bag.len()) < bound
+                || self
+                    .measure
+                    .bag_upper_bound(probe_bag, bag)
+                    .is_some_and(|ub| ub < bound))
+    }
+
+    /// Full (unbounded) similarity of the oriented pair `(a, b)`;
+    /// Levenshtein rides the probe's bit-parallel pattern over the
+    /// candidate's codes `cand`, everything else the shared slice kernels.
+    fn full_similarity(&self, (a, b): (&[u32], &[u32]), cand: &[u32], s: &mut CharScratch) -> f64 {
         match self.measure {
             CharMeasure::Levenshtein => {
                 let max_len = a.len().max(b.len());
                 if max_len == 0 {
                     1.0
                 } else {
-                    1.0 - s.pattern_distance(b) as f64 / max_len as f64
+                    1.0 - s.pattern_distance(cand) as f64 / max_len as f64
                 }
             }
             m => m.similarity_codes(a, b, s),
         }
     }
 
-    /// Similarity under an admission bound: the edit-distance measures
-    /// run the banded early-exit kernel with the largest cutoff a
-    /// positive bound still admits; `None` means the pair provably scores
-    /// below the bound (counted as pruned). Every other case — other
-    /// measures, or no positive bound (`-∞` on the dense path) — is the
-    /// full similarity.
+    /// Similarity of an entry of `side` (`probe`, the codes the Myers
+    /// pattern holds) and a candidate (`cand`) under an admission bound:
+    /// the edit-distance measures run the banded early-exit kernel with
+    /// the largest cutoff a positive bound still admits; `None` means the
+    /// pair provably scores below the bound (counted as pruned). Every
+    /// other case — other measures, or no positive bound (`-∞` on the
+    /// dense path) — is the full similarity.
     fn bounded_similarity(
         &self,
-        a: &[u32],
-        b: &[u32],
+        side: Side,
+        probe: &[u32],
+        cand: &[u32],
         bound: f64,
         s: &mut CharScratch,
     ) -> Option<f64> {
+        let (a, b) = oriented(side, probe, cand);
         match self.measure {
             CharMeasure::Levenshtein | CharMeasure::DamerauLevenshtein if bound > 0.0 => {
                 let max_len = a.len().max(b.len());
@@ -1331,7 +1443,7 @@ impl CharScorer {
                         if banded {
                             s.levenshtein_bounded(a, b, cutoff)?
                         } else {
-                            s.pattern_distance(b)
+                            s.pattern_distance(cand)
                         }
                     }
                     _ => {
@@ -1344,50 +1456,44 @@ impl CharScorer {
                 };
                 Some(1.0 - d as f64 / max_len as f64)
             }
-            _ => Some(self.full_similarity(a, b, s)),
+            _ => Some(self.full_similarity((a, b), cand, s)),
         }
     }
 
-    /// Score one candidate (`(right id, table entry)`): under a live
-    /// admission bound the length and counting-filter bounds first —
-    /// unless `prescreened`, i.e. an index generator already applied them
-    /// through the [`LengthBucketIndex`] — then the bounded kernel.
+    /// Score candidate slot `j` of the opposite side for entry `row` of
+    /// `side` (entity `id`): under a live admission bound the length and
+    /// counting-filter screens first — unless `prescreened`, i.e. an
+    /// index generator already applied them — then the bounded kernel.
     fn score_candidate<O: EdgeSink>(
         &self,
-        li: u32,
-        row_entry: usize,
-        (ri, right_entry): (u32, u32),
+        side: Side,
+        (id, row): (u32, usize),
+        j: u32,
         prescreened: bool,
         scratch: &mut CharScratch,
         out: &mut O,
     ) {
         out.note_generated();
-        let right_entry = right_entry as usize;
-        let a = self.table.codes(row_entry);
-        let b = self.table.codes(right_entry);
+        let (probe, target) = self.tables(side);
+        let j = j as usize;
         let bound = out.admission_bound();
-        let screened_out = bound != f64::NEG_INFINITY
-            && !prescreened
-            && (self.measure.length_upper_bound(a.len(), b.len()) < bound
-                || self
-                    .measure
-                    .bag_upper_bound(self.table.bag(row_entry), self.table.bag(right_entry))
-                    .is_some_and(|ub| ub < bound));
-        if screened_out {
+        if !prescreened && self.screened_out(probe.bag(row), target.bag(j), bound) {
             out.note_pruned();
             return;
         }
-        match self.bounded_similarity(a, b, bound, scratch) {
-            Some(w) => out.scored(li, ri, w, self.keep_positive),
+        match self.bounded_similarity(side, probe.codes(row), target.codes(j), bound, scratch) {
+            Some(w) => {
+                let other = self.ids[side.opposite() as usize][j];
+                out.scored(id, other, w, self.keep_positive);
+            }
             None => out.note_pruned(),
         }
     }
 
-    /// Lane-parallel scoring of up to [`LANE_WIDTH`] candidates
-    /// (`(right id, table entry)` pairs, in candidate order). The graph
-    /// this path builds is **bit-identical** to chaining
-    /// [`Self::score_candidate`] over the same candidates — the argument,
-    /// expanded in DESIGN.md §19:
+    /// Lane-parallel scoring of up to [`LANE_WIDTH`] candidate slots (in
+    /// candidate order). The graph this path builds is **bit-identical**
+    /// to chaining [`Self::score_candidate`] over the same candidates —
+    /// the argument, expanded in DESIGN.md §19:
     ///
     /// * The batched length/counting-filter screens compute the exact
     ///   scalar bound values (`lanes::length_upper_bounds` /
@@ -1412,9 +1518,9 @@ impl CharScorer {
     #[allow(clippy::too_many_arguments)]
     fn score_lane_chunk<O: EdgeSink>(
         &self,
-        li: u32,
-        row_entry: usize,
-        cands: &[(u32, u32)],
+        side: Side,
+        (id, row): (u32, usize),
+        cands: &[u32],
         prescreened: bool,
         chars: &mut CharScratch,
         batch: &mut MyersBatch,
@@ -1422,13 +1528,15 @@ impl CharScorer {
     ) {
         let n = cands.len();
         debug_assert!(n <= LANE_WIDTH && n > 0);
-        let a = self.table.codes(row_entry);
+        let (probe, target) = self.tables(side);
+        let target_ids = &self.ids[side.opposite() as usize];
+        let a = probe.codes(row);
         let bound = out.admission_bound();
         let mut keep = [true; LANE_WIDTH];
         if bound != f64::NEG_INFINITY && !prescreened {
             let mut lens = [0usize; LANE_WIDTH];
-            for (l, &(_, entry)) in cands.iter().enumerate() {
-                lens[l] = self.table.char_len(entry as usize);
+            for (l, &j) in cands.iter().enumerate() {
+                lens[l] = target.char_len(j as usize);
             }
             let mut ubs = [0.0f64; LANE_WIDTH];
             lanes::length_upper_bounds(self.measure, a.len(), &lens[..n], &mut ubs[..n]);
@@ -1443,7 +1551,7 @@ impl CharScorer {
                 for l in 0..n {
                     if keep[l] {
                         kept_lane[kn] = l;
-                        kept_bags[kn] = self.table.bag(cands[l].1 as usize);
+                        kept_bags[kn] = target.bag(cands[l] as usize);
                         kept_lens[kn] = lens[l];
                         kn += 1;
                     }
@@ -1451,7 +1559,7 @@ impl CharScorer {
                 if kn > 0 {
                     let mut commons = [0usize; LANE_WIDTH];
                     lanes::sorted_common_counts(
-                        self.table.bag(row_entry),
+                        probe.bag(row),
                         &kept_bags[..kn],
                         &mut commons[..kn],
                     );
@@ -1484,7 +1592,7 @@ impl CharScorer {
             for l in 0..n {
                 if keep[l] {
                     kept_lane[kn] = l;
-                    texts[kn] = self.table.codes(cands[l].1 as usize);
+                    texts[kn] = target.codes(cands[l] as usize);
                     kn += 1;
                 }
             }
@@ -1494,20 +1602,20 @@ impl CharScorer {
             let mut dists = [0usize; LANE_WIDTH];
             batch.distances(&texts[..kn], &mut dists[..kn]);
             for i in 0..kn {
-                let ri = cands[kept_lane[i]].0;
+                let other = target_ids[cands[kept_lane[i]] as usize];
                 let max_len = a.len().max(texts[i].len());
                 let w = if max_len == 0 {
                     1.0
                 } else {
                     1.0 - dists[i] as f64 / max_len as f64
                 };
-                out.scored(li, ri, w, self.keep_positive);
+                out.scored(id, other, w, self.keep_positive);
             }
         } else {
-            for (&(ri, entry), _) in cands.iter().zip(keep).filter(|&(_, kept)| kept) {
-                let b = self.table.codes(entry as usize);
-                match self.bounded_similarity(a, b, out.admission_bound(), chars) {
-                    Some(w) => out.scored(li, ri, w, self.keep_positive),
+            for (&j, _) in cands.iter().zip(keep).filter(|&(_, kept)| kept) {
+                let b = target.codes(j as usize);
+                match self.bounded_similarity(side, a, b, out.admission_bound(), chars) {
+                    Some(w) => out.scored(id, target_ids[j as usize], w, self.keep_positive),
                     None => out.note_pruned(),
                 }
             }
@@ -1544,7 +1652,7 @@ fn edit_cutoff(bound: f64, max_len: usize) -> usize {
 /// Per-worker scratch of the char scorer: the kernel scratch, the
 /// index walk's bucket-order and common-count buffers, and the lane
 /// kernels' multi-text Myers state.
-struct CharGenScratch {
+pub(crate) struct CharGenScratch {
     chars: CharScratch,
     order: Vec<u32>,
     counts: Vec<u32>,
@@ -1553,13 +1661,13 @@ struct CharGenScratch {
 
 impl RowScorer for CharScorer {
     type Scratch = CharGenScratch;
-    /// Length-bucketed index over the right entries' character bags —
-    /// the inverted form of the length and counting filters; slot `j` is
-    /// the `j`-th right entry.
+    /// Length-bucketed index over one side's character bags — the
+    /// inverted form of the length and counting filters; slot `j` is the
+    /// side's `j`-th entry.
     type Index = LengthBucketIndex;
 
     fn n_rows(&self) -> usize {
-        self.left_ids.len()
+        self.ids[0].len()
     }
 
     fn scratch(&self) -> CharGenScratch {
@@ -1571,20 +1679,22 @@ impl RowScorer for CharScorer {
         }
     }
 
-    fn index(&self) -> LengthBucketIndex {
-        let offset = self.left_ids.len();
-        LengthBucketIndex::build((0..self.right_ids.len()).map(|j| self.table.bag(offset + j)))
+    fn index(&self, side: Side) -> LengthBucketIndex {
+        let table = &self.tables[side as usize];
+        LengthBucketIndex::build((0..table.len()).map(|j| table.bag(j)))
     }
 
     fn score_row<O: EdgeSink>(
         &self,
+        side: Side,
         row: usize,
-        source: &CandidateSource<'_, LengthBucketIndex>,
+        source: CandidateSource<'_, &LengthBucketIndex>,
         scratch: &mut CharGenScratch,
         out: &mut O,
     ) {
-        let li = self.left_ids[row];
-        let offset = self.left_ids.len();
+        let (probe, target) = self.tables(side);
+        let target_ids = &self.ids[side.opposite() as usize];
+        let entry = (self.ids[side as usize][row], row);
         let prescreened = matches!(source, CandidateSource::Index(_));
         // Lane kernels batch the candidates of every source, except the
         // index walk of the measures without a multi-text kernel: their
@@ -1604,49 +1714,85 @@ impl RowScorer for CharScorer {
         } = scratch;
         if self.uses_pattern() {
             if batched {
-                batch.prepare(self.table.codes(row));
+                batch.prepare(probe.codes(row));
             } else {
-                chars.set_pattern(self.table.codes(row));
+                chars.set_pattern(probe.codes(row));
             }
         }
-        let mut chunk = LaneBuffer::<(u32, u32), LANE_WIDTH>::new();
+        let mut chunk = LaneBuffer::<u32, LANE_WIDTH>::new();
         let bound = out.admission_bound();
         let mut score = |j: u32| {
-            let cand = (self.right_ids[j as usize], (offset + j as usize) as u32);
+            if !out.takes(target_ids[j as usize]) {
+                return out.admission_bound();
+            }
             if batched {
-                chunk.push(cand, |c| {
-                    self.score_lane_chunk(li, row, c, prescreened, chars, batch, out)
+                chunk.push(j, |c| {
+                    self.score_lane_chunk(side, entry, c, prescreened, chars, batch, out)
                 });
             } else {
-                self.score_candidate(li, row, cand, prescreened, chars, out);
+                self.score_candidate(side, entry, j, prescreened, chars, out);
             }
             out.admission_bound()
         };
         match source {
             CandidateSource::Enumerate => {
-                for j in 0..self.right_ids.len() as u32 {
+                for j in 0..target.len() as u32 {
                     score(j);
                 }
             }
-            CandidateSource::Index(index) => generate_char_candidates(
-                index,
-                self.measure,
-                self.table.char_len(row),
-                self.table.bag(row),
-                order,
-                counts,
-                bound,
-                &mut score,
-            ),
+            CandidateSource::Index(index) => {
+                let mut bound = generate_char_candidates(
+                    index,
+                    self.measure,
+                    probe.char_len(row),
+                    probe.bag(row),
+                    order,
+                    counts,
+                    bound,
+                    &mut score,
+                );
+                // Entries appended after the index build (resident
+                // inserts) pass the generator's two screens one at a
+                // time, so every candidate of this walk is prescreened.
+                for j in index.n_entries()..target.len() {
+                    if !self.screened_out(probe.bag(row), target.bag(j), bound) {
+                        bound = score(j as u32);
+                    }
+                }
+            }
             CandidateSource::Blocked(lists) => {
-                for r in lists.row(li) {
+                for r in lists.row(entry.0) {
                     if let Some(&j) = self.right_slot_by_id.get(r) {
                         score(j);
                     }
                 }
             }
         }
-        chunk.finish(|c| self.score_lane_chunk(li, row, c, prescreened, chars, batch, out));
+        chunk.finish(|c| self.score_lane_chunk(side, entry, c, prescreened, chars, batch, out));
+    }
+}
+
+impl AppendScorer for CharScorer {
+    /// The scored attribute.
+    type ProfileEncoder = String;
+
+    fn append(
+        &mut self,
+        attribute: &Self::ProfileEncoder,
+        side: Side,
+        profile: &EntityProfile,
+    ) -> Option<usize> {
+        let value = profile.value(attribute)?;
+        let s = side as usize;
+        self.ids[s].push(profile.id);
+        self.tables[s].push(value);
+        Some(self.ids[s].len() - 1)
+    }
+
+    fn index_appended(&self, side: Side, _: usize, index: &mut LengthBucketIndex) {
+        if overflow_passes_rebuild(index.n_entries(), self.ids[side as usize].len()) {
+            *index = self.index(side);
+        }
     }
 }
 
@@ -1657,7 +1803,7 @@ impl RowScorer for CharScorer {
 /// Per-worker probe scratch: a stamp array deduplicates inverted-index
 /// hits per row (mark = row + 1, unique per row, so workers never need to
 /// clear it).
-struct ProbeScratch {
+pub(crate) struct ProbeScratch {
     stamp: Vec<u32>,
     candidates: Vec<u32>,
     /// Per-right-id dot accumulators of the lane cosine walk (empty
@@ -1729,10 +1875,27 @@ enum TermPostings {
     },
 }
 
+/// The token-vector family's vectorizer: the model, the measure's term
+/// weighting and the union DF statistics (TF-IDF). Prepare vectorizes
+/// both sides through it; only the resident scorer keeps it, to
+/// vectorize inserts under the frozen statistics.
+pub(crate) struct Vectorizer {
+    model: VectorModel,
+    weighting: TermWeighting,
+    df_union: DfIndex,
+}
+
+impl Vectorizer {
+    fn vector(&self, text: &str) -> SparseVector {
+        self.model
+            .vector(text, self.weighting, Some(&self.df_union))
+    }
+}
+
 /// Inverted-index scoring of n-gram vector models.
-struct VectorScorer {
-    left_vecs: Vec<SparseVector>,
-    right_vecs: Vec<SparseVector>,
+pub(crate) struct VectorScorer {
+    /// Per side (`Side as usize`): the profiles' vectors.
+    vecs: [Vec<SparseVector>; 2],
     df_left: DfIndex,
     df_right: DfIndex,
     /// The `Enumerate` walk's postings; empty under the other sources
@@ -1743,7 +1906,9 @@ struct VectorScorer {
 }
 
 impl VectorScorer {
-    fn prepare(
+    /// The scorer and the vectorizer its entries came from (see
+    /// [`Vectorizer`]).
+    pub(crate) fn prepare(
         left: &EntityCollection,
         right: &EntityCollection,
         scheme: NGramScheme,
@@ -1751,55 +1916,63 @@ impl VectorScorer {
         source: SourceKind<'_>,
         keep_positive: bool,
         kernel: KernelMode,
-    ) -> Self {
+    ) -> (Self, Vectorizer) {
         let model = VectorModel::new(scheme);
-        let weighting = measure.weighting();
 
         // Per-collection DF indexes (ARCS) and the union index (TF-IDF).
         let mut df_left = DfIndex::new();
         let mut df_right = DfIndex::new();
         let mut df_union = DfIndex::new();
-        let texts_left: Vec<String> = left.profiles.iter().map(|p| p.all_values_text()).collect();
-        let texts_right: Vec<String> = right.profiles.iter().map(|p| p.all_values_text()).collect();
-        for t in &texts_left {
-            let terms: Vec<u64> = model.term_frequencies(t).keys().copied().collect();
-            df_left.add_document(terms.iter().copied());
-            df_union.add_document(terms);
-        }
-        for t in &texts_right {
-            let terms: Vec<u64> = model.term_frequencies(t).keys().copied().collect();
-            df_right.add_document(terms.iter().copied());
-            df_union.add_document(terms);
+        let texts = |c: &EntityCollection| -> Vec<String> {
+            c.profiles
+                .iter()
+                .map(EntityProfile::all_values_text)
+                .collect()
+        };
+        let texts = [texts(left), texts(right)];
+        for (side, df) in texts.iter().zip([&mut df_left, &mut df_right]) {
+            for t in side {
+                let terms: Vec<u64> = model.term_frequencies(t).keys().copied().collect();
+                df.add_document(terms.iter().copied());
+                df_union.add_document(terms);
+            }
         }
 
-        let vec_of =
-            |text: &String| -> SparseVector { model.vector(text, weighting, Some(&df_union)) };
-        let left_vecs: Vec<SparseVector> = texts_left.iter().map(vec_of).collect();
-        let right_vecs: Vec<SparseVector> = texts_right.iter().map(vec_of).collect();
+        let vectorizer = Vectorizer {
+            model,
+            weighting: measure.weighting(),
+            df_union,
+        };
+        let vecs = texts.map(|side| {
+            side.iter()
+                .map(|t| vectorizer.vector(t))
+                .collect::<Vec<_>>()
+        });
 
         let lane_cosine = matches!(kernel, KernelMode::Lanes)
             && matches!(
                 measure,
                 VectorMeasure::CosineTf | VectorMeasure::CosineTfIdf
             );
+        let right_vecs = &vecs[Side::Right as usize];
         let postings = match source {
             CandidateSource::Enumerate if lane_cosine => TermPostings::Weighted {
-                postings: postings_of(&right_vecs, |j, w| (j, w)),
+                postings: postings_of(right_vecs, |j, w| (j, w)),
                 right_norms: right_vecs.iter().map(SparseVector::norm).collect(),
             },
-            CandidateSource::Enumerate => TermPostings::Plain(postings_of(&right_vecs, |j, _| j)),
+            CandidateSource::Enumerate => TermPostings::Plain(postings_of(right_vecs, |j, _| j)),
             _ => TermPostings::Plain(FxHashMap::default()),
         };
 
-        VectorScorer {
-            left_vecs,
-            right_vecs,
+        let scorer = VectorScorer {
+            vecs,
             df_left,
             df_right,
             postings,
             measure,
             keep_positive,
-        }
+        };
+        (scorer, vectorizer)
     }
 
     #[inline]
@@ -1810,42 +1983,51 @@ impl VectorScorer {
 
 impl RowScorer for VectorScorer {
     type Scratch = ProbeScratch;
-    /// Right ids per term, probed in [`er_textsim::ProbePlan`] order by
-    /// the prefix filter.
+    /// One side's ids per term, probed in [`er_textsim::ProbePlan`] order
+    /// by the prefix filter.
     type Index = FxHashMap<u64, Vec<u32>>;
 
     fn n_rows(&self) -> usize {
-        self.left_vecs.len()
+        self.vecs[Side::Left as usize].len()
     }
 
     fn scratch(&self) -> ProbeScratch {
+        let n_right = self.vecs[Side::Right as usize].len();
         let n_acc = match self.postings {
-            TermPostings::Weighted { .. } => self.right_vecs.len(),
+            TermPostings::Weighted { .. } => n_right,
             TermPostings::Plain(_) => 0,
         };
-        ProbeScratch::new(self.right_vecs.len(), n_acc)
+        ProbeScratch::new(n_right, n_acc)
     }
 
-    fn index(&self) -> FxHashMap<u64, Vec<u32>> {
-        postings_of(&self.right_vecs, |j, _| j)
+    fn index(&self, side: Side) -> FxHashMap<u64, Vec<u32>> {
+        postings_of(&self.vecs[side as usize], |j, _| j)
     }
 
     fn score_row<O: EdgeSink>(
         &self,
+        side: Side,
         row: usize,
-        source: &CandidateSource<'_, FxHashMap<u64, Vec<u32>>>,
+        source: CandidateSource<'_, &FxHashMap<u64, Vec<u32>>>,
         scratch: &mut ProbeScratch,
         out: &mut O,
     ) {
-        let lv = &self.left_vecs[row];
+        let lv = &self.vecs[side as usize][row];
+        let target = &self.vecs[side.opposite() as usize];
         let li = row as u32;
         let mark = li + 1;
+        // A resident side grows past the scratch's stamp array.
+        if scratch.stamp.len() < target.len() {
+            scratch.stamp.resize(target.len(), 0);
+        }
         let bound = out.admission_bound();
         let mut score = |j: u32| {
+            if !out.takes(j) {
+                return out.admission_bound();
+            }
             out.note_generated();
-            let w = self
-                .measure
-                .similarity(lv, &self.right_vecs[j as usize], self.dfs());
+            let (a, b) = oriented(side, lv, &target[j as usize]);
+            let w = self.measure.similarity(a, b, self.dfs());
             out.scored(li, j, w, self.keep_positive);
             out.admission_bound()
         };
@@ -1919,6 +2101,22 @@ impl RowScorer for VectorScorer {
     }
 }
 
+impl AppendScorer for VectorScorer {
+    type ProfileEncoder = Vectorizer;
+
+    fn append(&mut self, enc: &Vectorizer, side: Side, profile: &EntityProfile) -> Option<usize> {
+        let vecs = &mut self.vecs[side as usize];
+        vecs.push(enc.vector(&profile.all_values_text()));
+        Some(vecs.len() - 1)
+    }
+
+    fn index_appended(&self, side: Side, row: usize, postings: &mut FxHashMap<u64, Vec<u32>>) {
+        for &(t, _) in self.vecs[side as usize][row].terms() {
+            postings.entry(t).or_default().push(row as u32);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Schema-agnostic n-gram graph models: inverted-index scoring by edge key.
 // ---------------------------------------------------------------------------
@@ -1979,12 +2177,13 @@ impl RowScorer for GraphModelScorer {
         ProbeScratch::new(self.right_graphs.len(), 0)
     }
 
-    fn index(&self) {}
+    fn index(&self, _: Side) {}
 
     fn score_row<O: EdgeSink>(
         &self,
+        _: Side,
         row: usize,
-        source: &CandidateSource<'_, ()>,
+        source: CandidateSource<'_, &()>,
         scratch: &mut ProbeScratch,
         out: &mut O,
     ) {
@@ -1997,7 +2196,7 @@ impl RowScorer for GraphModelScorer {
         };
         match source {
             // No candidate index: the `Index` source walks the enumeration.
-            CandidateSource::Enumerate | CandidateSource::Index(()) => {
+            CandidateSource::Enumerate | CandidateSource::Index(_) => {
                 for &j in scratch.discover(li + 1, lg.edge_keys(), &self.postings) {
                     score(j);
                 }
@@ -2016,7 +2215,7 @@ impl RowScorer for GraphModelScorer {
 // ---------------------------------------------------------------------------
 
 /// The text a semantic function compares for one profile.
-pub(crate) fn scoped_text(p: &EntityProfile, scope: &SemanticScope) -> String {
+fn scoped_text(p: &EntityProfile, scope: &SemanticScope) -> String {
     match scope {
         SemanticScope::SchemaBased { attribute } => {
             p.value(attribute).unwrap_or_default().to_string()
@@ -2036,7 +2235,7 @@ const UNIT_NORM_TOLERANCE: f64 = 1e-5;
 /// Normalized copy of `v` plus its ball probe/entry radius: `0` when the
 /// copy is verifiably unit-norm, `+∞` when normalization failed (zero or
 /// degenerate norms) so the vector can never be pruned.
-pub(crate) fn unit_probe(v: &DenseVector) -> (DenseVector, f64) {
+fn unit_probe(v: &DenseVector) -> (DenseVector, f64) {
     let mut u = v.clone();
     u.normalize();
     let radius = if (u.norm() - 1.0).abs() <= UNIT_NORM_TOLERANCE {
@@ -2061,32 +2260,28 @@ fn scoped_texts(
         .collect()
 }
 
-/// Both sides' scoped texts embedded through one collection encode
-/// ([`Encoder::encode_all`]): each distinct token unit of either side is
-/// computed once, spread over `threads` workers.
-pub(crate) fn encode_sides(
-    left: &EntityCollection,
-    right: &EntityCollection,
-    enc: &Encoder,
-    scope: &SemanticScope,
-    threads: usize,
-) -> (Vec<DenseVector>, Vec<DenseVector>) {
-    let mut lv = enc.encode_all(&scoped_texts(left, right, scope), threads);
-    let rv = lv.split_off(left.len());
-    (lv, rv)
+/// A candidate index over the first `len` entries of one side: entries
+/// appended after its build (resident inserts) are scored one by one
+/// after the index walk, until a rebuild covers them.
+pub(crate) struct PrefixIndex<I> {
+    index: I,
+    len: usize,
 }
 
 /// All-pairs semantic scoring over pre-encoded text vectors.
-struct DenseSemanticScorer {
-    left: Vec<DenseVector>,
-    right: Vec<DenseVector>,
+pub(crate) struct DenseSemanticScorer {
+    /// Per side (`Side as usize`): the encoded scoped texts.
+    vecs: [Vec<DenseVector>; 2],
     measure: SemanticMeasure,
     keep_positive: bool,
     kernel: KernelMode,
 }
 
 impl DenseSemanticScorer {
-    fn prepare(
+    /// Embed both sides' scoped texts through one collection encode
+    /// ([`Encoder::encode_all`]): each distinct token unit of either side
+    /// is computed once, spread over the configured workers.
+    pub(crate) fn prepare(
         left: &EntityCollection,
         right: &EntityCollection,
         enc: &Encoder,
@@ -2094,33 +2289,41 @@ impl DenseSemanticScorer {
         scope: &SemanticScope,
         cfg: &PipelineConfig,
     ) -> Self {
-        let (left, right) = encode_sides(left, right, enc, scope, cfg.effective_threads());
+        let mut vecs = enc.encode_all(&scoped_texts(left, right, scope), cfg.effective_threads());
+        let right_vecs = vecs.split_off(left.len());
         DenseSemanticScorer {
-            left,
-            right,
+            vecs: [vecs, right_vecs],
             measure,
             keep_positive: cfg.keep_positive_only,
             kernel: cfg.kernel_mode,
         }
     }
 
-    /// Score one lane chunk of right indices through the batched dense
-    /// kernels ([`er_embed::lanes`]) and emit — bit-identical to looping
-    /// [`SemanticMeasure::similarity_vectors`] over the same indices in
-    /// the same order, because each lane runs the exact scalar float
-    /// sequence. All `js` must reference non-zero right vectors.
-    fn emit_dense_lanes<O: EdgeSink>(&self, li: u32, js: &[u32], out: &mut O) {
-        let a = &self.left[li as usize];
+    /// Score one lane chunk of slots `js` of `target` against the probe
+    /// vector `a` of entity `id` through the batched dense kernels
+    /// ([`er_embed::lanes`]) and emit — bit-identical to looping
+    /// [`SemanticMeasure::similarity_vectors`] over the same slots in the
+    /// same order, because each lane runs the exact scalar float
+    /// sequence. A right probe gets the `(left, right)` bits too: both
+    /// measures are symmetric bit for bit (commutative products and sums,
+    /// `(a − b)² = (b − a)²`). All `js` must reference non-zero vectors.
+    fn emit_dense_lanes<O: EdgeSink>(
+        &self,
+        (id, a): (u32, &DenseVector),
+        target: &[DenseVector],
+        js: &[u32],
+        out: &mut O,
+    ) {
         debug_assert!(!js.is_empty() && js.len() <= embed_lanes::LANE_WIDTH);
         let mut refs: [&DenseVector; embed_lanes::LANE_WIDTH] = [a; embed_lanes::LANE_WIDTH];
         for (i, &j) in js.iter().enumerate() {
-            refs[i] = &self.right[j as usize];
+            refs[i] = &target[j as usize];
         }
         let mut sims = [0.0f64; embed_lanes::LANE_WIDTH];
         embed_lanes::similarity_vectors_batch(self.measure, a, &refs[..js.len()], &mut sims);
         for (&j, &w) in js.iter().zip(&sims) {
             out.note_generated();
-            out.scored(li, j, w, self.keep_positive);
+            out.scored(id, j, w, self.keep_positive);
         }
     }
 }
@@ -2128,23 +2331,24 @@ impl DenseSemanticScorer {
 impl RowScorer for DenseSemanticScorer {
     /// Ball-distance scratch of the index walk (unused otherwise).
     type Scratch = Vec<(f64, u32)>;
-    /// Centroid-ball index over the non-zero right vectors. Euclidean
+    /// Centroid-ball index over one side's non-zero vectors. Euclidean
     /// indexes the raw vectors; cosine indexes unit-normalized copies
     /// (angles become chord distances), dropped after the build — only
     /// ball leaders are retained.
-    type Index = VectorBallIndex;
+    type Index = PrefixIndex<VectorBallIndex>;
 
     fn n_rows(&self) -> usize {
-        self.left.len()
+        self.vecs[Side::Left as usize].len()
     }
 
     fn scratch(&self) -> Self::Scratch {
         Vec::new()
     }
 
-    fn index(&self) -> VectorBallIndex {
-        let nonzero = || self.right.iter().enumerate().filter(|(_, v)| !v.is_zero());
-        if matches!(self.measure, SemanticMeasure::Cosine) {
+    fn index(&self, side: Side) -> PrefixIndex<VectorBallIndex> {
+        let vecs = &self.vecs[side as usize];
+        let nonzero = || vecs.iter().enumerate().filter(|(_, v)| !v.is_zero());
+        let index = if matches!(self.measure, SemanticMeasure::Cosine) {
             let normalized: Vec<(u32, DenseVector, f64)> = nonzero()
                 .map(|(j, v)| {
                     let (u, r) = unit_probe(v);
@@ -2158,20 +2362,26 @@ impl RowScorer for DenseSemanticScorer {
             let entries: Vec<(u32, &DenseVector, f64)> =
                 nonzero().map(|(j, v)| (j as u32, v, 0.0)).collect();
             VectorBallIndex::build(&entries)
+        };
+        PrefixIndex {
+            index,
+            len: vecs.len(),
         }
     }
 
     fn score_row<O: EdgeSink>(
         &self,
+        side: Side,
         row: usize,
-        source: &CandidateSource<'_, VectorBallIndex>,
+        source: CandidateSource<'_, &PrefixIndex<VectorBallIndex>>,
         scratch: &mut Self::Scratch,
         out: &mut O,
     ) {
-        let a = &self.left[row];
+        let a = &self.vecs[side as usize][row];
         if a.is_zero() {
             return;
         }
+        let target = &self.vecs[side.opposite() as usize];
         let li = row as u32;
         let batched = matches!(self.kernel, KernelMode::Lanes);
         // Between lane flushes a generator keeps the bound of the last
@@ -2182,25 +2392,29 @@ impl RowScorer for DenseSemanticScorer {
         let mut chunk = LaneBuffer::<u32, { embed_lanes::LANE_WIDTH }>::new();
         let bound = out.admission_bound();
         let mut score = |j: u32| {
+            if !out.takes(j) {
+                return out.admission_bound();
+            }
             if batched {
-                chunk.push(j, |js| self.emit_dense_lanes(li, js, out));
+                chunk.push(j, |js| self.emit_dense_lanes((li, a), target, js, out));
             } else {
                 out.note_generated();
-                let w = self.measure.similarity_vectors(a, &self.right[j as usize]);
+                let (x, y) = oriented(side, a, &target[j as usize]);
+                let w = self.measure.similarity_vectors(x, y);
                 out.scored(li, j, w, self.keep_positive);
             }
             out.admission_bound()
         };
-        let nonzero = |j: u32| !self.right[j as usize].is_zero();
+        let nonzero = |j: u32| !target[j as usize].is_zero();
         match source {
             CandidateSource::Enumerate => {
-                for j in 0..self.right.len() as u32 {
+                for j in 0..target.len() as u32 {
                     if nonzero(j) {
                         score(j);
                     }
                 }
             }
-            CandidateSource::Index(ball) => {
+            CandidateSource::Index(PrefixIndex { index: ball, len }) => {
                 let cosine = matches!(self.measure, SemanticMeasure::Cosine);
                 let probe_owned;
                 let (probe, probe_radius) = if cosine {
@@ -2224,6 +2438,13 @@ impl RowScorer for DenseSemanticScorer {
                     bound,
                     &mut score,
                 );
+                // Entries appended after the ball build (resident
+                // inserts) are scored unpruned.
+                for j in *len as u32..target.len() as u32 {
+                    if nonzero(j) {
+                        score(j);
+                    }
+                }
             }
             CandidateSource::Blocked(lists) => {
                 for &j in lists.row(li) {
@@ -2233,7 +2454,29 @@ impl RowScorer for DenseSemanticScorer {
                 }
             }
         }
-        chunk.finish(|js| self.emit_dense_lanes(li, js, out));
+        chunk.finish(|js| self.emit_dense_lanes((li, a), target, js, out));
+    }
+}
+
+impl AppendScorer for DenseSemanticScorer {
+    /// The model's encoder and the scope of the compared text.
+    type ProfileEncoder = (Encoder, SemanticScope);
+
+    fn append(
+        &mut self,
+        (enc, scope): &Self::ProfileEncoder,
+        side: Side,
+        profile: &EntityProfile,
+    ) -> Option<usize> {
+        let vecs = &mut self.vecs[side as usize];
+        vecs.push(enc.encode(&scoped_text(profile, scope)));
+        Some(vecs.len() - 1)
+    }
+
+    fn index_appended(&self, side: Side, _: usize, index: &mut PrefixIndex<VectorBallIndex>) {
+        if overflow_passes_rebuild(index.len, self.vecs[side as usize].len()) {
+            *index = self.index(side);
+        }
     }
 }
 
@@ -2535,7 +2778,8 @@ impl RowScorer for WmdScorer {
         }
     }
 
-    fn index(&self) -> VectorBallIndex {
+    /// Left rows only: the right side is the one indexed.
+    fn index(&self, _: Side) -> VectorBallIndex {
         let [_, right] = self.summaries();
         let entries: Vec<(u32, &DenseVector, f64)> = right
             .iter()
@@ -2547,8 +2791,9 @@ impl RowScorer for WmdScorer {
 
     fn score_row<O: EdgeSink>(
         &self,
+        _: Side,
         row: usize,
-        source: &CandidateSource<'_, VectorBallIndex>,
+        source: CandidateSource<'_, &VectorBallIndex>,
         scratch: &mut WmdScratch,
         out: &mut O,
     ) {
@@ -2917,7 +3162,13 @@ mod tests {
             let mut scratch = scorer.scratch();
             for row in 0..2 {
                 let mut out = Vec::new();
-                scorer.score_row(row, &CandidateSource::Enumerate, &mut scratch, &mut out);
+                scorer.score_row(
+                    Side::Left,
+                    row,
+                    CandidateSource::Enumerate,
+                    &mut scratch,
+                    &mut out,
+                );
                 assert_eq!(out.len(), 3, "{kernel_mode:?} row {row}");
                 if row == 0 {
                     assert_eq!(out[0], (0, 0, 1.0), "identical bags score exactly 1");

@@ -4,24 +4,31 @@
 //! and exits; a long-lived matching service instead receives records one
 //! at a time and must score each against an **already-resident** corpus
 //! without re-preparing anything. [`ResidentScorer`] keeps the score-side
-//! state of one similarity function alive between calls:
+//! state of one similarity function alive between calls — for the
+//! indexed families, **the batch scorers' prepared state**:
 //!
-//! * **token-vector measures** — the frozen [`VectorModel`], the DF
-//!   indexes and the term postings stay resident; a probe builds its
-//!   sparse vector once and walks the postings in
-//!   [`ProbePlan`](er_textsim::ProbePlan) order through
-//!   [`generate_token_candidates`](crate::candidates), exactly the PR 6
-//!   index path;
-//! * **character edit measures** — interned char bags and the
-//!   [`LengthBucketIndex`] stay resident; probes ride
-//!   [`generate_char_candidates`](crate::candidates);
-//! * **dense semantic measures** — encoded vectors and the
-//!   [`VectorBallIndex`] stay resident; probes ride
-//!   [`generate_ball_candidates`](crate::candidates);
+//! * **token-vector measures** — the frozen vectorizer (model, weighting,
+//!   union DF statistics), both sides' vectors and per-side term
+//!   postings; a probe walks the opposite side's postings in
+//!   [`ProbePlan`](er_textsim::ProbePlan) order;
+//! * **character measures** — both sides' interned char tables and
+//!   per-side [`LengthBucketIndex`](er_textsim::LengthBucketIndex)es;
+//! * **dense semantic measures** — both sides' encoded vectors and
+//!   per-side [`VectorBallIndex`](er_embed::VectorBallIndex)es;
 //! * every other taxonomy branch (schema-based token measures, n-gram
 //!   graph models, Word Mover's) falls back to re-preparing a
 //!   singleton-probe build over the resident collections — correct, just
 //!   not sub-linear in the corpus.
+//!
+//! [`ResidentScorer::build`] prepares that state **once**: it scores the
+//! load-time top-k graph from it (the indexed batch build, bit for bit)
+//! and keeps it. An insert appends the record to its side's entries and
+//! probes the opposite side through the very `score_row` walk the batch
+//! build runs — the same candidate index, screens and kernels — so a
+//! copy of a resident record scores exactly as the batch build scored the
+//! original (`tests/resident_props.rs`). Postings take each insert at
+//! once; length buckets and balls are rebuilt once the appended overflow
+//! passes a quarter of the indexed prefix.
 //!
 //! Each probe runs under the row's **top-k admission bound**: a
 //! [`TopKRow`] heap collects the candidates, its k-th weight feeds the
@@ -48,30 +55,17 @@
 //!    them away.
 
 use er_core::delta::Side;
-use er_core::{FxHashMap, FxHashSet, RowDelta, TopKRow};
+use er_core::{CoreError, FxHashSet, RowDelta, SimilarityGraph, TopKRow};
 use er_datasets::{EntityCollection, EntityProfile};
-use er_embed::measures::Encoder;
-use er_embed::{
-    cosine_distance_bound, inverse_distance_bound, DenseVector, SemanticMeasure, VectorBallIndex,
-};
-use er_textsim::lanes::{MyersBatch, LANE_WIDTH};
-use er_textsim::{
-    CharMeasure, DfIndex, LengthBucketIndex, SchemaBasedMeasure, SparseVector, TermWeighting,
-    VectorMeasure, VectorModel,
-};
+use er_textsim::SchemaBasedMeasure;
 
-use crate::candidates::{
-    generate_ball_candidates, generate_char_candidates, generate_token_candidates, CandidateSource,
+use crate::candidates::{CandidateMode, CandidateSource};
+use crate::config::PipelineConfig;
+use crate::graphgen::{
+    build_graph_topk_framed, build_topk_prepared, score_shards, AppendScorer, CharScorer,
+    DenseSemanticScorer, EdgeSink, NormFrame, ScoreMode, Triple, VectorScorer,
 };
-use crate::config::{KernelMode, PipelineConfig};
-use crate::graphgen::{encode_sides, scoped_text, score_shards, unit_probe, NormFrame, ScoreMode};
-use crate::taxonomy::{SemanticScope, SimilarityFunction};
-
-/// Fraction of un-indexed overflow entries (relative to the indexed
-/// prefix) that triggers a resident index rebuild. Overflow entries are
-/// scored without index pruning, so letting them accumulate unboundedly
-/// would degrade probes back to linear scans.
-const OVERFLOW_REBUILD_FRACTION: f64 = 0.25;
+use crate::taxonomy::SimilarityFunction;
 
 /// Resident score-side state of one similarity function over one pair of
 /// collections, supporting incremental record inserts (see the module
@@ -89,20 +83,46 @@ pub struct ResidentScorer {
     frame: NormFrame,
     dead_left: FxHashSet<u32>,
     dead_right: FxHashSet<u32>,
-    family: Family,
-}
-
-enum Family {
-    Token(Box<TokenFamily>),
-    Char(Box<CharFamily>),
-    Dense(Box<DenseFamily>),
-    Fallback,
+    /// The indexed family's prepared state; `None` for the fallback
+    /// branches.
+    family: Option<Box<dyn Probe>>,
 }
 
 impl ResidentScorer {
-    /// Build the resident state from the collections a graph was built
-    /// over, the build's `k`, and its [`NormFrame`] (from
-    /// [`build_graph_topk_framed`](crate::build_graph_topk_framed)).
+    /// Prepare the resident state **once** and score the load-time top-k
+    /// graph from it — bit-identical to
+    /// [`build_graph_topk_framed`] in
+    /// [`CandidateMode::Indexed`], whose frame the scorer keeps.
+    ///
+    /// Errors with [`CoreError::DeltaIdMismatch`] when a profile id
+    /// differs from its position in its collection.
+    pub fn build(
+        left: &EntityCollection,
+        right: &EntityCollection,
+        function: &SimilarityFunction,
+        k: usize,
+        cfg: &PipelineConfig,
+    ) -> Result<(SimilarityGraph, Self), CoreError> {
+        let mut scorer =
+            ResidentScorer::prepare(left, right, function, k, NormFrame::degenerate(), cfg)?;
+        let graph;
+        (graph, scorer.frame) = match &scorer.family {
+            Some(f) => f.build(left, right, k, cfg),
+            None => {
+                let (graph, _, frame) =
+                    build_graph_topk_framed(left, right, function, k, CandidateMode::Indexed, cfg);
+                (graph, frame)
+            }
+        };
+        Ok((graph, scorer))
+    }
+
+    /// Prepare the resident state for a graph built elsewhere over the
+    /// same collections with `k`, whose [`NormFrame`] is `frame` (from
+    /// [`build_graph_topk_framed`] or
+    /// `build_graph_sharded`).
+    ///
+    /// Errors as [`build`](Self::build) does.
     pub fn prepare(
         left: &EntityCollection,
         right: &EntityCollection,
@@ -110,42 +130,9 @@ impl ResidentScorer {
         k: usize,
         frame: NormFrame,
         cfg: &PipelineConfig,
-    ) -> Self {
-        for (i, p) in left.profiles.iter().enumerate() {
-            assert_eq!(p.id as usize, i, "left profile ids must be positional");
-        }
-        for (i, p) in right.profiles.iter().enumerate() {
-            assert_eq!(p.id as usize, i, "right profile ids must be positional");
-        }
-        let family = match function {
-            SimilarityFunction::SchemaAgnosticVector { scheme, measure } => Family::Token(
-                Box::new(TokenFamily::prepare(left, right, *scheme, *measure)),
-            ),
-            SimilarityFunction::SchemaBasedSyntactic { attribute, measure } => match measure {
-                SchemaBasedMeasure::Char(m) => Family::Char(Box::new(CharFamily::prepare(
-                    left,
-                    right,
-                    attribute,
-                    *m,
-                    cfg.kernel_mode,
-                ))),
-                SchemaBasedMeasure::Token(_) => Family::Fallback,
-            },
-            SimilarityFunction::Semantic {
-                model,
-                measure,
-                scope,
-            } if !measure.needs_token_vectors() => Family::Dense(Box::new(DenseFamily::prepare(
-                left,
-                right,
-                model.encoder(),
-                *measure,
-                scope.clone(),
-                cfg.effective_threads(),
-            ))),
-            _ => Family::Fallback,
-        };
-        ResidentScorer {
+    ) -> Result<Self, CoreError> {
+        Ok(ResidentScorer {
+            family: prepare_family(left, right, function, cfg)?,
             left: left.clone(),
             right: right.clone(),
             function: function.clone(),
@@ -154,8 +141,7 @@ impl ResidentScorer {
             frame,
             dead_left: FxHashSet::default(),
             dead_right: FxHashSet::default(),
-            family,
-        }
+        })
     }
 
     /// The frozen normalization frame probes are mapped through.
@@ -180,60 +166,51 @@ impl ResidentScorer {
 
     /// Score `profile` (arriving on `side`) against the live records of
     /// the opposite side under the row's top-k admission bound, register
-    /// it in the resident indexes, and return the insert [`RowDelta`]
-    /// with **normalized** edge weights — ready for `CsrGraph::apply`
-    /// and the delta matchers.
+    /// it in the resident state, and return the insert [`RowDelta`] with
+    /// **normalized** edge weights — ready for `CsrGraph::apply` and the
+    /// delta matchers.
     ///
-    /// Panics unless `profile.id` is the side's next append id.
-    pub fn score_insert(&mut self, side: Side, profile: &EntityProfile) -> RowDelta {
-        let expected = match side {
-            Side::Left => self.left.len(),
-            Side::Right => self.right.len(),
+    /// Errors with [`CoreError::DeltaIdMismatch`] (and changes nothing)
+    /// unless `profile.id` is the side's next append id.
+    pub fn score_insert(
+        &mut self,
+        side: Side,
+        profile: &EntityProfile,
+    ) -> Result<RowDelta, CoreError> {
+        let (own, dead) = match side {
+            Side::Left => (&self.left, &self.dead_right),
+            Side::Right => (&self.right, &self.dead_left),
         };
-        assert_eq!(
-            profile.id as usize, expected,
-            "insert must carry the side's next append id"
-        );
-        let dead = match side {
-            Side::Left => &self.dead_right,
-            Side::Right => &self.dead_left,
+        let expected = own.len() as u32;
+        if profile.id != expected {
+            return Err(CoreError::DeltaIdMismatch {
+                expected,
+                got: profile.id,
+            });
+        }
+        let mut sink = ProbeSink {
+            id: profile.id,
+            row: TopKRow::new(self.k),
+            dead,
         };
-        let keep_positive = self.cfg.keep_positive_only;
-        let mut row = TopKRow::new(self.k);
-        // Each family encodes the probe once: scoring returns the
-        // encoding and registration stores it.
         match &mut self.family {
-            Family::Token(f) => {
-                let v = f.score_probe(profile, side, dead, keep_positive, &mut row);
-                f.register(v, side);
-            }
-            Family::Char(f) => {
-                let bag = f.score_probe(profile, side, dead, keep_positive, &mut row);
-                f.register(profile, bag, side);
-            }
-            Family::Dense(f) => {
-                let v = f.score_probe(profile, side, dead, keep_positive, &mut row);
-                f.register(v, side);
-            }
-            Family::Fallback => fallback_probe(
+            Some(f) => f.insert(side, profile, &mut sink),
+            None => fallback_probe(
                 &self.left,
                 &self.right,
                 &self.function,
                 &self.cfg,
                 profile,
                 side,
-                dead,
-                keep_positive,
-                &mut row,
+                &mut sink,
             ),
         }
-        let mut raw = Vec::new();
-        row.drain_sorted_into(&mut raw);
-        let edges: Vec<(u32, f64)> = raw
+        let edges: Vec<(u32, f64)> = sink
+            .into_triples()
             .into_iter()
-            .map(|(other, w)| (other, self.frame.apply(w)))
+            .map(|(_, other, w)| (other, self.frame.apply(w)))
             .collect();
-        match side {
+        Ok(match side {
             Side::Left => {
                 self.left.profiles.push(profile.clone());
                 RowDelta::insert_left(profile.id, edges)
@@ -242,7 +219,7 @@ impl ResidentScorer {
                 self.right.profiles.push(profile.clone());
                 RowDelta::insert_right(profile.id, edges)
             }
-        }
+        })
     }
 
     /// Tombstone a record: it stays in the resident indexes but is never
@@ -263,641 +240,169 @@ impl ResidentScorer {
     }
 }
 
-/// Offer one scored candidate to the row heap under the positivity
-/// protocol, returning the updated admission bound.
-#[inline]
-fn offer(row: &mut TopKRow, other: u32, w: f64, keep_positive: bool) -> f64 {
-    if w > 0.0 || !keep_positive {
-        row.offer(other, w);
-    }
-    row.admission_bound()
+/// The row sink of one insert: the probe's top-k heap, which takes no
+/// tombstoned counterpart (so a dead candidate is never scored, and
+/// cannot raise the admission bound either).
+struct ProbeSink<'a> {
+    /// The probing record's id.
+    id: u32,
+    row: TopKRow,
+    dead: &'a FxHashSet<u32>,
 }
 
-// ---------------------------------------------------------------------------
-// Token-vector family: frozen model + DF + postings, ProbePlan probes.
-// ---------------------------------------------------------------------------
-
-struct TokenSide {
-    vecs: Vec<SparseVector>,
-    postings: FxHashMap<u64, Vec<u32>>,
-    stamp: Vec<u32>,
-}
-
-impl TokenSide {
-    fn build(vecs: Vec<SparseVector>) -> Self {
-        let mut postings: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-        for (j, v) in vecs.iter().enumerate() {
-            for &(t, _) in v.terms() {
-                postings.entry(t).or_default().push(j as u32);
-            }
-        }
-        let stamp = vec![0u32; vecs.len()];
-        TokenSide {
-            vecs,
-            postings,
-            stamp,
-        }
+impl EdgeSink for ProbeSink<'_> {
+    #[inline]
+    fn emit(&mut self, _: u32, other: u32, weight: f64) {
+        self.row.offer(other, weight);
     }
 
-    fn push(&mut self, v: SparseVector) {
-        let j = self.vecs.len() as u32;
-        for &(t, _) in v.terms() {
-            self.postings.entry(t).or_default().push(j);
-        }
-        self.vecs.push(v);
-        self.stamp.push(0);
+    #[inline]
+    fn admission_bound(&self) -> f64 {
+        self.row.admission_bound()
+    }
+
+    #[inline]
+    fn takes(&self, other: u32) -> bool {
+        !self.dead.contains(&other)
+    }
+
+    /// The retained edges, weight descending, ties by ascending id.
+    fn into_triples(mut self) -> Vec<Triple> {
+        let mut edges = Vec::new();
+        self.row.drain_sorted_into(&mut edges);
+        edges.into_iter().map(|(o, w)| (self.id, o, w)).collect()
     }
 }
 
-struct TokenFamily {
-    model: VectorModel,
-    weighting: TermWeighting,
-    measure: VectorMeasure,
-    df_left: DfIndex,
-    df_right: DfIndex,
-    df_union: DfIndex,
-    left: TokenSide,
-    right: TokenSide,
-    mark: u32,
-}
-
-impl TokenFamily {
-    fn prepare(
-        left: &EntityCollection,
-        right: &EntityCollection,
-        scheme: er_textsim::NGramScheme,
-        measure: VectorMeasure,
-    ) -> Self {
-        let model = VectorModel::new(scheme);
-        let weighting = measure.weighting();
-        let mut df_left = DfIndex::new();
-        let mut df_right = DfIndex::new();
-        let mut df_union = DfIndex::new();
-        let texts_left: Vec<String> = left.profiles.iter().map(|p| p.all_values_text()).collect();
-        let texts_right: Vec<String> = right.profiles.iter().map(|p| p.all_values_text()).collect();
-        for t in &texts_left {
-            let terms: Vec<u64> = model.term_frequencies(t).keys().copied().collect();
-            df_left.add_document(terms.iter().copied());
-            df_union.add_document(terms);
-        }
-        for t in &texts_right {
-            let terms: Vec<u64> = model.term_frequencies(t).keys().copied().collect();
-            df_right.add_document(terms.iter().copied());
-            df_union.add_document(terms);
-        }
-        let vec_of = |text: &String| model.vector(text, weighting, Some(&df_union));
-        TokenFamily {
-            model,
-            weighting,
-            measure,
-            left: TokenSide::build(texts_left.iter().map(vec_of).collect()),
-            right: TokenSide::build(texts_right.iter().map(vec_of).collect()),
-            df_left,
-            df_right,
-            df_union,
-            mark: 0,
-        }
-    }
-
-    /// The probe's vector under the frozen model and DF statistics.
-    fn probe_vector(&self, p: &EntityProfile) -> SparseVector {
-        self.model
-            .vector(&p.all_values_text(), self.weighting, Some(&self.df_union))
-    }
-
-    fn next_mark(&mut self) -> u32 {
-        if self.mark == u32::MAX {
-            self.left.stamp.fill(0);
-            self.right.stamp.fill(0);
-            self.mark = 0;
-        }
-        self.mark += 1;
-        self.mark
-    }
-
-    /// Score the probe into `row` and return its vector for
-    /// [`register`](Self::register).
-    fn score_probe(
-        &mut self,
-        p: &EntityProfile,
-        side: Side,
-        dead: &FxHashSet<u32>,
-        keep_positive: bool,
-        row: &mut TopKRow,
-    ) -> SparseVector {
-        let mark = self.next_mark();
-        let pv = self.probe_vector(p);
-        let dfs = Some((&self.df_left, &self.df_right));
-        let plan = self.measure.probe_plan(&pv, dfs);
-        let target = match side {
-            Side::Left => &mut self.right,
-            Side::Right => &mut self.left,
-        };
-        let measure = self.measure;
-        generate_token_candidates(
-            &plan,
-            pv.terms(),
-            &target.postings,
-            &mut target.stamp,
-            mark,
-            row.admission_bound(),
-            |j| {
-                if dead.contains(&j) {
-                    return row.admission_bound();
-                }
-                let cv = &target.vecs[j as usize];
-                let w = match side {
-                    Side::Left => measure.similarity(&pv, cv, dfs),
-                    Side::Right => measure.similarity(cv, &pv, dfs),
-                };
-                offer(row, j, w, keep_positive)
-            },
-        );
-        pv
-    }
-
-    fn register(&mut self, v: SparseVector, side: Side) {
-        match side {
-            Side::Left => self.left.push(v),
-            Side::Right => self.right.push(v),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Character family: resident bags + length buckets, counting-filter probes.
-// ---------------------------------------------------------------------------
-
-struct CharSide {
-    /// Entity ids carrying the attribute (slot → id).
-    ids: Vec<u32>,
-    values: Vec<String>,
-    /// Sorted Unicode-scalar bags (comparable across entries — scalar
-    /// values are a global code space).
-    bags: Vec<Vec<u32>>,
-    /// Length-bucket index over `bags[..indexed_len]`; later entries are
-    /// overflow, scanned with explicit bounds until the next rebuild.
-    index: LengthBucketIndex,
-    indexed_len: usize,
-}
-
-impl CharSide {
-    fn build(ids: Vec<u32>, values: Vec<String>) -> Self {
-        let bags: Vec<Vec<u32>> = values.iter().map(|v| char_bag(v)).collect();
-        let index = LengthBucketIndex::build(bags.iter().map(Vec::as_slice));
-        let indexed_len = bags.len();
-        CharSide {
-            ids,
-            values,
-            bags,
-            index,
-            indexed_len,
-        }
-    }
-
-    fn push(&mut self, id: u32, value: String, bag: Vec<u32>) {
-        self.bags.push(bag);
-        self.values.push(value);
-        self.ids.push(id);
-        let overflow = self.bags.len() - self.indexed_len;
-        if overflow as f64 > self.indexed_len.max(4) as f64 * OVERFLOW_REBUILD_FRACTION {
-            self.index = LengthBucketIndex::build(self.bags.iter().map(Vec::as_slice));
-            self.indexed_len = self.bags.len();
-        }
-    }
-}
-
-fn char_bag(v: &str) -> Vec<u32> {
-    let mut bag: Vec<u32> = v.chars().map(u32::from).collect();
-    bag.sort_unstable();
-    bag
-}
-
-/// Flush one lane chunk of a resident Levenshtein probe: decode the
-/// buffered slots' values into the per-lane code buffers, run the
-/// multi-text Myers batch (prepared over the probe), and offer the
-/// similarities to the row heap. Bit-identical to the scalar
-/// `measure.similarity` calls: the integer edit distance is symmetric,
-/// so probe-as-pattern equals the scalar kernel's
-/// shorter-side-as-pattern, and the weight formula is the same float
-/// expression.
-#[allow(clippy::too_many_arguments)]
-fn flush_char_lanes(
-    target: &CharSide,
-    batch: &mut MyersBatch,
-    lane_codes: &mut [Vec<u32>],
-    probe_m: usize,
-    slots: &[u32],
-    dead: &FxHashSet<u32>,
-    keep_positive: bool,
-    row: &mut TopKRow,
-) {
-    let mut ids = [0u32; LANE_WIDTH];
-    let mut kn = 0;
-    for &slot in slots {
-        let id = target.ids[slot as usize];
-        if dead.contains(&id) {
-            continue;
-        }
-        let lc = &mut lane_codes[kn];
-        lc.clear();
-        lc.extend(target.values[slot as usize].chars().map(u32::from));
-        ids[kn] = id;
-        kn += 1;
-    }
-    if kn == 0 {
-        return;
-    }
-    let mut dists = [0usize; LANE_WIDTH];
+/// Check the positional-id discipline: profile `i` carries id `i`.
+fn check_positional(c: &EntityCollection) -> Result<(), CoreError> {
+    match c
+        .profiles
+        .iter()
+        .enumerate()
+        .find(|&(i, p)| p.id as usize != i)
     {
-        let mut texts: [&[u32]; LANE_WIDTH] = [&[]; LANE_WIDTH];
-        for (i, lc) in lane_codes[..kn].iter().enumerate() {
-            texts[i] = lc;
-        }
-        batch.distances(&texts[..kn], &mut dists[..kn]);
-    }
-    for i in 0..kn {
-        let max_len = probe_m.max(lane_codes[i].len());
-        let w = if max_len == 0 {
-            1.0
-        } else {
-            1.0 - dists[i] as f64 / max_len as f64
-        };
-        offer(row, ids[i], w, keep_positive);
+        Some((i, p)) => Err(CoreError::DeltaIdMismatch {
+            expected: i as u32,
+            got: p.id,
+        }),
+        None => Ok(()),
     }
 }
 
-struct CharFamily {
-    attribute: String,
-    measure: CharMeasure,
-    left: CharSide,
-    right: CharSide,
-    order: Vec<u32>,
-    counts: Vec<u32>,
-    kernel: KernelMode,
-    /// Lanes-mode probe state (Levenshtein only): the probe's code
-    /// points, the multi-text Myers batch prepared over them, and the
-    /// per-lane candidate code buffers.
-    probe_codes: Vec<u32>,
-    batch: MyersBatch,
-    lane_codes: Vec<Vec<u32>>,
-}
-
-impl CharFamily {
-    fn prepare(
-        left: &EntityCollection,
-        right: &EntityCollection,
-        attribute: &str,
-        measure: CharMeasure,
-        kernel: KernelMode,
-    ) -> Self {
-        fn with_attr(c: &EntityCollection, attribute: &str) -> (Vec<u32>, Vec<String>) {
-            let mut ids = Vec::new();
-            let mut values = Vec::new();
-            for p in &c.profiles {
-                if let Some(v) = p.value(attribute) {
-                    ids.push(p.id);
-                    values.push(v.to_string());
-                }
-            }
-            (ids, values)
+/// Prepare the batch scorer of `function`'s indexed family with both
+/// sides' indexes, or `None` for a fallback branch.
+fn prepare_family(
+    left: &EntityCollection,
+    right: &EntityCollection,
+    function: &SimilarityFunction,
+    cfg: &PipelineConfig,
+) -> Result<Option<Box<dyn Probe>>, CoreError> {
+    check_positional(left)?;
+    check_positional(right)?;
+    let (source, keep, kernel) = (
+        CandidateSource::Index(()),
+        cfg.keep_positive_only,
+        cfg.kernel_mode,
+    );
+    Ok(Some(match function {
+        SimilarityFunction::SchemaAgnosticVector { scheme, measure } => {
+            let (scorer, vectorizer) =
+                VectorScorer::prepare(left, right, *scheme, *measure, source, keep, kernel);
+            Probed::boxed(scorer, vectorizer)
         }
-        let (lid, lval) = with_attr(left, attribute);
-        let (rid, rval) = with_attr(right, attribute);
-        CharFamily {
-            attribute: attribute.to_string(),
-            measure,
-            left: CharSide::build(lid, lval),
-            right: CharSide::build(rid, rval),
-            order: Vec::new(),
-            counts: Vec::new(),
-            kernel,
-            probe_codes: Vec::new(),
-            batch: MyersBatch::new(),
-            lane_codes: vec![Vec::new(); LANE_WIDTH],
-        }
-    }
-
-    /// Score the probe into `row` and return its character bag for
-    /// [`register`](Self::register) — `None` when the probe lacks the
-    /// attribute.
-    fn score_probe(
-        &mut self,
-        p: &EntityProfile,
-        side: Side,
-        dead: &FxHashSet<u32>,
-        keep_positive: bool,
-        row: &mut TopKRow,
-    ) -> Option<Vec<u32>> {
-        let Some(value) = p.value(&self.attribute) else {
-            return None; // No attribute, no edges — as in the batch scorer.
-        };
-        let probe_bag = char_bag(value);
-        let probe_len = probe_bag.len();
-        let target = match side {
-            Side::Left => &self.right,
-            Side::Right => &self.left,
-        };
-        let measure = self.measure;
-        if matches!(self.kernel, KernelMode::Lanes) && matches!(measure, CharMeasure::Levenshtein) {
-            // Lanes mode: buffer generated slots and flush them through
-            // the multi-text Myers batch. Between flushes the
-            // generators see the bound of the last flush — a superset
-            // of the scalar candidates whose extras all score strictly
-            // below the final admission bound, so the retained row is
-            // bit-identical (same argument as the batch engine's
-            // indexed path, DESIGN.md §19).
-            self.probe_codes.clear();
-            self.probe_codes.extend(value.chars().map(u32::from));
-            self.batch.prepare(&self.probe_codes);
-            let probe_m = self.probe_codes.len();
-            let batch = &mut self.batch;
-            let lane_codes = &mut self.lane_codes;
-            let mut buf = [0u32; LANE_WIDTH];
-            let mut cn = 0usize;
-            generate_char_candidates(
-                &target.index,
-                measure,
-                probe_len,
-                &probe_bag,
-                &mut self.order,
-                &mut self.counts,
-                row.admission_bound(),
-                |slot| {
-                    buf[cn] = slot;
-                    cn += 1;
-                    if cn == LANE_WIDTH {
-                        flush_char_lanes(
-                            target,
-                            batch,
-                            lane_codes,
-                            probe_m,
-                            &buf[..cn],
-                            dead,
-                            keep_positive,
-                            row,
-                        );
-                        cn = 0;
-                    }
-                    row.admission_bound()
-                },
-            );
-            for slot in target.indexed_len..target.bags.len() {
-                let bound = row.admission_bound();
-                if bound != f64::NEG_INFINITY {
-                    let blen = target.bags[slot].len();
-                    if measure.length_upper_bound(probe_len, blen) < bound {
-                        continue;
-                    }
-                    if let Some(ub) = measure.bag_upper_bound(&probe_bag, &target.bags[slot]) {
-                        if ub < bound {
-                            continue;
-                        }
-                    }
-                }
-                buf[cn] = slot as u32;
-                cn += 1;
-                if cn == LANE_WIDTH {
-                    flush_char_lanes(
-                        target,
-                        batch,
-                        lane_codes,
-                        probe_m,
-                        &buf[..cn],
-                        dead,
-                        keep_positive,
-                        row,
-                    );
-                    cn = 0;
-                }
-            }
-            if cn > 0 {
-                flush_char_lanes(
-                    target,
-                    batch,
-                    lane_codes,
-                    probe_m,
-                    &buf[..cn],
-                    dead,
-                    keep_positive,
-                    row,
-                );
-            }
-            return Some(probe_bag);
-        }
-        let score = |slot: u32, row: &mut TopKRow| -> f64 {
-            let id = target.ids[slot as usize];
-            if dead.contains(&id) {
-                return row.admission_bound();
-            }
-            let w = measure.similarity(value, &target.values[slot as usize]);
-            offer(row, id, w, keep_positive)
-        };
-        generate_char_candidates(
-            &target.index,
-            measure,
-            probe_len,
-            &probe_bag,
-            &mut self.order,
-            &mut self.counts,
-            row.admission_bound(),
-            |slot| score(slot, row),
-        );
-        // Overflow entries carry no bucket structure: apply the same
-        // length and counting-filter bounds per entry.
-        for slot in target.indexed_len..target.bags.len() {
-            let bound = row.admission_bound();
-            if bound != f64::NEG_INFINITY {
-                let blen = target.bags[slot].len();
-                if measure.length_upper_bound(probe_len, blen) < bound {
-                    continue;
-                }
-                if let Some(ub) = measure.bag_upper_bound(&probe_bag, &target.bags[slot]) {
-                    if ub < bound {
-                        continue;
-                    }
-                }
-            }
-            score(slot as u32, row);
-        }
-        Some(probe_bag)
-    }
-
-    fn register(&mut self, p: &EntityProfile, bag: Option<Vec<u32>>, side: Side) {
-        if let (Some(v), Some(bag)) = (p.value(&self.attribute), bag) {
-            let v = v.to_string();
-            match side {
-                Side::Left => self.left.push(p.id, v, bag),
-                Side::Right => self.right.push(p.id, v, bag),
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Dense semantic family: resident encodings + centroid-ball probes.
-// ---------------------------------------------------------------------------
-
-struct DenseSide {
-    vecs: Vec<DenseVector>,
-    /// Ball index over the non-zero vectors of `vecs[..indexed_len]`
-    /// (unit-normalized copies for cosine); later entries are overflow.
-    ball: VectorBallIndex,
-    indexed_len: usize,
-}
-
-impl DenseSide {
-    fn build(vecs: Vec<DenseVector>, cosine: bool) -> Self {
-        let ball = build_ball(&vecs, cosine);
-        let indexed_len = vecs.len();
-        DenseSide {
-            vecs,
-            ball,
-            indexed_len,
-        }
-    }
-
-    fn push(&mut self, v: DenseVector, cosine: bool) {
-        self.vecs.push(v);
-        let overflow = self.vecs.len() - self.indexed_len;
-        if overflow as f64 > self.indexed_len.max(4) as f64 * OVERFLOW_REBUILD_FRACTION {
-            self.ball = build_ball(&self.vecs, cosine);
-            self.indexed_len = self.vecs.len();
-        }
-    }
-}
-
-fn build_ball(vecs: &[DenseVector], cosine: bool) -> VectorBallIndex {
-    if cosine {
-        let normalized: Vec<(u32, DenseVector, f64)> = vecs
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| !v.is_zero())
-            .map(|(j, v)| {
-                let (u, r) = unit_probe(v);
-                (j as u32, u, r)
-            })
-            .collect();
-        let entries: Vec<(u32, &DenseVector, f64)> =
-            normalized.iter().map(|(j, u, r)| (*j, u, *r)).collect();
-        VectorBallIndex::build(&entries)
-    } else {
-        let entries: Vec<(u32, &DenseVector, f64)> = vecs
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| !v.is_zero())
-            .map(|(j, v)| (j as u32, v, 0.0))
-            .collect();
-        VectorBallIndex::build(&entries)
-    }
-}
-
-struct DenseFamily {
-    encoder: Encoder,
-    measure: SemanticMeasure,
-    scope: SemanticScope,
-    left: DenseSide,
-    right: DenseSide,
-    scratch: Vec<(f64, u32)>,
-}
-
-impl DenseFamily {
-    fn prepare(
-        left: &EntityCollection,
-        right: &EntityCollection,
-        encoder: Encoder,
-        measure: SemanticMeasure,
-        scope: SemanticScope,
-        threads: usize,
-    ) -> Self {
-        let cosine = matches!(measure, SemanticMeasure::Cosine);
-        let (lv, rv) = encode_sides(left, right, &encoder, &scope, threads);
-        DenseFamily {
-            encoder,
+        SimilarityFunction::SchemaBasedSyntactic {
+            attribute,
+            measure: SchemaBasedMeasure::Char(m),
+        } => Probed::boxed(
+            CharScorer::prepare(left, right, attribute, *m, source, keep, kernel),
+            attribute.clone(),
+        ),
+        SimilarityFunction::Semantic {
+            model,
             measure,
             scope,
-            left: DenseSide::build(lv, cosine),
-            right: DenseSide::build(rv, cosine),
-            scratch: Vec::new(),
+        } if !measure.needs_token_vectors() => {
+            let enc = model.encoder();
+            let scorer = DenseSemanticScorer::prepare(left, right, &enc, *measure, scope, cfg);
+            Probed::boxed(scorer, (enc, scope.clone()))
         }
-    }
+        _ => return Ok(None),
+    }))
+}
 
-    /// Score the probe into `row` and return its encoding for
-    /// [`register`](Self::register).
-    fn score_probe(
-        &mut self,
-        p: &EntityProfile,
-        side: Side,
-        dead: &FxHashSet<u32>,
-        keep_positive: bool,
-        row: &mut TopKRow,
-    ) -> DenseVector {
-        let a = self.encoder.encode(&scoped_text(p, &self.scope));
-        if a.is_zero() {
-            return a;
-        }
-        let cosine = matches!(self.measure, SemanticMeasure::Cosine);
-        let probe_owned;
-        let (probe, probe_radius) = if cosine {
-            let (u, r) = unit_probe(&a);
-            probe_owned = u;
-            (&probe_owned, r)
-        } else {
-            (&a, 0.0)
-        };
-        let map: fn(f64) -> f64 = if cosine {
-            cosine_distance_bound
-        } else {
-            inverse_distance_bound
-        };
-        let target = match side {
-            Side::Left => &self.right,
-            Side::Right => &self.left,
-        };
-        let measure = self.measure;
-        let score = |j: u32, row: &mut TopKRow| -> f64 {
-            if dead.contains(&j) {
-                return row.admission_bound();
-            }
-            let w = measure.similarity_vectors(&a, &target.vecs[j as usize]);
-            offer(row, j, w, keep_positive)
-        };
-        generate_ball_candidates(
-            &target.ball,
-            probe,
-            probe_radius,
-            &mut self.scratch,
-            map,
-            row.admission_bound(),
-            |j| score(j, row),
-        );
-        for j in target.indexed_len..target.vecs.len() {
-            if target.vecs[j].is_zero() {
-                continue;
-            }
-            score(j as u32, row);
-        }
-        a
-    }
+/// One indexed family's prepared state, kept between inserts: the batch
+/// scorer, its encoder, one candidate index per side and one scratch per
+/// probing side (`Side as usize` throughout).
+struct Probed<S: AppendScorer> {
+    scorer: S,
+    encoder: S::ProfileEncoder,
+    index: [S::Index; 2],
+    scratch: [S::Scratch; 2],
+}
 
-    fn register(&mut self, v: DenseVector, side: Side) {
-        let cosine = matches!(self.measure, SemanticMeasure::Cosine);
-        match side {
-            Side::Left => self.left.push(v, cosine),
-            Side::Right => self.right.push(v, cosine),
-        }
+impl<S: AppendScorer> Probed<S>
+where
+    Self: Probe + 'static,
+{
+    fn boxed(scorer: S, encoder: S::ProfileEncoder) -> Box<dyn Probe> {
+        Box::new(Probed {
+            index: [scorer.index(Side::Left), scorer.index(Side::Right)],
+            scratch: [scorer.scratch(), scorer.scratch()],
+            scorer,
+            encoder,
+        })
     }
 }
 
-// ---------------------------------------------------------------------------
-// Fallback: singleton-probe re-preparation over the resident collections.
-// ---------------------------------------------------------------------------
+/// The family-independent face of [`Probed`].
+trait Probe: Send + Sync {
+    /// The load-time top-k graph and its frame, scored from this state.
+    fn build(
+        &self,
+        left: &EntityCollection,
+        right: &EntityCollection,
+        k: usize,
+        cfg: &PipelineConfig,
+    ) -> (SimilarityGraph, NormFrame);
+
+    /// Append `profile` to `side` and probe the opposite side into `sink`.
+    fn insert(&mut self, side: Side, profile: &EntityProfile, sink: &mut ProbeSink<'_>);
+}
+
+impl<S> Probe for Probed<S>
+where
+    S: AppendScorer + Send,
+    S::Index: Send,
+    S::Scratch: Sync,
+{
+    fn build(
+        &self,
+        left: &EntityCollection,
+        right: &EntityCollection,
+        k: usize,
+        cfg: &PipelineConfig,
+    ) -> (SimilarityGraph, NormFrame) {
+        let index = &self.index[Side::Right as usize];
+        build_topk_prepared(&self.scorer, index, left, right, k, cfg)
+    }
+
+    fn insert(&mut self, side: Side, profile: &EntityProfile, sink: &mut ProbeSink<'_>) {
+        let Some(row) = self.scorer.append(&self.encoder, side, profile) else {
+            return; // No entry (a missing attribute), no edges.
+        };
+        let (own, other) = (side as usize, side.opposite() as usize);
+        self.scorer.index_appended(side, row, &mut self.index[own]);
+        let source = CandidateSource::Index(&self.index[other]);
+        self.scorer
+            .score_row(side, row, source, &mut self.scratch[own], sink);
+    }
+}
 
 /// Score a probe through the batch engine with a singleton collection on
 /// the probe's side. Re-prepares the branch scorer per call (`O(corpus)`
 /// — the documented fallback cost) but sees the *current* collections,
 /// so its per-call statistics are fresher than the frozen fast paths'.
-#[allow(clippy::too_many_arguments)]
 fn fallback_probe(
     left: &EntityCollection,
     right: &EntityCollection,
@@ -905,9 +410,7 @@ fn fallback_probe(
     cfg: &PipelineConfig,
     p: &EntityProfile,
     side: Side,
-    dead: &FxHashSet<u32>,
-    keep_positive: bool,
-    row: &mut TopKRow,
+    sink: &mut ProbeSink<'_>,
 ) {
     let singleton = EntityCollection {
         profiles: vec![p.clone()],
@@ -932,26 +435,26 @@ fn fallback_probe(
         // The probe's own component carries whatever id its branch
         // assigns (positional or entity id); only the resident side's
         // component is read — it equals the entity id under the
-        // positional-id invariant.
+        // positional-id invariant. The scorer already applied the
+        // positivity filter.
         let other = match side {
             Side::Left => r,
             Side::Right => l,
         };
-        if dead.contains(&other) {
-            continue;
+        if sink.takes(other) {
+            sink.emit(p.id, other, w);
         }
-        offer(row, other, w, keep_positive);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graphgen::build_graph_topk_framed;
-    use crate::CandidateMode;
+    use crate::taxonomy::SemanticScope;
     use er_core::CsrGraph;
     use er_datasets::{Dataset, DatasetId};
-    use er_textsim::NGramScheme;
+    use er_embed::{EmbeddingModel, SemanticMeasure};
+    use er_textsim::{CharMeasure, NGramScheme, VectorMeasure};
 
     fn small_dataset() -> Dataset {
         Dataset::generate(DatasetId::D1, 0.02, 7)
@@ -964,50 +467,39 @@ mod tests {
         }
     }
 
-    /// The reference for one probe: rebuild the graph with the probe in
-    /// its collection (frozen-stats drift excluded by construction: the
-    /// reference uses the *original* collections plus the probe, so DF
-    /// indexes differ — the assertion therefore checks candidate set and
-    /// ordering agreement through the shared frame, not bit equality).
-    #[test]
-    fn left_insert_edges_match_a_fresh_row_scoring() {
-        let d = small_dataset();
-        let f = token_fn();
-        let cfg = PipelineConfig::default();
-        let k = 3;
-        let (_, _, frame) =
-            build_graph_topk_framed(&d.left, &d.right, &f, k, CandidateMode::Indexed, &cfg);
-        let mut rs = ResidentScorer::prepare(&d.left, &d.right, &f, k, frame, &cfg);
+    /// One function per indexed family: token vectors, a character
+    /// measure, dense semantic.
+    fn indexed_fns(d: &Dataset) -> [SimilarityFunction; 3] {
+        [
+            token_fn(),
+            SimilarityFunction::SchemaBasedSyntactic {
+                attribute: d.left.attribute_names[0].clone(),
+                measure: SchemaBasedMeasure::Char(CharMeasure::Levenshtein),
+            },
+            SimilarityFunction::Semantic {
+                model: EmbeddingModel::FastText,
+                measure: SemanticMeasure::Cosine,
+                scope: SemanticScope::SchemaAgnostic,
+            },
+        ]
+    }
 
-        // Take an existing left profile's attributes as the new record.
-        let mut probe = d.left.profiles[0].clone();
-        probe.id = d.left.len() as u32;
-        let delta = rs.score_insert(Side::Left, &probe);
-        assert_eq!(delta.id, probe.id);
-        assert!(delta.edges.len() <= k);
-        // The probe duplicates left row 0, whose scored row under the
-        // same frozen DF statistics is exactly row 0's edge list.
-        let mut reference = TopKRow::new(k);
-        match &mut rs.family {
-            Family::Token(fam) => {
-                let p0 = &d.left.profiles[0];
-                fam.score_probe(
-                    p0,
-                    Side::Left,
-                    &FxHashSet::default(),
-                    cfg.keep_positive_only,
-                    &mut reference,
-                );
-            }
-            _ => unreachable!(),
+    #[test]
+    fn built_graph_equals_the_indexed_batch_build() {
+        let d = small_dataset();
+        let cfg = PipelineConfig::default();
+        let jaccard = SimilarityFunction::SchemaBasedSyntactic {
+            attribute: d.left.attribute_names[0].clone(),
+            measure: SchemaBasedMeasure::Token(er_textsim::TokenMeasure::Jaccard),
+        };
+        let [token, char_fn, dense] = indexed_fns(&d);
+        for f in [token, char_fn, dense, jaccard] {
+            let (g, _, frame) =
+                build_graph_topk_framed(&d.left, &d.right, &f, 3, CandidateMode::Indexed, &cfg);
+            let (built, rs) = ResidentScorer::build(&d.left, &d.right, &f, 3, &cfg).unwrap();
+            assert_eq!(built.edges(), g.edges(), "{}", f.name());
+            assert_eq!(rs.frame(), frame, "{}", f.name());
         }
-        let mut expect = Vec::new();
-        reference.drain_sorted_into(&mut expect);
-        let expect: Vec<(u32, f64)> = expect
-            .into_iter()
-            .map(|(r, w)| (r, frame.apply(w)))
-            .collect();
-        assert_eq!(delta.edges, expect);
     }
 
     #[test]
@@ -1016,21 +508,19 @@ mod tests {
         let f = token_fn();
         let cfg = PipelineConfig::default();
         let k = 2;
-        let (g, _, frame) =
-            build_graph_topk_framed(&d.left, &d.right, &f, k, CandidateMode::Indexed, &cfg);
+        let (g, mut rs) = ResidentScorer::build(&d.left, &d.right, &f, k, &cfg).unwrap();
         let mut csr = CsrGraph::from_graph(&g);
-        let mut rs = ResidentScorer::prepare(&d.left, &d.right, &f, k, frame, &cfg);
 
         let mut probe = d.left.profiles[1].clone();
         probe.id = d.left.len() as u32;
-        let delta = rs.score_insert(Side::Left, &probe);
+        let delta = rs.score_insert(Side::Left, &probe).unwrap();
         csr.apply(&delta).expect("insert applies");
         assert_eq!(csr.n_left(), d.left.len() as u32 + 1);
         assert_eq!(csr.degree(probe.id), delta.edges.len());
 
         let mut rprobe = d.right.profiles[2].clone();
         rprobe.id = d.right.len() as u32;
-        let rdelta = rs.score_insert(Side::Right, &rprobe);
+        let rdelta = rs.score_insert(Side::Right, &rprobe).unwrap();
         csr.apply(&rdelta).expect("right insert applies");
         assert!(rdelta.edges.len() <= k);
         for &(l, w) in &rdelta.edges {
@@ -1038,60 +528,79 @@ mod tests {
         }
     }
 
+    /// Every indexed family, both insert sides: once every counterpart a
+    /// probe found is tombstoned, a second identical probe emits none of
+    /// them.
     #[test]
     fn tombstoned_counterparts_are_never_emitted() {
         let d = small_dataset();
-        let f = token_fn();
         let cfg = PipelineConfig::default();
         let k = 5;
-        let (_, _, frame) =
-            build_graph_topk_framed(&d.left, &d.right, &f, k, CandidateMode::Indexed, &cfg);
-        let mut rs = ResidentScorer::prepare(&d.left, &d.right, &f, k, frame, &cfg);
-
-        let mut probe = d.left.profiles[0].clone();
-        probe.id = d.left.len() as u32;
-        let before = rs.score_insert(Side::Left, &probe);
-        // Kill every counterpart the first probe found, then re-probe.
-        for &(r, _) in &before.edges {
-            rs.mark_deleted(Side::Right, r);
-            assert!(!rs.is_live(Side::Right, r));
-        }
-        let mut probe2 = d.left.profiles[0].clone();
-        probe2.id = rs.left().len() as u32;
-        let after = rs.score_insert(Side::Left, &probe2);
-        for &(r, _) in &after.edges {
-            assert!(
-                before.edges.iter().all(|&(br, _)| br != r),
-                "tombstoned right {r} re-emitted"
-            );
+        for f in indexed_fns(&d) {
+            for side in [Side::Left, Side::Right] {
+                let (_, mut rs) = ResidentScorer::build(&d.left, &d.right, &f, k, &cfg).unwrap();
+                let donor = match side {
+                    Side::Left => &d.left.profiles[0],
+                    Side::Right => &d.right.profiles[0],
+                };
+                let next_id = |rs: &ResidentScorer| match side {
+                    Side::Left => rs.left().len() as u32,
+                    Side::Right => rs.right().len() as u32,
+                };
+                let mut probe = donor.clone();
+                probe.id = next_id(&rs);
+                let before = rs.score_insert(side, &probe).unwrap();
+                assert!(!before.edges.is_empty(), "{} {side:?}", f.name());
+                // Kill every counterpart the first probe found, then
+                // re-probe.
+                for &(o, _) in &before.edges {
+                    rs.mark_deleted(side.opposite(), o);
+                    assert!(!rs.is_live(side.opposite(), o));
+                }
+                probe.id = next_id(&rs);
+                let after = rs.score_insert(side, &probe).unwrap();
+                for &(o, _) in &after.edges {
+                    assert!(
+                        before.edges.iter().all(|&(b, _)| b != o),
+                        "{} {side:?}: tombstoned {o} re-emitted",
+                        f.name()
+                    );
+                }
+            }
         }
     }
 
     #[test]
-    fn char_family_probe_agrees_with_direct_similarity() {
+    fn id_discipline_violations_are_typed_errors() {
         let d = small_dataset();
-        let attribute = d.left.attribute_names[0].clone();
-        let f = SimilarityFunction::SchemaBasedSyntactic {
-            attribute: attribute.clone(),
-            measure: SchemaBasedMeasure::Char(CharMeasure::Levenshtein),
-        };
         let cfg = PipelineConfig::default();
-        let k = 4;
-        let (_, _, frame) =
-            build_graph_topk_framed(&d.left, &d.right, &f, k, CandidateMode::Indexed, &cfg);
-        let mut rs = ResidentScorer::prepare(&d.left, &d.right, &f, k, frame, &cfg);
-        let mut probe = d.left.profiles[3].clone();
-        probe.id = d.left.len() as u32;
-        let delta = rs.score_insert(Side::Left, &probe);
-        let value = probe.value(&attribute).unwrap();
-        for &(r, w) in &delta.edges {
-            let rv = d.right.profiles[r as usize].value(&attribute).unwrap();
-            let raw = CharMeasure::Levenshtein.similarity(value, rv);
-            assert!(
-                (frame.apply(raw) - w).abs() < 1e-12,
-                "edge weight must be the framed direct similarity"
-            );
+        let mut shifted = d.right.clone();
+        for p in &mut shifted.profiles {
+            p.id += 1;
         }
+        for f in [token_fn(), indexed_fns(&d)[1].clone()] {
+            let err =
+                ResidentScorer::prepare(&d.left, &shifted, &f, 3, NormFrame::degenerate(), &cfg);
+            assert!(matches!(
+                err,
+                Err(CoreError::DeltaIdMismatch {
+                    expected: 0,
+                    got: 1
+                })
+            ));
+        }
+        let (_, mut rs) = ResidentScorer::build(&d.left, &d.right, &token_fn(), 3, &cfg).unwrap();
+        let mut probe = d.left.profiles[0].clone();
+        probe.id = d.left.len() as u32 + 1;
+        assert!(matches!(
+            rs.score_insert(Side::Left, &probe),
+            Err(CoreError::DeltaIdMismatch { .. })
+        ));
+        assert_eq!(
+            rs.left().len(),
+            d.left.len(),
+            "a rejected insert changes nothing"
+        );
     }
 
     #[test]
@@ -1104,12 +613,10 @@ mod tests {
         };
         let cfg = PipelineConfig::default();
         let k = 3;
-        let (g, _, frame) =
-            build_graph_topk_framed(&d.left, &d.right, &f, k, CandidateMode::Enumerated, &cfg);
-        let mut rs = ResidentScorer::prepare(&d.left, &d.right, &f, k, frame, &cfg);
+        let (g, mut rs) = ResidentScorer::build(&d.left, &d.right, &f, k, &cfg).unwrap();
         let mut probe = d.left.profiles[0].clone();
         probe.id = d.left.len() as u32;
-        let delta = rs.score_insert(Side::Left, &probe);
+        let delta = rs.score_insert(Side::Left, &probe).unwrap();
         // The probe clones left 0's attributes and the fallback re-scores
         // with fresh per-call statistics over the same corpus, so its top
         // candidate set matches row 0's resident edges.

@@ -47,6 +47,7 @@ fn resident(
     cfg: &PipelineConfig,
 ) -> ResidentScorer {
     ResidentScorer::prepare(&d.left, &d.right, f, k, frame, cfg)
+        .expect("generated profile ids are positional")
 }
 
 /// A copy of `p` under `side`'s next id, inserted into `rs`.
@@ -57,6 +58,7 @@ fn insert_copy(rs: &mut ResidentScorer, side: Side, p: &EntityProfile) -> RowDel
         Side::Right => rs.right().len() as u32,
     };
     rs.score_insert(side, &copy)
+        .expect("the copy carries the next append id")
 }
 
 /// `(counterpart, weight bits)`, ascending by counterpart.

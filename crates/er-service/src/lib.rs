@@ -10,10 +10,12 @@
 //!   ([`er_core::CsrGraph`]: append-only ids, tombstoned deletes,
 //!   ~12 B/edge);
 //! * the score-side state of the similarity function
-//!   ([`er_pipeline::ResidentScorer`]: frozen models, DF statistics and
-//!   the PR 6 candidate indexes), so one new record is scored against the
-//!   corpus through index-pruned probes under its top-k admission bound
-//!   rather than by re-preparing the build;
+//!   ([`er_pipeline::ResidentScorer`]: the batch scorer's prepared state —
+//!   frozen models, DF statistics, encoded entries and both sides'
+//!   candidate indexes — prepared once at load, where it also scores the
+//!   load-time graph), so one new record is scored against the corpus
+//!   through the batch build's index-pruned row walk under its top-k
+//!   admission bound rather than by re-preparing the build;
 //! * a **delta-incremental matcher**
 //!   ([`er_matchers::DeltaMatcher`]: UMC repairs its greedy assignment
 //!   along a bounded cascade, BAH maintains its contribution map, the
@@ -42,10 +44,7 @@ use er_core::{
 };
 use er_datasets::{EntityCollection, EntityProfile};
 use er_matchers::{AlgorithmConfig, AlgorithmKind, DeltaMatcher, PreparedGraph};
-use er_pipeline::{
-    build_graph_topk_framed, CandidateMode, NormFrame, PipelineConfig, ResidentScorer,
-    SimilarityFunction,
-};
+use er_pipeline::{NormFrame, PipelineConfig, ResidentScorer, SimilarityFunction};
 
 /// Errors surfaced by service updates that touch both the resident
 /// store (delta validation) and, for file-backed services, the backing
@@ -148,26 +147,26 @@ pub struct ErService {
 }
 
 impl ErService {
-    /// Build the resident state from two collections: score the top-k
-    /// graph through the indexed candidate path, load it into CSR form,
-    /// prepare the resident scorer, and seed the delta matcher.
+    /// Build the resident state from two collections: prepare the
+    /// resident scorer once, score the top-k graph from its prepared
+    /// state through the indexed candidate path
+    /// ([`ResidentScorer::build`]), load the graph into CSR form, and
+    /// seed the delta matcher.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every profile id equals its position in its
+    /// collection (the id discipline of [`ResidentScorer`]).
     pub fn load(
         left: &EntityCollection,
         right: &EntityCollection,
         function: &SimilarityFunction,
         config: ServiceConfig,
     ) -> Self {
-        let (graph, _, frame) = build_graph_topk_framed(
-            left,
-            right,
-            function,
-            config.k,
-            CandidateMode::Indexed,
-            &config.pipeline,
-        );
+        let (graph, scorer) =
+            ResidentScorer::build(left, right, function, config.k, &config.pipeline)
+                .expect("profile ids must equal their positions");
         let csr = CsrGraph::from_graph(&graph);
-        let scorer =
-            ResidentScorer::prepare(left, right, function, config.k, frame, &config.pipeline);
         let matcher = config
             .matchers
             .delta_matcher(config.algorithm, &csr, config.threshold);
@@ -188,7 +187,9 @@ impl ErService {
     ///
     /// `left`/`right` must be the collections the stored graph was built
     /// over (every on-disk row id must have its profile, tombstoned ids
-    /// included — ids are never reused) and `frame` the normalization
+    /// included — ids are never reused — and every profile id must equal
+    /// its position; either mismatch is a [`StoreError::Format`]) and
+    /// `frame` the normalization
     /// frame that build derived, so that inserted records are scored onto
     /// the same weight scale as the resident edges. The store's tombstones
     /// are replayed into the scorer, and the origin path is remembered:
@@ -217,9 +218,12 @@ impl ErService {
                 right.profiles.len()
             )));
         }
-        let csr = mapped.to_csr();
         let mut scorer =
-            ResidentScorer::prepare(left, right, function, config.k, frame, &config.pipeline);
+            ResidentScorer::prepare(left, right, function, config.k, frame, &config.pipeline)
+                .map_err(|e| {
+                    StoreError::Format(format!("collections do not fit the store: {e}"))
+                })?;
+        let csr = mapped.to_csr();
         for &id in csr.dead_left() {
             scorer.mark_deleted(Side::Left, id);
         }
@@ -246,14 +250,7 @@ impl ErService {
     /// `profile.id` must be the side's next append id — the id the
     /// service hands out via [`next_id`](Self::next_id).
     pub fn insert(&mut self, side: Side, profile: &EntityProfile) -> Result<RowDelta> {
-        let expected = self.next_id(side);
-        if profile.id != expected {
-            return Err(CoreError::DeltaIdMismatch {
-                expected,
-                got: profile.id,
-            });
-        }
-        let delta = self.scorer.score_insert(side, profile);
+        let delta = self.scorer.score_insert(side, profile)?;
         self.csr.apply(&delta)?;
         self.matcher.apply_delta(&delta);
         // The resident graph moved past the backing file.
@@ -440,6 +437,7 @@ impl ErService {
 mod tests {
     use super::*;
     use er_datasets::{Dataset, DatasetId};
+    use er_pipeline::{build_graph_topk_framed, CandidateMode};
     use er_textsim::{NGramScheme, VectorMeasure};
 
     fn service() -> (ErService, Dataset) {
@@ -606,6 +604,35 @@ mod tests {
             er_pipeline::NormFrame::degenerate(),
             cfg,
         );
+        assert!(matches!(err, Err(er_core::StoreError::Format(_))));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn load_mapped_rejects_non_positional_ids() {
+        let d = Dataset::generate(DatasetId::D1, 0.02, 11);
+        let f = SimilarityFunction::SchemaAgnosticVector {
+            scheme: NGramScheme::Token(1),
+            measure: VectorMeasure::CosineTfIdf,
+        };
+        let cfg = ServiceConfig::default();
+        let (graph, _, frame) = build_graph_topk_framed(
+            &d.left,
+            &d.right,
+            &f,
+            cfg.k,
+            CandidateMode::Indexed,
+            &cfg.pipeline,
+        );
+        let dir = scratch_dir();
+        let path = dir.join("shifted.slab");
+        er_core::write_csr(&CsrGraph::from_graph(&graph), &path).unwrap();
+        // The right shape, but every left id shifted off its position.
+        let mut shifted = d.left.clone();
+        for p in &mut shifted.profiles {
+            p.id += 1;
+        }
+        let err = ErService::load_mapped(&path, &shifted, &d.right, &f, frame, cfg);
         assert!(matches!(err, Err(er_core::StoreError::Format(_))));
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -26,7 +26,7 @@
 /// // "cab" and "bad" share {a, b}.
 /// assert_eq!(sorted_common_count(t.bag(0), t.bag(1)), 2);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct CharTable {
     /// Scalar values of every entry, concatenated.
     codes: Vec<u32>,
@@ -57,6 +57,25 @@ impl CharTable {
             bags,
             offsets,
         }
+    }
+
+    /// Intern one more value as entry [`len`](Self::len) — how a
+    /// resident table grows with inserted records.
+    ///
+    /// ```
+    /// # use er_textsim::CharTable;
+    /// let mut t = CharTable::build(["ab"]);
+    /// t.push("cba");
+    /// assert_eq!(t.len(), 2);
+    /// assert_eq!(t.bag(1), &"abc".chars().map(u32::from).collect::<Vec<_>>()[..]);
+    /// ```
+    pub fn push(&mut self, value: &str) {
+        let start = self.codes.len();
+        self.codes.extend(value.chars().map(u32::from));
+        let end = u32::try_from(self.codes.len()).expect("char table exceeds u32 offsets");
+        self.bags.extend_from_slice(&self.codes[start..]);
+        self.bags[start..].sort_unstable();
+        self.offsets.push(end);
     }
 
     /// Number of interned values.
@@ -143,6 +162,20 @@ mod tests {
             let mut sorted = expect;
             sorted.sort_unstable();
             assert_eq!(t.bag(i), &sorted[..], "bag {i}");
+        }
+    }
+
+    #[test]
+    fn pushed_entries_equal_built_ones() {
+        let values = ["hello", "", "漢字テスト", "aba"];
+        let mut t = CharTable::build(values[..1].iter().copied());
+        for v in &values[1..] {
+            t.push(v);
+        }
+        let built = CharTable::build(values);
+        for i in 0..values.len() {
+            assert_eq!(t.codes(i), built.codes(i), "entry {i}");
+            assert_eq!(t.bag(i), built.bag(i), "bag {i}");
         }
     }
 
