@@ -9,7 +9,6 @@
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use crossbeam::thread;
 use parking_lot::Mutex;
 
 use er_core::{GraphStats, ThresholdGrid, WeightSeparation};
@@ -214,9 +213,9 @@ fn evaluate_dataset(
         bmc_basis: Basis::Left,
     };
 
-    thread::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..workers {
-            s.spawn(|_| loop {
+            s.spawn(|| loop {
                 let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 if idx >= n {
                     break;
@@ -270,8 +269,7 @@ fn evaluate_dataset(
                 slots.lock()[idx] = Some(Some((function, wt, stats, sweeps, timings)));
             });
         }
-    })
-    .expect("evaluation worker panicked");
+    });
 
     let mut dropped = 0usize;
     let evaluated: Vec<Evaluated> = slots

@@ -12,9 +12,6 @@ pub mod fig6;
 pub mod fig9;
 pub mod nemenyi_figs;
 pub mod oracle;
-pub mod scalability;
-pub mod scaling;
-pub mod service_load;
 pub mod table1;
 pub mod table2;
 pub mod table3;

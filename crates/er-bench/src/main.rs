@@ -11,12 +11,6 @@
 //!   dirty            extension: Dirty ER baselines vs UMC on merged sources
 //!   blocking         extension: the blocking stack vs the unblocked protocol
 //!   transfer         extension: threshold transfer across algorithms
-//!   scalability      extension: top-k pruned construction, corpus size × k
-//!                    (--quick runs the smoke configuration)
-//!   scaling          extension: lane-kernel throughput + thread-scaling
-//!                    portrait with bit-identity asserts (--quick = smoke)
-//!   service          extension: resident ErService load test + incremental
-//!                    UMC vs full re-match (--quick runs the smoke configuration)
 //!   export           write the generated datasets as TSV under --out
 //!   all              everything, written under --out
 //!
@@ -29,12 +23,16 @@
 //!   --out <dir>      output directory (default target/repro)
 //!   --datasets D1,D4 restrict to specific datasets
 //! ```
+//!
+//! Time efficiency beyond the paper's per-algorithm run-times (construction,
+//! sweeps, out-of-core builds, the resident service) is measured by the
+//! repository benchmark, `perfbench/`, not here.
 
 use std::path::PathBuf;
 
 use er_bench::context::{load_or_run, ReproConfig};
 use er_bench::experiments::{self, Metric};
-use er_bench::records::{BenchData, RunData};
+use er_bench::records::RunData;
 use er_datasets::DatasetId;
 
 fn main() {
@@ -42,9 +40,7 @@ fn main() {
     if args.is_empty() {
         eprintln!("usage: repro [--scale f] [--seed n] [--reps n] [--quick] [--fresh] [--out dir] [--datasets D1,D2] <command>...");
         eprintln!("commands: table1..table9, fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10,");
-        eprintln!(
-            "          conclusions oracle dirty blocking scalability scaling service transfer export, all"
-        );
+        eprintln!("          conclusions oracle dirty blocking transfer export, all");
         std::process::exit(2);
     }
 
@@ -54,7 +50,6 @@ fn main() {
     };
     let mut out_dir = PathBuf::from("target/repro");
     let mut fresh = false;
-    let mut quick = false;
     let mut commands: Vec<String> = Vec::new();
 
     let mut it = args.into_iter();
@@ -66,7 +61,6 @@ fn main() {
             "--quick" => {
                 cfg.scale = 0.015;
                 cfg.timing_reps = 2;
-                quick = true;
             }
             "--fresh" => fresh = true,
             "--out" => out_dir = PathBuf::from(expect(it.next(), "--out")),
@@ -114,14 +108,7 @@ fn main() {
     let needs_data = commands.iter().any(|c| {
         !matches!(
             c.as_str(),
-            "table1"
-                | "fig6"
-                | "oracle"
-                | "dirty"
-                | "blocking"
-                | "scalability"
-                | "scaling"
-                | "service"
+            "table1" | "fig6" | "oracle" | "dirty" | "blocking"
         )
     });
     let data = if needs_data {
@@ -138,27 +125,18 @@ fn main() {
 
     std::fs::create_dir_all(&out_dir).expect("create output directory");
     for cmd in expanded {
-        let (output, bench) = run_command(&cmd, data.as_ref(), quick);
+        let output = run_command(&cmd, data.as_ref());
         println!("{output}");
         let path = out_dir.join(format!("{cmd}.txt"));
         std::fs::write(&path, &output).expect("write experiment output");
         eprintln!("[repro] wrote {}", path.display());
-        // The measurement experiments also emit a versioned
-        // machine-readable record next to the rendered table, so
-        // baselines can be diffed by tooling instead of by eye.
-        if let Some(bench) = bench {
-            let json = serde_json::to_string(&bench).expect("serialize bench record");
-            let path = out_dir.join(format!("BENCH_{cmd}.json"));
-            std::fs::write(&path, json).expect("write bench record");
-            eprintln!("[repro] wrote {}", path.display());
-        }
     }
 }
 
 /// What `all` expands to, in the paper's presentation order. This is the
 /// single roster of dispatchable commands: the upfront typo check accepts
 /// exactly these plus the meta commands `export` and `all`.
-const ALL_EXPANSION: [&str; 26] = [
+const ALL_EXPANSION: [&str; 23] = [
     "table1",
     "table2",
     "table3",
@@ -180,9 +158,6 @@ const ALL_EXPANSION: [&str; 26] = [
     "oracle",
     "dirty",
     "blocking",
-    "scalability",
-    "scaling",
-    "service",
     "conclusions",
     "transfer",
 ];
@@ -191,21 +166,11 @@ fn is_known_command(cmd: &str) -> bool {
     cmd == "export" || cmd == "all" || ALL_EXPANSION.contains(&cmd)
 }
 
-/// Run one command. The measurement experiments (`scalability`,
-/// `scaling`, `service`) also return a [`BenchData`] record for
-/// `BENCH_<cmd>.json`; the paper tables/figures return only text.
-fn run_command(cmd: &str, data: Option<&RunData>, quick: bool) -> (String, Option<BenchData>) {
+/// Run one command and return its rendered text.
+fn run_command(cmd: &str, data: Option<&RunData>) -> String {
     let data =
         |name: &str| -> &RunData { data.unwrap_or_else(|| die(&format!("{name} needs run data"))) };
-    if let Some((out, bench)) = match cmd {
-        "scalability" => Some(experiments::scalability::run(17, quick)),
-        "scaling" => Some(experiments::scaling::run(17, quick)),
-        "service" => Some(experiments::service_load::run(17, quick)),
-        _ => None,
-    } {
-        return (out, Some(bench));
-    }
-    let out = match cmd {
+    match cmd {
         "table1" => experiments::table1::render(),
         "table2" => experiments::table2::render(data("table2")),
         "table3" => experiments::table3::render(data("table3")),
@@ -230,8 +195,7 @@ fn run_command(cmd: &str, data: Option<&RunData>, quick: bool) -> (String, Optio
         "conclusions" => experiments::conclusions::render(data("conclusions")),
         "transfer" => experiments::transfer::render(data("transfer")),
         other => die(&format!("unknown command {other}")),
-    };
-    (out, None)
+    }
 }
 
 fn parse<T: std::str::FromStr>(v: Option<String>, flag: &str) -> T {

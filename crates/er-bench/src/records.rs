@@ -94,74 +94,6 @@ pub struct RunData {
     pub cleaning: CleaningSummary,
 }
 
-/// Version stamp of the serialized [`BenchData`] layout — the
-/// machine-readable side-car the measurement experiments (`scalability`,
-/// `scaling`, `service`) write next to their rendered tables. Bump on
-/// any shape **or meaning** change, exactly like [`RUN_DATA_VERSION`]:
-/// downstream tooling keys regression comparisons on this stamp.
-pub const BENCH_DATA_VERSION: u32 = 1;
-
-/// One named measurement of a bench experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct BenchMetric {
-    /// Stable metric name (`snake_case`, prefixed by the portrait it
-    /// came from, e.g. `ooc_sweep_native_ms`).
-    pub name: String,
-    /// The measured value.
-    pub value: f64,
-    /// Unit of `value` (`ms`, `us`, `edges`, `x`, `ratio`, …).
-    pub unit: String,
-}
-
-/// The machine-readable record of one measurement experiment — written
-/// as `BENCH_<experiment>.json` alongside the rendered `.txt` table so
-/// baselines (docs/BENCH_BASELINE.md) can be diffed by tooling instead
-/// of by eye.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct BenchData {
-    /// Layout version; see [`BENCH_DATA_VERSION`].
-    pub format_version: u32,
-    /// The experiment command that produced this record.
-    pub experiment: String,
-    /// Whether the smoke (`--quick`) configuration ran.
-    pub quick: bool,
-    /// Generation seed the measured datasets used.
-    pub seed: u64,
-    /// The measurements, in table order.
-    pub metrics: Vec<BenchMetric>,
-}
-
-impl BenchData {
-    /// An empty record for `experiment`, stamped with the current layout
-    /// version.
-    pub fn new(experiment: &str, seed: u64, quick: bool) -> Self {
-        BenchData {
-            format_version: BENCH_DATA_VERSION,
-            experiment: experiment.to_string(),
-            quick,
-            seed,
-            metrics: Vec::new(),
-        }
-    }
-
-    /// Append one measurement.
-    pub fn push(&mut self, name: impl Into<String>, value: f64, unit: &str) {
-        self.metrics.push(BenchMetric {
-            name: name.into(),
-            value,
-            unit: unit.to_string(),
-        });
-    }
-
-    /// Look a metric up by name.
-    pub fn get(&self, name: &str) -> Option<f64> {
-        self.metrics
-            .iter()
-            .find(|m| m.name == name)
-            .map(|m| m.value)
-    }
-}
-
 impl RunData {
     /// Records of one dataset.
     pub fn of_dataset<'a>(&'a self, label: &'a str) -> impl Iterator<Item = &'a GraphRecord> {
@@ -269,21 +201,5 @@ mod tests {
         let back: RunData = serde_json::from_str(&json).unwrap();
         assert_eq!(back.n_graphs(), rd.n_graphs());
         assert_eq!(back.records[1].function, rd.records[1].function);
-    }
-
-    #[test]
-    fn benchdata_round_trips_through_json() {
-        let mut bd = BenchData::new("scalability", 17, true);
-        bd.push("ooc_sweep_native_ms", 12.5, "ms");
-        bd.push("ooc_sweep_speedup", 3.0, "x");
-        let json = serde_json::to_string(&bd).unwrap();
-        let back: BenchData = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.format_version, BENCH_DATA_VERSION);
-        assert_eq!(back.experiment, "scalability");
-        assert!(back.quick);
-        assert_eq!(back.get("ooc_sweep_native_ms"), Some(12.5));
-        assert_eq!(back.get("missing"), None);
-        // Old caches without the stamp are rejected by serde itself.
-        assert!(serde_json::from_str::<BenchData>(r#"{"experiment":"x"}"#).is_err());
     }
 }

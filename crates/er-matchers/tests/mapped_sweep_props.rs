@@ -120,6 +120,15 @@ proptest! {
                 );
             }
         }
+        // Invariant 2 after a sweep: UMC consumes only the weight-descending
+        // prefix, so a full sweep over a fresh mapped prepare still holds
+        // no edge copy.
+        let pg_umc = PreparedGraph::from_mapped(&m2);
+        let mut sw_umc = cfg.sweeper(AlgorithmKind::Umc);
+        for t in grid.values_desc() {
+            sw_umc.step(&pg_umc, t);
+        }
+        prop_assert_eq!(pg_umc.resident_edge_copies(), 0, "the UMC sweep copied edges");
         std::fs::remove_file(&v2).ok();
         std::fs::remove_file(&v1).ok();
     }

@@ -27,10 +27,17 @@
 //!    screens, multi-text Myers, lane-parallel dense kernels, WMD row
 //!    tables filled by the interleaved block kernel) builds
 //!    bit-identical top-k graphs to `KernelMode::Scalar` for every
-//!    bounded scorer, across both candidate modes and `threads ∈ {1, 4}`.
+//!    bounded scorer, across both candidate modes and `threads ∈ {1, 4}`;
+//! 8. **the threads × kernel surface is flat in the bits on a realistic
+//!    corpus** (fixed seed): on the generated movies linkage (D7 at scale
+//!    0.05), every `threads ∈ {1, 2, 4}` × `KernelMode` cell of an indexed
+//!    Levenshtein and an enumerated cosine top-3 build equals the serial
+//!    scalar build, which itself equals dense-then-prune. Sweeps over a
+//!    graph are thread-count invariant by `er-eval/tests/proptests.rs`
+//!    (2 and 4 workers against the naive per-threshold re-run).
 
 use er_core::{FxHashSet, SimilarityGraph};
-use er_datasets::{EntityCollection, EntityProfile};
+use er_datasets::{Dataset, DatasetId, EntityCollection, EntityProfile};
 use er_embed::{EmbeddingModel, SemanticMeasure};
 use er_pipeline::blocking::{restrict_graph, token_blocking};
 use er_pipeline::{
@@ -417,6 +424,62 @@ proptest! {
         for (a, b) in built.sorted.all().iter().zip(reference.all()) {
             prop_assert_eq!((a.left, a.right), (b.left, b.right));
             prop_assert_eq!(a.weight.to_bits(), b.weight.to_bits());
+        }
+    }
+}
+
+/// Invariant 8. The cosine build runs enumerated on purpose: the indexed
+/// prefix-filter walk stays scalar under `KernelMode::Lanes`, so
+/// enumerated candidates are where the weighted-postings lane
+/// accumulator engages.
+#[test]
+fn threads_and_kernels_are_bit_identical_on_a_generated_corpus() {
+    let dataset = Dataset::generate(DatasetId::D7, 0.05, 17);
+    let (left, right) = (&dataset.left, &dataset.right);
+    let k = 3;
+    let builds = [
+        (
+            SimilarityFunction::SchemaBasedSyntactic {
+                attribute: "name".into(),
+                measure: SchemaBasedMeasure::Char(CharMeasure::Levenshtein),
+            },
+            CandidateMode::Indexed,
+        ),
+        (
+            SimilarityFunction::SchemaAgnosticVector {
+                scheme: NGramScheme::Token(1),
+                measure: VectorMeasure::CosineTfIdf,
+            },
+            CandidateMode::Enumerated,
+        ),
+    ];
+    let cfg = |threads, kernel_mode| PipelineConfig {
+        threads,
+        kernel_mode,
+        ..PipelineConfig::default()
+    };
+    for (function, mode) in &builds {
+        let (reference, _) =
+            build_graph_topk_mode(left, right, function, k, *mode, &cfg(1, KernelMode::Scalar));
+        let dense = build_graph_over(left, right, function, &cfg(1, KernelMode::Scalar));
+        assert_bit_identical(
+            &dense.pruned_top_k(k),
+            &reference,
+            &format!("{} dense-then-prune on D7", function.name()),
+        );
+        for threads in [1, 2, 4] {
+            for kernel in [KernelMode::Scalar, KernelMode::Lanes] {
+                let (g, _) =
+                    build_graph_topk_mode(left, right, function, k, *mode, &cfg(threads, kernel));
+                assert_bit_identical(
+                    &reference,
+                    &g,
+                    &format!(
+                        "{} {mode:?} threads={threads} kernel={kernel:?} on D7",
+                        function.name()
+                    ),
+                );
+            }
         }
     }
 }

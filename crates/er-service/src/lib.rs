@@ -29,8 +29,9 @@
 //! number of updates returns exactly what the batch protocol would.
 //!
 //! The service itself is single-writer plain Rust (`&mut self` on
-//! updates, `&self` on every query); concurrent deployments wrap it in a reader-writer lock, as
-//! the load harness in `er-bench` does. See `DESIGN.md` §17 for the
+//! updates, `&self` on every query); concurrent deployments wrap it in a
+//! reader-writer lock, as `tests/service_props.rs` and the benchmark's
+//! `serve-mixed` workload do. See `DESIGN.md` §17 for the
 //! drift contract inherited from the resident scorer (frozen statistics,
 //! right-insert admission, tombstone residue) and when to
 //! [`ErService::load`] a fresh instance.

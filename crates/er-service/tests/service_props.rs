@@ -1,7 +1,8 @@
 //! Property tests for [`er_service::ErService`]: under arbitrary
 //! insert/delete traffic the incrementally-maintained matching stays
 //! equal to a from-scratch re-match on the resident store, and the point
-//! queries stay consistent with the store.
+//! queries stay consistent with the store. One fixed case runs the same
+//! traffic from several threads at once through a `RwLock`.
 
 use er_core::{total_cmp_desc, Side};
 use er_matchers::AlgorithmKind;
@@ -147,5 +148,97 @@ proptest! {
                 assert_point_queries(&s)?;
             }
         }
+    }
+}
+
+/// Readers and a writer share one service behind a `std::sync::RwLock`.
+/// The writer applies donor-clone inserts and removes; after each update
+/// two reader threads issue `neighbors` on both sides and `match_of`
+/// through `&self` at the same time. So after every write they race to
+/// rebuild BAH's cached assignment and the store's lazy column index.
+/// Every read sees a consistent snapshot (a match is mutual, a neighbor
+/// edge is live at both ends), and the traffic ends on the full
+/// re-match.
+#[test]
+fn concurrent_traffic_matches_full_rematch() {
+    use std::sync::mpsc::channel;
+    use std::sync::RwLock;
+
+    const UPDATES: u32 = 40;
+    const READS_PER_ROUND: u32 = 10;
+    for kind in [AlgorithmKind::Umc, AlgorithmKind::Bah] {
+        let svc = RwLock::new(boot(kind, 0.3));
+        // Lock-step rounds over channels force the interleaving: the
+        // writer applies one update, then waits until both readers have
+        // queried. A thread that panics disconnects its channels, which
+        // ends the others instead of leaving them blocked.
+        std::thread::scope(|scope| {
+            let mut rounds = Vec::new();
+            let mut dones = Vec::new();
+            for reader in 0..2u32 {
+                let (round_tx, round_rx) = channel::<u32>();
+                let (done_tx, done_rx) = channel::<()>();
+                rounds.push(round_tx);
+                dones.push(done_rx);
+                let svc = &svc;
+                scope.spawn(move || {
+                    while let Ok(round) = round_rx.recv() {
+                        for i in 0..READS_PER_ROUND {
+                            let s = svc.read().unwrap();
+                            let side = if (i + reader) % 2 == 0 {
+                                Side::Left
+                            } else {
+                                Side::Right
+                            };
+                            let n = match side {
+                                Side::Left => s.n_left(),
+                                Side::Right => s.n_right(),
+                            };
+                            let id = (round * 31 + i * 7 + reader * 13) % n.max(1);
+                            for (other, _) in s.neighbors(side, id) {
+                                assert!(
+                                    s.is_live(side.opposite(), other),
+                                    "{kind}: neighbor {other} of {side:?} {id} is tombstoned"
+                                );
+                            }
+                            if let Some(partner) = s.match_of(side, id) {
+                                assert_eq!(
+                                    s.match_of(side.opposite(), partner),
+                                    Some(id),
+                                    "{kind}: match of {side:?} {id} is not mutual"
+                                );
+                            }
+                        }
+                        if done_tx.send(()).is_err() {
+                            break;
+                        }
+                    }
+                });
+            }
+            let svc = &svc;
+            scope.spawn(move || {
+                for round in 0..=UPDATES {
+                    if round > 0 {
+                        let i = round - 1;
+                        step(
+                            &mut svc.write().unwrap(),
+                            (i % 8) as u8,
+                            (i * 37 % 512) as u16,
+                        );
+                    }
+                    if rounds.iter().any(|tx| tx.send(round).is_err())
+                        || dones.iter().any(|rx| rx.recv().is_err())
+                    {
+                        return;
+                    }
+                }
+            });
+        });
+        let s = svc.into_inner().unwrap();
+        assert_eq!(
+            s.matching(),
+            s.full_rematch(),
+            "{kind}: service diverged from the full re-match after concurrent traffic"
+        );
     }
 }
