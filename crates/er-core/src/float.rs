@@ -7,6 +7,8 @@
 
 use std::cmp::Ordering;
 
+use crate::graph::Edge;
+
 /// An `f64` with a total order (via `f64::total_cmp`), usable as a key in
 /// sorts, heaps and B-tree maps.
 ///
@@ -54,11 +56,39 @@ pub fn total_cmp_desc(a: &f64, b: &f64) -> Ordering {
 ///
 /// This is the tie-break rule used throughout the workspace (see DESIGN.md §6)
 /// so that every algorithm except the stochastic BAH is fully deterministic.
+/// Bulk sorts use the equivalent packed key [`edge_sort_key`] instead.
 #[inline]
 pub fn edge_key_desc(a: (f64, u32, u32), b: (f64, u32, u32)) -> Ordering {
     b.0.total_cmp(&a.0)
         .then_with(|| a.1.cmp(&b.1))
         .then_with(|| a.2.cmp(&b.2))
+}
+
+/// [`edge_key_desc`] packed into one integer: comparing two keys as
+/// unsigned integers orders their edges exactly as `edge_key_desc` does,
+/// `-0.0`/`0.0` included.
+///
+/// The high 64 bits are the weight's bits mapped so that unsigned order
+/// is `f64::total_cmp` order, then inverted (weight descending); below
+/// them sit `left` and `right`. The key is lossless, so two edges with
+/// equal keys are identical and every correct sort of a list yields the
+/// same output.
+///
+/// ```
+/// use er_core::{float::edge_sort_key, Edge};
+///
+/// let heavy = Edge::new(7, 7, 0.9);
+/// let light = Edge::new(0, 0, 0.1);
+/// assert!(edge_sort_key(&heavy) < edge_sort_key(&light));
+/// assert!(edge_sort_key(&Edge::new(0, 1, 0.5)) < edge_sort_key(&Edge::new(1, 0, 0.5)));
+/// ```
+#[inline]
+pub fn edge_sort_key(e: &Edge) -> u128 {
+    let bits = e.weight.to_bits();
+    // Negative: flip every bit; non-negative: flip the sign bit. Unsigned
+    // order is then `total_cmp` order, and `!` makes it descending.
+    let ascending = bits ^ (((bits as i64) >> 63) as u64 | 1 << 63);
+    (u128::from(!ascending) << 64) | (u128::from(e.left) << 32) | u128::from(e.right)
 }
 
 #[cfg(test)]
@@ -93,6 +123,44 @@ mod tests {
             "lower right id should come first"
         );
         assert_eq!(edge_key_desc((0.9, 5, 5), (0.1, 0, 0)), Ordering::Less);
+    }
+
+    #[test]
+    fn sort_key_order_is_edge_key_desc() {
+        let weights = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MIN_POSITIVE / 2.0,
+            0.25,
+            0.5,
+            1.0 - f64::EPSILON,
+            1.0,
+            -1.0,
+            f64::MAX,
+        ];
+        let ids = [0, 1, u32::MAX];
+        let mut edges = Vec::new();
+        for &w in &weights {
+            for &l in &ids {
+                for &r in &ids {
+                    edges.push(Edge::new(l, r, w));
+                }
+            }
+        }
+        for a in &edges {
+            for b in &edges {
+                assert_eq!(
+                    edge_sort_key(a).cmp(&edge_sort_key(b)),
+                    edge_key_desc((a.weight, a.left, a.right), (b.weight, b.left, b.right)),
+                    "{a:?} vs {b:?}"
+                );
+            }
+        }
+        // Distinct weight bits never share a key: the sign of zero counts.
+        assert!(edge_sort_key(&Edge::new(0, 0, 0.0)) < edge_sort_key(&Edge::new(0, 0, -0.0)));
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! `left` indexes the first clean collection `V1`, `right` indexes the second
 //! clean collection `V2`, and `weight ∈ [0, 1]` is the similarity score.
 //!
-//! Matching algorithms never mutate the graph; they consume an [`Adjacency`]
-//! view (per-node neighbor lists sorted by descending weight) plus the raw
-//! edge list, both built once per graph. For memory-bounded storage and
+//! Matching algorithms never mutate the graph; they consume the
+//! [`SortedEdges`] view (all edges, weight descending, sorted once per
+//! graph) and an [`Adjacency`] view (per-node neighbor lists in the same
+//! order) scattered from it. For memory-bounded storage and
 //! `O(log d)` pair lookups see [`CsrGraph`](crate::CsrGraph); for bounded
 //! per-row construction see [`TopKBuilder`](crate::TopKBuilder).
 
@@ -351,7 +352,7 @@ impl SimilarityGraph {
     /// assert_eq!(b.build().adjacency().left(0)[0].node, 1);
     /// ```
     pub fn adjacency(&self) -> Adjacency {
-        Adjacency::build(self)
+        Adjacency::from_sorted(self.n_left, self.n_right, self.sorted_edges().all())
     }
 
     /// Build the weight-descending sorted edge view (see [`SortedEdges`]).
@@ -417,18 +418,21 @@ impl SortedEdges {
     /// Sort an owned edge list — the store-agnostic entry used to index a
     /// [`CsrGraph`](crate::CsrGraph) (or any other edge source) without
     /// materializing a `SimilarityGraph` first. Equivalent to
-    /// [`build`](Self::build) on a graph holding the same edges: the sort
-    /// key is a total order, so the result is independent of input order.
+    /// [`build`](Self::build) on a graph holding the same edges.
+    ///
+    /// One unstable sort on the packed [`edge_sort_key`]. The key is
+    /// lossless, so edges with equal keys are identical and the output
+    /// does not depend on the input order.
     ///
     /// ```
     /// # use er_core::{Edge, SortedEdges};
     /// let s = SortedEdges::from_edges(vec![Edge::new(0, 0, 0.2), Edge::new(1, 1, 0.9)]);
     /// assert_eq!(s.all()[0].weight, 0.9);
     /// ```
+    ///
+    /// [`edge_sort_key`]: crate::float::edge_sort_key
     pub fn from_edges(mut edges: Vec<Edge>) -> Self {
-        edges.sort_by(|a, b| {
-            crate::float::edge_key_desc((a.weight, a.left, a.right), (b.weight, b.left, b.right))
-        });
+        edges.sort_unstable_by_key(crate::float::edge_sort_key);
         SortedEdges { edges }
     }
 
@@ -709,29 +713,70 @@ pub struct Adjacency {
     right_neighbors: Vec<Neighbor>,
 }
 
-impl Adjacency {
-    fn build(g: &SimilarityGraph) -> Self {
-        Self::from_edges(g.n_left, g.n_right, g.edges())
+/// One side of [`Adjacency::from_sorted`]: CSR offsets by `key(e).0`,
+/// then each edge appended to its node's slice in input order.
+fn scatter_side(
+    n: usize,
+    sorted: &[Edge],
+    key: impl Fn(&Edge) -> (u32, u32),
+) -> (Vec<u32>, Vec<Neighbor>) {
+    let mut offsets = vec![0u32; n + 1];
+    for e in sorted {
+        offsets[key(e).0 as usize + 1] += 1;
     }
+    for i in 1..offsets.len() {
+        offsets[i] += offsets[i - 1];
+    }
+    let mut cursor = offsets[..n].to_vec();
+    let mut neighbors = vec![
+        Neighbor {
+            node: 0,
+            weight: 0.0
+        };
+        sorted.len()
+    ];
+    for e in sorted {
+        let (from, to) = key(e);
+        let slot = &mut cursor[from as usize];
+        neighbors[*slot as usize] = Neighbor {
+            node: to,
+            weight: e.weight,
+        };
+        *slot += 1;
+    }
+    (offsets, neighbors)
+}
 
-    /// Build the adjacency view directly from an edge list with explicit
-    /// dimensions — the store-agnostic entry used to index a
-    /// [`CsrGraph`](crate::CsrGraph) without materializing a
-    /// `SimilarityGraph` first. Equivalent to `g.adjacency()` for a graph
-    /// holding the same edges in **any** order: each node's slice is
-    /// re-sorted by the deterministic (weight desc, id asc) total order.
-    /// Callers are responsible for the ids being in bounds.
+impl Adjacency {
+    /// Derive the adjacency from a weight-descending sorted edge list
+    /// (the [`SortedEdges`] order) with explicit dimensions — the one
+    /// adjacency builder, used for every edge store.
+    ///
+    /// A stable counting scatter, `O(n + m)`, with no per-node sort: a
+    /// left row receives its edges in sorted order, i.e. (weight desc,
+    /// right asc), and a right column receives them in (weight desc, left
+    /// asc). `sorted` must be in that order (debug builds check it) and
+    /// its ids in bounds.
     ///
     /// ```
-    /// # use er_core::{Adjacency, Edge};
-    /// let adj = Adjacency::from_edges(2, 2, &[Edge::new(1, 0, 0.8)]);
-    /// assert_eq!(adj.right(0)[0].node, 1);
+    /// # use er_core::{Adjacency, Edge, SortedEdges};
+    /// let sorted = SortedEdges::from_edges(vec![Edge::new(1, 0, 0.8), Edge::new(0, 0, 0.9)]);
+    /// let adj = Adjacency::from_sorted(2, 2, sorted.all());
+    /// assert_eq!(adj.right(0)[0].node, 0, "heaviest first");
+    /// assert_eq!(adj.left(1)[0].node, 0);
     /// ```
-    pub fn from_edges(n_left: u32, n_right: u32, edges: &[Edge]) -> Self {
+    pub fn from_sorted(n_left: u32, n_right: u32, sorted: &[Edge]) -> Self {
+        use crate::float::edge_sort_key;
+        debug_assert!(
+            sorted
+                .windows(2)
+                .all(|w| edge_sort_key(&w[0]) < edge_sort_key(&w[1])),
+            "adjacency input must be strictly in edge_sort_key order"
+        );
         let (left_offsets, left_neighbors) =
-            Self::build_side(n_left as usize, edges, |e| (e.left, e.right));
+            scatter_side(n_left as usize, sorted, |e| (e.left, e.right));
         let (right_offsets, right_neighbors) =
-            Self::build_side(n_right as usize, edges, |e| (e.right, e.left));
+            scatter_side(n_right as usize, sorted, |e| (e.right, e.left));
         Adjacency {
             left_offsets,
             left_neighbors,
@@ -740,55 +785,12 @@ impl Adjacency {
         }
     }
 
-    fn build_side(
-        n: usize,
-        edges: &[Edge],
-        key: impl Fn(&Edge) -> (u32, u32),
-    ) -> (Vec<u32>, Vec<Neighbor>) {
-        // Counting sort into CSR: first pass counts degrees, second scatters.
-        let mut counts = vec![0u32; n + 1];
-        for e in edges {
-            counts[key(e).0 as usize + 1] += 1;
-        }
-        for i in 1..counts.len() {
-            counts[i] += counts[i - 1];
-        }
-        let offsets = counts.clone();
-        let mut cursor = counts;
-        let mut neighbors = vec![
-            Neighbor {
-                node: 0,
-                weight: 0.0
-            };
-            edges.len()
-        ];
-        for e in edges {
-            let (from, to) = key(e);
-            let slot = cursor[from as usize] as usize;
-            neighbors[slot] = Neighbor {
-                node: to,
-                weight: e.weight,
-            };
-            cursor[from as usize] += 1;
-        }
-        // Sort each node's slice: weight desc, node id asc.
-        for i in 0..n {
-            let (s, e) = (offsets[i] as usize, offsets[i + 1] as usize);
-            neighbors[s..e].sort_by(|a, b| {
-                b.weight
-                    .total_cmp(&a.weight)
-                    .then_with(|| a.node.cmp(&b.node))
-            });
-        }
-        (offsets, neighbors)
-    }
-
     /// Total resident neighbor entries across both sides — `2 × n_edges`
     /// worth of heap footprint, used by memory accounting.
     ///
     /// ```
     /// # use er_core::{Adjacency, Edge};
-    /// let adj = Adjacency::from_edges(2, 2, &[Edge::new(1, 0, 0.8)]);
+    /// let adj = Adjacency::from_sorted(2, 2, &[Edge::new(1, 0, 0.8)]);
     /// assert_eq!(adj.n_entries(), 2);
     /// ```
     #[inline]

@@ -26,16 +26,17 @@
 //!
 //! **Contract**: feed a delta matcher exactly the deltas applied to the
 //! backing store, in the same order. Inserts must carry the side's next
-//! append id (ids are never reused); violations panic, because by then
-//! the store itself would have rejected the delta
-//! ([`CoreError::DeltaIdMismatch`](er_core::CoreError)).
+//! append id (ids are never reused). A delta the store would reject is
+//! rejected here too, as a typed [`CoreError`] — a wrong insert id as
+//! [`CoreError::DeltaIdMismatch`], an unknown id as
+//! [`CoreError::NodeOutOfBounds`] — and leaves the matcher unchanged.
 
 use std::cmp::Ordering;
 use std::sync::OnceLock;
 
 use er_core::delta::{DeltaOp, GraphDelta, RowDelta, Side};
 use er_core::float::edge_key_desc;
-use er_core::{CsrGraph, Edge, FxHashMap, Matching};
+use er_core::{CoreError, CsrGraph, Edge, FxHashMap, Matching, Result, SortedEdges};
 
 use crate::bah::{driver_key, left_drives, search, BahConfig};
 use crate::matcher::{Matcher, PreparedGraph};
@@ -59,14 +60,14 @@ pub trait DeltaMatcher: Send + Sync {
     /// The similarity threshold the assignment is maintained at.
     fn threshold(&self) -> f64;
 
-    /// Fold one row delta into the assignment.
-    fn apply_delta(&mut self, delta: &RowDelta);
+    /// Fold one row delta into the assignment. A delta that does not fit
+    /// the matcher's id space is an error and changes nothing.
+    fn apply_delta(&mut self, delta: &RowDelta) -> Result<()>;
 
-    /// Fold a batch, first to last.
-    fn apply_all(&mut self, batch: &GraphDelta) {
-        for row in batch.iter() {
-            self.apply_delta(row);
-        }
+    /// Fold a batch, first to last. **Not atomic**, like
+    /// [`CsrGraph::apply_all`]: an error leaves the rows before it applied.
+    fn apply_all(&mut self, batch: &GraphDelta) -> Result<()> {
+        batch.iter().try_for_each(|row| self.apply_delta(row))
     }
 
     /// The current assignment.
@@ -112,6 +113,40 @@ impl Solved {
 #[inline]
 fn key(l: u32, r: u32, w: f64) -> (f64, u32, u32) {
     (w, l, r)
+}
+
+/// Reject a delta that does not fit an id space of `n_left × n_right`:
+/// an insert must carry its side's next id, a delete an existing one,
+/// and every edge an existing counterpart.
+fn check_ids(delta: &RowDelta, n_left: u32, n_right: u32) -> Result<()> {
+    let (own, other, own_side, other_side) = match delta.side {
+        Side::Left => (n_left, n_right, "left", "right"),
+        Side::Right => (n_right, n_left, "right", "left"),
+    };
+    match delta.op {
+        DeltaOp::Insert if delta.id != own => {
+            return Err(CoreError::DeltaIdMismatch {
+                expected: own,
+                got: delta.id,
+            })
+        }
+        DeltaOp::Delete if delta.id >= own => {
+            return Err(CoreError::NodeOutOfBounds {
+                side: own_side,
+                id: delta.id,
+                len: own,
+            })
+        }
+        _ => {}
+    }
+    match delta.edges.iter().find(|&&(id, _)| id >= other) {
+        Some(&(id, _)) => Err(CoreError::NodeOutOfBounds {
+            side: other_side,
+            id,
+            len: other,
+        }),
+        None => Ok(()),
+    }
 }
 
 /// The key of a node's edge given the node's side.
@@ -171,25 +206,12 @@ impl UmcDelta {
             match_left: vec![None; n_left as usize],
             match_right: vec![None; n_right as usize],
         };
-        let mut window: Vec<Edge> = edges.into_iter().filter(|e| e.weight > t).collect();
-        for e in &window {
+        let window = SortedEdges::from_edges(edges.into_iter().filter(|e| e.weight > t).collect());
+        // In greedy-key order every row and column receives its edges
+        // already sorted, and the greedy fold runs in the same pass.
+        for e in window.all() {
             this.left[e.left as usize].push((e.right, e.weight));
             this.right[e.right as usize].push((e.left, e.weight));
-        }
-        for (l, row) in this.left.iter_mut().enumerate() {
-            row.sort_by(|a, b| edge_key_desc(key(l as u32, a.0, a.1), key(l as u32, b.0, b.1)));
-        }
-        for (r, col) in this.right.iter_mut().enumerate() {
-            col.sort_by(|a, b| edge_key_desc(key(a.0, r as u32, a.1), key(b.0, r as u32, b.1)));
-        }
-        // Initial greedy fold.
-        window.sort_by(|a, b| {
-            edge_key_desc(
-                key(a.left, a.right, a.weight),
-                key(b.left, b.right, b.weight),
-            )
-        });
-        for e in &window {
             if this.match_left[e.left as usize].is_none()
                 && this.match_right[e.right as usize].is_none()
             {
@@ -325,23 +347,7 @@ impl UmcDelta {
     }
 
     fn insert_node(&mut self, side: Side, id: u32, edges: &[(u32, f64)]) {
-        let (own, other_len) = match side {
-            Side::Left => (&mut self.left, self.right.len() as u32),
-            Side::Right => (&mut self.right, self.left.len() as u32),
-        };
-        assert_eq!(
-            id as usize,
-            own.len(),
-            "delta insert must carry the next append id"
-        );
-        let mut row: Vec<(u32, f64)> = edges
-            .iter()
-            .copied()
-            .filter(|&(other, w)| {
-                assert!(other < other_len, "edge references unknown counterpart");
-                w > self.t
-            })
-            .collect();
+        let mut row: Vec<(u32, f64)> = edges.iter().copied().filter(|&(_, w)| w > self.t).collect();
         row.sort_by(|a, b| edge_key_desc(ekey(side, id, a.0, a.1), ekey(side, id, b.0, b.1)));
         match side {
             Side::Left => {
@@ -390,11 +396,13 @@ impl DeltaMatcher for UmcDelta {
         self.t
     }
 
-    fn apply_delta(&mut self, delta: &RowDelta) {
+    fn apply_delta(&mut self, delta: &RowDelta) -> Result<()> {
+        check_ids(delta, self.left.len() as u32, self.right.len() as u32)?;
         match delta.op {
             DeltaOp::Insert => self.insert_node(delta.side, delta.id, &delta.edges),
             DeltaOp::Delete => self.delete_node(delta.side, delta.id),
         }
+        Ok(())
     }
 
     fn matching(&self) -> Matching {
@@ -491,19 +499,14 @@ impl DeltaMatcher for BahDelta {
         self.t
     }
 
-    fn apply_delta(&mut self, delta: &RowDelta) {
+    fn apply_delta(&mut self, delta: &RowDelta) -> Result<()> {
+        check_ids(delta, self.n_left, self.n_right)?;
         let was = left_drives(self.n_left, self.n_right);
         match delta.op {
             DeltaOp::Insert => {
                 match delta.side {
-                    Side::Left => {
-                        assert_eq!(delta.id, self.n_left, "insert must carry the next id");
-                        self.n_left += 1;
-                    }
-                    Side::Right => {
-                        assert_eq!(delta.id, self.n_right, "insert must carry the next id");
-                        self.n_right += 1;
-                    }
+                    Side::Left => self.n_left += 1,
+                    Side::Right => self.n_right += 1,
                 }
                 self.rekey_if_flipped(was);
                 let ld = left_drives(self.n_left, self.n_right);
@@ -522,7 +525,7 @@ impl DeltaMatcher for BahDelta {
                 // Dimensions are id-space sizes and ids are never reused,
                 // so deletes leave them (and the orientation) unchanged.
                 if !delta.touches_above(self.t) {
-                    return; // Map untouched: the cached search stands.
+                    return Ok(()); // Map untouched: the cached search stands.
                 }
                 let ld = was;
                 for &(other, w) in &delta.edges {
@@ -537,6 +540,7 @@ impl DeltaMatcher for BahDelta {
                 self.cached.take();
             }
         }
+        Ok(())
     }
 
     fn matching(&self) -> Matching {
@@ -600,14 +604,13 @@ impl DeltaMatcher for ReplayDelta {
         self.t
     }
 
-    fn apply_delta(&mut self, delta: &RowDelta) {
+    fn apply_delta(&mut self, delta: &RowDelta) -> Result<()> {
         let graph_unchanged = delta.op == DeltaOp::Delete && delta.edges.is_empty();
-        self.csr
-            .apply(delta)
-            .expect("delta must be valid for the resident store");
+        self.csr.apply(delta)?;
         if !graph_unchanged {
             self.cached.take();
         }
+        Ok(())
     }
 
     fn matching(&self) -> Matching {
@@ -652,7 +655,7 @@ mod tests {
         // A5 (left 4) must fall back to B3 (right 2, 0.6), displacing A3.
         let edges = vec![(0, 0.95)];
         let id = csr.insert_left(&edges).unwrap();
-        dm.apply_delta(&RowDelta::insert_left(id, edges));
+        dm.apply_delta(&RowDelta::insert_left(id, edges)).unwrap();
         assert_eq!(dm.matching(), umc_reference(&csr, t));
         assert!(dm.matching().contains(5, 0), "new record wins B1");
     }
@@ -664,7 +667,7 @@ mod tests {
         let mut dm = UmcDelta::from_csr(&csr, t);
         // Delete A5 (left 4), freeing B1 for A1 (0.6).
         let removed = csr.remove_left(4).unwrap();
-        dm.apply_delta(&RowDelta::delete_left(4, removed));
+        dm.apply_delta(&RowDelta::delete_left(4, removed)).unwrap();
         assert_eq!(dm.matching(), umc_reference(&csr, t));
         assert!(dm.matching().contains(0, 0), "A1-B1 resurfaces");
     }
@@ -676,18 +679,38 @@ mod tests {
         let mut dm = UmcDelta::from_csr(&csr, t);
         let edges = vec![(1, 0.8), (0, 0.3)];
         let id = csr.insert_right(&edges).unwrap();
-        dm.apply_delta(&RowDelta::insert_right(id, edges));
+        dm.apply_delta(&RowDelta::insert_right(id, edges)).unwrap();
         assert_eq!(dm.matching(), umc_reference(&csr, t));
         let removed = csr.remove_right(1).unwrap();
-        dm.apply_delta(&RowDelta::delete_right(1, removed));
+        dm.apply_delta(&RowDelta::delete_right(1, removed)).unwrap();
         assert_eq!(dm.matching(), umc_reference(&csr, t));
     }
 
     #[test]
-    #[should_panic(expected = "next append id")]
     fn umc_rejects_wrong_insert_id() {
         let mut dm = UmcDelta::from_csr(&csr_figure1(), 0.5);
-        dm.apply_delta(&RowDelta::insert_left(99, vec![]));
+        let before = dm.matching();
+        assert_eq!(
+            dm.apply_delta(&RowDelta::insert_left(99, vec![])),
+            Err(CoreError::DeltaIdMismatch {
+                expected: 5,
+                got: 99
+            })
+        );
+        assert!(matches!(
+            dm.apply_delta(&RowDelta::insert_left(5, vec![(9, 0.9)])),
+            Err(CoreError::NodeOutOfBounds {
+                side: "right",
+                id: 9,
+                len: 4
+            })
+        ));
+        assert!(matches!(
+            dm.apply_delta(&RowDelta::delete_right(4, vec![])),
+            Err(CoreError::NodeOutOfBounds { side: "right", .. })
+        ));
+        assert_eq!(dm.matching(), before, "rejected deltas change nothing");
+        dm.apply_delta(&RowDelta::insert_left(5, vec![])).unwrap();
     }
 
     #[test]
@@ -704,10 +727,10 @@ mod tests {
         assert_eq!(dm.matching(), reference(&csr));
         let edges = vec![(0, 0.85), (3, 0.4)];
         let id = csr.insert_left(&edges).unwrap();
-        dm.apply_delta(&RowDelta::insert_left(id, edges));
+        dm.apply_delta(&RowDelta::insert_left(id, edges)).unwrap();
         assert_eq!(dm.matching(), reference(&csr));
         let removed = csr.remove_right(0).unwrap();
-        dm.apply_delta(&RowDelta::delete_right(0, removed));
+        dm.apply_delta(&RowDelta::delete_right(0, removed)).unwrap();
         assert_eq!(dm.matching(), reference(&csr));
     }
 
@@ -727,7 +750,7 @@ mod tests {
         let mut dm = BahDelta::from_csr(&csr, t, cfg);
         let edges = vec![(0, 0.95), (2, 0.2)];
         let id = csr.insert_right(&edges).unwrap();
-        dm.apply_delta(&RowDelta::insert_right(id, edges));
+        dm.apply_delta(&RowDelta::insert_right(id, edges)).unwrap();
         let reference = crate::bah::Bah { config: cfg }.run(&PreparedGraph::from_csr(&csr), t);
         assert_eq!(dm.matching(), reference);
     }
@@ -748,7 +771,7 @@ mod tests {
         // edge (3, 2, 0.3) is below nothing; it has edges, so no memo —
         // then delete an edgeless id.
         let removed = csr.remove_left(3).unwrap();
-        dm.apply_delta(&RowDelta::delete_left(3, removed));
+        dm.apply_delta(&RowDelta::delete_left(3, removed)).unwrap();
         assert_eq!(
             dm.matching(),
             crate::cnc::Cnc.run(&PreparedGraph::from_csr(&csr), t)
@@ -756,10 +779,10 @@ mod tests {
         // Insert an edgeless left record, then delete it: both keep the
         // output aligned with a fresh run.
         let id = csr.insert_left(&[]).unwrap();
-        dm.apply_delta(&RowDelta::insert_left(id, vec![]));
+        dm.apply_delta(&RowDelta::insert_left(id, vec![])).unwrap();
         let removed = csr.remove_left(id).unwrap();
         assert!(removed.is_empty());
-        dm.apply_delta(&RowDelta::delete_left(id, removed));
+        dm.apply_delta(&RowDelta::delete_left(id, removed)).unwrap();
         assert_eq!(
             dm.matching(),
             crate::cnc::Cnc.run(&PreparedGraph::from_csr(&csr), t)

@@ -197,10 +197,10 @@ impl<'a> IntoIterator for &EdgeSeq<'a> {
     }
 }
 
-/// A similarity graph bundled with its CSR adjacency **and** its
-/// weight-descending sorted edge view, built once and shared by every
-/// algorithm run (the paper times the algorithms on an already-loaded graph;
-/// view construction is part of graph loading).
+/// A similarity graph bundled with its weight-descending sorted edge
+/// view and its CSR adjacency, shared by every algorithm run (the paper
+/// times the algorithms on an already-loaded graph; view construction is
+/// part of graph loading).
 ///
 /// The sorted view turns "edges above `t`" into a prefix found by one
 /// binary search ([`PreparedGraph::edges_above`]), which is what makes
@@ -213,9 +213,12 @@ impl<'a> IntoIterator for &EdgeSeq<'a> {
 /// on-disk store ([`PreparedGraph::from_mapped`], file-backed) — the
 /// matchers and the sweep engine are oblivious to the source. For a
 /// version-2 mapped store the sorted view **is the file's sort-order
-/// column**: the prepared graph keeps zero resident edge copies, and the
-/// adjacency (which only some algorithms consume) is built lazily on
-/// first use.
+/// column**: the prepared graph keeps zero resident edge copies.
+///
+/// Whatever the store, the adjacency (which only RSR, RCA, BMC, EXC and
+/// KRC consume) is built lazily on first use by one `O(n + m)` scatter
+/// of the sorted view ([`Adjacency::from_sorted`]), so the
+/// prefix-consuming algorithms never pay for it.
 pub struct PreparedGraph<'g> {
     graph: GraphStore<'g>,
     adjacency: OnceLock<Adjacency>,
@@ -223,28 +226,23 @@ pub struct PreparedGraph<'g> {
 }
 
 impl<'g> PreparedGraph<'g> {
-    fn with_ram_views(graph: GraphStore<'g>, adjacency: Adjacency, sorted: SortedEdges) -> Self {
-        let lock = OnceLock::new();
-        let _ = lock.set(adjacency);
+    fn with_sorted(graph: GraphStore<'g>, sorted: SortedStore) -> Self {
         PreparedGraph {
             graph,
-            adjacency: lock,
-            sorted: SortedStore::Ram(sorted),
+            adjacency: OnceLock::new(),
+            sorted,
         }
     }
 
-    /// Build the adjacency and sorted-edge views for `graph`.
+    /// Sort `graph`'s edges into the weight-descending view (one packed-key
+    /// sort, see [`SortedEdges::from_edges`]).
     pub fn new(graph: &'g SimilarityGraph) -> Self {
-        Self::with_ram_views(
-            GraphStore::Graph(graph),
-            graph.adjacency(),
-            graph.sorted_edges(),
-        )
+        Self::from_sorted(graph, graph.sorted_edges())
     }
 
     /// Wrap a graph together with a sorted edge view built elsewhere —
     /// e.g. emitted by `er-pipeline`'s construction engine — skipping the
-    /// `O(m log m)` re-sort [`PreparedGraph::new`] would pay.
+    /// `O(m log m)` sort [`PreparedGraph::new`] would pay.
     ///
     /// `sorted` must be the weight-descending view of exactly `graph`'s
     /// edge set (debug builds verify the edge count and the descending
@@ -259,7 +257,7 @@ impl<'g> PreparedGraph<'g> {
             sorted.all().windows(2).all(|w| w[0].weight >= w[1].weight),
             "sorted view must descend by weight"
         );
-        Self::with_ram_views(GraphStore::Graph(graph), graph.adjacency(), sorted)
+        Self::with_sorted(GraphStore::Graph(graph), SortedStore::Ram(sorted))
     }
 
     /// Prepare a graph held in the compact CSR store **natively**: build
@@ -269,8 +267,7 @@ impl<'g> PreparedGraph<'g> {
     /// the views, so a store with pending deltas is matched as-is.
     ///
     /// The views are identical to [`PreparedGraph::new`] on the expanded
-    /// graph — the sorted view's key and the adjacency's per-node sort
-    /// are deterministic total orders, so the input edge order is
+    /// graph — the sort key is a total order, so the input edge order is
     /// irrelevant — while resident memory drops by the expanded graph's
     /// `16 B/edge` triples plus its dedup index.
     ///
@@ -288,8 +285,7 @@ impl<'g> PreparedGraph<'g> {
     /// ```
     pub fn from_csr(csr: &CsrGraph) -> PreparedGraph<'_> {
         let sorted = SortedEdges::from_edges(csr.iter().collect());
-        let adjacency = Adjacency::from_edges(csr.n_left(), csr.n_right(), sorted.all());
-        PreparedGraph::with_ram_views(GraphStore::Csr(csr), adjacency, sorted)
+        PreparedGraph::with_sorted(GraphStore::Csr(csr), SortedStore::Ram(sorted))
     }
 
     /// Prepare a **file-backed** columnar store ([`MappedCsr`]) without
@@ -305,9 +301,7 @@ impl<'g> PreparedGraph<'g> {
     /// store's in-RAM twin — the persisted column is validated at open
     /// against the same `edge_key_desc` total order the resident sort
     /// uses — so threshold sweeps over an out-of-core graph produce
-    /// bit-identical matchings. The adjacency (consumed by only some of
-    /// the algorithms) is built lazily on first use; sweeps of
-    /// prefix-consuming algorithms like UMC never pay for it.
+    /// bit-identical matchings.
     ///
     /// ```no_run
     /// use er_core::MappedCsr;
@@ -324,11 +318,7 @@ impl<'g> PreparedGraph<'g> {
         } else {
             SortedStore::Ram(SortedEdges::from_edges(mapped.iter().collect()))
         };
-        PreparedGraph {
-            graph: GraphStore::Mapped(mapped),
-            adjacency: OnceLock::new(),
-            sorted,
-        }
+        PreparedGraph::with_sorted(GraphStore::Mapped(mapped), sorted)
     }
 
     /// The backing mapped store — only called when `sorted` is
@@ -382,7 +372,11 @@ impl<'g> PreparedGraph<'g> {
 
     /// Re-derive a fresh `PreparedGraph` from the backing store, paying
     /// the full view build again — for timing harnesses that need to
-    /// measure preparation cost per run.
+    /// measure preparation cost per run. Nothing is shared with `self`:
+    /// the sorted view is re-sorted from the store (for a version-2
+    /// mapped store it is the file's column, as in
+    /// [`from_mapped`](Self::from_mapped)), and the adjacency is
+    /// re-scattered from it on first use.
     pub fn reprepare(&self) -> PreparedGraph<'g> {
         match self.graph {
             GraphStore::Graph(g) => PreparedGraph::new(g),
@@ -392,21 +386,20 @@ impl<'g> PreparedGraph<'g> {
     }
 
     /// The adjacency view (neighbors sorted by descending weight).
-    /// Built lazily — and thread-safely — for mapped stores: the
-    /// construction pass streams the file once and drops the transient
-    /// edge list, so only algorithms that actually consume adjacency
-    /// pay for it.
+    /// Built lazily — and thread-safely — by one scatter of the sorted
+    /// view, so only algorithms that actually consume adjacency pay for
+    /// it. A mapped sort-order column is decoded into a transient edge
+    /// list for the scatter and dropped.
     #[inline]
     pub fn adjacency(&self) -> &Adjacency {
-        self.adjacency.get_or_init(|| match self.graph {
-            GraphStore::Graph(g) => g.adjacency(),
-            GraphStore::Csr(c) => {
-                let edges: Vec<Edge> = c.iter().collect();
-                Adjacency::from_edges(c.n_left(), c.n_right(), &edges)
-            }
-            GraphStore::Mapped(m) => {
-                let edges: Vec<Edge> = m.iter().collect();
-                Adjacency::from_edges(m.n_left(), m.n_right(), &edges)
+        self.adjacency.get_or_init(|| {
+            let (n_left, n_right) = (self.n_left(), self.n_right());
+            match &self.sorted {
+                SortedStore::Ram(s) => Adjacency::from_sorted(n_left, n_right, s.all()),
+                SortedStore::Mapped => {
+                    let sorted: Vec<Edge> = self.edges_all().iter().collect();
+                    Adjacency::from_sorted(n_left, n_right, &sorted)
+                }
             }
         })
     }
@@ -519,8 +512,7 @@ impl<'a, 'g> EdgeView<'a, 'g> {
     }
 
     /// The adjacency view (not threshold-filtered; algorithms early-break on
-    /// the descending per-node weight order). Built on first use for
-    /// mapped stores.
+    /// the descending per-node weight order). Built on first use.
     #[inline]
     pub fn adjacency(&self) -> &'a Adjacency {
         self.g.adjacency()
@@ -729,6 +721,83 @@ mod tests {
         }
         for t in [0.0, 0.3, 0.6, 0.9] {
             assert_eq!(via_v1.view(t).prefix_lens(), via_map.view(t).prefix_lens());
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn every_store_builds_the_same_lazy_adjacency() {
+        // Tie-heavy weights, signed zeros included; nodes 5 and 6 isolated.
+        let weights = [-0.0, 0.0, 0.25, 0.5, 1.0];
+        let mut b = er_core::GraphBuilder::new(7, 6);
+        for l in 0..5u32 {
+            for r in 0..5u32 {
+                if (l + 2 * r) % 3 != 0 {
+                    b.add_edge(l, r, weights[((l * 3 + r) % 5) as usize])
+                        .unwrap();
+                }
+            }
+        }
+        let g = b.build();
+        let csr = er_core::CsrGraph::from_graph(&g);
+        let dir = std::env::temp_dir().join(format!(
+            "ccer-matcher-adjacency-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("ties.slab");
+        er_core::write_csr(&csr, &path).unwrap();
+        let mapped = er_core::MappedCsr::open(&path).unwrap();
+        assert!(mapped.has_sort_order());
+
+        let m = g.n_edges();
+        let stores = [
+            ("new", PreparedGraph::new(&g), m),
+            (
+                "from_sorted",
+                PreparedGraph::from_sorted(&g, g.sorted_edges()),
+                m,
+            ),
+            ("from_csr", PreparedGraph::from_csr(&csr), m),
+            ("from_mapped", PreparedGraph::from_mapped(&mapped), 0),
+        ];
+        let bits = |ns: &[er_core::Neighbor]| -> Vec<(u32, u64)> {
+            ns.iter().map(|n| (n.node, n.weight.to_bits())).collect()
+        };
+        let reference = g.adjacency();
+        for (name, pg, sorted_copies) in &stores {
+            assert_eq!(
+                pg.resident_edge_copies(),
+                *sorted_copies,
+                "{name}: adjacency built eagerly"
+            );
+            let adj = pg.adjacency();
+            assert_eq!(pg.resident_edge_copies(), sorted_copies + 2 * m, "{name}");
+            for i in 0..g.n_left() {
+                assert_eq!(
+                    bits(adj.left(i)),
+                    bits(reference.left(i)),
+                    "{name} left {i}"
+                );
+            }
+            for j in 0..g.n_right() {
+                assert_eq!(
+                    bits(adj.right(j)),
+                    bits(reference.right(j)),
+                    "{name} right {j}"
+                );
+            }
+            // A re-preparation builds its own adjacency, again lazily.
+            let again = pg.reprepare();
+            assert_eq!(
+                again.resident_edge_copies(),
+                *sorted_copies,
+                "{name} reprepare"
+            );
+            for i in 0..g.n_left() {
+                assert_eq!(bits(again.adjacency().left(i)), bits(adj.left(i)));
+            }
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -7,7 +7,7 @@
 //! at the end. UMC exercises the cascade repair, BAH the contribution-map
 //! maintenance, and the other six the windowed replay fallback.
 
-use er_core::{CsrGraph, GraphBuilder, RowDelta, SimilarityGraph};
+use er_core::{CoreError, CsrGraph, GraphBuilder, RowDelta, SimilarityGraph};
 use er_matchers::{AlgorithmConfig, AlgorithmKind, PreparedGraph};
 use proptest::prelude::*;
 
@@ -117,7 +117,7 @@ proptest! {
             let mut dm = cfg.delta_matcher(kind, &csr, t);
             for (sel, raw) in &ops {
                 let Some(delta) = materialize(&mut csr, *sel, raw) else { continue };
-                dm.apply_delta(&delta);
+                dm.apply_delta(&delta).unwrap();
                 let pg = PreparedGraph::from_csr(&csr);
                 prop_assert_eq!(
                     dm.matching(),
@@ -148,12 +148,58 @@ proptest! {
             for (sel, raw) in &ops {
                 if let Some(delta) = materialize(&mut csr_a, *sel, raw) {
                     materialize(&mut csr_b, *sel, raw);
-                    chatty.apply_delta(&delta);
-                    quiet.apply_delta(&delta);
+                    chatty.apply_delta(&delta).unwrap();
+                    quiet.apply_delta(&delta).unwrap();
                     let _ = chatty.matching();
                 }
             }
             prop_assert_eq!(chatty.matching(), quiet.matching(), "{} read-dependent", kind);
+        }
+    }
+
+    /// An insert that does not carry its side's next id is a typed
+    /// `DeltaIdMismatch` from every algorithm's delta matcher, not a
+    /// panic, and leaves the matcher as it was: the valid insert that
+    /// follows still tracks the full re-match.
+    #[test]
+    fn wrong_id_inserts_are_errors_not_panics(
+        g in arb_graph(),
+        t in (0u32..=20).prop_map(|i| i as f64 * 0.05),
+        skew in 1u32..4,
+        side in 0u8..2,
+    ) {
+        let cfg = AlgorithmConfig::default();
+        let right = side == 1;
+        for kind in AlgorithmKind::ALL {
+            let mut csr = CsrGraph::from_graph(&g);
+            let mut dm = cfg.delta_matcher(kind, &csr, t);
+            let before = dm.matching();
+            let next = if right { csr.n_right() } else { csr.n_left() };
+            for got in [next + skew, next - 1] {
+                let wrong = if right {
+                    RowDelta::insert_right(got, vec![])
+                } else {
+                    RowDelta::insert_left(got, vec![])
+                };
+                prop_assert_eq!(
+                    dm.apply_delta(&wrong),
+                    Err(CoreError::DeltaIdMismatch { expected: next, got }),
+                    "{} accepted id {} (next {})", kind, got, next
+                );
+                prop_assert_eq!(dm.matching(), before.clone(), "{} changed on a rejected delta", kind);
+            }
+            let valid = if right {
+                RowDelta::insert_right(next, vec![(0, 0.9)])
+            } else {
+                RowDelta::insert_left(next, vec![(0, 0.9)])
+            };
+            csr.apply(&valid).unwrap();
+            dm.apply_delta(&valid).unwrap();
+            prop_assert_eq!(
+                dm.matching(),
+                cfg.run(kind, &PreparedGraph::from_csr(&csr), t),
+                "{} diverged after a rejected delta", kind
+            );
         }
     }
 }

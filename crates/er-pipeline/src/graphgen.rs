@@ -618,10 +618,12 @@ pub fn build_prepared(
 }
 
 /// [`build_graph_over`] plus the sorted edge view, sorted once at emit
-/// time. Total work equals `build_graph_over` + `PreparedGraph::new`
-/// (one sort either way); the point is ownership — construction emits
-/// the view, so callers that need the graph *and* a prepared sweep input
-/// cannot end up sorting twice.
+/// time by the one packed-key sort ([`SortedEdges::from_edges`]). That
+/// sort is all `PreparedGraph::new` would do: the adjacency is scattered
+/// lazily from the sorted view either way. The point is ownership —
+/// construction emits the view, so callers that need the graph *and* a
+/// prepared sweep input hand it to `PreparedGraph::from_sorted` and
+/// never sort twice.
 pub fn build_prepared_over(
     left: &EntityCollection,
     right: &EntityCollection,

@@ -253,7 +253,7 @@ impl ErService {
     pub fn insert(&mut self, side: Side, profile: &EntityProfile) -> Result<RowDelta> {
         let delta = self.scorer.score_insert(side, profile)?;
         self.csr.apply(&delta)?;
-        self.matcher.apply_delta(&delta);
+        self.matcher.apply_delta(&delta)?;
         // The resident graph moved past the backing file.
         self.mapped = None;
         Ok(delta)
@@ -280,7 +280,7 @@ impl ErService {
             Side::Left => RowDelta::delete_left(id, removed),
             Side::Right => RowDelta::delete_right(id, removed),
         };
-        self.matcher.apply_delta(&delta);
+        self.matcher.apply_delta(&delta)?;
         self.mapped = None;
         if self.csr.tombstone_ratio() >= self.config.auto_compact_ratio {
             self.compact()?;
