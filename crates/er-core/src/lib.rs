@@ -59,7 +59,7 @@ pub use hash::{FxHashMap, FxHashSet, FxHasher};
 pub use matching::Matching;
 pub use normalize::min_max_normalize;
 pub use stats::{ConstructionCounters, GraphStats, WeightSeparation};
-pub use store::{write_csr, write_csr_unsorted, MappedCsr, SlabWriter, StoreError, StoreMeta};
+pub use store::{write_csr, MappedCsr, SlabWriter, StoreError, StoreMeta};
 pub use threshold::ThresholdGrid;
 pub use topk::{TopKBuilder, TopKRow};
 pub use union_find::UnionFind;

@@ -3,7 +3,7 @@
 //! These power the paper's Table 3 (graph counts and average sizes) and the
 //! threshold-analysis correlations of Table 8 (`|E| / ||V1 × V2||`), plus
 //! the cross-worker [`ConstructionCounters`] behind the streaming
-//! construction engine's accounting (`er_pipeline::TopKStats`).
+//! construction engine's accounting (`er_pipeline::BuildStats`).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

@@ -1,7 +1,7 @@
 //! Columnar on-disk storage for [`CsrGraph`] — the durable twin of the
 //! in-RAM slab store.
 //!
-//! # Format (versions 1 and 2)
+//! # Format (version 2)
 //!
 //! One file, little-endian throughout, fixed-width columns so every
 //! section is directly addressable from a file-backed byte view:
@@ -9,7 +9,7 @@
 //! ```text
 //! offset  size  field
 //!      0     8  magic            b"CCERSLAB"
-//!      8     4  version          u32 = 1 or 2
+//!      8     4  version          u32 = 2
 //!     12     4  n_left           u32 (next left append id)
 //!     16     4  n_right          u32 (next right append id)
 //!     20     4  (reserved)       u32 = 0
@@ -26,14 +26,14 @@
 //!                                bit set ⇔ row live; tail bits zero
 //!            ── dead right ids   n_dead_right × u32, sorted strictly
 //!                                ascending, zero-padded to 8 bytes
-//!            ── sort order       version 2 only: n_edges permutation
+//!            ── sort order       n_edges permutation
 //!                                indices into the edge slab (u32 while
 //!                                n_edges fits, else u64; u32 entries
 //!                                zero-padded to 8 bytes), listing the
 //!                                edges in weight-descending order
 //! ```
 //!
-//! The **sort-order column** (version 2) persists the workspace's one
+//! The **sort-order column** persists the workspace's one
 //! total edge order — [`edge_key_desc`](crate::float::edge_key_desc):
 //! weight descending under `f64::total_cmp`, ties by `(left, right)`
 //! ascending. Because the slab itself is laid out `(left asc, right
@@ -43,10 +43,10 @@
 //! permutation of `0..n_edges`. With the column present, "the edges
 //! above `t`" is a **prefix of a file-backed column** — a reader can
 //! binary-search the threshold and stream the prefix without sorting
-//! (or even materializing) the edge set in RAM. Version 1 files remain
-//! fully readable; they simply answer
-//! [`has_sort_order`](MappedCsr::has_sort_order) with `false` and leave
-//! consumers to fall back to an in-RAM sort.
+//! (or even materializing) the edge set in RAM. Version 1 — the same
+//! layout without the column — is no longer read: [`MappedCsr::open`]
+//! rejects it as a [`StoreError::Format`], so every opened store carries
+//! the column.
 //!
 //! The on-disk form is always **folded**: [`write_csr`] streams
 //! [`CsrGraph::live_row`], so tombstone-masked slab entries and pending
@@ -81,13 +81,8 @@ use crate::graph::Edge;
 /// Magic bytes opening every columnar store file.
 const MAGIC: &[u8; 8] = b"CCERSLAB";
 
-/// Newest format version: v2 appends the weight-descending sort-order
-/// column. [`SlabWriter::create`] and [`write_csr`] emit it.
-const VERSION_SORTED: u32 = 2;
-
-/// The original layout without the sort-order column. Still written by
-/// [`write_csr_unsorted`] and fully readable by [`MappedCsr`].
-const VERSION_UNSORTED: u32 = 1;
+/// The format version every writer emits and the reader accepts.
+const VERSION: u32 = 2;
 
 /// Byte length of the fixed header preceding the payload.
 const HEADER_LEN: usize = 56;
@@ -163,7 +158,7 @@ struct Layout {
     weights_at: usize,
     bitmap_at: usize,
     dead_right_at: usize,
-    /// Start of the v2 sort-order column; equals `total_len` for v1.
+    /// Start of the sort-order column.
     perm_at: usize,
     total_len: usize,
 }
@@ -187,7 +182,7 @@ fn perm_entry_bytes(n_edges: u64) -> u64 {
     }
 }
 
-fn layout(n_left: u32, n_edges: u64, n_dead_right: u64, has_perm: bool) -> Option<Layout> {
+fn layout(n_left: u32, n_edges: u64, n_dead_right: u64) -> Option<Layout> {
     let offsets_at = HEADER_LEN as u64;
     let rights_at = offsets_at.checked_add((n_left as u64 + 1).checked_mul(8)?)?;
     let weights_at = rights_at
@@ -199,16 +194,11 @@ fn layout(n_left: u32, n_edges: u64, n_dead_right: u64, has_perm: bool) -> Optio
     let perm_at = dead_right_at
         .checked_add(n_dead_right.checked_mul(4)?)?
         .checked_add(pad4(n_dead_right))?;
-    let total_len = if has_perm {
-        let entry = perm_entry_bytes(n_edges);
-        let mut t = perm_at.checked_add(n_edges.checked_mul(entry)?)?;
-        if entry == 4 {
-            t = t.checked_add(pad4(n_edges))?;
-        }
-        t
-    } else {
-        perm_at
-    };
+    let entry = perm_entry_bytes(n_edges);
+    let mut total_len = perm_at.checked_add(n_edges.checked_mul(entry)?)?;
+    if entry == 4 {
+        total_len = total_len.checked_add(pad4(n_edges))?;
+    }
     Some(Layout {
         offsets_at: usize::try_from(offsets_at).ok()?,
         rights_at: usize::try_from(rights_at).ok()?,
@@ -233,15 +223,13 @@ pub struct StoreMeta {
 // Writer.
 // ----------------------------------------------------------------------
 
-/// How the writer produces the v2 sort-order column, if at all.
+/// How the writer produces the sort-order column.
 enum PermPlan {
-    /// Version 1: no sort-order column.
-    None,
-    /// Version 2, order computed at finish from weights the writer kept
-    /// resident (8 B/edge writer memory — fine for anything that fits
-    /// the in-RAM build anyway).
+    /// Order computed at finish from weights the writer kept resident
+    /// (8 B/edge writer memory — fine for anything that fits the in-RAM
+    /// build anyway).
     InRam(Vec<f64>),
-    /// Version 2, order streamed into
+    /// Order streamed into
     /// [`finish_with_order`](SlabWriter::finish_with_order) by a caller
     /// that sorted out of core.
     Streamed,
@@ -258,13 +246,11 @@ enum PermPlan {
 /// file while weights detour through a sibling `.weights.tmp` file that
 /// is concatenated and deleted at finish.
 ///
-/// [`create`](Self::create) writes version 2 and keeps one `f64` per
-/// edge resident to compute the sort-order column at finish.
-/// [`create_streamed`](Self::create_streamed) writes version 2 with the
-/// order supplied externally via
-/// [`finish_with_order`](Self::finish_with_order) — for out-of-core
-/// builders that sort the column on disk.
-/// [`create_unsorted`](Self::create_unsorted) writes version 1.
+/// [`create`](Self::create) keeps one `f64` per edge resident to
+/// compute the sort-order column at finish.
+/// [`create_streamed`](Self::create_streamed) takes the order supplied
+/// externally via [`finish_with_order`](Self::finish_with_order) — for
+/// out-of-core builders that sort the column on disk.
 ///
 /// An abandoned writer (dropped without `finish`) leaves the partial
 /// final file and the temp file behind; callers that care should write
@@ -288,8 +274,8 @@ impl SlabWriter {
     /// Open a writer for a graph with `n_left` rows and `n_right`
     /// columns, of which the sorted `dead_right` ids are tombstoned.
     /// Appended rows are checked against `dead_right` — the format
-    /// forbids slab entries pointing at dead columns. Writes format
-    /// version 2: the sort-order column is computed at finish.
+    /// forbids slab entries pointing at dead columns. The sort-order
+    /// column is computed at finish.
     pub fn create(
         path: &Path,
         n_left: u32,
@@ -316,18 +302,6 @@ impl SlabWriter {
         dead_right: Vec<u32>,
     ) -> Result<SlabWriter, StoreError> {
         Self::create_with_plan(path, n_left, n_right, dead_right, PermPlan::Streamed)
-    }
-
-    /// Like [`create`](Self::create), but writes format version 1 (no
-    /// sort-order column) — kept for compatibility testing and for
-    /// callers that never sweep the file.
-    pub fn create_unsorted(
-        path: &Path,
-        n_left: u32,
-        n_right: u32,
-        dead_right: Vec<u32>,
-    ) -> Result<SlabWriter, StoreError> {
-        Self::create_with_plan(path, n_left, n_right, dead_right, PermPlan::None)
     }
 
     fn create_with_plan(
@@ -439,13 +413,12 @@ impl SlabWriter {
     }
 
     /// Seal the file: concatenate the weight column, write the liveness
-    /// sections (and, for a [`create`](Self::create) writer, the
-    /// sort-order column), backfill offsets and header, checksum the
-    /// payload. A [`create_streamed`](Self::create_streamed) writer must
-    /// use [`finish_with_order`](Self::finish_with_order) instead.
+    /// sections and the sort-order column, backfill offsets and header,
+    /// checksum the payload. A [`create_streamed`](Self::create_streamed)
+    /// writer must use [`finish_with_order`](Self::finish_with_order)
+    /// instead.
     pub fn finish(mut self) -> Result<StoreMeta, StoreError> {
-        match std::mem::replace(&mut self.perm, PermPlan::None) {
-            PermPlan::None => self.seal(VERSION_UNSORTED, None),
+        match std::mem::replace(&mut self.perm, PermPlan::Streamed) {
             PermPlan::InRam(weights) => {
                 // Slab order is (left asc, right asc), so sorting slab
                 // indices by (weight total_cmp desc, index asc) is
@@ -456,8 +429,7 @@ impl SlabWriter {
                         .total_cmp(&weights[a as usize])
                         .then_with(|| a.cmp(&b))
                 });
-                let mut it = order.into_iter().map(Ok);
-                self.seal(VERSION_SORTED, Some(&mut it))
+                self.seal(order.into_iter().map(Ok))
             }
             PermPlan::Streamed => {
                 format_err("a streamed writer must be sealed with finish_with_order")
@@ -472,23 +444,21 @@ impl SlabWriter {
     /// here; the weight ordering itself is re-validated whenever the
     /// file is opened, so a caller that merges sorted runs wrong cannot
     /// produce a silently mis-sorted store.
-    pub fn finish_with_order<I>(mut self, order: I) -> Result<StoreMeta, StoreError>
+    pub fn finish_with_order<I>(self, order: I) -> Result<StoreMeta, StoreError>
     where
         I: IntoIterator<Item = Result<u64, StoreError>>,
     {
-        match std::mem::replace(&mut self.perm, PermPlan::None) {
-            PermPlan::Streamed => {
-                let mut it = order.into_iter();
-                self.seal(VERSION_SORTED, Some(&mut it))
+        match self.perm {
+            PermPlan::Streamed => self.seal(order),
+            PermPlan::InRam(_) => {
+                format_err("finish_with_order requires a writer from create_streamed")
             }
-            _ => format_err("finish_with_order requires a writer from create_streamed"),
         }
     }
 
     fn seal(
         mut self,
-        version: u32,
-        order: Option<&mut dyn Iterator<Item = Result<u64, StoreError>>>,
+        order: impl IntoIterator<Item = Result<u64, StoreError>>,
     ) -> Result<StoreMeta, StoreError> {
         if self.rows_written != self.n_left {
             return format_err(format!(
@@ -526,40 +496,38 @@ impl SlabWriter {
         if self.dead_right.len() % 2 == 1 {
             self.out.write_all(&[0u8; 4])?;
         }
-        // Sort-order column (version 2): every slab index exactly once.
-        if let Some(order) = order {
-            let entry = perm_entry_bytes(self.n_edges);
-            let mut seen = vec![0u64; (self.n_edges as usize).div_ceil(64)];
-            let mut written = 0u64;
-            for idx in order {
-                let idx = idx?;
-                if idx >= self.n_edges {
-                    return format_err(format!(
-                        "sort-order index {idx} out of bounds ({})",
-                        self.n_edges
-                    ));
-                }
-                let (word, bit) = ((idx / 64) as usize, idx % 64);
-                if seen[word] >> bit & 1 == 1 {
-                    return format_err(format!("sort-order index {idx} repeated"));
-                }
-                seen[word] |= 1 << bit;
-                if entry == 4 {
-                    self.out.write_all(&(idx as u32).to_le_bytes())?;
-                } else {
-                    self.out.write_all(&idx.to_le_bytes())?;
-                }
-                written += 1;
-            }
-            if written != self.n_edges {
+        // Sort-order column: every slab index exactly once.
+        let entry = perm_entry_bytes(self.n_edges);
+        let mut seen = vec![0u64; (self.n_edges as usize).div_ceil(64)];
+        let mut written = 0u64;
+        for idx in order {
+            let idx = idx?;
+            if idx >= self.n_edges {
                 return format_err(format!(
-                    "sort order lists {written} of {} edges",
+                    "sort-order index {idx} out of bounds ({})",
                     self.n_edges
                 ));
             }
-            if entry == 4 && self.n_edges % 2 == 1 {
-                self.out.write_all(&[0u8; 4])?;
+            let (word, bit) = ((idx / 64) as usize, idx % 64);
+            if seen[word] >> bit & 1 == 1 {
+                return format_err(format!("sort-order index {idx} repeated"));
             }
+            seen[word] |= 1 << bit;
+            if entry == 4 {
+                self.out.write_all(&(idx as u32).to_le_bytes())?;
+            } else {
+                self.out.write_all(&idx.to_le_bytes())?;
+            }
+            written += 1;
+        }
+        if written != self.n_edges {
+            return format_err(format!(
+                "sort order lists {written} of {} edges",
+                self.n_edges
+            ));
+        }
+        if entry == 4 && self.n_edges % 2 == 1 {
+            self.out.write_all(&[0u8; 4])?;
         }
         self.out.flush()?;
         let mut file = self.out.into_inner().map_err(|e| e.into_error())?;
@@ -588,7 +556,7 @@ impl SlabWriter {
         // Backfill the header.
         let mut header = Vec::with_capacity(HEADER_LEN);
         header.extend_from_slice(MAGIC);
-        header.extend_from_slice(&version.to_le_bytes());
+        header.extend_from_slice(&VERSION.to_le_bytes());
         header.extend_from_slice(&self.n_left.to_le_bytes());
         header.extend_from_slice(&self.n_right.to_le_bytes());
         header.extend_from_slice(&0u32.to_le_bytes());
@@ -605,14 +573,9 @@ impl SlabWriter {
         std::fs::remove_file(&self.tmp_path)?;
         debug_assert_eq!(
             file_bytes,
-            layout(
-                self.n_left,
-                self.n_edges,
-                self.dead_right.len() as u64,
-                version == VERSION_SORTED,
-            )
-            .map(|l| l.total_len as u64)
-            .unwrap_or(0),
+            layout(self.n_left, self.n_edges, self.dead_right.len() as u64)
+                .map(|l| l.total_len as u64)
+                .unwrap_or(0),
             "writer output length disagrees with the declared layout of {}",
             self.path.display(),
         );
@@ -623,8 +586,8 @@ impl SlabWriter {
     }
 }
 
-/// Persist a [`CsrGraph`] at `path` in the columnar format (version 2,
-/// sort-order column included).
+/// Persist a [`CsrGraph`] at `path` in the columnar format (sort-order
+/// column included).
 ///
 /// Streams [`CsrGraph::live_row`], so pending deltas are folded on the
 /// way out: masked slab entries and the patch never reach the file,
@@ -632,20 +595,7 @@ impl SlabWriter {
 /// therefore yields the graph in its compacted form — byte-identical to
 /// `{ let mut c = csr.clone(); c.compact(); c }`.
 pub fn write_csr(csr: &CsrGraph, path: &Path) -> Result<StoreMeta, StoreError> {
-    let w = SlabWriter::create(path, csr.n_left(), csr.n_right(), csr.dead_right().to_vec())?;
-    stream_csr_into(csr, w)
-}
-
-/// [`write_csr`], but emitting the version 1 layout without the
-/// sort-order column — for compatibility tests and files that will
-/// never feed a sweep.
-pub fn write_csr_unsorted(csr: &CsrGraph, path: &Path) -> Result<StoreMeta, StoreError> {
-    let w =
-        SlabWriter::create_unsorted(path, csr.n_left(), csr.n_right(), csr.dead_right().to_vec())?;
-    stream_csr_into(csr, w)
-}
-
-fn stream_csr_into(csr: &CsrGraph, mut w: SlabWriter) -> Result<StoreMeta, StoreError> {
+    let mut w = SlabWriter::create(path, csr.n_left(), csr.n_right(), csr.dead_right().to_vec())?;
     let mut row: Vec<(u32, f64)> = Vec::new();
     for l in 0..csr.n_left() {
         if !csr.is_live_left(l) {
@@ -677,7 +627,6 @@ fn stream_csr_into(csr: &CsrGraph, mut w: SlabWriter) -> Result<StoreMeta, Store
 /// queries — and converts to an owned store via [`to_csr`](Self::to_csr).
 pub struct MappedCsr {
     map: Mmap,
-    version: u32,
     n_left: u32,
     n_right: u32,
     n_edges: usize,
@@ -686,7 +635,7 @@ pub struct MappedCsr {
     rights_at: usize,
     weights_at: usize,
     bitmap_at: usize,
-    /// Start of the sort-order column (version 2; unused for v1).
+    /// Start of the sort-order column.
     perm_at: usize,
     /// Whether sort-order entries are u64 (true) or u32 (false).
     perm_wide: bool,
@@ -709,10 +658,9 @@ impl MappedCsr {
             return format_err("bad magic: not a ccer columnar store");
         }
         let version = u32_at(8);
-        if version != VERSION_UNSORTED && version != VERSION_SORTED {
+        if version != VERSION {
             return format_err(format!("unsupported format version {version}"));
         }
-        let has_perm = version == VERSION_SORTED;
         let n_left = u32_at(12);
         let n_right = u32_at(16);
         let n_edges = u64_at(24);
@@ -720,7 +668,7 @@ impl MappedCsr {
         let n_dead_right = u64_at(40);
         let checksum = u64_at(48);
 
-        let Some(lay) = layout(n_left, n_edges, n_dead_right, has_perm) else {
+        let Some(lay) = layout(n_left, n_edges, n_dead_right) else {
             return format_err("declared sizes overflow the addressable layout");
         };
         if map.len() != lay.total_len {
@@ -813,56 +761,51 @@ impl MappedCsr {
             return format_err("offset column does not close at n_edges");
         }
 
-        // Sort-order column (version 2): a permutation of 0..n_edges in
+        // Sort-order column: a permutation of 0..n_edges in
         // strict edge_key_desc order — weight descending under
         // total_cmp, weight ties ascending by slab index (the slab is
         // (left, right)-asc, so index order IS the id tie-break).
         let perm_wide = perm_entry_bytes(n_edges) == 8;
-        if has_perm {
-            let m = n_edges as usize;
-            let entry = if perm_wide { 8 } else { 4 };
-            let perm_idx = |i: usize| -> u64 {
-                if perm_wide {
-                    u64_at(lay.perm_at + entry * i)
-                } else {
-                    u32_at(lay.perm_at + entry * i) as u64
-                }
-            };
-            let mut seen = vec![0u64; m.div_ceil(64)];
-            let mut prev: Option<(f64, usize)> = None;
-            for i in 0..m {
-                let p = perm_idx(i);
-                if p >= n_edges {
-                    return format_err(format!("sort-order index {p} out of bounds ({n_edges})"));
-                }
-                let p = p as usize;
-                if seen[p / 64] >> (p % 64) & 1 == 1 {
-                    return format_err(format!("sort-order index {p} repeated"));
-                }
-                seen[p / 64] |= 1 << (p % 64);
-                let w = f64::from_le_bytes(map[lay.weights_at + 8 * p..][..8].try_into().unwrap());
-                if let Some((pw, pp)) = prev {
-                    match pw.total_cmp(&w) {
-                        std::cmp::Ordering::Less => {
-                            return format_err("sort order is not weight-descending");
-                        }
-                        std::cmp::Ordering::Equal if pp >= p => {
-                            return format_err(
-                                "sort-order weight ties do not ascend by slab index",
-                            );
-                        }
-                        _ => {}
-                    }
-                }
-                prev = Some((w, p));
+        let m = n_edges as usize;
+        let entry = if perm_wide { 8 } else { 4 };
+        let perm_idx = |i: usize| -> u64 {
+            if perm_wide {
+                u64_at(lay.perm_at + entry * i)
+            } else {
+                u32_at(lay.perm_at + entry * i) as u64
             }
-            // All m entries distinct and < m ⇒ a bijection; the padding
-            // word (if any) is covered by the checksum like all padding.
+        };
+        let mut seen = vec![0u64; m.div_ceil(64)];
+        let mut prev: Option<(f64, usize)> = None;
+        for i in 0..m {
+            let p = perm_idx(i);
+            if p >= n_edges {
+                return format_err(format!("sort-order index {p} out of bounds ({n_edges})"));
+            }
+            let p = p as usize;
+            if seen[p / 64] >> (p % 64) & 1 == 1 {
+                return format_err(format!("sort-order index {p} repeated"));
+            }
+            seen[p / 64] |= 1 << (p % 64);
+            let w = f64::from_le_bytes(map[lay.weights_at + 8 * p..][..8].try_into().unwrap());
+            if let Some((pw, pp)) = prev {
+                match pw.total_cmp(&w) {
+                    std::cmp::Ordering::Less => {
+                        return format_err("sort order is not weight-descending");
+                    }
+                    std::cmp::Ordering::Equal if pp >= p => {
+                        return format_err("sort-order weight ties do not ascend by slab index");
+                    }
+                    _ => {}
+                }
+            }
+            prev = Some((w, p));
         }
+        // All m entries distinct and < m ⇒ a bijection; the padding
+        // word (if any) is covered by the checksum like all padding.
 
         Ok(MappedCsr {
             map,
-            version,
             n_left,
             n_right,
             n_edges: n_edges as usize,
@@ -892,10 +835,9 @@ impl MappedCsr {
         f64::from_le_bytes(self.map[self.weights_at + 8 * i..][..8].try_into().unwrap())
     }
 
-    /// Slab index of the edge at sorted rank `rank` (version 2 only).
+    /// Slab index of the edge at sorted rank `rank`.
     #[inline]
     fn perm(&self, rank: usize) -> usize {
-        debug_assert!(self.has_sort_order());
         if self.perm_wide {
             u64::from_le_bytes(self.map[self.perm_at + 8 * rank..][..8].try_into().unwrap())
                 as usize
@@ -923,20 +865,11 @@ impl MappedCsr {
         lo
     }
 
-    /// Whether the file carries the version-2 sort-order column, i.e.
-    /// whether the `sorted_*` accessors are available.
-    #[inline]
-    pub fn has_sort_order(&self) -> bool {
-        self.version >= VERSION_SORTED
-    }
-
     /// Weight of the edge at sorted rank `rank` (0 = heaviest), without
     /// decoding the endpoint ids — the probe for threshold binary
-    /// searches. Panics if the file has no sort order or `rank` is out
-    /// of bounds.
+    /// searches. Panics if `rank` is out of bounds.
     #[inline]
     pub fn sorted_weight(&self, rank: usize) -> f64 {
-        assert!(self.has_sort_order(), "store has no sort-order column");
         assert!(rank < self.n_edges, "sorted rank {rank} out of bounds");
         self.weight_at(self.perm(rank))
     }
@@ -948,7 +881,6 @@ impl MappedCsr {
     /// copy. Panics like [`sorted_weight`](Self::sorted_weight).
     #[inline]
     pub fn sorted_edge(&self, rank: usize) -> Edge {
-        assert!(self.has_sort_order(), "store has no sort-order column");
         assert!(rank < self.n_edges, "sorted rank {rank} out of bounds");
         let i = self.perm(rank);
         Edge::new(self.row_of(i), self.right_at(i), self.weight_at(i))
@@ -956,17 +888,14 @@ impl MappedCsr {
 
     /// How many edges have weight strictly above `t` — mirrors
     /// [`SortedEdges::count_above`](crate::graph::SortedEdges::count_above)
-    /// bit for bit. Panics if the file has no sort order.
+    /// bit for bit.
     pub fn sorted_count_above(&self, t: f64) -> usize {
-        assert!(self.has_sort_order(), "store has no sort-order column");
         self.sorted_partition(|w| w > t)
     }
 
     /// How many edges have weight at least `t` — mirrors
     /// [`SortedEdges::count_at_least`](crate::graph::SortedEdges::count_at_least).
-    /// Panics if the file has no sort order.
     pub fn sorted_count_at_least(&self, t: f64) -> usize {
-        assert!(self.has_sort_order(), "store has no sort-order column");
         self.sorted_partition(|w| w >= t)
     }
 
@@ -1123,7 +1052,6 @@ impl MappedCsr {
 impl std::fmt::Debug for MappedCsr {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MappedCsr")
-            .field("version", &self.version)
             .field("n_left", &self.n_left)
             .field("n_right", &self.n_right)
             .field("n_edges", &self.n_edges)
@@ -1240,7 +1168,6 @@ mod tests {
         let csr = sample_csr();
         write_csr(&csr, &path).unwrap();
         let mapped = MappedCsr::open(&path).unwrap();
-        assert!(mapped.has_sort_order());
         let mut expect: Vec<Edge> = mapped.iter().collect();
         expect.sort_by(|a, b| {
             crate::float::edge_key_desc((a.weight, a.left, a.right), (b.weight, b.left, b.right))
@@ -1260,14 +1187,14 @@ mod tests {
     }
 
     #[test]
-    fn unsorted_writer_yields_readable_v1() {
+    fn version_1_header_is_a_format_error() {
         let dir = scratch_dir();
         let path = dir.join("v1.slab");
-        let csr = sample_csr();
-        write_csr_unsorted(&csr, &path).unwrap();
-        let mapped = MappedCsr::open(&path).unwrap();
-        assert!(!mapped.has_sort_order());
-        assert_eq!(mapped.to_csr(), csr);
+        write_csr(&sample_csr(), &path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(MappedCsr::open(&path), Err(StoreError::Format(_))));
         std::fs::remove_file(&path).ok();
     }
 
@@ -1314,7 +1241,6 @@ mod tests {
             .finish_with_order([Ok(1), Ok(2), Ok(0)])
             .unwrap();
         let mapped = MappedCsr::open(&dir.join("f.slab")).unwrap();
-        assert!(mapped.has_sort_order());
         assert_eq!(mapped.sorted_edge(0), Edge::new(0, 3, 0.9));
         assert_eq!(mapped.sorted_edge(1), Edge::new(2, 0, 0.7));
         assert_eq!(mapped.sorted_edge(2), Edge::new(0, 1, 0.5));

@@ -17,15 +17,15 @@
 //!    truncating the file at the column's boundary, flipping its bits,
 //!    or rewriting it (checksum re-fixed) into out-of-range indices,
 //!    non-permutations, or orders that are not weight-descending are all
-//!    `StoreError::Format`, never a panic — and version-1 slabs without
-//!    the column stay readable with the in-RAM sort fallback.
+//!    `StoreError::Format`, never a panic;
+//! 5. **version 1 is rejected**: a version-1 file (the layout without the
+//!    sort-order column) is a `StoreError::Format` at open, never a
+//!    panic.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use er_core::{
-    write_csr, write_csr_unsorted, CsrGraph, GraphBuilder, MappedCsr, SimilarityGraph, SlabWriter,
-};
+use er_core::{write_csr, CsrGraph, GraphBuilder, MappedCsr, SimilarityGraph, SlabWriter};
 use proptest::prelude::*;
 
 static NEXT_FILE: AtomicUsize = AtomicUsize::new(0);
@@ -310,8 +310,7 @@ fn sort_order_column_corruption_is_rejected_not_panicked_on() {
         }
     };
 
-    let sane = open_mutated(&|_| {}).expect("pristine v2 file opens");
-    assert!(sane.has_sort_order());
+    open_mutated(&|_| {}).expect("pristine v2 file opens");
 
     // Checksum-fixing round-trip sanity: rewriting the *correct* perm
     // through the mutator must still open.
@@ -343,33 +342,39 @@ fn sort_order_column_corruption_is_rejected_not_panicked_on() {
     }
 }
 
-/// Version-1 slabs (no sort-order column) remain first-class: readable,
-/// round-tripping, explicitly reporting the column's absence.
+/// A version-1 file as the last writer of that format emitted it: the
+/// 4×4 graph `(0, 3, 0.75)`, `(1, 1, 0.5)`, `(3, 0, 1.0)` in the layout
+/// without the sort-order column (header, offsets, column ids, weights,
+/// liveness bitmap; no dead right ids).
+const V1_FILE: [u8; 144] = [
+    0x43, 0x43, 0x45, 0x52, 0x53, 0x4c, 0x41, 0x42, 0x01, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00,
+    0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x3f, 0x4b, 0xa1, 0xfa, 0x9d, 0xe7, 0xfe, 0x4b, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x03, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe8, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x3f, 0x0f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+];
+
+/// Version 1 is no longer read: opening a genuine v1 file is a
+/// `StoreError::Format`, never a panic — and so is every truncation of
+/// it.
 #[test]
-fn v1_slabs_without_sort_order_stay_readable() {
-    let mut b = GraphBuilder::new(4, 4);
-    b.add_edge(0, 3, 0.75).unwrap();
-    b.add_edge(1, 1, 0.5).unwrap();
-    b.add_edge(3, 0, 1.0).unwrap();
-    let csr = CsrGraph::from_graph(&b.build());
-    let v1 = scratch_file("v1");
-    let v2 = scratch_file("v2");
-    write_csr_unsorted(&csr, &v1).unwrap();
-    write_csr(&csr, &v2).unwrap();
-    let m1 = MappedCsr::open(&v1).unwrap();
-    let m2 = MappedCsr::open(&v2).unwrap();
-    assert!(!m1.has_sort_order());
-    assert!(m2.has_sort_order());
-    assert_mapped_agrees(&m1, &csr);
-    assert_eq!(
-        m1.to_csr(),
-        m2.to_csr(),
-        "payload identical across versions"
-    );
-    assert!(
-        std::fs::metadata(&v1).unwrap().len() < std::fs::metadata(&v2).unwrap().len(),
-        "the column is the only size difference"
-    );
-    std::fs::remove_file(&v1).ok();
-    std::fs::remove_file(&v2).ok();
+fn v1_files_are_rejected_as_format_errors() {
+    let open_bytes = |bytes: &[u8]| {
+        let p = scratch_file("v1");
+        std::fs::write(&p, bytes).unwrap();
+        let r = MappedCsr::open(&p);
+        std::fs::remove_file(&p).ok();
+        r
+    };
+    match open_bytes(&V1_FILE) {
+        Err(er_core::StoreError::Format(msg)) => assert!(!msg.is_empty()),
+        other => panic!("expected Format error, got {other:?}"),
+    }
+    for len in 0..V1_FILE.len() {
+        assert!(open_bytes(&V1_FILE[..len]).is_err(), "truncated at {len}");
+    }
 }

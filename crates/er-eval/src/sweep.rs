@@ -266,7 +266,7 @@ pub fn sweep_all(
 
 /// The naive reference implementation: re-run the matcher from scratch at
 /// every ascending grid point (the pre-engine behavior). Kept as the
-/// equivalence baseline for the property tests and the `sweep` benchmark.
+/// equivalence baseline for the property tests.
 pub fn sweep_naive(
     kind: AlgorithmKind,
     config: &AlgorithmConfig,

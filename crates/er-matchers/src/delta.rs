@@ -634,7 +634,7 @@ mod tests {
     }
 
     fn umc_reference(csr: &CsrGraph, t: f64) -> Matching {
-        Umc::default().run(&PreparedGraph::from_csr(csr), t)
+        Umc.run(&PreparedGraph::from_csr(csr), t)
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! The paper *excludes* the Hungarian algorithm from its study because its
 //! `O(n³)` complexity violates selection criterion (3). It is nevertheless
 //! invaluable here as a **test oracle**: it bounds every heuristic's total
-//! weight from above, certifies BAH/RCA quality on small graphs, and backs
-//! the `MaxWeight` ablation bench.
+//! weight from above and certifies BAH/RCA quality on small graphs.
 //!
 //! Implementation: the classic potentials formulation of the assignment
 //! problem (row-by-row Dijkstra-style augmentation) on a dense matrix,

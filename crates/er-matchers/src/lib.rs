@@ -57,7 +57,7 @@ pub use rca::Rca;
 pub use registry::{AlgorithmConfig, AlgorithmKind};
 pub use rsr::Rsr;
 pub use sweeper::{BahSweeper, RestartSweeper, ThresholdSweeper, UmcSweeper};
-pub use umc::{Umc, UmcStrategy};
+pub use umc::Umc;
 
 #[cfg(test)]
 pub(crate) mod testkit {

@@ -62,12 +62,11 @@ impl GraphStore<'_> {
 /// Where the weight-descending total order lives.
 ///
 /// `Ram` is a heap-resident [`SortedEdges`]; `Mapped` means the order is
-/// the version-2 **sort-order column of the file itself** — prefixes are
-/// decoded straight from the map and no edge copy ever materializes.
+/// the **sort-order column of the file itself** — prefixes are decoded
+/// straight from the map and no edge copy ever materializes.
 enum SortedStore {
     Ram(SortedEdges),
-    /// The backing [`GraphStore`] is guaranteed `Mapped` with
-    /// `has_sort_order()`.
+    /// The backing [`GraphStore`] is guaranteed `Mapped`.
     Mapped,
 }
 
@@ -212,8 +211,8 @@ impl<'a> IntoIterator for &EdgeSeq<'a> {
 /// ([`PreparedGraph::from_csr`], no expansion), or from the columnar
 /// on-disk store ([`PreparedGraph::from_mapped`], file-backed) — the
 /// matchers and the sweep engine are oblivious to the source. For a
-/// version-2 mapped store the sorted view **is the file's sort-order
-/// column**: the prepared graph keeps zero resident edge copies.
+/// mapped store the sorted view **is the file's sort-order column**: the
+/// prepared graph keeps zero resident edge copies.
 ///
 /// Whatever the store, the adjacency (which only RSR, RCA, BMC, EXC and
 /// KRC consume) is built lazily on first use by one `O(n + m)` scatter
@@ -280,7 +279,7 @@ impl<'g> PreparedGraph<'g> {
     /// b.add_edge(1, 1, 0.8).unwrap();
     /// let csr = CsrGraph::from_graph(&b.build());
     /// let prepared = PreparedGraph::from_csr(&csr);
-    /// let matching = Umc::default().run(&prepared, 0.5);
+    /// let matching = Umc.run(&prepared, 0.5);
     /// assert_eq!(matching.pairs(), &[(0, 0), (1, 1)]);
     /// ```
     pub fn from_csr(csr: &CsrGraph) -> PreparedGraph<'_> {
@@ -291,11 +290,10 @@ impl<'g> PreparedGraph<'g> {
     /// Prepare a **file-backed** columnar store ([`MappedCsr`]) without
     /// materializing it as an in-RAM `CsrGraph` or `SimilarityGraph`:
     /// point lookups ([`PreparedGraph::weight_of`]) are served by the
-    /// store's binary search over the file bytes, and — for a version-2
-    /// file — the weight-descending view **is the file's sort-order
-    /// column**, so "edges above `t`" decodes straight from the map with
-    /// zero resident edge copies. Version-1 files (no sort-order column)
-    /// fall back to one streaming pass that sorts the edges in RAM.
+    /// store's binary search over the file bytes, and the
+    /// weight-descending view **is the file's sort-order column**, so
+    /// "edges above `t`" decodes straight from the map with zero resident
+    /// edge copies.
     ///
     /// The views are identical to [`PreparedGraph::from_csr`] on the
     /// store's in-RAM twin — the persisted column is validated at open
@@ -309,16 +307,11 @@ impl<'g> PreparedGraph<'g> {
     ///
     /// let mapped = MappedCsr::open("graph.ccer".as_ref()).unwrap();
     /// let prepared = PreparedGraph::from_mapped(&mapped);
-    /// let matching = Umc::default().run(&prepared, 0.5);
+    /// let matching = Umc.run(&prepared, 0.5);
     /// # let _ = matching;
     /// ```
     pub fn from_mapped(mapped: &MappedCsr) -> PreparedGraph<'_> {
-        let sorted = if mapped.has_sort_order() {
-            SortedStore::Mapped
-        } else {
-            SortedStore::Ram(SortedEdges::from_edges(mapped.iter().collect()))
-        };
-        PreparedGraph::with_sorted(GraphStore::Mapped(mapped), sorted)
+        PreparedGraph::with_sorted(GraphStore::Mapped(mapped), SortedStore::Mapped)
     }
 
     /// The backing mapped store — only called when `sorted` is
@@ -342,7 +335,7 @@ impl<'g> PreparedGraph<'g> {
 
     /// Resident edge records the prepared views hold on the heap: the
     /// sorted copy (if any) plus the adjacency's neighbor entries (if
-    /// built). A sweep over a version-2 mapped store with a
+    /// built). A sweep over a mapped store with a
     /// prefix-consuming algorithm reports **0** — the zero-copy claim
     /// the out-of-core portrait asserts.
     pub fn resident_edge_copies(&self) -> usize {
@@ -373,8 +366,8 @@ impl<'g> PreparedGraph<'g> {
     /// Re-derive a fresh `PreparedGraph` from the backing store, paying
     /// the full view build again — for timing harnesses that need to
     /// measure preparation cost per run. Nothing is shared with `self`:
-    /// the sorted view is re-sorted from the store (for a version-2
-    /// mapped store it is the file's column, as in
+    /// the sorted view is re-sorted from the store (for a mapped store
+    /// it is the file's column, as in
     /// [`from_mapped`](Self::from_mapped)), and the adjacency is
     /// re-scattered from it on first use.
     pub fn reprepare(&self) -> PreparedGraph<'g> {
@@ -706,22 +699,6 @@ mod tests {
         let again = via_map.reprepare();
         assert_eq!(again.n_edges(), via_map.n_edges());
         assert_eq!(again.store_bytes(), mapped.file_bytes());
-
-        // A version-1 file (no sort-order column) falls back to the
-        // in-RAM sort and still agrees everywhere.
-        let v1_path = dir.join("figure1-v1.slab");
-        er_core::write_csr_unsorted(&csr, &v1_path).unwrap();
-        let v1 = er_core::MappedCsr::open(&v1_path).unwrap();
-        assert!(!v1.has_sort_order());
-        let via_v1 = PreparedGraph::from_mapped(&v1);
-        assert_eq!(via_v1.resident_edge_copies(), via_v1.n_edges());
-        for (a, b) in via_map.edges_all().iter().zip(via_v1.edges_all()) {
-            assert_eq!((a.left, a.right), (b.left, b.right));
-            assert_eq!(a.weight.to_bits(), b.weight.to_bits());
-        }
-        for t in [0.0, 0.3, 0.6, 0.9] {
-            assert_eq!(via_v1.view(t).prefix_lens(), via_map.view(t).prefix_lens());
-        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -749,7 +726,6 @@ mod tests {
         let path = dir.join("ties.slab");
         er_core::write_csr(&csr, &path).unwrap();
         let mapped = er_core::MappedCsr::open(&path).unwrap();
-        assert!(mapped.has_sort_order());
 
         let m = g.n_edges();
         let stores = [

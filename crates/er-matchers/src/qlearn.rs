@@ -201,7 +201,7 @@ mod tests {
         let g = figure1();
         let pg = PreparedGraph::new(&g);
         let q = QMatcher::default().run(&pg, 0.3).total_weight(&g);
-        let umc = Umc::default().run(&pg, 0.3).total_weight(&g);
+        let umc = Umc.run(&pg, 0.3).total_weight(&g);
         assert!(
             q >= 0.5 * umc,
             "Q-learning weight {q:.3} too far below greedy {umc:.3}"

@@ -171,7 +171,7 @@ impl AlgorithmConfig {
             }),
             AlgorithmKind::Exc => Box::new(Exc),
             AlgorithmKind::Krc => Box::new(Krc),
-            AlgorithmKind::Umc => Box::new(Umc::default()),
+            AlgorithmKind::Umc => Box::new(Umc),
         }
     }
 

@@ -13,40 +13,13 @@
 //! the retained prefix. The greedy scan is also resumable across descending
 //! thresholds (see [`crate::sweeper::UmcSweeper`]).
 
-use er_core::float::edge_key_desc;
 use er_core::Matching;
-use std::collections::BinaryHeap;
 
 use crate::matcher::{EdgeView, Matcher, PreparedGraph};
 
-/// How UMC orders the retained edges. Both strategies produce the *same*
-/// matching; they are separated so the ablation bench can compare constants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum UmcStrategy {
-    /// Materialize the retained edges and sort them (`O(m log m)` upfront).
-    #[default]
-    Sort,
-    /// Push retained edges in a binary max-heap and pop lazily
-    /// (`O(m)` build, `O(log m)` per pop; wins when the matching saturates
-    /// early and most edges are never popped).
-    Heap,
-}
-
 /// Unique Mapping Clustering.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Umc {
-    /// Edge-ordering strategy (identical output either way).
-    pub strategy: UmcStrategy,
-}
-
-impl Umc {
-    /// UMC with the heap strategy.
-    pub fn with_heap() -> Self {
-        Umc {
-            strategy: UmcStrategy::Heap,
-        }
-    }
-}
+pub struct Umc;
 
 impl Matcher for Umc {
     fn name(&self) -> &'static str {
@@ -54,66 +27,14 @@ impl Matcher for Umc {
     }
 
     fn run_view(&self, view: &EdgeView<'_, '_>) -> Matching {
-        match self.strategy {
-            UmcStrategy::Sort => run_sorted(view),
-            UmcStrategy::Heap => run_heap(view),
-        }
+        // The sorted view's prefix is already in edge_key_desc order —
+        // exactly the greedy consumption order; no per-run filter or sort
+        // remains.
+        greedy(
+            view.prepared(),
+            view.edges().iter().map(|e| (e.weight, e.left, e.right)),
+        )
     }
-}
-
-fn run_sorted(view: &EdgeView<'_, '_>) -> Matching {
-    // The sorted view's prefix is already in edge_key_desc order — exactly
-    // the greedy consumption order; no per-run filter or sort remains.
-    greedy(
-        view.prepared(),
-        view.edges().iter().map(|e| (e.weight, e.left, e.right)),
-    )
-}
-
-/// Max-heap key: weight desc, then (left, right) asc — same total order as
-/// [`edge_key_desc`], encoded so that `BinaryHeap`'s max-first pop matches.
-#[derive(PartialEq)]
-struct HeapEdge(f64, u32, u32);
-
-impl Eq for HeapEdge {}
-
-impl PartialOrd for HeapEdge {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for HeapEdge {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // BinaryHeap pops the maximum, so "greater" must mean "comes first"
-        // under edge_key_desc: invert the comparator.
-        edge_key_desc((other.0, other.1, other.2), (self.0, self.1, self.2))
-    }
-}
-
-fn run_heap(view: &EdgeView<'_, '_>) -> Matching {
-    let g = view.prepared();
-    let mut heap: BinaryHeap<HeapEdge> = view
-        .edges()
-        .iter()
-        .map(|e| HeapEdge(e.weight, e.left, e.right))
-        .collect();
-    let mut matched_left = vec![false; g.n_left() as usize];
-    let mut matched_right = vec![false; g.n_right() as usize];
-    let mut pairs = Vec::new();
-    let mut remaining = heap.len().min(g.n_left().min(g.n_right()) as usize);
-    while remaining > 0 {
-        let Some(HeapEdge(_, l, r)) = heap.pop() else {
-            break;
-        };
-        if !matched_left[l as usize] && !matched_right[r as usize] {
-            matched_left[l as usize] = true;
-            matched_right[r as usize] = true;
-            pairs.push((l, r));
-            remaining -= 1;
-        }
-    }
-    Matching::new(pairs)
 }
 
 fn greedy(g: &PreparedGraph<'_>, edges: impl Iterator<Item = (f64, u32, u32)>) -> Matching {
@@ -142,7 +63,7 @@ mod tests {
         // were already matched.
         let g = figure1();
         let pg = PreparedGraph::new(&g);
-        let m = Umc::default().run(&pg, 0.5);
+        let m = Umc.run(&pg, 0.5);
         assert_eq!(m.pairs(), &[(1, 1), (2, 3), (4, 0)]);
     }
 
@@ -151,7 +72,7 @@ mod tests {
         // Algorithm 8 keeps edges with sim > t: an edge at exactly t drops.
         let g = figure1();
         let pg = PreparedGraph::new(&g);
-        let m = Umc::default().run(&pg, 0.6);
+        let m = Umc.run(&pg, 0.6);
         assert_eq!(m.pairs(), &[(1, 1), (4, 0)]);
     }
 
@@ -160,24 +81,8 @@ mod tests {
         let g = diamond();
         let pg = PreparedGraph::new(&g);
         // 0-0 (0.9) first, blocking 0-1 and 1-0; then 2-2 (0.5); 1-1 (0.2).
-        let m = Umc::default().run(&pg, 0.1);
+        let m = Umc.run(&pg, 0.1);
         assert_eq!(m.pairs(), &[(0, 0), (1, 1), (2, 2)]);
-    }
-
-    #[test]
-    fn heap_and_sort_agree() {
-        let g = diamond();
-        let pg = PreparedGraph::new(&g);
-        for t in [0.0, 0.1, 0.3, 0.45, 0.79, 0.9] {
-            let a = Umc::default().run(&pg, t);
-            let b = Umc::with_heap().run(&pg, t);
-            assert_eq!(a, b, "strategies must be output-equivalent at t={t}");
-        }
-        let g = figure1();
-        let pg = PreparedGraph::new(&g);
-        for t in [0.0, 0.3, 0.5, 0.6, 0.75] {
-            assert_eq!(Umc::default().run(&pg, t), Umc::with_heap().run(&pg, t));
-        }
     }
 
     #[test]
@@ -190,9 +95,8 @@ mod tests {
         b.add_edge(0, 0, 0.8).unwrap();
         let g = b.build();
         let pg = PreparedGraph::new(&g);
-        let m = Umc::default().run(&pg, 0.0);
+        let m = Umc.run(&pg, 0.0);
         assert_eq!(m.pairs(), &[(0, 0)]);
-        assert_eq!(Umc::with_heap().run(&pg, 0.0).pairs(), &[(0, 0)]);
     }
 
     #[test]
@@ -200,6 +104,6 @@ mod tests {
         use er_core::GraphBuilder;
         let g = GraphBuilder::new(3, 3).build();
         let pg = PreparedGraph::new(&g);
-        assert!(Umc::default().run(&pg, 0.5).is_empty());
+        assert!(Umc.run(&pg, 0.5).is_empty());
     }
 }

@@ -7,23 +7,18 @@
 //!    algorithms — run fresh and through its incremental sweeper —
 //!    produces the *identical* matching over the mapped store as over
 //!    the resident graph, at every threshold of the paper's grid;
-//! 2. **zero edge copies**: on a version-2 store (persisted sort-order
-//!    column) the prepared graph reports `resident_edge_copies() == 0`
-//!    until an adjacency-consuming algorithm materializes its CSR — the
+//! 2. **zero edge copies**: the store persists its sort-order column, so
+//!    the prepared graph reports `resident_edge_copies() == 0` until an
+//!    adjacency-consuming algorithm materializes its CSR — the
 //!    weight-descending sweep itself reads the file;
-//! 3. **version fallback**: version-1 stores (no column) run through the
-//!    in-RAM sort fallback and still match exactly;
-//! 4. **concurrent readers**: one `MappedCsr` serves simultaneous
+//! 3. **concurrent readers**: one `MappedCsr` serves simultaneous
 //!    sweeps from multiple threads (the mmap read surface is `Sync`),
 //!    each bit-identical to the resident reference.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use er_core::{
-    write_csr, write_csr_unsorted, CsrGraph, GraphBuilder, MappedCsr, SimilarityGraph,
-    ThresholdGrid,
-};
+use er_core::{write_csr, CsrGraph, GraphBuilder, MappedCsr, SimilarityGraph, ThresholdGrid};
 use er_matchers::bah::BahConfig;
 use er_matchers::{AlgorithmConfig, AlgorithmKind, PreparedGraph};
 use proptest::prelude::*;
@@ -68,34 +63,25 @@ fn config() -> AlgorithmConfig {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Invariants 1-3: all eight algorithms, fresh and swept, across the
-    /// full paper grid, over v2 (mmap-native) and v1 (fallback) stores.
+    /// Invariants 1-2: all eight algorithms, fresh and swept, across the
+    /// full paper grid, over the mmap-native store.
     #[test]
     fn mapped_sweeps_are_bit_identical_to_resident(g in arb_graph()) {
         let csr = CsrGraph::from_graph(&g);
         let v2 = scratch_file("v2");
-        let v1 = scratch_file("v1");
         write_csr(&csr, &v2).unwrap();
-        write_csr_unsorted(&csr, &v1).unwrap();
         let m2 = MappedCsr::open(&v2).unwrap();
-        let m1 = MappedCsr::open(&v1).unwrap();
-        prop_assert!(m2.has_sort_order());
-        prop_assert!(!m1.has_sort_order());
 
         let pg_ram = PreparedGraph::new(&g);
         let pg_map = PreparedGraph::from_mapped(&m2);
-        let pg_v1 = PreparedGraph::from_mapped(&m1);
-        // Invariant 2: the v2 path holds no edge copies up front; the v1
-        // fallback holds exactly the sorted copy.
+        // Invariant 2: the mapped path holds no edge copies up front.
         prop_assert_eq!(pg_map.resident_edge_copies(), 0);
-        prop_assert_eq!(pg_v1.resident_edge_copies(), csr.n_edges());
 
         let cfg = config();
         let grid = ThresholdGrid::paper();
         for kind in AlgorithmKind::ALL {
             let matcher = cfg.build(kind);
             let mut sw_map = cfg.sweeper(kind);
-            let mut sw_v1 = cfg.sweeper(kind);
             for t in grid.values_desc() {
                 let want = matcher.run(&pg_ram, t);
                 let got_map = matcher.run(&pg_map, t);
@@ -103,20 +89,10 @@ proptest! {
                     &got_map, &want,
                     "{} fresh diverged at t={} on the mmap-native path", kind, t
                 );
-                let got_v1 = matcher.run(&pg_v1, t);
-                prop_assert_eq!(
-                    &got_v1, &want,
-                    "{} fresh diverged at t={} on the v1 fallback", kind, t
-                );
                 let swept_map = sw_map.step(&pg_map, t);
                 prop_assert_eq!(
                     &swept_map, &want,
                     "{} sweeper diverged at t={} on the mmap-native path", kind, t
-                );
-                let swept_v1 = sw_v1.step(&pg_v1, t);
-                prop_assert_eq!(
-                    &swept_v1, &want,
-                    "{} sweeper diverged at t={} on the v1 fallback", kind, t
                 );
             }
         }
@@ -130,11 +106,10 @@ proptest! {
         }
         prop_assert_eq!(pg_umc.resident_edge_copies(), 0, "the UMC sweep copied edges");
         std::fs::remove_file(&v2).ok();
-        std::fs::remove_file(&v1).ok();
     }
 }
 
-/// Invariant 4: two threads sweep one shared `MappedCsr` concurrently;
+/// Invariant 3: two threads sweep one shared `MappedCsr` concurrently;
 /// both reproduce the resident reference exactly.
 #[test]
 fn concurrent_readers_share_one_mapped_store() {
@@ -154,7 +129,6 @@ fn concurrent_readers_share_one_mapped_store() {
     let path = scratch_file("concurrent");
     write_csr(&csr, &path).unwrap();
     let mapped = MappedCsr::open(&path).unwrap();
-    assert!(mapped.has_sort_order());
 
     let cfg = config();
     let grid = ThresholdGrid::paper();

@@ -103,7 +103,7 @@ proptest! {
     #[test]
     fn umc_is_half_approximation(g in arb_graph(), t in arb_threshold()) {
         let pg = PreparedGraph::new(&g);
-        let umc = Umc::default().run(&pg, t).total_weight(&g);
+        let umc = Umc.run(&pg, t).total_weight(&g);
         let opt = max_weight_matching_value(&g, t);
         prop_assert!(
             umc * 2.0 + 1e-9 >= opt,

@@ -54,7 +54,7 @@
 //! count. DESIGN.md §15 spells out the per-index domination arguments.
 //!
 //! Pairs skipped by a generator are **not generated**: they never reach a
-//! scorer, are not counted in `TopKStats::generated_pairs`, and appear in
+//! scorer, are not counted in `BuildStats::generated_pairs`, and appear in
 //! neither `pruned_pairs` nor `scored_pairs` — the stats invariant
 //! `generated == pruned + scored` holds on every path because pruning and
 //! scoring only ever apply to generated candidates.

@@ -62,8 +62,8 @@
 //! descending, ties by ascending right id) and row-local, so results are
 //! bit-identical across thread counts; with `k = usize::MAX` the retained
 //! edge set equals [`build_graph`]'s (property-tested in
-//! `tests/graphgen_props.rs`). [`build_graph_topk_stats`] returns the
-//! builder accounting ([`TopKStats`]) that proves the bound.
+//! `tests/graphgen_props.rs`). It returns the builder accounting
+//! ([`BuildStats`]) that proves the bound.
 //!
 //! # Bound-driven scoring
 //!
@@ -80,7 +80,7 @@
 //! steps and pruning is strict-below only, so a pruned candidate could
 //! never have entered the heap: [`build_graph_topk`] output stays
 //! **bit-identical** to the dense-then-prune flow (property-proven per
-//! measure and thread count). [`TopKStats`] reports the
+//! measure and thread count). [`BuildStats`] reports the
 //! offered/pruned/scored accounting.
 
 use std::hash::Hash;
@@ -127,8 +127,8 @@ pub(crate) type Triple = (u32, u32, f64);
 /// A resident service that scores *new* records against an already-built
 /// graph must map their raw scores through the **same** frame, or the new
 /// edges would live on a different scale than the resident ones. The
-/// frame is therefore a first-class output of the framed build variants
-/// ([`build_graph_topk_framed`]) and an input to
+/// frame is therefore a first-class output of the top-k build
+/// ([`build_graph_topk`]) and an input to
 /// [`ResidentScorer`](crate::resident::ResidentScorer). It is frozen at
 /// build time: later inserts could in principle widen the raw score
 /// range, which a full rebuild would absorb into a new frame — documented
@@ -282,8 +282,7 @@ pub struct GeneratedGraph {
 }
 
 /// A constructed graph bundled with its weight-descending sorted edge
-/// view, produced in one pass by [`build_prepared`] /
-/// [`build_prepared_over`]. Feed it to
+/// view, produced in one pass by [`build_prepared`]. Feed it to
 /// `er_matchers::PreparedGraph::from_sorted`: the sort happens once, at
 /// emit time, and every downstream consumer (sweeps, stats, caches)
 /// shares this view instead of deriving its own.
@@ -331,62 +330,13 @@ pub fn build_graph_over(
     )
 }
 
-/// Build the **top-k pruned** similarity graph of `function` over
-/// `dataset`: only each left entity's best `k` edges are kept, selected
-/// *during* scoring so the dense graph never materializes (peak resident
-/// edges stay in `O(n_left × k)` — see [`build_graph_topk_stats`]).
-///
-/// ```
-/// use er_datasets::{Dataset, DatasetId};
-/// use er_pipeline::{build_graph_topk, PipelineConfig, SimilarityFunction};
-/// use er_textsim::{NGramScheme, VectorMeasure};
-///
-/// let d = Dataset::generate(DatasetId::D1, 0.02, 7);
-/// let f = SimilarityFunction::SchemaAgnosticVector {
-///     scheme: NGramScheme::Token(1),
-///     measure: VectorMeasure::CosineTfIdf,
-/// };
-/// let g = build_graph_topk(&d, &f, 2, &PipelineConfig::default());
-/// let adj = g.adjacency();
-/// assert!((0..g.n_left()).all(|l| adj.left_degree(l) <= 2));
-/// ```
-pub fn build_graph_topk(
-    dataset: &Dataset,
-    function: &SimilarityFunction,
-    k: usize,
-    cfg: &PipelineConfig,
-) -> SimilarityGraph {
-    build_graph_topk_over(&dataset.left, &dataset.right, function, k, cfg)
-}
-
-/// [`build_graph_topk`] over two bare collections (the imported-data
-/// entry point). See [`build_graph_topk_stats`] for the semantics and
-/// the accounting variant.
-///
-/// ```
-/// # use er_datasets::{Dataset, DatasetId};
-/// # use er_pipeline::{build_graph_topk_over, PipelineConfig, SimilarityFunction};
-/// # use er_textsim::{NGramScheme, VectorMeasure};
-/// let d = Dataset::generate(DatasetId::D1, 0.02, 7);
-/// let f = SimilarityFunction::SchemaAgnosticVector {
-///     scheme: NGramScheme::Token(1),
-///     measure: VectorMeasure::CosineTfIdf,
-/// };
-/// let g = build_graph_topk_over(&d.left, &d.right, &f, 1, &PipelineConfig::default());
-/// assert!(g.n_edges() <= d.left.len());
-/// ```
-pub fn build_graph_topk_over(
-    left: &EntityCollection,
-    right: &EntityCollection,
-    function: &SimilarityFunction,
-    k: usize,
-    cfg: &PipelineConfig,
-) -> SimilarityGraph {
-    build_graph_topk_stats(left, right, function, k, cfg).0
-}
-
-/// [`build_graph_topk_over`] plus the builder accounting that proves the
-/// memory bound.
+/// Build the **top-k pruned** similarity graph of `function` over two
+/// collections: only each left entity's best `k` edges are kept,
+/// selected *during* scoring so the dense graph never materializes.
+/// Returns the graph, the builder accounting that proves the memory
+/// bound ([`BuildStats`]), and the [`NormFrame`] the build normalized
+/// with — the frame a resident service needs to score later record
+/// inserts onto the same weight scale (see [`crate::resident`]).
 ///
 /// Semantics: each left row keeps its `k` best candidates by **raw**
 /// score, ties broken by ascending right id (the deterministic
@@ -407,51 +357,30 @@ pub fn build_graph_topk_over(
 /// [`build_graph_over`]'s edge set exactly; results are bit-identical
 /// across thread counts either way.
 ///
-/// ```
-/// # use er_datasets::{Dataset, DatasetId};
-/// # use er_pipeline::{build_graph_topk_stats, PipelineConfig, SimilarityFunction};
-/// # use er_textsim::{NGramScheme, VectorMeasure};
-/// let d = Dataset::generate(DatasetId::D1, 0.02, 7);
-/// let f = SimilarityFunction::SchemaAgnosticVector {
-///     scheme: NGramScheme::Token(1),
-///     measure: VectorMeasure::CosineTfIdf,
-/// };
-/// let k = 2;
-/// let (g, stats) = build_graph_topk_stats(&d.left, &d.right, &f, k, &PipelineConfig::default());
-/// assert_eq!(stats.retained_edges, g.n_edges());
-/// assert!(stats.peak_resident_edges <= d.left.len() * k);
-/// ```
-pub fn build_graph_topk_stats(
-    left: &EntityCollection,
-    right: &EntityCollection,
-    function: &SimilarityFunction,
-    k: usize,
-    cfg: &PipelineConfig,
-) -> (SimilarityGraph, TopKStats) {
-    build_graph_topk_mode(left, right, function, k, CandidateMode::Enumerated, cfg)
-}
-
-/// [`build_graph_topk_stats`] with an explicit [`CandidateMode`].
-///
-/// [`CandidateMode::Indexed`] replaces each branch's candidate
-/// *enumeration* with index-driven generation under the sink's admission
-/// bound (prefix-filtered postings for the token-vector measures, length
+/// `mode` picks the candidate source. [`CandidateMode::Enumerated`]
+/// walks each branch's own enumeration (the full cross product, or
+/// every term-sharing pair). [`CandidateMode::Indexed`] replaces it with
+/// index-driven generation under the sink's admission bound
+/// (prefix-filtered postings for the token-vector measures, length
 /// buckets with counting filters for the character measures, centroid
-/// balls for the semantic measures — see [`crate::candidates`]): pairs an
-/// index rules out are never materialized, so
-/// [`TopKStats::generated_pairs`] itself drops below `n_left × n_right`
-/// while the finished graph stays **bit-identical** to
-/// [`CandidateMode::Enumerated`] for every taxonomy branch, `k` and
-/// thread count (property-proven in `tests/candidates_props.rs`).
-/// Branches without a candidate index (the schema-based token measures,
-/// the n-gram graph models) fall back to their own enumeration — still
-/// correct, just not sub-quadratic.
+/// balls for the semantic measures — see [`crate::candidates`]): pairs
+/// an index rules out are never materialized, so
+/// [`BuildStats::generated_pairs`] itself drops below
+/// `n_left × n_right` while the finished graph stays **bit-identical**
+/// to enumeration for every taxonomy branch, `k` and thread count
+/// (property-proven in `tests/candidates_props.rs`). Branches without a
+/// candidate index (the schema-based token measures, the n-gram graph
+/// models) fall back to their own enumeration — still correct, just not
+/// sub-quadratic.
+///
+/// The accounting is the single-shard case of the out-of-core build
+/// ([`build_graph_sharded`](crate::build_graph_sharded)): `shards = 1`,
+/// `resident_budget_edges = n_left × k`, and the spill and merge
+/// counters are 0.
 ///
 /// ```
 /// use er_datasets::{Dataset, DatasetId};
-/// use er_pipeline::{
-///     build_graph_topk_mode, CandidateMode, PipelineConfig, SimilarityFunction,
-/// };
+/// use er_pipeline::{build_graph_topk, CandidateMode, PipelineConfig, SimilarityFunction};
 /// use er_textsim::{CharMeasure, SchemaBasedMeasure};
 ///
 /// let d = Dataset::generate(DatasetId::D1, 0.02, 7);
@@ -459,39 +388,26 @@ pub fn build_graph_topk_stats(
 ///     attribute: "name".into(),
 ///     measure: SchemaBasedMeasure::Char(CharMeasure::Levenshtein),
 /// };
-/// let cfg = PipelineConfig::default();
-/// let (g_enum, s_enum) =
-///     build_graph_topk_mode(&d.left, &d.right, &f, 2, CandidateMode::Enumerated, &cfg);
-/// let (g_idx, s_idx) =
-///     build_graph_topk_mode(&d.left, &d.right, &f, 2, CandidateMode::Indexed, &cfg);
+/// let (cfg, k) = (PipelineConfig::default(), 2);
+/// let build = |mode| build_graph_topk(&d.left, &d.right, &f, k, mode, &cfg);
+/// let (g_enum, s_enum, _) = build(CandidateMode::Enumerated);
+/// let (g_idx, s_idx, _) = build(CandidateMode::Indexed);
 /// assert_eq!(g_enum.edges(), g_idx.edges());
+/// let adj = g_idx.adjacency();
+/// assert!((0..g_idx.n_left()).all(|l| adj.left_degree(l) <= k));
+/// assert_eq!(s_idx.retained_edges, g_idx.n_edges());
+/// assert!(s_idx.peak_resident_edges <= s_idx.resident_budget_edges);
 /// assert!(s_idx.generated_pairs <= s_enum.generated_pairs);
 /// assert_eq!(s_idx.generated_pairs, s_idx.pruned_pairs + s_idx.scored_pairs);
 /// ```
-pub fn build_graph_topk_mode(
+pub fn build_graph_topk(
     left: &EntityCollection,
     right: &EntityCollection,
     function: &SimilarityFunction,
     k: usize,
     mode: CandidateMode,
     cfg: &PipelineConfig,
-) -> (SimilarityGraph, TopKStats) {
-    let (graph, stats, _) = build_graph_topk_framed(left, right, function, k, mode, cfg);
-    (graph, stats)
-}
-
-/// [`build_graph_topk_mode`] that also returns the [`NormFrame`] the
-/// build normalized with — the entry point for a resident service that
-/// must score later record inserts onto the same weight scale (see
-/// [`crate::resident`]).
-pub fn build_graph_topk_framed(
-    left: &EntityCollection,
-    right: &EntityCollection,
-    function: &SimilarityFunction,
-    k: usize,
-    mode: CandidateMode,
-    cfg: &PipelineConfig,
-) -> (SimilarityGraph, TopKStats, NormFrame) {
+) -> (SimilarityGraph, BuildStats, NormFrame) {
     let acct = ConstructionCounters::default();
     let shards = score_shards(
         left,
@@ -502,80 +418,33 @@ pub fn build_graph_topk_framed(
         ScoreMode::TopK { k, acct: &acct },
     );
     let (graph, frame) = finalize_framed(left, right, shards, cfg);
-    let stats = TopKStats {
+    let stats = BuildStats {
+        shards: 1,
         generated_pairs: acct.generated(),
         offered_edges: acct.offered(),
         retained_edges: graph.n_edges(),
         peak_resident_edges: acct.peak(),
+        resident_budget_edges: left.len().saturating_mul(k),
         pruned_pairs: acct.pruned(),
         scored_pairs: acct.scored(),
+        spilled_triples: 0,
+        spilled_bytes: 0,
+        merged_bytes: 0,
+        merge_workers: 0,
     };
     (graph, stats, frame)
 }
 
-/// [`build_graph_topk_over`] restricted to the blocked `candidates` —
-/// the production combination: block first, score only candidate pairs,
-/// and keep each left entity's best `k` of them, all in one streaming
-/// pass with peak resident edges in `O(n_left × k)`. Equivalent to
-/// [`build_graph_restricted`] followed by
-/// `SimilarityGraph::pruned_top_k(k)` under the default protocol (same
-/// caveats as [`build_graph_topk_stats`]); normalization runs over the
-/// restricted, pruned score set.
-///
-/// ```
-/// # use er_core::FxHashSet;
-/// # use er_datasets::{Dataset, DatasetId};
-/// # use er_pipeline::{build_graph_topk_restricted, PipelineConfig, SimilarityFunction};
-/// # use er_textsim::{NGramScheme, VectorMeasure};
-/// let d = Dataset::generate(DatasetId::D1, 0.02, 7);
-/// let f = SimilarityFunction::SchemaAgnosticVector {
-///     scheme: NGramScheme::Token(1),
-///     measure: VectorMeasure::CosineTfIdf,
-/// };
-/// let candidates = er_pipeline::token_blocking(&d.left, &d.right).candidate_pairs();
-/// let g =
-///     build_graph_topk_restricted(&d.left, &d.right, &f, &candidates, 2, &PipelineConfig::default());
-/// assert!(g.n_edges() <= d.left.len() * 2);
-/// ```
-pub fn build_graph_topk_restricted(
-    left: &EntityCollection,
-    right: &EntityCollection,
-    function: &SimilarityFunction,
-    candidates: &FxHashSet<(u32, u32)>,
-    k: usize,
-    cfg: &PipelineConfig,
-) -> SimilarityGraph {
-    let lists = CandidateLists::new(left.len() as u32, right.len() as u32, candidates);
-    let acct = ConstructionCounters::default();
-    let shards = score_shards(
-        left,
-        right,
-        function,
-        CandidateSource::Blocked(&lists),
-        cfg,
-        ScoreMode::TopK { k, acct: &acct },
-    );
-    finalize(left, right, shards, cfg)
-}
-
-/// Builder accounting of one streaming top-k construction
-/// ([`build_graph_topk_stats`]).
-///
-/// ```
-/// # use er_datasets::{Dataset, DatasetId};
-/// # use er_pipeline::{build_graph_topk_stats, PipelineConfig, SimilarityFunction};
-/// # use er_textsim::{NGramScheme, VectorMeasure};
-/// let d = Dataset::generate(DatasetId::D1, 0.02, 7);
-/// let f = SimilarityFunction::SchemaAgnosticVector {
-///     scheme: NGramScheme::Token(1),
-///     measure: VectorMeasure::CosineTfIdf,
-/// };
-/// let (_, stats) = build_graph_topk_stats(&d.left, &d.right, &f, 3, &PipelineConfig::default());
-/// assert!(stats.offered_edges >= stats.retained_edges);
-/// assert!(stats.peak_resident_edges >= stats.retained_edges);
-/// ```
-#[derive(Debug, Clone, Copy, Serialize)]
-pub struct TopKStats {
+/// Builder accounting of one top-k construction, in RAM
+/// ([`build_graph_topk`]) or out of core
+/// ([`build_graph_sharded`](crate::build_graph_sharded)). The in-RAM
+/// build is the single-shard case: `shards = 1`,
+/// `resident_budget_edges = n_left × k`, and every spill and merge
+/// counter is 0.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+pub struct BuildStats {
+    /// Shards scored (and, out of core, spilled); 1 in RAM.
+    pub shards: usize,
     /// Candidate pairs the scorers **generated** — materialized and
     /// handed to a measure, after which each was either bound-pruned or
     /// fully scored (`generated_pairs == pruned_pairs + scored_pairs` on
@@ -590,10 +459,15 @@ pub struct TopKStats {
     pub offered_edges: usize,
     /// Edges in the finished graph (at most `n_left × k`).
     pub retained_edges: usize,
-    /// Maximum triples resident at once during the score phase (bounded
-    /// row heaps plus finished shard buffers) — at most `n_left × k` by
-    /// construction, however many edges were offered.
+    /// Maximum triples resident at once during the score phase —
+    /// bounded row heaps plus the finished shard buffers not yet
+    /// spilled. At most [`Self::resident_budget_edges`], however many
+    /// edges were offered.
     pub peak_resident_edges: usize,
+    /// The resident ceiling: `n_left × k` in RAM; `shard_rows × k` out
+    /// of core, doubled when the build is pipelined (two shards in
+    /// flight).
+    pub resident_budget_edges: usize,
     /// Candidate pairs a bound-aware scorer skipped **before** scoring:
     /// their exact upper bound fell strictly below the row heap's
     /// admission weight, so scoring them could not have changed the
@@ -605,32 +479,31 @@ pub struct TopKStats {
     /// `pruned_pairs + scored_pairs` is the candidate volume a
     /// bound-aware scorer faced; the prune rate is their ratio.
     pub scored_pairs: usize,
+    /// Positivity-filtered triples written to spill files.
+    pub spilled_triples: usize,
+    /// Bytes written to spill files.
+    pub spilled_bytes: usize,
+    /// Bytes of the merged on-disk graph (the final store file).
+    pub merged_bytes: usize,
+    /// Workers the final merge ran with (1 = one serial pass; 0 in RAM,
+    /// where nothing is merged).
+    pub merge_workers: usize,
 }
 
 /// Build the similarity graph of `function` over `dataset`, emitting the
-/// sorted edge view alongside (see [`BuiltGraph`]).
-pub fn build_prepared(
-    dataset: &Dataset,
-    function: &SimilarityFunction,
-    cfg: &PipelineConfig,
-) -> BuiltGraph {
-    build_prepared_over(&dataset.left, &dataset.right, function, cfg)
-}
-
-/// [`build_graph_over`] plus the sorted edge view, sorted once at emit
+/// sorted edge view alongside (see [`BuiltGraph`]), sorted once at emit
 /// time by the one packed-key sort ([`SortedEdges::from_edges`]). That
 /// sort is all `PreparedGraph::new` would do: the adjacency is scattered
 /// lazily from the sorted view either way. The point is ownership —
 /// construction emits the view, so callers that need the graph *and* a
 /// prepared sweep input hand it to `PreparedGraph::from_sorted` and
 /// never sort twice.
-pub fn build_prepared_over(
-    left: &EntityCollection,
-    right: &EntityCollection,
+pub fn build_prepared(
+    dataset: &Dataset,
     function: &SimilarityFunction,
     cfg: &PipelineConfig,
 ) -> BuiltGraph {
-    let graph = build_graph_over(left, right, function, cfg);
+    let graph = build_graph(dataset, function, cfg);
     let sorted = graph.sorted_edges();
     BuiltGraph { graph, sorted }
 }
@@ -1022,7 +895,7 @@ impl<F: FnMut(usize, Vec<Vec<Triple>>)> ScorePhase<'_, F> {
 
 /// The indexed top-k build over a scorer prepared (and kept) by the
 /// caller, walking the caller's right-side `index`: the build
-/// [`build_graph_topk_framed`] runs in [`CandidateMode::Indexed`], minus
+/// [`build_graph_topk`] runs in [`CandidateMode::Indexed`], minus
 /// the prepare — the resident scorer's load-time graph.
 pub(crate) fn build_topk_prepared<S: RowScorer>(
     scorer: &S,
@@ -2859,6 +2732,18 @@ mod tests {
         }
     }
 
+    /// The enumerated top-k graph of `f` over `d` and its accounting.
+    fn topk(
+        d: &Dataset,
+        f: &SimilarityFunction,
+        k: usize,
+        cfg: &PipelineConfig,
+    ) -> (SimilarityGraph, BuildStats) {
+        let (g, stats, _) =
+            build_graph_topk(&d.left, &d.right, f, k, CandidateMode::Enumerated, cfg);
+        (g, stats)
+    }
+
     /// Edge triples with weight bits, for exact graph comparison.
     fn edge_bits(g: &SimilarityGraph) -> Vec<(u32, u32, u64)> {
         g.edges()
@@ -3285,7 +3170,7 @@ mod tests {
         for f in &functions {
             let dense = build_graph(&d, f, &cfg);
             for k in [1usize, 3] {
-                let streamed = build_graph_topk(&d, f, k, &cfg);
+                let (streamed, _) = topk(&d, f, k, &cfg);
                 assert_eq!(
                     edge_bits(&streamed),
                     edge_bits(&dense.pruned_top_k(k)),
@@ -3307,8 +3192,7 @@ mod tests {
             scope: SemanticScope::SchemaAgnostic,
         };
         let k = 2usize;
-        let (g, stats) =
-            build_graph_topk_stats(&d.left, &d.right, &f, k, &PipelineConfig::default());
+        let (g, stats) = topk(&d, &f, k, &PipelineConfig::default());
         let bound = d.left.len() * k;
         assert!(
             stats.peak_resident_edges <= bound,
@@ -3324,9 +3208,8 @@ mod tests {
             stats.offered_edges
         );
         // The same accounting holds when workers shard the rows.
-        let (_, par_stats) = build_graph_topk_stats(
-            &d.left,
-            &d.right,
+        let (_, par_stats) = topk(
+            &d,
             &f,
             k,
             &PipelineConfig {
@@ -3340,33 +3223,13 @@ mod tests {
     }
 
     #[test]
-    fn topk_restricted_matches_restricted_then_prune() {
-        let d = tiny();
-        let f = SimilarityFunction::SchemaAgnosticVector {
-            scheme: NGramScheme::Token(1),
-            measure: VectorMeasure::CosineTfIdf,
-        };
-        let cfg = PipelineConfig::default();
-        let candidates = crate::blocking::token_blocking(&d.left, &d.right).candidate_pairs();
-        let restricted = build_graph_restricted(&d.left, &d.right, &f, &candidates, &cfg);
-        for k in [1usize, 3] {
-            let streamed = build_graph_topk_restricted(&d.left, &d.right, &f, &candidates, k, &cfg);
-            assert_eq!(
-                edge_bits(&streamed),
-                edge_bits(&restricted.pruned_top_k(k)),
-                "k={k}"
-            );
-        }
-    }
-
-    #[test]
     fn topk_parallel_is_bit_identical_to_serial() {
         let d = tiny();
         let f = SimilarityFunction::SchemaAgnosticVector {
             scheme: NGramScheme::Token(1),
             measure: VectorMeasure::CosineTfIdf,
         };
-        let serial = build_graph_topk(
+        let (serial, _) = topk(
             &d,
             &f,
             2,
@@ -3375,7 +3238,7 @@ mod tests {
                 ..PipelineConfig::default()
             },
         );
-        let parallel = build_graph_topk(
+        let (parallel, _) = topk(
             &d,
             &f,
             2,
@@ -3397,7 +3260,7 @@ mod tests {
         };
         let cfg = PipelineConfig::default();
         let dense = build_graph(&d, &f, &cfg);
-        let unbounded = build_graph_topk(&d, &f, usize::MAX, &cfg);
+        let (unbounded, _) = topk(&d, &f, usize::MAX, &cfg);
         let canon = |g: &SimilarityGraph| {
             let mut v = edge_bits(g);
             v.sort_unstable();
@@ -3413,8 +3276,7 @@ mod tests {
             scheme: NGramScheme::Token(1),
             measure: VectorMeasure::CosineTfIdf,
         };
-        let (g, stats) =
-            build_graph_topk_stats(&d.left, &d.right, &f, 0, &PipelineConfig::default());
+        let (g, stats) = topk(&d, &f, 0, &PipelineConfig::default());
         assert!(g.is_empty());
         assert_eq!(stats.peak_resident_edges, 0);
         assert!(stats.offered_edges > 0, "candidates were still scored");

@@ -32,7 +32,7 @@
 //! * **index-driven candidate generation** ([`candidates`]): the top-k
 //!   path can generate candidates from per-branch indexes (prefix-filtered
 //!   postings, length buckets with counting filters, centroid balls)
-//!   under the sink's admission bound — [`build_graph_topk_mode`] with
+//!   under the sink's admission bound — [`build_graph_topk`] with
 //!   [`CandidateMode::Indexed`] — so ruled-out pairs are never
 //!   materialized while graphs stay bit-identical to enumeration;
 //! * an **out-of-core build** ([`sharded`]): [`build_graph_sharded`]
@@ -44,6 +44,21 @@
 //!   top-k build;
 //! * a crossbeam-parallel [`runner`] that generates a dataset's whole
 //!   graph corpus, dividing its thread budget with the per-graph engine.
+//!
+//! # Entry points
+//!
+//! Construction has six public functions, one per capability:
+//!
+//! | function | output |
+//! |---|---|
+//! | [`build_graph`] / [`build_graph_over`] | dense graph over a [`Dataset`](er_datasets::Dataset) / two bare collections |
+//! | [`build_prepared`] | dense graph plus its sorted edge view |
+//! | [`build_graph_restricted`] | dense graph over blocked candidate pairs |
+//! | [`build_graph_topk`] | in-RAM top-k graph, [`BuildStats`], [`NormFrame`] |
+//! | [`build_graph_sharded`] | out-of-core top-k store, [`BuildStats`], [`NormFrame`] |
+//!
+//! Both top-k builds report through the one [`BuildStats`]; the in-RAM
+//! build is its single-shard case.
 
 pub mod blocking;
 pub mod candidates;
@@ -62,12 +77,10 @@ pub use candidates::CandidateMode;
 pub use cleaning::{clean_graphs, CleaningOutcome};
 pub use config::{KernelMode, PipelineConfig};
 pub use graphgen::{
-    build_graph, build_graph_over, build_graph_restricted, build_graph_topk,
-    build_graph_topk_framed, build_graph_topk_mode, build_graph_topk_over,
-    build_graph_topk_restricted, build_graph_topk_stats, build_prepared, build_prepared_over,
-    BuiltGraph, GeneratedGraph, NormFrame, TopKStats,
+    build_graph, build_graph_over, build_graph_restricted, build_graph_topk, build_prepared,
+    BuildStats, BuiltGraph, GeneratedGraph, NormFrame,
 };
 pub use resident::ResidentScorer;
 pub use runner::generate_corpus;
-pub use sharded::{build_graph_sharded, ShardedConfig, ShardedStats};
+pub use sharded::{build_graph_sharded, ShardedConfig};
 pub use taxonomy::{SemanticScope, SimilarityFunction, WeightType};

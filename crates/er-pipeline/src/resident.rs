@@ -62,7 +62,7 @@ use er_textsim::SchemaBasedMeasure;
 use crate::candidates::{CandidateMode, CandidateSource};
 use crate::config::PipelineConfig;
 use crate::graphgen::{
-    build_graph_topk_framed, build_topk_prepared, score_shards, AppendScorer, CharScorer,
+    build_graph_topk, build_topk_prepared, score_shards, AppendScorer, CharScorer,
     DenseSemanticScorer, EdgeSink, NormFrame, ScoreMode, Triple, VectorScorer,
 };
 use crate::taxonomy::SimilarityFunction;
@@ -91,7 +91,7 @@ pub struct ResidentScorer {
 impl ResidentScorer {
     /// Prepare the resident state **once** and score the load-time top-k
     /// graph from it — bit-identical to
-    /// [`build_graph_topk_framed`] in
+    /// [`build_graph_topk`] in
     /// [`CandidateMode::Indexed`], whose frame the scorer keeps.
     ///
     /// Errors with [`CoreError::DeltaIdMismatch`] when a profile id
@@ -110,7 +110,7 @@ impl ResidentScorer {
             Some(f) => f.build(left, right, k, cfg),
             None => {
                 let (graph, _, frame) =
-                    build_graph_topk_framed(left, right, function, k, CandidateMode::Indexed, cfg);
+                    build_graph_topk(left, right, function, k, CandidateMode::Indexed, cfg);
                 (graph, frame)
             }
         };
@@ -119,8 +119,7 @@ impl ResidentScorer {
 
     /// Prepare the resident state for a graph built elsewhere over the
     /// same collections with `k`, whose [`NormFrame`] is `frame` (from
-    /// [`build_graph_topk_framed`] or
-    /// `build_graph_sharded`).
+    /// [`build_graph_topk`] or `build_graph_sharded`).
     ///
     /// Errors as [`build`](Self::build) does.
     pub fn prepare(
@@ -495,7 +494,7 @@ mod tests {
         let [token, char_fn, dense] = indexed_fns(&d);
         for f in [token, char_fn, dense, jaccard] {
             let (g, _, frame) =
-                build_graph_topk_framed(&d.left, &d.right, &f, 3, CandidateMode::Indexed, &cfg);
+                build_graph_topk(&d.left, &d.right, &f, 3, CandidateMode::Indexed, &cfg);
             let (built, rs) = ResidentScorer::build(&d.left, &d.right, &f, 3, &cfg).unwrap();
             assert_eq!(built.edges(), g.edges(), "{}", f.name());
             assert_eq!(rs.frame(), frame, "{}", f.name());

@@ -1,7 +1,7 @@
 //! Out-of-core top-k graph construction: score in bounded shards, spill,
-//! k-way-merge into a columnar on-disk graph.
+//! merge into a columnar on-disk graph.
 //!
-//! The in-RAM streaming build ([`build_graph_topk_mode`](crate::build_graph_topk_mode)) already bounds
+//! The in-RAM streaming build ([`build_graph_topk`](crate::build_graph_topk)) already bounds
 //! peak memory at `O(n_left × k)` edges — but the *finished* edge set
 //! still materializes as one heap-resident graph. This module removes
 //! that last ceiling: [`build_graph_sharded`] partitions the left rows
@@ -25,7 +25,7 @@
 //! thread. The channel is unbuffered, so at most **two** shards are
 //! in flight — the one being scored and the one being spilled — and the
 //! resident ceiling doubles to `2 × shard_rows × k`
-//! ([`ShardedStats::resident_budget_edges`] reports whichever bound is
+//! ([`BuildStats::resident_budget_edges`] reports whichever bound is
 //! configured). Bit-identity is untouched: there is a single producer,
 //! shards arrive at the spill thread in score order, each spill file's
 //! bytes are computed per shard exactly as in the serial loop, and the
@@ -38,12 +38,16 @@
 //! independently of the others. [`ShardedConfig::merge_threads`] workers
 //! do exactly that, and one serial pass streams the segments — already
 //! in global row order — into the [`SlabWriter`]. With one effective
-//! thread the direct heap-merge path runs instead (no segment I/O).
+//! thread the spill files stream straight into the writer instead (no
+//! segment I/O). All three passes share one row-grouping loop
+//! (`for_each_row`): shards are contiguous ascending row ranges, so
+//! reading the files in order *is* the global row order, and no k-way
+//! merge is needed.
 //!
 //! # Bit-identity with the in-RAM path
 //!
 //! The result is **bit-identical** to
-//! `CsrGraph::from_graph(&build_graph_topk_mode(…).0)`, argued in three
+//! `CsrGraph::from_graph(&build_graph_topk(…).0)`, argued in three
 //! steps (property-proven per taxonomy branch, thread count, shard
 //! size and pipelining mode in `tests/sharded_props.rs`):
 //!
@@ -74,7 +78,6 @@
 //! DESIGN.md §18 and §20 spell the argument out against the on-disk
 //! format.
 
-use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -85,7 +88,7 @@ use er_datasets::EntityCollection;
 
 use crate::candidates::{CandidateMode, SourceKind};
 use crate::config::PipelineConfig;
-use crate::graphgen::{score_sharded, NormFrame, ScoreMode, Triple};
+use crate::graphgen::{score_sharded, BuildStats, NormFrame, ScoreMode, Triple};
 use crate::taxonomy::SimilarityFunction;
 
 /// Bytes of one spill record: `(left u32, right u32, raw weight f64)`.
@@ -144,40 +147,6 @@ impl ShardedConfig {
     }
 }
 
-/// Accounting of one out-of-core build — the construction-flow counters
-/// of the in-RAM [`TopKStats`](crate::TopKStats) plus the spill/merge
-/// volumes that replace resident memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardedStats {
-    /// Shards scored and spilled.
-    pub shards: usize,
-    /// Candidate pairs materialized and handed to a measure.
-    pub generated_pairs: usize,
-    /// Triples the scorers emitted into the bounded sinks.
-    pub offered_edges: usize,
-    /// Edges in the finished on-disk graph.
-    pub retained_edges: usize,
-    /// Maximum triples resident at once — bounded row heaps plus the
-    /// in-flight shard buffers only, since each spilled shard releases
-    /// its count. At most [`Self::resident_budget_edges`].
-    pub peak_resident_edges: usize,
-    /// The configured resident ceiling: `shard_rows × k`, doubled when
-    /// the build is pipelined (two shards in flight).
-    pub resident_budget_edges: usize,
-    /// Candidate pairs skipped via exact upper bounds before scoring.
-    pub pruned_pairs: usize,
-    /// Candidate pairs fully scored.
-    pub scored_pairs: usize,
-    /// Positivity-filtered triples written to spill files.
-    pub spilled_triples: usize,
-    /// Bytes written to spill files.
-    pub spilled_bytes: usize,
-    /// Bytes of the merged on-disk graph (the final store file).
-    pub merged_bytes: usize,
-    /// Workers the final merge actually ran with (1 = direct serial).
-    pub merge_workers: usize,
-}
-
 /// One spill (or segment) file being merged: a buffered reader plus the
 /// decoded look-ahead record — the only triple of the shard resident
 /// during the merge.
@@ -217,6 +186,14 @@ impl SpillReader {
         };
         Ok(())
     }
+}
+
+/// Append one spill (or segment) record.
+fn write_record(out: &mut impl Write, l: u32, r: u32, w: f64) -> Result<(), StoreError> {
+    out.write_all(&l.to_le_bytes())?;
+    out.write_all(&r.to_le_bytes())?;
+    out.write_all(&w.to_le_bytes())?;
+    Ok(())
 }
 
 // ----------------------------------------------------------------------
@@ -268,9 +245,7 @@ impl SpillState {
                 }
                 self.lo = self.lo.min(w);
                 self.hi = self.hi.max(w);
-                out.write_all(&l.to_le_bytes())?;
-                out.write_all(&r.to_le_bytes())?;
-                out.write_all(&w.to_le_bytes())?;
+                write_record(&mut out, l, r, w)?;
                 kept += 1;
             }
             out.flush()?;
@@ -536,87 +511,25 @@ impl StoreSink {
 // Merge paths.
 // ----------------------------------------------------------------------
 
-/// Direct serial merge: k-way heap over all spill files straight into
-/// the sink — no intermediate segment I/O. The path of choice on one
-/// effective thread.
-fn merge_serial(
-    spills: &[PathBuf],
-    frame: NormFrame,
-    sink: &mut StoreSink,
-    n_left: u32,
-) -> Result<(), StoreError> {
-    let mut readers = Vec::with_capacity(spills.len());
-    for p in spills {
-        readers.push(SpillReader::open(p)?);
-    }
-    let mut heap: BinaryHeap<Reverse<(u32, usize)>> = readers
-        .iter()
-        .enumerate()
-        .filter_map(|(i, r)| r.next.map(|(l, _, _)| Reverse((l, i))))
-        .collect();
-    let mut row: Vec<(u32, f64)> = Vec::new();
-    for l in 0..n_left {
-        row.clear();
-        while let Some(&Reverse((rl, idx))) = heap.peek() {
-            if rl != l {
-                break;
-            }
-            heap.pop();
-            while let Some((el, er, ew)) = readers[idx].next {
-                if el != l {
-                    break;
-                }
-                row.push((er, frame.apply(ew)));
-                readers[idx].advance()?;
-            }
-            if let Some((el, _, _)) = readers[idx].next {
-                heap.push(Reverse((el, idx)));
-            }
-        }
-        // Shard rows drain weight-descending; the store's canonical
-        // row order is right-ascending, same as CsrGraph::from_graph.
-        row.sort_unstable_by_key(|&(r, _)| r);
-        sink.push_row(l, &row)?;
-    }
-    if !heap.is_empty() {
-        return Err(StoreError::Format(
-            "spill records outside the left id space".into(),
-        ));
-    }
-    Ok(())
-}
-
-/// One parallel-merge worker: finalize a contiguous group of spill
-/// files into a segment file — rows in ascending-left order,
-/// right-ascending within a row, weights normalized. Row-local work
-/// only, so the segment bytes are identical to what the direct merge
-/// writes for those rows.
+/// Stream the records of `files` — spill or segment files covering
+/// contiguous, ascending left-row ranges in file order — and hand each
+/// left row's `(right, weight)` pairs to `on_row`, rows ascending. The
+/// one row-grouping loop of every merge pass.
 ///
-/// A group's left-id range is not known up front: shards cut the
+/// A file's left-id range is not known up front: shards cut the
 /// scorer's rows, and schema-based scorers skip entities that lack the
 /// attribute, so shard `s` need not start at left id `s · shard_rows`.
-/// The worker checks only that ids ascend and stay below `n_left`; the
-/// sink rejects segments whose rows overlap or go backwards.
-fn merge_group(
-    spills: &[PathBuf],
-    frame: NormFrame,
-    seg_path: &Path,
+/// The loop checks only that ids ascend and stay below `n_left`; the
+/// store sink rejects rows that overlap or go backwards across parallel
+/// segments.
+fn for_each_row(
+    files: &[PathBuf],
     n_left: u32,
+    mut on_row: impl FnMut(u32, &mut Vec<(u32, f64)>) -> Result<(), StoreError>,
 ) -> Result<(), StoreError> {
-    let mut out = BufWriter::new(File::create(seg_path)?);
     let mut row: Vec<(u32, f64)> = Vec::new();
     let mut cur: Option<u32> = None;
-    let flush = |l: u32, row: &mut Vec<(u32, f64)>, out: &mut BufWriter<File>| {
-        row.sort_unstable_by_key(|&(r, _)| r);
-        for &(r, w) in row.iter() {
-            out.write_all(&l.to_le_bytes())?;
-            out.write_all(&r.to_le_bytes())?;
-            out.write_all(&w.to_le_bytes())?;
-        }
-        row.clear();
-        Ok::<(), StoreError>(())
-    };
-    for p in spills {
+    for p in files {
         let mut rd = SpillReader::open(p)?;
         while let Some((l, r, w)) = rd.next {
             if l >= n_left || cur.is_some_and(|c| l < c) {
@@ -626,17 +539,49 @@ fn merge_group(
             }
             if cur != Some(l) {
                 if let Some(prev) = cur {
-                    flush(prev, &mut row, &mut out)?;
+                    on_row(prev, &mut row)?;
+                    row.clear();
                 }
                 cur = Some(l);
             }
-            row.push((r, frame.apply(w)));
+            row.push((r, w));
             rd.advance()?;
         }
     }
     if let Some(prev) = cur {
-        flush(prev, &mut row, &mut out)?;
+        on_row(prev, &mut row)?;
     }
+    Ok(())
+}
+
+/// Finalize one spilled row in place: map each raw weight through the
+/// frame, then sort right-ascending. Shard rows drain weight-descending;
+/// the store's canonical row order is right-ascending, same as
+/// `CsrGraph::from_graph`.
+fn finalize_row(frame: NormFrame, row: &mut [(u32, f64)]) {
+    for e in row.iter_mut() {
+        e.1 = frame.apply(e.1);
+    }
+    row.sort_unstable_by_key(|&(r, _)| r);
+}
+
+/// One parallel-merge worker: finalize a contiguous group of spill
+/// files into a segment file — rows in ascending-left order,
+/// right-ascending within a row, weights normalized. Row-local work
+/// only, so the segment bytes are identical to what the one-worker
+/// merge writes for those rows.
+fn merge_group(
+    spills: &[PathBuf],
+    frame: NormFrame,
+    seg_path: &Path,
+    n_left: u32,
+) -> Result<(), StoreError> {
+    let mut out = BufWriter::new(File::create(seg_path)?);
+    for_each_row(spills, n_left, |l, row| {
+        finalize_row(frame, row);
+        row.iter()
+            .try_for_each(|&(r, w)| write_record(&mut out, l, r, w))
+    })?;
     out.flush()?;
     Ok(())
 }
@@ -678,43 +623,25 @@ fn merge_parallel(
     for r in results {
         r?;
     }
-    // Serial pass: segments are contiguous ascending row ranges, so
-    // concatenation is the global row order.
-    let mut row: Vec<(u32, f64)> = Vec::new();
-    let mut cur: Option<u32> = None;
-    for seg in &seg_paths {
-        let mut rd = SpillReader::open(seg)?;
-        while let Some((l, r, w)) = rd.next {
-            if cur != Some(l) {
-                if let Some(prev) = cur {
-                    sink.push_row(prev, &row)?;
-                    row.clear();
-                }
-                cur = Some(l);
-            }
-            row.push((r, w));
-            rd.advance()?;
-        }
-    }
-    if let Some(prev) = cur {
-        sink.push_row(prev, &row)?;
-    }
+    // Segments are contiguous ascending row ranges, so reading them in
+    // order is the global row order.
+    for_each_row(&seg_paths, n_left, |l, row| sink.push_row(l, row))?;
     Ok(seg_paths)
 }
 
 /// Build the top-k graph of `function` **out of core**: bounded shards
 /// through the streaming engine, spill files, an external merge into a
 /// columnar on-disk store at `out_path` — opened and returned as a
-/// file-backed [`MappedCsr`] view (version 2: sort-order column
-/// included), bit-identical to what the in-RAM
-/// [`build_graph_topk_mode`](crate::build_graph_topk_mode) path would have produced (see the module
-/// docs for the argument), with the frame and the spill/merge
-/// accounting alongside.
+/// file-backed [`MappedCsr`] view (sort-order column included),
+/// bit-identical to what the in-RAM
+/// [`build_graph_topk`](crate::build_graph_topk) path would have
+/// produced (see the module docs for the argument), with the frame and
+/// the spill/merge accounting alongside.
 ///
 /// ```
 /// use er_datasets::{Dataset, DatasetId};
 /// use er_pipeline::{
-///     build_graph_sharded, build_graph_topk_mode, CandidateMode, PipelineConfig, ShardedConfig,
+///     build_graph_sharded, build_graph_topk, CandidateMode, PipelineConfig, ShardedConfig,
 /// };
 /// use er_pipeline::SimilarityFunction;
 /// use er_textsim::{NGramScheme, VectorMeasure};
@@ -733,10 +660,9 @@ fn merge_parallel(
 /// ).unwrap();
 ///
 /// // Bit-identical to the in-RAM build, resident bound respected.
-/// let (g, _) = build_graph_topk_mode(&d.left, &d.right, &f, 2, CandidateMode::Indexed, &cfg);
+/// let (g, _, _) = build_graph_topk(&d.left, &d.right, &f, 2, CandidateMode::Indexed, &cfg);
 /// assert_eq!(mapped.to_csr(), er_core::CsrGraph::from_graph(&g));
 /// assert!(stats.peak_resident_edges <= stats.resident_budget_edges);
-/// assert!(mapped.has_sort_order());
 /// # std::fs::remove_file(&out).ok();
 /// ```
 #[allow(clippy::too_many_arguments)]
@@ -749,7 +675,7 @@ pub fn build_graph_sharded(
     cfg: &PipelineConfig,
     sharding: &ShardedConfig,
     out_path: &Path,
-) -> Result<(MappedCsr, ShardedStats, NormFrame), StoreError> {
+) -> Result<(MappedCsr, BuildStats, NormFrame), StoreError> {
     if sharding.shard_rows == 0 {
         return Err(StoreError::Format("shard_rows must be at least 1".into()));
     }
@@ -857,7 +783,10 @@ pub fn build_graph_sharded(
         )?;
         let mut temp_paths = Vec::new();
         if workers <= 1 {
-            merge_serial(&spills, frame, &mut sink, n_left)?;
+            for_each_row(&spills, n_left, |l, row| {
+                finalize_row(frame, row);
+                sink.push_row(l, row)
+            })?;
         } else {
             temp_paths = merge_parallel(
                 &spills,
@@ -878,7 +807,7 @@ pub fn build_graph_sharded(
     acct.add_merged_bytes(meta.file_bytes as usize);
 
     let mapped = MappedCsr::open(out_path)?;
-    let stats = ShardedStats {
+    let stats = BuildStats {
         shards: spills.len(),
         generated_pairs: acct.generated(),
         offered_edges: acct.offered(),

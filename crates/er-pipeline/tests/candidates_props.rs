@@ -12,7 +12,7 @@
 //!    with 4 workers, for every `k`. An index may only *skip* pairs whose
 //!    exact upper bound falls strictly below the sink's admission bound,
 //!    so no retained edge can ever be lost.
-//! 2. **Counter consistency** (`TopKStats`): `generated_pairs ==
+//! 2. **Counter consistency** (`BuildStats`): `generated_pairs ==
 //!    pruned_pairs + scored_pairs` on both modes (every generated
 //!    candidate is pruned or scored, never both, never dropped);
 //!    `offered_edges <= scored_pairs`; indexed generation never exceeds
@@ -35,8 +35,8 @@ use er_core::SimilarityGraph;
 use er_datasets::{Dataset, DatasetId, EntityCollection, EntityProfile};
 use er_embed::{EmbeddingModel, SemanticMeasure};
 use er_pipeline::{
-    build_graph_over, build_graph_topk_mode, CandidateMode, KernelMode, PipelineConfig,
-    SemanticScope, SimilarityFunction, TopKStats,
+    build_graph_over, build_graph_topk, BuildStats, CandidateMode, KernelMode, PipelineConfig,
+    SemanticScope, SimilarityFunction,
 };
 use er_textsim::{
     CharMeasure, GraphSimilarity, NGramScheme, SchemaBasedMeasure, TokenMeasure, VectorMeasure,
@@ -107,7 +107,7 @@ fn assert_bit_identical(a: &SimilarityGraph, b: &SimilarityGraph, what: &str) {
 }
 
 /// Invariant 2 asserts shared by every case.
-fn assert_counters_consistent(stats: &TopKStats, what: &str) {
+fn assert_counters_consistent(stats: &BuildStats, what: &str) {
     assert_eq!(
         stats.generated_pairs,
         stats.pruned_pairs + stats.scored_pairs,
@@ -145,10 +145,10 @@ fn check_function(
             "{} k={k} threads={threads} kernel={kernel_mode:?}",
             function.name()
         );
-        let (g_enum, s_enum) =
-            build_graph_topk_mode(left, right, function, k, CandidateMode::Enumerated, &cfg);
-        let (g_idx, s_idx) =
-            build_graph_topk_mode(left, right, function, k, CandidateMode::Indexed, &cfg);
+        let (g_enum, s_enum, _) =
+            build_graph_topk(left, right, function, k, CandidateMode::Enumerated, &cfg);
+        let (g_idx, s_idx, _) =
+            build_graph_topk(left, right, function, k, CandidateMode::Indexed, &cfg);
         assert_bit_identical(&g_enum, &g_idx, &what);
         assert_counters_consistent(&s_enum, &format!("{what} enumerated"));
         assert_counters_consistent(&s_idx, &format!("{what} indexed"));
@@ -327,7 +327,7 @@ proptest! {
                 scheme: NGramScheme::Token(1),
                 measure,
             };
-            let (_, stats) = build_graph_topk_mode(
+            let (_, stats, _) = build_graph_topk(
                 &left,
                 &right,
                 &function,
@@ -355,7 +355,7 @@ proptest! {
     ) {
         for function in indexed_branches() {
             let cfg = cfg_with(1);
-            let (g0, s0) = build_graph_topk_mode(
+            let (g0, s0, _) = build_graph_topk(
                 &left, &right, &function, 0, CandidateMode::Indexed, &cfg,
             );
             prop_assert_eq!(g0.n_edges(), 0, "{}: k = 0 keeps nothing", function.name());
@@ -366,7 +366,7 @@ proptest! {
                 function.name()
             );
 
-            let (g_inf, _) = build_graph_topk_mode(
+            let (g_inf, _, _) = build_graph_topk(
                 &left, &right, &function, usize::MAX, CandidateMode::Indexed, &cfg,
             );
             let dense = build_graph_over(&left, &right, &function, &cfg);
@@ -410,10 +410,10 @@ fn indexes_prune_on_a_generated_corpus() {
     ];
     for function in &functions {
         let what = format!("{} on D7 x0.05 k=3", function.name());
-        let (g_enum, s_enum) =
-            build_graph_topk_mode(left, right, function, 3, CandidateMode::Enumerated, &cfg);
-        let (g_idx, s_idx) =
-            build_graph_topk_mode(left, right, function, 3, CandidateMode::Indexed, &cfg);
+        let (g_enum, s_enum, _) =
+            build_graph_topk(left, right, function, 3, CandidateMode::Enumerated, &cfg);
+        let (g_idx, s_idx, _) =
+            build_graph_topk(left, right, function, 3, CandidateMode::Indexed, &cfg);
         assert_bit_identical(&g_enum, &g_idx, &what);
         assert!(
             s_idx.generated_pairs <= s_enum.generated_pairs,

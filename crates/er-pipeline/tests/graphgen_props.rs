@@ -36,14 +36,13 @@
 //!    graph are thread-count invariant by `er-eval/tests/proptests.rs`
 //!    (2 and 4 workers against the naive per-threshold re-run).
 
-use er_core::{FxHashSet, SimilarityGraph};
-use er_datasets::{Dataset, DatasetId, EntityCollection, EntityProfile};
+use er_core::{FxHashSet, GroundTruth, SimilarityGraph};
+use er_datasets::{Dataset, DatasetId, DatasetSpec, EntityCollection, EntityProfile};
 use er_embed::{EmbeddingModel, SemanticMeasure};
 use er_pipeline::blocking::{restrict_graph, token_blocking};
 use er_pipeline::{
-    build_graph_over, build_graph_restricted, build_graph_topk_mode, build_graph_topk_over,
-    build_graph_topk_stats, build_prepared_over, CandidateMode, KernelMode, PipelineConfig,
-    SemanticScope, SimilarityFunction,
+    build_graph_over, build_graph_restricted, build_graph_topk, build_prepared, BuildStats,
+    CandidateMode, KernelMode, PipelineConfig, SemanticScope, SimilarityFunction,
 };
 use er_textsim::{CharMeasure, GraphSimilarity, NGramScheme, SchemaBasedMeasure, VectorMeasure};
 use proptest::prelude::*;
@@ -115,6 +114,18 @@ fn branch_representatives() -> Vec<SimilarityFunction> {
             },
         },
     ]
+}
+
+/// The enumerated in-RAM top-k build of `function` and its accounting.
+fn topk_enumerated(
+    left: &EntityCollection,
+    right: &EntityCollection,
+    function: &SimilarityFunction,
+    k: usize,
+    cfg: &PipelineConfig,
+) -> (SimilarityGraph, BuildStats) {
+    let (g, stats, _) = build_graph_topk(left, right, function, k, CandidateMode::Enumerated, cfg);
+    (g, stats)
 }
 
 fn serial_cfg() -> PipelineConfig {
@@ -235,7 +246,7 @@ proptest! {
         for function in branch_representatives() {
             let dense = build_graph_over(&left, &right, &function, &serial_cfg());
             let (streamed, stats) =
-                build_graph_topk_stats(&left, &right, &function, k, &serial_cfg());
+                topk_enumerated(&left, &right, &function, k, &serial_cfg());
             assert_bit_identical(
                 &dense.pruned_top_k(k),
                 &streamed,
@@ -245,7 +256,7 @@ proptest! {
             prop_assert_eq!(stats.retained_edges, streamed.n_edges());
 
             let parallel =
-                build_graph_topk_over(&left, &right, &function, k, &parallel_cfg(threads, 2));
+                topk_enumerated(&left, &right, &function, k, &parallel_cfg(threads, 2)).0;
             assert_bit_identical(
                 &streamed,
                 &parallel,
@@ -253,7 +264,7 @@ proptest! {
             );
 
             let unbounded =
-                build_graph_topk_over(&left, &right, &function, usize::MAX, &serial_cfg());
+                topk_enumerated(&left, &right, &function, usize::MAX, &serial_cfg()).0;
             let canon = |g: &SimilarityGraph| -> Vec<(u32, u32, u64)> {
                 let mut v: Vec<_> = g
                     .edges()
@@ -300,14 +311,14 @@ proptest! {
         for function in functions {
             let dense = build_graph_over(&left, &right, &function, &serial_cfg());
             let (streamed, stats) =
-                build_graph_topk_stats(&left, &right, &function, k, &serial_cfg());
+                topk_enumerated(&left, &right, &function, k, &serial_cfg());
             assert_bit_identical(
                 &dense.pruned_top_k(k),
                 &streamed,
                 &format!("{} pruned topk k={k}", function.name()),
             );
             let parallel =
-                build_graph_topk_over(&left, &right, &function, k, &parallel_cfg(4, 2));
+                topk_enumerated(&left, &right, &function, k, &parallel_cfg(4, 2)).0;
             assert_bit_identical(
                 &streamed,
                 &parallel,
@@ -328,7 +339,7 @@ proptest! {
 
     /// Invariant 7: the lane kernels never change a bit. For every
     /// bounded scorer family (all 7 character measures, Word Mover's,
-    /// dense cosine), `build_graph_topk_mode` under `KernelMode::Lanes`
+    /// dense cosine), `build_graph_topk` under `KernelMode::Lanes`
     /// equals `KernelMode::Scalar` bit for bit — across both candidate
     /// modes (enumeration and index-driven generation) and
     /// `threads ∈ {1, 4}`. Small `k` keeps the admission bound tight, so
@@ -376,7 +387,7 @@ proptest! {
         };
         for function in functions {
             for mode in [CandidateMode::Enumerated, CandidateMode::Indexed] {
-                let (scalar, _) = build_graph_topk_mode(
+                let (scalar, _, _) = build_graph_topk(
                     &left,
                     &right,
                     &function,
@@ -385,7 +396,7 @@ proptest! {
                     &with_kernel(&serial_cfg(), KernelMode::Scalar),
                 );
                 for threads in [1usize, 4] {
-                    let (lanes, _) = build_graph_topk_mode(
+                    let (lanes, _, _) = build_graph_topk(
                         &left,
                         &right,
                         &function,
@@ -418,7 +429,13 @@ proptest! {
             scheme: NGramScheme::Token(1),
             measure: VectorMeasure::Jaccard,
         };
-        let built = build_prepared_over(&left, &right, &function, &parallel_cfg(threads, 2));
+        let dataset = Dataset {
+            spec: DatasetSpec::of(DatasetId::D1),
+            left,
+            right,
+            ground_truth: GroundTruth::new(Vec::new()),
+        };
+        let built = build_prepared(&dataset, &function, &parallel_cfg(threads, 2));
         let reference = built.graph.sorted_edges();
         prop_assert_eq!(built.sorted.len(), built.graph.n_edges());
         for (a, b) in built.sorted.all().iter().zip(reference.all()) {
@@ -459,8 +476,8 @@ fn threads_and_kernels_are_bit_identical_on_a_generated_corpus() {
         ..PipelineConfig::default()
     };
     for (function, mode) in &builds {
-        let (reference, _) =
-            build_graph_topk_mode(left, right, function, k, *mode, &cfg(1, KernelMode::Scalar));
+        let (reference, _, _) =
+            build_graph_topk(left, right, function, k, *mode, &cfg(1, KernelMode::Scalar));
         let dense = build_graph_over(left, right, function, &cfg(1, KernelMode::Scalar));
         assert_bit_identical(
             &dense.pruned_top_k(k),
@@ -469,8 +486,8 @@ fn threads_and_kernels_are_bit_identical_on_a_generated_corpus() {
         );
         for threads in [1, 2, 4] {
             for kernel in [KernelMode::Scalar, KernelMode::Lanes] {
-                let (g, _) =
-                    build_graph_topk_mode(left, right, function, k, *mode, &cfg(threads, kernel));
+                let (g, _, _) =
+                    build_graph_topk(left, right, function, k, *mode, &cfg(threads, kernel));
                 assert_bit_identical(
                     &reference,
                     &g,

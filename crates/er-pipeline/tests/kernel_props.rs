@@ -16,15 +16,16 @@
 //! * whole graphs: for all 7 character measures and the three semantic
 //!   measures (cosine, Euclidean, Word Mover's), dense and top-k builds
 //!   under `KernelMode::Lanes` equal `KernelMode::Scalar` bit for bit —
-//!   over every candidate source: the branch's own enumeration, its
-//!   candidate index, and blocked candidate lists (`token_blocking`).
+//!   over every candidate source: the branch's own enumeration and its
+//!   candidate index (top-k), and blocked candidate lists
+//!   (`token_blocking`, dense).
 
 use er_core::SimilarityGraph;
 use er_datasets::{EntityCollection, EntityProfile};
 use er_embed::{lanes as embed_lanes, DenseVector, EmbeddingModel, SemanticMeasure};
 use er_pipeline::{
-    build_graph_over, build_graph_restricted, build_graph_topk_mode, build_graph_topk_restricted,
-    token_blocking, CandidateMode, KernelMode, PipelineConfig, SemanticScope, SimilarityFunction,
+    build_graph_over, build_graph_restricted, build_graph_topk, token_blocking, CandidateMode,
+    KernelMode, PipelineConfig, SemanticScope, SimilarityFunction,
 };
 use er_textsim::lanes::{
     bag_upper_bounds_from_common, length_upper_bounds, sorted_common_counts, MyersBatch, LANE_WIDTH,
@@ -308,9 +309,9 @@ proptest! {
     /// collections include > 64-char values (multi-block Myers) and
     /// supplementary-plane chars; right-side counts indivisible by the
     /// lane width exercise ragged tails through every chunked path.
-    /// The blocked builds (`build_graph_restricted` and
-    /// `build_graph_topk_restricted`) run over separate space-separated
-    /// collections whose `token_blocking` candidates fill whole lanes.
+    /// The blocked build (`build_graph_restricted`) runs over separate
+    /// space-separated collections whose `token_blocking` candidates fill
+    /// whole lanes.
     #[test]
     fn graphs_are_bit_identical_across_kernel_modes(
         left in arb_unicode_collection(5),
@@ -358,7 +359,7 @@ proptest! {
                 &format!("{} dense", function.name()),
             );
             for mode in [CandidateMode::Enumerated, CandidateMode::Indexed] {
-                let (topk_scalar, _) = build_graph_topk_mode(
+                let (topk_scalar, _, _) = build_graph_topk(
                     &left,
                     &right,
                     &function,
@@ -366,7 +367,7 @@ proptest! {
                     mode,
                     &cfg(KernelMode::Scalar),
                 );
-                let (topk_lanes, _) = build_graph_topk_mode(
+                let (topk_lanes, _, _) = build_graph_topk(
                     &left,
                     &right,
                     &function,
@@ -388,14 +389,6 @@ proptest! {
                 &restricted(KernelMode::Scalar),
                 &restricted(KernelMode::Lanes),
                 &format!("{} restricted", function.name()),
-            );
-            let topk_restricted = |kernel| {
-                build_graph_topk_restricted(bl, br, &function, &candidates, k, &cfg(kernel))
-            };
-            assert_bit_identical(
-                &topk_restricted(KernelMode::Scalar),
-                &topk_restricted(KernelMode::Lanes),
-                &format!("{} topk restricted k={k}", function.name()),
             );
         }
     }

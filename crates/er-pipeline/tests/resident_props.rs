@@ -6,7 +6,7 @@
 //! profile's batch edges **bit for bit** through the build's frame:
 //!
 //! 1. **Left inserts.** A copy of left profile `i` returns exactly row `i`
-//!    of `build_graph_topk_framed(.., k, CandidateMode::Indexed, ..)` —
+//!    of `build_graph_topk(.., k, CandidateMode::Indexed, ..)` —
 //!    the same top-k admission, the same raw scores, the same frame.
 //! 2. **Right inserts.** With `k = usize::MAX` (no row bound), a copy of
 //!    right profile `j` returns exactly column `j`: every measure sees
@@ -26,7 +26,7 @@
 use er_core::{RowDelta, Side, SimilarityGraph};
 use er_datasets::{Dataset, DatasetId, EntityProfile};
 use er_pipeline::{
-    build_graph_topk_framed, CandidateMode, KernelMode, NormFrame, PipelineConfig, ResidentScorer,
+    build_graph_topk, CandidateMode, KernelMode, NormFrame, PipelineConfig, ResidentScorer,
     SimilarityFunction,
 };
 use er_textsim::SchemaBasedMeasure;
@@ -175,8 +175,7 @@ fn check(d: &Dataset, f: &SimilarityFunction, k: usize, stride: usize, among_cop
     for kernel in [KernelMode::Scalar, KernelMode::Lanes] {
         let cfg = config(kernel);
         let label = format!("{} under {kernel:?}", f.name());
-        let build =
-            |k| build_graph_topk_framed(&d.left, &d.right, f, k, CandidateMode::Indexed, &cfg);
+        let build = |k| build_graph_topk(&d.left, &d.right, f, k, CandidateMode::Indexed, &cfg);
         let (g, _, frame) = build(k);
         let (all, _, all_frame) = build(usize::MAX);
         // The row bound keeps the global maximum and the 0.0 floor.

@@ -4,7 +4,7 @@
 //! Invariants:
 //! 1. **bit identity**: `build_graph_sharded` followed by
 //!    `MappedCsr::to_csr` equals `CsrGraph::from_graph` over the in-RAM
-//!    `build_graph_topk_mode` graph — same edges, same order, same
+//!    `build_graph_topk` graph — same edges, same order, same
 //!    weight bits — for every taxonomy branch, across shard sizes
 //!    (including 1-row shards and shards larger than the input), thread
 //!    counts, and both candidate modes;
@@ -13,8 +13,10 @@
 //!    over its raw `f64` fields, so this is a bitwise statement);
 //! 3. **resident budget**: peak resident edges never exceed the
 //!    configured admission budget (`shard_rows × k`, doubled when the
-//!    build pipelines scoring against spilling), and the spill/merge
-//!    accounting is consistent with the retained edge count;
+//!    build pipelines scoring against spilling), the spill/merge
+//!    accounting is consistent with the retained edge count, and the
+//!    flow counters (generated, offered, pruned, scored, retained) equal
+//!    the in-RAM build's — its single-shard case;
 //! 4. **pipelining and merge parallelism are invisible in the bytes**:
 //!    the serial build, the pipelined build, and every merge-worker
 //!    count produce *byte-identical* store files — sort-order column,
@@ -28,8 +30,8 @@ use er_core::CsrGraph;
 use er_datasets::{Dataset, DatasetId, EntityCollection, EntityProfile};
 use er_embed::{EmbeddingModel, SemanticMeasure};
 use er_pipeline::{
-    build_graph_sharded, build_graph_topk_framed, CandidateMode, PipelineConfig, SemanticScope,
-    ShardedConfig, SimilarityFunction,
+    build_graph_sharded, build_graph_topk, BuildStats, CandidateMode, PipelineConfig,
+    SemanticScope, ShardedConfig, SimilarityFunction,
 };
 use er_textsim::{CharMeasure, GraphSimilarity, NGramScheme, SchemaBasedMeasure, VectorMeasure};
 use proptest::prelude::*;
@@ -131,7 +133,7 @@ fn assert_sharded_matches_ram(
     shard_rows: usize,
 ) {
     let (ram_graph, ram_stats, ram_frame) =
-        build_graph_topk_framed(left, right, function, k, mode, config);
+        build_graph_topk(left, right, function, k, mode, config);
     let want = CsrGraph::from_graph(&ram_graph);
 
     let dir = scratch_dir();
@@ -146,16 +148,30 @@ fn assert_sharded_matches_ram(
         function.name()
     );
     assert_eq!(mapped.to_csr(), want, "{what}: bit-identical store");
-    assert!(
-        mapped.has_sort_order(),
-        "{what}: sharded builds persist the sort-order column"
+    let sorted: Vec<_> = (0..mapped.n_edges())
+        .map(|i| mapped.sorted_edge(i))
+        .collect();
+    assert_eq!(
+        sorted,
+        ram_graph.sorted_edges().all(),
+        "{what}: the persisted sort-order column is the in-RAM sorted view"
     );
     assert!(stats.merge_workers >= 1, "{what}: merge ran");
     assert_eq!(frame, ram_frame, "{what}: identical normalization frame");
     assert_eq!(stats.retained_edges, want.n_edges(), "{what}: retained");
+    let flow = |s: &BuildStats| {
+        (
+            s.generated_pairs,
+            s.offered_edges,
+            s.pruned_pairs,
+            s.scored_pairs,
+            s.retained_edges,
+        )
+    };
     assert_eq!(
-        stats.generated_pairs, ram_stats.generated_pairs,
-        "{what}: same candidate stream"
+        flow(&stats),
+        flow(&ram_stats),
+        "{what}: same candidate flow"
     );
     assert!(
         stats.peak_resident_edges <= stats.resident_budget_edges,
@@ -248,7 +264,7 @@ proptest! {
         let k = 2;
         let config = cfg(2);
         let (ram_graph, _, ram_frame) =
-            build_graph_topk_framed(&left, &right, &function, k, CandidateMode::Indexed, &config);
+            build_graph_topk(&left, &right, &function, k, CandidateMode::Indexed, &config);
         let want = CsrGraph::from_graph(&ram_graph);
 
         let dir = scratch_dir();
@@ -317,7 +333,7 @@ proptest! {
         let k = 2;
         let config = cfg(2);
         let (ram_graph, _, _) =
-            build_graph_topk_framed(&left, &right, &function, k, CandidateMode::Indexed, &config);
+            build_graph_topk(&left, &right, &function, k, CandidateMode::Indexed, &config);
         let want = CsrGraph::from_graph(&ram_graph);
 
         let dir = scratch_dir();
@@ -358,7 +374,7 @@ fn shard_budget_stays_below_the_stored_graph_on_a_generated_corpus() {
     let (k, shard_rows) = (3, 16);
     let config = PipelineConfig::default();
     let (ram_graph, _, _) =
-        build_graph_topk_framed(left, right, &function, k, CandidateMode::Indexed, &config);
+        build_graph_topk(left, right, &function, k, CandidateMode::Indexed, &config);
     let want = CsrGraph::from_graph(&ram_graph);
 
     let dir = scratch_dir();

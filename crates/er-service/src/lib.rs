@@ -438,7 +438,7 @@ impl ErService {
 mod tests {
     use super::*;
     use er_datasets::{Dataset, DatasetId};
-    use er_pipeline::{build_graph_topk_framed, CandidateMode};
+    use er_pipeline::{build_graph_topk, CandidateMode};
     use er_textsim::{NGramScheme, VectorMeasure};
 
     fn service() -> (ErService, Dataset) {
@@ -554,7 +554,7 @@ mod tests {
             ..ServiceConfig::default()
         };
         // Persist the batch build, then hydrate a second service from disk.
-        let (graph, _, frame) = build_graph_topk_framed(
+        let (graph, _, frame) = build_graph_topk(
             &d.left,
             &d.right,
             &f,
@@ -617,7 +617,7 @@ mod tests {
             measure: VectorMeasure::CosineTfIdf,
         };
         let cfg = ServiceConfig::default();
-        let (graph, _, frame) = build_graph_topk_framed(
+        let (graph, _, frame) = build_graph_topk(
             &d.left,
             &d.right,
             &f,
@@ -652,7 +652,7 @@ mod tests {
             auto_compact_ratio: 2.0,
             ..ServiceConfig::default()
         };
-        let (graph, _, frame) = build_graph_topk_framed(
+        let (graph, _, frame) = build_graph_topk(
             &d.left,
             &d.right,
             &f,
@@ -698,7 +698,7 @@ mod tests {
             auto_compact_ratio: 0.0,
             ..ServiceConfig::default()
         };
-        let (graph, _, frame) = build_graph_topk_framed(
+        let (graph, _, frame) = build_graph_topk(
             &d.left,
             &d.right,
             &f,
@@ -738,7 +738,7 @@ mod tests {
             auto_compact_ratio: 2.0, // keep removes from compacting
             ..ServiceConfig::default()
         };
-        let (graph, _, frame) = build_graph_topk_framed(
+        let (graph, _, frame) = build_graph_topk(
             &d.left,
             &d.right,
             &f,

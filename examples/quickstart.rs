@@ -51,7 +51,7 @@ fn main() {
 
     // 2. Run Unique Mapping Clustering with a similarity threshold.
     let prepared = PreparedGraph::new(&graph);
-    let matching = Umc::default().run(&prepared, 0.3);
+    let matching = Umc.run(&prepared, 0.3);
     println!("\nmatched pairs (t = 0.3):");
     for (l, r) in matching.iter() {
         println!("  {:<28} <-> {}", shop_a[l as usize], shop_b[r as usize]);

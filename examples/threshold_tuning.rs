@@ -28,7 +28,7 @@ fn main() {
     };
     let graph = build_graph(&dataset, &function, &PipelineConfig::default());
     let prepared = PreparedGraph::new(&graph);
-    let umc = Umc::default();
+    let umc = Umc;
 
     println!("UMC on {} / {}:\n", dataset.label(), function.name());
     println!("   t    edges>t   pairs   precision  recall   F1");

@@ -14,7 +14,7 @@
 //! b.add_edge(1, 1, 0.8).unwrap();
 //! let graph = b.build();
 //! let prepared = PreparedGraph::new(&graph);
-//! let matching = Umc::default().run(&prepared, 0.5);
+//! let matching = Umc.run(&prepared, 0.5);
 //! assert_eq!(matching.pairs(), &[(0, 0), (1, 1)]);
 //! ```
 //!
