@@ -6,11 +6,11 @@
 //! inverted index enumerates the positive pairs *exactly*; edit-distance
 //! and semantic measures score the full Cartesian product.
 //!
-//! All weights are min-max normalized with a `0.0` floor: non-negative raw
-//! scores map onto `(0, 1]` (the weakest retained edge keeps a positive
-//! weight instead of being demoted to an exact-0 non-edge), and graphs
-//! with negative raw scores (`keep_positive_only: false` under signed
-//! measures) fall back to plain min-max over `[lo, hi]`.
+//! Every scored pair passes the positivity filter (`weight > 0`) before
+//! it reaches a sink, and all weights are normalized by the largest
+//! retained raw score: raw scores map onto `(0, 1]`, so the weakest
+//! retained edge keeps a positive weight instead of being demoted to an
+//! exact-0 non-edge.
 //!
 //! # The parallel construction engine
 //!
@@ -114,15 +114,15 @@ use crate::candidates::{
     generate_ball_candidates, generate_char_candidates, generate_token_candidates, CandidateLists,
     CandidateMode, CandidateSource, SourceKind,
 };
-use crate::config::{KernelMode, PipelineConfig};
+use crate::config::{rows_per_chunk, KernelMode, PipelineConfig};
 use crate::taxonomy::{SemanticScope, SimilarityFunction};
 
 /// A scored pair before normalization: `(left, right, raw weight)`.
 pub(crate) type Triple = (u32, u32, f64);
 
-/// The min-max normalization frame one build derived from its retained
-/// raw scores — the map the construction finalize step applies to every
-/// edge weight.
+/// The normalization frame one build derived from its retained raw
+/// scores — the map the construction finalize step applies to every edge
+/// weight.
 ///
 /// A resident service that scores *new* records against an already-built
 /// graph must map their raw scores through the **same** frame, or the new
@@ -135,54 +135,48 @@ pub(crate) type Triple = (u32, u32, f64);
 /// drift of the incremental path (the clamp keeps weights valid anyway).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct NormFrame {
-    /// Lower bound of the raw score range (floored at `0.0`, see
-    /// the finalize step).
-    lo: f64,
-    /// `hi - lo`; non-positive or non-finite means a degenerate frame
-    /// (every weight maps to `1.0`).
+    /// The largest retained raw score, folded from `0.0`: every retained
+    /// score is positive, so the range's lower end is the `0.0` floor and
+    /// this is the whole span. A span at or below `f64::EPSILON` (an
+    /// empty build) is degenerate: every weight maps to `1.0`.
     span: f64,
 }
 
 impl NormFrame {
-    /// The frame of a retained raw-score multiset (post positivity
-    /// filter). Mirrors the finalize step bit for bit.
+    /// The frame of a retained raw-score multiset. Mirrors the finalize
+    /// step bit for bit.
     pub(crate) fn compute(shards: &[Vec<Triple>]) -> Self {
-        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-        for shard in shards {
-            for &(_, _, w) in shard {
-                lo = lo.min(w);
-                hi = hi.max(w);
-            }
-        }
-        NormFrame::from_bounds(lo, hi)
+        let hi = shards
+            .iter()
+            .flatten()
+            .fold(0.0, |hi: f64, &(_, _, w)| hi.max(w));
+        NormFrame::from_max(hi)
     }
 
-    /// The frame over raw-score bounds folded externally: `lo` / `hi`
-    /// are the running min / max over the retained raw scores
-    /// (`f64::INFINITY` / `f64::NEG_INFINITY` when there are none, as a
-    /// fold from those identities yields). Because min/max folding is
-    /// order- and grouping-independent, a frame assembled from per-shard
-    /// bounds is **bit-identical** to [`compute`] over the concatenated
-    /// triples — the keystone of the out-of-core build's equivalence
-    /// with the in-RAM path (`crate::sharded`).
-    pub(crate) fn from_bounds(lo: f64, hi: f64) -> Self {
-        let lo = lo.min(0.0);
-        NormFrame { lo, span: hi - lo }
+    /// The frame over a maximum folded externally: `hi` is the running
+    /// max over the retained raw scores, folded from `0.0`. Because max
+    /// folding is order- and grouping-independent, a frame assembled
+    /// from per-shard maxima is **bit-identical** to
+    /// [`compute`](Self::compute) over the concatenated triples — the
+    /// keystone of the out-of-core build's equivalence with the in-RAM
+    /// path (`crate::sharded`).
+    pub(crate) fn from_max(hi: f64) -> Self {
+        NormFrame { span: hi }
     }
 
     /// A degenerate frame mapping every raw score to `1.0` — what an
     /// empty build produces.
     pub fn degenerate() -> Self {
-        NormFrame { lo: 0.0, span: 0.0 }
+        NormFrame { span: 0.0 }
     }
 
     /// Normalize one raw score exactly as the producing build did.
     #[inline]
     pub fn apply(&self, w: f64) -> f64 {
-        if self.span <= f64::EPSILON || self.span.is_nan() {
+        if self.span <= f64::EPSILON {
             1.0
         } else {
-            ((w - self.lo) / self.span).clamp(0.0, 1.0)
+            (w / self.span).clamp(0.0, 1.0)
         }
     }
 }
@@ -207,7 +201,8 @@ impl NormFrame {
 /// candidate. The score phase probes from the left, so its pairs are
 /// `(left, right)`; a resident right insert probes the left side.
 pub(crate) trait EdgeSink {
-    /// Accept one scored pair (already positivity-filtered by the scorer).
+    /// Accept one scored pair (already positivity-filtered by
+    /// [`scored`](EdgeSink::scored)).
     fn emit(&mut self, row: u32, other: u32, weight: f64);
 
     /// The weight a new candidate of the current row must reach to
@@ -244,11 +239,11 @@ pub(crate) trait EdgeSink {
     fn note_scored(&mut self) {}
 
     /// Count one fully scored candidate and emit it unless the
-    /// positivity filter drops it (`keep_positive` and `weight <= 0`).
+    /// positivity filter drops it (`weight <= 0`, the paper's protocol).
     #[inline]
-    fn scored(&mut self, row: u32, other: u32, weight: f64, keep_positive: bool) {
+    fn scored(&mut self, row: u32, other: u32, weight: f64) {
         self.note_scored();
-        if weight > 0.0 || !keep_positive {
+        if weight > 0.0 {
             self.emit(row, other, weight);
         }
     }
@@ -326,8 +321,8 @@ pub fn build_graph_over(
             cfg,
             ScoreMode::Dense,
         ),
-        cfg,
     )
+    .0
 }
 
 /// Build the **top-k pruned** similarity graph of `function` over two
@@ -341,19 +336,16 @@ pub fn build_graph_over(
 /// Semantics: each left row keeps its `k` best candidates by **raw**
 /// score, ties broken by ascending right id (the deterministic
 /// `er_core::TopKBuilder` order); min-max normalization then runs over
-/// the retained set. Under the default `keep_positive_only` protocol the
-/// result equals `build_graph_over(..).pruned_top_k(k)` bit for bit —
-/// raw scores are non-negative, so the normalization floor pins
-/// `lo = 0` and the global maximum (always some row's best edge)
-/// survives pruning, making the normalizer the same strictly monotone
-/// map — at a fraction of the memory. (One theoretical caveat: the
-/// dense flow selects on *normalized* weights, so two distinct raw
-/// scores that collide onto one f64 after normalization would tie there
-/// but not here; no taxonomy measure emits adjacent-ulp raw scores, and
-/// the per-branch property suite enforces exact equality in practice.)
-/// With the positivity filter off and genuinely negative scores,
-/// normalization sees only the pruned score set (the same caveat as
-/// [`build_graph_restricted`]). `k = usize::MAX` reproduces
+/// the retained set. The result equals
+/// `build_graph_over(..).pruned_top_k(k)` bit for bit — retained raw
+/// scores are positive, so the normalizer divides by the global maximum,
+/// which (always some row's best edge) survives pruning, making it the
+/// same strictly monotone map — at a fraction of the memory. (One
+/// theoretical caveat: the dense flow selects on *normalized* weights,
+/// so two distinct raw scores that collide onto one f64 after
+/// normalization would tie there but not here; no taxonomy measure emits
+/// adjacent-ulp raw scores, and the per-branch property suite enforces
+/// exact equality in practice.) `k = usize::MAX` reproduces
 /// [`build_graph_over`]'s edge set exactly; results are bit-identical
 /// across thread counts either way.
 ///
@@ -417,7 +409,7 @@ pub fn build_graph_topk(
         cfg,
         ScoreMode::TopK { k, acct: &acct },
     );
-    let (graph, frame) = finalize_framed(left, right, shards, cfg);
+    let (graph, frame) = finalize(left, right, shards);
     let stats = BuildStats {
         shards: 1,
         generated_pairs: acct.generated(),
@@ -464,9 +456,9 @@ pub struct BuildStats {
     /// spilled. At most [`Self::resident_budget_edges`], however many
     /// edges were offered.
     pub peak_resident_edges: usize,
-    /// The resident ceiling: `n_left × k` in RAM; `shard_rows × k` out
-    /// of core, doubled when the build is pipelined (two shards in
-    /// flight).
+    /// The resident ceiling: `n_left × k` in RAM; `2 × shard_rows × k`
+    /// out of core, where the spill thread holds one finished shard
+    /// while the next is scored.
     pub resident_budget_edges: usize,
     /// Candidate pairs a bound-aware scorer skipped **before** scoring:
     /// their exact upper bound fell strictly below the row heap's
@@ -479,14 +471,16 @@ pub struct BuildStats {
     /// `pruned_pairs + scored_pairs` is the candidate volume a
     /// bound-aware scorer faced; the prune rate is their ratio.
     pub scored_pairs: usize,
-    /// Positivity-filtered triples written to spill files.
+    /// Triples written to spill files (every one already passed the
+    /// positivity filter).
     pub spilled_triples: usize,
     /// Bytes written to spill files.
     pub spilled_bytes: usize,
     /// Bytes of the merged on-disk graph (the final store file).
     pub merged_bytes: usize,
-    /// Workers the final merge ran with (1 = one serial pass; 0 in RAM,
-    /// where nothing is merged).
+    /// Workers the final merge ran with: the thread budget clamped to the
+    /// shard count (1 = one serial pass; 0 in RAM, where nothing is
+    /// merged).
     pub merge_workers: usize,
 }
 
@@ -513,15 +507,11 @@ pub fn build_prepared(
 ///
 /// Only candidate pairs are scored, so the cost is `O(|candidates|)`
 /// comparisons instead of the full (or inverted-index) enumeration the
-/// unrestricted build pays; under the paper's protocol
-/// (`keep_positive_only: true`, the default) the edge set equals
-/// `restrict_graph(build_graph_over(..), candidates)`'s. (With the
-/// positivity filter off, zero-scored candidate pairs are additionally
-/// retained here — the inverted-index full build cannot enumerate
-/// non-term-sharing pairs at all.) Min-max normalization runs over the
-/// *restricted* score set — exactly what a pipeline that blocks before
-/// scoring would see — so absolute weights can differ from the
-/// build-full-then-restrict flow, which normalizes over the full graph
+/// unrestricted build pays; the edge set equals
+/// `restrict_graph(build_graph_over(..), candidates)`'s. Normalization
+/// runs over the *restricted* score set — exactly what a pipeline that
+/// blocks before scoring would see — so absolute weights can differ from
+/// the build-full-then-restrict flow, which normalizes over the full graph
 /// first. Candidate pairs referencing out-of-range entity ids are
 /// ignored.
 pub fn build_graph_restricted(
@@ -543,8 +533,8 @@ pub fn build_graph_restricted(
             cfg,
             ScoreMode::Dense,
         ),
-        cfg,
     )
+    .0
 }
 
 /// One taxonomy branch's scoring state: prepared serially, then shared
@@ -557,13 +547,10 @@ pub fn build_graph_restricted(
 /// screens and kernels. Prepare builds only what the requested source
 /// reads; structures another source would read are left empty.
 ///
-/// Each scorer carries the `keep_positive` flag
-/// (`cfg.keep_positive_only`): when set (the paper's protocol), only
-/// positive-similarity pairs are emitted; when cleared, every *enumerated*
-/// pair is emitted regardless of sign, so zero or negative raw scores
-/// (e.g. semantic cosine) reach `finalize`'s plain min-max fallback. Note
-/// the inverted-index branches enumerate only term-sharing pairs either
-/// way — that is their exactness guarantee, not a positivity filter.
+/// Every scorer hands its scores to [`EdgeSink::scored`], so only
+/// positive-similarity pairs are emitted (the paper's protocol). The
+/// inverted-index branches enumerate only term-sharing pairs on top of
+/// that — their exactness guarantee, not a second filter.
 ///
 /// [`score_row`]: RowScorer::score_row
 pub(crate) trait RowScorer: Sync {
@@ -744,7 +731,7 @@ fn score_rows<S: RowScorer, K: EdgeSink>(
     }
     let base = rows.start;
     let threads = cfg.effective_threads().clamp(1, n_rows);
-    let chunk = cfg.effective_chunk_rows(n_rows, threads);
+    let chunk = rows_per_chunk(n_rows, threads);
     let n_chunks = n_rows.div_ceil(chunk);
 
     let score_chunk = |c: usize, scratch: &mut S::Scratch| -> Vec<Triple> {
@@ -915,7 +902,7 @@ pub(crate) fn build_topk_prepared<S: RowScorer>(
         on_shard: |_, bufs| shards.extend(bufs),
     }
     .run_over(scorer, CandidateSource::Index(index));
-    finalize_framed(left, right, shards, cfg)
+    finalize(left, right, shards)
 }
 
 /// Prepare the branch's scorer **once** over the full collections — DF
@@ -942,7 +929,6 @@ pub(crate) fn score_sharded(
     shard_rows: usize,
     on_shard: impl FnMut(usize, Vec<Vec<Triple>>),
 ) {
-    let keep = cfg.keep_positive_only;
     let phase = ScorePhase {
         source,
         cfg,
@@ -960,27 +946,16 @@ pub(crate) fn score_sharded(
                 attribute,
                 *m,
                 source,
-                keep,
                 cfg.kernel_mode,
             )),
             SchemaBasedMeasure::Token(_) => phase.run(&SchemaBasedScorer::prepare(
-                left, right, attribute, *measure, source, keep,
+                left, right, attribute, *measure, source,
             )),
         },
-        SimilarityFunction::SchemaAgnosticVector { scheme, measure } => phase.run(
-            &VectorScorer::prepare(
-                left,
-                right,
-                *scheme,
-                *measure,
-                source,
-                keep,
-                cfg.kernel_mode,
-            )
-            .0,
-        ),
+        SimilarityFunction::SchemaAgnosticVector { scheme, measure } => phase
+            .run(&VectorScorer::prepare(left, right, *scheme, *measure, source, cfg.kernel_mode).0),
         SimilarityFunction::SchemaAgnosticGraph { scheme, measure } => phase.run(
-            &GraphModelScorer::prepare(left, right, *scheme, *measure, source, keep),
+            &GraphModelScorer::prepare(left, right, *scheme, *measure, source),
         ),
         SimilarityFunction::Semantic {
             model,
@@ -1022,36 +997,22 @@ pub(crate) fn score_shards(
     all
 }
 
-/// Filter non-positive weights, min-max normalize with a `0.0` floor, and
-/// merge the shards into the graph (deterministic shard order).
+/// Normalize the (positive) retained weights by their maximum — min-max
+/// with a `0.0` floor — and merge the shards into the graph
+/// (deterministic shard order).
 ///
-/// The floor keeps non-negative measures on `(0, 1]`: with plain min-max
-/// the weakest retained edge maps to exactly `0.0`, silently demoting a
+/// The floor keeps the weights on `(0, 1]`: with plain min-max the
+/// weakest retained edge maps to exactly `0.0`, silently demoting a
 /// positive-similarity pair to a non-edge at every positive grid
-/// threshold. Only genuinely negative raw scores (possible under
-/// `keep_positive_only: false`) shift the lower bound below zero.
+/// threshold.
+///
+/// Returns the [`NormFrame`] it applied alongside, so a resident service
+/// can normalize later incremental scores identically.
 fn finalize(
     left: &EntityCollection,
     right: &EntityCollection,
     shards: Vec<Vec<Triple>>,
-    cfg: &PipelineConfig,
-) -> SimilarityGraph {
-    finalize_framed(left, right, shards, cfg).0
-}
-
-/// [`finalize`] that also returns the [`NormFrame`] it applied, so a
-/// resident service can normalize later incremental scores identically.
-fn finalize_framed(
-    left: &EntityCollection,
-    right: &EntityCollection,
-    mut shards: Vec<Vec<Triple>>,
-    cfg: &PipelineConfig,
 ) -> (SimilarityGraph, NormFrame) {
-    if cfg.keep_positive_only {
-        for shard in &mut shards {
-            shard.retain(|&(_, _, w)| w > 0.0);
-        }
-    }
     let frame = NormFrame::compute(&shards);
     let n1 = left.len() as u32;
     let n2 = right.len() as u32;
@@ -1088,7 +1049,6 @@ struct SchemaBasedScorer<'a> {
     /// Right entity id → slot in `right`; `Blocked` source only.
     right_slot_by_id: FxHashMap<u32, u32>,
     measure: SchemaBasedMeasure,
-    keep_positive: bool,
 }
 
 impl<'a> SchemaBasedScorer<'a> {
@@ -1098,7 +1058,6 @@ impl<'a> SchemaBasedScorer<'a> {
         attribute: &str,
         measure: SchemaBasedMeasure,
         source: SourceKind<'_>,
-        keep_positive: bool,
     ) -> Self {
         let with_attr = |c: &'a EntityCollection| -> Vec<(u32, &'a str)> {
             c.profiles
@@ -1116,7 +1075,6 @@ impl<'a> SchemaBasedScorer<'a> {
             right,
             right_slot_by_id,
             measure,
-            keep_positive,
         }
     }
 }
@@ -1146,7 +1104,7 @@ impl RowScorer for SchemaBasedScorer<'_> {
             let (ri, rv) = self.right[j as usize];
             out.note_generated();
             let w = self.measure.similarity(lv, rv);
-            out.scored(li, ri, w, self.keep_positive);
+            out.scored(li, ri, w);
         };
         match source {
             // No candidate index: the `Index` source walks the enumeration.
@@ -1207,7 +1165,6 @@ pub(crate) struct CharScorer {
     /// Right entity id → right slot; `Blocked` source only.
     right_slot_by_id: FxHashMap<u32, u32>,
     measure: CharMeasure,
-    keep_positive: bool,
     kernel: KernelMode,
 }
 
@@ -1218,7 +1175,6 @@ impl CharScorer {
         attribute: &str,
         measure: CharMeasure,
         source: SourceKind<'_>,
-        keep_positive: bool,
         kernel: KernelMode,
     ) -> Self {
         let side = |c: &EntityCollection| -> (Vec<u32>, CharTable) {
@@ -1240,7 +1196,6 @@ impl CharScorer {
             tables: [left_table, right_table],
             right_slot_by_id,
             measure,
-            keep_positive,
             kernel,
         }
     }
@@ -1359,7 +1314,7 @@ impl CharScorer {
         match self.bounded_similarity(side, probe.codes(row), target.codes(j), bound, scratch) {
             Some(w) => {
                 let other = self.ids[side.opposite() as usize][j];
-                out.scored(id, other, w, self.keep_positive);
+                out.scored(id, other, w);
             }
             None => out.note_pruned(),
         }
@@ -1484,13 +1439,13 @@ impl CharScorer {
                 } else {
                     1.0 - dists[i] as f64 / max_len as f64
                 };
-                out.scored(id, other, w, self.keep_positive);
+                out.scored(id, other, w);
             }
         } else {
             for (&j, _) in cands.iter().zip(keep).filter(|&(_, kept)| kept) {
                 let b = target.codes(j as usize);
                 match self.bounded_similarity(side, a, b, out.admission_bound(), chars) {
-                    Some(w) => out.scored(id, target_ids[j as usize], w, self.keep_positive),
+                    Some(w) => out.scored(id, target_ids[j as usize], w),
                     None => out.note_pruned(),
                 }
             }
@@ -1777,7 +1732,6 @@ pub(crate) struct VectorScorer {
     /// (the `Index` source owns its postings, `Blocked` reads none).
     postings: TermPostings,
     measure: VectorMeasure,
-    keep_positive: bool,
 }
 
 impl VectorScorer {
@@ -1789,7 +1743,6 @@ impl VectorScorer {
         scheme: NGramScheme,
         measure: VectorMeasure,
         source: SourceKind<'_>,
-        keep_positive: bool,
         kernel: KernelMode,
     ) -> (Self, Vectorizer) {
         let model = VectorModel::new(scheme);
@@ -1845,7 +1798,6 @@ impl VectorScorer {
             df_right,
             postings,
             measure,
-            keep_positive,
         };
         (scorer, vectorizer)
     }
@@ -1903,7 +1855,7 @@ impl RowScorer for VectorScorer {
             out.note_generated();
             let (a, b) = oriented(side, lv, &target[j as usize]);
             let w = self.measure.similarity(a, b, self.dfs());
-            out.scored(li, j, w, self.keep_positive);
+            out.scored(li, j, w);
             out.admission_bound()
         };
         match source {
@@ -1951,7 +1903,7 @@ impl RowScorer for VectorScorer {
                         } else {
                             (acc[j as usize] / denom).clamp(0.0, 1.0)
                         };
-                        out.scored(li, j, w, self.keep_positive);
+                        out.scored(li, j, w);
                     }
                 }
             },
@@ -2003,7 +1955,6 @@ struct GraphModelScorer {
     /// Right ids per graph edge key; empty under the `Blocked` source.
     postings: FxHashMap<(u64, u64), Vec<u32>>,
     measure: GraphSimilarity,
-    keep_positive: bool,
 }
 
 impl GraphModelScorer {
@@ -2013,7 +1964,6 @@ impl GraphModelScorer {
         scheme: NGramScheme,
         measure: GraphSimilarity,
         source: SourceKind<'_>,
-        keep_positive: bool,
     ) -> Self {
         let graphs_of = |c: &EntityCollection| -> Vec<NGramGraph> {
             c.profiles
@@ -2035,7 +1985,6 @@ impl GraphModelScorer {
             right_graphs,
             postings,
             measure,
-            keep_positive,
         }
     }
 }
@@ -2067,7 +2016,7 @@ impl RowScorer for GraphModelScorer {
         let mut score = |j: u32| {
             out.note_generated();
             let w = self.measure.similarity(lg, &self.right_graphs[j as usize]);
-            out.scored(li, j, w, self.keep_positive);
+            out.scored(li, j, w);
         };
         match source {
             // No candidate index: the `Index` source walks the enumeration.
@@ -2148,7 +2097,6 @@ pub(crate) struct DenseSemanticScorer {
     /// Per side (`Side as usize`): the encoded scoped texts.
     vecs: [Vec<DenseVector>; 2],
     measure: SemanticMeasure,
-    keep_positive: bool,
     kernel: KernelMode,
 }
 
@@ -2169,7 +2117,6 @@ impl DenseSemanticScorer {
         DenseSemanticScorer {
             vecs: [vecs, right_vecs],
             measure,
-            keep_positive: cfg.keep_positive_only,
             kernel: cfg.kernel_mode,
         }
     }
@@ -2198,7 +2145,7 @@ impl DenseSemanticScorer {
         embed_lanes::similarity_vectors_batch(self.measure, a, &refs[..js.len()], &mut sims);
         for (&j, &w) in js.iter().zip(&sims) {
             out.note_generated();
-            out.scored(id, j, w, self.keep_positive);
+            out.scored(id, j, w);
         }
     }
 }
@@ -2276,7 +2223,7 @@ impl RowScorer for DenseSemanticScorer {
                 out.note_generated();
                 let (x, y) = oriented(side, a, &target[j as usize]);
                 let w = self.measure.similarity_vectors(x, y);
-                out.scored(li, j, w, self.keep_positive);
+                out.scored(li, j, w);
             }
             out.admission_bound()
         };
@@ -2396,7 +2343,6 @@ struct WmdScorer {
     /// admission bound — so the dense path, whose sink never exposes a
     /// bound, never pays for them.
     summaries: OnceLock<BagSummaries>,
-    keep_positive: bool,
     kernel: KernelMode,
 }
 
@@ -2459,7 +2405,6 @@ impl WmdScorer {
             right_units,
             right_blocks,
             summaries: OnceLock::new(),
-            keep_positive: cfg.keep_positive_only,
             kernel: cfg.kernel_mode,
         }
     }
@@ -2615,7 +2560,7 @@ impl WmdScorer {
         }
         match self.similarity_bounded(t, &self.right_bags[j], bound) {
             None => out.note_pruned(),
-            Some(w) => out.scored(row as u32, j as u32, w, self.keep_positive),
+            Some(w) => out.scored(row as u32, j as u32, w),
         }
     }
 }
@@ -2822,10 +2767,10 @@ mod tests {
     }
 
     #[test]
-    fn keep_positive_only_false_retains_non_positive_scores() {
-        // "abc" vs "xyz": Levenshtein similarity is exactly 0 — dropped
-        // under the paper's protocol, retained (at normalized weight 0)
-        // when the positivity filter is switched off.
+    fn zero_similarity_pairs_are_never_edges() {
+        // "abc" vs "xyz": Levenshtein similarity is exactly 0, so the pair
+        // is not an edge on any output path (the paper keeps only pairs
+        // "with a similarity higher than 0").
         let collection = |texts: &[&str]| EntityCollection {
             profiles: texts
                 .iter()
@@ -2840,28 +2785,50 @@ mod tests {
             attribute: "name".into(),
             measure: SchemaBasedMeasure::Char(CharMeasure::Levenshtein),
         };
-        let strict = build_graph_over(&left, &right, &f, &PipelineConfig::default());
-        assert_eq!(strict.n_edges(), 1, "zero-similarity pair dropped");
-        let lax_cfg = PipelineConfig {
-            keep_positive_only: false,
-            ..PipelineConfig::default()
+        let only_the_match = |edges: Vec<(u32, u32, u64)>| {
+            assert_eq!(
+                edges,
+                vec![(0, 0, 1.0f64.to_bits())],
+                "zero-similarity pair dropped"
+            );
         };
-        let lax = build_graph_over(&left, &right, &f, &lax_cfg);
-        assert_eq!(lax.n_edges(), 2, "zero-similarity pair retained");
-        assert_eq!(lax.weight_of(0, 0), Some(1.0));
-        assert_eq!(lax.weight_of(0, 1), Some(0.0));
-        // The lax path stays bit-identical across thread counts too.
-        let lax_par = build_graph_over(
-            &left,
-            &right,
-            &f,
-            &PipelineConfig {
-                threads: 3,
-                chunk_rows: 1,
-                ..lax_cfg
-            },
-        );
-        assert_eq!(edge_bits(&lax), edge_bits(&lax_par));
+        for threads in [1, 3] {
+            let cfg = PipelineConfig {
+                threads,
+                ..PipelineConfig::default()
+            };
+            only_the_match(edge_bits(&build_graph_over(&left, &right, &f, &cfg)));
+            // Top-k with `k` covering the whole row selects nothing away.
+            for mode in [CandidateMode::Enumerated, CandidateMode::Indexed] {
+                let (g, stats, _) = build_graph_topk(&left, &right, &f, 2, mode, &cfg);
+                only_the_match(edge_bits(&g));
+                assert_eq!(stats.retained_edges, 1);
+            }
+            let dir = std::env::temp_dir()
+                .join(format!("ccer-positivity-{}-{threads}", std::process::id()));
+            let (mapped, stats, _) = crate::build_graph_sharded(
+                &left,
+                &right,
+                &f,
+                2,
+                CandidateMode::Indexed,
+                &cfg,
+                &crate::ShardedConfig::new(1, &dir),
+                &dir.join("graph.slab"),
+            )
+            .expect("sharded build");
+            only_the_match(edge_bits(&mapped.to_csr().to_graph()));
+            assert_eq!(stats.spilled_triples, 1, "the zero pair never spills");
+            std::fs::remove_dir_all(&dir).ok();
+        }
+        // A resident insert of a copy of "abc" scores against "xyz" too,
+        // and drops it the same way.
+        let (_, mut resident) =
+            crate::ResidentScorer::build(&left, &right, &f, 2, &PipelineConfig::default())
+                .expect("positional ids");
+        let copy = EntityProfile::new(1, vec![("name".into(), "abc".into())]);
+        let delta = resident.score_insert(Side::Left, &copy).expect("next id");
+        assert_eq!(delta.edges, vec![(0, 1.0)]);
     }
 
     #[test]
@@ -3121,7 +3088,6 @@ mod tests {
         };
         let parallel = PipelineConfig {
             threads: 4,
-            chunk_rows: 3,
             ..PipelineConfig::default()
         };
         let gs = build_graph(&d, &f, &serial);
@@ -3214,7 +3180,6 @@ mod tests {
             k,
             &PipelineConfig {
                 threads: 4,
-                chunk_rows: 2,
                 ..PipelineConfig::default()
             },
         );
@@ -3244,7 +3209,6 @@ mod tests {
             2,
             &PipelineConfig {
                 threads: 4,
-                chunk_rows: 3,
                 ..PipelineConfig::default()
             },
         );

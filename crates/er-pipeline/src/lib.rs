@@ -16,7 +16,8 @@
 //!   (a pair shares a term iff its similarity is positive), edit-distance
 //!   and semantic measures score all pairs;
 //! * **min-max normalization** of every graph's weights with a `0.0`
-//!   floor (non-negative measures map onto `(0, 1]`);
+//!   floor: only pairs with a positive score are kept, and they map onto
+//!   `(0, 1]`;
 //! * the paper's first **cleaning rule** (drop graphs whose true matches
 //!   all have zero weight) — the F1-dependent rules 2-3 live in `er-eval`,
 //!   as they need algorithm sweeps;
@@ -39,9 +40,9 @@
 //!   scores bounded left-row shards through the same engine, spills each
 //!   finished shard, and externally merges the spills into a columnar
 //!   on-disk store (`er_core::store`) read back as a file-backed
-//!   `MappedCsr` — peak resident edges drop to one shard's
-//!   `shard_rows × k` while the result stays bit-identical to the in-RAM
-//!   top-k build;
+//!   `MappedCsr` — peak resident edges drop to `2 × shard_rows × k` (one
+//!   shard scored while the previous one spills) while the store file
+//!   stays byte-identical to `write_csr` of the in-RAM top-k build;
 //! * a crossbeam-parallel [`runner`] that generates a dataset's whole
 //!   graph corpus, dividing its thread budget with the per-graph engine.
 //!
@@ -59,6 +60,13 @@
 //!
 //! Both top-k builds report through the one [`BuildStats`]; the in-RAM
 //! build is its single-shard case.
+//!
+//! A build takes three settings ([`PipelineConfig`]): the Word Mover's
+//! token cap, the thread budget and the kernel set. The out-of-core
+//! build adds its shard size and spill directory ([`ShardedConfig`]).
+//! The engine fixes the rest: the positivity filter is always on, chunk
+//! sizes follow the row and thread counts, spilling always overlaps
+//! scoring, and the merge runs one worker per thread.
 
 pub mod blocking;
 pub mod candidates;

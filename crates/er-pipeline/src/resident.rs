@@ -41,11 +41,16 @@
 //! The resident path trades three documented approximations for `O(k)`
 //! admission state and index-pruned probes; all three vanish on rebuild:
 //!
-//! 1. **Frozen statistics** — DF indexes, the normalization frame, and
-//!    (for the fallback families) collection-level stats are those of the
-//!    load-time build. New records are *scored* against them but do not
-//!    update them, so a probe's raw score can drift from what a batch
-//!    rebuild would produce once many records have churned.
+//! 1. **Frozen statistics** — the normalization frame (every family) and
+//!    the token-vector family's DF statistics are those of the load-time
+//!    build. New records are *scored* against them but do not update
+//!    them, so a probe's raw score can drift from what a batch rebuild
+//!    would produce once many records have churned. The fallback
+//!    families read no collection statistic: a schema-based token score,
+//!    an n-gram-graph score and a Word Mover's score are each a function
+//!    of the pair's two texts, so their per-insert re-prepare changes the
+//!    cost of a probe, not its scores, and the frame is their only frozen
+//!    state.
 //! 2. **Row-local admission** — a left insert's top-k admission matches
 //!    the batch semantics exactly (per-left-row best `k`); a right insert
 //!    keeps its own best `k` edges but does **not** retroactively evict
@@ -299,22 +304,18 @@ fn prepare_family(
 ) -> Result<Option<Box<dyn Probe>>, CoreError> {
     check_positional(left)?;
     check_positional(right)?;
-    let (source, keep, kernel) = (
-        CandidateSource::Index(()),
-        cfg.keep_positive_only,
-        cfg.kernel_mode,
-    );
+    let (source, kernel) = (CandidateSource::Index(()), cfg.kernel_mode);
     Ok(Some(match function {
         SimilarityFunction::SchemaAgnosticVector { scheme, measure } => {
             let (scorer, vectorizer) =
-                VectorScorer::prepare(left, right, *scheme, *measure, source, keep, kernel);
+                VectorScorer::prepare(left, right, *scheme, *measure, source, kernel);
             Probed::boxed(scorer, vectorizer)
         }
         SimilarityFunction::SchemaBasedSyntactic {
             attribute,
             measure: SchemaBasedMeasure::Char(m),
         } => Probed::boxed(
-            CharScorer::prepare(left, right, attribute, *m, source, keep, kernel),
+            CharScorer::prepare(left, right, attribute, *m, source, kernel),
             attribute.clone(),
         ),
         SimilarityFunction::Semantic {
@@ -400,8 +401,10 @@ where
 
 /// Score a probe through the batch engine with a singleton collection on
 /// the probe's side. Re-prepares the branch scorer per call (`O(corpus)`
-/// — the documented fallback cost) but sees the *current* collections,
-/// so its per-call statistics are fresher than the frozen fast paths'.
+/// — the documented fallback cost). The fallback families read no
+/// collection statistic (each score is a function of the pair's two
+/// texts), so the re-prepare changes the cost, not the scores: an
+/// inserted copy scores exactly as the batch build scored the original.
 fn fallback_probe(
     left: &EntityCollection,
     right: &EntityCollection,

@@ -17,39 +17,37 @@
 //! dense edge set, and even its pruned top-k edge set, never needs to
 //! fit in RAM.
 //!
-//! # Pipelining and the parallel merge
+//! # Pipelined spill and the parallel merge
 //!
-//! With [`ShardedConfig::pipelined`] (the default), shard *scoring*
-//! overlaps the previous shard's *spill*: the scoring loop hands each
-//! finished shard across a rendezvous channel to a dedicated spill
-//! thread. The channel is unbuffered, so at most **two** shards are
-//! in flight — the one being scored and the one being spilled — and the
-//! resident ceiling doubles to `2 × shard_rows × k`
-//! ([`BuildStats::resident_budget_edges`] reports whichever bound is
-//! configured). Bit-identity is untouched: there is a single producer,
-//! shards arrive at the spill thread in score order, each spill file's
-//! bytes are computed per shard exactly as in the serial loop, and the
-//! `(lo, hi)` frame fold is order-independent anyway.
+//! Shard *scoring* overlaps the previous shard's *spill*: the scoring
+//! loop hands each finished shard across a rendezvous channel to a
+//! dedicated spill thread. The channel is unbuffered, so at most **two**
+//! shards are in flight — the one being scored and the one being
+//! spilled — and the resident ceiling is `2 × shard_rows × k`
+//! ([`BuildStats::resident_budget_edges`]). There is a single producer,
+//! so shards arrive at the spill thread in score order, and the frame's
+//! max fold is order-independent anyway.
 //!
 //! The final merge is parallelized **by left-row ranges**: shards cover
 //! contiguous disjoint row ranges, so any contiguous group of spill
-//! files can be finalized (positivity-filtered weights normalized
-//! through the frame, rows sorted right-ascending) into a segment file
-//! independently of the others. [`ShardedConfig::merge_threads`] workers
-//! do exactly that, and one serial pass streams the segments — already
-//! in global row order — into the [`SlabWriter`]. With one effective
-//! thread the spill files stream straight into the writer instead (no
-//! segment I/O). All three passes share one row-grouping loop
-//! (`for_each_row`): shards are contiguous ascending row ranges, so
-//! reading the files in order *is* the global row order, and no k-way
-//! merge is needed.
+//! files can be finalized (weights normalized through the frame, rows
+//! sorted right-ascending) into a segment file independently of the
+//! others. One worker per [`PipelineConfig::threads`] (clamped to the
+//! shard count) does exactly that, and one serial pass streams the
+//! segments — already in global row order — into the [`SlabWriter`].
+//! With one effective thread the spill files stream straight into the
+//! writer instead (no segment I/O). All three passes share one
+//! row-grouping loop (`for_each_row`): shards are contiguous ascending
+//! row ranges, so reading the files in order *is* the global row order,
+//! and no k-way merge is needed.
 //!
 //! # Bit-identity with the in-RAM path
 //!
 //! The result is **bit-identical** to
 //! `CsrGraph::from_graph(&build_graph_topk(…).0)`, argued in three
-//! steps (property-proven per taxonomy branch, thread count, shard
-//! size and pipelining mode in `tests/sharded_props.rs`):
+//! steps (property-proven per taxonomy branch, thread count and shard
+//! size in `tests/sharded_props.rs`, where every store file's bytes
+//! must equal `write_csr` of the in-RAM build):
 //!
 //! 1. **Scores.** The scorer — DF statistics, inverted indexes, encoded
 //!    vectors, candidate indexes — is prepared once over the *full*
@@ -58,12 +56,11 @@
 //!    ascending order. Concatenating the shard outputs therefore
 //!    reproduces the in-RAM score phase's triple stream bit for bit
 //!    (see `graphgen::score_sharded`).
-//! 2. **Frame.** The positivity filter is applied per shard before
-//!    spilling — the same per-triple predicate the in-RAM finalize
-//!    applies — and the normalization frame is folded from per-shard
-//!    `(min, max)` bounds. Min/max folding is order- and
-//!    grouping-independent, so the frame equals the in-RAM
-//!    `NormFrame::compute` over the concatenated retained triples.
+//! 2. **Frame.** Every spilled triple already passed the scorers'
+//!    positivity filter, and the normalization frame is folded from
+//!    per-shard maxima. Max folding is order- and grouping-independent,
+//!    so the frame equals the in-RAM `NormFrame::compute` over the
+//!    concatenated retained triples.
 //! 3. **Merge.** Each spilled record's raw weight is mapped through
 //!    that frame at merge time — the identical `f64` operations the
 //!    in-RAM finalize applies — and rows are written right-ascending,
@@ -105,44 +102,22 @@ const MIN_PERM_RUN: usize = 4096;
 /// Shape of one out-of-core build.
 #[derive(Debug, Clone)]
 pub struct ShardedConfig {
-    /// Scorer rows per shard — the resident-memory knob: peak resident
-    /// edges are at most `shard_rows × k` per in-flight shard.
+    /// Scorer rows per shard — the resident-memory knob: at most two
+    /// shards are in flight, so peak resident edges are at most
+    /// `2 × shard_rows × k`.
     pub shard_rows: usize,
     /// Directory for the per-shard spill files (created if missing,
     /// spills deleted after the merge).
     pub spill_dir: PathBuf,
-    /// Overlap shard scoring with the previous shard's spill on a
-    /// dedicated thread. Keeps at most two shards in flight, doubling
-    /// the resident ceiling to `2 × shard_rows × k`. Default `true`.
-    pub pipelined: bool,
-    /// Workers for the row-range-parallel merge; `0` (the default)
-    /// means [`PipelineConfig::effective_threads`]. Clamped to the
-    /// shard count; `1` selects the direct serial merge.
-    pub merge_threads: usize,
 }
 
 impl ShardedConfig {
     /// A config spilling to `spill_dir` with `shard_rows` rows per
-    /// shard — pipelined, merge parallelism following the pipeline
-    /// thread count.
+    /// shard.
     pub fn new(shard_rows: usize, spill_dir: impl Into<PathBuf>) -> Self {
         ShardedConfig {
             shard_rows,
             spill_dir: spill_dir.into(),
-            pipelined: true,
-            merge_threads: 0,
-        }
-    }
-
-    /// The fully serial variant — no spill overlap, direct single-pass
-    /// merge. The strictest resident bound (`shard_rows × k`), and the
-    /// A/B baseline the pipelined path is property-tested against.
-    pub fn serial(shard_rows: usize, spill_dir: impl Into<PathBuf>) -> Self {
-        ShardedConfig {
-            shard_rows,
-            spill_dir: spill_dir.into(),
-            pipelined: false,
-            merge_threads: 1,
         }
     }
 }
@@ -197,65 +172,47 @@ fn write_record(out: &mut impl Write, l: u32, r: u32, w: f64) -> Result<(), Stor
 }
 
 // ----------------------------------------------------------------------
-// Score-phase spilling (shared by the serial loop and the pipeline
-// worker — one code path, so overlap cannot change the bytes).
+// Score-phase spilling (the spill thread's state).
 // ----------------------------------------------------------------------
 
-/// Mutable state of the spill stage.
+/// Mutable state of the spill stage; `hi` folds the frame maximum from
+/// `0.0`, as `NormFrame::compute` does.
+#[derive(Default)]
 struct SpillState {
     spills: Vec<PathBuf>,
-    lo: f64,
     hi: f64,
     spilled_triples: usize,
     err: Option<StoreError>,
 }
 
 impl SpillState {
-    fn new() -> Self {
-        SpillState {
-            spills: Vec::new(),
-            lo: f64::INFINITY,
-            hi: f64::NEG_INFINITY,
-            spilled_triples: 0,
-            err: None,
-        }
-    }
-
-    /// Positivity-filter, fold the frame bounds, and spill one scored
-    /// shard; `resident` is the triple count the shard's buffers held.
+    /// Fold the frame maximum over, and spill, one scored shard.
     fn spill_shard(
         &mut self,
         shard: usize,
         bufs: Vec<Vec<Triple>>,
-        resident: usize,
-        keep_positive_only: bool,
         spill_dir: &Path,
         acct: &ConstructionCounters,
     ) {
         if self.err.is_some() {
             return;
         }
+        let resident: usize = bufs.iter().map(Vec::len).sum();
         let path = spill_dir.join(format!("shard-{shard}.spill"));
-        let spill = (|| -> Result<usize, StoreError> {
+        let spill = (|| -> Result<(), StoreError> {
             let mut out = BufWriter::new(File::create(&path)?);
-            let mut kept = 0usize;
             for (l, r, w) in bufs.into_iter().flatten() {
-                if keep_positive_only && w <= 0.0 {
-                    continue;
-                }
-                self.lo = self.lo.min(w);
                 self.hi = self.hi.max(w);
                 write_record(&mut out, l, r, w)?;
-                kept += 1;
             }
             out.flush()?;
-            Ok(kept)
+            Ok(())
         })();
         self.spills.push(path);
         match spill {
-            Ok(kept) => {
-                self.spilled_triples += kept;
-                acct.add_spilled_bytes(kept * SPILL_RECORD);
+            Ok(()) => {
+                self.spilled_triples += resident;
+                acct.add_spilled_bytes(resident * SPILL_RECORD);
                 // The shard's buffers are dropped here: release their
                 // resident count so the peak tracks the in-flight
                 // shards, not the cumulative total.
@@ -681,45 +638,20 @@ pub fn build_graph_sharded(
     }
     std::fs::create_dir_all(&sharding.spill_dir)?;
 
-    // ---- Score phase: shard, positivity-filter, fold bounds, spill. ----
+    // ---- Score phase: shard, hand off, fold the frame max, spill. ----
     let acct = ConstructionCounters::default();
-    let mut state = SpillState::new();
-    if sharding.pipelined {
-        // Rendezvous handoff: the scorer blocks until the spill thread
-        // takes the shard, so at most two shards are ever in flight.
-        std::thread::scope(|scope| {
-            let (tx, rx) = std::sync::mpsc::sync_channel::<(usize, Vec<Vec<Triple>>, usize)>(0);
-            let state_ref = &mut state;
-            let acct_ref = &acct;
-            let worker = scope.spawn(move || {
-                while let Ok((shard, bufs, resident)) = rx.recv() {
-                    state_ref.spill_shard(
-                        shard,
-                        bufs,
-                        resident,
-                        cfg.keep_positive_only,
-                        &sharding.spill_dir,
-                        acct_ref,
-                    );
-                }
-            });
-            score_sharded(
-                left,
-                right,
-                function,
-                SourceKind::of_mode(mode),
-                cfg,
-                ScoreMode::TopK { k, acct: &acct },
-                sharding.shard_rows,
-                |shard, bufs| {
-                    let resident: usize = bufs.iter().map(Vec::len).sum();
-                    let _ = tx.send((shard, bufs, resident));
-                },
-            );
-            drop(tx);
-            worker.join().expect("spill worker panicked");
+    let mut state = SpillState::default();
+    // Rendezvous handoff: the scorer blocks until the spill thread takes
+    // the shard, so at most two shards are ever in flight.
+    std::thread::scope(|scope| {
+        let (tx, rx) = std::sync::mpsc::sync_channel::<(usize, Vec<Vec<Triple>>)>(0);
+        let state_ref = &mut state;
+        let acct_ref = &acct;
+        let worker = scope.spawn(move || {
+            while let Ok((shard, bufs)) = rx.recv() {
+                state_ref.spill_shard(shard, bufs, &sharding.spill_dir, acct_ref);
+            }
         });
-    } else {
         score_sharded(
             left,
             right,
@@ -729,18 +661,12 @@ pub fn build_graph_sharded(
             ScoreMode::TopK { k, acct: &acct },
             sharding.shard_rows,
             |shard, bufs| {
-                let resident: usize = bufs.iter().map(Vec::len).sum();
-                state.spill_shard(
-                    shard,
-                    bufs,
-                    resident,
-                    cfg.keep_positive_only,
-                    &sharding.spill_dir,
-                    &acct,
-                );
+                let _ = tx.send((shard, bufs));
             },
         );
-    }
+        drop(tx);
+        worker.join().expect("spill worker panicked");
+    });
     let cleanup = |paths: &[PathBuf]| {
         for p in paths {
             std::fs::remove_file(p).ok();
@@ -748,7 +674,6 @@ pub fn build_graph_sharded(
     };
     let SpillState {
         spills,
-        lo,
         hi,
         spilled_triples,
         err,
@@ -757,22 +682,13 @@ pub fn build_graph_sharded(
         cleanup(&spills);
         return Err(e);
     }
-    let frame = NormFrame::from_bounds(lo, hi);
+    let frame = NormFrame::from_max(hi);
 
     // ---- Merge phase: by row ranges into the on-disk v2 store. ----
     let n_left = left.len() as u32;
     let n_right = right.len() as u32;
-    let budget_factor = if sharding.pipelined { 2 } else { 1 };
-    let resident_budget = sharding
-        .shard_rows
-        .saturating_mul(k)
-        .saturating_mul(budget_factor);
-    let workers = match sharding.merge_threads {
-        0 => cfg.effective_threads(),
-        n => n,
-    }
-    .min(spills.len())
-    .max(1);
+    let resident_budget = sharding.shard_rows.saturating_mul(k).saturating_mul(2);
+    let workers = cfg.effective_threads().min(spills.len()).max(1);
     let merged = (|| -> Result<(StoreMeta, Vec<PathBuf>), StoreError> {
         let mut sink = StoreSink::new(
             out_path,

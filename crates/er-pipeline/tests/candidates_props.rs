@@ -83,7 +83,6 @@ fn arb_collection(max_entities: usize) -> impl Strategy<Value = EntityCollection
 fn cfg_with(threads: usize) -> PipelineConfig {
     PipelineConfig {
         threads,
-        chunk_rows: if threads == 1 { 0 } else { 2 },
         wmd_token_cap: 4,
         ..PipelineConfig::default()
     }

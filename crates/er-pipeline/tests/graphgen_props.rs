@@ -4,14 +4,14 @@
 //! Invariants:
 //! 1. parallel construction is **bit-identical** to the serial path
 //!    (same edges, same order, same weight bits) for every branch of the
-//!    similarity-function taxonomy, across thread counts and chunk sizes;
+//!    similarity-function taxonomy, across thread counts;
 //! 2. the candidate-restricted fast path scores exactly the candidate
 //!    edge set (equal to `restrict_graph` over the full build) and is
 //!    itself bit-identical across thread counts;
 //! 3. the prepared output's sorted edge view equals a from-scratch
 //!    `sorted_edges()` of the same graph;
-//! 4. every normalized weight is finite, in `[0, 1]`, and positive under
-//!    `keep_positive_only` (the 0.0-floor normalization contract);
+//! 4. every normalized weight is finite, in `[0, 1]`, and positive (the
+//!    positivity filter and the 0.0-floor normalization contract);
 //! 5. the streaming top-k path is bit-identical to dense-then-prune
 //!    (`build_graph` + `pruned_top_k`) for finite `k`, reproduces the
 //!    dense edge set at `k = ∞`, holds its `O(n_left × k)` peak-resident
@@ -128,18 +128,9 @@ fn topk_enumerated(
     (g, stats)
 }
 
-fn serial_cfg() -> PipelineConfig {
-    PipelineConfig {
-        threads: 1,
-        wmd_token_cap: 4,
-        ..PipelineConfig::default()
-    }
-}
-
-fn parallel_cfg(threads: usize, chunk_rows: usize) -> PipelineConfig {
+fn cfg(threads: usize) -> PipelineConfig {
     PipelineConfig {
         threads,
-        chunk_rows,
         wmd_token_cap: 4,
         ..PipelineConfig::default()
     }
@@ -178,19 +169,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Invariants 1 and 4: parallel ≡ serial, bit for bit, for every
-    /// taxonomy branch, under an awkward chunk size (forcing multi-chunk
-    /// merges) and an oversubscribed thread count.
+    /// taxonomy branch, under an oversubscribed thread count (forcing
+    /// multi-chunk merges).
     #[test]
     fn parallel_construction_matches_serial(
         left in arb_collection(6),
         right in arb_collection(6),
         threads in 2usize..=5,
-        chunk_rows in 1usize..=3,
     ) {
         for function in branch_representatives() {
-            let serial = build_graph_over(&left, &right, &function, &serial_cfg());
+            let serial = build_graph_over(&left, &right, &function, &cfg(1));
             let parallel =
-                build_graph_over(&left, &right, &function, &parallel_cfg(threads, chunk_rows));
+                build_graph_over(&left, &right, &function, &cfg(threads));
             assert_bit_identical(&serial, &parallel, &function.name());
             assert_weights_normalized(&serial, &function.name());
         }
@@ -208,17 +198,17 @@ proptest! {
         let candidates = token_blocking(&left, &right).candidate_pairs();
         for function in branch_representatives() {
             let serial =
-                build_graph_restricted(&left, &right, &function, &candidates, &serial_cfg());
+                build_graph_restricted(&left, &right, &function, &candidates, &cfg(1));
             let parallel = build_graph_restricted(
                 &left,
                 &right,
                 &function,
                 &candidates,
-                &parallel_cfg(threads, 2),
+                &cfg(threads),
             );
             assert_bit_identical(&serial, &parallel, &function.name());
 
-            let full = build_graph_over(&left, &right, &function, &serial_cfg());
+            let full = build_graph_over(&left, &right, &function, &cfg(1));
             let via_restrict = restrict_graph(&full, &candidates);
             let pair_set = |g: &SimilarityGraph| -> FxHashSet<(u32, u32)> {
                 g.edges().iter().map(|e| (e.left, e.right)).collect()
@@ -244,9 +234,9 @@ proptest! {
         k in 1usize..=3,
     ) {
         for function in branch_representatives() {
-            let dense = build_graph_over(&left, &right, &function, &serial_cfg());
+            let dense = build_graph_over(&left, &right, &function, &cfg(1));
             let (streamed, stats) =
-                topk_enumerated(&left, &right, &function, k, &serial_cfg());
+                topk_enumerated(&left, &right, &function, k, &cfg(1));
             assert_bit_identical(
                 &dense.pruned_top_k(k),
                 &streamed,
@@ -256,7 +246,7 @@ proptest! {
             prop_assert_eq!(stats.retained_edges, streamed.n_edges());
 
             let parallel =
-                topk_enumerated(&left, &right, &function, k, &parallel_cfg(threads, 2)).0;
+                topk_enumerated(&left, &right, &function, k, &cfg(threads)).0;
             assert_bit_identical(
                 &streamed,
                 &parallel,
@@ -264,7 +254,7 @@ proptest! {
             );
 
             let unbounded =
-                topk_enumerated(&left, &right, &function, usize::MAX, &serial_cfg()).0;
+                topk_enumerated(&left, &right, &function, usize::MAX, &cfg(1)).0;
             let canon = |g: &SimilarityGraph| -> Vec<(u32, u32, u64)> {
                 let mut v: Vec<_> = g
                     .edges()
@@ -309,16 +299,16 @@ proptest! {
             },
         });
         for function in functions {
-            let dense = build_graph_over(&left, &right, &function, &serial_cfg());
+            let dense = build_graph_over(&left, &right, &function, &cfg(1));
             let (streamed, stats) =
-                topk_enumerated(&left, &right, &function, k, &serial_cfg());
+                topk_enumerated(&left, &right, &function, k, &cfg(1));
             assert_bit_identical(
                 &dense.pruned_top_k(k),
                 &streamed,
                 &format!("{} pruned topk k={k}", function.name()),
             );
             let parallel =
-                topk_enumerated(&left, &right, &function, k, &parallel_cfg(4, 2)).0;
+                topk_enumerated(&left, &right, &function, k, &cfg(4)).0;
             assert_bit_identical(
                 &streamed,
                 &parallel,
@@ -393,7 +383,7 @@ proptest! {
                     &function,
                     k,
                     mode,
-                    &with_kernel(&serial_cfg(), KernelMode::Scalar),
+                    &with_kernel(&cfg(1), KernelMode::Scalar),
                 );
                 for threads in [1usize, 4] {
                     let (lanes, _, _) = build_graph_topk(
@@ -402,7 +392,7 @@ proptest! {
                         &function,
                         k,
                         mode,
-                        &with_kernel(&parallel_cfg(threads, 2), KernelMode::Lanes),
+                        &with_kernel(&cfg(threads), KernelMode::Lanes),
                     );
                     assert_bit_identical(
                         &scalar,
@@ -435,7 +425,7 @@ proptest! {
             right,
             ground_truth: GroundTruth::new(Vec::new()),
         };
-        let built = build_prepared(&dataset, &function, &parallel_cfg(threads, 2));
+        let built = build_prepared(&dataset, &function, &cfg(threads));
         let reference = built.graph.sorted_edges();
         prop_assert_eq!(built.sorted.len(), built.graph.n_edges());
         for (a, b) in built.sorted.all().iter().zip(reference.all()) {

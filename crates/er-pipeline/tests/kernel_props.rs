@@ -94,7 +94,6 @@ fn cfg(kernel: KernelMode) -> PipelineConfig {
         threads: 1,
         wmd_token_cap: 4,
         kernel_mode: kernel,
-        ..PipelineConfig::default()
     }
 }
 

@@ -9,24 +9,25 @@
 //!    (including 1-row shards and shards larger than the input), thread
 //!    counts, and both candidate modes;
 //! 2. **normalization frame identity**: the frame folded from per-shard
-//!    bounds equals the in-RAM build's frame (`NormFrame` is `PartialEq`
-//!    over its raw `f64` fields, so this is a bitwise statement);
+//!    maxima equals the in-RAM build's frame (`NormFrame` is `PartialEq`
+//!    over its raw `f64` field, so this is a bitwise statement);
 //! 3. **resident budget**: peak resident edges never exceed the
-//!    configured admission budget (`shard_rows × k`, doubled when the
-//!    build pipelines scoring against spilling), the spill/merge
-//!    accounting is consistent with the retained edge count, and the
-//!    flow counters (generated, offered, pruned, scored, retained) equal
-//!    the in-RAM build's — its single-shard case;
-//! 4. **pipelining and merge parallelism are invisible in the bytes**:
-//!    the serial build, the pipelined build, and every merge-worker
-//!    count produce *byte-identical* store files — sort-order column,
-//!    checksum and all — and identical normalization frames;
+//!    admission budget (`2 × shard_rows × k`: one shard scored while the
+//!    previous one spills), the spill/merge accounting is consistent
+//!    with the retained edge count, and the flow counters (generated,
+//!    offered, pruned, scored, retained) equal the in-RAM build's — its
+//!    single-shard case;
+//! 4. **one byte format from both store writers**: at one thread (the
+//!    direct merge) and at 2–4 threads (the row-range-parallel merge,
+//!    one worker per thread up to the shard count), the store file is
+//!    *byte-identical* to `write_csr` of the in-RAM build — sort-order
+//!    column, checksum and all;
 //! 5. **the budget bites on a realistic corpus** (fixed seed): on the
 //!    generated movies linkage (D7 at scale 0.05), the shard budget is
 //!    strictly below the stored edge count, so the build really holds
-//!    less than its output resident, and invariants 1, 3 and 4 still hold.
+//!    less than its output resident, and invariants 3 and 4 still hold.
 
-use er_core::CsrGraph;
+use er_core::{write_csr, CsrGraph};
 use er_datasets::{Dataset, DatasetId, EntityCollection, EntityProfile};
 use er_embed::{EmbeddingModel, SemanticMeasure};
 use er_pipeline::{
@@ -116,7 +117,6 @@ fn branch_representatives() -> Vec<SimilarityFunction> {
 fn cfg(threads: usize) -> PipelineConfig {
     PipelineConfig {
         threads,
-        chunk_rows: 2,
         wmd_token_cap: 4,
         ..PipelineConfig::default()
     }
@@ -196,6 +196,85 @@ fn assert_sharded_matches_ram(
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Invariant 4: build `function` out of core at each of `threads`, and
+/// require every store file to be byte-identical to `write_csr` of the
+/// in-RAM build, with the resident budget and the merge-worker count the
+/// thread budget implies, and the in-RAM frame. `config` fixes every
+/// setting but the thread count.
+fn assert_store_bytes_match_write_csr(
+    left: &EntityCollection,
+    right: &EntityCollection,
+    function: &SimilarityFunction,
+    k: usize,
+    config: &PipelineConfig,
+    shard_rows: usize,
+    threads: &[usize],
+) -> Vec<BuildStats> {
+    let dir = scratch_dir();
+    let (ram_graph, _, ram_frame) = build_graph_topk(
+        left,
+        right,
+        function,
+        k,
+        CandidateMode::Indexed,
+        &PipelineConfig {
+            threads: 1,
+            ..config.clone()
+        },
+    );
+    let reference = dir.join("write_csr.slab");
+    write_csr(&CsrGraph::from_graph(&ram_graph), &reference).expect("write_csr succeeds");
+    let want = std::fs::read(&reference).unwrap();
+
+    let mut all_stats = Vec::new();
+    for &t in threads {
+        let what = format!(
+            "{} k={k} shard_rows={shard_rows} threads={t}",
+            function.name()
+        );
+        let out = dir.join(format!("sharded-{t}.slab"));
+        let (mapped, stats, frame) = build_graph_sharded(
+            left,
+            right,
+            function,
+            k,
+            CandidateMode::Indexed,
+            &PipelineConfig {
+                threads: t,
+                ..config.clone()
+            },
+            &ShardedConfig::new(shard_rows, dir.join(format!("spills-{t}"))),
+            &out,
+        )
+        .unwrap_or_else(|e| panic!("{what}: sharded build failed: {e}"));
+        drop(mapped);
+        assert!(
+            std::fs::read(&out).unwrap() == want,
+            "{what}: store bytes differ from write_csr of the in-RAM build"
+        );
+        assert_eq!(frame, ram_frame, "{what}: frame");
+        assert_eq!(
+            stats.resident_budget_edges,
+            2 * shard_rows * k,
+            "{what}: budget"
+        );
+        assert_eq!(
+            stats.merge_workers,
+            t.min(stats.shards).max(1),
+            "{what}: merge workers"
+        );
+        assert!(
+            stats.peak_resident_edges <= stats.resident_budget_edges,
+            "{what}: peak {} over budget {}",
+            stats.peak_resident_edges,
+            stats.resident_budget_edges
+        );
+        all_stats.push(stats);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    all_stats
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -247,69 +326,22 @@ proptest! {
         }
     }
 
-    /// Invariant 4: serial vs pipelined, and 1 vs many merge workers —
-    /// every combination writes the same file, byte for byte, and equals
-    /// the in-RAM build.
+    /// Invariant 4 on the schema-agnostic cosine: both merge paths write
+    /// `write_csr`'s bytes.
     #[test]
-    fn pipelining_and_merge_parallelism_preserve_bytes(
+    fn store_bytes_equal_write_csr_of_the_ram_build(
         left in arb_collection(8),
         right in arb_collection(8),
         shard_rows in 1usize..=4,
-        merge_threads in 2usize..=4,
+        threads in 2usize..=4,
     ) {
         let function = SimilarityFunction::SchemaAgnosticVector {
             scheme: NGramScheme::Token(1),
             measure: VectorMeasure::CosineTfIdf,
         };
-        let k = 2;
-        let config = cfg(2);
-        let (ram_graph, _, ram_frame) =
-            build_graph_topk(&left, &right, &function, k, CandidateMode::Indexed, &config);
-        let want = CsrGraph::from_graph(&ram_graph);
-
-        let dir = scratch_dir();
-        let mut variants = Vec::new();
-        for (tag, sharding) in [
-            ("serial", ShardedConfig::serial(shard_rows, dir.join("sp-serial"))),
-            ("pipelined-1", {
-                let mut s = ShardedConfig::new(shard_rows, dir.join("sp-p1"));
-                s.merge_threads = 1;
-                s
-            }),
-            ("pipelined-n", {
-                let mut s = ShardedConfig::new(shard_rows, dir.join("sp-pn"));
-                s.merge_threads = merge_threads;
-                s
-            }),
-        ] {
-            let out = dir.join(format!("{tag}.slab"));
-            let (mapped, stats, frame) = build_graph_sharded(
-                &left, &right, &function, k, CandidateMode::Indexed, &config, &sharding, &out,
-            )
-            .expect("sharded build succeeds");
-            prop_assert_eq!(mapped.to_csr(), want.clone(), "{}: store equals RAM build", tag);
-            prop_assert_eq!(frame, ram_frame, "{}: frame", tag);
-            prop_assert!(
-                stats.peak_resident_edges <= stats.resident_budget_edges,
-                "{}: peak {} over budget {}",
-                tag, stats.peak_resident_edges, stats.resident_budget_edges
-            );
-            let expected_budget = shard_rows * k * if sharding.pipelined { 2 } else { 1 };
-            prop_assert_eq!(stats.resident_budget_edges, expected_budget, "{}: budget", tag);
-            drop(mapped);
-            variants.push((tag, std::fs::read(&out).unwrap(), stats));
-        }
-        let (_, base_bytes, base_stats) = &variants[0];
-        for (tag, bytes, stats) in &variants[1..] {
-            prop_assert_eq!(
-                bytes, base_bytes,
-                "{} file differs from the serial build", tag
-            );
-            prop_assert_eq!(stats.retained_edges, base_stats.retained_edges);
-            prop_assert_eq!(stats.spilled_triples, base_stats.spilled_triples);
-            prop_assert_eq!(stats.shards, base_stats.shards);
-        }
-        std::fs::remove_dir_all(&dir).ok();
+        assert_store_bytes_match_write_csr(
+            &left, &right, &function, 2, &cfg(1), shard_rows, &[1, threads],
+        );
     }
 
     /// Regression: a schema-based scorer skips entities that lack its
@@ -317,113 +349,49 @@ proptest! {
     /// parallel merge once assumed shard `s` started at left id
     /// `s · shard_rows` and rejected such builds with "spill records
     /// outside the left id space". Every merge-worker count must accept
-    /// them and write the serial build's bytes.
+    /// them and write `write_csr`'s bytes.
     #[test]
     fn parallel_merge_accepts_schema_based_shards(
         left in arb_collection(10),
         right in arb_collection(6),
         shard_rows in 1usize..=3,
-        merge_threads in 2usize..=4,
+        threads in 2usize..=4,
     ) {
         // `desc` is absent wherever an entity drew no desc tokens.
         let function = SimilarityFunction::SchemaBasedSyntactic {
             attribute: "desc".into(),
             measure: SchemaBasedMeasure::Char(CharMeasure::Levenshtein),
         };
-        let k = 2;
-        let config = cfg(2);
-        let (ram_graph, _, _) =
-            build_graph_topk(&left, &right, &function, k, CandidateMode::Indexed, &config);
-        let want = CsrGraph::from_graph(&ram_graph);
-
-        let dir = scratch_dir();
-        let mut files = Vec::new();
-        for (tag, sharding) in [
-            ("serial", ShardedConfig::serial(shard_rows, dir.join("sp-serial"))),
-            ("parallel", {
-                let mut s = ShardedConfig::new(shard_rows, dir.join("sp-par"));
-                s.merge_threads = merge_threads;
-                s
-            }),
-        ] {
-            let out = dir.join(format!("{tag}.slab"));
-            let (mapped, _, _) = build_graph_sharded(
-                &left, &right, &function, k, CandidateMode::Indexed, &config, &sharding, &out,
-            )
-            .unwrap_or_else(|e| panic!("{tag} sharded build failed: {e}"));
-            prop_assert_eq!(mapped.to_csr(), want.clone(), "{}: store equals RAM build", tag);
-            drop(mapped);
-            files.push(std::fs::read(&out).unwrap());
-        }
-        prop_assert_eq!(&files[1], &files[0], "parallel merge differs from the serial build");
-        std::fs::remove_dir_all(&dir).ok();
+        assert_store_bytes_match_write_csr(
+            &left, &right, &function, 2, &cfg(1), shard_rows, &[1, threads],
+        );
     }
 }
 
-/// Invariant 5: a cosine top-3 build at 16 rows per shard, serial and
-/// pipelined, against the in-RAM build under the production default
-/// config.
+/// Invariant 5: a cosine top-3 build at 16 rows per shard, at one to
+/// four threads, against `write_csr` of the in-RAM build under the
+/// production default config.
 #[test]
 fn shard_budget_stays_below_the_stored_graph_on_a_generated_corpus() {
     let dataset = Dataset::generate(DatasetId::D7, 0.05, 17);
-    let (left, right) = (&dataset.left, &dataset.right);
     let function = SimilarityFunction::SchemaAgnosticVector {
         scheme: NGramScheme::Token(1),
         measure: VectorMeasure::CosineTfIdf,
     };
-    let (k, shard_rows) = (3, 16);
-    let config = PipelineConfig::default();
-    let (ram_graph, _, _) =
-        build_graph_topk(left, right, &function, k, CandidateMode::Indexed, &config);
-    let want = CsrGraph::from_graph(&ram_graph);
-
-    let dir = scratch_dir();
-    let mut files = Vec::new();
-    for (tag, sharding) in [
-        (
-            "serial",
-            ShardedConfig::serial(shard_rows, dir.join("sp-serial")),
-        ),
-        (
-            "pipelined",
-            ShardedConfig::new(shard_rows, dir.join("sp-pipe")),
-        ),
-    ] {
-        let out = dir.join(format!("{tag}.slab"));
-        let (mapped, stats, _) = build_graph_sharded(
-            left,
-            right,
-            &function,
-            k,
-            CandidateMode::Indexed,
-            &config,
-            &sharding,
-            &out,
-        )
-        .expect("sharded build succeeds");
-        assert_eq!(
-            mapped.to_csr(),
-            want,
-            "{tag}: store equals the in-RAM build"
-        );
-        assert!(
-            stats.peak_resident_edges <= stats.resident_budget_edges,
-            "{tag}: peak {} exceeds the shard budget {}",
-            stats.peak_resident_edges,
-            stats.resident_budget_edges
-        );
+    for stats in assert_store_bytes_match_write_csr(
+        &dataset.left,
+        &dataset.right,
+        &function,
+        3,
+        &PipelineConfig::default(),
+        16,
+        &[1, 2, 3, 4],
+    ) {
         assert!(
             stats.resident_budget_edges < stats.retained_edges,
-            "{tag}: degenerate case, the store ({} edges) fits the budget ({})",
+            "degenerate case, the store ({} edges) fits the budget ({})",
             stats.retained_edges,
             stats.resident_budget_edges
         );
-        drop(mapped);
-        files.push(std::fs::read(&out).unwrap());
     }
-    assert_eq!(
-        files[0], files[1],
-        "pipelined store differs from the serial one"
-    );
-    std::fs::remove_dir_all(&dir).ok();
 }
