@@ -9,9 +9,7 @@
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use parking_lot::Mutex;
-
-use er_core::{GraphStats, ThresholdGrid, WeightSeparation};
+use er_core::{par, GraphStats, ThresholdGrid, WeightSeparation};
 use er_datasets::{Dataset, DatasetId, DatasetStats};
 use er_eval::cleaning::{dedup_duplicate_inputs, is_noisy_graph, GraphFingerprint};
 use er_eval::sweep::{SweepEngine, SweepResult};
@@ -202,8 +200,6 @@ fn evaluate_dataset(
     functions: &[SimilarityFunction],
 ) -> (Vec<Evaluated>, usize) {
     let n = functions.len();
-    let slots: Mutex<Vec<Option<Option<Evaluated>>>> = Mutex::new((0..n).map(|_| None).collect());
-    let next = std::sync::atomic::AtomicUsize::new(0);
     let workers = cfg.pipeline.effective_threads().min(n.max(1));
     // This loop already fans out across functions, so each build gets a
     // divided intra-graph thread budget (see PipelineConfig::divided_among).
@@ -213,77 +209,62 @@ fn evaluate_dataset(
         bmc_basis: Basis::Left,
     };
 
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if idx >= n {
-                    break;
-                }
-                let function = functions[idx].clone();
-                // Prepared construction: the sorted edge view is emitted
-                // with the graph and handed to the sweep via from_sorted,
-                // so exactly one view build happens per graph.
-                let built = er_pipeline::build_prepared(dataset, &function, &pipeline_cfg);
-                let graph = built.graph;
-                // Cleaning rule 1: all true matches at zero weight.
-                let sep = WeightSeparation::of(&graph, &dataset.ground_truth);
-                if sep.all_matches_zero() {
-                    slots.lock()[idx] = Some(None);
-                    continue;
-                }
-                let stats = GraphStats::of(&graph);
-                let pg = PreparedGraph::from_sorted(&graph, built.sorted);
-                // This loop already fans out across similarity functions, so
-                // the engine runs its units serially (still incremental);
-                // nesting its default thread pool here would oversubscribe.
-                let sweeps = SweepEngine::new(algo_config).with_threads(1).sweep_all(
-                    &pg,
-                    &dataset.ground_truth,
-                    &cfg.grid,
-                );
-                // Time each algorithm at its optimal threshold; BMC times
-                // under its winning basis.
-                let timings: Vec<(f64, f64)> = sweeps
-                    .iter()
-                    .map(|sw| {
-                        let mut conf = algo_config;
-                        if sw.algorithm == AlgorithmKind::Bmc {
-                            conf.bmc_basis = if sw.bmc_basis_right == Some(true) {
-                                Basis::Right
-                            } else {
-                                Basis::Left
-                            };
-                        }
-                        let t = time_algorithm(
-                            sw.algorithm,
-                            &conf,
-                            &pg,
-                            sw.best_threshold,
-                            cfg.timing_reps,
-                        );
-                        (t.mean_s, t.std_s)
-                    })
-                    .collect();
-                let wt = function.weight_type();
-                slots.lock()[idx] = Some(Some((function, wt, stats, sweeps, timings)));
-            });
-        }
-    });
-
-    let mut dropped = 0usize;
-    let evaluated: Vec<Evaluated> = slots
-        .into_inner()
-        .into_iter()
-        .filter_map(|slot| match slot.expect("slot filled") {
-            Some(e) => Some(e),
-            None => {
-                dropped += 1;
-                None
+    let per_function = par::map_indexed(
+        n,
+        workers,
+        || (),
+        |_, idx| {
+            let function = functions[idx].clone();
+            // Prepared construction: the sorted edge view is emitted
+            // with the graph and handed to the sweep via from_sorted,
+            // so exactly one view build happens per graph.
+            let built = er_pipeline::build_prepared(dataset, &function, &pipeline_cfg);
+            let graph = built.graph;
+            // Cleaning rule 1: all true matches at zero weight.
+            let sep = WeightSeparation::of(&graph, &dataset.ground_truth);
+            if sep.all_matches_zero() {
+                return None;
             }
-        })
-        .collect();
-    (evaluated, dropped)
+            let stats = GraphStats::of(&graph);
+            let pg = PreparedGraph::from_sorted(&graph, built.sorted);
+            // This loop already fans out across similarity functions, so
+            // the engine runs its units serially (still incremental);
+            // nesting its default thread pool here would oversubscribe.
+            let sweeps = SweepEngine::new(algo_config).with_threads(1).sweep_all(
+                &pg,
+                &dataset.ground_truth,
+                &cfg.grid,
+            );
+            // Time each algorithm at its optimal threshold; BMC times
+            // under its winning basis.
+            let timings: Vec<(f64, f64)> = sweeps
+                .iter()
+                .map(|sw| {
+                    let mut conf = algo_config;
+                    if sw.algorithm == AlgorithmKind::Bmc {
+                        conf.bmc_basis = if sw.bmc_basis_right == Some(true) {
+                            Basis::Right
+                        } else {
+                            Basis::Left
+                        };
+                    }
+                    let t = time_algorithm(
+                        sw.algorithm,
+                        &conf,
+                        &pg,
+                        sw.best_threshold,
+                        cfg.timing_reps,
+                    );
+                    (t.mean_s, t.std_s)
+                })
+                .collect();
+            let wt = function.weight_type();
+            Some((function, wt, stats, sweeps, timings))
+        },
+    );
+
+    let dropped = per_function.iter().filter(|o| o.is_none()).count();
+    (per_function.into_iter().flatten().collect(), dropped)
 }
 
 /// Parse a cache file's bytes into run data, accepting only the current

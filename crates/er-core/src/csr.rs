@@ -5,7 +5,7 @@
 //! structure. That is the right shape for construction and for the
 //! weight-sorted views the matchers consume, but it is wasteful as a
 //! *store*: pruned production graphs (top-k per entity, see
-//! [`TopKBuilder`](crate::TopKBuilder)) are row-regular, and both lookups
+//! [`TopKRow`](crate::TopKRow)) are row-regular, and both lookups
 //! and row scans want the edges grouped by left entity.
 //!
 //! [`CsrGraph`] is that store: one offset array over the left rows, the

@@ -10,7 +10,7 @@
 //! graph) and an [`Adjacency`] view (per-node neighbor lists in the same
 //! order) scattered from it. For memory-bounded storage and
 //! `O(log d)` pair lookups see [`CsrGraph`](crate::CsrGraph); for bounded
-//! per-row construction see [`TopKBuilder`](crate::TopKBuilder).
+//! per-row selection see [`TopKRow`](crate::TopKRow).
 
 use std::sync::OnceLock;
 
@@ -102,8 +102,7 @@ impl SimilarityGraph {
     }
 
     /// Assemble a graph from already-validated parts — the internal fast
-    /// path for [`CsrGraph`](crate::CsrGraph) and
-    /// [`TopKBuilder`](crate::TopKBuilder), whose invariants guarantee
+    /// path for [`CsrGraph`](crate::CsrGraph), whose invariants guarantee
     /// in-bounds unique edges with valid weights.
     pub(crate) fn from_parts_unchecked(n_left: u32, n_right: u32, edges: Vec<Edge>) -> Self {
         SimilarityGraph {
@@ -305,10 +304,10 @@ impl SimilarityGraph {
 
     /// A copy of the graph keeping only each left row's best `k` edges —
     /// ranked by weight descending, ties broken by ascending right id,
-    /// the same deterministic selection as
-    /// [`TopKBuilder`](crate::TopKBuilder). Rows come out in ascending
-    /// left order, each sorted by that rank — byte-for-byte the layout
-    /// `TopKBuilder` / `er-pipeline`'s `build_graph_topk` produce.
+    /// the same deterministic selection as [`TopKRow`](crate::TopKRow).
+    /// Rows come out in ascending left order, each sorted by that rank —
+    /// byte-for-byte the layout `er-pipeline`'s `build_graph_topk`
+    /// produces.
     ///
     /// This is the *dense-then-prune* flow (`O(m log d)`: counting sort
     /// into rows, then per-row sorts): the dense graph already exists and

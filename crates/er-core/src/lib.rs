@@ -16,9 +16,10 @@
 //!   checksummed little-endian slab format written by a streaming
 //!   [`SlabWriter`] and read back through the file-backed [`MappedCsr`]
 //!   view without materializing the slabs in RAM.
-//! * [`TopKBuilder`] / [`TopKRow`] — bounded per-row best-`k` edge selection
-//!   with resident/peak accounting, so pruned graphs can be built without
-//!   ever materializing the dense edge set.
+//! * [`TopKRow`] — bounded per-row best-`k` edge selection, so pruned
+//!   graphs can be built without ever materializing the dense edge set.
+//! * [`par`] — the one scoped work pool every parallel fan-out runs on:
+//!   indexes claimed from an atomic cursor, results in index order.
 //! * [`Matching`] — the output of a bipartite graph matching algorithm: a set
 //!   of (left, right) entity pairs respecting the unique-mapping constraint.
 //! * [`GroundTruth`] — the known duplicate pairs used for evaluation.
@@ -41,6 +42,7 @@ pub mod hash;
 pub mod io;
 pub mod matching;
 pub mod normalize;
+pub mod par;
 pub mod stats;
 pub mod store;
 pub mod threshold;
@@ -61,5 +63,5 @@ pub use normalize::min_max_normalize;
 pub use stats::{ConstructionCounters, GraphStats, WeightSeparation};
 pub use store::{write_csr, MappedCsr, SlabWriter, StoreError, StoreMeta};
 pub use threshold::ThresholdGrid;
-pub use topk::{TopKBuilder, TopKRow};
+pub use topk::TopKRow;
 pub use union_find::UnionFind;

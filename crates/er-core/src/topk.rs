@@ -6,14 +6,10 @@
 //! configuration keeps only the best `k` candidates per left entity, which
 //! bounds the graph at `n_left × k` edges regardless of corpus density.
 //!
-//! Two layers:
-//!
-//! * [`TopKRow`] — a reusable bounded binary heap selecting the best `k`
-//!   `(right, weight)` candidates of **one** row, the allocation-free hot
-//!   path the streaming construction engine (`er-pipeline`) drives;
-//! * [`TopKBuilder`] — a validating whole-graph builder over `n_left`
-//!   rows with resident/peak edge accounting, the drop-in bounded
-//!   counterpart of [`GraphBuilder`](crate::GraphBuilder).
+//! [`TopKRow`] is a reusable bounded binary heap selecting the best `k`
+//! `(right, weight)` candidates of **one** row, the allocation-free hot
+//! path the streaming construction engine (`er-pipeline`) drives once
+//! per left row.
 //!
 //! Selection is deterministic: candidates are ranked by **descending
 //! weight**, ties broken by **ascending right id** (the workspace-wide
@@ -24,9 +20,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::error::{CoreError, Result};
 use crate::float::OrderedF64;
-use crate::graph::{Edge, SimilarityGraph};
 
 /// A candidate's rank key: greater = better (weight descending, then
 /// right id ascending).
@@ -209,239 +203,6 @@ impl TopKRow {
     }
 }
 
-/// A validating graph builder that retains only the best `k` edges per
-/// left row — the memory-bounded counterpart of
-/// [`GraphBuilder`](crate::GraphBuilder).
-///
-/// At any point during construction at most `n_left × k` edges are
-/// resident, whatever the offered volume; [`TopKBuilder::peak_edges`]
-/// exposes that accounting so callers (and tests) can assert the dense
-/// graph never materialized. Offering a `(left, right)` pair that is
-/// already among the row's survivors keeps the **better** weight
-/// (duplicates whose earlier copy was already evicted are
-/// indistinguishable from fresh candidates — exact duplicate detection
-/// would need unbounded memory, which is the one thing this builder must
-/// never use).
-///
-/// ```
-/// use er_core::TopKBuilder;
-///
-/// let mut b = TopKBuilder::new(2, 4, 2);
-/// for right in 0..4 {
-///     b.offer(0, right, 0.2 + 0.1 * right as f64).unwrap();
-///     b.offer(1, right, 0.9 - 0.2 * right as f64).unwrap();
-/// }
-/// assert_eq!(b.offered_edges(), 8);
-/// assert_eq!(b.resident_edges(), 4);
-/// assert!(b.peak_edges() <= 2 * 2, "bounded at n_left × k");
-/// let g = b.build();
-/// assert_eq!(g.weight_of(0, 3), Some(0.5));
-/// assert_eq!(g.weight_of(0, 0), None, "evicted below the top 2");
-/// ```
-#[derive(Debug, Clone)]
-pub struct TopKBuilder {
-    n_left: u32,
-    n_right: u32,
-    k: usize,
-    rows: Vec<TopKRow>,
-    offered: usize,
-    resident: usize,
-    peak: usize,
-}
-
-impl TopKBuilder {
-    /// Start building over collections of the given sizes, keeping the
-    /// best `k` edges per left row.
-    ///
-    /// ```
-    /// # use er_core::TopKBuilder;
-    /// let b = TopKBuilder::new(3, 5, 2);
-    /// assert_eq!((b.n_left(), b.n_right(), b.k()), (3, 5, 2));
-    /// ```
-    pub fn new(n_left: u32, n_right: u32, k: usize) -> Self {
-        TopKBuilder {
-            n_left,
-            n_right,
-            k,
-            rows: (0..n_left).map(|_| TopKRow::new(k)).collect(),
-            offered: 0,
-            resident: 0,
-            peak: 0,
-        }
-    }
-
-    /// `|V1|`.
-    ///
-    /// ```
-    /// # use er_core::TopKBuilder;
-    /// assert_eq!(TopKBuilder::new(7, 2, 1).n_left(), 7);
-    /// ```
-    #[inline]
-    pub fn n_left(&self) -> u32 {
-        self.n_left
-    }
-
-    /// `|V2|`.
-    ///
-    /// ```
-    /// # use er_core::TopKBuilder;
-    /// assert_eq!(TopKBuilder::new(7, 2, 1).n_right(), 2);
-    /// ```
-    #[inline]
-    pub fn n_right(&self) -> u32 {
-        self.n_right
-    }
-
-    /// The per-row bound `k`.
-    ///
-    /// ```
-    /// # use er_core::TopKBuilder;
-    /// assert_eq!(TopKBuilder::new(1, 1, 9).k(), 9);
-    /// ```
-    #[inline]
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Offer one validated edge; the row keeps it only while it ranks in
-    /// the row's top `k`. Validation matches
-    /// [`GraphBuilder::add_edge`](crate::GraphBuilder::add_edge): ids in
-    /// bounds, weight a finite value in `[0, 1]`.
-    ///
-    /// ```
-    /// # use er_core::TopKBuilder;
-    /// let mut b = TopKBuilder::new(1, 1, 1);
-    /// assert!(b.offer(0, 0, 0.5).is_ok());
-    /// assert!(b.offer(0, 5, 0.5).is_err(), "right id out of bounds");
-    /// assert!(b.offer(0, 0, 1.5).is_err(), "weight out of range");
-    /// ```
-    pub fn offer(&mut self, left: u32, right: u32, weight: f64) -> Result<()> {
-        if left >= self.n_left {
-            return Err(CoreError::NodeOutOfBounds {
-                side: "left",
-                id: left,
-                len: self.n_left,
-            });
-        }
-        if right >= self.n_right {
-            return Err(CoreError::NodeOutOfBounds {
-                side: "right",
-                id: right,
-                len: self.n_right,
-            });
-        }
-        if !weight.is_finite() || !(0.0..=1.0).contains(&weight) {
-            return Err(CoreError::InvalidWeight(weight));
-        }
-        self.offered += 1;
-        let row = &mut self.rows[left as usize];
-        // Keep-better on re-offered survivors: one scan finds both the
-        // membership and the held weight; the bounded heap cannot update
-        // in place, so an upgrade rebuilds the row without the old copy.
-        if let Some(held) = row
-            .heap
-            .iter()
-            .find_map(|&Reverse((w, Reverse(r)))| (r == right).then_some(w.0))
-        {
-            if held >= weight {
-                return Ok(()); // the held copy is at least as good
-            }
-            let survivors: Vec<WorstFirst> = row
-                .heap
-                .drain()
-                .filter(|&Reverse((_, Reverse(r)))| r != right)
-                .collect();
-            row.heap = BinaryHeap::from(survivors);
-            self.resident -= 1;
-        }
-        let before = row.len();
-        row.offer(right, weight);
-        self.resident += row.len() - before;
-        self.peak = self.peak.max(self.resident);
-        Ok(())
-    }
-
-    /// Number of edges offered so far (retained or not).
-    ///
-    /// ```
-    /// # use er_core::TopKBuilder;
-    /// let mut b = TopKBuilder::new(1, 2, 1);
-    /// b.offer(0, 0, 0.1).unwrap();
-    /// b.offer(0, 1, 0.9).unwrap();
-    /// assert_eq!(b.offered_edges(), 2);
-    /// ```
-    #[inline]
-    pub fn offered_edges(&self) -> usize {
-        self.offered
-    }
-
-    /// Number of edges currently retained across all rows.
-    ///
-    /// ```
-    /// # use er_core::TopKBuilder;
-    /// let mut b = TopKBuilder::new(1, 2, 1);
-    /// b.offer(0, 0, 0.1).unwrap();
-    /// b.offer(0, 1, 0.9).unwrap();
-    /// assert_eq!(b.resident_edges(), 1);
-    /// ```
-    #[inline]
-    pub fn resident_edges(&self) -> usize {
-        self.resident
-    }
-
-    /// The maximum number of edges ever resident at once — by
-    /// construction at most `n_left × k`.
-    ///
-    /// ```
-    /// # use er_core::TopKBuilder;
-    /// let mut b = TopKBuilder::new(1, 3, 1);
-    /// for r in 0..3 {
-    ///     b.offer(0, r, 0.5 + 0.1 * r as f64).unwrap();
-    /// }
-    /// assert_eq!(b.peak_edges(), 1);
-    /// ```
-    #[inline]
-    pub fn peak_edges(&self) -> usize {
-        self.peak
-    }
-
-    /// Whether no edges are retained.
-    ///
-    /// ```
-    /// # use er_core::TopKBuilder;
-    /// assert!(TopKBuilder::new(2, 2, 2).is_empty());
-    /// ```
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.resident == 0
-    }
-
-    /// Finish construction: rows are emitted in ascending left order,
-    /// each row's survivors sorted by `(weight desc, right asc)`.
-    ///
-    /// ```
-    /// # use er_core::TopKBuilder;
-    /// let mut b = TopKBuilder::new(2, 2, 1);
-    /// b.offer(1, 0, 0.4).unwrap();
-    /// b.offer(0, 1, 0.6).unwrap();
-    /// let g = b.build();
-    /// assert_eq!(g.n_edges(), 2);
-    /// assert_eq!(g.edges()[0].left, 0, "rows come out in left order");
-    /// ```
-    pub fn build(mut self) -> SimilarityGraph {
-        let mut edges: Vec<Edge> = Vec::with_capacity(self.resident);
-        let mut scratch: Vec<(u32, f64)> = Vec::new();
-        for (l, row) in self.rows.iter_mut().enumerate() {
-            scratch.clear();
-            row.drain_sorted_into(&mut scratch);
-            edges.extend(scratch.iter().map(|&(r, w)| Edge::new(l as u32, r, w)));
-        }
-        // Every edge was validated at offer time and rows partition the
-        // left ids, so no duplicates can exist — skip re-validation.
-        SimilarityGraph::from_parts_unchecked(self.n_left, self.n_right, edges)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -501,107 +262,23 @@ mod tests {
     }
 
     #[test]
-    fn builder_validates_like_graph_builder() {
-        let mut b = TopKBuilder::new(2, 2, 4);
-        assert_eq!(
-            b.offer(2, 0, 0.5),
-            Err(CoreError::NodeOutOfBounds {
-                side: "left",
-                id: 2,
-                len: 2
-            })
-        );
-        assert_eq!(
-            b.offer(0, 3, 0.5),
-            Err(CoreError::NodeOutOfBounds {
-                side: "right",
-                id: 3,
-                len: 2
-            })
-        );
-        assert_eq!(b.offer(0, 0, -0.5), Err(CoreError::InvalidWeight(-0.5)));
-        assert!(b.offer(0, 0, f64::NAN).is_err());
-        assert!(b.offer(0, 0, 0.0).is_ok());
-        assert!(b.offer(0, 1, 1.0).is_ok());
-    }
-
-    #[test]
-    fn builder_peak_is_bounded_by_n_left_times_k() {
-        let (n_left, n_right, k) = (10u32, 50u32, 3usize);
-        let mut b = TopKBuilder::new(n_left, n_right, k);
-        for l in 0..n_left {
-            for r in 0..n_right {
-                let w = ((l * 31 + r * 17) % 97) as f64 / 97.0;
-                b.offer(l, r, w).unwrap();
-            }
-        }
-        assert_eq!(b.offered_edges(), 500);
-        assert_eq!(b.resident_edges(), (n_left as usize) * k);
-        assert!(b.peak_edges() <= (n_left as usize) * k);
-        let g = b.build();
-        assert_eq!(g.n_edges(), (n_left as usize) * k);
-    }
-
-    #[test]
-    fn builder_matches_per_row_sort_selection() {
+    fn row_matches_per_row_sort_selection() {
         // Reference: sort each row's candidates by (weight desc, right asc)
         // and take the first k.
         let (n_left, n_right, k) = (6u32, 12u32, 4usize);
         let weight = |l: u32, r: u32| ((l * 7 + r * 13) % 23) as f64 / 23.0;
-        let mut b = TopKBuilder::new(n_left, n_right, k);
+        let mut row = TopKRow::new(k);
+        let mut got = Vec::new();
         for l in 0..n_left {
             for r in 0..n_right {
-                b.offer(l, r, weight(l, r)).unwrap();
+                row.offer(r, weight(l, r));
             }
+            got.clear();
+            row.drain_sorted_into(&mut got);
+            let mut want: Vec<(u32, f64)> = (0..n_right).map(|r| (r, weight(l, r))).collect();
+            want.sort_by_key(|&(r, w)| Reverse(goodness(r, w)));
+            want.truncate(k);
+            assert_eq!(got, want, "row {l}");
         }
-        let g = b.build();
-        for l in 0..n_left {
-            let mut row: Vec<(u32, f64)> = (0..n_right).map(|r| (r, weight(l, r))).collect();
-            row.sort_by_key(|&(r, w)| Reverse(goodness(r, w)));
-            row.truncate(k);
-            let got: Vec<(u32, f64)> = g
-                .edges()
-                .iter()
-                .filter(|e| e.left == l)
-                .map(|e| (e.right, e.weight))
-                .collect();
-            assert_eq!(got, row, "row {l}");
-        }
-    }
-
-    #[test]
-    fn builder_reoffer_keeps_better_weight() {
-        let mut b = TopKBuilder::new(1, 4, 2);
-        b.offer(0, 0, 0.5).unwrap();
-        b.offer(0, 1, 0.6).unwrap();
-        b.offer(0, 0, 0.9).unwrap(); // upgrade survivor 0
-        b.offer(0, 1, 0.2).unwrap(); // downgrade attempt is ignored
-        assert_eq!(b.resident_edges(), 2);
-        let g = b.build();
-        assert_eq!(g.weight_of(0, 0), Some(0.9));
-        assert_eq!(g.weight_of(0, 1), Some(0.6));
-    }
-
-    #[test]
-    fn builder_unbounded_equals_input_set() {
-        let mut b = TopKBuilder::new(3, 3, usize::MAX);
-        let mut expect = Vec::new();
-        for l in 0..3u32 {
-            for r in 0..3u32 {
-                let w = ((l + 2 * r) % 5) as f64 / 5.0;
-                b.offer(l, r, w).unwrap();
-                expect.push((l, r, w.to_bits()));
-            }
-        }
-        assert_eq!(b.peak_edges(), 9);
-        let g = b.build();
-        let mut got: Vec<(u32, u32, u64)> = g
-            .edges()
-            .iter()
-            .map(|e| (e.left, e.right, e.weight.to_bits()))
-            .collect();
-        got.sort_unstable();
-        expect.sort_unstable();
-        assert_eq!(got, expect);
     }
 }

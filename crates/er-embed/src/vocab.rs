@@ -12,9 +12,8 @@
 //! (property-pinned against the frozen per-text encoders).
 
 use std::hash::Hash;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-use er_core::FxHashMap;
+use er_core::{par, FxHashMap};
 use er_textsim::normalize_text;
 
 use crate::dense::DenseVector;
@@ -122,46 +121,25 @@ fn vocabulary<'a, M: UnitModel>(normalized: &'a [String], cap: usize) -> Vocabul
 }
 
 /// `f(scratch, i)` for every `i in 0..n`, in index order. Workers claim
-/// small contiguous chunks through an atomic cursor (unit and text costs
-/// vary with length), each with its own scratch from `init`.
+/// small contiguous chunks (unit and text costs vary with length), each
+/// with its own scratch from `init`.
 fn par_map<S, T: Send>(
     n: usize,
     threads: usize,
     init: impl Fn() -> S + Sync,
     f: impl Fn(&mut S, usize) -> T + Sync,
 ) -> Vec<T> {
-    let threads = threads.clamp(1, n.max(1));
-    if threads == 1 {
-        let mut s = init();
-        return (0..n).map(|i| f(&mut s, i)).collect();
-    }
-    let chunk = n.div_ceil(threads * 8).max(1);
-    let n_chunks = n.div_ceil(chunk);
-    let next = AtomicUsize::new(0);
-    let mut chunks: Vec<(usize, Vec<T>)> = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut s = init();
-                    let mut done = Vec::new();
-                    loop {
-                        let c = next.fetch_add(1, Ordering::Relaxed);
-                        if c >= n_chunks {
-                            break done;
-                        }
-                        let rows = c * chunk..((c + 1) * chunk).min(n);
-                        done.push((c, rows.map(|i| f(&mut s, i)).collect()));
-                    }
-                })
-            })
-            .collect();
-        workers
-            .into_iter()
-            .flat_map(|w| w.join().expect("encoder worker panicked"))
-            .collect()
+    let chunk = par::chunk_len(n, threads);
+    let chunks = par::map_indexed(n.div_ceil(chunk), threads, init, |s, c| {
+        (c * chunk..((c + 1) * chunk).min(n))
+            .map(|i| f(s, i))
+            .collect::<Vec<T>>()
     });
-    chunks.sort_unstable_by_key(|&(c, _)| c);
-    chunks.into_iter().flat_map(|(_, v)| v).collect()
+    let mut out = Vec::with_capacity(n);
+    for c in chunks {
+        out.extend(c);
+    }
+    out
 }
 
 /// One unit's vector, freshly allocated.

@@ -13,19 +13,17 @@
 //!   "edges above t" is a prefix slice of the prepared graph's sorted edge
 //!   view and greedy matchers resume the previous grid point's state
 //!   instead of restarting;
-//! * the units fan out over crossbeam scoped worker threads (the same
-//!   worker-pool pattern as `er-pipeline`'s corpus runner).
+//! * the units fan out over the workers of the `er_core::par` pool (the
+//!   same pool `er-pipeline`'s corpus runner uses).
 //!
 //! The engine is **result-equivalent** to the naive per-threshold re-run
 //! ([`sweep_naive`]) — the property tests in `tests/proptests.rs` enforce
 //! equality of best threshold, precision/recall/F1, and per-threshold
 //! matchings for all eight algorithms.
 
-use crossbeam::thread;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-use er_core::{GroundTruth, ThresholdGrid};
+use er_core::{par, GroundTruth, ThresholdGrid};
 use er_matchers::{AlgorithmConfig, AlgorithmKind, Basis, PreparedGraph};
 
 use crate::metrics::{evaluate, PrecisionRecall};
@@ -105,38 +103,12 @@ impl SweepEngine {
         gt: &GroundTruth,
         grid: &ThresholdGrid,
     ) -> Vec<SweepResult> {
-        let n = units.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let config = self.config;
-        if self.threads == 1 || n == 1 {
-            return units
-                .iter()
-                .map(|u| sweep_unit(u, &config, g, gt, grid))
-                .collect();
-        }
-        let workers = self.threads.min(n);
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let slots: Mutex<Vec<Option<SweepResult>>> = Mutex::new((0..n).map(|_| None).collect());
-        thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|_| loop {
-                    let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if idx >= n {
-                        break;
-                    }
-                    let result = sweep_unit(&units[idx], &config, g, gt, grid);
-                    slots.lock()[idx] = Some(result);
-                });
-            }
-        })
-        .expect("sweep worker panicked");
-        slots
-            .into_inner()
-            .into_iter()
-            .map(|slot| slot.expect("every unit swept"))
-            .collect()
+        par::map_indexed(
+            units.len(),
+            self.threads,
+            || (),
+            |_, idx| sweep_unit(&units[idx], &self.config, g, gt, grid),
+        )
     }
 }
 

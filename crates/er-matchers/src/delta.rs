@@ -605,9 +605,11 @@ impl DeltaMatcher for ReplayDelta {
     }
 
     fn apply_delta(&mut self, delta: &RowDelta) -> Result<()> {
-        let graph_unchanged = delta.op == DeltaOp::Delete && delta.edges.is_empty();
+        // Judge "edgeless" by the store, not by the carried edge list: a
+        // delete removes the row's real edges whatever the delta lists.
+        let live_before = self.csr.n_edges();
         self.csr.apply(delta)?;
-        if !graph_unchanged {
+        if delta.op != DeltaOp::Delete || self.csr.n_edges() != live_before {
             self.cached.take();
         }
         Ok(())
@@ -783,6 +785,14 @@ mod tests {
         let removed = csr.remove_left(id).unwrap();
         assert!(removed.is_empty());
         dm.apply_delta(&RowDelta::delete_left(id, removed)).unwrap();
+        assert_eq!(
+            dm.matching(),
+            crate::cnc::Cnc.run(&PreparedGraph::from_csr(&csr), t)
+        );
+        // A delete whose carried edge list is empty still removes the
+        // row's real edges (A5 keeps B1 and B3), so it must re-match.
+        assert!(!csr.remove_left(4).unwrap().is_empty());
+        dm.apply_delta(&RowDelta::delete_left(4, vec![])).unwrap();
         assert_eq!(
             dm.matching(),
             crate::cnc::Cnc.run(&PreparedGraph::from_csr(&csr), t)

@@ -83,16 +83,6 @@ impl PipelineConfig {
     }
 }
 
-/// Rows per work chunk of the parallel construction engine for `n_rows`
-/// left rows scored by `threads` workers: about 8 chunks per worker, so
-/// a slow chunk (skewed profile lengths) cannot idle the rest of the
-/// pool. Chunks are contiguous row ranges claimed by workers through an
-/// atomic cursor and merged back in chunk order, so the chunk size
-/// affects load balancing only — never results.
-pub(crate) fn rows_per_chunk(n_rows: usize, threads: usize) -> usize {
-    n_rows.div_ceil(threads.max(1) * 8).max(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,14 +114,5 @@ mod tests {
             "0 workers → whole budget"
         );
         assert_eq!(c.divided_among(1).effective_threads(), 8);
-    }
-
-    #[test]
-    fn rows_per_chunk_targets_eight_chunks_per_worker() {
-        // 100 rows over 4 workers → ceil(100/32) = 4 rows per chunk.
-        assert_eq!(rows_per_chunk(100, 4), 4);
-        // Tiny inputs never produce zero-sized chunks.
-        assert_eq!(rows_per_chunk(1, 8), 1);
-        assert_eq!(rows_per_chunk(0, 4), 1);
     }
 }

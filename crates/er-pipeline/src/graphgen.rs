@@ -18,9 +18,9 @@
 //! builds the immutable read-side structures — DF indexes, the inverted
 //! index, encoded vectors / n-gram graphs, the interned WMD token table —
 //! and a **score** phase that shards the left-entity rows over
-//! `cfg.effective_threads()` crossbeam scoped workers. Prepare is serial
-//! except for the semantic branches, whose collection encode spreads the
-//! distinct token units over the same workers. Workers share the
+//! `cfg.effective_threads()` workers of the `er_core::par` pool. Prepare
+//! is serial except for the semantic branches, whose collection encode
+//! spreads the distinct token units over the same workers. Workers share the
 //! prepared state read-only (plain `&` reads, no locks on the hot path),
 //! keep their own scratch (probe stamps, WMD row tables), claim
 //! contiguous row chunks through an atomic cursor, and emit local triple
@@ -85,14 +85,10 @@
 
 use std::hash::Hash;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use crossbeam::thread;
-use parking_lot::Mutex;
-
 use er_core::{
-    ConstructionCounters, Edge, FxHashMap, FxHashSet, GraphBuilder, Side, SimilarityGraph,
+    par, ConstructionCounters, Edge, FxHashMap, FxHashSet, GraphBuilder, Side, SimilarityGraph,
     SortedEdges, TopKRow,
 };
 use er_datasets::{Dataset, EntityCollection, EntityProfile};
@@ -114,7 +110,7 @@ use crate::candidates::{
     generate_ball_candidates, generate_char_candidates, generate_token_candidates, CandidateLists,
     CandidateMode, CandidateSource, SourceKind,
 };
-use crate::config::{rows_per_chunk, KernelMode, PipelineConfig};
+use crate::config::{KernelMode, PipelineConfig};
 use crate::taxonomy::{SemanticScope, SimilarityFunction};
 
 /// A scored pair before normalization: `(left, right, raw weight)`.
@@ -335,7 +331,7 @@ pub fn build_graph_over(
 ///
 /// Semantics: each left row keeps its `k` best candidates by **raw**
 /// score, ties broken by ascending right id (the deterministic
-/// `er_core::TopKBuilder` order); min-max normalization then runs over
+/// `er_core::TopKRow` order); min-max normalization then runs over
 /// the retained set. The result equals
 /// `build_graph_over(..).pruned_top_k(k)` bit for bit — retained raw
 /// scores are positive, so the normalizer divides by the global maximum,
@@ -668,48 +664,6 @@ impl<T: Copy + Default, const N: usize> LaneBuffer<T, N> {
     }
 }
 
-/// Fan `n_chunks` work units out over `threads` scoped workers claiming
-/// chunk indexes through an atomic cursor, and return the per-chunk
-/// results **in chunk order** — which equals the serial row order, making
-/// the merge deterministic and every build bit-identical to `threads: 1`.
-fn fan_out_chunks<S: RowScorer>(
-    scorer: &S,
-    threads: usize,
-    n_chunks: usize,
-    score_chunk: impl Fn(usize, &mut S::Scratch) -> Vec<Triple> + Sync,
-) -> Vec<Vec<Triple>> {
-    if threads == 1 {
-        let mut scratch = scorer.scratch();
-        return (0..n_chunks)
-            .map(|c| score_chunk(c, &mut scratch))
-            .collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<Vec<Triple>>>> = Mutex::new((0..n_chunks).map(|_| None).collect());
-    thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|_| {
-                let mut scratch = scorer.scratch();
-                loop {
-                    let c = next.fetch_add(1, Ordering::Relaxed);
-                    if c >= n_chunks {
-                        break;
-                    }
-                    let buf = score_chunk(c, &mut scratch);
-                    slots.lock()[c] = Some(buf);
-                }
-            });
-        }
-    })
-    .expect("construction worker panicked");
-    slots
-        .into_inner()
-        .into_iter()
-        .map(|slot| slot.expect("every chunk scored"))
-        .collect()
-}
-
 /// The chunked score phase over a contiguous range of the scorer's rows:
 /// the rows are split into chunks fanned out over the workers, and each
 /// chunk is scored into a fresh sink from `new_sink`. Every sink is
@@ -726,24 +680,27 @@ fn score_rows<S: RowScorer, K: EdgeSink>(
     new_sink: impl Fn() -> K + Sync,
 ) -> Vec<Vec<Triple>> {
     let n_rows = rows.len();
-    if n_rows == 0 {
-        return Vec::new();
-    }
     let base = rows.start;
-    let threads = cfg.effective_threads().clamp(1, n_rows);
-    let chunk = rows_per_chunk(n_rows, threads);
+    let threads = cfg.effective_threads();
+    let chunk = par::chunk_len(n_rows, threads);
     let n_chunks = n_rows.div_ceil(chunk);
 
-    let score_chunk = |c: usize, scratch: &mut S::Scratch| -> Vec<Triple> {
-        let mut sink = new_sink();
-        for row in base + c * chunk..base + ((c + 1) * chunk).min(n_rows) {
-            scorer.score_row(Side::Left, row, source, scratch, &mut sink);
-            sink.end_row();
-        }
-        sink.into_triples()
-    };
-
-    fan_out_chunks(scorer, threads, n_chunks, score_chunk)
+    // Chunks come back in chunk order — the serial row order — so the
+    // merge is deterministic and every build is bit-identical to
+    // `threads: 1`.
+    par::map_indexed(
+        n_chunks,
+        threads,
+        || scorer.scratch(),
+        |scratch, c| {
+            let mut sink = new_sink();
+            for row in base + c * chunk..base + ((c + 1) * chunk).min(n_rows) {
+                scorer.score_row(Side::Left, row, source, scratch, &mut sink);
+                sink.end_row();
+            }
+            sink.into_triples()
+        },
+    )
 }
 
 /// Per-worker [`EdgeSink`] of the top-k path: candidates of the current

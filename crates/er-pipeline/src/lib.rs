@@ -43,7 +43,7 @@
 //!   `MappedCsr` — peak resident edges drop to `2 × shard_rows × k` (one
 //!   shard scored while the previous one spills) while the store file
 //!   stays byte-identical to `write_csr` of the in-RAM top-k build;
-//! * a crossbeam-parallel [`runner`] that generates a dataset's whole
+//! * a parallel [`runner`] that generates a dataset's whole
 //!   graph corpus, dividing its thread budget with the per-graph engine.
 //!
 //! # Entry points

@@ -1,8 +1,6 @@
 //! Parallel corpus generation: every similarity function over one dataset.
 
-use crossbeam::thread;
-use parking_lot::Mutex;
-
+use er_core::par;
 use er_datasets::Dataset;
 
 use crate::config::PipelineConfig;
@@ -25,35 +23,18 @@ pub fn generate_corpus(
     functions: &[SimilarityFunction],
     cfg: &PipelineConfig,
 ) -> Vec<GeneratedGraph> {
-    let n = functions.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = cfg.effective_threads().min(n);
+    let workers = cfg.effective_threads().min(functions.len());
     let inner_cfg = cfg.divided_among(workers);
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<GeneratedGraph>>> = Mutex::new((0..n).map(|_| None).collect());
-
-    thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|_| loop {
-                let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if idx >= n {
-                    break;
-                }
-                let function = functions[idx].clone();
-                let graph = build_graph(dataset, &function, &inner_cfg);
-                slots.lock()[idx] = Some(GeneratedGraph { function, graph });
-            });
-        }
-    })
-    .expect("corpus generation worker panicked");
-
-    slots
-        .into_inner()
-        .into_iter()
-        .map(|slot| slot.expect("every slot filled"))
-        .collect()
+    par::map_indexed(
+        functions.len(),
+        workers,
+        || (),
+        |_, idx| {
+            let function = functions[idx].clone();
+            let graph = build_graph(dataset, &function, &inner_cfg);
+            GeneratedGraph { function, graph }
+        },
+    )
 }
 
 #[cfg(test)]

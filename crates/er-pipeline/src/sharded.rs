@@ -80,7 +80,7 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
-use er_core::{ConstructionCounters, MappedCsr, SlabWriter, StoreError, StoreMeta};
+use er_core::{par, ConstructionCounters, MappedCsr, SlabWriter, StoreError, StoreMeta};
 use er_datasets::EntityCollection;
 
 use crate::candidates::{CandidateMode, SourceKind};
@@ -563,20 +563,15 @@ fn merge_parallel(
     let seg_paths: Vec<PathBuf> = (0..groups.len())
         .map(|g| spill_dir.join(format!("seg-{g}.merged")))
         .collect();
-    let results: Vec<Result<(), StoreError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = groups
-            .iter()
-            .zip(&seg_paths)
-            .map(|(&(s, e), seg)| {
-                let group_spills = &spills[s..e];
-                scope.spawn(move || merge_group(group_spills, frame, seg, n_left))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("merge worker panicked"))
-            .collect()
-    });
+    let results = par::map_indexed(
+        groups.len(),
+        groups.len(),
+        || (),
+        |_, g| {
+            let (s, e) = groups[g];
+            merge_group(&spills[s..e], frame, &seg_paths[g], n_left)
+        },
+    );
     for r in results {
         r?;
     }
