@@ -11,29 +11,22 @@
 //! `# nodes <TAB> n1 <TAB> n2` header), or the binary format written by
 //! `er_core::io`. Output: `left <TAB> right` matched pairs on stdout.
 //!
-//! Besides the paper's eight algorithms, `--algorithm` accepts the two
-//! exact max-weight oracles: `HUN` (dense Hungarian — small inputs only,
-//! `|V1|·|V2|` memory) and `MCF` (sparse min-cost flow, `O(n+m)` memory).
+//! Besides the paper's eight algorithms, `--algorithm` accepts `MCF`, the
+//! exact max-weight oracle (sparse min-cost flow, `O(n+m)` memory).
 
 use std::path::PathBuf;
 
 use er_core::io::load;
-use er_matchers::{
-    hungarian_matching, mcf_matching, AlgorithmConfig, AlgorithmKind, BahConfig, PreparedGraph,
-};
+use er_matchers::{mcf_matching, AlgorithmConfig, AlgorithmKind, BahConfig, PreparedGraph};
 
-/// What to run: one of the evaluated eight, or an exact oracle.
+/// What to run: one of the evaluated eight, or the exact oracle.
 enum Chosen {
     Evaluated(AlgorithmKind),
-    HungarianOracle,
     McfOracle,
 }
 
 impl Chosen {
     fn parse(name: &str) -> Option<Chosen> {
-        if name.eq_ignore_ascii_case("HUN") {
-            return Some(Chosen::HungarianOracle);
-        }
         if name.eq_ignore_ascii_case("MCF") {
             return Some(Chosen::McfOracle);
         }
@@ -43,7 +36,6 @@ impl Chosen {
     fn name(&self) -> &'static str {
         match self {
             Chosen::Evaluated(k) => k.name(),
-            Chosen::HungarianOracle => "HUN (exact, dense)",
             Chosen::McfOracle => "MCF (exact, sparse)",
         }
     }
@@ -63,7 +55,7 @@ fn main() {
                     .next()
                     .unwrap_or_else(|| die("--algorithm needs a value"));
                 algorithm = Chosen::parse(&name)
-                    .unwrap_or_else(|| die(&format!("unknown algorithm {name} (use CNC/RSR/RCA/BAH/BMC/EXC/KRC/UMC, or HUN/MCF for the exact oracles)")));
+                    .unwrap_or_else(|| die(&format!("unknown algorithm {name} (use CNC/RSR/RCA/BAH/BMC/EXC/KRC/UMC, or MCF for the exact oracle)")));
             }
             "--threshold" | "-t" => {
                 threshold = args
@@ -112,7 +104,6 @@ fn main() {
             };
             config.run(kind, &prepared, threshold)
         }
-        Chosen::HungarianOracle => hungarian_matching(&graph, threshold),
         Chosen::McfOracle => mcf_matching(&graph, threshold),
     };
     use std::io::Write;

@@ -5,7 +5,6 @@
 
 pub mod blocking;
 pub mod conclusions;
-pub mod dirty;
 pub mod fig3;
 pub mod fig4;
 pub mod fig6;

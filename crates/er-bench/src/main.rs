@@ -7,8 +7,7 @@
 //!   table1..table9   one table each
 //!   fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10
 //!   conclusions      extension: the paper's §7 claims as executable checks
-//!   oracle           extension: heuristics vs the exact optimum (both oracles)
-//!   dirty            extension: Dirty ER baselines vs UMC on merged sources
+//!   oracle           extension: heuristics vs the exact (min-cost-flow) optimum
 //!   blocking         extension: the blocking stack vs the unblocked protocol
 //!   transfer         extension: threshold transfer across algorithms
 //!   export           write the generated datasets as TSV under --out
@@ -40,7 +39,7 @@ fn main() {
     if args.is_empty() {
         eprintln!("usage: repro [--scale f] [--seed n] [--reps n] [--quick] [--fresh] [--out dir] [--datasets D1,D2] <command>...");
         eprintln!("commands: table1..table9, fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10,");
-        eprintln!("          conclusions oracle dirty blocking transfer export, all");
+        eprintln!("          conclusions oracle blocking transfer export, all");
         std::process::exit(2);
     }
 
@@ -103,14 +102,11 @@ fn main() {
         }
     }
 
-    // Table 1, Figure 6 and the oracle/dirty extensions are
+    // Table 1, Figure 6 and the oracle/blocking extensions are
     // self-contained; only load run data when something needs it.
-    let needs_data = commands.iter().any(|c| {
-        !matches!(
-            c.as_str(),
-            "table1" | "fig6" | "oracle" | "dirty" | "blocking"
-        )
-    });
+    let needs_data = commands
+        .iter()
+        .any(|c| !matches!(c.as_str(), "table1" | "fig6" | "oracle" | "blocking"));
     let data = if needs_data {
         Some(load_or_run(&cfg, &out_dir, fresh))
     } else {
@@ -136,7 +132,7 @@ fn main() {
 /// What `all` expands to, in the paper's presentation order. This is the
 /// single roster of dispatchable commands: the upfront typo check accepts
 /// exactly these plus the meta commands `export` and `all`.
-const ALL_EXPANSION: [&str; 23] = [
+const ALL_EXPANSION: [&str; 22] = [
     "table1",
     "table2",
     "table3",
@@ -156,7 +152,6 @@ const ALL_EXPANSION: [&str; 23] = [
     "fig9",
     "fig10",
     "oracle",
-    "dirty",
     "blocking",
     "conclusions",
     "transfer",
@@ -190,7 +185,6 @@ fn run_command(cmd: &str, data: Option<&RunData>) -> String {
         "fig9" => experiments::fig9::render(data("fig9")),
         "fig10" => experiments::tradeoff::render_fig10(data("fig10")),
         "oracle" => experiments::oracle::render(17),
-        "dirty" => experiments::dirty::render(17),
         "blocking" => experiments::blocking::render(17),
         "conclusions" => experiments::conclusions::render(data("conclusions")),
         "transfer" => experiments::transfer::render(data("transfer")),

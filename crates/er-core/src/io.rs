@@ -65,11 +65,14 @@ pub fn write_edge_list<W: Write>(g: &SimilarityGraph, w: W) -> Result<(), IoErro
 }
 
 /// Read a text edge list. Collection sizes come from the `# nodes` header
-/// when present, otherwise from the maximal ids seen.
+/// when present, otherwise from the maximal ids seen; without a header an
+/// id of `u32::MAX` leaves no room for its size and is a format error.
 pub fn read_edge_list<R: Read>(r: R) -> Result<SimilarityGraph, IoError> {
     let reader = BufReader::new(r);
     let mut triples: Vec<(u32, u32, f64)> = Vec::new();
     let mut sizes: Option<(u32, u32)> = None;
+    // First line carrying an id of u32::MAX, whose size `id + 1` overflows.
+    let mut max_id_line: Option<usize> = None;
     for (lineno, line) in reader.lines().enumerate() {
         let line = line?;
         let line = line.trim();
@@ -89,13 +92,26 @@ pub fn read_edge_list<R: Read>(r: R) -> Result<SimilarityGraph, IoError> {
         let l: u32 = parse(parts.next(), lineno, "left id")?;
         let r: u32 = parse(parts.next(), lineno, "right id")?;
         let w: f64 = parse(parts.next(), lineno, "weight")?;
+        if l.max(r) == u32::MAX && max_id_line.is_none() {
+            max_id_line = Some(lineno);
+        }
         triples.push((l, r, w));
     }
-    let (n1, n2) = sizes.unwrap_or_else(|| {
-        let n1 = triples.iter().map(|t| t.0 + 1).max().unwrap_or(0);
-        let n2 = triples.iter().map(|t| t.1 + 1).max().unwrap_or(0);
-        (n1, n2)
-    });
+    let (n1, n2) = match (sizes, max_id_line) {
+        (Some(sizes), _) => sizes,
+        (None, Some(lineno)) => {
+            return Err(IoError::Format(format!(
+                "line {}: id {} exceeds the largest collection size; add a `# nodes` header",
+                lineno + 1,
+                u32::MAX
+            )))
+        }
+        (None, None) => {
+            let n1 = triples.iter().map(|t| t.0 + 1).max().unwrap_or(0);
+            let n2 = triples.iter().map(|t| t.1 + 1).max().unwrap_or(0);
+            (n1, n2)
+        }
+    };
     let mut b = GraphBuilder::with_capacity(n1, n2, triples.len());
     for (l, r, w) in triples {
         b.add_edge(l, r, w)?;
@@ -136,13 +152,15 @@ pub fn read_binary<R: Read>(r: R) -> Result<SimilarityGraph, IoError> {
     let n_left = read_u32(&mut input)?;
     let n_right = read_u32(&mut input)?;
     let n_edges = read_u64(&mut input)?;
-    // Sanity cap so corrupt headers cannot trigger huge allocations.
+    // Sanity cap on the header. It still admits counts far beyond any real
+    // file, so nothing is reserved from it: a lying header must run into a
+    // truncated body (`IoError::Io`), not a multi-terabyte allocation.
     if n_edges > (n_left as u64) * (n_right as u64) {
         return Err(IoError::Format(format!(
             "edge count {n_edges} exceeds the {n_left}x{n_right} Cartesian product"
         )));
     }
-    let mut b = GraphBuilder::with_capacity(n_left, n_right, n_edges as usize);
+    let mut b = GraphBuilder::new(n_left, n_right);
     for _ in 0..n_edges {
         let l = read_u32(&mut input)?;
         let r = read_u32(&mut input)?;
@@ -233,6 +251,12 @@ mod tests {
             read_edge_list("0\t0\t7.5".as_bytes()),
             Err(IoError::Invalid(_))
         ));
+        // Without a header, an id of u32::MAX leaves no size (id + 1
+        // overflows); the error names the line.
+        match read_edge_list("0\t0\t0.5\n0\t4294967295\t0.5\n".as_bytes()) {
+            Err(IoError::Format(m)) => assert!(m.starts_with("line 2:"), "{m}"),
+            other => panic!("expected a format error, got {other:?}"),
+        }
     }
 
     #[test]
@@ -261,6 +285,16 @@ mod tests {
         let mut huge = buf.clone();
         huge[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(matches!(read_binary(&huge[..]), Err(IoError::Format(_))));
+        // A 28-byte file whose header passes the cap (u32::MAX x u32::MAX,
+        // 2^40 edges) and half an edge: the truncated body is the error,
+        // not an up-front reservation of 2^40 edges that aborts.
+        let mut lying = MAGIC.to_vec();
+        lying.extend_from_slice(&u32::MAX.to_le_bytes());
+        lying.extend_from_slice(&u32::MAX.to_le_bytes());
+        lying.extend_from_slice(&(1u64 << 40).to_le_bytes());
+        lying.extend_from_slice(&0u32.to_le_bytes());
+        assert_eq!(lying.len(), 28);
+        assert!(matches!(read_binary(&lying[..]), Err(IoError::Io(_))));
     }
 
     #[test]

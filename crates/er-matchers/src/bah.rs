@@ -177,8 +177,8 @@ pub(crate) fn search(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hungarian::max_weight_matching_value;
     use crate::matcher::PreparedGraph;
+    use crate::mcf::mcf_matching;
     use crate::testkit::{diamond, figure1};
     use er_core::GraphBuilder;
 
@@ -194,7 +194,7 @@ mod tests {
         let g = figure1();
         let pg = PreparedGraph::new(&g);
         let m = bah().run(&pg, 0.5);
-        let optimal = max_weight_matching_value(&g, 0.5);
+        let optimal = mcf_matching(&g, 0.5).total_weight(&g);
         assert!((m.total_weight(&g) - optimal).abs() < 1e-9);
         assert!(m.contains(0, 0), "A1-B1 in optimal solution");
         assert!(m.contains(4, 2), "A5-B3 in optimal solution");

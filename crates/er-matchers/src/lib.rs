@@ -15,11 +15,11 @@
 //! | KRC — Király's Clustering | [`krc`] | `O(n + m log m)` | 3/2-approx stable marriage ("New Algorithm") |
 //! | UMC — Unique Mapping Clustering | [`umc`] | `O(m log m)` | globally greedy by descending weight |
 //!
-//! Plus two **exact oracles** the paper excludes from the study by its
-//! complexity criterion: the dense Kuhn–Munkres [`hungarian`] solver and
-//! the sparse min-cost-flow solver in [`mcf`] (the Schwartz et al. family).
-//! The tests use them to bound what the heuristics (BAH, RCA, UMC) can
-//! achieve.
+//! Plus one **exact oracle** the paper excludes from the study by its
+//! complexity criterion: the sparse min-cost-flow solver in [`mcf`] (the
+//! Schwartz et al. family). It bounds what the heuristics (BAH, RCA, UMC)
+//! can achieve; the tests cross-check it against a dense Hungarian solver
+//! and brute force.
 //!
 //! All algorithms consume a [`PreparedGraph`] (graph + CSR adjacency built
 //! once) and a similarity threshold, and produce a
@@ -32,11 +32,9 @@ pub mod bmc;
 pub mod cnc;
 pub mod delta;
 pub mod exc;
-pub mod hungarian;
 pub mod krc;
 pub mod matcher;
 pub mod mcf;
-pub mod qlearn;
 pub mod rca;
 pub mod registry;
 pub mod rsr;
@@ -48,11 +46,9 @@ pub use bmc::{Basis, Bmc};
 pub use cnc::Cnc;
 pub use delta::{BahDelta, DeltaMatcher, ReplayDelta, UmcDelta};
 pub use exc::Exc;
-pub use hungarian::{hungarian_matching, hungarian_on_edges, max_weight_matching_value, Hungarian};
 pub use krc::Krc;
 pub use matcher::{EdgeSeq, EdgeSeqIter, EdgeView, Matcher, PreparedGraph};
 pub use mcf::mcf_matching;
-pub use qlearn::{QLearnConfig, QMatcher};
 pub use rca::Rca;
 pub use registry::{AlgorithmConfig, AlgorithmKind};
 pub use rsr::Rsr;

@@ -131,17 +131,6 @@ impl<'a> EdgeSeq<'a> {
         }
     }
 
-    /// The resident slice behind the sequence, if there is one — lets
-    /// slice-hungry consumers (the dense Hungarian oracle) skip a copy
-    /// on the classic path.
-    #[inline]
-    pub fn as_slice(&self) -> Option<&'a [Edge]> {
-        match self {
-            EdgeSeq::Ram(s) => Some(s),
-            EdgeSeq::Mapped { .. } => None,
-        }
-    }
-
     /// Iterate the edges by value, heaviest first.
     #[inline]
     pub fn iter(&self) -> EdgeSeqIter<'a> {

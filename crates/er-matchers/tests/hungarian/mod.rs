@@ -1,9 +1,11 @@
-//! Exact maximum-weight bipartite matching (Kuhn–Munkres / Hungarian).
+//! Exact maximum-weight bipartite matching (Kuhn–Munkres / Hungarian),
+//! kept as a test reference for the production min-cost-flow oracle.
 //!
 //! The paper *excludes* the Hungarian algorithm from its study because its
 //! `O(n³)` complexity violates selection criterion (3). It is nevertheless
-//! invaluable here as a **test oracle**: it bounds every heuristic's total
-//! weight from above and certifies BAH/RCA quality on small graphs.
+//! invaluable here as an independent **test oracle**: it bounds every
+//! heuristic's total weight from above and cross-checks `mcf_matching`,
+//! which solves the same problem by a different method.
 //!
 //! Implementation: the classic potentials formulation of the assignment
 //! problem (row-by-row Dijkstra-style augmentation) on a dense matrix,
@@ -14,36 +16,10 @@
 
 use er_core::{Edge, Matching, SimilarityGraph};
 
-use crate::matcher::{EdgeView, Matcher};
-
-/// The Hungarian oracle as a [`Matcher`], consuming the prepared graph's
-/// sorted prefix slice like the eight evaluated heuristics.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Hungarian;
-
-impl Matcher for Hungarian {
-    fn name(&self) -> &'static str {
-        "HUN"
-    }
-
-    fn run_view(&self, view: &EdgeView<'_, '_>) -> Matching {
-        let seq = view.edges();
-        match seq.as_slice() {
-            Some(s) => hungarian_on_edges(view.n_left(), view.n_right(), s),
-            // Mapped-native view: the dense oracle builds an O(s·l)
-            // matrix anyway, so collecting the prefix is immaterial.
-            None => {
-                let edges: Vec<Edge> = seq.iter().collect();
-                hungarian_on_edges(view.n_left(), view.n_right(), &edges)
-            }
-        }
-    }
-}
-
 /// Compute an exact maximum-weight matching among edges with `weight > t`.
 ///
 /// Complexity `O(s² · l)` where `s = min(|V1|,|V2|)`, `l = max(|V1|,|V2|)`;
-/// memory `O(s · l)`. Intended for tests and ablations on small graphs.
+/// memory `O(s · l)`. Intended for small test graphs.
 pub fn hungarian_matching(g: &SimilarityGraph, t: f64) -> Matching {
     let retained: Vec<Edge> = g.edges().iter().copied().filter(|e| e.weight > t).collect();
     hungarian_on_edges(g.n_left(), g.n_right(), &retained)
@@ -184,8 +160,32 @@ fn solve_assignment(cost: &[f64], rows: usize, cols: usize) -> Vec<Option<usize>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testkit::{diamond, figure1};
+    use crate::brute_force;
     use er_core::GraphBuilder;
+
+    /// The similarity graph of the paper's Figure 1(a): A1–B1 0.6,
+    /// A5–B1 0.9, A5–B3 0.6, A2–B2 0.7, A3–B4 0.6, A4–B3 0.3.
+    fn figure1() -> SimilarityGraph {
+        let mut b = GraphBuilder::new(5, 4);
+        b.add_edge(0, 0, 0.6).unwrap();
+        b.add_edge(4, 0, 0.9).unwrap();
+        b.add_edge(4, 2, 0.6).unwrap();
+        b.add_edge(1, 1, 0.7).unwrap();
+        b.add_edge(2, 3, 0.6).unwrap();
+        b.add_edge(3, 2, 0.3).unwrap();
+        b.build()
+    }
+
+    /// A small hand-checkable graph where greedy and optimal differ.
+    fn diamond() -> SimilarityGraph {
+        let mut b = GraphBuilder::new(3, 3);
+        b.add_edge(0, 0, 0.9).unwrap();
+        b.add_edge(0, 1, 0.8).unwrap();
+        b.add_edge(1, 0, 0.8).unwrap();
+        b.add_edge(1, 1, 0.2).unwrap();
+        b.add_edge(2, 2, 0.5).unwrap();
+        b.build()
+    }
 
     #[test]
     fn figure1_optimum_is_assignment_not_greedy() {
@@ -223,7 +223,7 @@ mod tests {
             b.add_edge(l, r, w).unwrap();
         }
         let g = b.build();
-        let brute = brute_force_max(&g, 0.0);
+        let brute = brute_force(&g, 0.0);
         let hung = max_weight_matching_value(&g, 0.0);
         assert!((brute - hung).abs() < 1e-9, "brute {brute} vs hung {hung}");
     }
@@ -328,45 +328,5 @@ mod tests {
         ];
         let m = hungarian_on_edges(3, 1, &edges);
         assert_eq!(m.pairs(), &[(0, 0)]);
-    }
-
-    #[test]
-    fn matcher_impl_agrees_with_standalone() {
-        use crate::matcher::PreparedGraph;
-        let g = figure1();
-        let pg = PreparedGraph::new(&g);
-        for t in [0.0, 0.3, 0.5, 0.6, 0.75] {
-            assert_eq!(
-                Hungarian.run(&pg, t),
-                hungarian_matching(&g, t),
-                "prefix-slice path must agree at t={t}"
-            );
-        }
-        assert_eq!(Hungarian.name(), "HUN");
-    }
-
-    /// Brute force: enumerate all injective partial assignments (tiny n!).
-    fn brute_force_max(g: &SimilarityGraph, t: f64) -> f64 {
-        fn rec(g: &SimilarityGraph, t: f64, row: u32, used: &mut Vec<bool>) -> f64 {
-            if row == g.n_left() {
-                return 0.0;
-            }
-            // Skip this row entirely.
-            let mut best = rec(g, t, row + 1, used);
-            for c in 0..g.n_right() {
-                if !used[c as usize] {
-                    if let Some(w) = g.weight_of(row, c) {
-                        if w > t {
-                            used[c as usize] = true;
-                            best = best.max(w + rec(g, t, row + 1, used));
-                            used[c as usize] = false;
-                        }
-                    }
-                }
-            }
-            best
-        }
-        let mut used = vec![false; g.n_right() as usize];
-        rec(g, t, 0, &mut used)
     }
 }

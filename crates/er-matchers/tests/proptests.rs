@@ -11,12 +11,14 @@
 //! heuristic's total weight, UMC achieves at least half the optimum, EXC
 //! emits only mutual best matches, and CNC pairs are isolated components.
 
+mod hungarian;
+
 use er_core::{GraphBuilder, SimilarityGraph};
-use er_matchers::{
-    hungarian_matching, max_weight_matching_value, mcf_matching, AlgorithmConfig, AlgorithmKind,
-    Exc, Matcher, PreparedGraph, Umc,
-};
+use er_matchers::{mcf_matching, AlgorithmConfig, AlgorithmKind, Exc, Matcher, PreparedGraph, Umc};
+use hungarian::{hungarian_matching, max_weight_matching_value};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Strategy: a random bipartite graph with up to 12x12 nodes and weights on
 /// the 0.05 grid (mirroring normalized similarity graphs).
@@ -165,6 +167,48 @@ proptest! {
         prop_assert!((opt - brute).abs() < 1e-9, "hungarian {opt} vs brute {brute}");
         // And its matching is valid.
         prop_assert!(hungarian_matching(&g, 0.0).is_unique_mapping());
+    }
+}
+
+#[test]
+fn matches_hungarian_total_weight_on_random_graphs() {
+    let mut rng = StdRng::seed_from_u64(42);
+    for case in 0..60 {
+        let nl = rng.gen_range(1..=12);
+        let nr = rng.gen_range(1..=12);
+        let density = rng.gen_range(0.1..0.9);
+        let mut b = GraphBuilder::new(nl, nr);
+        for l in 0..nl {
+            for r in 0..nr {
+                if rng.gen_bool(density) {
+                    // Two decimals produce many ties, stressing the
+                    // tie-handling of both oracles.
+                    let w = (rng.gen_range(0..=100) as f64) / 100.0;
+                    b.add_edge(l, r, w).unwrap();
+                }
+            }
+        }
+        let g = b.build();
+        for t in [0.0, 0.3, 0.7] {
+            let exact = hungarian_matching(&g, t);
+            let sparse = mcf_matching(&g, t);
+            assert!(sparse.is_unique_mapping());
+            let we = exact.total_weight(&g);
+            let ws = sparse.total_weight(&g);
+            assert!(
+                (we - ws).abs() < 1e-9,
+                "case {case} t {t}: hungarian {we} vs mcf {ws}"
+            );
+            for (l, r) in sparse.iter() {
+                let w = g
+                    .edges()
+                    .iter()
+                    .find(|e| e.left == l && e.right == r)
+                    .map(|e| e.weight);
+                assert!(w.is_some(), "pair ({l},{r}) is a graph edge");
+                assert!(w.unwrap() > t, "pair ({l},{r}) above threshold");
+            }
+        }
     }
 }
 

@@ -49,13 +49,11 @@
 pub use er_core as core;
 /// Synthetic CCER dataset generators (D1–D10 analogues).
 pub use er_datasets as datasets;
-/// Dirty ER clustering baselines (extension: the paper's related work).
-pub use er_dirty as dirty;
 /// Deterministic semantic embedding substrate.
 pub use er_embed as embed;
 /// Evaluation framework: metrics, sweeps, statistics.
 pub use er_eval as eval;
-/// The eight bipartite matching algorithms plus the Hungarian oracle.
+/// The eight bipartite matching algorithms plus the exact min-cost-flow oracle.
 pub use er_matchers as matchers;
 /// Similarity graph generation pipeline.
 pub use er_pipeline as pipeline;

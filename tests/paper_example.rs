@@ -6,7 +6,7 @@
 
 use ccer::core::{GraphBuilder, SimilarityGraph};
 use ccer::matchers::{
-    hungarian_matching, AlgorithmConfig, AlgorithmKind, Basis, Bmc, Matcher, PreparedGraph,
+    mcf_matching, AlgorithmConfig, AlgorithmKind, Basis, Bmc, Matcher, PreparedGraph,
 };
 
 const A1: u32 = 0;
@@ -46,7 +46,7 @@ fn figure1c_optimal_assignment_pairs_a1b1_and_a5b3() {
     // will cluster A1 with B1 and A5 with B3 … 0.6 + 0.6 = 1.2, which is
     // higher than 0.9."
     let g = figure1();
-    let optimal = hungarian_matching(&g, 0.5);
+    let optimal = mcf_matching(&g, 0.5);
     assert!(optimal.contains(A1, B1));
     assert!(optimal.contains(A5, B3));
     assert!((optimal.total_weight(&g) - 2.5).abs() < 1e-9);
