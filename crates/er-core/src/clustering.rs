@@ -97,14 +97,6 @@ impl Clustering {
                 || matches!(c, Cluster::LeftSingleton(l) if *l == id)
         })
     }
-
-    /// The cluster containing a `V2` entity.
-    pub fn cluster_of_right(&self, id: u32) -> Option<Cluster> {
-        self.clusters.iter().copied().find(|c| {
-            matches!(c, Cluster::Pair { right, .. } if *right == id)
-                || matches!(c, Cluster::RightSingleton(r) if *r == id)
-        })
-    }
 }
 
 #[cfg(test)]
@@ -140,7 +132,6 @@ mod tests {
             Some(Cluster::Pair { left: 1, right: 1 })
         );
         assert_eq!(c.cluster_of_left(0), Some(Cluster::LeftSingleton(0)));
-        assert_eq!(c.cluster_of_right(0), Some(Cluster::RightSingleton(0)));
         assert_eq!(c.cluster_of_left(5), None);
     }
 

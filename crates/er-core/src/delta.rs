@@ -15,8 +15,6 @@
 //! list's ids stable across the graph's whole history, which is what lets
 //! per-row edge storage stay sorted without re-indexing.
 
-use crate::float::edge_key_desc;
-
 /// Which side of the bipartite graph a delta's record belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Side {
@@ -143,21 +141,6 @@ impl RowDelta {
     pub fn touches_at_least(&self, t: f64) -> bool {
         self.edges.iter().any(|&(_, w)| w >= t)
     }
-
-    /// The record's edges as [`Edge`](crate::Edge) triples in the
-    /// workspace's greedy order (weight desc, then ids asc).
-    pub fn sorted_triples(&self) -> Vec<crate::Edge> {
-        let mut out: Vec<crate::Edge> = self
-            .edges
-            .iter()
-            .map(|&(other, w)| match self.side {
-                Side::Left => crate::Edge::new(self.id, other, w),
-                Side::Right => crate::Edge::new(other, self.id, w),
-            })
-            .collect();
-        out.sort_by(|a, b| edge_key_desc((a.weight, a.left, a.right), (b.weight, b.left, b.right)));
-        out
-    }
 }
 
 /// An ordered batch of row deltas, applied first-to-last.
@@ -233,14 +216,6 @@ mod tests {
         assert!(!d.touches_at_least(0.71));
         let empty = RowDelta::delete_left(0, vec![]);
         assert!(!empty.touches_at_least(0.0));
-    }
-
-    #[test]
-    fn sorted_triples_follow_greedy_order() {
-        let d = RowDelta::insert_right(5, vec![(2, 0.4), (0, 0.9), (1, 0.9)]);
-        let t = d.sorted_triples();
-        let flat: Vec<(u32, u32, f64)> = t.iter().map(|e| (e.left, e.right, e.weight)).collect();
-        assert_eq!(flat, vec![(0, 5, 0.9), (1, 5, 0.9), (2, 5, 0.4)]);
     }
 
     #[test]

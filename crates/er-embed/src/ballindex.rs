@@ -167,11 +167,6 @@ impl VectorBallIndex {
         &self.balls[b].members
     }
 
-    /// Ball `b`'s reach (`max d(leader, point) + radius` over members).
-    pub fn ball_reach(&self, b: usize) -> f64 {
-        self.balls[b].reach
-    }
-
     /// Write `(lower_bound, ball)` pairs sorted by ascending bound (ties:
     /// ball id) into `out`. For every member `(p, r_p)` of the ball,
     /// `lower_bound ≤ d(probe, p) − probe_radius − r_p` up to the computed

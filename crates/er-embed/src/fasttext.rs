@@ -50,14 +50,6 @@ impl FastTextLike {
         self.dim
     }
 
-    /// Embed one token: the normalized sum of its boundary-marked character
-    /// 3–6-gram vectors plus the full-word vector.
-    pub fn token_vector(&self, token: &str) -> DenseVector {
-        let mut v = DenseVector::zeros(self.dim);
-        self.unit_vector_into(token, &mut KernelScratch::default(), &mut v.0);
-        v
-    }
-
     /// Embed a text: mean of token vectors, blended with the anisotropy
     /// direction and re-normalized. Empty text embeds to the zero vector.
     pub fn encode(&self, text: &str) -> DenseVector {
@@ -82,8 +74,9 @@ impl UnitModel for FastTextLike {
         tokens[idx]
     }
 
-    /// [`FastTextLike::token_vector`] into `out`: every n-gram is hashed
-    /// as a byte slice of the marked token (cut at char boundaries, so
+    /// Embed one token into `out`: the normalized sum of its
+    /// boundary-marked character 3–6-gram vectors plus the full-word
+    /// vector. Every n-gram is hashed as a byte slice of the marked token (cut at char boundaries, so
     /// the bytes equal the `String` the n-gram's chars would collect
     /// into) and its unit vector added straight into the sum.
     fn unit_vector_into(&self, token: &str, s: &mut KernelScratch, out: &mut [f32]) {

@@ -20,9 +20,9 @@
 //! accumulators never reorders the operations *within* one, and
 //! IEEE-754 ops are deterministic — so the batch results equal the
 //! scalar results bit for bit (property-pinned in
-//! `er-pipeline/tests/kernel_props.rs`). This is what lets the
-//! pipeline's `KernelMode::Lanes` stay bit-identical to the scalar
-//! engine all the way up to finished graph weights.
+//! `er-pipeline/tests/kernel_props.rs`). This is what keeps the
+//! pipeline's lane builds bit-identical to the per-pair scalar measure
+//! all the way up to finished graph weights.
 
 use crate::dense::DenseVector;
 use crate::measures::SemanticMeasure;

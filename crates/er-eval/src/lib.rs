@@ -45,6 +45,6 @@ pub use nemenyi::{nemenyi_critical_distance, render_cd_diagram, NemenyiAnalysis}
 pub use pearson::{pearson, pearson_matrix};
 pub use quartiles::Quartiles;
 pub use report::Table;
-pub use sweep::{sweep_algorithm, sweep_all, sweep_naive, SweepEngine, SweepResult};
+pub use sweep::{sweep_naive, SweepEngine, SweepResult};
 pub use timing::{time_algorithm, TimingStats};
 pub use transfer::ThresholdTransfer;

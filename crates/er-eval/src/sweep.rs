@@ -81,7 +81,9 @@ impl SweepEngine {
             .collect()
     }
 
-    /// Sweep a single algorithm (both bases for BMC).
+    /// Sweep a single algorithm (BMC: both bases, better retained —
+    /// `config.bmc_basis` is ignored because both bases are always
+    /// evaluated per §3).
     pub fn sweep_algorithm(
         &self,
         kind: AlgorithmKind,
@@ -212,30 +214,6 @@ fn sweep_unit(
     }
 }
 
-/// Sweep one algorithm over the grid (BMC: both bases, better retained).
-///
-/// Runs on the [`SweepEngine`]; `config.bmc_basis` is ignored for BMC
-/// because both bases are always evaluated per §3.
-pub fn sweep_algorithm(
-    kind: AlgorithmKind,
-    config: &AlgorithmConfig,
-    g: &PreparedGraph<'_>,
-    gt: &GroundTruth,
-    grid: &ThresholdGrid,
-) -> SweepResult {
-    SweepEngine::new(*config).sweep_algorithm(kind, g, gt, grid)
-}
-
-/// Sweep all eight algorithms over one graph.
-pub fn sweep_all(
-    config: &AlgorithmConfig,
-    g: &PreparedGraph<'_>,
-    gt: &GroundTruth,
-    grid: &ThresholdGrid,
-) -> Vec<SweepResult> {
-    SweepEngine::new(*config).sweep_all(g, gt, grid)
-}
-
 /// The naive reference implementation: re-run the matcher from scratch at
 /// every ascending grid point (the pre-engine behavior). Kept as the
 /// equivalence baseline for the property tests.
@@ -329,9 +307,8 @@ mod tests {
         let (g, gt) = graph_and_truth();
         let pg = PreparedGraph::new(&g);
         let grid = ThresholdGrid::paper();
-        let r = sweep_algorithm(
+        let r = SweepEngine::new(AlgorithmConfig::default()).sweep_algorithm(
             AlgorithmKind::Umc,
-            &AlgorithmConfig::default(),
             &pg,
             &gt,
             &grid,
@@ -357,9 +334,8 @@ mod tests {
         let gt = GroundTruth::new(vec![(0, 0)]);
         let pg = PreparedGraph::new(&g);
         let grid = ThresholdGrid::paper();
-        let r = sweep_algorithm(
+        let r = SweepEngine::new(AlgorithmConfig::default()).sweep_algorithm(
             AlgorithmKind::Bmc,
-            &AlgorithmConfig::default(),
             &pg,
             &gt,
             &grid,
@@ -379,9 +355,8 @@ mod tests {
         let gt = GroundTruth::new(vec![(0, 0)]);
         let pg = PreparedGraph::new(&g);
         let grid = ThresholdGrid::paper();
-        let r = sweep_algorithm(
+        let r = SweepEngine::new(AlgorithmConfig::default()).sweep_algorithm(
             AlgorithmKind::Bmc,
-            &AlgorithmConfig::default(),
             &pg,
             &gt,
             &grid,
@@ -446,7 +421,7 @@ mod tests {
         let (g, gt) = graph_and_truth();
         let pg = PreparedGraph::new(&g);
         let grid = ThresholdGrid::new(0.2, 1.0, 0.2);
-        let rs = sweep_all(&AlgorithmConfig::default(), &pg, &gt, &grid);
+        let rs = SweepEngine::new(AlgorithmConfig::default()).sweep_all(&pg, &gt, &grid);
         assert_eq!(rs.len(), 8);
         for r in &rs {
             assert!((0.0..=1.0).contains(&r.best.f1));

@@ -11,7 +11,7 @@
 
 use er_core::Matching;
 
-use crate::matcher::{EdgeView, Matcher, PreparedGraph};
+use crate::matcher::{EdgeView, Matcher};
 
 /// Which collection drives the partition creation (Table 1: "node partition
 /// used as basis"). The paper evaluates both and retains the better; it
@@ -37,20 +37,6 @@ impl Basis {
 pub struct Bmc {
     /// The collection whose entities create the partitions.
     pub basis: Basis,
-}
-
-impl Bmc {
-    /// BMC driven by the smaller of the two collections — the paper's
-    /// empirically best default.
-    pub fn smaller_basis(g: &PreparedGraph<'_>) -> Self {
-        Bmc {
-            basis: if g.n_left() <= g.n_right() {
-                Basis::Left
-            } else {
-                Basis::Right
-            },
-        }
-    }
 }
 
 impl Matcher for Bmc {
@@ -101,6 +87,7 @@ impl Matcher for Bmc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matcher::PreparedGraph;
     use crate::testkit::{diamond, figure1};
 
     #[test]
@@ -146,13 +133,6 @@ mod tests {
         .run(&pg, 0.7);
         // Only A5-B1 (0.9) exceeds 0.7; A2-B2 is exactly 0.7 and drops.
         assert_eq!(m.pairs(), &[(4, 0)]);
-    }
-
-    #[test]
-    fn smaller_basis_picks_the_smaller_side() {
-        let g = figure1(); // 5 left, 4 right
-        let pg = PreparedGraph::new(&g);
-        assert_eq!(Bmc::smaller_basis(&pg).basis, Basis::Right);
     }
 
     #[test]

@@ -117,11 +117,6 @@ impl AlgorithmKind {
         }
     }
 
-    /// Whether the algorithm is stochastic.
-    pub fn is_stochastic(self) -> bool {
-        matches!(self, AlgorithmKind::Bah)
-    }
-
     /// Whether the algorithm consumes the sorted CSR adjacency (as opposed
     /// to the raw edge list). Timing protocols charge adjacency
     /// construction to these algorithms, mirroring the paper's setting
@@ -246,13 +241,6 @@ mod tests {
             assert_eq!(AlgorithmKind::from_name(&k.name().to_lowercase()), Some(k));
         }
         assert_eq!(AlgorithmKind::from_name("nope"), None);
-    }
-
-    #[test]
-    fn only_bah_is_stochastic() {
-        for k in AlgorithmKind::ALL {
-            assert_eq!(k.is_stochastic(), k == AlgorithmKind::Bah);
-        }
     }
 
     #[test]

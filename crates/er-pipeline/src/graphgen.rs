@@ -36,8 +36,8 @@
 //! (full cross product, or every term-sharing pair), its candidate index
 //! ([`CandidateMode::Indexed`]), or blocked candidate lists. Every source
 //! hands candidates to the same per-scorer callback, so a candidate is
-//! scored — screened, batched into lanes under [`KernelMode::Lanes`],
-//! counted and emitted — in one place whatever produced it. Prepare
+//! scored — screened, batched into lane kernels, counted and emitted —
+//! in one place whatever produced it. Prepare
 //! builds only the structures the requested source reads. The score
 //! phase is one chunked loop generic over the sink: the dense build
 //! collects every triple, the top-k build streams each row through a
@@ -72,10 +72,10 @@
 //! *admission bound* — the row heap's current k-th weight — and the
 //! scorers skip any candidate whose cheap exact upper bound (length /
 //! character-bag counting filters for the char measures, centroid
-//! distance for relaxed WMD) falls strictly below it; the edit-distance
-//! measures additionally run banded early-exit kernels that abandon a
-//! pair once its distance provably exceeds what the bound admits, and
-//! the WMD transport sum short-circuits on its monotone partial sums.
+//! distance for relaxed WMD) falls strictly below it; Damerau-Levenshtein
+//! additionally runs a banded early-exit kernel that abandons a pair
+//! once its distance provably exceeds what the bound admits, and the
+//! WMD transport sum short-circuits on its monotone partial sums.
 //! Every bound dominates the measure's own `f64` under monotone float
 //! steps and pruning is strict-below only, so a pruned candidate could
 //! never have entered the heap: [`build_graph_topk`] output stays
@@ -110,7 +110,7 @@ use crate::candidates::{
     generate_ball_candidates, generate_char_candidates, generate_token_candidates, CandidateLists,
     CandidateMode, CandidateSource, SourceKind,
 };
-use crate::config::{KernelMode, PipelineConfig};
+use crate::config::PipelineConfig;
 use crate::taxonomy::{SemanticScope, SimilarityFunction};
 
 /// A scored pair before normalization: `(left, right, raw weight)`.
@@ -418,7 +418,6 @@ pub fn build_graph_topk(
         spilled_triples: 0,
         spilled_bytes: 0,
         merged_bytes: 0,
-        merge_workers: 0,
     };
     (graph, stats, frame)
 }
@@ -474,10 +473,6 @@ pub struct BuildStats {
     pub spilled_bytes: usize,
     /// Bytes of the merged on-disk graph (the final store file).
     pub merged_bytes: usize,
-    /// Workers the final merge ran with: the thread budget clamped to the
-    /// shard count (1 = one serial pass; 0 in RAM, where nothing is
-    /// merged).
-    pub merge_workers: usize,
 }
 
 /// Build the similarity graph of `function` over `dataset`, emitting the
@@ -897,20 +892,16 @@ pub(crate) fn score_sharded(
         SimilarityFunction::SchemaBasedSyntactic { attribute, measure } => match measure {
             // Character measures ride the bound-driven engine: interned
             // char tables, bit-parallel Levenshtein, prune-aware sinks.
-            SchemaBasedMeasure::Char(m) => phase.run(&CharScorer::prepare(
-                left,
-                right,
-                attribute,
-                *m,
-                source,
-                cfg.kernel_mode,
-            )),
+            SchemaBasedMeasure::Char(m) => {
+                phase.run(&CharScorer::prepare(left, right, attribute, *m, source))
+            }
             SchemaBasedMeasure::Token(_) => phase.run(&SchemaBasedScorer::prepare(
                 left, right, attribute, *measure, source,
             )),
         },
-        SimilarityFunction::SchemaAgnosticVector { scheme, measure } => phase
-            .run(&VectorScorer::prepare(left, right, *scheme, *measure, source, cfg.kernel_mode).0),
+        SimilarityFunction::SchemaAgnosticVector { scheme, measure } => {
+            phase.run(&VectorScorer::prepare(left, right, *scheme, *measure, source).0)
+        }
         SimilarityFunction::SchemaAgnosticGraph { scheme, measure } => phase.run(
             &GraphModelScorer::prepare(left, right, *scheme, *measure, source),
         ),
@@ -1098,9 +1089,10 @@ impl RowScorer for SchemaBasedScorer<'_> {
 /// 1. checks the `O(1)` length bound, then the `O(|a| + |b|)`
 ///    counting-filter bag bound ([`CharMeasure::length_upper_bound`] /
 ///    [`CharMeasure::bag_upper_bound`]);
-/// 2. for the edit-distance measures, derives the largest distance the
-///    bound still admits and runs the banded early-exit kernel, which
-///    abandons the pair once the distance provably exceeds it.
+/// 2. for Damerau-Levenshtein, derives the largest distance the bound
+///    still admits and runs the banded early-exit kernel, which abandons
+///    the pair once the distance provably exceeds it. Levenshtein gets
+///    exact distances from the row-prepared multi-text Myers kernel.
 ///
 /// Every bound is **exact** (≥ the measure's own `f64` under monotone
 /// float steps) and pruning fires only on *strictly* smaller bounds, so
@@ -1122,7 +1114,6 @@ pub(crate) struct CharScorer {
     /// Right entity id → right slot; `Blocked` source only.
     right_slot_by_id: FxHashMap<u32, u32>,
     measure: CharMeasure,
-    kernel: KernelMode,
 }
 
 impl CharScorer {
@@ -1132,7 +1123,6 @@ impl CharScorer {
         attribute: &str,
         measure: CharMeasure,
         source: SourceKind<'_>,
-        kernel: KernelMode,
     ) -> Self {
         let side = |c: &EntityCollection| -> (Vec<u32>, CharTable) {
             let (ids, values): (Vec<u32>, Vec<&str>) = c
@@ -1153,7 +1143,6 @@ impl CharScorer {
             tables: [left_table, right_table],
             right_slot_by_id,
             measure,
-            kernel,
         }
     }
 
@@ -1165,8 +1154,8 @@ impl CharScorer {
         )
     }
 
-    /// Whether the row-level Myers pattern is worth preparing (only the
-    /// bit-parallel Levenshtein kernel consumes it).
+    /// Whether the measure runs on the row-prepared multi-text Myers
+    /// kernel (Levenshtein does).
     #[inline]
     fn uses_pattern(&self) -> bool {
         matches!(self.measure, CharMeasure::Levenshtein)
@@ -1183,30 +1172,14 @@ impl CharScorer {
                     .is_some_and(|ub| ub < bound))
     }
 
-    /// Full (unbounded) similarity of the oriented pair `(a, b)`;
-    /// Levenshtein rides the probe's bit-parallel pattern over the
-    /// candidate's codes `cand`, everything else the shared slice kernels.
-    fn full_similarity(&self, (a, b): (&[u32], &[u32]), cand: &[u32], s: &mut CharScratch) -> f64 {
-        match self.measure {
-            CharMeasure::Levenshtein => {
-                let max_len = a.len().max(b.len());
-                if max_len == 0 {
-                    1.0
-                } else {
-                    1.0 - s.pattern_distance(cand) as f64 / max_len as f64
-                }
-            }
-            m => m.similarity_codes(a, b, s),
-        }
-    }
-
-    /// Similarity of an entry of `side` (`probe`, the codes the Myers
-    /// pattern holds) and a candidate (`cand`) under an admission bound:
-    /// the edit-distance measures run the banded early-exit kernel with
-    /// the largest cutoff a positive bound still admits; `None` means the
-    /// pair provably scores below the bound (counted as pruned). Every
-    /// other case — other measures, or no positive bound (`-∞` on the
-    /// dense path) — is the full similarity.
+    /// Similarity of an entry of `side` (`probe`) and a candidate
+    /// (`cand`) under an admission bound: Damerau-Levenshtein runs the
+    /// banded early-exit kernel with the largest cutoff a positive bound
+    /// still admits, where the band beats the full kernel; `None` means
+    /// the pair provably scores below the bound (counted as pruned).
+    /// Every other case is the measure's own kernel. Levenshtein never
+    /// comes here: it always runs through [`Self::score_lane_chunk`]'s
+    /// multi-text Myers kernel.
     fn bounded_similarity(
         &self,
         side: Side,
@@ -1216,47 +1189,26 @@ impl CharScorer {
         s: &mut CharScratch,
     ) -> Option<f64> {
         let (a, b) = oriented(side, probe, cand);
-        match self.measure {
-            CharMeasure::Levenshtein | CharMeasure::DamerauLevenshtein if bound > 0.0 => {
-                let max_len = a.len().max(b.len());
-                if max_len == 0 {
-                    return Some(1.0);
-                }
-                let cutoff = edit_cutoff(bound, max_len);
-                // Band the DP only where it beats the full kernel.
-                let banded = 2 * cutoff + 1 < max_len;
-                let d = match self.measure {
-                    CharMeasure::Levenshtein => {
-                        if banded {
-                            s.levenshtein_bounded(a, b, cutoff)?
-                        } else {
-                            s.pattern_distance(cand)
-                        }
-                    }
-                    _ => {
-                        if banded {
-                            s.osa_bounded(a, b, cutoff)?
-                        } else {
-                            return Some(self.measure.similarity_codes(a, b, s));
-                        }
-                    }
-                };
-                Some(1.0 - d as f64 / max_len as f64)
+        if matches!(self.measure, CharMeasure::DamerauLevenshtein) && bound > 0.0 {
+            let max_len = a.len().max(b.len());
+            let cutoff = edit_cutoff(bound, max_len);
+            if 2 * cutoff + 1 < max_len {
+                let d = s.osa_bounded(a, b, cutoff)?;
+                return Some(1.0 - d as f64 / max_len as f64);
             }
-            _ => Some(self.full_similarity((a, b), cand, s)),
         }
+        Some(self.measure.similarity_codes(a, b, s))
     }
 
     /// Score candidate slot `j` of the opposite side for entry `row` of
-    /// `side` (entity `id`): under a live admission bound the length and
-    /// counting-filter screens first — unless `prescreened`, i.e. an
-    /// index generator already applied them — then the bounded kernel.
+    /// `side` (entity `id`) through the bounded kernel, one candidate of
+    /// an index walk at a time: the generator already applied the length
+    /// and counting-filter screens.
     fn score_candidate<O: EdgeSink>(
         &self,
         side: Side,
         (id, row): (u32, usize),
         j: u32,
-        prescreened: bool,
         scratch: &mut CharScratch,
         out: &mut O,
     ) {
@@ -1264,10 +1216,6 @@ impl CharScorer {
         let (probe, target) = self.tables(side);
         let j = j as usize;
         let bound = out.admission_bound();
-        if !prescreened && self.screened_out(probe.bag(row), target.bag(j), bound) {
-            out.note_pruned();
-            return;
-        }
         match self.bounded_similarity(side, probe.codes(row), target.codes(j), bound, scratch) {
             Some(w) => {
                 let other = self.ids[side.opposite() as usize][j];
@@ -1279,29 +1227,28 @@ impl CharScorer {
 
     /// Lane-parallel scoring of up to [`LANE_WIDTH`] candidate slots (in
     /// candidate order). The graph this path builds is **bit-identical**
-    /// to chaining [`Self::score_candidate`] over the same candidates —
-    /// the argument, expanded in DESIGN.md §19:
+    /// to scoring every candidate with the per-pair scalar measure
+    /// ([`CharMeasure::similarity`]) and offering it to the sink — the
+    /// argument, expanded in DESIGN.md §19:
     ///
     /// * The batched length/counting-filter screens compute the exact
     ///   scalar bound values (`lanes::length_upper_bounds` /
     ///   `lanes::bag_upper_bounds_from_common` are bit-identical by
-    ///   construction), but against the admission bound captured at
-    ///   chunk start. The bound is monotone non-decreasing, so the chunk
-    ///   screen prunes a *subset* of what the scalar screen prunes; every
-    ///   extra survivor it lets through scores strictly below the final
-    ///   bound (the prune comparison is strict `<`) and is rejected by
-    ///   the sink's heap without displacing anything.
+    ///   construction), against the admission bound captured at chunk
+    ///   start. The bound only rises, so every candidate the screen
+    ///   prunes scores strictly below the final bound and could never
+    ///   have been retained; every survivor it lets through that scores
+    ///   below the final bound is rejected by the sink's heap without
+    ///   displacing anything.
     /// * Levenshtein survivors get **exact** distances from the
-    ///   multi-text [`MyersBatch`] — the same integer the scalar banded
-    ///   kernel either reports or provably brackets above `cutoff`, so
-    ///   the emitted weight bits match wherever the scalar path emits
-    ///   and fall below the bound wherever it pruned.
-    /// * Other measures score their survivors through the scalar
-    ///   bounded kernel with a *refreshed* per-candidate bound —
-    ///   unchanged behaviour, the chunk only reordered the screens.
+    ///   multi-text [`MyersBatch`] — the integer the scalar measure
+    ///   computes — through the measure's own `1 − d / max_len`.
+    /// * Other measures score their survivors through
+    ///   [`Self::bounded_similarity`] with a *refreshed* per-candidate
+    ///   bound.
     ///
-    /// `prescreened` skips the chunk screens, as in
-    /// [`Self::score_candidate`].
+    /// `prescreened` skips the chunk screens: an index generator already
+    /// applied them.
     #[allow(clippy::too_many_arguments)]
     fn score_lane_chunk<O: EdgeSink>(
         &self,
@@ -1487,12 +1434,10 @@ impl RowScorer for CharScorer {
         // index walk of the measures without a multi-text kernel: their
         // batches would only reorder the screens the generator already
         // applied, so they score one candidate at a time. Between
-        // flushes a generator keeps the bound of the last flush and
-        // yields a superset of the scalar walk's candidates, every extra
-        // one scoring strictly below the final admission bound (see
-        // [`Self::score_lane_chunk`]).
-        let batched =
-            matches!(self.kernel, KernelMode::Lanes) && (self.uses_pattern() || !prescreened);
+        // flushes a generator keeps the bound of the last flush, so it
+        // may yield extra candidates, every one scoring strictly below
+        // the final admission bound (see [`Self::score_lane_chunk`]).
+        let batched = self.uses_pattern() || !prescreened;
         let CharGenScratch {
             chars,
             order,
@@ -1500,11 +1445,7 @@ impl RowScorer for CharScorer {
             batch,
         } = scratch;
         if self.uses_pattern() {
-            if batched {
-                batch.prepare(probe.codes(row));
-            } else {
-                chars.set_pattern(probe.codes(row));
-            }
+            batch.prepare(probe.codes(row));
         }
         let mut chunk = LaneBuffer::<u32, LANE_WIDTH>::new();
         let bound = out.admission_bound();
@@ -1517,7 +1458,7 @@ impl RowScorer for CharScorer {
                     self.score_lane_chunk(side, entry, c, prescreened, chars, batch, out)
                 });
             } else {
-                self.score_candidate(side, entry, j, prescreened, chars, out);
+                self.score_candidate(side, entry, j, chars, out);
             }
             out.admission_bound()
         };
@@ -1645,17 +1586,17 @@ fn postings_of<T>(vecs: &[SparseVector], entry: impl Fn(u32, f64) -> T) -> FxHas
 
 /// The right-side postings the `Enumerate` source walks.
 enum TermPostings {
-    /// Right ids per term, scored through the scalar measure kernels.
+    /// Right ids per term, scored through the per-pair measure kernels
+    /// (every measure but the cosines).
     Plain(FxHashMap<u64, Vec<u32>>),
-    /// `(right id, weight)` per term for the lane cosine walk
-    /// ([`KernelMode::Lanes`] + a cosine measure): one pass over these
-    /// accumulates every candidate's dot product in the probe's term
-    /// order — the **same ascending-term-id order** (and hence the same
-    /// f64 addition sequence, bit for bit) that `SparseVector::dot`'s
-    /// sorted merge join produces per pair. `right_norms[j]` caches
-    /// `right_vecs[j].norm()` — recomputing a norm is deterministic, so
-    /// the cached value equals the scalar path's per-pair recomputation
-    /// bit for bit.
+    /// `(right id, weight)` per term for the cosine measures' walk: one
+    /// pass over these accumulates every candidate's dot product in the
+    /// probe's term order — the **same ascending-term-id order** (and
+    /// hence the same f64 addition sequence, bit for bit) that
+    /// `SparseVector::dot`'s sorted merge join produces per pair.
+    /// `right_norms[j]` caches `right_vecs[j].norm()` — recomputing a
+    /// norm is deterministic, so the cached value equals the per-pair
+    /// measure's recomputation bit for bit.
     Weighted {
         postings: FxHashMap<u64, Vec<(u32, f64)>>,
         right_norms: Vec<f64>,
@@ -1700,7 +1641,6 @@ impl VectorScorer {
         scheme: NGramScheme,
         measure: VectorMeasure,
         source: SourceKind<'_>,
-        kernel: KernelMode,
     ) -> (Self, Vectorizer) {
         let model = VectorModel::new(scheme);
 
@@ -1734,14 +1674,13 @@ impl VectorScorer {
                 .collect::<Vec<_>>()
         });
 
-        let lane_cosine = matches!(kernel, KernelMode::Lanes)
-            && matches!(
-                measure,
-                VectorMeasure::CosineTf | VectorMeasure::CosineTfIdf
-            );
+        let cosine = matches!(
+            measure,
+            VectorMeasure::CosineTf | VectorMeasure::CosineTfIdf
+        );
         let right_vecs = &vecs[Side::Right as usize];
         let postings = match source {
-            CandidateSource::Enumerate if lane_cosine => TermPostings::Weighted {
+            CandidateSource::Enumerate if cosine => TermPostings::Weighted {
                 postings: postings_of(right_vecs, |j, w| (j, w)),
                 right_norms: right_vecs.iter().map(SparseVector::norm).collect(),
             },
@@ -1830,8 +1769,8 @@ impl RowScorer for VectorScorer {
                     // Candidate `j`'s products arrive in ascending probe-term
                     // order — exactly the order `SparseVector::dot`'s sorted
                     // merge adds them — from an accumulator zeroed at
-                    // discovery, so `acc[j]` equals the scalar per-pair dot
-                    // bit for bit; the cached norms and the
+                    // discovery, so `acc[j]` equals the per-pair dot bit
+                    // for bit; the cached norms and the
                     // `denom == 0 → 0` / clamp steps replicate
                     // `VectorMeasure::similarity`'s cosine arm exactly.
                     let ProbeScratch {
@@ -2054,7 +1993,6 @@ pub(crate) struct DenseSemanticScorer {
     /// Per side (`Side as usize`): the encoded scoped texts.
     vecs: [Vec<DenseVector>; 2],
     measure: SemanticMeasure,
-    kernel: KernelMode,
 }
 
 impl DenseSemanticScorer {
@@ -2074,7 +2012,6 @@ impl DenseSemanticScorer {
         DenseSemanticScorer {
             vecs: [vecs, right_vecs],
             measure,
-            kernel: cfg.kernel_mode,
         }
     }
 
@@ -2162,25 +2099,16 @@ impl RowScorer for DenseSemanticScorer {
         }
         let target = &self.vecs[side.opposite() as usize];
         let li = row as u32;
-        let batched = matches!(self.kernel, KernelMode::Lanes);
         // Between lane flushes a generator keeps the bound of the last
-        // flush, enumerating a superset whose extras all score strictly
+        // flush, so it may yield extra candidates, all scoring strictly
         // below the final admission bound (the generator's prune is
         // strict `<` against a non-decreasing bound) — the retained
-        // graph is bit-identical to the scalar path.
+        // graph is bit-identical to scoring each pair on its own.
         let mut chunk = LaneBuffer::<u32, { embed_lanes::LANE_WIDTH }>::new();
         let bound = out.admission_bound();
         let mut score = |j: u32| {
-            if !out.takes(j) {
-                return out.admission_bound();
-            }
-            if batched {
+            if out.takes(j) {
                 chunk.push(j, |js| self.emit_dense_lanes((li, a), target, js, out));
-            } else {
-                out.note_generated();
-                let (x, y) = oriented(side, a, &target[j as usize]);
-                let w = self.measure.similarity_vectors(x, y);
-                out.scored(li, j, w);
             }
             out.admission_bound()
         };
@@ -2268,9 +2196,16 @@ impl AppendScorer for DenseSemanticScorer {
 /// left and the right bags.
 type BagSummaries = [Vec<Option<BagSummary>>; 2];
 
-/// Word Mover's scoring over interned token bags. Bags are truncated to
-/// `cfg.wmd_token_cap` tokens (documented substitution — relaxed WMD is
-/// quadratic in bag size), and only the kept tokens are encoded.
+/// Tokens of a text that Word Mover's similarity keeps: its bags are
+/// truncated to the first 16 tokens, and only the kept tokens are
+/// encoded. Relaxed WMD is quadratic in bag size and whole-profile texts
+/// can carry dozens of tokens, so the cap bounds the cost while keeping
+/// the measure's character — a documented substitution (DESIGN.md §3);
+/// the short schema-based values stay uncapped in practice.
+pub const WMD_TOKEN_CAP: usize = 16;
+
+/// Word Mover's scoring over interned token bags of at most
+/// [`WMD_TOKEN_CAP`] tokens.
 ///
 /// The transport loops read token distances from a row-local
 /// [`RowTable`]: for the current left row, the distances from its
@@ -2292,7 +2227,7 @@ struct WmdScorer {
     /// first-appearance order over the right bags.
     right_units: Vec<u32>,
     /// The right universe's vectors, interleaved for the block kernel
-    /// that fills row tables under [`KernelMode::Lanes`].
+    /// that fills row tables.
     right_blocks: InterleavedBlocks,
     /// `RWMD(a, b) ≥ ‖c_a − c_b‖ − r_a − r_b`, so one vector distance
     /// upper-bounds the similarity of a pair before any transport work.
@@ -2300,7 +2235,6 @@ struct WmdScorer {
     /// admission bound — so the dense path, whose sink never exposes a
     /// bound, never pays for them.
     summaries: OnceLock<BagSummaries>,
-    kernel: KernelMode,
 }
 
 /// One left row's token-distance table (per-worker scratch, reset per
@@ -2339,7 +2273,7 @@ impl WmdScorer {
     ) -> Self {
         let UnitTable { vectors, mut bags } = enc.token_units(
             &scoped_texts(left, right, scope),
-            cfg.wmd_token_cap,
+            WMD_TOKEN_CAP,
             cfg.effective_threads(),
         );
         let mut right_bags = bags.split_off(left.len());
@@ -2362,7 +2296,6 @@ impl WmdScorer {
             right_units,
             right_blocks,
             summaries: OnceLock::new(),
-            kernel: cfg.kernel_mode,
         }
     }
 
@@ -2417,10 +2350,9 @@ impl WmdScorer {
 
     /// Fill right block `block` of the row table: the distances from
     /// every row token to the block's `W` right tokens, through the
-    /// interleaved block kernel under [`KernelMode::Lanes`] or one
-    /// [`DenseVector::euclidean_distance`] per entry under
-    /// [`KernelMode::Scalar`] — the same bits either way (the block
-    /// kernel runs the scalar float sequence per lane).
+    /// interleaved block kernel — the bits of one
+    /// [`DenseVector::euclidean_distance`] per entry (the block kernel
+    /// runs the scalar float sequence per lane).
     fn fill_block(&self, t: &mut RowTable, block: usize) {
         t.slot[block] = t.filled.len() as u32;
         t.filled.push(block as u32);
@@ -2430,17 +2362,8 @@ impl WmdScorer {
             .as_chunks_mut::<{ embed_lanes::LANE_WIDTH }>()
             .0;
         for (&x, out) in t.tokens.iter().zip(rows) {
-            let xv = &self.vectors[x as usize];
-            match self.kernel {
-                KernelMode::Lanes => self.right_blocks.euclidean_distances(xv, block, out),
-                KernelMode::Scalar => {
-                    let lanes =
-                        block * Self::W..((block + 1) * Self::W).min(self.right_units.len());
-                    for (d, pos) in out.iter_mut().zip(lanes) {
-                        *d = xv.euclidean_distance(self.right_vector(pos as u32));
-                    }
-                }
-            }
+            self.right_blocks
+                .euclidean_distances(&self.vectors[x as usize], block, out);
         }
     }
 
@@ -2675,16 +2598,8 @@ mod tests {
         // exactly 0.0, demoting a positive-similarity pair to a non-edge
         // for every positive grid threshold. The 0.0 floor keeps
         // non-negative measures on (0, 1]: weight = raw / max(raw).
-        let collection = |texts: &[&str]| EntityCollection {
-            profiles: texts
-                .iter()
-                .enumerate()
-                .map(|(i, t)| EntityProfile::new(i as u32, vec![("name".into(), (*t).into())]))
-                .collect(),
-            attribute_names: vec!["name".into()],
-        };
-        let left = collection(&["alpha", "alphas", "alpha x"]);
-        let right = collection(&["alpha", "alph"]);
+        let left = named(&["alpha", "alphas", "alpha x"]);
+        let right = named(&["alpha", "alph"]);
         let f = SimilarityFunction::SchemaBasedSyntactic {
             attribute: "name".into(),
             measure: SchemaBasedMeasure::Char(CharMeasure::Levenshtein),
@@ -2728,16 +2643,8 @@ mod tests {
         // "abc" vs "xyz": Levenshtein similarity is exactly 0, so the pair
         // is not an edge on any output path (the paper keeps only pairs
         // "with a similarity higher than 0").
-        let collection = |texts: &[&str]| EntityCollection {
-            profiles: texts
-                .iter()
-                .enumerate()
-                .map(|(i, t)| EntityProfile::new(i as u32, vec![("name".into(), (*t).into())]))
-                .collect(),
-            attribute_names: vec!["name".into()],
-        };
-        let left = collection(&["abc"]);
-        let right = collection(&["abc", "xyz"]);
+        let left = named(&["abc"]);
+        let right = named(&["abc", "xyz"]);
         let f = SimilarityFunction::SchemaBasedSyntactic {
             attribute: "name".into(),
             measure: SchemaBasedMeasure::Char(CharMeasure::Levenshtein),
@@ -2750,10 +2657,7 @@ mod tests {
             );
         };
         for threads in [1, 3] {
-            let cfg = PipelineConfig {
-                threads,
-                ..PipelineConfig::default()
-            };
+            let cfg = PipelineConfig { threads };
             only_the_match(edge_bits(&build_graph_over(&left, &right, &f, &cfg)));
             // Top-k with `k` covering the whole row selects nothing away.
             for mode in [CandidateMode::Enumerated, CandidateMode::Indexed] {
@@ -2836,6 +2740,18 @@ mod tests {
         assert!(density > 0.9, "semantic graph density {density:.3}");
     }
 
+    /// Collections of one "name" attribute per text.
+    fn named(texts: &[&str]) -> EntityCollection {
+        EntityCollection {
+            profiles: texts
+                .iter()
+                .enumerate()
+                .map(|(i, t)| EntityProfile::new(i as u32, vec![("name".into(), (*t).into())]))
+                .collect(),
+            attribute_names: vec!["name".into()],
+        }
+    }
+
     #[test]
     fn wmd_scope_and_cap() {
         let d = tiny();
@@ -2846,13 +2762,23 @@ mod tests {
                 attribute: "name".into(),
             },
         };
-        let cfg = PipelineConfig {
-            wmd_token_cap: 4,
-            ..PipelineConfig::default()
-        };
-        let g = build_graph(&d, &f, &cfg);
+        let g = build_graph(&d, &f, &PipelineConfig::default());
         assert!(!g.is_empty());
         weights_in_bounds(&g);
+
+        // Texts that agree on their first WMD_TOKEN_CAP tokens and differ
+        // only after them have identical capped bags: they score exactly
+        // 1, like a text with itself, and unlike a text that differs
+        // inside the cap.
+        let head: Vec<String> = (0..WMD_TOKEN_CAP).map(|i| format!("tok{i}")).collect();
+        let head = head.join(" ");
+        let (a, b) = (format!("{head} alpha beta"), format!("{head} gamma delta"));
+        let inside = format!("zeta {head}");
+        let left = named(&[&a]);
+        let right = named(&[&b, &inside]);
+        let g = build_graph_over(&left, &right, &f, &PipelineConfig::default());
+        assert_eq!(g.weight_of(0, 0), Some(1.0), "truncation bites");
+        assert!(g.weight_of(0, 1).is_some_and(|w| w < 1.0));
     }
 
     #[test]
@@ -2860,10 +2786,11 @@ mod tests {
         // The row-table transport runs the measure's own float sequence,
         // so every raw score must equal `similarity_tokens` over the
         // capped per-text bags (no interning, no table) bit for bit —
-        // for context-free and contextual units, under both kernels. The
-        // ALBERT texts run past the cap, so this also pins the capped
-        // encode: the last kept token keeps its real right neighbour.
-        let d = tiny();
+        // for context-free and contextual units. The ALBERT texts run
+        // past the cap, so this also pins the capped encode: the last
+        // kept token keeps its real right neighbour. D2's whole-profile
+        // texts run past WMD_TOKEN_CAP tokens (D1's do not).
+        let d = er_datasets::Dataset::generate(DatasetId::D2, 0.03, 42);
         let cases = [
             (
                 EmbeddingModel::FastText,
@@ -2879,8 +2806,7 @@ mod tests {
                 measure: SemanticMeasure::WordMovers,
                 scope: scope.clone(),
             };
-            // A cap below the whole-profile lengths, so truncation bites.
-            let cap = 4;
+            let cap = WMD_TOKEN_CAP;
             let enc = model.encoder();
             let bag = |p: &EntityProfile| -> Vec<DenseVector> {
                 let mut toks = enc.token_vectors(&scoped_text(p, &scope));
@@ -2910,26 +2836,19 @@ mod tests {
                     }
                 }
             }
-            for kernel_mode in [KernelMode::Scalar, KernelMode::Lanes] {
-                let cfg = PipelineConfig {
-                    kernel_mode,
-                    wmd_token_cap: cap,
-                    ..PipelineConfig::default()
-                };
-                let got: Vec<(u32, u32, u64)> = score_shards(
-                    &d.left,
-                    &d.right,
-                    &f,
-                    CandidateSource::Enumerate,
-                    &cfg,
-                    ScoreMode::Dense,
-                )
-                .into_iter()
-                .flatten()
-                .map(|(l, r, w)| (l, r, w.to_bits()))
-                .collect();
-                assert_eq!(got, want, "{} {kernel_mode:?}", model.name());
-            }
+            let got: Vec<(u32, u32, u64)> = score_shards(
+                &d.left,
+                &d.right,
+                &f,
+                CandidateSource::Enumerate,
+                &PipelineConfig::default(),
+                ScoreMode::Dense,
+            )
+            .into_iter()
+            .flatten()
+            .map(|(l, r, w)| (l, r, w.to_bits()))
+            .collect();
+            assert_eq!(got, want, "{}", model.name());
         }
     }
 
@@ -2938,61 +2857,47 @@ mod tests {
         // Identical bags score exactly 1, and a row scored against every
         // right bag fills each right block of its table at most once:
         // the table holds exactly one `m × W` slab per filled block.
-        let collection = |texts: &[&str]| EntityCollection {
-            profiles: texts
-                .iter()
-                .enumerate()
-                .map(|(i, t)| EntityProfile::new(i as u32, vec![("name".into(), (*t).into())]))
-                .collect(),
-            attribute_names: vec!["name".into()],
-        };
-        let left = collection(&["alpha beta gamma alpha", "delta"]);
+        let left = named(&["alpha beta gamma alpha", "delta"]);
         // 3 + 10 right tokens: two blocks, both touched by row 0.
-        let right = collection(&[
+        let right = named(&[
             "alpha beta gamma alpha",
             "zeta eta theta iota kappa lambda mu nu xi omicron",
             "gamma beta",
         ]);
         let w = embed_lanes::LANE_WIDTH;
-        for kernel_mode in [KernelMode::Scalar, KernelMode::Lanes] {
-            let cfg = PipelineConfig {
-                kernel_mode,
-                ..PipelineConfig::default()
-            };
-            let scorer = WmdScorer::prepare(
-                &left,
-                &right,
-                &EmbeddingModel::FastText.encoder(),
-                &SemanticScope::SchemaBased {
-                    attribute: "name".into(),
-                },
-                &cfg,
+        let scorer = WmdScorer::prepare(
+            &left,
+            &right,
+            &EmbeddingModel::FastText.encoder(),
+            &SemanticScope::SchemaBased {
+                attribute: "name".into(),
+            },
+            &PipelineConfig::default(),
+        );
+        assert_eq!(scorer.right_units.len(), 13, "13 distinct right tokens");
+        assert_eq!(scorer.right_blocks.n_blocks(), 13usize.div_ceil(w));
+        let mut scratch = scorer.scratch();
+        for row in 0..2 {
+            let mut out = Vec::new();
+            scorer.score_row(
+                Side::Left,
+                row,
+                CandidateSource::Enumerate,
+                &mut scratch,
+                &mut out,
             );
-            assert_eq!(scorer.right_units.len(), 13, "13 distinct right tokens");
-            assert_eq!(scorer.right_blocks.n_blocks(), 13usize.div_ceil(w));
-            let mut scratch = scorer.scratch();
-            for row in 0..2 {
-                let mut out = Vec::new();
-                scorer.score_row(
-                    Side::Left,
-                    row,
-                    CandidateSource::Enumerate,
-                    &mut scratch,
-                    &mut out,
-                );
-                assert_eq!(out.len(), 3, "{kernel_mode:?} row {row}");
-                if row == 0 {
-                    assert_eq!(out[0], (0, 0, 1.0), "identical bags score exactly 1");
-                }
-                let t = &scratch.table;
-                assert_eq!(t.tokens.len(), [3, 1][row], "distinct row tokens");
-                let mut blocks = t.filled.clone();
-                blocks.sort_unstable();
-                blocks.dedup();
-                assert_eq!(blocks.len(), t.filled.len(), "no block filled twice");
-                assert_eq!(t.filled.len(), scorer.right_blocks.n_blocks());
-                assert_eq!(t.dists.len(), t.filled.len() * t.tokens.len() * w);
+            assert_eq!(out.len(), 3, "row {row}");
+            if row == 0 {
+                assert_eq!(out[0], (0, 0, 1.0), "identical bags score exactly 1");
             }
+            let t = &scratch.table;
+            assert_eq!(t.tokens.len(), [3, 1][row], "distinct row tokens");
+            let mut blocks = t.filled.clone();
+            blocks.sort_unstable();
+            blocks.dedup();
+            assert_eq!(blocks.len(), t.filled.len(), "no block filled twice");
+            assert_eq!(t.filled.len(), scorer.right_blocks.n_blocks());
+            assert_eq!(t.dists.len(), t.filled.len() * t.tokens.len() * w);
         }
     }
 
@@ -3039,14 +2944,8 @@ mod tests {
             scheme: NGramScheme::Token(1),
             measure: VectorMeasure::CosineTfIdf,
         };
-        let serial = PipelineConfig {
-            threads: 1,
-            ..PipelineConfig::default()
-        };
-        let parallel = PipelineConfig {
-            threads: 4,
-            ..PipelineConfig::default()
-        };
+        let serial = PipelineConfig { threads: 1 };
+        let parallel = PipelineConfig { threads: 4 };
         let gs = build_graph(&d, &f, &serial);
         let gp = build_graph(&d, &f, &parallel);
         assert_eq!(edge_bits(&gs), edge_bits(&gp));
@@ -3131,15 +3030,7 @@ mod tests {
             stats.offered_edges
         );
         // The same accounting holds when workers shard the rows.
-        let (_, par_stats) = topk(
-            &d,
-            &f,
-            k,
-            &PipelineConfig {
-                threads: 4,
-                ..PipelineConfig::default()
-            },
-        );
+        let (_, par_stats) = topk(&d, &f, k, &PipelineConfig { threads: 4 });
         assert!(par_stats.peak_resident_edges <= bound);
         assert_eq!(par_stats.offered_edges, stats.offered_edges);
     }
@@ -3151,24 +3042,8 @@ mod tests {
             scheme: NGramScheme::Token(1),
             measure: VectorMeasure::CosineTfIdf,
         };
-        let (serial, _) = topk(
-            &d,
-            &f,
-            2,
-            &PipelineConfig {
-                threads: 1,
-                ..PipelineConfig::default()
-            },
-        );
-        let (parallel, _) = topk(
-            &d,
-            &f,
-            2,
-            &PipelineConfig {
-                threads: 4,
-                ..PipelineConfig::default()
-            },
-        );
+        let (serial, _) = topk(&d, &f, 2, &PipelineConfig { threads: 1 });
+        let (parallel, _) = topk(&d, &f, 2, &PipelineConfig { threads: 4 });
         assert_eq!(edge_bits(&serial), edge_bits(&parallel));
     }
 

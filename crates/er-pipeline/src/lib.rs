@@ -61,12 +61,13 @@
 //! Both top-k builds report through the one [`BuildStats`]; the in-RAM
 //! build is its single-shard case.
 //!
-//! A build takes three settings ([`PipelineConfig`]): the Word Mover's
-//! token cap, the thread budget and the kernel set. The out-of-core
-//! build adds its shard size and spill directory ([`ShardedConfig`]).
-//! The engine fixes the rest: the positivity filter is always on, chunk
-//! sizes follow the row and thread counts, spilling always overlaps
-//! scoring, and the merge runs one worker per thread.
+//! A build takes one setting ([`PipelineConfig`]): the thread budget.
+//! The out-of-core build adds its shard size and spill directory
+//! ([`ShardedConfig`]). The engine fixes the rest: the positivity filter
+//! is always on, the Word Mover's bags keep [`WMD_TOKEN_CAP`] tokens,
+//! candidates are scored through the lane kernels, chunk sizes follow
+//! the row and thread counts, spilling always overlaps scoring, and the
+//! merge is one in-order pass.
 
 pub mod blocking;
 pub mod candidates;
@@ -83,10 +84,10 @@ pub use blocking::{
 };
 pub use candidates::CandidateMode;
 pub use cleaning::{clean_graphs, CleaningOutcome};
-pub use config::{KernelMode, PipelineConfig};
+pub use config::PipelineConfig;
 pub use graphgen::{
     build_graph, build_graph_over, build_graph_restricted, build_graph_topk, build_prepared,
-    BuildStats, BuiltGraph, GeneratedGraph, NormFrame,
+    BuildStats, BuiltGraph, GeneratedGraph, NormFrame, WMD_TOKEN_CAP,
 };
 pub use resident::ResidentScorer;
 pub use runner::generate_corpus;

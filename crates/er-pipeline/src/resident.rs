@@ -304,18 +304,18 @@ fn prepare_family(
 ) -> Result<Option<Box<dyn Probe>>, CoreError> {
     check_positional(left)?;
     check_positional(right)?;
-    let (source, kernel) = (CandidateSource::Index(()), cfg.kernel_mode);
+    let source = CandidateSource::Index(());
     Ok(Some(match function {
         SimilarityFunction::SchemaAgnosticVector { scheme, measure } => {
             let (scorer, vectorizer) =
-                VectorScorer::prepare(left, right, *scheme, *measure, source, kernel);
+                VectorScorer::prepare(left, right, *scheme, *measure, source);
             Probed::boxed(scorer, vectorizer)
         }
         SimilarityFunction::SchemaBasedSyntactic {
             attribute,
             measure: SchemaBasedMeasure::Char(m),
         } => Probed::boxed(
-            CharScorer::prepare(left, right, attribute, *m, source, kernel),
+            CharScorer::prepare(left, right, attribute, *m, source),
             attribute.clone(),
         ),
         SimilarityFunction::Semantic {

@@ -52,10 +52,7 @@ mod tests {
             .take(8)
             .collect();
         let cfg_parallel = PipelineConfig::default();
-        let cfg_serial = PipelineConfig {
-            threads: 1,
-            ..PipelineConfig::default()
-        };
+        let cfg_serial = PipelineConfig { threads: 1 };
         let par = generate_corpus(&dataset, &functions, &cfg_parallel);
         let ser = generate_corpus(&dataset, &functions, &cfg_serial);
         assert_eq!(par.len(), functions.len());

@@ -17,7 +17,7 @@
 //! dense edge set, and even its pruned top-k edge set, never needs to
 //! fit in RAM.
 //!
-//! # Pipelined spill and the parallel merge
+//! # Pipelined spill and the in-order merge
 //!
 //! Shard *scoring* overlaps the previous shard's *spill*: the scoring
 //! loop hands each finished shard across a rendezvous channel to a
@@ -28,18 +28,14 @@
 //! so shards arrive at the spill thread in score order, and the frame's
 //! max fold is order-independent anyway.
 //!
-//! The final merge is parallelized **by left-row ranges**: shards cover
-//! contiguous disjoint row ranges, so any contiguous group of spill
-//! files can be finalized (weights normalized through the frame, rows
-//! sorted right-ascending) into a segment file independently of the
-//! others. One worker per [`PipelineConfig::threads`] (clamped to the
-//! shard count) does exactly that, and one serial pass streams the
-//! segments — already in global row order — into the [`SlabWriter`].
-//! With one effective thread the spill files stream straight into the
-//! writer instead (no segment I/O). All three passes share one
-//! row-grouping loop (`for_each_row`): shards are contiguous ascending
-//! row ranges, so reading the files in order *is* the global row order,
-//! and no k-way merge is needed.
+//! The final merge is one serial pass: shards cover contiguous ascending
+//! left-row ranges, so reading the spill files in order *is* the global
+//! row order, and no k-way merge is needed. The pass groups each row's
+//! records (`for_each_row`), finalizes the row — weights normalized
+//! through the frame, entries sorted right-ascending — and streams it
+//! straight into the [`SlabWriter`]. Finalizing touches at most `k`
+//! edges per row, so the merge is bound by its file I/O, which a
+//! parallel pass would only add to.
 //!
 //! # Bit-identity with the in-RAM path
 //!
@@ -65,10 +61,9 @@
 //!    that frame at merge time — the identical `f64` operations the
 //!    in-RAM finalize applies — and rows are written right-ascending,
 //!    which is exactly the canonical order `CsrGraph::from_graph`
-//!    produces. Same edges, same weights, same layout — regardless of
-//!    how the spill files were grouped into merge segments, because
-//!    every row's bytes are a function of that row's spill records
-//!    alone. The sort-order column is sorted by the *stored*
+//!    produces. Same edges, same weights, same layout: every row's bytes
+//!    are a function of that row's spill records alone, however the
+//!    rows were sharded. The sort-order column is sorted by the *stored*
 //!    (normalized) weights with ascending-slab-index tie-breaks, and
 //!    re-validated against exactly that order when the store is opened.
 //!
@@ -80,7 +75,7 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
-use er_core::{par, ConstructionCounters, MappedCsr, SlabWriter, StoreError, StoreMeta};
+use er_core::{ConstructionCounters, MappedCsr, SlabWriter, StoreError, StoreMeta};
 use er_datasets::EntityCollection;
 
 use crate::candidates::{CandidateMode, SourceKind};
@@ -89,7 +84,6 @@ use crate::graphgen::{score_sharded, BuildStats, NormFrame, ScoreMode, Triple};
 use crate::taxonomy::SimilarityFunction;
 
 /// Bytes of one spill record: `(left u32, right u32, raw weight f64)`.
-/// Segment files reuse the same layout with the weight normalized.
 const SPILL_RECORD: usize = 16;
 
 /// Bytes of one sort-order run record: `(weight f64, slab index u64)`.
@@ -122,7 +116,7 @@ impl ShardedConfig {
     }
 }
 
-/// One spill (or segment) file being merged: a buffered reader plus the
+/// One spill file being merged: a buffered reader plus the
 /// decoded look-ahead record — the only triple of the shard resident
 /// during the merge.
 struct SpillReader {
@@ -163,7 +157,7 @@ impl SpillReader {
     }
 }
 
-/// Append one spill (or segment) record.
+/// Append one spill record.
 fn write_record(out: &mut impl Write, l: u32, r: u32, w: f64) -> Result<(), StoreError> {
     out.write_all(&l.to_le_bytes())?;
     out.write_all(&r.to_le_bytes())?;
@@ -405,7 +399,7 @@ impl Iterator for PermOrder {
 /// Streams finalized rows (right-ascending, weights normalized) into a
 /// [`SlabWriter::create_streamed`] writer while feeding the external
 /// sort of the sort-order column. Gaps between pushed rows become empty
-/// live rows, exactly like the direct merge wrote them.
+/// live rows.
 struct StoreSink {
     writer: SlabWriter,
     perm: PermSorter,
@@ -465,20 +459,17 @@ impl StoreSink {
 }
 
 // ----------------------------------------------------------------------
-// Merge paths.
+// The merge.
 // ----------------------------------------------------------------------
 
-/// Stream the records of `files` — spill or segment files covering
-/// contiguous, ascending left-row ranges in file order — and hand each
-/// left row's `(right, weight)` pairs to `on_row`, rows ascending. The
-/// one row-grouping loop of every merge pass.
+/// Stream the records of `files` — spill files covering contiguous,
+/// ascending left-row ranges in file order — and hand each left row's
+/// `(right, weight)` pairs to `on_row`, rows ascending.
 ///
 /// A file's left-id range is not known up front: shards cut the
 /// scorer's rows, and schema-based scorers skip entities that lack the
 /// attribute, so shard `s` need not start at left id `s · shard_rows`.
-/// The loop checks only that ids ascend and stay below `n_left`; the
-/// store sink rejects rows that overlap or go backwards across parallel
-/// segments.
+/// The loop checks only that ids ascend and stay below `n_left`.
 fn for_each_row(
     files: &[PathBuf],
     n_left: u32,
@@ -520,65 +511,6 @@ fn finalize_row(frame: NormFrame, row: &mut [(u32, f64)]) {
         e.1 = frame.apply(e.1);
     }
     row.sort_unstable_by_key(|&(r, _)| r);
-}
-
-/// One parallel-merge worker: finalize a contiguous group of spill
-/// files into a segment file — rows in ascending-left order,
-/// right-ascending within a row, weights normalized. Row-local work
-/// only, so the segment bytes are identical to what the one-worker
-/// merge writes for those rows.
-fn merge_group(
-    spills: &[PathBuf],
-    frame: NormFrame,
-    seg_path: &Path,
-    n_left: u32,
-) -> Result<(), StoreError> {
-    let mut out = BufWriter::new(File::create(seg_path)?);
-    for_each_row(spills, n_left, |l, row| {
-        finalize_row(frame, row);
-        row.iter()
-            .try_for_each(|&(r, w)| write_record(&mut out, l, r, w))
-    })?;
-    out.flush()?;
-    Ok(())
-}
-
-/// Parallel merge: split the spill files into `workers` contiguous
-/// groups, finalize each into a segment on its own thread, then stream
-/// the segments (already globally row-ordered) into the sink.
-fn merge_parallel(
-    spills: &[PathBuf],
-    frame: NormFrame,
-    sink: &mut StoreSink,
-    n_left: u32,
-    workers: usize,
-    spill_dir: &Path,
-) -> Result<Vec<PathBuf>, StoreError> {
-    let n_shards = spills.len();
-    let per_group = n_shards.div_ceil(workers);
-    let groups: Vec<(usize, usize)> = (0..workers)
-        .map(|g| (g * per_group, ((g + 1) * per_group).min(n_shards)))
-        .filter(|(s, e)| s < e)
-        .collect();
-    let seg_paths: Vec<PathBuf> = (0..groups.len())
-        .map(|g| spill_dir.join(format!("seg-{g}.merged")))
-        .collect();
-    let results = par::map_indexed(
-        groups.len(),
-        groups.len(),
-        || (),
-        |_, g| {
-            let (s, e) = groups[g];
-            merge_group(&spills[s..e], frame, &seg_paths[g], n_left)
-        },
-    );
-    for r in results {
-        r?;
-    }
-    // Segments are contiguous ascending row ranges, so reading them in
-    // order is the global row order.
-    for_each_row(&seg_paths, n_left, |l, row| sink.push_row(l, row))?;
-    Ok(seg_paths)
 }
 
 /// Build the top-k graph of `function` **out of core**: bounded shards
@@ -679,11 +611,10 @@ pub fn build_graph_sharded(
     }
     let frame = NormFrame::from_max(hi);
 
-    // ---- Merge phase: by row ranges into the on-disk v2 store. ----
+    // ---- Merge phase: rows in order into the on-disk v2 store. ----
     let n_left = left.len() as u32;
     let n_right = right.len() as u32;
     let resident_budget = sharding.shard_rows.saturating_mul(k).saturating_mul(2);
-    let workers = cfg.effective_threads().min(spills.len()).max(1);
     let merged = (|| -> Result<(StoreMeta, Vec<PathBuf>), StoreError> {
         let mut sink = StoreSink::new(
             out_path,
@@ -692,29 +623,15 @@ pub fn build_graph_sharded(
             &sharding.spill_dir,
             resident_budget,
         )?;
-        let mut temp_paths = Vec::new();
-        if workers <= 1 {
-            for_each_row(&spills, n_left, |l, row| {
-                finalize_row(frame, row);
-                sink.push_row(l, row)
-            })?;
-        } else {
-            temp_paths = merge_parallel(
-                &spills,
-                frame,
-                &mut sink,
-                n_left,
-                workers,
-                &sharding.spill_dir,
-            )?;
-        }
-        let (meta, run_paths) = sink.finish()?;
-        temp_paths.extend(run_paths);
-        Ok((meta, temp_paths))
+        for_each_row(&spills, n_left, |l, row| {
+            finalize_row(frame, row);
+            sink.push_row(l, row)
+        })?;
+        sink.finish()
     })();
     cleanup(&spills);
-    let (meta, temp_paths) = merged?;
-    cleanup(&temp_paths);
+    let (meta, run_paths) = merged?;
+    cleanup(&run_paths);
     acct.add_merged_bytes(meta.file_bytes as usize);
 
     let mapped = MappedCsr::open(out_path)?;
@@ -730,7 +647,6 @@ pub fn build_graph_sharded(
         spilled_triples,
         spilled_bytes: acct.spilled_bytes(),
         merged_bytes: acct.merged_bytes(),
-        merge_workers: workers,
     };
     Ok((mapped, stats, frame))
 }

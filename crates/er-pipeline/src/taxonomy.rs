@@ -39,14 +39,6 @@ impl WeightType {
         }
     }
 
-    /// Whether embeddings produce the weights.
-    pub fn is_semantic(&self) -> bool {
-        matches!(
-            self,
-            WeightType::SchemaBasedSemantic | WeightType::SchemaAgnosticSemantic
-        )
-    }
-
     /// Whether a single attribute (vs the whole profile) is compared.
     pub fn is_schema_based(&self) -> bool {
         matches!(
@@ -245,7 +237,6 @@ mod tests {
 
     #[test]
     fn weight_type_properties() {
-        assert!(WeightType::SchemaBasedSemantic.is_semantic());
         assert!(WeightType::SchemaBasedSemantic.is_schema_based());
         assert!(!WeightType::SchemaAgnosticSyntactic.is_schema_based());
         assert_eq!(WeightType::ALL.len(), 4);

@@ -35,8 +35,8 @@ use er_core::SimilarityGraph;
 use er_datasets::{Dataset, DatasetId, EntityCollection, EntityProfile};
 use er_embed::{EmbeddingModel, SemanticMeasure};
 use er_pipeline::{
-    build_graph_over, build_graph_topk, BuildStats, CandidateMode, KernelMode, PipelineConfig,
-    SemanticScope, SimilarityFunction,
+    build_graph_over, build_graph_topk, BuildStats, CandidateMode, PipelineConfig, SemanticScope,
+    SimilarityFunction,
 };
 use er_textsim::{
     CharMeasure, GraphSimilarity, NGramScheme, SchemaBasedMeasure, TokenMeasure, VectorMeasure,
@@ -81,11 +81,7 @@ fn arb_collection(max_entities: usize) -> impl Strategy<Value = EntityCollection
 }
 
 fn cfg_with(threads: usize) -> PipelineConfig {
-    PipelineConfig {
-        threads,
-        wmd_token_cap: 4,
-        ..PipelineConfig::default()
-    }
+    PipelineConfig { threads }
 }
 
 /// Exact comparison: edge sequence and weight bits.
@@ -126,8 +122,7 @@ fn assert_counters_consistent(stats: &BuildStats, what: &str) {
     );
 }
 
-/// Run one function through both modes, under both kernel modes, and
-/// check invariants 1 and 2.
+/// Run one function through both modes and check invariants 1 and 2.
 fn check_function(
     left: &EntityCollection,
     right: &EntityCollection,
@@ -135,29 +130,21 @@ fn check_function(
     k: usize,
     threads: usize,
 ) {
-    for kernel_mode in [KernelMode::Scalar, KernelMode::Lanes] {
-        let cfg = PipelineConfig {
-            kernel_mode,
-            ..cfg_with(threads)
-        };
-        let what = format!(
-            "{} k={k} threads={threads} kernel={kernel_mode:?}",
-            function.name()
-        );
-        let (g_enum, s_enum, _) =
-            build_graph_topk(left, right, function, k, CandidateMode::Enumerated, &cfg);
-        let (g_idx, s_idx, _) =
-            build_graph_topk(left, right, function, k, CandidateMode::Indexed, &cfg);
-        assert_bit_identical(&g_enum, &g_idx, &what);
-        assert_counters_consistent(&s_enum, &format!("{what} enumerated"));
-        assert_counters_consistent(&s_idx, &format!("{what} indexed"));
-        assert!(
-            s_idx.generated_pairs <= s_enum.generated_pairs,
-            "{what}: indexed generated {} > enumerated generated {}",
-            s_idx.generated_pairs,
-            s_enum.generated_pairs
-        );
-    }
+    let cfg = cfg_with(threads);
+    let what = format!("{} k={k} threads={threads}", function.name());
+    let (g_enum, s_enum, _) =
+        build_graph_topk(left, right, function, k, CandidateMode::Enumerated, &cfg);
+    let (g_idx, s_idx, _) =
+        build_graph_topk(left, right, function, k, CandidateMode::Indexed, &cfg);
+    assert_bit_identical(&g_enum, &g_idx, &what);
+    assert_counters_consistent(&s_enum, &format!("{what} enumerated"));
+    assert_counters_consistent(&s_idx, &format!("{what} indexed"));
+    assert!(
+        s_idx.generated_pairs <= s_enum.generated_pairs,
+        "{what}: indexed generated {} > enumerated generated {}",
+        s_idx.generated_pairs,
+        s_enum.generated_pairs
+    );
 }
 
 /// The taxonomy branches with a candidate index.

@@ -23,18 +23,21 @@
 //!    short-circuits) — the pruned top-k build remains bit-identical to
 //!    dense-then-prune for `threads ∈ {1, 4}`, and the offered/pruned/
 //!    scored accounting stays consistent;
-//! 7. **kernel modes are equivalent**: `KernelMode::Lanes` (batched
-//!    screens, multi-text Myers, lane-parallel dense kernels, WMD row
-//!    tables filled by the interleaved block kernel) builds
-//!    bit-identical top-k graphs to `KernelMode::Scalar` for every
-//!    bounded scorer, across both candidate modes and `threads ∈ {1, 4}`;
-//! 8. **the threads × kernel surface is flat in the bits on a realistic
+//! 7. **the lane builds equal the scalar oracle**: the top-k graphs
+//!    every bounded scorer builds (batched screens, multi-text Myers,
+//!    lane-parallel dense kernels, WMD row tables filled by the
+//!    interleaved block kernel, the weighted-postings cosine walk) equal
+//!    the brute-force scalar oracle (`oracle/mod.rs`) bit for bit, across
+//!    both candidate modes and `threads ∈ {1, 4}`;
+//! 8. **the thread-count surface is flat in the bits on a realistic
 //!    corpus** (fixed seed): on the generated movies linkage (D7 at scale
-//!    0.05), every `threads ∈ {1, 2, 4}` × `KernelMode` cell of an indexed
-//!    Levenshtein and an enumerated cosine top-3 build equals the serial
-//!    scalar build, which itself equals dense-then-prune. Sweeps over a
-//!    graph are thread-count invariant by `er-eval/tests/proptests.rs`
-//!    (2 and 4 workers against the naive per-threshold re-run).
+//!    0.05), every `threads ∈ {1, 2, 4}` cell of an indexed Levenshtein
+//!    and an enumerated cosine top-3 build equals the brute-force scalar
+//!    oracle and dense-then-prune. Sweeps over a graph are thread-count
+//!    invariant by `er-eval/tests/proptests.rs` (2 and 4 workers against
+//!    the naive per-threshold re-run).
+
+mod oracle;
 
 use er_core::{FxHashSet, GroundTruth, SimilarityGraph};
 use er_datasets::{Dataset, DatasetId, DatasetSpec, EntityCollection, EntityProfile};
@@ -42,7 +45,7 @@ use er_embed::{EmbeddingModel, SemanticMeasure};
 use er_pipeline::blocking::{restrict_graph, token_blocking};
 use er_pipeline::{
     build_graph_over, build_graph_restricted, build_graph_topk, build_prepared, BuildStats,
-    CandidateMode, KernelMode, PipelineConfig, SemanticScope, SimilarityFunction,
+    CandidateMode, PipelineConfig, SemanticScope, SimilarityFunction,
 };
 use er_textsim::{CharMeasure, GraphSimilarity, NGramScheme, SchemaBasedMeasure, VectorMeasure};
 use proptest::prelude::*;
@@ -129,11 +132,7 @@ fn topk_enumerated(
 }
 
 fn cfg(threads: usize) -> PipelineConfig {
-    PipelineConfig {
-        threads,
-        wmd_token_cap: 4,
-        ..PipelineConfig::default()
-    }
+    PipelineConfig { threads }
 }
 
 /// Exact comparison: edge sequence and weight bits.
@@ -329,15 +328,15 @@ proptest! {
 
     /// Invariant 7: the lane kernels never change a bit. For every
     /// bounded scorer family (all 7 character measures, Word Mover's,
-    /// dense cosine), `build_graph_topk` under `KernelMode::Lanes`
-    /// equals `KernelMode::Scalar` bit for bit — across both candidate
-    /// modes (enumeration and index-driven generation) and
+    /// dense cosine) and both token-vector cosines, `build_graph_topk`
+    /// equals the brute-force scalar oracle bit for bit — across both
+    /// candidate modes (enumeration and index-driven generation) and
     /// `threads ∈ {1, 4}`. Small `k` keeps the admission bound tight, so
     /// the stale-bound lane screens and buffered index flushes actually
-    /// diverge from the scalar pruning *decisions* while the retained
+    /// diverge from per-pair pruning *decisions* while the retained
     /// graphs must not.
     #[test]
-    fn lane_kernels_match_scalar_kernels(
+    fn topk_builds_match_the_scalar_oracle(
         left in arb_collection(6),
         right in arb_collection(6),
         k in 1usize..=2,
@@ -361,8 +360,8 @@ proptest! {
             measure: SemanticMeasure::Cosine,
             scope: SemanticScope::SchemaAgnostic,
         });
-        // The token-vector cosine branch has its own lane path (the
-        // weighted-postings dot accumulator in `VectorScorer`).
+        // The token-vector cosine branch has its own accumulator walk
+        // (the weighted postings in `VectorScorer`).
         functions.push(SimilarityFunction::SchemaAgnosticVector {
             scheme: NGramScheme::Token(1),
             measure: VectorMeasure::CosineTfIdf,
@@ -371,36 +370,20 @@ proptest! {
             scheme: NGramScheme::Char(2),
             measure: VectorMeasure::CosineTf,
         });
-        let with_kernel = |base: &PipelineConfig, kernel: KernelMode| PipelineConfig {
-            kernel_mode: kernel,
-            ..base.clone()
-        };
         for function in functions {
+            let want = oracle::topk(&left, &right, &function, k);
             for mode in [CandidateMode::Enumerated, CandidateMode::Indexed] {
-                let (scalar, _, _) = build_graph_topk(
-                    &left,
-                    &right,
-                    &function,
-                    k,
-                    mode,
-                    &with_kernel(&cfg(1), KernelMode::Scalar),
-                );
                 for threads in [1usize, 4] {
-                    let (lanes, _, _) = build_graph_topk(
-                        &left,
-                        &right,
-                        &function,
-                        k,
+                    let (g, _, _) =
+                        build_graph_topk(&left, &right, &function, k, mode, &cfg(threads));
+                    prop_assert_eq!(
+                        oracle::edge_bits(&g),
+                        want.clone(),
+                        "{} ≡ oracle mode={:?} threads={} k={}",
+                        function.name(),
                         mode,
-                        &with_kernel(&cfg(threads), KernelMode::Lanes),
-                    );
-                    assert_bit_identical(
-                        &scalar,
-                        &lanes,
-                        &format!(
-                            "{} lanes≡scalar mode={mode:?} threads={threads} k={k}",
-                            function.name()
-                        ),
+                        threads,
+                        k
                     );
                 }
             }
@@ -436,11 +419,10 @@ proptest! {
 }
 
 /// Invariant 8. The cosine build runs enumerated on purpose: the indexed
-/// prefix-filter walk stays scalar under `KernelMode::Lanes`, so
-/// enumerated candidates are where the weighted-postings lane
-/// accumulator engages.
+/// prefix-filter walk scores one candidate at a time, so enumerated
+/// candidates are where the weighted-postings accumulator engages.
 #[test]
-fn threads_and_kernels_are_bit_identical_on_a_generated_corpus() {
+fn threads_are_bit_identical_on_a_generated_corpus() {
     let dataset = Dataset::generate(DatasetId::D7, 0.05, 17);
     let (left, right) = (&dataset.left, &dataset.right);
     let k = 3;
@@ -460,33 +442,23 @@ fn threads_and_kernels_are_bit_identical_on_a_generated_corpus() {
             CandidateMode::Enumerated,
         ),
     ];
-    let cfg = |threads, kernel_mode| PipelineConfig {
-        threads,
-        kernel_mode,
-        ..PipelineConfig::default()
-    };
     for (function, mode) in &builds {
-        let (reference, _, _) =
-            build_graph_topk(left, right, function, k, *mode, &cfg(1, KernelMode::Scalar));
-        let dense = build_graph_over(left, right, function, &cfg(1, KernelMode::Scalar));
-        assert_bit_identical(
-            &dense.pruned_top_k(k),
-            &reference,
-            &format!("{} dense-then-prune on D7", function.name()),
+        let want = oracle::topk(left, right, function, k);
+        let dense = build_graph_over(left, right, function, &cfg(1));
+        assert_eq!(
+            oracle::edge_bits(&dense.pruned_top_k(k)),
+            want,
+            "{} dense-then-prune on D7",
+            function.name()
         );
         for threads in [1, 2, 4] {
-            for kernel in [KernelMode::Scalar, KernelMode::Lanes] {
-                let (g, _, _) =
-                    build_graph_topk(left, right, function, k, *mode, &cfg(threads, kernel));
-                assert_bit_identical(
-                    &reference,
-                    &g,
-                    &format!(
-                        "{} {mode:?} threads={threads} kernel={kernel:?} on D7",
-                        function.name()
-                    ),
-                );
-            }
+            let (g, _, _) = build_graph_topk(left, right, function, k, *mode, &cfg(threads));
+            assert_eq!(
+                oracle::edge_bits(&g),
+                want,
+                "{} {mode:?} threads={threads} on D7",
+                function.name()
+            );
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Kernel-equivalence property suite: the lane-parallel (SWAR) kernels
-//! behind `KernelMode::Lanes` are **bit-identical** to the scalar
-//! kernels they replace — not approximately, not "up to an epsilon",
-//! but the same integers and the same `f64` bit patterns.
+//! the construction engine runs are **bit-identical** to the scalar
+//! kernels that define each measure — not approximately, not "up to an
+//! epsilon", but the same integers and the same `f64` bit patterns.
 //!
 //! Layers covered:
 //! * the multi-text Myers batch vs. the scalar bit-parallel pattern
@@ -13,19 +13,21 @@
 //!   guarded similarity wrapper) vs. the scalar `DenseVector` geometry,
 //!   plus the operand-order symmetry the WMD row tables rely on, and
 //!   the interleaved block kernel that fills those tables;
-//! * whole graphs: for all 7 character measures and the three semantic
-//!   measures (cosine, Euclidean, Word Mover's), dense and top-k builds
-//!   under `KernelMode::Lanes` equal `KernelMode::Scalar` bit for bit —
-//!   over every candidate source: the branch's own enumeration and its
-//!   candidate index (top-k), and blocked candidate lists
-//!   (`token_blocking`, dense).
+//! * whole graphs: for all 7 character measures, the three semantic
+//!   measures (cosine, Euclidean, Word Mover's) and both token-vector
+//!   cosines, dense and top-k builds equal the brute-force scalar oracle
+//!   (`oracle/mod.rs`: every pair scored by the public per-pair measure)
+//!   bit for bit — over every candidate source: the branch's own
+//!   enumeration and its candidate index (top-k), and blocked candidate
+//!   lists (`token_blocking`, dense).
 
-use er_core::SimilarityGraph;
+mod oracle;
+
 use er_datasets::{EntityCollection, EntityProfile};
 use er_embed::{lanes as embed_lanes, DenseVector, EmbeddingModel, SemanticMeasure};
 use er_pipeline::{
     build_graph_over, build_graph_restricted, build_graph_topk, token_blocking, CandidateMode,
-    KernelMode, PipelineConfig, SemanticScope, SimilarityFunction,
+    PipelineConfig, SemanticScope, SimilarityFunction,
 };
 use er_textsim::lanes::{
     bag_upper_bounds_from_common, length_upper_bounds, sorted_common_counts, MyersBatch, LANE_WIDTH,
@@ -87,28 +89,6 @@ fn collection_of(
             .collect(),
         attribute_names: vec!["name".into()],
     })
-}
-
-fn cfg(kernel: KernelMode) -> PipelineConfig {
-    PipelineConfig {
-        threads: 1,
-        wmd_token_cap: 4,
-        kernel_mode: kernel,
-    }
-}
-
-fn assert_bit_identical(a: &SimilarityGraph, b: &SimilarityGraph, what: &str) {
-    assert_eq!(a.n_edges(), b.n_edges(), "{what}: edge count");
-    for (x, y) in a.edges().iter().zip(b.edges()) {
-        assert_eq!((x.left, x.right), (y.left, y.right), "{what}: pair order");
-        assert_eq!(
-            x.weight.to_bits(),
-            y.weight.to_bits(),
-            "{what}: weight bits of ({}, {})",
-            x.left,
-            x.right
-        );
-    }
 }
 
 proptest! {
@@ -297,28 +277,28 @@ proptest! {
 }
 
 proptest! {
-    // Whole-graph equivalence builds dense reference graphs per measure,
-    // so fewer, larger cases.
+    // Whole-graph equivalence scores every pair per measure, so fewer,
+    // larger cases.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// End to end: for all 7 character measures and the three semantic
-    /// measures, both the dense build and the pruned top-k build (both
-    /// candidate modes) produce bit-identical graphs under
-    /// `KernelMode::Lanes` and `KernelMode::Scalar`. The unicode
-    /// collections include > 64-char values (multi-block Myers) and
-    /// supplementary-plane chars; right-side counts indivisible by the
-    /// lane width exercise ragged tails through every chunked path.
-    /// The blocked build (`build_graph_restricted`) runs over separate
-    /// space-separated collections whose `token_blocking` candidates fill
-    /// whole lanes.
+    /// End to end: for all 7 character measures, the three semantic
+    /// measures and both token-vector cosines, the dense build and the
+    /// pruned top-k build (both candidate modes) equal the brute-force
+    /// scalar oracle bit for bit. The unicode collections include
+    /// > 64-char values (multi-block Myers) and supplementary-plane
+    /// chars; right-side counts indivisible by the lane width exercise
+    /// ragged tails through every chunked path. The blocked build
+    /// (`build_graph_restricted`) runs over separate space-separated
+    /// collections whose `token_blocking` candidates fill whole lanes.
     #[test]
-    fn graphs_are_bit_identical_across_kernel_modes(
+    fn lane_builds_match_the_scalar_oracle(
         left in arb_unicode_collection(5),
         right in arb_unicode_collection(7),
         blocked_left in arb_tokenized_collection(5),
         blocked_right in arb_tokenized_collection(12),
         k in 1usize..=2,
     ) {
+        let cfg = PipelineConfig { threads: 1 };
         let candidates = token_blocking(&blocked_left, &blocked_right).candidate_pairs();
         let mut functions: Vec<SimilarityFunction> = CharMeasure::all()
             .into_iter()
@@ -349,45 +329,31 @@ proptest! {
             measure: VectorMeasure::CosineTf,
         });
         for function in functions {
-            let dense_scalar =
-                build_graph_over(&left, &right, &function, &cfg(KernelMode::Scalar));
-            let dense_lanes = build_graph_over(&left, &right, &function, &cfg(KernelMode::Lanes));
-            assert_bit_identical(
-                &dense_scalar,
-                &dense_lanes,
-                &format!("{} dense", function.name()),
+            let name = function.name();
+            prop_assert_eq!(
+                oracle::edge_bits(&build_graph_over(&left, &right, &function, &cfg)),
+                oracle::dense(&left, &right, &function),
+                "{} dense",
+                name
             );
+            let want = oracle::topk(&left, &right, &function, k);
             for mode in [CandidateMode::Enumerated, CandidateMode::Indexed] {
-                let (topk_scalar, _, _) = build_graph_topk(
-                    &left,
-                    &right,
-                    &function,
+                let (g, _, _) = build_graph_topk(&left, &right, &function, k, mode, &cfg);
+                prop_assert_eq!(
+                    oracle::edge_bits(&g),
+                    want.clone(),
+                    "{} topk k={} mode={:?}",
+                    name,
                     k,
-                    mode,
-                    &cfg(KernelMode::Scalar),
-                );
-                let (topk_lanes, _, _) = build_graph_topk(
-                    &left,
-                    &right,
-                    &function,
-                    k,
-                    mode,
-                    &cfg(KernelMode::Lanes),
-                );
-                assert_bit_identical(
-                    &topk_scalar,
-                    &topk_lanes,
-                    &format!("{} topk k={k} mode={mode:?}", function.name()),
+                    mode
                 );
             }
             let (bl, br) = (&blocked_left, &blocked_right);
-            let restricted = |kernel| {
-                build_graph_restricted(bl, br, &function, &candidates, &cfg(kernel))
-            };
-            assert_bit_identical(
-                &restricted(KernelMode::Scalar),
-                &restricted(KernelMode::Lanes),
-                &format!("{} restricted", function.name()),
+            prop_assert_eq!(
+                oracle::edge_bits(&build_graph_restricted(bl, br, &function, &candidates, &cfg)),
+                oracle::restricted(bl, br, &function, &candidates),
+                "{} restricted",
+                name
             );
         }
     }

@@ -18,26 +18,17 @@
 //!    whether indexed at once or scored as overflow until a rebuild, and
 //!    right inserts prune under a live bound too.
 //!
-//! Every catalog function of a small generated dataset runs under both
-//! [`KernelMode`]s — the indexed token-vector, character and dense
-//! semantic families as well as the fallback branches (schema-based token
-//! measures, n-gram graphs, Word Mover's).
+//! Every catalog function of a small generated dataset runs — the indexed
+//! token-vector, character and dense semantic families as well as the
+//! fallback branches (schema-based token measures, n-gram graphs, Word
+//! Mover's).
 
 use er_core::{RowDelta, Side, SimilarityGraph};
 use er_datasets::{Dataset, DatasetId, EntityProfile};
 use er_pipeline::{
-    build_graph_topk, CandidateMode, KernelMode, NormFrame, PipelineConfig, ResidentScorer,
-    SimilarityFunction,
+    build_graph_topk, CandidateMode, NormFrame, PipelineConfig, ResidentScorer, SimilarityFunction,
 };
 use er_textsim::SchemaBasedMeasure;
-
-fn config(kernel_mode: KernelMode) -> PipelineConfig {
-    PipelineConfig {
-        threads: 2,
-        kernel_mode,
-        ..PipelineConfig::default()
-    }
-}
 
 fn resident(
     d: &Dataset,
@@ -165,53 +156,51 @@ impl Resident {
     }
 }
 
-/// The insert oracles for `f` under both kernel modes, inserting a copy
-/// of every `stride`-th profile. With `among_copies`, both residents then
+/// The insert oracles for `f`, inserting a copy of every `stride`-th
+/// profile. With `among_copies`, both residents then
 /// insert more copies on alternating sides, which must meet the earlier
 /// copies exactly as their originals met each other — the check on the
 /// indexed families' index maintenance (postings appended per insert,
 /// buckets and balls scored as overflow until rebuilt).
 fn check(d: &Dataset, f: &SimilarityFunction, k: usize, stride: usize, among_copies: bool) {
-    for kernel in [KernelMode::Scalar, KernelMode::Lanes] {
-        let cfg = config(kernel);
-        let label = format!("{} under {kernel:?}", f.name());
-        let build = |k| build_graph_topk(&d.left, &d.right, f, k, CandidateMode::Indexed, &cfg);
-        let (g, _, frame) = build(k);
-        let (all, _, all_frame) = build(usize::MAX);
-        // The row bound keeps the global maximum and the 0.0 floor.
-        assert_eq!(frame, all_frame, "{label}: one frame for both builds");
+    let cfg = PipelineConfig { threads: 2 };
+    let label = f.name();
+    let build = |k| build_graph_topk(&d.left, &d.right, f, k, CandidateMode::Indexed, &cfg);
+    let (g, _, frame) = build(k);
+    let (all, _, all_frame) = build(usize::MAX);
+    // The row bound keeps the global maximum and the 0.0 floor.
+    assert_eq!(frame, all_frame, "{label}: one frame for both builds");
 
-        let mut top_k = Resident::new(resident(d, f, k, frame, &cfg), k);
-        for i in (0..d.left.len()).step_by(stride) {
-            assert_eq!(
-                top_k.insert(d, Side::Left, i),
-                row(&g, i as u32),
-                "{label}: left insert of a copy of left {i}"
-            );
-        }
-        let mut unbounded = Resident::new(resident(d, f, usize::MAX, frame, &cfg), usize::MAX);
-        for j in (0..d.right.len()).step_by(stride) {
-            assert_eq!(
-                unbounded.insert(d, Side::Right, j),
-                column(&all, j as u32),
-                "{label}: right insert of a copy of right {j}"
-            );
-        }
-        if !among_copies {
-            continue;
-        }
-        for mut r in [top_k, unbounded] {
-            for t in (0..d.left.len().max(d.right.len())).step_by(stride) {
-                for (side, n) in [(Side::Right, d.right.len()), (Side::Left, d.left.len())] {
-                    let expect = r.expected(&all, side, t % n);
-                    assert_eq!(
-                        r.insert(d, side, t % n),
-                        expect,
-                        "{label}: top-{} {side:?} insert of a copy of {} among copies",
-                        r.top,
-                        t % n
-                    );
-                }
+    let mut top_k = Resident::new(resident(d, f, k, frame, &cfg), k);
+    for i in (0..d.left.len()).step_by(stride) {
+        assert_eq!(
+            top_k.insert(d, Side::Left, i),
+            row(&g, i as u32),
+            "{label}: left insert of a copy of left {i}"
+        );
+    }
+    let mut unbounded = Resident::new(resident(d, f, usize::MAX, frame, &cfg), usize::MAX);
+    for j in (0..d.right.len()).step_by(stride) {
+        assert_eq!(
+            unbounded.insert(d, Side::Right, j),
+            column(&all, j as u32),
+            "{label}: right insert of a copy of right {j}"
+        );
+    }
+    if !among_copies {
+        return;
+    }
+    for mut r in [top_k, unbounded] {
+        for t in (0..d.left.len().max(d.right.len())).step_by(stride) {
+            for (side, n) in [(Side::Right, d.right.len()), (Side::Left, d.left.len())] {
+                let expect = r.expected(&all, side, t % n);
+                assert_eq!(
+                    r.insert(d, side, t % n),
+                    expect,
+                    "{label}: top-{} {side:?} insert of a copy of {} among copies",
+                    r.top,
+                    t % n
+                );
             }
         }
     }

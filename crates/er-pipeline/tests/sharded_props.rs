@@ -17,9 +17,8 @@
 //!    with the retained edge count, and the flow counters (generated,
 //!    offered, pruned, scored, retained) equal the in-RAM build's — its
 //!    single-shard case;
-//! 4. **one byte format from both store writers**: at one thread (the
-//!    direct merge) and at 2–4 threads (the row-range-parallel merge,
-//!    one worker per thread up to the shard count), the store file is
+//! 4. **one byte format from both store writers**: at one to four
+//!    scoring threads, the store file the sharded merge writes is
 //!    *byte-identical* to `write_csr` of the in-RAM build — sort-order
 //!    column, checksum and all;
 //! 5. **the budget bites on a realistic corpus** (fixed seed): on the
@@ -115,11 +114,7 @@ fn branch_representatives() -> Vec<SimilarityFunction> {
 }
 
 fn cfg(threads: usize) -> PipelineConfig {
-    PipelineConfig {
-        threads,
-        wmd_token_cap: 4,
-        ..PipelineConfig::default()
-    }
+    PipelineConfig { threads }
 }
 
 /// Exact comparison of the read-back store against the in-RAM build.
@@ -156,7 +151,6 @@ fn assert_sharded_matches_ram(
         ram_graph.sorted_edges().all(),
         "{what}: the persisted sort-order column is the in-RAM sorted view"
     );
-    assert!(stats.merge_workers >= 1, "{what}: merge ran");
     assert_eq!(frame, ram_frame, "{what}: identical normalization frame");
     assert_eq!(stats.retained_edges, want.n_edges(), "{what}: retained");
     let flow = |s: &BuildStats| {
@@ -198,30 +192,19 @@ fn assert_sharded_matches_ram(
 
 /// Invariant 4: build `function` out of core at each of `threads`, and
 /// require every store file to be byte-identical to `write_csr` of the
-/// in-RAM build, with the resident budget and the merge-worker count the
-/// thread budget implies, and the in-RAM frame. `config` fixes every
-/// setting but the thread count.
+/// in-RAM build, with the configured resident budget and the in-RAM
+/// frame.
 fn assert_store_bytes_match_write_csr(
     left: &EntityCollection,
     right: &EntityCollection,
     function: &SimilarityFunction,
     k: usize,
-    config: &PipelineConfig,
     shard_rows: usize,
     threads: &[usize],
 ) -> Vec<BuildStats> {
     let dir = scratch_dir();
-    let (ram_graph, _, ram_frame) = build_graph_topk(
-        left,
-        right,
-        function,
-        k,
-        CandidateMode::Indexed,
-        &PipelineConfig {
-            threads: 1,
-            ..config.clone()
-        },
-    );
+    let (ram_graph, _, ram_frame) =
+        build_graph_topk(left, right, function, k, CandidateMode::Indexed, &cfg(1));
     let reference = dir.join("write_csr.slab");
     write_csr(&CsrGraph::from_graph(&ram_graph), &reference).expect("write_csr succeeds");
     let want = std::fs::read(&reference).unwrap();
@@ -239,10 +222,7 @@ fn assert_store_bytes_match_write_csr(
             function,
             k,
             CandidateMode::Indexed,
-            &PipelineConfig {
-                threads: t,
-                ..config.clone()
-            },
+            &cfg(t),
             &ShardedConfig::new(shard_rows, dir.join(format!("spills-{t}"))),
             &out,
         )
@@ -257,11 +237,6 @@ fn assert_store_bytes_match_write_csr(
             stats.resident_budget_edges,
             2 * shard_rows * k,
             "{what}: budget"
-        );
-        assert_eq!(
-            stats.merge_workers,
-            t.min(stats.shards).max(1),
-            "{what}: merge workers"
         );
         assert!(
             stats.peak_resident_edges <= stats.resident_budget_edges,
@@ -326,8 +301,8 @@ proptest! {
         }
     }
 
-    /// Invariant 4 on the schema-agnostic cosine: both merge paths write
-    /// `write_csr`'s bytes.
+    /// Invariant 4 on the schema-agnostic cosine: one thread and several
+    /// write `write_csr`'s bytes.
     #[test]
     fn store_bytes_equal_write_csr_of_the_ram_build(
         left in arb_collection(8),
@@ -340,18 +315,18 @@ proptest! {
             measure: VectorMeasure::CosineTfIdf,
         };
         assert_store_bytes_match_write_csr(
-            &left, &right, &function, 2, &cfg(1), shard_rows, &[1, threads],
+            &left, &right, &function, 2, shard_rows, &[1, threads],
         );
     }
 
     /// Regression: a schema-based scorer skips entities that lack its
-    /// attribute, so its shards cut scorer rows, not left ids. The
-    /// parallel merge once assumed shard `s` started at left id
-    /// `s · shard_rows` and rejected such builds with "spill records
-    /// outside the left id space". Every merge-worker count must accept
-    /// them and write `write_csr`'s bytes.
+    /// attribute, so its shards cut scorer rows, not left ids. A merge
+    /// that assumed shard `s` started at left id `s · shard_rows` once
+    /// rejected such builds with "spill records outside the left id
+    /// space". Every thread count must accept them and write
+    /// `write_csr`'s bytes.
     #[test]
-    fn parallel_merge_accepts_schema_based_shards(
+    fn merge_accepts_schema_based_shards(
         left in arb_collection(10),
         right in arb_collection(6),
         shard_rows in 1usize..=3,
@@ -363,14 +338,13 @@ proptest! {
             measure: SchemaBasedMeasure::Char(CharMeasure::Levenshtein),
         };
         assert_store_bytes_match_write_csr(
-            &left, &right, &function, 2, &cfg(1), shard_rows, &[1, threads],
+            &left, &right, &function, 2, shard_rows, &[1, threads],
         );
     }
 }
 
 /// Invariant 5: a cosine top-3 build at 16 rows per shard, at one to
-/// four threads, against `write_csr` of the in-RAM build under the
-/// production default config.
+/// four threads, against `write_csr` of the in-RAM build.
 #[test]
 fn shard_budget_stays_below_the_stored_graph_on_a_generated_corpus() {
     let dataset = Dataset::generate(DatasetId::D7, 0.05, 17);
@@ -383,7 +357,6 @@ fn shard_budget_stays_below_the_stored_graph_on_a_generated_corpus() {
         &dataset.right,
         &function,
         3,
-        &PipelineConfig::default(),
         16,
         &[1, 2, 3, 4],
     ) {

@@ -11,10 +11,10 @@
 //!   `O(⌈|a|/64⌉·|b|)`. The pattern's per-character bit masks are
 //!   prepared **once** and reused against every text — exactly the
 //!   all-pairs access shape (one left row vs every right candidate).
-//! * [`levenshtein_bounded`] / [`osa_bounded`] — Ukkonen-style banded
-//!   DPs that evaluate only cells within `max_dist` of the diagonal and
-//!   abandon the pair as soon as the distance provably exceeds
-//!   `max_dist`. The scorers derive `max_dist` from a top-k sink's
+//! * [`osa_bounded`] — an Ukkonen-style banded Damerau-Levenshtein DP
+//!   that evaluates only cells within `max_dist` of the diagonal and
+//!   abandons the pair as soon as the distance provably exceeds
+//!   `max_dist`. The char scorer derives `max_dist` from a top-k sink's
 //!   admission bound, turning "cannot enter the heap anyway" into an
 //!   early exit.
 //!
@@ -58,19 +58,6 @@ impl MyersPattern {
     /// An empty pattern holder (prepare before use).
     pub fn new() -> Self {
         MyersPattern::default()
-    }
-
-    /// Length of the currently prepared pattern.
-    ///
-    /// ```
-    /// # use er_textsim::MyersPattern;
-    /// let mut p = MyersPattern::new();
-    /// p.prepare(&[97, 98, 99]);
-    /// assert_eq!(p.pattern_len(), 3);
-    /// ```
-    #[inline]
-    pub fn pattern_len(&self) -> usize {
-        self.m
     }
 
     /// Prepare the match masks of `pattern`, replacing any previous
@@ -154,76 +141,12 @@ pub struct BandRows {
     prev2: Vec<usize>,
 }
 
-/// Levenshtein distance if it is `≤ max_dist`, `None` otherwise —
-/// Ukkonen's banded DP: only cells within `max_dist` of the diagonal
-/// exist, and the pair is abandoned as soon as an entire band row
-/// exceeds the cutoff. Cost `O((2·max_dist + 1) · |a|)`.
-///
-/// ```
-/// use er_textsim::{levenshtein_bounded, BandRows};
-///
-/// let a: Vec<u32> = "kitten".chars().map(u32::from).collect();
-/// let b: Vec<u32> = "sitting".chars().map(u32::from).collect();
-/// let mut rows = BandRows::default();
-/// assert_eq!(levenshtein_bounded(&a, &b, 3, &mut rows), Some(3));
-/// assert_eq!(levenshtein_bounded(&a, &b, 2, &mut rows), None);
-/// ```
-pub fn levenshtein_bounded(
-    a: &[u32],
-    b: &[u32],
-    max_dist: usize,
-    rows: &mut BandRows,
-) -> Option<usize> {
-    let (n, m) = (a.len(), b.len());
-    if n.abs_diff(m) > max_dist {
-        return None;
-    }
-    if n == 0 {
-        return Some(m); // m ≤ max_dist by the guard above
-    }
-    if m == 0 {
-        return Some(n);
-    }
-    let inf = max_dist.saturating_add(1);
-    rows.prev.clear();
-    rows.prev
-        .extend((0..=m).map(|j| if j <= max_dist { j } else { inf }));
-    rows.cur.clear();
-    rows.cur.resize(m + 1, inf);
-    for i in 1..=n {
-        let lo = i.saturating_sub(max_dist).max(1);
-        let hi = (i + max_dist).min(m);
-        if lo > hi {
-            return None;
-        }
-        rows.cur[lo - 1] = if lo == 1 && i <= max_dist { i } else { inf };
-        let mut row_min = inf;
-        for j in lo..=hi {
-            let cost = usize::from(a[i - 1] != b[j - 1]);
-            let d = (rows.prev[j - 1].saturating_add(cost))
-                .min(rows.prev[j].saturating_add(1))
-                .min(rows.cur[j - 1].saturating_add(1))
-                .min(inf);
-            rows.cur[j] = d;
-            row_min = row_min.min(d);
-        }
-        // Invalidate the column the band just vacated so the next row
-        // never reads a stale value as its `prev[j]`.
-        if hi < m {
-            rows.cur[hi + 1] = inf;
-        }
-        if row_min > max_dist {
-            return None;
-        }
-        std::mem::swap(&mut rows.prev, &mut rows.cur);
-    }
-    (rows.prev[m] <= max_dist).then_some(rows.prev[m])
-}
-
 /// Damerau-Levenshtein distance (optimal string alignment variant, as
 /// [`damerau_levenshtein_distance`](crate::charlevel::damerau_levenshtein_distance))
-/// if it is `≤ max_dist`, `None` otherwise — the banded DP of
-/// [`levenshtein_bounded`] plus the adjacent-transposition case.
+/// if it is `≤ max_dist`, `None` otherwise — Ukkonen's banded DP: only
+/// cells within `max_dist` of the diagonal exist, and the pair is
+/// abandoned once the band rows exceed the cutoff. Cost
+/// `O((2·max_dist + 1) · |a|)`.
 ///
 /// The early exit requires **two** consecutive band rows above the
 /// cutoff: a transposition bridges from row `i−2` directly to row `i`,
@@ -336,22 +259,6 @@ mod tests {
                 levenshtein_distance_classic(&a, &b),
                 "pattern length {plen}"
             );
-        }
-    }
-
-    #[test]
-    fn bounded_agrees_with_classic_and_cuts_off() {
-        let mut rows = BandRows::default();
-        for (a, b) in [("kitten", "sitting"), ("abcdef", "azcdxf"), ("", "xy")] {
-            let d = levenshtein_distance_classic(a, b);
-            for max_dist in 0..=(d + 2) {
-                let got = levenshtein_bounded(&codes(a), &codes(b), max_dist, &mut rows);
-                if max_dist >= d {
-                    assert_eq!(got, Some(d), "{a:?} vs {b:?} @ {max_dist}");
-                } else {
-                    assert_eq!(got, None, "{a:?} vs {b:?} @ {max_dist}");
-                }
-            }
         }
     }
 

@@ -367,13 +367,6 @@ impl CharScratch {
         self.myers.distance(b)
     }
 
-    /// Cutoff-bounded Levenshtein distance (`None` ⇔ `> max_dist`) via
-    /// the scratch band rows; see [`bitpar::levenshtein_bounded`].
-    #[inline]
-    pub fn levenshtein_bounded(&mut self, a: &[u32], b: &[u32], max_dist: usize) -> Option<usize> {
-        bitpar::levenshtein_bounded(a, b, max_dist, &mut self.band)
-    }
-
     /// Cutoff-bounded Damerau-Levenshtein (OSA) distance; see
     /// [`bitpar::osa_bounded`].
     #[inline]
@@ -447,23 +440,6 @@ pub fn levenshtein_distance_classic(a: &str, b: &str) -> usize {
     prev[b.len()]
 }
 
-/// Levenshtein distance if it is `≤ max_dist`, `None` otherwise — the
-/// Ukkonen-banded early-exit kernel ([`bitpar::levenshtein_bounded`])
-/// over a thread-local scratch. A pair whose distance provably exceeds
-/// the cutoff is abandoned after `O((2·max_dist + 1)·min(|a|, |b|))`
-/// work instead of the full grid.
-///
-/// ```
-/// use er_textsim::levenshtein_distance_bounded;
-///
-/// assert_eq!(levenshtein_distance_bounded("kitten", "sitting", 3), Some(3));
-/// assert_eq!(levenshtein_distance_bounded("kitten", "sitting", 2), None);
-/// assert_eq!(levenshtein_distance_bounded("", "", 0), Some(0));
-/// ```
-pub fn levenshtein_distance_bounded(a: &str, b: &str, max_dist: usize) -> Option<usize> {
-    with_str_codes(a, b, |ca, cb, s| s.levenshtein_bounded(ca, cb, max_dist))
-}
-
 /// `1 - d / max(|a|, |b|)`; 1.0 for two empty strings.
 pub fn levenshtein_similarity(a: &str, b: &str) -> f64 {
     with_str_codes(a, b, |ca, cb, s| {
@@ -510,13 +486,6 @@ fn osa_distance_codes(a: &[u32], b: &[u32], s: &mut CharScratch) -> usize {
         std::mem::swap(&mut s.prev_u, &mut s.cur_u);
     }
     s.prev_u[b.len()]
-}
-
-/// `1 - d / max(|a|, |b|)`; 1.0 for two empty strings.
-pub fn damerau_levenshtein_similarity(a: &str, b: &str) -> f64 {
-    with_str_codes(a, b, |ca, cb, s| {
-        CharMeasure::DamerauLevenshtein.similarity_codes(ca, cb, s)
-    })
 }
 
 /// Jaro similarity: `(m/|a| + m/|b| + (m-t)/m) / 3` with `m` common
@@ -696,13 +665,6 @@ fn lcs_subsequence_len_codes(a: &[u32], b: &[u32], s: &mut CharScratch) -> usize
     s.prev_u[b.len()]
 }
 
-/// `|lcs_seq(a,b)| / max(|a|, |b|)`; 1.0 for two empty strings.
-pub fn lcs_subsequence_similarity(a: &str, b: &str) -> f64 {
-    with_str_codes(a, b, |ca, cb, s| {
-        CharMeasure::LongestCommonSubsequence.similarity_codes(ca, cb, s)
-    })
-}
-
 /// Longest common substring length (consecutive characters).
 pub fn lcs_substring_len(a: &str, b: &str) -> usize {
     with_str_codes(a, b, lcs_substring_len_codes)
@@ -809,27 +771,14 @@ mod tests {
     }
 
     #[test]
-    fn bounded_levenshtein_edge_cutoffs() {
-        assert_eq!(levenshtein_distance_bounded("abc", "abc", 0), Some(0));
-        assert_eq!(levenshtein_distance_bounded("abc", "abd", 0), None);
-        assert_eq!(levenshtein_distance_bounded("abc", "abd", 1), Some(1));
-        assert_eq!(levenshtein_distance_bounded("", "abcd", 3), None);
-        assert_eq!(levenshtein_distance_bounded("", "abcd", 4), Some(4));
-        // A generous cutoff behaves like the unbounded distance.
-        assert_eq!(
-            levenshtein_distance_bounded("kitten", "sitting", 100),
-            Some(3)
-        );
-    }
-
-    #[test]
     fn damerau_counts_transpositions() {
         assert_eq!(damerau_levenshtein_distance("ca", "ac"), 1);
         assert_eq!(levenshtein_distance("ca", "ac"), 2);
         assert_eq!(damerau_levenshtein_distance("abcdef", "abcdfe"), 1);
         // OSA variant: "ca" -> "abc" is 3 (no double-edit of a substring).
         assert_eq!(damerau_levenshtein_distance("ca", "abc"), 3);
-        assert!((damerau_levenshtein_similarity("ca", "ac") - 0.5).abs() < EPS);
+        let dl = CharMeasure::DamerauLevenshtein.similarity("ca", "ac");
+        assert!((dl - 0.5).abs() < EPS);
     }
 
     #[test]
@@ -894,7 +843,8 @@ mod tests {
     fn lcs_subsequence_known() {
         assert_eq!(lcs_subsequence_len("ABCBDAB", "BDCABA"), 4); // BCAB/BDAB
         assert_eq!(lcs_subsequence_len("abc", ""), 0);
-        assert!((lcs_subsequence_similarity("ABCBDAB", "BDCABA") - 4.0 / 7.0).abs() < EPS);
+        let lcs = CharMeasure::LongestCommonSubsequence.similarity("ABCBDAB", "BDCABA");
+        assert!((lcs - 4.0 / 7.0).abs() < EPS);
     }
 
     #[test]

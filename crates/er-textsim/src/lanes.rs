@@ -113,12 +113,6 @@ impl MyersBatch {
         }
     }
 
-    /// Length of the currently prepared pattern.
-    #[inline]
-    pub fn pattern_len(&self) -> usize {
-        self.m
-    }
-
     /// Prepare the match masks of `pattern`, replacing any previous
     /// pattern — the same masks, bit for bit, that
     /// [`MyersPattern::prepare`](crate::bitpar::MyersPattern::prepare)

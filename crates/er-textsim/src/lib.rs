@@ -26,14 +26,14 @@
 //!
 //! The character measures run on a bound-driven scoring engine:
 //! [`bitpar`] holds the Myers bit-parallel Levenshtein kernel and the
-//! Ukkonen-banded cutoff variants, [`chartable`] the interned
+//! Ukkonen-banded Damerau-Levenshtein cutoff kernel, [`chartable`] the interned
 //! [`CharTable`] the all-pairs scorers prepare once per corpus, and
 //! [`CharMeasure::length_upper_bound`] / [`CharMeasure::bag_upper_bound`]
 //! the exact pre-scoring upper bounds a top-k sink prunes against.
 //! [`lanes`] holds the lane-parallel (SWAR / array-of-lanes) batch forms
 //! of those kernels — a multi-text [`MyersBatch`] and batched
-//! length/counting-filter screens — bit-identical to the scalar kernels
-//! and selected by the pipeline's `KernelMode`.
+//! length/counting-filter screens — bit-identical to the scalar kernels,
+//! which stay the per-pair measures and the test oracle.
 
 pub mod bitpar;
 pub mod charindex;
@@ -46,11 +46,9 @@ pub mod tokenize;
 pub mod tokenlevel;
 pub mod vector;
 
-pub use bitpar::{levenshtein_bounded, osa_bounded, BandRows, MyersPattern};
+pub use bitpar::{osa_bounded, BandRows, MyersPattern};
 pub use charindex::LengthBucketIndex;
-pub use charlevel::{
-    levenshtein_distance_bounded, levenshtein_distance_classic, CharMeasure, CharScratch,
-};
+pub use charlevel::{levenshtein_distance_classic, CharMeasure, CharScratch};
 pub use chartable::{sorted_common_count, CharTable};
 pub use graphmodel::{GraphSimilarity, NGramGraph};
 pub use lanes::{MyersBatch, LANE_WIDTH};

@@ -48,11 +48,6 @@ impl SchemaBasedMeasure {
             SchemaBasedMeasure::Token(m) => m.similarity(a, b),
         }
     }
-
-    /// Whether this is a character-level measure.
-    pub fn is_char_level(&self) -> bool {
-        matches!(self, SchemaBasedMeasure::Char(_))
-    }
 }
 
 #[cfg(test)]
@@ -63,7 +58,10 @@ mod tests {
     fn sixteen_measures_total() {
         let all = SchemaBasedMeasure::all();
         assert_eq!(all.len(), 16);
-        assert_eq!(all.iter().filter(|m| m.is_char_level()).count(), 7);
+        let chars = all
+            .iter()
+            .filter(|m| matches!(m, SchemaBasedMeasure::Char(_)));
+        assert_eq!(chars.count(), 7);
         // Names are unique.
         let mut names: Vec<&str> = all.iter().map(|m| m.name()).collect();
         names.sort_unstable();

@@ -6,11 +6,10 @@
 //! admission bound.
 
 use er_textsim::{
-    char_ngrams, levenshtein_bounded, levenshtein_distance_bounded, levenshtein_distance_classic,
-    normalize_text, osa_bounded, sorted_common_count, token_ngrams, BandRows, CharMeasure,
-    CharScratch, CharTable, DfIndex, GraphSimilarity, LengthBucketIndex, MyersBatch, MyersPattern,
-    NGramGraph, NGramScheme, SchemaBasedMeasure, SparseVector, TermWeighting, VectorMeasure,
-    VectorModel,
+    char_ngrams, levenshtein_distance_classic, normalize_text, osa_bounded, sorted_common_count,
+    token_ngrams, BandRows, CharMeasure, CharScratch, CharTable, DfIndex, GraphSimilarity,
+    LengthBucketIndex, MyersBatch, MyersPattern, NGramGraph, NGramScheme, SchemaBasedMeasure,
+    SparseVector, TermWeighting, VectorMeasure, VectorModel,
 };
 use proptest::prelude::*;
 
@@ -72,32 +71,9 @@ proptest! {
         prop_assert_eq!(p.distance(&codes(&a)), 0);
     }
 
-    /// The banded bounded kernel returns the exact distance iff it is
-    /// within `max_dist`, and `None` otherwise — including `max_dist`
+    /// The banded OSA (Damerau) kernel returns the exact distance iff it
+    /// is within `max_dist`, and `None` otherwise — including `max_dist`
     /// exactly at, one below and far beyond the true distance.
-    #[test]
-    fn bounded_levenshtein_matches_classic(
-        a in arb_unicode(90),
-        b in arb_unicode(90),
-        max_dist in 0usize..=40,
-    ) {
-        let d = levenshtein_distance_classic(&a, &b);
-        let got = levenshtein_distance_bounded(&a, &b, max_dist);
-        if max_dist >= d {
-            prop_assert_eq!(got, Some(d));
-        } else {
-            prop_assert_eq!(got, None);
-        }
-        // Pin the decision boundary regardless of the sampled cutoff.
-        let mut rows = BandRows::default();
-        let (ca, cb) = (codes(&a), codes(&b));
-        prop_assert_eq!(levenshtein_bounded(&ca, &cb, d, &mut rows), Some(d));
-        if d > 0 {
-            prop_assert_eq!(levenshtein_bounded(&ca, &cb, d - 1, &mut rows), None);
-        }
-    }
-
-    /// Same contract for the banded OSA (Damerau) kernel.
     #[test]
     fn bounded_osa_matches_classic(
         a in arb_unicode(60),
@@ -458,13 +434,12 @@ proptest! {
         scratch.set_pattern(&sp);
         batch.prepare(&bp);
         for (i, t) in text_codes.iter().enumerate() {
-            // Scalar kernels between batch steps: the banded kernels
+            // Scalar kernels between batch steps: the banded kernel
             // and the non-Levenshtein measures all share the scratch.
             prop_assert_eq!(scratch.pattern_distance(t), scalar_ref[i]);
             let mut got = [0usize; 8];
             batch.distances(&refs, &mut got);
             prop_assert_eq!(&got[..refs.len()], &batch_ref[..refs.len()]);
-            scratch.levenshtein_bounded(&sp, t, 2);
             scratch.osa_bounded(&sp, t, 2);
             CharMeasure::Jaro.similarity_codes(&sp, t, &mut scratch);
             CharMeasure::QGrams.similarity_codes(&sp, t, &mut scratch);

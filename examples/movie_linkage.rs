@@ -14,7 +14,7 @@
 use ccer::core::{GraphStats, ThresholdGrid};
 use ccer::datasets::{Dataset, DatasetId};
 use ccer::embed::{EmbeddingModel, SemanticMeasure};
-use ccer::eval::sweep::sweep_algorithm;
+use ccer::eval::sweep::SweepEngine;
 use ccer::matchers::{AlgorithmConfig, AlgorithmKind, PreparedGraph};
 use ccer::pipeline::{build_graph, PipelineConfig, SemanticScope, SimilarityFunction};
 use ccer::textsim::{GraphSimilarity, NGramScheme};
@@ -64,9 +64,8 @@ fn main() {
         let graph = build_graph(&dataset, &function, &cfg);
         let stats = GraphStats::of(&graph);
         let prepared = PreparedGraph::new(&graph);
-        let r = sweep_algorithm(
+        let r = SweepEngine::new(AlgorithmConfig::default()).sweep_algorithm(
             AlgorithmKind::Krc,
-            &AlgorithmConfig::default(),
             &prepared,
             &dataset.ground_truth,
             &grid,

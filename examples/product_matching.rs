@@ -12,7 +12,7 @@
 
 use ccer::core::ThresholdGrid;
 use ccer::datasets::{Dataset, DatasetId};
-use ccer::eval::sweep::sweep_all;
+use ccer::eval::sweep::SweepEngine;
 use ccer::matchers::{AlgorithmConfig, PreparedGraph};
 use ccer::pipeline::{build_graph, PipelineConfig, SimilarityFunction};
 use ccer::textsim::{NGramScheme, VectorMeasure};
@@ -44,8 +44,7 @@ fn main() {
 
     // Sweep all eight algorithms over the paper's threshold grid.
     let prepared = PreparedGraph::new(&graph);
-    let results = sweep_all(
-        &AlgorithmConfig::default(),
+    let results = SweepEngine::new(AlgorithmConfig::default()).sweep_all(
         &prepared,
         &dataset.ground_truth,
         &ThresholdGrid::paper(),

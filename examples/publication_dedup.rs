@@ -13,7 +13,7 @@
 
 use ccer::core::ThresholdGrid;
 use ccer::datasets::{Dataset, DatasetId};
-use ccer::eval::sweep::sweep_algorithm;
+use ccer::eval::sweep::SweepEngine;
 use ccer::matchers::{AlgorithmConfig, AlgorithmKind, PreparedGraph};
 use ccer::pipeline::{build_graph, PipelineConfig, SimilarityFunction};
 use ccer::textsim::{CharMeasure, NGramScheme, SchemaBasedMeasure, VectorMeasure};
@@ -65,9 +65,8 @@ fn main() {
     for (label, function) in candidates {
         let graph = build_graph(&dataset, &function, &cfg);
         let prepared = PreparedGraph::new(&graph);
-        let r = sweep_algorithm(
+        let r = SweepEngine::new(AlgorithmConfig::default()).sweep_algorithm(
             AlgorithmKind::Umc,
-            &AlgorithmConfig::default(),
             &prepared,
             &dataset.ground_truth,
             &grid,

@@ -23,7 +23,7 @@
 //! ```
 //! use ccer::core::ThresholdGrid;
 //! use ccer::datasets::{Dataset, DatasetId};
-//! use ccer::eval::sweep::sweep_algorithm;
+//! use ccer::eval::sweep::SweepEngine;
 //! use ccer::matchers::{AlgorithmConfig, AlgorithmKind, PreparedGraph};
 //! use ccer::pipeline::{build_graph, PipelineConfig, SimilarityFunction};
 //! use ccer::textsim::{NGramScheme, VectorMeasure};
@@ -35,9 +35,8 @@
 //! };
 //! let graph = build_graph(&dataset, &function, &PipelineConfig::default());
 //! let prepared = PreparedGraph::new(&graph);
-//! let result = sweep_algorithm(
+//! let result = SweepEngine::new(AlgorithmConfig::default()).sweep_algorithm(
 //!     AlgorithmKind::Umc,
-//!     &AlgorithmConfig::default(),
 //!     &prepared,
 //!     &dataset.ground_truth,
 //!     &ThresholdGrid::paper(),

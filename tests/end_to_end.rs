@@ -3,7 +3,7 @@
 
 use ccer::core::{GraphStats, ThresholdGrid, WeightSeparation};
 use ccer::datasets::{Dataset, DatasetId, DatasetSpec};
-use ccer::eval::sweep::sweep_all;
+use ccer::eval::sweep::SweepEngine;
 use ccer::matchers::{AlgorithmConfig, AlgorithmKind, PreparedGraph};
 use ccer::pipeline::{
     build_graph, generate_corpus, PipelineConfig, SimilarityFunction, WeightType,
@@ -25,8 +25,7 @@ fn full_pipeline_on_a_balanced_dataset() {
 
     // Sweep all algorithms; the good ones must do well on balanced data.
     let prepared = PreparedGraph::new(&graph);
-    let results = sweep_all(
-        &AlgorithmConfig::default(),
+    let results = SweepEngine::new(AlgorithmConfig::default()).sweep_all(
         &prepared,
         &dataset.ground_truth,
         &ThresholdGrid::paper(),

@@ -11,7 +11,7 @@
 use ccer::core::ThresholdGrid;
 use ccer::datasets::{Dataset, DatasetId};
 use ccer::eval::aggregate::mean_std;
-use ccer::eval::sweep::{sweep_all, SweepResult};
+use ccer::eval::sweep::{SweepEngine, SweepResult};
 use ccer::matchers::{AlgorithmConfig, AlgorithmKind, PreparedGraph};
 use ccer::pipeline::{build_graph, PipelineConfig, SimilarityFunction, WeightType};
 
@@ -47,7 +47,7 @@ fn collect_sweeps() -> Vec<Vec<SweepResult>> {
                 continue;
             }
             let pg = PreparedGraph::new(&graph);
-            let sweeps = sweep_all(&algo, &pg, &dataset.ground_truth, &grid);
+            let sweeps = SweepEngine::new(algo).sweep_all(&pg, &dataset.ground_truth, &grid);
             // Apply the paper's noise rule: skip graphs nobody can solve.
             if sweeps.iter().all(|r| r.best.f1 < 0.25) {
                 continue;
