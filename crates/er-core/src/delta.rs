@@ -55,9 +55,10 @@ pub enum DeltaOp {
 /// `edges` pairs the **counterpart** id with the edge weight: for a
 /// left-side delta they are `(right_id, weight)`, for a right-side delta
 /// `(left_id, weight)`. For deletes the list records the edges that
-/// disappear with the record — producers read them off the resident graph
-/// before applying, so consumers (incremental matchers) never need a
-/// second lookup structure.
+/// disappear with the record, as the producer read them off the resident
+/// graph; the store (and the incremental matchers, which read the store)
+/// re-derive them from its own rows, so a delete removes the row's real
+/// edges whatever the list holds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RowDelta {
     /// Insert or delete.
@@ -111,35 +112,6 @@ impl RowDelta {
             id,
             edges,
         }
-    }
-
-    /// Whether any edge clears the strict cutoff `weight > t`.
-    ///
-    /// A delta that clears neither cutoff of a matcher's threshold window
-    /// cannot change that matcher's output (the matchers are functions of
-    /// their threshold prefix alone), which is what lets the windowed
-    /// fallback matchers skip re-runs.
-    ///
-    /// ```
-    /// use er_core::delta::RowDelta;
-    /// let d = RowDelta::insert_left(0, vec![(1, 0.5)]);
-    /// assert!(d.touches_above(0.4));
-    /// assert!(!d.touches_above(0.5));
-    /// ```
-    pub fn touches_above(&self, t: f64) -> bool {
-        self.edges.iter().any(|&(_, w)| w > t)
-    }
-
-    /// Whether any edge clears the inclusive cutoff `weight >= t`.
-    ///
-    /// ```
-    /// use er_core::delta::RowDelta;
-    /// let d = RowDelta::delete_right(2, vec![(0, 0.5)]);
-    /// assert!(d.touches_at_least(0.5));
-    /// assert!(!d.touches_at_least(0.6));
-    /// ```
-    pub fn touches_at_least(&self, t: f64) -> bool {
-        self.edges.iter().any(|&(_, w)| w >= t)
     }
 }
 
@@ -205,17 +177,6 @@ mod tests {
         assert_eq!((d.op, d.side, d.id), (DeltaOp::Insert, Side::Left, 3));
         let d = RowDelta::delete_right(7, vec![]);
         assert_eq!((d.op, d.side, d.id), (DeltaOp::Delete, Side::Right, 7));
-    }
-
-    #[test]
-    fn window_checks_use_both_cutoffs() {
-        let d = RowDelta::insert_right(0, vec![(1, 0.3), (2, 0.7)]);
-        assert!(d.touches_above(0.69));
-        assert!(!d.touches_above(0.7));
-        assert!(d.touches_at_least(0.7));
-        assert!(!d.touches_at_least(0.71));
-        let empty = RowDelta::delete_left(0, vec![]);
-        assert!(!empty.touches_at_least(0.0));
     }
 
     #[test]

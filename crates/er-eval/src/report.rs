@@ -78,11 +78,6 @@ pub fn f3(v: f64) -> String {
     format!("{v:.3}")
 }
 
-/// Format `mean±std` with 3 decimals.
-pub fn pm(mean: f64, std: f64) -> String {
-    format!("{mean:.3}±{std:.3}")
-}
-
 /// Format seconds adaptively: `870µs`, `12.0ms`, `1.23s`, `2.1min`.
 pub fn duration(secs: f64) -> String {
     if secs < 1e-3 {
@@ -124,7 +119,6 @@ mod tests {
     #[test]
     fn formatting_helpers() {
         assert_eq!(f3(0.61834), "0.618");
-        assert_eq!(pm(0.5, 0.1), "0.500±0.100");
         assert_eq!(duration(0.012), "12.0ms");
         assert_eq!(duration(0.00087), "870µs");
         assert_eq!(duration(1.5), "1.50s");

@@ -8,11 +8,13 @@
 //! The default execution path is the [`SweepEngine`], which makes the
 //! `(algorithm × threshold)` grid **incremental and parallel**:
 //!
-//! * each `(algorithm, basis)` unit walks the grid in *descending*
-//!   threshold order through an [`er_matchers::ThresholdSweeper`], so
-//!   "edges above t" is a prefix slice of the prepared graph's sorted edge
-//!   view and greedy matchers resume the previous grid point's state
-//!   instead of restarting;
+//! * each `(algorithm, basis)` unit steps its one incremental matcher
+//!   ([`er_matchers::DeltaMatcher`], the same one a resident service
+//!   feeds graph deltas) down the grid in *descending* threshold order,
+//!   so "edges above t" is a prefix slice of the prepared graph's sorted
+//!   edge view and a step only admits the edges past the previous grid
+//!   point: UMC continues its greedy fold, BAH extends its contribution
+//!   map, and the other matchers re-run only when the view moved;
 //! * the units fan out over the workers of the `er_core::par` pool (the
 //!   same pool `er-pipeline`'s corpus runner uses).
 //!
@@ -175,8 +177,8 @@ fn basis_beats(challenger: &SweepResult, incumbent: &SweepResult) -> bool {
             && challenger.best_threshold > incumbent.best_threshold)
 }
 
-/// Sweep one unit down the grid through its incremental sweeper, keeping
-/// the largest threshold that achieves the maximum F1.
+/// Step one unit's incremental matcher down the grid, keeping the largest
+/// threshold that achieves the maximum F1.
 fn sweep_unit(
     unit: &Unit,
     config: &AlgorithmConfig,
@@ -191,13 +193,13 @@ fn sweep_unit(
         },
         None => *config,
     };
-    let mut sweeper = config.sweeper(unit.kind);
+    let mut matcher = config.delta_matcher(unit.kind);
     let mut best_threshold = 0.0;
     let mut best = PrecisionRecall::zero(gt.len());
     let mut have_any = false;
     for t in grid.values_desc() {
-        let m = sweeper.step(g, t);
-        let e = evaluate(&m, gt);
+        matcher.step(g, t);
+        let e = evaluate(&matcher.matching(), gt);
         // Strict ">" keeps the *largest* optimal threshold, as the grid
         // descends — the mirror of the naive ascending ">=" rule.
         if !have_any || e.f1 > best.f1 {

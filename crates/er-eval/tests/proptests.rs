@@ -13,7 +13,8 @@ use proptest::prelude::*;
 /// Strategy: a random bipartite graph with up to 10x10 nodes and weights on
 /// the 0.025 half-grid, so roughly half the weights fall *exactly on* paper
 /// grid points (stressing the strict/inclusive boundary semantics) and half
-/// between them (stressing the unchanged-prefix memo of the sweepers).
+/// between them (stressing the unchanged-prefix memo of the incremental
+/// matchers).
 fn arb_graph() -> impl Strategy<Value = SimilarityGraph> {
     (1u32..10, 1u32..10).prop_flat_map(|(nl, nr)| {
         let max_edges = (nl * nr) as usize;
@@ -177,7 +178,7 @@ proptest! {
     }
 
     /// Stronger than result equivalence: at *every* grid point, each
-    /// algorithm's incremental sweeper emits the exact same matching pairs
+    /// algorithm's incremental matcher emits the exact same matching pairs
     /// as a fresh run at that threshold.
     #[test]
     fn incremental_sweepers_emit_identical_matchings(
@@ -188,9 +189,10 @@ proptest! {
         let config = sweep_config();
         for kind in AlgorithmKind::ALL {
             let matcher = config.build(kind);
-            let mut sweeper = config.sweeper(kind);
+            let mut sweeper = config.delta_matcher(kind);
             for t in grid.values_desc() {
-                let incremental = sweeper.step(&pg, t);
+                sweeper.step(&pg, t);
+                let incremental = sweeper.matching();
                 let fresh = matcher.run(&pg, t);
                 prop_assert_eq!(
                     incremental, fresh,

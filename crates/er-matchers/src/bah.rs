@@ -99,7 +99,8 @@ pub(crate) fn driver_key(left: u32, right: u32, left_drives: bool) -> (u32, u32)
 
 /// The swap search proper, over a prebuilt contribution map. Shared by the
 /// one-shot [`Matcher`] path and the incremental
-/// [`crate::sweeper::BahSweeper`], which maintains `d` across grid points.
+/// [`crate::delta::BahDelta`], which maintains `d` across threshold steps
+/// and graph deltas.
 pub(crate) fn search(
     n_left: u32,
     n_right: u32,

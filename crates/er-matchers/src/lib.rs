@@ -38,7 +38,6 @@ pub mod mcf;
 pub mod rca;
 pub mod registry;
 pub mod rsr;
-pub mod sweeper;
 pub mod umc;
 
 pub use bah::{Bah, BahConfig};
@@ -52,7 +51,6 @@ pub use mcf::mcf_matching;
 pub use rca::Rca;
 pub use registry::{AlgorithmConfig, AlgorithmKind};
 pub use rsr::Rsr;
-pub use sweeper::{BahSweeper, RestartSweeper, ThresholdSweeper, UmcSweeper};
 pub use umc::Umc;
 
 #[cfg(test)]

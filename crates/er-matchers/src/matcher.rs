@@ -38,15 +38,6 @@ impl GraphStore<'_> {
         }
     }
 
-    #[inline]
-    fn weight_of(&self, left: u32, right: u32) -> Option<f64> {
-        match self {
-            GraphStore::Graph(g) => g.weight_of(left, right),
-            GraphStore::Csr(c) => c.weight_of(left, right),
-            GraphStore::Mapped(m) => m.weight_of(left, right),
-        }
-    }
-
     /// Heap bytes the store itself keeps resident (edge data only, not
     /// the matcher views). A file-backed store reports its mapped file
     /// length — the bytes the OS pages in, not workspace heap.
@@ -118,7 +109,7 @@ impl<'a> EdgeSeq<'a> {
     }
 
     /// The subsequence from `from` (clamped to the length) to the end —
-    /// what sweepers use to resume where the previous threshold stopped.
+    /// what a threshold step admits past the previous threshold's prefix.
     #[inline]
     pub fn tail(&self, from: usize) -> EdgeSeq<'a> {
         match *self {
@@ -192,7 +183,7 @@ impl<'a> IntoIterator for &EdgeSeq<'a> {
 ///
 /// The sorted view turns "edges above `t`" into a prefix found by one
 /// binary search ([`PreparedGraph::edges_above`]), which is what makes
-/// threshold sweeps incremental: see [`crate::sweeper`].
+/// threshold sweeps incremental: see [`crate::delta`].
 ///
 /// Graphs can come in borrowed ([`PreparedGraph::new`], the usual case),
 /// pre-sorted ([`PreparedGraph::from_sorted`]), straight from the
@@ -278,9 +269,7 @@ impl<'g> PreparedGraph<'g> {
 
     /// Prepare a **file-backed** columnar store ([`MappedCsr`]) without
     /// materializing it as an in-RAM `CsrGraph` or `SimilarityGraph`:
-    /// point lookups ([`PreparedGraph::weight_of`]) are served by the
-    /// store's binary search over the file bytes, and the
-    /// weight-descending view **is the file's sort-order column**, so
+    /// the weight-descending view **is the file's sort-order column**, so
     /// "edges above `t`" decodes straight from the map with zero resident
     /// edge copies.
     ///
@@ -333,13 +322,6 @@ impl<'g> PreparedGraph<'g> {
             SortedStore::Mapped => 0,
         };
         sorted + self.adjacency.get().map_or(0, |a| a.n_entries())
-    }
-
-    /// Weight of edge `(left, right)`, if present — answered by the
-    /// backing store.
-    #[inline]
-    pub fn weight_of(&self, left: u32, right: u32) -> Option<f64> {
-        self.graph.weight_of(left, right)
     }
 
     /// Heap bytes the backing store keeps resident for its edge data:
@@ -517,7 +499,7 @@ impl<'a, 'g> EdgeView<'a, 'g> {
     /// For a fixed graph, every deterministic matcher's output is a function
     /// of this pair alone (the threshold only ever enters via `> t` / `>= t`
     /// comparisons), which is what makes the unchanged-prefix memo of
-    /// [`crate::sweeper::RestartSweeper`] sound.
+    /// [`crate::delta::ReplayDelta`] sound.
     #[inline]
     pub fn prefix_lens(&self) -> (usize, usize) {
         (self.above_end, self.at_least_end)
@@ -673,13 +655,6 @@ mod tests {
         );
         for t in [0.0, 0.3, 0.6, 0.9] {
             assert_eq!(via_map.view(t).prefix_lens(), via_csr.view(t).prefix_lens());
-        }
-        // Point lookups are served by the file-backed store itself.
-        for e in via_csr.edges_all() {
-            assert_eq!(
-                via_map.weight_of(e.left, e.right).map(f64::to_bits),
-                Some(e.weight.to_bits())
-            );
         }
         // The adjacency materializes only on demand.
         assert_eq!(via_map.adjacency().n_entries(), 2 * via_map.n_edges());

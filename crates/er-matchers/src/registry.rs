@@ -8,8 +8,6 @@ use serde::{Deserialize, Serialize};
 
 use er_core::Matching;
 
-use er_core::CsrGraph;
-
 use crate::bah::{Bah, BahConfig};
 use crate::bmc::{Basis, Bmc};
 use crate::cnc::Cnc;
@@ -19,7 +17,6 @@ use crate::krc::Krc;
 use crate::matcher::{Matcher, PreparedGraph};
 use crate::rca::Rca;
 use crate::rsr::Rsr;
-use crate::sweeper::{BahSweeper, RestartSweeper, ThresholdSweeper, UmcSweeper};
 use crate::umc::Umc;
 
 /// The eight bipartite graph matching algorithms of the paper, in its
@@ -175,47 +172,19 @@ impl AlgorithmConfig {
         self.build(kind).run(g, t)
     }
 
-    /// Instantiate every algorithm in the paper's stable order.
-    ///
-    /// The iteration order is [`AlgorithmKind::ALL`] — fixed across
-    /// releases — so downstream tables, services and property tests can
-    /// enumerate matchers by name without hand-maintaining the list.
-    pub fn all_matchers(&self) -> Vec<(AlgorithmKind, Box<dyn Matcher>)> {
-        AlgorithmKind::ALL
-            .into_iter()
-            .map(|k| (k, self.build(k)))
-            .collect()
-    }
-
-    /// Instantiate the **delta-incremental matcher** for `kind`, seeded
-    /// from the live edges of `csr` at threshold `t` (see
-    /// [`crate::delta`]): UMC repairs its greedy assignment along a
-    /// cascade, BAH maintains its contribution map, everything else
-    /// replays over a resident copy of the store. Result-equivalent to
-    /// re-running [`Matcher::run`] from scratch after every delta.
-    pub fn delta_matcher(
-        &self,
-        kind: AlgorithmKind,
-        csr: &CsrGraph,
-        t: f64,
-    ) -> Box<dyn DeltaMatcher> {
+    /// Instantiate the **incremental matcher** for `kind` with no edge
+    /// admitted yet (see [`crate::delta`]): step it down a descending
+    /// threshold grid, or step it once to a service's threshold and feed
+    /// it the deltas of that graph's store. UMC folds and repairs its
+    /// greedy assignment along a cascade, BAH maintains its contribution
+    /// map, everything else re-runs when its input moved.
+    /// Result-equivalent to calling [`Matcher::run`] fresh after every
+    /// update.
+    pub fn delta_matcher(&self, kind: AlgorithmKind) -> Box<dyn DeltaMatcher> {
         match kind {
-            AlgorithmKind::Umc => Box::new(UmcDelta::from_csr(csr, t)),
-            AlgorithmKind::Bah => Box::new(BahDelta::from_csr(csr, t, self.bah)),
-            _ => Box::new(ReplayDelta::new(csr.clone(), self.build(kind), t)),
-        }
-    }
-
-    /// Instantiate the **incremental descending-threshold sweeper** for
-    /// `kind` (see [`crate::sweeper`]): UMC resumes its greedy scan, BAH
-    /// maintains its contribution map, everything else restarts per grid
-    /// point with an unchanged-prefix memo. Result-equivalent to calling
-    /// [`Matcher::run`] fresh at every threshold.
-    pub fn sweeper(&self, kind: AlgorithmKind) -> Box<dyn ThresholdSweeper> {
-        match kind {
-            AlgorithmKind::Umc => Box::new(UmcSweeper::new()),
-            AlgorithmKind::Bah => Box::new(BahSweeper::new(self.bah)),
-            _ => Box::new(RestartSweeper::new(self.build(kind))),
+            AlgorithmKind::Umc => Box::new(UmcDelta::new()),
+            AlgorithmKind::Bah => Box::new(BahDelta::new(self.bah)),
+            _ => Box::new(ReplayDelta::new(self.build(kind))),
         }
     }
 }
@@ -269,29 +238,14 @@ mod tests {
     }
 
     #[test]
-    fn all_matchers_iterates_stably() {
-        let cfg = AlgorithmConfig::default();
-        let first: Vec<_> = cfg
-            .all_matchers()
-            .iter()
-            .map(|(k, m)| {
-                assert_eq!(k.name(), m.name());
-                *k
-            })
-            .collect();
-        let second: Vec<_> = cfg.all_matchers().iter().map(|(k, _)| *k).collect();
-        assert_eq!(first, second);
-        assert_eq!(first, AlgorithmKind::ALL.to_vec());
-    }
-
-    #[test]
     fn delta_matchers_start_equal_to_full_runs() {
         let g = figure1();
-        let csr = CsrGraph::from_graph(&g);
+        let csr = er_core::CsrGraph::from_graph(&g);
         let pg = PreparedGraph::new(&g);
         let cfg = AlgorithmConfig::default();
         for k in AlgorithmKind::ALL {
-            let dm = cfg.delta_matcher(k, &csr, 0.5);
+            let mut dm = cfg.delta_matcher(k);
+            dm.step(&PreparedGraph::from_csr(&csr), 0.5);
             assert_eq!(dm.name(), k.name());
             assert_eq!(dm.threshold(), 0.5);
             assert_eq!(dm.matching(), cfg.run(k, &pg, 0.5), "{k}");

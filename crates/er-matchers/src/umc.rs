@@ -11,7 +11,8 @@
 //! [`PreparedGraph`], whose sorted view already hands the retained edges to
 //! UMC in exactly the greedy consumption order; a run is then `O(m')` over
 //! the retained prefix. The greedy scan is also resumable across descending
-//! thresholds (see [`crate::sweeper::UmcSweeper`]).
+//! thresholds and repairable across graph deltas (see
+//! [`crate::delta::UmcDelta`]).
 
 use er_core::Matching;
 

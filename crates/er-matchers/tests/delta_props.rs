@@ -1,14 +1,16 @@
 //! Property tests for the delta-incremental matchers (`er_matchers::delta`).
 //!
-//! The contract under test: for every algorithm, feeding an arbitrary
-//! sequence of insert/delete deltas to [`AlgorithmConfig::delta_matcher`]
-//! leaves its [`DeltaMatcher::matching`] equal to a from-scratch
-//! [`Matcher::run`] on the mutated store — after **every** step, not just
-//! at the end. UMC exercises the cascade repair, BAH the contribution-map
-//! maintenance, and the other six the windowed replay fallback.
+//! The contract under test: for every algorithm, applying an arbitrary
+//! sequence of insert/delete deltas to a store through the incremental
+//! matcher of [`AlgorithmConfig::delta_matcher`], seeded by one step to
+//! the threshold, leaves its [`DeltaMatcher::matching`] equal to a
+//! from-scratch [`Matcher::run`] on the mutated store — after **every**
+//! step, not just at the end. UMC exercises the cascade repair over the
+//! store, BAH the contribution-map maintenance, and the other six the
+//! replay fallback.
 
 use er_core::{CoreError, CsrGraph, GraphBuilder, RowDelta, SimilarityGraph};
-use er_matchers::{AlgorithmConfig, AlgorithmKind, PreparedGraph};
+use er_matchers::{AlgorithmConfig, AlgorithmKind, DeltaMatcher, PreparedGraph};
 use proptest::prelude::*;
 
 /// A random bipartite graph with up to 10x10 nodes, weights on the 0.05
@@ -41,10 +43,23 @@ fn arb_ops() -> impl Strategy<Value = Vec<(u8, Vec<(u16, u8)>)>> {
     )
 }
 
-/// Interpret one raw op against the store, returning the delta applied
+/// The incremental matcher for `kind`, stepped once to `t` over `csr`.
+fn seeded(
+    cfg: &AlgorithmConfig,
+    kind: AlgorithmKind,
+    csr: &CsrGraph,
+    t: f64,
+) -> Box<dyn DeltaMatcher> {
+    let mut dm = cfg.delta_matcher(kind);
+    dm.step(&PreparedGraph::from_csr(csr), t);
+    dm
+}
+
+/// Interpret one raw op against the store, returning the delta to apply
 /// (`None` when the op is a no-op on the current store, e.g. deleting
-/// from an exhausted side).
-fn materialize(csr: &mut CsrGraph, sel: u8, raw: &[(u16, u8)]) -> Option<RowDelta> {
+/// from an exhausted side). A delete carries the edges the store holds
+/// for the record, as a service reads them.
+fn materialize(csr: &CsrGraph, sel: u8, raw: &[(u16, u8)]) -> Option<RowDelta> {
     let (nl, nr) = (csr.n_left(), csr.n_right());
     match sel % 4 {
         0 | 1 => {
@@ -67,13 +82,11 @@ fn materialize(csr: &mut CsrGraph, sel: u8, raw: &[(u16, u8)]) -> Option<RowDelt
                     edges.push((o, w as f64 * 0.05));
                 }
             }
-            let delta = if sel.is_multiple_of(4) {
+            Some(if sel.is_multiple_of(4) {
                 RowDelta::insert_left(nl, edges)
             } else {
                 RowDelta::insert_right(nr, edges)
-            };
-            csr.apply(&delta).expect("interpreted insert is valid");
-            Some(delta)
+            })
         }
         2 | 3 => {
             let (n, is_live): (u32, &dyn Fn(u32) -> bool) = if sel % 4 == 2 {
@@ -83,15 +96,10 @@ fn materialize(csr: &mut CsrGraph, sel: u8, raw: &[(u16, u8)]) -> Option<RowDelt
             };
             let start = raw.first().map(|&(i, _)| i as u32).unwrap_or(0) % n.max(1);
             let id = (0..n).map(|d| (start + d) % n).find(|&i| is_live(i))?;
-            let removed = if sel % 4 == 2 {
-                csr.remove_left(id).expect("live id removes")
-            } else {
-                csr.remove_right(id).expect("live id removes")
-            };
             Some(if sel % 4 == 2 {
-                RowDelta::delete_left(id, removed)
+                RowDelta::delete_left(id, csr.live_row(id).collect())
             } else {
-                RowDelta::delete_right(id, removed)
+                RowDelta::delete_right(id, csr.live_column(id).collect())
             })
         }
         _ => unreachable!(),
@@ -114,10 +122,10 @@ proptest! {
         let cfg = AlgorithmConfig::default();
         for kind in AlgorithmKind::ALL {
             let mut csr = seed.clone();
-            let mut dm = cfg.delta_matcher(kind, &csr, t);
+            let mut dm = seeded(&cfg, kind, &csr, t);
             for (sel, raw) in &ops {
-                let Some(delta) = materialize(&mut csr, *sel, raw) else { continue };
-                dm.apply_delta(&delta).unwrap();
+                let Some(delta) = materialize(&csr, *sel, raw) else { continue };
+                dm.apply_delta(&mut csr, &delta).expect("interpreted delta is valid");
                 let pg = PreparedGraph::from_csr(&csr);
                 prop_assert_eq!(
                     dm.matching(),
@@ -143,13 +151,12 @@ proptest! {
         for kind in [AlgorithmKind::Umc, AlgorithmKind::Bah, AlgorithmKind::Krc] {
             let mut csr_a = seed.clone();
             let mut csr_b = seed.clone();
-            let mut chatty = cfg.delta_matcher(kind, &csr_a, t);
-            let mut quiet = cfg.delta_matcher(kind, &csr_b, t);
+            let mut chatty = seeded(&cfg, kind, &csr_a, t);
+            let mut quiet = seeded(&cfg, kind, &csr_b, t);
             for (sel, raw) in &ops {
-                if let Some(delta) = materialize(&mut csr_a, *sel, raw) {
-                    materialize(&mut csr_b, *sel, raw);
-                    chatty.apply_delta(&delta).unwrap();
-                    quiet.apply_delta(&delta).unwrap();
+                if let Some(delta) = materialize(&csr_a, *sel, raw) {
+                    chatty.apply_delta(&mut csr_a, &delta).unwrap();
+                    quiet.apply_delta(&mut csr_b, &delta).unwrap();
                     let _ = chatty.matching();
                 }
             }
@@ -172,7 +179,7 @@ proptest! {
         let right = side == 1;
         for kind in AlgorithmKind::ALL {
             let mut csr = CsrGraph::from_graph(&g);
-            let mut dm = cfg.delta_matcher(kind, &csr, t);
+            let mut dm = seeded(&cfg, kind, &csr, t);
             let before = dm.matching();
             let next = if right { csr.n_right() } else { csr.n_left() };
             for got in [next + skew, next - 1] {
@@ -182,7 +189,7 @@ proptest! {
                     RowDelta::insert_left(got, vec![])
                 };
                 prop_assert_eq!(
-                    dm.apply_delta(&wrong),
+                    dm.apply_delta(&mut csr, &wrong),
                     Err(CoreError::DeltaIdMismatch { expected: next, got }),
                     "{} accepted id {} (next {})", kind, got, next
                 );
@@ -193,13 +200,45 @@ proptest! {
             } else {
                 RowDelta::insert_left(next, vec![(0, 0.9)])
             };
-            csr.apply(&valid).unwrap();
-            dm.apply_delta(&valid).unwrap();
+            dm.apply_delta(&mut csr, &valid).unwrap();
             prop_assert_eq!(
                 dm.matching(),
                 cfg.run(kind, &PreparedGraph::from_csr(&csr), t),
                 "{} diverged after a rejected delta", kind
             );
+        }
+    }
+
+    /// Deleting a record twice is a typed `DeadNode` from every
+    /// algorithm's incremental matcher — the store's own answer — and
+    /// leaves the matching and the store as they were.
+    #[test]
+    fn repeated_deletes_are_dead_node_errors(
+        g in arb_graph(),
+        t in (0u32..=20).prop_map(|i| i as f64 * 0.05),
+        pick in 0u32..64,
+        side in 0u8..2,
+    ) {
+        let cfg = AlgorithmConfig::default();
+        let right = side == 1;
+        for kind in AlgorithmKind::ALL {
+            let mut csr = CsrGraph::from_graph(&g);
+            let mut dm = seeded(&cfg, kind, &csr, t);
+            let id = pick % if right { csr.n_right() } else { csr.n_left() };
+            let (delta, name) = if right {
+                (RowDelta::delete_right(id, csr.live_column(id).collect()), "right")
+            } else {
+                (RowDelta::delete_left(id, csr.live_row(id).collect()), "left")
+            };
+            dm.apply_delta(&mut csr, &delta).unwrap();
+            let (before, store) = (dm.matching(), csr.clone());
+            prop_assert_eq!(
+                dm.apply_delta(&mut csr, &delta),
+                Err(CoreError::DeadNode { side: name, id }),
+                "{} accepted a repeated delete of {} {}", kind, name, id
+            );
+            prop_assert_eq!(dm.matching(), before, "{} changed on a rejected delete", kind);
+            prop_assert_eq!(&csr, &store, "{} changed the store on a rejected delete", kind);
         }
     }
 }

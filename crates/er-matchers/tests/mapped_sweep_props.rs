@@ -4,7 +4,8 @@
 //!
 //! Invariants:
 //! 1. **bit identity**: for arbitrary graphs, every one of the eight
-//!    algorithms — run fresh and through its incremental sweeper —
+//!    algorithms — run fresh and stepped through its incremental
+//!    matcher —
 //!    produces the *identical* matching over the mapped store as over
 //!    the resident graph, at every threshold of the paper's grid;
 //! 2. **zero edge copies**: the store persists its sort-order column, so
@@ -81,7 +82,7 @@ proptest! {
         let grid = ThresholdGrid::paper();
         for kind in AlgorithmKind::ALL {
             let matcher = cfg.build(kind);
-            let mut sw_map = cfg.sweeper(kind);
+            let mut sw_map = cfg.delta_matcher(kind);
             for t in grid.values_desc() {
                 let want = matcher.run(&pg_ram, t);
                 let got_map = matcher.run(&pg_map, t);
@@ -89,7 +90,8 @@ proptest! {
                     &got_map, &want,
                     "{} fresh diverged at t={} on the mmap-native path", kind, t
                 );
-                let swept_map = sw_map.step(&pg_map, t);
+                sw_map.step(&pg_map, t);
+                let swept_map = sw_map.matching();
                 prop_assert_eq!(
                     &swept_map, &want,
                     "{} sweeper diverged at t={} on the mmap-native path", kind, t
@@ -100,7 +102,7 @@ proptest! {
         // prefix, so a full sweep over a fresh mapped prepare still holds
         // no edge copy.
         let pg_umc = PreparedGraph::from_mapped(&m2);
-        let mut sw_umc = cfg.sweeper(AlgorithmKind::Umc);
+        let mut sw_umc = cfg.delta_matcher(AlgorithmKind::Umc);
         for t in grid.values_desc() {
             sw_umc.step(&pg_umc, t);
         }

@@ -16,17 +16,21 @@
 //!   load-time graph), so one new record is scored against the corpus
 //!   through the batch build's index-pruned row walk under its top-k
 //!   admission bound rather than by re-preparing the build;
-//! * a **delta-incremental matcher**
-//!   ([`er_matchers::DeltaMatcher`]: UMC repairs its greedy assignment
-//!   along a bounded cascade, BAH maintains its contribution map, the
-//!   other six algorithms replay over the resident store), kept
-//!   result-equivalent to a from-scratch [`er_matchers::Matcher::run`]
-//!   after every applied delta.
+//! * the algorithm's **incremental matcher**
+//!   ([`er_matchers::DeltaMatcher`], the one the threshold sweep steps),
+//!   seeded by one step to the service threshold. It holds no graph of
+//!   its own: every update goes through it to the resident store, whose
+//!   validation it inherits, and it repairs from what the store then
+//!   holds — UMC along a bounded cascade over the store's live rows and
+//!   columns, BAH through its contribution map, the other six by
+//!   re-running over the store. It stays result-equivalent to a
+//!   from-scratch [`er_matchers::Matcher::run`] after every update.
 //!
 //! An [`insert`](ErService::insert) therefore costs one index-pruned
-//! probe plus one delta application — not a graph rebuild plus a full
-//! re-match — and a [`matching`](ErService::matching) read after any
-//! number of updates returns exactly what the batch protocol would.
+//! probe plus one [`apply_delta`](er_matchers::DeltaMatcher::apply_delta)
+//! call — not a graph rebuild plus a full re-match — and a
+//! [`matching`](ErService::matching) read after any number of updates
+//! returns exactly what the batch protocol would.
 //!
 //! The service itself is single-writer plain Rust (`&mut self` on
 //! updates, `&self` on every query); concurrent deployments wrap it in a
@@ -152,7 +156,7 @@ impl ErService {
     /// resident scorer once, score the top-k graph from its prepared
     /// state through the indexed candidate path
     /// ([`ResidentScorer::build`]), load the graph into CSR form, and
-    /// seed the delta matcher.
+    /// seed the incremental matcher.
     ///
     /// # Panics
     ///
@@ -168,9 +172,7 @@ impl ErService {
             ResidentScorer::build(left, right, function, config.k, &config.pipeline)
                 .expect("profile ids must equal their positions");
         let csr = CsrGraph::from_graph(&graph);
-        let matcher = config
-            .matchers
-            .delta_matcher(config.algorithm, &csr, config.threshold);
+        let matcher = seeded(&config, &PreparedGraph::from_csr(&csr));
         ErService {
             scorer,
             csr,
@@ -231,9 +233,7 @@ impl ErService {
         for &id in csr.dead_right() {
             scorer.mark_deleted(Side::Right, id);
         }
-        let matcher = config
-            .matchers
-            .delta_matcher(config.algorithm, &csr, config.threshold);
+        let matcher = seeded(&config, &PreparedGraph::from_mapped(&mapped));
         Ok(ErService {
             scorer,
             csr,
@@ -246,14 +246,14 @@ impl ErService {
 
     /// Insert one record: score it against the live counterpart corpus
     /// (index-pruned, top-k bounded), apply the resulting delta to the
-    /// store and the matcher, and return the delta (normalized weights).
+    /// store through the matcher, and return the delta (normalized
+    /// weights).
     ///
     /// `profile.id` must be the side's next append id — the id the
     /// service hands out via [`next_id`](Self::next_id).
     pub fn insert(&mut self, side: Side, profile: &EntityProfile) -> Result<RowDelta> {
         let delta = self.scorer.score_insert(side, profile)?;
-        self.csr.apply(&delta)?;
-        self.matcher.apply_delta(&delta)?;
+        self.matcher.apply_delta(&mut self.csr, &delta)?;
         // The resident graph moved past the backing file.
         self.mapped = None;
         Ok(delta)
@@ -271,16 +271,14 @@ impl ErService {
     /// the [`ServiceError::Store`] arm: the delete itself has fully
     /// applied when that persist fails).
     pub fn remove(&mut self, side: Side, id: u32) -> std::result::Result<RowDelta, ServiceError> {
-        let removed = match side {
-            Side::Left => self.csr.remove_left(id)?,
-            Side::Right => self.csr.remove_right(id)?,
-        };
-        self.scorer.mark_deleted(side, id);
+        // The edges that will disappear; an unknown or dead id has none,
+        // and the store rejects its delete.
         let delta = match side {
-            Side::Left => RowDelta::delete_left(id, removed),
-            Side::Right => RowDelta::delete_right(id, removed),
+            Side::Left => RowDelta::delete_left(id, self.csr.live_row(id).collect()),
+            Side::Right => RowDelta::delete_right(id, self.csr.live_column(id).collect()),
         };
-        self.matcher.apply_delta(&delta)?;
+        self.matcher.apply_delta(&mut self.csr, &delta)?;
+        self.scorer.mark_deleted(side, id);
         self.mapped = None;
         if self.csr.tombstone_ratio() >= self.config.auto_compact_ratio {
             self.compact()?;
@@ -432,6 +430,14 @@ impl ErService {
     pub fn store(&self) -> &CsrGraph {
         &self.csr
     }
+}
+
+/// The service algorithm's incremental matcher, stepped once from "no
+/// edge admitted" to the service threshold over `g`.
+fn seeded(config: &ServiceConfig, g: &PreparedGraph<'_>) -> Box<dyn DeltaMatcher> {
+    let mut matcher = config.matchers.delta_matcher(config.algorithm);
+    matcher.step(g, config.threshold);
+    matcher
 }
 
 #[cfg(test)]
