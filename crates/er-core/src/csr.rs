@@ -23,7 +23,7 @@
 
 use std::sync::OnceLock;
 
-use crate::delta::{DeltaOp, GraphDelta, RowDelta, Side};
+use crate::delta::{DeltaOp, RowDelta, Side};
 use crate::error::{CoreError, Result};
 use crate::graph::{Edge, SimilarityGraph};
 
@@ -586,9 +586,9 @@ impl CsrGraph {
     }
 
     /// Tombstone left row `left` and return its live `(right, weight)`
-    /// edges at removal time — exactly the edge list a
-    /// [`RowDelta::delete_left`] should carry. Errors on out-of-bounds or
-    /// already-dead ids.
+    /// edges at removal time, right ids ascending — the edges
+    /// [`apply`](Self::apply) returns for a [`RowDelta::delete_left`].
+    /// Errors on out-of-bounds or already-dead ids.
     ///
     /// ```
     /// # use er_core::{CsrGraph, GraphBuilder};
@@ -622,8 +622,9 @@ impl CsrGraph {
     }
 
     /// Tombstone right column `right` and return its live
-    /// `(left, weight)` edges at removal time, left ids ascending —
-    /// exactly the edge list a [`RowDelta::delete_right`] should carry.
+    /// `(left, weight)` edges at removal time, left ids ascending — the
+    /// edges [`apply`](Self::apply) returns for a
+    /// [`RowDelta::delete_right`].
     /// Reads the column through [`live_column`](Self::live_column)
     /// (`O(degree · log d)`, plus the one-time index build) and makes one
     /// patch pass. Errors on out-of-bounds or already-dead ids.
@@ -652,43 +653,28 @@ impl CsrGraph {
         Ok(removed)
     }
 
-    /// Apply one [`RowDelta`]. Inserts must carry the next append id of
-    /// their side (checked **before** mutating); deletes tombstone the
-    /// carried id (the delta's edge list is the producer's record of what
-    /// disappeared — the store re-derives it from its own rows).
-    pub fn apply(&mut self, delta: &RowDelta) -> Result<()> {
+    /// Apply one [`RowDelta`] and return the edges it tombstoned: none for
+    /// an insert, the record's live edges (as
+    /// [`remove_left`](Self::remove_left) /
+    /// [`remove_right`](Self::remove_right) return them) for a delete.
+    /// Inserts must carry the next append id of their side (checked
+    /// **before** mutating); a delete reads its edges from the store, not
+    /// from the delta. A rejected delta changes nothing.
+    pub fn apply(&mut self, delta: &RowDelta) -> Result<Vec<(u32, f64)>> {
+        let next = match delta.side {
+            Side::Left => self.n_left,
+            Side::Right => self.n_right,
+        };
         match (delta.op, delta.side) {
-            (DeltaOp::Insert, Side::Left) => {
-                if delta.id != self.n_left {
-                    return Err(CoreError::DeltaIdMismatch {
-                        expected: self.n_left,
-                        got: delta.id,
-                    });
-                }
-                self.insert_left(&delta.edges).map(drop)
-            }
-            (DeltaOp::Insert, Side::Right) => {
-                if delta.id != self.n_right {
-                    return Err(CoreError::DeltaIdMismatch {
-                        expected: self.n_right,
-                        got: delta.id,
-                    });
-                }
-                self.insert_right(&delta.edges).map(drop)
-            }
-            (DeltaOp::Delete, Side::Left) => self.remove_left(delta.id).map(drop),
-            (DeltaOp::Delete, Side::Right) => self.remove_right(delta.id).map(drop),
+            (DeltaOp::Insert, _) if delta.id != next => Err(CoreError::DeltaIdMismatch {
+                expected: next,
+                got: delta.id,
+            }),
+            (DeltaOp::Insert, Side::Left) => self.insert_left(&delta.edges).map(|_| Vec::new()),
+            (DeltaOp::Insert, Side::Right) => self.insert_right(&delta.edges).map(|_| Vec::new()),
+            (DeltaOp::Delete, Side::Left) => self.remove_left(delta.id),
+            (DeltaOp::Delete, Side::Right) => self.remove_right(delta.id),
         }
-    }
-
-    /// Apply a batch first-to-last. **Not atomic**: an error leaves the
-    /// rows before it applied — validate a batch against the store before
-    /// applying if partial application is unacceptable.
-    pub fn apply_all(&mut self, delta: &GraphDelta) -> Result<()> {
-        for row in delta.iter() {
-            self.apply(row)?;
-        }
-        Ok(())
     }
 
     /// Fold pending deltas into the slabs: drop tombstone-masked entries,
@@ -952,7 +938,7 @@ mod tests {
 
     #[test]
     fn apply_checks_ids_and_dispatches() {
-        use crate::delta::{GraphDelta, RowDelta};
+        use crate::delta::RowDelta;
         let mut csr = CsrGraph::from_graph(&sample());
         assert!(matches!(
             csr.apply(&RowDelta::insert_left(7, vec![])),
@@ -961,14 +947,16 @@ mod tests {
                 got: 7
             })
         ));
-        let batch: GraphDelta = vec![
-            RowDelta::insert_left(3, vec![(0, 0.5)]),
-            RowDelta::insert_right(4, vec![(3, 0.6)]),
-            RowDelta::delete_left(0, vec![(1, 0.5), (3, 0.9)]),
-        ]
-        .into_iter()
-        .collect();
-        csr.apply_all(&batch).unwrap();
+        let inserted = csr
+            .apply(&RowDelta::insert_left(3, vec![(0, 0.5)]))
+            .unwrap();
+        assert!(inserted.is_empty());
+        let inserted = csr
+            .apply(&RowDelta::insert_right(4, vec![(3, 0.6)]))
+            .unwrap();
+        assert!(inserted.is_empty());
+        let removed = csr.apply(&RowDelta::delete_left(0)).unwrap();
+        assert_eq!(removed, vec![(1, 0.5), (3, 0.9)]);
         assert_eq!((csr.n_left(), csr.n_right()), (4, 5));
         assert!(!csr.is_live_left(0));
         assert_eq!(csr.weight_of(3, 4), Some(0.6));

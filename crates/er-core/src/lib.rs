@@ -31,7 +31,6 @@
 //! The algorithms themselves live in `er-matchers`; graph *construction* from
 //! entity profiles lives in `er-pipeline`.
 
-pub mod clustering;
 pub mod csr;
 pub mod delta;
 pub mod error;
@@ -49,9 +48,8 @@ pub mod threshold;
 pub mod topk;
 pub mod union_find;
 
-pub use clustering::{Cluster, Clustering};
 pub use csr::CsrGraph;
-pub use delta::{DeltaOp, GraphDelta, RowDelta, Side};
+pub use delta::{DeltaOp, RowDelta, Side};
 pub use error::{CoreError, Result};
 pub use float::{total_cmp_desc, OrderedF64};
 pub use graph::{Adjacency, Neighbor, SortedEdges};

@@ -89,9 +89,11 @@ pub trait DeltaMatcher: Send + Sync {
     fn step(&mut self, g: &PreparedGraph<'_>, t: f64);
 
     /// Apply one row delta to `store`, the tracked graph, and repair the
-    /// assignment from what the store then holds. A delta the store
-    /// rejects is returned as its error and changes nothing.
-    fn apply_delta(&mut self, store: &mut CsrGraph, delta: &RowDelta) -> Result<()>;
+    /// assignment from what the store then holds. Returns the edges the
+    /// store tombstoned ([`CsrGraph::apply`]: empty for an insert, the
+    /// record's live edges for a delete). A delta the store rejects is
+    /// returned as its error and changes nothing.
+    fn apply_delta(&mut self, store: &mut CsrGraph, delta: &RowDelta) -> Result<Vec<(u32, f64)>>;
 
     /// The current assignment.
     fn matching(&self) -> Matching;
@@ -310,8 +312,8 @@ impl DeltaMatcher for UmcDelta {
         self.t = t;
     }
 
-    fn apply_delta(&mut self, store: &mut CsrGraph, delta: &RowDelta) -> Result<()> {
-        store.apply(delta)?;
+    fn apply_delta(&mut self, store: &mut CsrGraph, delta: &RowDelta) -> Result<Vec<(u32, f64)>> {
+        let removed = store.apply(delta)?;
         self.fit(store.n_left(), store.n_right());
         let (side, id) = (delta.side, delta.id);
         match delta.op {
@@ -328,7 +330,7 @@ impl DeltaMatcher for UmcDelta {
                 }
             }
         }
-        Ok(())
+        Ok(removed)
     }
 
     fn matching(&self) -> Matching {
@@ -362,8 +364,8 @@ impl DeltaMatcher for UmcDelta {
 /// `d` only through point lookups, so its outcome is a deterministic
 /// function of the map's *contents* — which is why maintaining the map
 /// incrementally is exactly equivalent to rebuilding it from the
-/// tracked graph. A delete removes the edges the store held for the
-/// record, whatever the delta carries. Growing a side can flip the
+/// tracked graph. A delete removes the edges the store returns for the
+/// record. Growing a side can flip the
 /// driver orientation (`|V1| >= |V2|`); the map is re-keyed in place
 /// when it does.
 pub struct BahDelta {
@@ -434,17 +436,10 @@ impl DeltaMatcher for BahDelta {
         }
     }
 
-    fn apply_delta(&mut self, store: &mut CsrGraph, delta: &RowDelta) -> Result<()> {
+    fn apply_delta(&mut self, store: &mut CsrGraph, delta: &RowDelta) -> Result<Vec<(u32, f64)>> {
         // An insert's edges are the delta's, as the store accepted them;
         // a delete's are what the store held for the record.
-        let removed = match (delta.op, delta.side) {
-            (DeltaOp::Insert, _) => {
-                store.apply(delta)?;
-                Vec::new()
-            }
-            (DeltaOp::Delete, Side::Left) => store.remove_left(delta.id)?,
-            (DeltaOp::Delete, Side::Right) => store.remove_right(delta.id)?,
-        };
+        let removed = store.apply(delta)?;
         // Dimensions are id-space sizes and ids are never reused, so only
         // inserts change them (and possibly the orientation).
         let mut changed = self.fit(store.n_left(), store.n_right());
@@ -467,7 +462,7 @@ impl DeltaMatcher for BahDelta {
         if changed {
             self.solve();
         }
-        Ok(())
+        Ok(removed)
     }
 
     fn matching(&self) -> Matching {
@@ -533,12 +528,12 @@ impl DeltaMatcher for ReplayDelta {
         }
     }
 
-    fn apply_delta(&mut self, store: &mut CsrGraph, delta: &RowDelta) -> Result<()> {
-        store.apply(delta)?;
+    fn apply_delta(&mut self, store: &mut CsrGraph, delta: &RowDelta) -> Result<Vec<(u32, f64)>> {
+        let removed = store.apply(delta)?;
         self.lens = None;
         let prepared = PreparedGraph::from_csr(store);
         self.solved = Solved::new(self.matcher.run(&prepared, self.t));
-        Ok(())
+        Ok(removed)
     }
 
     fn matching(&self) -> Matching {
@@ -662,9 +657,8 @@ mod tests {
         let mut csr = csr_figure1();
         let mut dm = seeded(UmcDelta::new(), &csr, t);
         // Delete A5 (left 4), freeing B1 for A1 (0.6).
-        let removed = csr.live_row(4).collect();
-        dm.apply_delta(&mut csr, &RowDelta::delete_left(4, removed))
-            .unwrap();
+        let removed = dm.apply_delta(&mut csr, &RowDelta::delete_left(4)).unwrap();
+        assert_eq!(removed, vec![(0, 0.9), (2, 0.6)], "A5's edges, as stored");
         assert_eq!(dm.matching(), umc_reference(&csr, t));
         assert!(dm.matching().contains(0, 0), "A1-B1 resurfaces");
     }
@@ -678,8 +672,7 @@ mod tests {
         dm.apply_delta(&mut csr, &RowDelta::insert_right(4, edges))
             .unwrap();
         assert_eq!(dm.matching(), umc_reference(&csr, t));
-        let removed = csr.live_column(1).collect();
-        dm.apply_delta(&mut csr, &RowDelta::delete_right(1, removed))
+        dm.apply_delta(&mut csr, &RowDelta::delete_right(1))
             .unwrap();
         assert_eq!(dm.matching(), umc_reference(&csr, t));
     }
@@ -714,9 +707,7 @@ mod tests {
             // Deleting left 0 frees right 4, whose cascade skips the dead
             // left 1 and steals left 2 (0.7 precedes its 0.5 match),
             // leaving right 2 with nothing.
-            let removed = csr.live_row(0).collect();
-            dm.apply_delta(&mut csr, &RowDelta::delete_left(0, removed))
-                .unwrap();
+            dm.apply_delta(&mut csr, &RowDelta::delete_left(0)).unwrap();
             assert_eq!(dm.matching(), umc_reference(&csr, t), "prebuilt={prebuilt}");
             assert_eq!(dm.matching().pairs(), &[(2, 4), (3, 3)]);
         }
@@ -743,7 +734,7 @@ mod tests {
             })
         ));
         assert!(matches!(
-            dm.apply_delta(&mut csr, &RowDelta::delete_right(4, vec![])),
+            dm.apply_delta(&mut csr, &RowDelta::delete_right(4)),
             Err(CoreError::NodeOutOfBounds { side: "right", .. })
         ));
         assert_eq!(dm.matching(), before, "rejected deltas change nothing");
@@ -767,8 +758,7 @@ mod tests {
         dm.apply_delta(&mut csr, &RowDelta::insert_left(5, edges))
             .unwrap();
         assert_eq!(dm.matching(), reference(&csr));
-        let removed = csr.live_column(0).collect();
-        dm.apply_delta(&mut csr, &RowDelta::delete_right(0, removed))
+        dm.apply_delta(&mut csr, &RowDelta::delete_right(0))
             .unwrap();
         assert_eq!(dm.matching(), reference(&csr));
     }
@@ -807,9 +797,7 @@ mod tests {
         );
         // Delete A4 (left 3), whose one edge (3, 2, 0.3) lies below the
         // threshold.
-        let removed = csr.live_row(3).collect();
-        dm.apply_delta(&mut csr, &RowDelta::delete_left(3, removed))
-            .unwrap();
+        dm.apply_delta(&mut csr, &RowDelta::delete_left(3)).unwrap();
         assert_eq!(
             dm.matching(),
             crate::cnc::Cnc.run(&PreparedGraph::from_csr(&csr), t)
@@ -820,26 +808,24 @@ mod tests {
         dm.apply_delta(&mut csr, &RowDelta::insert_left(id, vec![]))
             .unwrap();
         assert_eq!(csr.live_row(id).count(), 0);
-        dm.apply_delta(&mut csr, &RowDelta::delete_left(id, vec![]))
+        dm.apply_delta(&mut csr, &RowDelta::delete_left(id))
             .unwrap();
         assert_eq!(
             dm.matching(),
             crate::cnc::Cnc.run(&PreparedGraph::from_csr(&csr), t)
         );
-        // A delete whose carried edge list is empty still removes the
-        // row's real edges (A5 keeps B1 and B3), so it must re-match.
+        // A delete carries no edge list yet removes the row's real edges
+        // (A5 keeps B1 and B3), so it must re-match.
         assert!(csr.live_row(4).count() > 0);
-        dm.apply_delta(&mut csr, &RowDelta::delete_left(4, vec![]))
-            .unwrap();
+        dm.apply_delta(&mut csr, &RowDelta::delete_left(4)).unwrap();
         assert_eq!(
             dm.matching(),
             crate::cnc::Cnc.run(&PreparedGraph::from_csr(&csr), t)
         );
     }
 
-    /// A BAH delete whose carried edge list is empty still removes the
-    /// edges the store held for the record, so it must equal the full
-    /// re-match.
+    /// A BAH delete carries no edge list yet removes the edges the store
+    /// held for the record, so it must equal the full re-match.
     #[test]
     fn bah_edgeless_delete_matches_the_full_rematch() {
         let cfg = BahConfig::default();
@@ -851,8 +837,7 @@ mod tests {
         let mut csr = CsrGraph::from_graph(&b.build());
         let t = 0.5;
         let mut dm = seeded(BahDelta::new(cfg), &csr, t);
-        dm.apply_delta(&mut csr, &RowDelta::delete_left(0, vec![]))
-            .unwrap();
+        dm.apply_delta(&mut csr, &RowDelta::delete_left(0)).unwrap();
         let reference = crate::bah::Bah { config: cfg }.run(&PreparedGraph::from_csr(&csr), t);
         assert_eq!(reference.pairs(), &[(1, 1), (2, 2)]);
         assert_eq!(dm.matching(), reference);

@@ -57,8 +57,7 @@ fn seeded(
 
 /// Interpret one raw op against the store, returning the delta to apply
 /// (`None` when the op is a no-op on the current store, e.g. deleting
-/// from an exhausted side). A delete carries the edges the store holds
-/// for the record, as a service reads them.
+/// from an exhausted side). A delete names only its record.
 fn materialize(csr: &CsrGraph, sel: u8, raw: &[(u16, u8)]) -> Option<RowDelta> {
     let (nl, nr) = (csr.n_left(), csr.n_right());
     match sel % 4 {
@@ -97,9 +96,9 @@ fn materialize(csr: &CsrGraph, sel: u8, raw: &[(u16, u8)]) -> Option<RowDelta> {
             let start = raw.first().map(|&(i, _)| i as u32).unwrap_or(0) % n.max(1);
             let id = (0..n).map(|d| (start + d) % n).find(|&i| is_live(i))?;
             Some(if sel % 4 == 2 {
-                RowDelta::delete_left(id, csr.live_row(id).collect())
+                RowDelta::delete_left(id)
             } else {
-                RowDelta::delete_right(id, csr.live_column(id).collect())
+                RowDelta::delete_right(id)
             })
         }
         _ => unreachable!(),
@@ -226,9 +225,9 @@ proptest! {
             let mut dm = seeded(&cfg, kind, &csr, t);
             let id = pick % if right { csr.n_right() } else { csr.n_left() };
             let (delta, name) = if right {
-                (RowDelta::delete_right(id, csr.live_column(id).collect()), "right")
+                (RowDelta::delete_right(id), "right")
             } else {
-                (RowDelta::delete_left(id, csr.live_row(id).collect()), "left")
+                (RowDelta::delete_left(id), "left")
             };
             dm.apply_delta(&mut csr, &delta).unwrap();
             let (before, store) = (dm.matching(), csr.clone());

@@ -2684,11 +2684,14 @@ mod tests {
         }
         // A resident insert of a copy of "abc" scores against "xyz" too,
         // and drops it the same way.
-        let (_, mut resident) =
+        let (built, mut resident) =
             crate::ResidentScorer::build(&left, &right, &f, 2, &PipelineConfig::default())
                 .expect("positional ids");
         let copy = EntityProfile::new(1, vec![("name".into(), "abc".into())]);
-        let delta = resident.score_insert(Side::Left, &copy).expect("next id");
+        let store = er_core::CsrGraph::from_graph(&built);
+        let delta = resident
+            .score_insert(Side::Left, &copy, &store)
+            .expect("next id");
         assert_eq!(delta.edges, vec![(0, 1.0)]);
     }
 

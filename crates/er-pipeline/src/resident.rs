@@ -56,11 +56,12 @@
 //!    keeps its own best `k` edges but does **not** retroactively evict
 //!    weaker edges from resident left rows the way a batch rebuild would.
 //! 3. **Tombstone residue** — deleted records stay in the resident
-//!    indexes (marked dead and never emitted) until a rebuild compacts
-//!    them away.
+//!    indexes until a rebuild compacts them away. The scorer keeps no
+//!    liveness of its own: each probe reads it from the store it is
+//!    given, and a tombstoned counterpart is never emitted.
 
 use er_core::delta::Side;
-use er_core::{CoreError, FxHashSet, RowDelta, SimilarityGraph, TopKRow};
+use er_core::{CoreError, CsrGraph, RowDelta, SimilarityGraph, TopKRow};
 use er_datasets::{EntityCollection, EntityProfile};
 use er_textsim::SchemaBasedMeasure;
 
@@ -76,9 +77,10 @@ use crate::taxonomy::SimilarityFunction;
 /// collections, supporting incremental record inserts (see the module
 /// docs for the drift contract).
 ///
-/// Id discipline matches [`er_core::CsrGraph`]: profile ids equal their
-/// position in the collection, inserts append the next id, deletes
-/// tombstone ids forever.
+/// Id discipline matches [`CsrGraph`]: profile ids equal their position
+/// in the collection, inserts append the next id, deletes tombstone ids
+/// forever. The tombstones live in the store alone, which every
+/// [`score_insert`](Self::score_insert) reads.
 pub struct ResidentScorer {
     left: EntityCollection,
     right: EntityCollection,
@@ -86,8 +88,6 @@ pub struct ResidentScorer {
     cfg: PipelineConfig,
     k: usize,
     frame: NormFrame,
-    dead_left: FxHashSet<u32>,
-    dead_right: FxHashSet<u32>,
     /// The indexed family's prepared state; `None` for the fallback
     /// branches.
     family: Option<Box<dyn Probe>>,
@@ -143,8 +143,6 @@ impl ResidentScorer {
             cfg: cfg.clone(),
             k,
             frame,
-            dead_left: FxHashSet::default(),
-            dead_right: FxHashSet::default(),
         })
     }
 
@@ -168,11 +166,12 @@ impl ResidentScorer {
         &self.right
     }
 
-    /// Score `profile` (arriving on `side`) against the live records of
-    /// the opposite side under the row's top-k admission bound, register
-    /// it in the resident state, and return the insert [`RowDelta`] with
-    /// **normalized** edge weights — ready for `CsrGraph::apply` and the
-    /// delta matchers.
+    /// Score `profile` (arriving on `side`) against the records of the
+    /// opposite side that are live in `store` under the row's top-k
+    /// admission bound, register it in the resident state, and return the
+    /// insert [`RowDelta`] with **normalized** edge weights — ready for
+    /// [`CsrGraph::apply`] and the delta matchers. `store` is the graph
+    /// the delta will be applied to.
     ///
     /// Errors with [`CoreError::DeltaIdMismatch`] (and changes nothing)
     /// unless `profile.id` is the side's next append id.
@@ -180,10 +179,11 @@ impl ResidentScorer {
         &mut self,
         side: Side,
         profile: &EntityProfile,
+        store: &CsrGraph,
     ) -> Result<RowDelta, CoreError> {
-        let (own, dead) = match side {
-            Side::Left => (&self.left, &self.dead_right),
-            Side::Right => (&self.right, &self.dead_left),
+        let own = match side {
+            Side::Left => &self.left,
+            Side::Right => &self.right,
         };
         let expected = own.len() as u32;
         if profile.id != expected {
@@ -195,7 +195,8 @@ impl ResidentScorer {
         let mut sink = ProbeSink {
             id: profile.id,
             row: TopKRow::new(self.k),
-            dead,
+            store,
+            other: side.opposite(),
         };
         match &mut self.family {
             Some(f) => f.insert(side, profile, &mut sink),
@@ -225,33 +226,18 @@ impl ResidentScorer {
             }
         })
     }
-
-    /// Tombstone a record: it stays in the resident indexes but is never
-    /// emitted as a candidate again. Mirrors `CsrGraph::remove_*`.
-    pub fn mark_deleted(&mut self, side: Side, id: u32) {
-        match side {
-            Side::Left => self.dead_left.insert(id),
-            Side::Right => self.dead_right.insert(id),
-        };
-    }
-
-    /// Whether `id` on `side` is registered and not tombstoned.
-    pub fn is_live(&self, side: Side, id: u32) -> bool {
-        match side {
-            Side::Left => (id as usize) < self.left.len() && !self.dead_left.contains(&id),
-            Side::Right => (id as usize) < self.right.len() && !self.dead_right.contains(&id),
-        }
-    }
 }
 
 /// The row sink of one insert: the probe's top-k heap, which takes no
-/// tombstoned counterpart (so a dead candidate is never scored, and
-/// cannot raise the admission bound either).
+/// counterpart the store does not hold live (so a dead candidate is never
+/// scored, and cannot raise the admission bound either).
 struct ProbeSink<'a> {
     /// The probing record's id.
     id: u32,
     row: TopKRow,
-    dead: &'a FxHashSet<u32>,
+    store: &'a CsrGraph,
+    /// The counterparts' side.
+    other: Side,
 }
 
 impl EdgeSink for ProbeSink<'_> {
@@ -267,7 +253,10 @@ impl EdgeSink for ProbeSink<'_> {
 
     #[inline]
     fn takes(&self, other: u32) -> bool {
-        !self.dead.contains(&other)
+        match self.other {
+            Side::Left => self.store.is_live_left(other),
+            Side::Right => self.store.is_live_right(other),
+        }
     }
 
     /// The retained edges, weight descending, ties by ascending id.
@@ -515,14 +504,14 @@ mod tests {
 
         let mut probe = d.left.profiles[1].clone();
         probe.id = d.left.len() as u32;
-        let delta = rs.score_insert(Side::Left, &probe).unwrap();
+        let delta = rs.score_insert(Side::Left, &probe, &csr).unwrap();
         csr.apply(&delta).expect("insert applies");
         assert_eq!(csr.n_left(), d.left.len() as u32 + 1);
         assert_eq!(csr.degree(probe.id), delta.edges.len());
 
         let mut rprobe = d.right.profiles[2].clone();
         rprobe.id = d.right.len() as u32;
-        let rdelta = rs.score_insert(Side::Right, &rprobe).unwrap();
+        let rdelta = rs.score_insert(Side::Right, &rprobe, &csr).unwrap();
         csr.apply(&rdelta).expect("right insert applies");
         assert!(rdelta.edges.len() <= k);
         for &(l, w) in &rdelta.edges {
@@ -531,8 +520,8 @@ mod tests {
     }
 
     /// Every indexed family, both insert sides: once every counterpart a
-    /// probe found is tombstoned, a second identical probe emits none of
-    /// them.
+    /// probe found is tombstoned in the store, a second identical probe
+    /// emits none of them.
     #[test]
     fn tombstoned_counterparts_are_never_emitted() {
         let d = small_dataset();
@@ -540,7 +529,8 @@ mod tests {
         let k = 5;
         for f in indexed_fns(&d) {
             for side in [Side::Left, Side::Right] {
-                let (_, mut rs) = ResidentScorer::build(&d.left, &d.right, &f, k, &cfg).unwrap();
+                let (g, mut rs) = ResidentScorer::build(&d.left, &d.right, &f, k, &cfg).unwrap();
+                let mut csr = CsrGraph::from_graph(&g);
                 let donor = match side {
                     Side::Left => &d.left.profiles[0],
                     Side::Right => &d.right.profiles[0],
@@ -551,16 +541,26 @@ mod tests {
                 };
                 let mut probe = donor.clone();
                 probe.id = next_id(&rs);
-                let before = rs.score_insert(side, &probe).unwrap();
+                let before = rs.score_insert(side, &probe, &csr).unwrap();
                 assert!(!before.edges.is_empty(), "{} {side:?}", f.name());
+                csr.apply(&before).unwrap();
                 // Kill every counterpart the first probe found, then
                 // re-probe.
                 for &(o, _) in &before.edges {
-                    rs.mark_deleted(side.opposite(), o);
-                    assert!(!rs.is_live(side.opposite(), o));
+                    let live = match side.opposite() {
+                        Side::Left => {
+                            csr.apply(&RowDelta::delete_left(o)).unwrap();
+                            csr.is_live_left(o)
+                        }
+                        Side::Right => {
+                            csr.apply(&RowDelta::delete_right(o)).unwrap();
+                            csr.is_live_right(o)
+                        }
+                    };
+                    assert!(!live);
                 }
                 probe.id = next_id(&rs);
-                let after = rs.score_insert(side, &probe).unwrap();
+                let after = rs.score_insert(side, &probe, &csr).unwrap();
                 for &(o, _) in &after.edges {
                     assert!(
                         before.edges.iter().all(|&(b, _)| b != o),
@@ -591,11 +591,11 @@ mod tests {
                 })
             ));
         }
-        let (_, mut rs) = ResidentScorer::build(&d.left, &d.right, &token_fn(), 3, &cfg).unwrap();
+        let (g, mut rs) = ResidentScorer::build(&d.left, &d.right, &token_fn(), 3, &cfg).unwrap();
         let mut probe = d.left.profiles[0].clone();
         probe.id = d.left.len() as u32 + 1;
         assert!(matches!(
-            rs.score_insert(Side::Left, &probe),
+            rs.score_insert(Side::Left, &probe, &CsrGraph::from_graph(&g)),
             Err(CoreError::DeltaIdMismatch { .. })
         ));
         assert_eq!(
@@ -618,7 +618,9 @@ mod tests {
         let (g, mut rs) = ResidentScorer::build(&d.left, &d.right, &f, k, &cfg).unwrap();
         let mut probe = d.left.profiles[0].clone();
         probe.id = d.left.len() as u32;
-        let delta = rs.score_insert(Side::Left, &probe).unwrap();
+        let delta = rs
+            .score_insert(Side::Left, &probe, &CsrGraph::from_graph(&g))
+            .unwrap();
         // The probe clones left 0's attributes and the fallback re-scores
         // with fresh per-call statistics over the same corpus, so its top
         // candidate set matches row 0's resident edges.

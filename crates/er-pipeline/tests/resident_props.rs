@@ -23,7 +23,7 @@
 //! fallback branches (schema-based token measures, n-gram graphs, Word
 //! Mover's).
 
-use er_core::{RowDelta, Side, SimilarityGraph};
+use er_core::{CsrGraph, RowDelta, Side, SimilarityGraph};
 use er_datasets::{Dataset, DatasetId, EntityProfile};
 use er_pipeline::{
     build_graph_topk, CandidateMode, NormFrame, PipelineConfig, ResidentScorer, SimilarityFunction,
@@ -41,15 +41,26 @@ fn resident(
         .expect("generated profile ids are positional")
 }
 
-/// A copy of `p` under `side`'s next id, inserted into `rs`.
-fn insert_copy(rs: &mut ResidentScorer, side: Side, p: &EntityProfile) -> RowDelta {
+/// A copy of `p` under `side`'s next id, inserted into `rs` against
+/// `store` and then applied to it.
+fn insert_copy(
+    rs: &mut ResidentScorer,
+    store: &mut CsrGraph,
+    side: Side,
+    p: &EntityProfile,
+) -> RowDelta {
     let mut copy = p.clone();
     copy.id = match side {
         Side::Left => rs.left().len() as u32,
         Side::Right => rs.right().len() as u32,
     };
-    rs.score_insert(side, &copy)
-        .expect("the copy carries the next append id")
+    let delta = rs
+        .score_insert(side, &copy, store)
+        .expect("the copy carries the next append id");
+    store
+        .apply(&delta)
+        .expect("the insert applies to its store");
+    delta
 }
 
 /// `(counterpart, weight bits)`, ascending by counterpart.
@@ -116,18 +127,21 @@ fn indexed(f: &SimilarityFunction) -> bool {
     }
 }
 
-/// A resident scorer keeping the best `top` edges per insert, and the
-/// copies inserted so far per side (`(original, copy)` ids).
+/// A resident scorer keeping the best `top` edges per insert, the store
+/// its inserts are applied to, and the copies inserted so far per side
+/// (`(original, copy)` ids).
 struct Resident {
     rs: ResidentScorer,
+    store: CsrGraph,
     top: usize,
     copies: [Vec<(u32, u32)>; 2],
 }
 
 impl Resident {
-    fn new(rs: ResidentScorer, top: usize) -> Self {
+    fn new(rs: ResidentScorer, graph: &SimilarityGraph, top: usize) -> Self {
         Resident {
             rs,
+            store: CsrGraph::from_graph(graph),
             top,
             copies: [Vec::new(), Vec::new()],
         }
@@ -139,7 +153,7 @@ impl Resident {
             Side::Left => &d.left.profiles[i],
             Side::Right => &d.right.profiles[i],
         };
-        let delta = insert_copy(&mut self.rs, side, profile);
+        let delta = insert_copy(&mut self.rs, &mut self.store, side, profile);
         self.copies[side as usize].push((i as u32, delta.id));
         bits(delta.edges.into_iter())
     }
@@ -171,7 +185,7 @@ fn check(d: &Dataset, f: &SimilarityFunction, k: usize, stride: usize, among_cop
     // The row bound keeps the global maximum and the 0.0 floor.
     assert_eq!(frame, all_frame, "{label}: one frame for both builds");
 
-    let mut top_k = Resident::new(resident(d, f, k, frame, &cfg), k);
+    let mut top_k = Resident::new(resident(d, f, k, frame, &cfg), &g, k);
     for i in (0..d.left.len()).step_by(stride) {
         assert_eq!(
             top_k.insert(d, Side::Left, i),
@@ -179,7 +193,7 @@ fn check(d: &Dataset, f: &SimilarityFunction, k: usize, stride: usize, among_cop
             "{label}: left insert of a copy of left {i}"
         );
     }
-    let mut unbounded = Resident::new(resident(d, f, usize::MAX, frame, &cfg), usize::MAX);
+    let mut unbounded = Resident::new(resident(d, f, usize::MAX, frame, &cfg), &all, usize::MAX);
     for j in (0..d.right.len()).step_by(stride) {
         assert_eq!(
             unbounded.insert(d, Side::Right, j),

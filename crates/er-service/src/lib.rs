@@ -8,14 +8,16 @@
 //!
 //! * the scored similarity graph, in its delta-capable CSR form
 //!   ([`er_core::CsrGraph`]: append-only ids, tombstoned deletes,
-//!   ~12 B/edge);
+//!   ~12 B/edge) — the one record of the graph, of which records are
+//!   live, and of the edges a delete removes;
 //! * the score-side state of the similarity function
 //!   ([`er_pipeline::ResidentScorer`]: the batch scorer's prepared state —
 //!   frozen models, DF statistics, encoded entries and both sides'
 //!   candidate indexes — prepared once at load, where it also scores the
 //!   load-time graph), so one new record is scored against the corpus
 //!   through the batch build's index-pruned row walk under its top-k
-//!   admission bound rather than by re-preparing the build;
+//!   admission bound rather than by re-preparing the build. It skips the
+//!   counterparts the store holds dead;
 //! * the algorithm's **incremental matcher**
 //!   ([`er_matchers::DeltaMatcher`], the one the threshold sweep steps),
 //!   seeded by one step to the service threshold. It holds no graph of
@@ -28,7 +30,9 @@
 //!
 //! An [`insert`](ErService::insert) therefore costs one index-pruned
 //! probe plus one [`apply_delta`](er_matchers::DeltaMatcher::apply_delta)
-//! call — not a graph rebuild plus a full re-match — and a
+//! call — not a graph rebuild plus a full re-match — a
+//! [`remove`](ErService::remove) one `apply_delta` call, which reads the
+//! record's edges once, in the store, and hands them back; and a
 //! [`matching`](ErService::matching) read after any number of updates
 //! returns exactly what the batch protocol would.
 //!
@@ -141,14 +145,6 @@ pub struct ErService {
     /// The columnar store file this service hydrated from (and persists
     /// back to on [`compact`](Self::compact)); `None` for RAM-only loads.
     store_path: Option<PathBuf>,
-    /// The live mmap of `store_path`, kept as long as the resident graph
-    /// still equals the file byte for byte: set by
-    /// [`load_mapped`](Self::load_mapped), refreshed whenever a compact
-    /// persists, dropped by any unpersisted update. While present,
-    /// whole-graph reads ([`full_rematch`](Self::full_rematch)) sweep
-    /// the file directly through the store's sort-order column instead
-    /// of re-sorting resident edge copies.
-    mapped: Option<MappedCsr>,
 }
 
 impl ErService {
@@ -171,16 +167,7 @@ impl ErService {
         let (graph, scorer) =
             ResidentScorer::build(left, right, function, config.k, &config.pipeline)
                 .expect("profile ids must equal their positions");
-        let csr = CsrGraph::from_graph(&graph);
-        let matcher = seeded(&config, &PreparedGraph::from_csr(&csr));
-        ErService {
-            scorer,
-            csr,
-            matcher,
-            config,
-            store_path: None,
-            mapped: None,
-        }
+        ErService::assemble(scorer, CsrGraph::from_graph(&graph), config, None)
     }
 
     /// Hydrate a service from a **columnar on-disk graph**
@@ -194,13 +181,13 @@ impl ErService {
     /// its position; either mismatch is a [`StoreError::Format`]) and
     /// `frame` the normalization
     /// frame that build derived, so that inserted records are scored onto
-    /// the same weight scale as the resident edges. The store's tombstones
-    /// are replayed into the scorer, and the origin path is remembered:
-    /// later [`compact`](Self::compact) calls (and auto-compactions
-    /// triggered by [`remove`](Self::remove)) persist the folded graph
-    /// back to it. The mmap itself stays open: until the first
-    /// unpersisted update, whole-graph reads run **mmap-native** off the
-    /// file's sort-order column — zero resident edge copies.
+    /// the same weight scale as the resident edges. The file is hydrated
+    /// into the resident store — tombstones included, which the scorer
+    /// then reads from it — and its map dropped; the matcher is seeded
+    /// from that store, exactly as [`load`](Self::load) seeds it. The
+    /// origin path is remembered: later [`compact`](Self::compact) calls
+    /// (and auto-compactions triggered by [`remove`](Self::remove))
+    /// persist the folded graph back to it.
     pub fn load_mapped(
         path: &Path,
         left: &EntityCollection,
@@ -221,27 +208,37 @@ impl ErService {
                 right.profiles.len()
             )));
         }
-        let mut scorer =
+        let scorer =
             ResidentScorer::prepare(left, right, function, config.k, frame, &config.pipeline)
                 .map_err(|e| {
                     StoreError::Format(format!("collections do not fit the store: {e}"))
                 })?;
         let csr = mapped.to_csr();
-        for &id in csr.dead_left() {
-            scorer.mark_deleted(Side::Left, id);
-        }
-        for &id in csr.dead_right() {
-            scorer.mark_deleted(Side::Right, id);
-        }
-        let matcher = seeded(&config, &PreparedGraph::from_mapped(&mapped));
-        Ok(ErService {
+        Ok(ErService::assemble(
+            scorer,
+            csr,
+            config,
+            Some(path.to_path_buf()),
+        ))
+    }
+
+    /// A service over `csr`, its matcher seeded by one step to the
+    /// service threshold.
+    fn assemble(
+        scorer: ResidentScorer,
+        csr: CsrGraph,
+        config: ServiceConfig,
+        store_path: Option<PathBuf>,
+    ) -> Self {
+        let mut matcher = config.matchers.delta_matcher(config.algorithm);
+        matcher.step(&PreparedGraph::from_csr(&csr), config.threshold);
+        ErService {
             scorer,
             csr,
             matcher,
             config,
-            store_path: Some(path.to_path_buf()),
-            mapped: Some(mapped),
-        })
+            store_path,
+        }
     }
 
     /// Insert one record: score it against the live counterpart corpus
@@ -252,17 +249,17 @@ impl ErService {
     /// `profile.id` must be the side's next append id — the id the
     /// service hands out via [`next_id`](Self::next_id).
     pub fn insert(&mut self, side: Side, profile: &EntityProfile) -> Result<RowDelta> {
-        let delta = self.scorer.score_insert(side, profile)?;
+        let delta = self.scorer.score_insert(side, profile, &self.csr)?;
         self.matcher.apply_delta(&mut self.csr, &delta)?;
-        // The resident graph moved past the backing file.
-        self.mapped = None;
         Ok(delta)
     }
 
-    /// Delete one record: tombstone it in the store and the scorer and
-    /// repair the matching incrementally. Returns the delete delta with
-    /// the edges that disappeared. Errors if `id` is unknown or already
-    /// dead; ids are never reused.
+    /// Delete one record: tombstone it in the store (which the scorer
+    /// reads liveness from) and repair the matching incrementally.
+    /// Returns the delete delta carrying the edges that disappeared, as
+    /// the store read them off the record's row or column — the one read
+    /// of them. Errors if `id` is unknown or already dead; ids are never
+    /// reused.
     ///
     /// When the tombstone ratio reaches
     /// [`ServiceConfig::auto_compact_ratio`], the store is folded — and,
@@ -271,15 +268,11 @@ impl ErService {
     /// the [`ServiceError::Store`] arm: the delete itself has fully
     /// applied when that persist fails).
     pub fn remove(&mut self, side: Side, id: u32) -> std::result::Result<RowDelta, ServiceError> {
-        // The edges that will disappear; an unknown or dead id has none,
-        // and the store rejects its delete.
-        let delta = match side {
-            Side::Left => RowDelta::delete_left(id, self.csr.live_row(id).collect()),
-            Side::Right => RowDelta::delete_right(id, self.csr.live_column(id).collect()),
+        let mut delta = match side {
+            Side::Left => RowDelta::delete_left(id),
+            Side::Right => RowDelta::delete_right(id),
         };
-        self.matcher.apply_delta(&mut self.csr, &delta)?;
-        self.scorer.mark_deleted(side, id);
-        self.mapped = None;
+        delta.edges = self.matcher.apply_delta(&mut self.csr, &delta)?;
         if self.csr.tombstone_ratio() >= self.config.auto_compact_ratio {
             self.compact()?;
         }
@@ -332,28 +325,12 @@ impl ErService {
     /// Run the service's algorithm from scratch on the resident store —
     /// the reference the incremental matching is equivalent to. Costs a
     /// full prepare + run; exists for verification and benchmarking.
-    ///
-    /// While the backing file is current (freshly hydrated or just
-    /// compacted), the run sweeps the **mmap directly** through the
-    /// store's persisted sort-order column — no resident edge copies —
-    /// which is bit-identical to the resident path (see
-    /// `er-matchers::PreparedGraph::from_mapped` and its property
-    /// suite).
     pub fn full_rematch(&self) -> Matching {
-        let pg = match &self.mapped {
-            Some(m) => PreparedGraph::from_mapped(m),
-            None => PreparedGraph::from_csr(&self.csr),
-        };
-        self.config
-            .matchers
-            .run(self.config.algorithm, &pg, self.config.threshold)
-    }
-
-    /// Whether whole-graph reads currently run off the backing file's
-    /// mmap (true until the first update not yet persisted by a
-    /// compaction).
-    pub fn reads_mapped(&self) -> bool {
-        self.mapped.is_some()
+        self.config.matchers.run(
+            self.config.algorithm,
+            &PreparedGraph::from_csr(&self.csr),
+            self.config.threshold,
+        )
     }
 
     /// The resident profile for `id` on `side` (tombstoned included —
@@ -371,17 +348,15 @@ impl ErService {
     ///
     /// A service hydrated from a columnar store file
     /// ([`load_mapped`](Self::load_mapped)) also **persists** the folded
-    /// graph back to that file and returns its [`StoreMeta`]; RAM-only
-    /// services return `Ok(None)`.
+    /// graph back to that file, opens it once to check that it reads
+    /// back (a file that does not is a [`StoreError`]), and returns its
+    /// [`StoreMeta`]; RAM-only services return `Ok(None)`.
     pub fn compact(&mut self) -> std::result::Result<Option<StoreMeta>, StoreError> {
         self.csr.compact();
         match &self.store_path {
             Some(path) => {
-                self.mapped = None;
                 let meta = write_csr(&self.csr, path)?;
-                // The file equals the resident graph again: re-arm the
-                // mmap-native read path.
-                self.mapped = Some(MappedCsr::open(path)?);
+                MappedCsr::open(path)?;
                 Ok(Some(meta))
             }
             None => Ok(None),
@@ -401,12 +376,14 @@ impl ErService {
         self.store_path.as_deref()
     }
 
-    /// Live left record count.
+    /// Registered left record count, tombstoned ids included — the id
+    /// space `0..n_left` (see [`is_live`](Self::is_live)).
     pub fn n_left(&self) -> u32 {
         self.csr.n_left()
     }
 
-    /// Live right record count.
+    /// Registered right record count, tombstoned ids included — the id
+    /// space `0..n_right` (see [`is_live`](Self::is_live)).
     pub fn n_right(&self) -> u32 {
         self.csr.n_right()
     }
@@ -430,14 +407,6 @@ impl ErService {
     pub fn store(&self) -> &CsrGraph {
         &self.csr
     }
-}
-
-/// The service algorithm's incremental matcher, stepped once from "no
-/// edge admitted" to the service threshold over `g`.
-fn seeded(config: &ServiceConfig, g: &PreparedGraph<'_>) -> Box<dyn DeltaMatcher> {
-    let mut matcher = config.matchers.delta_matcher(config.algorithm);
-    matcher.step(g, config.threshold);
-    matcher
 }
 
 #[cfg(test)]
@@ -482,10 +451,17 @@ mod tests {
         s.insert(Side::Right, &rp).unwrap();
         assert_eq!(s.matching(), s.full_rematch());
 
+        let n_left = s.n_left();
         s.remove(Side::Left, 0).unwrap();
         assert!(!s.is_live(Side::Left, 0));
+        assert_eq!(s.n_left(), n_left, "a tombstoned id stays registered");
+        assert_eq!(s.n_left(), s.next_id(Side::Left));
         assert_eq!(s.matching(), s.full_rematch());
         assert!(s.remove(Side::Left, 0).is_err(), "double delete rejected");
+        assert!(matches!(
+            s.remove(Side::Right, s.next_id(Side::Right)),
+            Err(ServiceError::Core(CoreError::NodeOutOfBounds { .. }))
+        ));
     }
 
     #[test]
@@ -671,10 +647,12 @@ mod tests {
         let path = dir.join("persist.slab");
         er_core::write_csr(&csr, &path).unwrap();
         let mut s = ErService::load_mapped(&path, &d.left, &d.right, &f, frame, cfg).unwrap();
+        assert_eq!(s.matching(), s.full_rematch());
 
         let mut p = d.left.profiles[0].clone();
         p.id = s.next_id(Side::Left);
         s.insert(Side::Left, &p).unwrap();
+        assert_eq!(s.matching(), s.full_rematch());
         s.remove(Side::Right, 1).unwrap();
         let before = s.matching();
 
@@ -686,6 +664,7 @@ mod tests {
         assert_eq!(&reread.to_csr(), s.store());
         assert!(!reread.is_live_right(1));
         assert_eq!(s.matching(), before);
+        assert_eq!(s.matching(), s.full_rematch());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -717,7 +696,6 @@ mod tests {
         let path = dir.join("autocompact.slab");
         er_core::write_csr(&csr, &path).unwrap();
         let mut s = ErService::load_mapped(&path, &d.left, &d.right, &f, frame, cfg).unwrap();
-        assert!(s.reads_mapped(), "hydration arms the mmap read path");
 
         s.remove(Side::Right, 1).unwrap();
         // Regression (the fold used to be RAM-only): the auto-compaction
@@ -726,50 +704,6 @@ mod tests {
         let reread = er_core::MappedCsr::open(&path).unwrap();
         assert!(!reread.is_live_right(1), "tombstone reached the file");
         assert_eq!(&reread.to_csr(), s.store(), "file equals resident store");
-        assert!(s.reads_mapped(), "persisting re-arms the mmap");
-        assert_eq!(s.matching(), s.full_rematch());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn unpersisted_updates_drop_the_mmap_read_path() {
-        let d = Dataset::generate(DatasetId::D1, 0.02, 11);
-        let f = SimilarityFunction::SchemaAgnosticVector {
-            scheme: NGramScheme::Token(1),
-            measure: VectorMeasure::CosineTfIdf,
-        };
-        let cfg = ServiceConfig {
-            k: 3,
-            threshold: 0.3,
-            auto_compact_ratio: 2.0, // keep removes from compacting
-            ..ServiceConfig::default()
-        };
-        let (graph, _, frame) = build_graph_topk(
-            &d.left,
-            &d.right,
-            &f,
-            cfg.k,
-            CandidateMode::Indexed,
-            &cfg.pipeline,
-        );
-        let dir = scratch_dir();
-        let path = dir.join("invalidate.slab");
-        er_core::write_csr(&CsrGraph::from_graph(&graph), &path).unwrap();
-        let mut s = ErService::load_mapped(&path, &d.left, &d.right, &f, frame, cfg).unwrap();
-        assert!(s.reads_mapped());
-        // full_rematch sweeps the mmap here and must agree with the
-        // incremental matcher.
-        assert_eq!(s.matching(), s.full_rematch());
-
-        let mut p = d.left.profiles[2].clone();
-        p.id = s.next_id(Side::Left);
-        s.insert(Side::Left, &p).unwrap();
-        assert!(!s.reads_mapped(), "stale file must not serve reads");
-        assert_eq!(s.matching(), s.full_rematch(), "fallback is resident");
-
-        // An explicit compact persists and re-arms the mapped path.
-        s.compact().unwrap().expect("file-backed");
-        assert!(s.reads_mapped());
         assert_eq!(s.matching(), s.full_rematch());
         std::fs::remove_dir_all(&dir).ok();
     }

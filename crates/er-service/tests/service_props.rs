@@ -28,7 +28,8 @@ fn boot(kind: AlgorithmKind, threshold: f64) -> ErService {
 
 /// Apply one raw op: even selectors insert (a clone of a resident
 /// profile's attributes under the next append id), odd selectors delete
-/// the first live id at or after `pick`.
+/// the first live id at or after `pick`. Every delete's returned delta
+/// must carry exactly the edges `neighbors` listed just before it.
 fn step(s: &mut ErService, sel: u8, pick: u16) {
     let side = if sel & 2 == 0 {
         Side::Left
@@ -58,7 +59,17 @@ fn step(s: &mut ErService, sel: u8, pick: u16) {
             .map(|d| (start + d) % n)
             .find(|&i| s.is_live(side, i))
         {
-            s.remove(side, id).expect("live id removes");
+            let by_id = |mut edges: Vec<(u32, f64)>| {
+                edges.sort_by_key(|&(other, _)| other);
+                edges
+            };
+            let held = by_id(s.neighbors(side, id));
+            let delta = s.remove(side, id).expect("live id removes");
+            assert_eq!(
+                by_id(delta.edges),
+                held,
+                "{side:?} {id}: removed edges differ from the ones held"
+            );
         }
     }
 }
