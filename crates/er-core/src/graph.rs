@@ -135,17 +135,6 @@ impl SimilarityGraph {
         self.n_right
     }
 
-    /// Total number of nodes `n = |V1 ∪ V2|`.
-    ///
-    /// ```
-    /// # use er_core::GraphBuilder;
-    /// assert_eq!(GraphBuilder::new(3, 5).build().n_nodes(), 8);
-    /// ```
-    #[inline]
-    pub fn n_nodes(&self) -> u64 {
-        self.n_left as u64 + self.n_right as u64
-    }
-
     /// Number of edges `m = |E|`.
     ///
     /// ```
@@ -842,17 +831,6 @@ impl Adjacency {
         self.left(i).len()
     }
 
-    /// Degree of right node `j`.
-    ///
-    /// ```
-    /// # use er_core::GraphBuilder;
-    /// assert_eq!(GraphBuilder::new(2, 2).build().adjacency().right_degree(1), 0);
-    /// ```
-    #[inline]
-    pub fn right_degree(&self, j: u32) -> usize {
-        self.right(j).len()
-    }
-
     /// Best neighbor of left node `i` with weight above `t`, if any.
     ///
     /// ```
@@ -879,38 +857,6 @@ impl Adjacency {
     #[inline]
     pub fn best_right(&self, j: u32, t: f64) -> Option<Neighbor> {
         self.right(j).first().copied().filter(|n| n.weight > t)
-    }
-
-    /// Average adjacent-edge weight of left node `i` (0 for isolated nodes).
-    ///
-    /// ```
-    /// # use er_core::GraphBuilder;
-    /// let mut b = GraphBuilder::new(1, 2);
-    /// b.add_edge(0, 0, 0.2).unwrap();
-    /// b.add_edge(0, 1, 0.4).unwrap();
-    /// let avg = b.build().adjacency().avg_weight_left(0);
-    /// assert!((avg - 0.3).abs() < 1e-12);
-    /// ```
-    pub fn avg_weight_left(&self, i: u32) -> f64 {
-        avg(self.left(i))
-    }
-
-    /// Average adjacent-edge weight of right node `j` (0 for isolated nodes).
-    ///
-    /// ```
-    /// # use er_core::GraphBuilder;
-    /// assert_eq!(GraphBuilder::new(1, 1).build().adjacency().avg_weight_right(0), 0.0);
-    /// ```
-    pub fn avg_weight_right(&self, j: u32) -> f64 {
-        avg(self.right(j))
-    }
-}
-
-fn avg(ns: &[Neighbor]) -> f64 {
-    if ns.is_empty() {
-        0.0
-    } else {
-        ns.iter().map(|n| n.weight).sum::<f64>() / ns.len() as f64
     }
 }
 
@@ -1042,7 +988,6 @@ mod tests {
         let g = sample();
         assert_eq!(g.n_left(), 3);
         assert_eq!(g.n_right(), 3);
-        assert_eq!(g.n_nodes(), 6);
         assert_eq!(g.n_edges(), 5);
         assert_eq!(g.weight_of(0, 0), Some(0.9));
         assert_eq!(g.weight_of(0, 2), None);
@@ -1149,18 +1094,9 @@ mod tests {
         let g = sample();
         let adj = g.adjacency();
         assert_eq!(adj.left_degree(0), 2);
-        assert_eq!(adj.right_degree(0), 1);
         assert_eq!(adj.best_left(0, 0.5).map(|n| n.node), Some(0));
         assert_eq!(adj.best_left(0, 0.95), None, "threshold is strict");
         assert_eq!(adj.best_right(2, 0.0).map(|n| n.node), Some(2));
-    }
-
-    #[test]
-    fn adjacency_avg_weights() {
-        let g = sample();
-        let adj = g.adjacency();
-        assert!((adj.avg_weight_left(0) - 0.7).abs() < 1e-12);
-        assert!((adj.avg_weight_right(1) - (0.7 + 0.5 + 0.4) / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -1169,7 +1105,6 @@ mod tests {
         let adj = g.adjacency();
         assert!(adj.left(3).is_empty());
         assert!(adj.right(2).is_empty());
-        assert_eq!(adj.avg_weight_left(3), 0.0);
     }
 
     #[test]

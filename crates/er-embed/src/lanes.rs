@@ -136,6 +136,13 @@ pub fn euclidean_distance_batch(a: &DenseVector, bs: &[&DenseVector], out: &mut 
 /// let mut out = [0.0f64; LANE_WIDTH];
 /// blocks.euclidean_distances(&a, 1, &mut out);
 /// assert_eq!(out[1].to_bits(), a.euclidean_distance(&vs[9]).to_bits());
+///
+/// let mut grown = InterleavedBlocks::new(3, vs[..8].iter());
+/// grown.push(&vs[8]);
+/// grown.push(&vs[9]);
+/// let mut again = [0.0f64; LANE_WIDTH];
+/// grown.euclidean_distances(&a, 1, &mut again);
+/// assert_eq!(again.map(f64::to_bits), out.map(f64::to_bits));
 /// ```
 #[derive(Debug, Clone)]
 pub struct InterleavedBlocks {
@@ -147,16 +154,31 @@ pub struct InterleavedBlocks {
 impl InterleavedBlocks {
     /// Interleave `vectors`, each of dimension `dim`.
     pub fn new<'a>(dim: usize, vectors: impl ExactSizeIterator<Item = &'a DenseVector>) -> Self {
-        let len = vectors.len();
-        let mut data = vec![0.0f32; len.div_ceil(LANE_WIDTH) * dim * LANE_WIDTH];
-        for (i, v) in vectors.enumerate() {
-            assert_eq!(v.dim(), dim, "dimension mismatch");
-            let block = &mut data[(i / LANE_WIDTH) * dim * LANE_WIDTH..];
-            for (k, &x) in v.0.iter().enumerate() {
-                block[k * LANE_WIDTH + i % LANE_WIDTH] = x;
-            }
+        let mut blocks = InterleavedBlocks {
+            dim,
+            len: 0,
+            data: Vec::with_capacity(vectors.len().div_ceil(LANE_WIDTH) * dim * LANE_WIDTH),
+        };
+        for v in vectors {
+            blocks.push(v);
         }
-        InterleavedBlocks { dim, len, data }
+        blocks
+    }
+
+    /// Append `v` as the next lane, opening a zero-padded block when the
+    /// last one is full.
+    pub fn push(&mut self, v: &DenseVector) {
+        assert_eq!(v.dim(), self.dim, "dimension mismatch");
+        let (block, lane) = (self.len / LANE_WIDTH, self.len % LANE_WIDTH);
+        let width = self.dim * LANE_WIDTH;
+        if lane == 0 {
+            self.data.resize(self.data.len() + width, 0.0);
+        }
+        let block = &mut self.data[block * width..];
+        for (k, &x) in v.0.iter().enumerate() {
+            block[k * LANE_WIDTH + lane] = x;
+        }
+        self.len += 1;
     }
 
     /// Number of blocks, `⌈len / W⌉`.

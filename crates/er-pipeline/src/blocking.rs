@@ -70,12 +70,6 @@ impl BlockCollection {
         self.blocks.len()
     }
 
-    /// Total suggested comparisons, counting a pair once per shared block
-    /// (the raw, redundancy-positive aggregate).
-    pub fn total_comparisons(&self) -> u64 {
-        self.blocks.iter().map(Block::comparisons).sum()
-    }
-
     /// **Block purging**: drop every block whose comparison count exceeds
     /// `max_comparisons`. Oversized blocks stem from stop-word-like keys
     /// and contribute quadratically many, mostly useless comparisons.
@@ -341,7 +335,6 @@ mod tests {
         let bc = token_blocking(&l, &r);
         assert_eq!(bc.n_blocks(), 1);
         assert_eq!(bc.blocks()[0].left, vec![0]);
-        assert_eq!(bc.total_comparisons(), 1);
     }
 
     #[test]
@@ -350,7 +343,6 @@ mod tests {
         let r = collection(&["the alpha", "the delta"]);
         let bc = token_blocking(&l, &r);
         // "the" suggests 3·2 = 6 comparisons, "alpha" 1.
-        assert_eq!(bc.total_comparisons(), 7);
         let purged = bc.purge(5);
         assert_eq!(purged.n_blocks(), 1);
         assert_eq!(purged.blocks()[0].key, "alpha");

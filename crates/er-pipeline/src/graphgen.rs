@@ -83,13 +83,13 @@
 //! measure and thread count). [`BuildStats`] reports the
 //! offered/pruned/scored accounting.
 
-use std::hash::Hash;
+use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::sync::OnceLock;
 
 use er_core::{
-    par, ConstructionCounters, Edge, FxHashMap, FxHashSet, GraphBuilder, Side, SimilarityGraph,
-    SortedEdges, TopKRow,
+    par, ConstructionCounters, Edge, FxHashMap, FxHashSet, FxHasher, GraphBuilder, Side,
+    SimilarityGraph, SortedEdges, TopKRow,
 };
 use er_datasets::{Dataset, EntityCollection, EntityProfile};
 use er_embed::lanes as embed_lanes;
@@ -357,8 +357,9 @@ pub fn build_graph_over(
 /// `n_left × n_right` while the finished graph stays **bit-identical**
 /// to enumeration for every taxonomy branch, `k` and thread count
 /// (property-proven in `tests/candidates_props.rs`). Branches without a
-/// candidate index (the schema-based token measures, the n-gram graph
-/// models) fall back to their own enumeration — still correct, just not
+/// candidate index (the schema-based token measures) walk their own
+/// enumeration, and the n-gram graph models' index is the edge-key
+/// postings their enumeration walks — still correct, just not
 /// sub-quadratic.
 ///
 /// The accounting is the single-shard case of the out-of-core build
@@ -543,14 +544,26 @@ pub fn build_graph_restricted(
 /// inverted-index branches enumerate only term-sharing pairs on top of
 /// that — their exactness guarantee, not a second filter.
 ///
+/// A scorer's entries grow on either side: the resident scorer
+/// (`crate::resident`) keeps the prepared state between inserts,
+/// [`append`](RowScorer::append)s each new record and probes the
+/// opposite side through the same [`score_row`].
+///
 /// [`score_row`]: RowScorer::score_row
-pub(crate) trait RowScorer: Sync {
+pub(crate) trait RowScorer: Send + Sync {
     /// Per-worker mutable scratch (probe stamps, WMD row tables).
-    type Scratch: Send;
+    type Scratch: Send + Sync;
 
     /// The candidate index the `Index` source walks; `()` for branches
     /// without one.
-    type Index: Sync;
+    type Index: Send + Sync;
+
+    /// What turns a profile into an entry: the token family's frozen
+    /// vectorizer, the schema-based families' attribute, the n-gram
+    /// scheme, the semantic families' encoder and scope. The dispatch
+    /// ([`with_scorer`]) hands one out with every scorer; batch builds
+    /// drop it, and only the resident scorer keeps one.
+    type ProfileEncoder: Send + Sync;
 
     /// Number of left rows to score.
     fn n_rows(&self) -> usize;
@@ -563,10 +576,11 @@ pub(crate) trait RowScorer: Sync {
     fn index(&self, side: Side) -> Self::Index;
 
     /// Score entry `row` of `side` against the candidates `source`
-    /// yields from the opposite side, emitting retained pairs into `out`.
-    /// The score phase scores left rows; only the append-capable scorers
-    /// ([`AppendScorer`]) also score right entries, and each keeps the
-    /// batch `(left, right)` argument order of its measure either way.
+    /// yields from the opposite side, emitting retained pairs into `out`
+    /// and skipping every candidate it does not [`take`](EdgeSink::takes).
+    /// The score phase scores left rows; a resident right insert scores
+    /// a right entry, and every measure sees the batch `(left, right)`
+    /// argument order either way ([`oriented`]).
     fn score_row<O: EdgeSink>(
         &self,
         side: Side,
@@ -575,32 +589,10 @@ pub(crate) trait RowScorer: Sync {
         scratch: &mut Self::Scratch,
         out: &mut O,
     );
-}
-
-/// Rebuild a length-bucket or ball index once the entries appended after
-/// its build — scored one by one, unindexed — outnumber this fraction of
-/// the entries it covers, so probes never degrade to linear scans.
-const OVERFLOW_REBUILD_FRACTION: f64 = 0.25;
-
-/// Whether an index over the first `indexed` of a side's `len` entries is
-/// due for a rebuild.
-fn overflow_passes_rebuild(indexed: usize, len: usize) -> bool {
-    (len - indexed) as f64 > indexed.max(4) as f64 * OVERFLOW_REBUILD_FRACTION
-}
-
-/// A scorer whose prepared entries grow on either side: the indexed
-/// families (token vectors, character measures, dense semantic), whose
-/// prepared state the resident scorer (`crate::resident`) keeps between
-/// inserts and probes through [`RowScorer::score_row`].
-pub(crate) trait AppendScorer: RowScorer {
-    /// What turns a profile into an entry: the token family's frozen
-    /// vectorizer (handed out by its prepare, dropped by batch builds),
-    /// the char family's attribute, the dense family's encoder and
-    /// scope. Only the resident scorer keeps one.
-    type ProfileEncoder: Send + Sync;
 
     /// Append `profile` to `side`'s entries and return its row; `None`
-    /// when it yields no entry (a char measure's attribute is missing).
+    /// when it yields no entry (a schema-based measure's attribute is
+    /// missing).
     fn append(
         &mut self,
         enc: &Self::ProfileEncoder,
@@ -612,6 +604,17 @@ pub(crate) trait AppendScorer: RowScorer {
     /// `row`: postings take the entry at once; length buckets and balls
     /// are rebuilt once [`overflow_passes_rebuild`].
     fn index_appended(&self, side: Side, row: usize, index: &mut Self::Index);
+}
+
+/// Rebuild a length-bucket or ball index once the entries appended after
+/// its build — scored one by one, unindexed — outnumber this fraction of
+/// the entries it covers, so probes never degrade to linear scans.
+const OVERFLOW_REBUILD_FRACTION: f64 = 0.25;
+
+/// Whether an index over the first `indexed` of a side's `len` entries is
+/// due for a rebuild.
+fn overflow_passes_rebuild(indexed: usize, len: usize) -> bool {
+    (len - indexed) as f64 > indexed.max(4) as f64 * OVERFLOW_REBUILD_FRACTION
 }
 
 /// A probe/candidate pair in batch `(left, right)` order, whichever side
@@ -798,7 +801,7 @@ pub(crate) enum ScoreMode<'a> {
 }
 
 /// The score phase of one build, ready to run over whichever scorer the
-/// branch dispatch in [`score_sharded`] prepares.
+/// taxonomy dispatch ([`with_scorer`]) prepares.
 struct ScorePhase<'a, F> {
     source: SourceKind<'a>,
     cfg: &'a PipelineConfig,
@@ -807,14 +810,84 @@ struct ScorePhase<'a, F> {
     on_shard: F,
 }
 
-impl<F: FnMut(usize, Vec<Vec<Triple>>)> ScorePhase<'_, F> {
-    /// Build the source's right-side index (if any), then
-    /// [`run_over`](Self::run_over) it.
-    fn run<S: RowScorer>(self, scorer: &S) {
-        let source = self.source.with_index(|| scorer.index(Side::Right));
-        self.run_over(scorer, source.as_ref());
-    }
+/// What the taxonomy dispatch ([`with_scorer`]) hands a function's
+/// prepared scorer and profile encoder to: the score phase, or the
+/// resident scorer (`crate::resident`), which keeps both.
+pub(crate) trait ScorerUse {
+    /// What the use makes of the scorer.
+    type Output;
 
+    /// Take the prepared `scorer` and the `encoder` of its entries.
+    fn prepared<S: RowScorer + 'static>(
+        self,
+        scorer: S,
+        encoder: S::ProfileEncoder,
+    ) -> Self::Output;
+}
+
+/// The one taxonomy dispatch: prepare `function`'s scorer over the two
+/// collections for `source`, together with its profile encoder, and hand
+/// both to `user`.
+pub(crate) fn with_scorer<U: ScorerUse>(
+    left: &EntityCollection,
+    right: &EntityCollection,
+    function: &SimilarityFunction,
+    source: SourceKind<'_>,
+    cfg: &PipelineConfig,
+    user: U,
+) -> U::Output {
+    match function {
+        SimilarityFunction::SchemaBasedSyntactic { attribute, measure } => match measure {
+            // Character measures ride the bound-driven engine: interned
+            // char tables, bit-parallel Levenshtein, prune-aware sinks.
+            SchemaBasedMeasure::Char(m) => user.prepared(
+                CharScorer::prepare(left, right, attribute, *m, source),
+                attribute.clone(),
+            ),
+            SchemaBasedMeasure::Token(_) => user.prepared(
+                SchemaBasedScorer::prepare(left, right, attribute, *measure, source),
+                attribute.clone(),
+            ),
+        },
+        SimilarityFunction::SchemaAgnosticVector { scheme, measure } => {
+            let (scorer, vectorizer) =
+                VectorScorer::prepare(left, right, *scheme, *measure, source);
+            user.prepared(scorer, vectorizer)
+        }
+        SimilarityFunction::SchemaAgnosticGraph { scheme, measure } => user.prepared(
+            GraphModelScorer::prepare(left, right, *scheme, *measure, source),
+            *scheme,
+        ),
+        SimilarityFunction::Semantic {
+            model,
+            measure,
+            scope,
+        } => {
+            let enc = model.encoder();
+            if measure.needs_token_vectors() {
+                let scorer = WmdScorer::prepare(left, right, &enc, scope, cfg);
+                user.prepared(scorer, (enc, scope.clone()))
+            } else {
+                let scorer = DenseSemanticScorer::prepare(left, right, &enc, *measure, scope, cfg);
+                user.prepared(scorer, (enc, scope.clone()))
+            }
+        }
+    }
+}
+
+/// The score phase runs over the prepared scorer: it builds the source's
+/// right-side index (if any), then [`run_over`](ScorePhase::run_over)s
+/// it. Batch builds drop the encoder.
+impl<F: FnMut(usize, Vec<Vec<Triple>>)> ScorerUse for ScorePhase<'_, F> {
+    type Output = ();
+
+    fn prepared<S: RowScorer + 'static>(self, scorer: S, _: S::ProfileEncoder) {
+        let source = self.source.with_index(|| scorer.index(Side::Right));
+        self.run_over(&scorer, source.as_ref());
+    }
+}
+
+impl<F: FnMut(usize, Vec<Vec<Triple>>)> ScorePhase<'_, F> {
     /// Score the rows `shard_rows` at a time, handing each shard's chunk
     /// buffers to `on_shard` before the next shard starts.
     fn run_over<S: RowScorer>(mut self, scorer: &S, source: CandidateSource<'_, &S::Index>) {
@@ -888,38 +961,7 @@ pub(crate) fn score_sharded(
         shard_rows,
         on_shard,
     };
-    match function {
-        SimilarityFunction::SchemaBasedSyntactic { attribute, measure } => match measure {
-            // Character measures ride the bound-driven engine: interned
-            // char tables, bit-parallel Levenshtein, prune-aware sinks.
-            SchemaBasedMeasure::Char(m) => {
-                phase.run(&CharScorer::prepare(left, right, attribute, *m, source))
-            }
-            SchemaBasedMeasure::Token(_) => phase.run(&SchemaBasedScorer::prepare(
-                left, right, attribute, *measure, source,
-            )),
-        },
-        SimilarityFunction::SchemaAgnosticVector { scheme, measure } => {
-            phase.run(&VectorScorer::prepare(left, right, *scheme, *measure, source).0)
-        }
-        SimilarityFunction::SchemaAgnosticGraph { scheme, measure } => phase.run(
-            &GraphModelScorer::prepare(left, right, *scheme, *measure, source),
-        ),
-        SimilarityFunction::Semantic {
-            model,
-            measure,
-            scope,
-        } => {
-            let enc = model.encoder();
-            if measure.needs_token_vectors() {
-                phase.run(&WmdScorer::prepare(left, right, &enc, scope, cfg))
-            } else {
-                phase.run(&DenseSemanticScorer::prepare(
-                    left, right, &enc, *measure, scope, cfg,
-                ))
-            }
-        }
-    }
+    with_scorer(left, right, function, source, cfg, phase);
 }
 
 /// Prepare the branch's scorer and run the score phase over all rows.
@@ -988,51 +1030,67 @@ fn slots_by_id(ids: impl Iterator<Item = u32>) -> FxHashMap<u32, u32> {
     ids.enumerate().map(|(j, id)| (id, j as u32)).collect()
 }
 
+/// The ids and values of the entities of `c` that carry `attribute`, in
+/// profile order.
+fn with_attribute<'a>(
+    c: &'a EntityCollection,
+    attribute: &'a str,
+) -> impl Iterator<Item = (u32, &'a str)> {
+    c.profiles
+        .iter()
+        .filter_map(move |p| p.value(attribute).map(|v| (p.id, v)))
+}
+
 /// All-pairs scoring of one attribute with a string measure. Entities
 /// missing the attribute produce no edges; rows range over the left
 /// entities that *have* the attribute.
-struct SchemaBasedScorer<'a> {
-    left: Vec<(u32, &'a str)>,
-    right: Vec<(u32, &'a str)>,
-    /// Right entity id → slot in `right`; `Blocked` source only.
+struct SchemaBasedScorer {
+    /// Per side (`Side as usize`): the ids of the entities carrying the
+    /// attribute, in profile order.
+    ids: [Vec<u32>; 2],
+    /// Per side: their values; slot `j` is entity `ids[side][j]`'s.
+    values: [Vec<String>; 2],
+    /// Right entity id → right slot; `Blocked` source only.
     right_slot_by_id: FxHashMap<u32, u32>,
     measure: SchemaBasedMeasure,
 }
 
-impl<'a> SchemaBasedScorer<'a> {
+impl SchemaBasedScorer {
     fn prepare(
-        left: &'a EntityCollection,
-        right: &'a EntityCollection,
+        left: &EntityCollection,
+        right: &EntityCollection,
         attribute: &str,
         measure: SchemaBasedMeasure,
         source: SourceKind<'_>,
     ) -> Self {
-        let with_attr = |c: &'a EntityCollection| -> Vec<(u32, &'a str)> {
-            c.profiles
-                .iter()
-                .filter_map(|p| p.value(attribute).map(|v| (p.id, v)))
-                .collect()
+        let side = |c| -> (Vec<u32>, Vec<String>) {
+            with_attribute(c, attribute)
+                .map(|(id, v)| (id, v.to_owned()))
+                .unzip()
         };
-        let right = with_attr(right);
+        let (left_ids, left_values) = side(left);
+        let (right_ids, right_values) = side(right);
         let right_slot_by_id = match source {
-            CandidateSource::Blocked(_) => slots_by_id(right.iter().map(|&(id, _)| id)),
+            CandidateSource::Blocked(_) => slots_by_id(right_ids.iter().copied()),
             _ => FxHashMap::default(),
         };
         SchemaBasedScorer {
-            left: with_attr(left),
-            right,
+            ids: [left_ids, right_ids],
+            values: [left_values, right_values],
             right_slot_by_id,
             measure,
         }
     }
 }
 
-impl RowScorer for SchemaBasedScorer<'_> {
+impl RowScorer for SchemaBasedScorer {
     type Scratch = ();
     type Index = ();
+    /// The scored attribute.
+    type ProfileEncoder = String;
 
     fn n_rows(&self) -> usize {
-        self.left.len()
+        self.ids[0].len()
     }
 
     fn scratch(&self) -> Self::Scratch {}
@@ -1041,28 +1099,32 @@ impl RowScorer for SchemaBasedScorer<'_> {
 
     fn score_row<O: EdgeSink>(
         &self,
-        _: Side,
+        side: Side,
         row: usize,
         source: CandidateSource<'_, &()>,
         _scratch: &mut (),
         out: &mut O,
     ) {
-        let (li, lv) = self.left[row];
+        let (own, other) = (side as usize, side.opposite() as usize);
+        let (id, value) = (self.ids[own][row], self.values[own][row].as_str());
         let mut score = |j: u32| {
-            let (ri, rv) = self.right[j as usize];
+            let cand = self.ids[other][j as usize];
+            if !out.takes(cand) {
+                return;
+            }
             out.note_generated();
-            let w = self.measure.similarity(lv, rv);
-            out.scored(li, ri, w);
+            let (a, b) = oriented(side, value, self.values[other][j as usize].as_str());
+            out.scored(id, cand, self.measure.similarity(a, b));
         };
         match source {
             // No candidate index: the `Index` source walks the enumeration.
             CandidateSource::Enumerate | CandidateSource::Index(_) => {
-                for j in 0..self.right.len() as u32 {
+                for j in 0..self.ids[other].len() as u32 {
                     score(j);
                 }
             }
             CandidateSource::Blocked(lists) => {
-                for r in lists.row(li) {
+                for r in lists.row(id) {
                     if let Some(&j) = self.right_slot_by_id.get(r) {
                         score(j);
                     }
@@ -1070,6 +1132,21 @@ impl RowScorer for SchemaBasedScorer<'_> {
             }
         }
     }
+
+    fn append(
+        &mut self,
+        attribute: &Self::ProfileEncoder,
+        side: Side,
+        profile: &EntityProfile,
+    ) -> Option<usize> {
+        let value = profile.value(attribute)?;
+        let s = side as usize;
+        self.ids[s].push(profile.id);
+        self.values[s].push(value.to_owned());
+        Some(self.ids[s].len() - 1)
+    }
+
+    fn index_appended(&self, _: Side, _: usize, _: &mut ()) {}
 }
 
 // ---------------------------------------------------------------------------
@@ -1124,12 +1201,8 @@ impl CharScorer {
         measure: CharMeasure,
         source: SourceKind<'_>,
     ) -> Self {
-        let side = |c: &EntityCollection| -> (Vec<u32>, CharTable) {
-            let (ids, values): (Vec<u32>, Vec<&str>) = c
-                .profiles
-                .iter()
-                .filter_map(|p| p.value(attribute).map(|v| (p.id, v)))
-                .unzip();
+        let side = |c| -> (Vec<u32>, CharTable) {
+            let (ids, values): (Vec<u32>, Vec<&str>) = with_attribute(c, attribute).unzip();
             (ids, CharTable::build(values))
         };
         let (left_ids, left_table) = side(left);
@@ -1399,6 +1472,8 @@ impl RowScorer for CharScorer {
     /// inverted form of the length and counting filters; slot `j` is the
     /// side's `j`-th entry.
     type Index = LengthBucketIndex;
+    /// The scored attribute.
+    type ProfileEncoder = String;
 
     fn n_rows(&self) -> usize {
         self.ids[0].len()
@@ -1498,11 +1573,6 @@ impl RowScorer for CharScorer {
         }
         chunk.finish(|c| self.score_lane_chunk(side, entry, c, prescreened, chars, batch, out));
     }
-}
-
-impl AppendScorer for CharScorer {
-    /// The scored attribute.
-    type ProfileEncoder = String;
 
     fn append(
         &mut self,
@@ -1709,6 +1779,7 @@ impl RowScorer for VectorScorer {
     /// One side's ids per term, probed in [`er_textsim::ProbePlan`] order
     /// by the prefix filter.
     type Index = FxHashMap<u64, Vec<u32>>;
+    type ProfileEncoder = Vectorizer;
 
     fn n_rows(&self) -> usize {
         self.vecs[Side::Left as usize].len()
@@ -1822,10 +1893,6 @@ impl RowScorer for VectorScorer {
             }
         }
     }
-}
-
-impl AppendScorer for VectorScorer {
-    type ProfileEncoder = Vectorizer;
 
     fn append(&mut self, enc: &Vectorizer, side: Side, profile: &EntityProfile) -> Option<usize> {
         let vecs = &mut self.vecs[side as usize];
@@ -1844,11 +1911,25 @@ impl AppendScorer for VectorScorer {
 // Schema-agnostic n-gram graph models: inverted-index scoring by edge key.
 // ---------------------------------------------------------------------------
 
+/// Postings of graph edge keys over `graphs`: the ids of the graphs
+/// holding each key, ascending.
+fn edge_postings(graphs: &[NGramGraph]) -> FxHashMap<(u64, u64), Vec<u32>> {
+    let mut postings: FxHashMap<(u64, u64), Vec<u32>> = FxHashMap::default();
+    for (j, g) in graphs.iter().enumerate() {
+        for k in g.edge_keys() {
+            postings.entry(k).or_default().push(j as u32);
+        }
+    }
+    postings
+}
+
 /// Inverted-index scoring of n-gram graph models (indexed by graph edges).
 struct GraphModelScorer {
-    left_graphs: Vec<NGramGraph>,
-    right_graphs: Vec<NGramGraph>,
-    /// Right ids per graph edge key; empty under the `Blocked` source.
+    /// Per side (`Side as usize`): the profiles' n-gram graphs.
+    graphs: [Vec<NGramGraph>; 2],
+    /// The `Enumerate` walk's right postings; empty under the other
+    /// sources (the `Index` source owns its postings, `Blocked` reads
+    /// none).
     postings: FxHashMap<(u64, u64), Vec<u32>>,
     measure: GraphSimilarity,
 }
@@ -1867,18 +1948,13 @@ impl GraphModelScorer {
                 .map(|p| NGramGraph::from_values(p.values(), scheme))
                 .collect()
         };
-        let right_graphs = graphs_of(right);
-        let mut postings: FxHashMap<(u64, u64), Vec<u32>> = FxHashMap::default();
-        if !matches!(source, CandidateSource::Blocked(_)) {
-            for (j, g) in right_graphs.iter().enumerate() {
-                for k in g.edge_keys() {
-                    postings.entry(k).or_default().push(j as u32);
-                }
-            }
-        }
+        let graphs = [graphs_of(left), graphs_of(right)];
+        let postings = match source {
+            CandidateSource::Enumerate => edge_postings(&graphs[Side::Right as usize]),
+            _ => FxHashMap::default(),
+        };
         GraphModelScorer {
-            left_graphs: graphs_of(left),
-            right_graphs,
+            graphs,
             postings,
             measure,
         }
@@ -1887,45 +1963,76 @@ impl GraphModelScorer {
 
 impl RowScorer for GraphModelScorer {
     type Scratch = ProbeScratch;
-    type Index = ();
+    /// One side's ids per graph edge key: exactly the term-sharing
+    /// enumeration, so the `Index` source walks what `Enumerate` walks.
+    type Index = FxHashMap<(u64, u64), Vec<u32>>;
+    /// The n-gram scheme the graphs are built with.
+    type ProfileEncoder = NGramScheme;
 
     fn n_rows(&self) -> usize {
-        self.left_graphs.len()
+        self.graphs[Side::Left as usize].len()
     }
 
     fn scratch(&self) -> ProbeScratch {
-        ProbeScratch::new(self.right_graphs.len(), 0)
+        ProbeScratch::new(self.graphs[Side::Right as usize].len(), 0)
     }
 
-    fn index(&self, _: Side) {}
+    fn index(&self, side: Side) -> Self::Index {
+        edge_postings(&self.graphs[side as usize])
+    }
 
     fn score_row<O: EdgeSink>(
         &self,
-        _: Side,
+        side: Side,
         row: usize,
-        source: CandidateSource<'_, &()>,
+        source: CandidateSource<'_, &Self::Index>,
         scratch: &mut ProbeScratch,
         out: &mut O,
     ) {
-        let lg = &self.left_graphs[row];
+        let g = &self.graphs[side as usize][row];
+        let target = &self.graphs[side.opposite() as usize];
         let li = row as u32;
+        // A resident side grows past the scratch's stamp array.
+        if scratch.stamp.len() < target.len() {
+            scratch.stamp.resize(target.len(), 0);
+        }
         let mut score = |j: u32| {
-            out.note_generated();
-            let w = self.measure.similarity(lg, &self.right_graphs[j as usize]);
-            out.scored(li, j, w);
-        };
-        match source {
-            // No candidate index: the `Index` source walks the enumeration.
-            CandidateSource::Enumerate | CandidateSource::Index(_) => {
-                for &j in scratch.discover(li + 1, lg.edge_keys(), &self.postings) {
-                    score(j);
-                }
+            if !out.takes(j) {
+                return;
             }
+            out.note_generated();
+            let (a, b) = oriented(side, g, &target[j as usize]);
+            out.scored(li, j, self.measure.similarity(a, b));
+        };
+        let postings = match source {
+            CandidateSource::Enumerate => &self.postings,
+            CandidateSource::Index(postings) => postings,
             CandidateSource::Blocked(lists) => {
                 for &j in lists.row(li) {
                     score(j);
                 }
+                return;
             }
+        };
+        for &j in scratch.discover(li + 1, g.edge_keys(), postings) {
+            score(j);
+        }
+    }
+
+    fn append(
+        &mut self,
+        scheme: &NGramScheme,
+        side: Side,
+        profile: &EntityProfile,
+    ) -> Option<usize> {
+        let graphs = &mut self.graphs[side as usize];
+        graphs.push(NGramGraph::from_values(profile.values(), *scheme));
+        Some(graphs.len() - 1)
+    }
+
+    fn index_appended(&self, side: Side, row: usize, postings: &mut Self::Index) {
+        for k in self.graphs[side as usize][row].edge_keys() {
+            postings.entry(k).or_default().push(row as u32);
         }
     }
 }
@@ -2052,6 +2159,8 @@ impl RowScorer for DenseSemanticScorer {
     /// (angles become chord distances), dropped after the build — only
     /// ball leaders are retained.
     type Index = PrefixIndex<VectorBallIndex>;
+    /// The model's encoder and the scope of the compared text.
+    type ProfileEncoder = (Encoder, SemanticScope);
 
     fn n_rows(&self) -> usize {
         self.vecs[Side::Left as usize].len()
@@ -2163,11 +2272,6 @@ impl RowScorer for DenseSemanticScorer {
         }
         chunk.finish(|js| self.emit_dense_lanes((li, a), target, js, out));
     }
-}
-
-impl AppendScorer for DenseSemanticScorer {
-    /// The model's encoder and the scope of the compared text.
-    type ProfileEncoder = (Encoder, SemanticScope);
 
     fn append(
         &mut self,
@@ -2192,10 +2296,6 @@ impl AppendScorer for DenseSemanticScorer {
 // tables.
 // ---------------------------------------------------------------------------
 
-/// Per-bag centroid + radius summaries (`None` for empty bags) of the
-/// left and the right bags.
-type BagSummaries = [Vec<Option<BagSummary>>; 2];
-
 /// Tokens of a text that Word Mover's similarity keeps: its bags are
 /// truncated to the first 16 tokens, and only the kept tokens are
 /// encoded. Relaxed WMD is quadratic in bag size and whole-profile texts
@@ -2204,60 +2304,101 @@ type BagSummaries = [Vec<Option<BagSummary>>; 2];
 /// the short schema-based values stay uncapped in practice.
 pub const WMD_TOKEN_CAP: usize = 16;
 
+/// Renumber `bags`' unit ids (below `n_units`) as positions in their
+/// side's token universe, and return that universe: the distinct units
+/// by position, in first-appearance order over the bags.
+fn universe(bags: &mut [Vec<u32>], n_units: usize) -> Vec<u32> {
+    let mut position = vec![u32::MAX; n_units];
+    let mut units = Vec::new();
+    for id in bags.iter_mut().flatten() {
+        let pos = &mut position[*id as usize];
+        if *pos == u32::MAX {
+            *pos = units.len() as u32;
+            units.push(*id);
+        }
+        *id = *pos;
+    }
+    units
+}
+
 /// Word Mover's scoring over interned token bags of at most
 /// [`WMD_TOKEN_CAP`] tokens.
 ///
 /// The transport loops read token distances from a row-local
-/// [`RowTable`]: for the current left row, the distances from its
-/// distinct tokens to the right token universe, filled one
-/// [`LANE_WIDTH`](embed_lanes::LANE_WIDTH)-wide block of right tokens at
+/// [`RowTable`]: for the current row, the distances from its distinct
+/// tokens to the opposite side's token universe, filled one
+/// [`LANE_WIDTH`](embed_lanes::LANE_WIDTH)-wide block of that universe at
 /// a time on first touch — so the `Index` and `Blocked` sources compute
 /// only the blocks their candidates reach.
+///
+/// Every side-specific structure is kept per side (`Side as usize`), so
+/// a right entry probes the left side exactly as a left row probes the
+/// right. The structures only a right probe reads — the left universe's
+/// interleaved blocks — are built on first use, like the bag summaries,
+/// so a batch build pays for neither.
 struct WmdScorer {
     /// Interned token-vector table of both sides. Units are the
     /// encoder's (fastText tokens, ALBERT `(prev, token, next)`
     /// signatures), numbered in first-appearance order; shared across
-    /// workers as plain immutable slice reads.
+    /// workers as plain immutable slice reads. Appended bags add the
+    /// units their side does not hold yet after the interned ones.
     vectors: Vec<DenseVector>,
-    /// Left bags as unit ids.
-    left_bags: Vec<Vec<u32>>,
-    /// Right bags as positions in `right_units`.
-    right_bags: Vec<Vec<u32>>,
-    /// The right token universe: unit ids by position, in
-    /// first-appearance order over the right bags.
-    right_units: Vec<u32>,
-    /// The right universe's vectors, interleaved for the block kernel
-    /// that fills row tables.
-    right_blocks: InterleavedBlocks,
-    /// `RWMD(a, b) ≥ ‖c_a − c_b‖ − r_a − r_b`, so one vector distance
-    /// upper-bounds the similarity of a pair before any transport work.
-    /// Built on first read — by the ball index build or the first live
-    /// admission bound — so the dense path, whose sink never exposes a
-    /// bound, never pays for them.
-    summaries: OnceLock<BagSummaries>,
+    /// Per side: the bags as positions in the side's universe.
+    bags: [Vec<Vec<u32>>; 2],
+    /// Per side: the token universe, unit ids by position.
+    units: [Vec<u32>; 2],
+    /// Per side: the universe's vectors, interleaved for the block
+    /// kernel that fills the opposite side's row tables. Built on first
+    /// read.
+    blocks: [OnceLock<InterleavedBlocks>; 2],
+    /// Per side: the bags' centroid + radius summaries (`None` for an
+    /// empty bag). `RWMD(a, b) ≥ ‖c_a − c_b‖ − r_a − r_b`, so one vector
+    /// distance upper-bounds the similarity of a pair before any
+    /// transport work. Built on first read — by a ball index build or the
+    /// first live admission bound — so the dense path, whose sink never
+    /// exposes a bound, never pays for them.
+    summaries: [OnceLock<Vec<Option<BagSummary>>>; 2],
+    /// Per side: universe positions by a hash of their vector's bits,
+    /// built on the side's first append, which looks its units up here —
+    /// two units with the same bits have the same distances, so an
+    /// appended unit the side holds takes the held position.
+    positions: [Option<FxHashMap<u64, u32>>; 2],
+    dim: usize,
 }
 
-/// One left row's token-distance table (per-worker scratch, reset per
-/// row): `d(x, y)` for every distinct token `x` of the row and every
-/// right-universe token `y` in a filled block.
+/// A hash of `v`'s bits.
+fn bits_key(v: &DenseVector) -> u64 {
+    let mut h = FxHasher::default();
+    for x in &v.0 {
+        h.write_u32(x.to_bits());
+    }
+    h.finish()
+}
+
+/// One row's token-distance table (per-worker scratch, reset per row):
+/// `d(x, y)` for every distinct token `x` of the row and every
+/// opposite-universe token `y` in a filled block.
 ///
 /// Slot `s` of `dists` holds one block's `m × W` distances, row-token
 /// major — `dists[s·m·W + xi·W + lane]` — so a fill writes each row
 /// token's `W` lanes contiguously and a lookup is one add off a base
-/// precomputed per right token.
+/// precomputed per candidate token.
 struct RowTable {
-    /// Distinct unit ids of the row's bag, first-appearance order.
+    /// Distinct universe positions of the row's bag, first-appearance
+    /// order.
     tokens: Vec<u32>,
     /// The row's bag as indexes into `tokens`, scaled by `W`.
     local: Vec<usize>,
-    /// Unit id → index in `tokens`, for building `local`.
+    /// Position → index in `tokens`, for building `local`.
     index_of: FxHashMap<u32, u32>,
-    /// Right block → its slot in `dists`; `u32::MAX` while unfilled.
+    /// Opposite-universe block → its slot in `dists`; `u32::MAX` while
+    /// unfilled.
     slot: Vec<u32>,
     /// The blocks filled for the current row, in fill order.
     filled: Vec<u32>,
     dists: Vec<f64>,
-    /// Per token of the current right bag, its column base in `dists`.
+    /// Per token of the current candidate bag, its column base in
+    /// `dists`.
     column: Vec<usize>,
 }
 
@@ -2271,75 +2412,75 @@ impl WmdScorer {
         scope: &SemanticScope,
         cfg: &PipelineConfig,
     ) -> Self {
-        let UnitTable { vectors, mut bags } = enc.token_units(
+        let UnitTable {
+            vectors,
+            bags: mut left_bags,
+        } = enc.token_units(
             &scoped_texts(left, right, scope),
             WMD_TOKEN_CAP,
             cfg.effective_threads(),
         );
-        let mut right_bags = bags.split_off(left.len());
-        let mut position = vec![u32::MAX; vectors.len()];
-        let mut right_units = Vec::new();
-        for id in right_bags.iter_mut().flatten() {
-            let pos = &mut position[*id as usize];
-            if *pos == u32::MAX {
-                *pos = right_units.len() as u32;
-                right_units.push(*id);
-            }
-            *id = *pos;
-        }
-        let right_blocks =
-            InterleavedBlocks::new(enc.dim(), right_units.iter().map(|&u| &vectors[u as usize]));
+        let mut right_bags = left_bags.split_off(left.len());
+        let units = [
+            universe(&mut left_bags, vectors.len()),
+            universe(&mut right_bags, vectors.len()),
+        ];
         WmdScorer {
             vectors,
-            left_bags: bags,
-            right_bags,
-            right_units,
-            right_blocks,
-            summaries: OnceLock::new(),
+            bags: [left_bags, right_bags],
+            units,
+            blocks: [OnceLock::new(), OnceLock::new()],
+            summaries: [OnceLock::new(), OnceLock::new()],
+            positions: [None, None],
+            dim: enc.dim(),
         }
     }
 
-    /// The vector of right-universe token `pos`.
-    fn right_vector(&self, pos: u32) -> &DenseVector {
-        &self.vectors[self.right_units[pos as usize] as usize]
+    /// The vector of `side`'s universe token `pos`.
+    fn vector(&self, side: Side, pos: u32) -> &DenseVector {
+        &self.vectors[self.units[side as usize][pos as usize] as usize]
     }
 
-    /// The left and right bag summaries, built on first call.
-    fn summaries(&self) -> &BagSummaries {
-        self.summaries.get_or_init(|| {
-            let left = self
-                .left_bags
-                .iter()
-                .map(|bag| {
-                    BagSummary::from_vectors(
-                        bag.len(),
-                        bag.iter().map(|&id| &self.vectors[id as usize]),
-                    )
-                })
-                .collect();
-            let right = self
-                .right_bags
-                .iter()
-                .map(|bag| {
-                    BagSummary::from_vectors(bag.len(), bag.iter().map(|&p| self.right_vector(p)))
-                })
-                .collect();
-            [left, right]
+    /// `side`'s interleaved universe, built on first call.
+    fn blocks(&self, side: Side) -> &InterleavedBlocks {
+        self.blocks[side as usize].get_or_init(|| {
+            let units = &self.units[side as usize];
+            InterleavedBlocks::new(self.dim, units.iter().map(|&u| &self.vectors[u as usize]))
         })
     }
 
-    /// Reset the row table to left row `row`: empty it and intern the
-    /// row's distinct tokens.
-    fn start_row(&self, t: &mut RowTable, row: usize) {
+    /// The summary of a bag of `side`.
+    fn summary(&self, side: Side, bag: &[u32]) -> Option<BagSummary> {
+        BagSummary::from_vectors(bag.len(), bag.iter().map(|&p| self.vector(side, p)))
+    }
+
+    /// `side`'s bag summaries, built on first call.
+    fn summaries(&self, side: Side) -> &[Option<BagSummary>] {
+        self.summaries[side as usize].get_or_init(|| {
+            self.bags[side as usize]
+                .iter()
+                .map(|bag| self.summary(side, bag))
+                .collect()
+        })
+    }
+
+    /// Reset the row table to row `row` of `side`: empty it and intern
+    /// the row's distinct tokens.
+    fn start_row(&self, t: &mut RowTable, side: Side, row: usize) {
         for &b in &t.filled {
             t.slot[b as usize] = u32::MAX;
+        }
+        // The opposite universe grows with resident appends.
+        let n_blocks = self.units[side.opposite() as usize].len().div_ceil(Self::W);
+        if t.slot.len() < n_blocks {
+            t.slot.resize(n_blocks, u32::MAX);
         }
         t.filled.clear();
         t.dists.clear();
         t.tokens.clear();
         t.index_of.clear();
         t.local.clear();
-        for &x in &self.left_bags[row] {
+        for &x in &self.bags[side as usize][row] {
             let xi = *t.index_of.entry(x).or_insert_with(|| {
                 t.tokens.push(x);
                 t.tokens.len() as u32 - 1
@@ -2348,12 +2489,13 @@ impl WmdScorer {
         }
     }
 
-    /// Fill right block `block` of the row table: the distances from
-    /// every row token to the block's `W` right tokens, through the
-    /// interleaved block kernel — the bits of one
-    /// [`DenseVector::euclidean_distance`] per entry (the block kernel
-    /// runs the scalar float sequence per lane).
-    fn fill_block(&self, t: &mut RowTable, block: usize) {
+    /// Fill block `block` of the opposite universe into the table of a
+    /// `side` row: the distances from every row token to the block's `W`
+    /// tokens, through the interleaved block kernel — the bits of one
+    /// [`DenseVector::euclidean_distance`] per entry, whichever operand
+    /// comes first (the block kernel runs the scalar float sequence per
+    /// lane, and `(a − b)² = (b − a)²`).
+    fn fill_block(&self, side: Side, t: &mut RowTable, block: usize) {
         t.slot[block] = t.filled.len() as u32;
         t.filled.push(block as u32);
         let base = t.dists.len();
@@ -2361,16 +2503,20 @@ impl WmdScorer {
         let rows = t.dists[base..]
             .as_chunks_mut::<{ embed_lanes::LANE_WIDTH }>()
             .0;
+        let blocks = self.blocks(side.opposite());
         for (&x, out) in t.tokens.iter().zip(rows) {
-            self.right_blocks
-                .euclidean_distances(&self.vectors[x as usize], block, out);
+            blocks.euclidean_distances(self.vector(side, x), block, out);
         }
     }
 
-    /// Relaxed WMD similarity of the table's row bag and right bag `b`
-    /// (both non-empty): `1 / (1 + max of the two directed
+    /// Relaxed WMD similarity of the table's row bag and the candidate
+    /// bag `b` (both non-empty): `1 / (1 + max of the two directed
     /// nearest-neighbor means)` — with an **exact** admission-bound
     /// short-circuit.
+    ///
+    /// The two directed means are each summed in their own bag's order,
+    /// with exact `min`s over the other bag, and `max` is symmetric, so a
+    /// right row gets the bits of the batch `(left, right)` computation.
     ///
     /// `None` means the final similarity is provably `< bound`: the
     /// directed sums accumulate non-negative terms, and every float
@@ -2380,12 +2526,18 @@ impl WmdScorer {
     /// similarity must too, bit for bit. Passing
     /// `bound = f64::NEG_INFINITY` disables the short-circuit and
     /// reproduces the plain computation exactly.
-    fn similarity_bounded(&self, t: &mut RowTable, b: &[u32], bound: f64) -> Option<f64> {
+    fn similarity_bounded(
+        &self,
+        side: Side,
+        t: &mut RowTable,
+        b: &[u32],
+        bound: f64,
+    ) -> Option<f64> {
         t.column.clear();
         for &pos in b {
             let (block, lane) = (pos as usize / Self::W, pos as usize % Self::W);
             if t.slot[block] == u32::MAX {
-                self.fill_block(t, block);
+                self.fill_block(side, t, block);
             }
             t.column
                 .push(t.slot[block] as usize * t.tokens.len() * Self::W + lane);
@@ -2423,22 +2575,31 @@ impl WmdScorer {
         Some(1.0 / (1.0 + d_ab.max(d_ba)))
     }
 
-    /// Score the candidate pair `(table row, right j)` — both known
-    /// non-empty: centroid upper bound first, then the short-circuiting
-    /// transport computation.
-    fn score_pair<O: EdgeSink>(&self, row: usize, j: usize, t: &mut RowTable, out: &mut O) {
+    /// Score the candidate pair `(table row of side, opposite j)` — both
+    /// known non-empty: centroid upper bound first, then the
+    /// short-circuiting transport computation.
+    fn score_pair<O: EdgeSink>(
+        &self,
+        side: Side,
+        row: usize,
+        j: usize,
+        t: &mut RowTable,
+        out: &mut O,
+    ) {
         out.note_generated();
         let bound = out.admission_bound();
         if bound != f64::NEG_INFINITY {
-            let [left, right] = self.summaries();
-            if let (Some(sa), Some(sb)) = (&left[row], &right[j]) {
+            let probe = &self.summaries(side)[row];
+            let cand = &self.summaries(side.opposite())[j];
+            if let (Some(sa), Some(sb)) = oriented(side, probe, cand) {
                 if sa.wms_upper_bound(sb) < bound {
                     out.note_pruned();
                     return;
                 }
             }
         }
-        match self.similarity_bounded(t, &self.right_bags[j], bound) {
+        let b = &self.bags[side.opposite() as usize][j];
+        match self.similarity_bounded(side, t, b, bound) {
             None => out.note_pruned(),
             Some(w) => out.scored(row as u32, j as u32, w),
         }
@@ -2454,13 +2615,15 @@ struct WmdScratch {
 
 impl RowScorer for WmdScorer {
     type Scratch = WmdScratch;
-    /// Centroid-ball index over the non-empty right bags' summary
+    /// Centroid-ball index over one side's non-empty bags' summary
     /// centroids, entry radius = summary radius, so a ball's distance
     /// lower bound is simultaneously a relaxed-WMD lower bound.
-    type Index = VectorBallIndex;
+    type Index = PrefixIndex<VectorBallIndex>;
+    /// The model's encoder and the scope of the compared text.
+    type ProfileEncoder = (Encoder, SemanticScope);
 
     fn n_rows(&self) -> usize {
-        self.left_bags.len()
+        self.bags[Side::Left as usize].len()
     }
 
     fn scratch(&self) -> WmdScratch {
@@ -2469,7 +2632,7 @@ impl RowScorer for WmdScorer {
                 tokens: Vec::new(),
                 local: Vec::new(),
                 index_of: FxHashMap::default(),
-                slot: vec![u32::MAX; self.right_blocks.n_blocks()],
+                slot: Vec::new(),
                 filled: Vec::new(),
                 dists: Vec::new(),
                 column: Vec::new(),
@@ -2478,47 +2641,53 @@ impl RowScorer for WmdScorer {
         }
     }
 
-    /// Left rows only: the right side is the one indexed.
-    fn index(&self, _: Side) -> VectorBallIndex {
-        let [_, right] = self.summaries();
-        let entries: Vec<(u32, &DenseVector, f64)> = right
+    fn index(&self, side: Side) -> PrefixIndex<VectorBallIndex> {
+        let summaries = self.summaries(side);
+        let entries: Vec<(u32, &DenseVector, f64)> = summaries
             .iter()
             .enumerate()
             .filter_map(|(j, s)| s.as_ref().map(|s| (j as u32, s.centroid(), s.radius())))
             .collect();
-        VectorBallIndex::build(&entries)
+        PrefixIndex {
+            index: VectorBallIndex::build(&entries),
+            len: summaries.len(),
+        }
     }
 
     fn score_row<O: EdgeSink>(
         &self,
-        _: Side,
+        side: Side,
         row: usize,
-        source: CandidateSource<'_, &VectorBallIndex>,
+        source: CandidateSource<'_, &PrefixIndex<VectorBallIndex>>,
         scratch: &mut WmdScratch,
         out: &mut O,
     ) {
-        if self.left_bags[row].is_empty() {
+        if self.bags[side as usize][row].is_empty() {
             return;
         }
+        let target = &self.bags[side.opposite() as usize];
         let WmdScratch { table, bounds } = scratch;
-        self.start_row(table, row);
+        self.start_row(table, side, row);
         let bound = out.admission_bound();
         let mut score = |j: u32| {
-            self.score_pair(row, j as usize, table, out);
+            if out.takes(j) {
+                self.score_pair(side, row, j as usize, table, out);
+            }
             out.admission_bound()
         };
-        let nonempty = |j: u32| !self.right_bags[j as usize].is_empty();
+        let nonempty = |j: u32| !target[j as usize].is_empty();
         match source {
             CandidateSource::Enumerate => {
-                for j in 0..self.right_bags.len() as u32 {
+                for j in 0..target.len() as u32 {
                     if nonempty(j) {
                         score(j);
                     }
                 }
             }
-            CandidateSource::Index(ball) => {
-                let [left, _] = self.summaries();
-                let sa = left[row].as_ref().expect("non-empty bag has a summary");
+            CandidateSource::Index(PrefixIndex { index: ball, len }) => {
+                let sa = self.summaries(side)[row]
+                    .as_ref()
+                    .expect("non-empty bag has a summary");
                 generate_ball_candidates(
                     ball,
                     sa.centroid(),
@@ -2528,6 +2697,13 @@ impl RowScorer for WmdScorer {
                     bound,
                     &mut score,
                 );
+                // Bags appended after the ball build (resident inserts)
+                // are scored unpruned by the ball.
+                for j in *len as u32..target.len() as u32 {
+                    if nonempty(j) {
+                        score(j);
+                    }
+                }
             }
             CandidateSource::Blocked(lists) => {
                 for &j in lists.row(row as u32) {
@@ -2536,6 +2712,57 @@ impl RowScorer for WmdScorer {
                     }
                 }
             }
+        }
+    }
+
+    fn append(
+        &mut self,
+        (enc, scope): &Self::ProfileEncoder,
+        side: Side,
+        profile: &EntityProfile,
+    ) -> Option<usize> {
+        let s = side as usize;
+        let UnitTable { vectors, bags } =
+            enc.token_units(&[scoped_text(profile, scope)], WMD_TOKEN_CAP, 1);
+        let units = &mut self.units[s];
+        let positions = self.positions[s].get_or_insert_with(|| {
+            let mut positions = FxHashMap::default();
+            for (pos, &u) in units.iter().enumerate() {
+                positions
+                    .entry(bits_key(&self.vectors[u as usize]))
+                    .or_insert(pos as u32);
+            }
+            positions
+        });
+        let mut position_of = Vec::with_capacity(vectors.len());
+        for v in vectors {
+            let key = bits_key(&v);
+            let held = positions.get(&key).copied();
+            if let Some(pos) = held.filter(|&p| self.vectors[units[p as usize] as usize] == v) {
+                position_of.push(pos);
+                continue;
+            }
+            let pos = units.len() as u32;
+            positions.entry(key).or_insert(pos);
+            if let Some(blocks) = self.blocks[s].get_mut() {
+                blocks.push(&v);
+            }
+            units.push(self.vectors.len() as u32);
+            self.vectors.push(v);
+            position_of.push(pos);
+        }
+        let bag: Vec<u32> = bags[0].iter().map(|&u| position_of[u as usize]).collect();
+        let summary = self.summary(side, &bag);
+        if let Some(summaries) = self.summaries[s].get_mut() {
+            summaries.push(summary);
+        }
+        self.bags[s].push(bag);
+        Some(self.bags[s].len() - 1)
+    }
+
+    fn index_appended(&self, side: Side, _: usize, index: &mut PrefixIndex<VectorBallIndex>) {
+        if overflow_passes_rebuild(index.len, self.bags[side as usize].len()) {
+            *index = self.index(side);
         }
     }
 }
@@ -2877,8 +3104,9 @@ mod tests {
             },
             &PipelineConfig::default(),
         );
-        assert_eq!(scorer.right_units.len(), 13, "13 distinct right tokens");
-        assert_eq!(scorer.right_blocks.n_blocks(), 13usize.div_ceil(w));
+        let right_blocks = scorer.blocks(Side::Right);
+        assert_eq!(scorer.units[1].len(), 13, "13 distinct right tokens");
+        assert_eq!(right_blocks.n_blocks(), 13usize.div_ceil(w));
         let mut scratch = scorer.scratch();
         for row in 0..2 {
             let mut out = Vec::new();
@@ -2899,8 +3127,85 @@ mod tests {
             blocks.sort_unstable();
             blocks.dedup();
             assert_eq!(blocks.len(), t.filled.len(), "no block filled twice");
-            assert_eq!(t.filled.len(), scorer.right_blocks.n_blocks());
+            assert_eq!(t.filled.len(), right_blocks.n_blocks());
             assert_eq!(t.dists.len(), t.filled.len() * t.tokens.len() * w);
+        }
+    }
+
+    #[test]
+    fn wmd_appended_bags_score_as_direct_computation_bitwise() {
+        // Resident appends on both sides, after both sides' blocks and
+        // summaries are built: copies of the other side's profiles bring
+        // units their new side does not hold (pushed into the built
+        // blocks), copies of the side's own profiles reuse held
+        // positions. Every raw score of the first and the appended rows,
+        // probed from either side, equals `similarity_tokens` over the
+        // capped per-text bags bit for bit.
+        let d = er_datasets::Dataset::generate(DatasetId::D2, 0.03, 42);
+        let cfg = PipelineConfig::default();
+        for (model, scope) in [
+            (EmbeddingModel::FastText, SemanticScope::SchemaAgnostic),
+            (
+                EmbeddingModel::Albert,
+                SemanticScope::SchemaBased {
+                    attribute: "name".into(),
+                },
+            ),
+        ] {
+            let enc = model.encoder();
+            let mut scorer = WmdScorer::prepare(&d.left, &d.right, &enc, &scope, &cfg);
+            let mut scratch = scorer.scratch();
+            for side in [Side::Left, Side::Right] {
+                let mut out = Vec::new();
+                let source = CandidateSource::Enumerate;
+                scorer.score_row(side, 0, source, &mut scratch, &mut out);
+                scorer.summaries(side);
+            }
+            let mut texts = [d.left.profiles.clone(), d.right.profiles.clone()];
+            let encoder = (enc.clone(), scope.clone());
+            for i in 0..3 {
+                for (side, donor) in [
+                    (Side::Left, &d.right.profiles[i]),
+                    (Side::Right, &d.left.profiles[i]),
+                    (Side::Right, &d.right.profiles[i]),
+                ] {
+                    let row = scorer.append(&encoder, side, donor);
+                    assert_eq!(row, Some(texts[side as usize].len()));
+                    texts[side as usize].push(donor.clone());
+                }
+            }
+            let bag = |p: &EntityProfile| -> Vec<DenseVector> {
+                let mut toks = enc.token_vectors(&scoped_text(p, &scope));
+                toks.truncate(WMD_TOKEN_CAP);
+                toks
+            };
+            let bags = texts.map(|side| side.iter().map(&bag).collect::<Vec<_>>());
+            for side in [Side::Left, Side::Right] {
+                let (own, other) = (&bags[side as usize], &bags[side.opposite() as usize]);
+                let appended = [d.left.len(), d.right.len()][side as usize]..own.len();
+                for row in (0..3).chain(appended) {
+                    let a = &own[row];
+                    let mut want: Vec<(u32, u32, u64)> = Vec::new();
+                    for (j, b) in other.iter().enumerate() {
+                        if a.is_empty() || b.is_empty() {
+                            continue;
+                        }
+                        let (l, r) = oriented(side, a, b);
+                        let raw = SemanticMeasure::WordMovers.similarity_tokens(l, r);
+                        if raw > 0.0 {
+                            want.push((row as u32, j as u32, raw.to_bits()));
+                        }
+                    }
+                    let mut out = Vec::new();
+                    let source = CandidateSource::Enumerate;
+                    scorer.score_row(side, row, source, &mut scratch, &mut out);
+                    let got: Vec<(u32, u32, u64)> = out
+                        .into_iter()
+                        .map(|(i, j, w)| (i, j, w.to_bits()))
+                        .collect();
+                    assert_eq!(got, want, "{} {side:?} row {row}", model.name());
+                }
+            }
         }
     }
 

@@ -38,14 +38,6 @@ impl WeightType {
             WeightType::SchemaAgnosticSemantic => "schema-agnostic semantic",
         }
     }
-
-    /// Whether a single attribute (vs the whole profile) is compared.
-    pub fn is_schema_based(&self) -> bool {
-        matches!(
-            self,
-            WeightType::SchemaBasedSyntactic | WeightType::SchemaBasedSemantic
-        )
-    }
 }
 
 /// The scope of a semantic similarity function.
@@ -237,8 +229,6 @@ mod tests {
 
     #[test]
     fn weight_type_properties() {
-        assert!(WeightType::SchemaBasedSemantic.is_schema_based());
-        assert!(!WeightType::SchemaAgnosticSyntactic.is_schema_based());
         assert_eq!(WeightType::ALL.len(), 4);
     }
 }

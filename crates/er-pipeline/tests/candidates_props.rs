@@ -7,7 +7,8 @@
 //!    all 7 character measures over their length-bucket index, all 6
 //!    n-gram vector measures over the prefix-filtered inverted index, the
 //!    semantic cosine/Euclidean/Word-Mover's branches over their centroid
-//!    balls, and the fallback branches without an index — the indexed
+//!    balls, the n-gram graph models over their edge-key postings, and
+//!    the schema-based token measures, which walk their enumeration — the indexed
 //!    build is **bit-identical** to the enumerated build, serially and
 //!    with 4 workers, for every `k`. An index may only *skip* pairs whose
 //!    exact upper bound falls strictly below the sink's admission bound,

@@ -11,24 +11,22 @@
 //! 2. **Right inserts.** With `k = usize::MAX` (no row bound), a copy of
 //!    right profile `j` returns exactly column `j`: every measure sees
 //!    the batch `(left, right)` argument order whichever side probes.
-//! 3. **Appended entries are found** (indexed families). Further copies,
-//!    inserted on alternating sides, return the best `k` (or all) of
-//!    their original's row or column with every edge repeated to each
-//!    copy of the neighbour — the resident indexes take appended entries,
-//!    whether indexed at once or scored as overflow until a rebuild, and
-//!    right inserts prune under a live bound too.
+//! 3. **Appended entries are found.** Further copies, inserted on
+//!    alternating sides, return the best `k` (or all) of their original's
+//!    row or column with every edge repeated to each copy of the
+//!    neighbour — the resident indexes take appended entries, whether
+//!    indexed at once or scored as overflow until a rebuild, and right
+//!    inserts prune under a live bound too.
 //!
-//! Every catalog function of a small generated dataset runs — the indexed
-//! token-vector, character and dense semantic families as well as the
-//! fallback branches (schema-based token measures, n-gram graphs, Word
-//! Mover's).
+//! Every profile of every catalog function of a small generated dataset
+//! runs: token vectors, character measures, schema-based token measures,
+//! n-gram graphs, dense semantic and Word Mover's.
 
 use er_core::{CsrGraph, RowDelta, Side, SimilarityGraph};
 use er_datasets::{Dataset, DatasetId, EntityProfile};
 use er_pipeline::{
     build_graph_topk, CandidateMode, NormFrame, PipelineConfig, ResidentScorer, SimilarityFunction,
 };
-use er_textsim::SchemaBasedMeasure;
 
 fn resident(
     d: &Dataset,
@@ -114,19 +112,6 @@ fn best(mut edges: Vec<(u32, u64)>, k: usize) -> Vec<(u32, u64)> {
     edges
 }
 
-/// Whether `f` belongs to an indexed family (token vectors, character
-/// measures, dense semantic) rather than a fallback branch.
-fn indexed(f: &SimilarityFunction) -> bool {
-    match f {
-        SimilarityFunction::SchemaAgnosticVector { .. } => true,
-        SimilarityFunction::SchemaBasedSyntactic { measure, .. } => {
-            matches!(measure, SchemaBasedMeasure::Char(_))
-        }
-        SimilarityFunction::Semantic { measure, .. } => !measure.needs_token_vectors(),
-        SimilarityFunction::SchemaAgnosticGraph { .. } => false,
-    }
-}
-
 /// A resident scorer keeping the best `top` edges per insert, the store
 /// its inserts are applied to, and the copies inserted so far per side
 /// (`(original, copy)` ids).
@@ -174,8 +159,8 @@ impl Resident {
 /// profile. With `among_copies`, both residents then
 /// insert more copies on alternating sides, which must meet the earlier
 /// copies exactly as their originals met each other — the check on the
-/// indexed families' index maintenance (postings appended per insert,
-/// buckets and balls scored as overflow until rebuilt).
+/// resident index maintenance (postings appended per insert, buckets and
+/// balls scored as overflow until rebuilt).
 fn check(d: &Dataset, f: &SimilarityFunction, k: usize, stride: usize, among_copies: bool) {
     let cfg = PipelineConfig { threads: 2 };
     let label = f.name();
@@ -225,35 +210,18 @@ fn dataset() -> Dataset {
     Dataset::generate(DatasetId::D2, 0.04, 5)
 }
 
-/// Every profile of both sides, for every function of the three indexed
-/// families.
+/// Every profile of both sides, for every catalog function, with copies
+/// among copies. Two workers share the functions; a failed check
+/// re-raises here.
 #[test]
-fn indexed_family_inserts_reproduce_their_batch_rows_and_columns() {
+fn inserts_reproduce_their_batch_rows_and_columns() {
     let d = dataset();
-    let functions: Vec<SimilarityFunction> = SimilarityFunction::catalog(&d.spec, true)
-        .into_iter()
-        .filter(indexed)
-        .collect();
-    assert!(
-        functions.len() >= 50,
-        "token, char and dense functions all run"
+    let functions = SimilarityFunction::catalog(&d.spec, true);
+    assert_eq!(functions.len(), 88, "every catalog function runs");
+    er_core::par::map_indexed(
+        functions.len(),
+        2,
+        || (),
+        |_, i| check(&d, &functions[i], 3, 1, true),
     );
-    for f in &functions {
-        check(&d, f, 3, 1, true);
-    }
-}
-
-/// The fallback branches re-prepare a singleton build per insert
-/// (`O(corpus)` each), so they insert every fourth profile.
-#[test]
-fn fallback_inserts_reproduce_their_batch_rows_and_columns() {
-    let d = dataset();
-    let functions: Vec<SimilarityFunction> = SimilarityFunction::catalog(&d.spec, true)
-        .into_iter()
-        .filter(|f| !indexed(f))
-        .collect();
-    assert!(!functions.is_empty());
-    for f in &functions {
-        check(&d, f, 3, 4, false);
-    }
 }

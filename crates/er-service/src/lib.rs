@@ -370,12 +370,6 @@ impl ErService {
         self.csr.tombstone_ratio()
     }
 
-    /// The columnar store file this service persists to on
-    /// [`compact`](Self::compact), if it was loaded from one.
-    pub fn store_path(&self) -> Option<&Path> {
-        self.store_path.as_deref()
-    }
-
     /// Registered left record count, tombstoned ids included — the id
     /// space `0..n_left` (see [`is_live`](Self::is_live)).
     pub fn n_left(&self) -> u32 {
@@ -551,7 +545,6 @@ mod tests {
 
         let mut ram = ErService::load(&d.left, &d.right, &f, cfg.clone());
         let mut disk = ErService::load_mapped(&path, &d.left, &d.right, &f, frame, cfg).unwrap();
-        assert_eq!(disk.store_path(), Some(path.as_path()));
         assert_eq!(disk.store(), ram.store(), "hydrated store is identical");
         assert_eq!(disk.matching(), ram.matching());
 

@@ -1,29 +1,66 @@
 //! Property tests for [`er_service::ErService`]: under arbitrary
 //! insert/delete traffic the incrementally-maintained matching stays
 //! equal to a from-scratch re-match on the resident store, and the point
-//! queries stay consistent with the store. One fixed case runs the same
-//! traffic from several threads at once through a `RwLock`.
+//! queries stay consistent with the store. The UMC case runs one
+//! similarity function per family, the others token TF-IDF cosine. One
+//! fixed case runs the same traffic from several threads at once through
+//! a `RwLock`.
 
 use er_core::{total_cmp_desc, Side};
+use er_embed::{EmbeddingModel, SemanticMeasure};
 use er_matchers::AlgorithmKind;
-use er_pipeline::SimilarityFunction;
+use er_pipeline::{SemanticScope, SimilarityFunction};
 use er_service::{ErService, ServiceConfig};
-use er_textsim::{NGramScheme, VectorMeasure};
+use er_textsim::{
+    CharMeasure, GraphSimilarity, NGramScheme, SchemaBasedMeasure, TokenMeasure, VectorMeasure,
+};
 use proptest::prelude::*;
 
-fn boot(kind: AlgorithmKind, threshold: f64) -> ErService {
-    let d = er_datasets::Dataset::generate(er_datasets::DatasetId::D1, 0.02, 5);
-    let f = SimilarityFunction::SchemaAgnosticVector {
+/// Token TF-IDF cosine, the function most cases run.
+fn token_fn() -> SimilarityFunction {
+    SimilarityFunction::SchemaAgnosticVector {
         scheme: NGramScheme::Token(1),
         measure: VectorMeasure::CosineTfIdf,
+    }
+}
+
+/// One function per family: token vectors, a character measure, a
+/// schema-based token measure, an n-gram graph model, dense semantic and
+/// Word Mover's.
+fn family_fns() -> [SimilarityFunction; 6] {
+    let semantic = |measure| SimilarityFunction::Semantic {
+        model: EmbeddingModel::FastText,
+        measure,
+        scope: SemanticScope::SchemaAgnostic,
     };
+    [
+        token_fn(),
+        SimilarityFunction::SchemaBasedSyntactic {
+            attribute: "name".into(),
+            measure: SchemaBasedMeasure::Char(CharMeasure::Levenshtein),
+        },
+        SimilarityFunction::SchemaBasedSyntactic {
+            attribute: "name".into(),
+            measure: SchemaBasedMeasure::Token(TokenMeasure::Jaccard),
+        },
+        SimilarityFunction::SchemaAgnosticGraph {
+            scheme: NGramScheme::Char(3),
+            measure: GraphSimilarity::Value,
+        },
+        semantic(SemanticMeasure::Cosine),
+        semantic(SemanticMeasure::WordMovers),
+    ]
+}
+
+fn boot(f: &SimilarityFunction, kind: AlgorithmKind, threshold: f64) -> ErService {
+    let d = er_datasets::Dataset::generate(er_datasets::DatasetId::D1, 0.02, 5);
     let cfg = ServiceConfig {
         k: 3,
         threshold,
         algorithm: kind,
         ..ServiceConfig::default()
     };
-    ErService::load(&d.left, &d.right, &f, cfg)
+    ErService::load(&d.left, &d.right, f, cfg)
 }
 
 /// Apply one raw op: even selectors insert (a clone of a resident
@@ -101,18 +138,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The incremental-UMC service (the fast path) tracks the full
-    /// re-match after every operation.
+    /// re-match after every operation, for one function per family.
     #[test]
     fn umc_service_tracks_full_rematch(ops in proptest::collection::vec((0u8..8, 0u16..512), 1..10)) {
-        let mut s = boot(AlgorithmKind::Umc, 0.3);
-        for (sel, pick) in ops {
-            step(&mut s, sel, pick);
-            prop_assert_eq!(s.matching(), s.full_rematch());
-            let m = s.matching();
-            prop_assert!(m.is_unique_mapping());
-            for (l, r) in m.iter() {
-                prop_assert!(s.is_live(Side::Left, l) && s.is_live(Side::Right, r),
-                    "matched a tombstoned record ({l},{r})");
+        for f in family_fns() {
+            let mut s = boot(&f, AlgorithmKind::Umc, 0.3);
+            for &(sel, pick) in &ops {
+                step(&mut s, sel, pick);
+                prop_assert_eq!(s.matching(), s.full_rematch(), "{}", f.name());
+                let m = s.matching();
+                prop_assert!(m.is_unique_mapping());
+                for (l, r) in m.iter() {
+                    prop_assert!(s.is_live(Side::Left, l) && s.is_live(Side::Right, r),
+                        "{}: matched a tombstoned record ({l},{r})", f.name());
+                }
             }
         }
     }
@@ -121,7 +160,7 @@ proptest! {
     /// guarantee (end-state check — replay recomputes per read).
     #[test]
     fn replay_service_tracks_full_rematch(ops in proptest::collection::vec((0u8..8, 0u16..512), 1..6)) {
-        let mut s = boot(AlgorithmKind::Krc, 0.3);
+        let mut s = boot(&token_fn(), AlgorithmKind::Krc, 0.3);
         for (sel, pick) in ops {
             step(&mut s, sel, pick);
         }
@@ -132,7 +171,7 @@ proptest! {
     /// edge is live on both endpoints and symmetric across sides.
     #[test]
     fn neighbors_stay_consistent(ops in proptest::collection::vec((0u8..8, 0u16..512), 1..8)) {
-        let mut s = boot(AlgorithmKind::Umc, 0.3);
+        let mut s = boot(&token_fn(), AlgorithmKind::Umc, 0.3);
         for (sel, pick) in ops {
             step(&mut s, sel, pick);
         }
@@ -152,7 +191,7 @@ proptest! {
         ops in proptest::collection::vec((0u8..8, 0u16..512), 1..8),
     ) {
         for kind in [AlgorithmKind::Umc, AlgorithmKind::Bah, AlgorithmKind::Krc] {
-            let mut s = boot(kind, 0.3);
+            let mut s = boot(&token_fn(), kind, 0.3);
             assert_point_queries(&s)?;
             for &(sel, pick) in &ops {
                 step(&mut s, sel, pick);
@@ -178,7 +217,7 @@ fn concurrent_traffic_matches_full_rematch() {
     const UPDATES: u32 = 40;
     const READS_PER_ROUND: u32 = 10;
     for kind in [AlgorithmKind::Umc, AlgorithmKind::Bah] {
-        let svc = RwLock::new(boot(kind, 0.3));
+        let svc = RwLock::new(boot(&token_fn(), kind, 0.3));
         // Lock-step rounds over channels force the interleaving: the
         // writer applies one update, then waits until both readers have
         // queried. A thread that panics disconnects its channels, which
