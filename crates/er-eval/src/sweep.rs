@@ -8,20 +8,28 @@
 //! The default execution path is the [`SweepEngine`], which makes the
 //! `(algorithm × threshold)` grid **incremental and parallel**:
 //!
-//! * each `(algorithm, basis)` unit steps its one incremental matcher
+//! * each unit steps its own incremental matcher
 //!   ([`er_matchers::DeltaMatcher`], the same one a resident service
-//!   feeds graph deltas) down the grid in *descending* threshold order,
-//!   so "edges above t" is a prefix slice of the prepared graph's sorted
-//!   edge view and a step only admits the edges past the previous grid
-//!   point: UMC continues its greedy fold, BAH extends its contribution
-//!   map, and the other matchers re-run only when the view moved;
+//!   feeds graph deltas) down its run of the grid in *descending*
+//!   threshold order, so "edges above t" is a prefix slice of the
+//!   prepared graph's sorted edge view and a step only admits the edges
+//!   past the previous grid point: UMC continues its greedy fold, BAH
+//!   extends its contribution map, and the other matchers re-run only
+//!   when the view moved;
+//! * a unit is an algorithm over the whole grid — BMC once per basis —
+//!   except BAH, whose step costs one full swap search whatever it
+//!   admits: its grid is cut into one contiguous slice per worker, each
+//!   stepped by its own matcher from the slice's first threshold;
 //! * the units fan out over the workers of the `er_core::par` pool (the
-//!   same pool `er-pipeline`'s corpus runner uses).
+//!   same pool `er-pipeline`'s corpus runner uses), and one selection
+//!   rule folds each algorithm's unit outcomes back into its result.
 //!
 //! The engine is **result-equivalent** to the naive per-threshold re-run
 //! ([`sweep_naive`]) — the property tests in `tests/proptests.rs` enforce
 //! equality of best threshold, precision/recall/F1, and per-threshold
 //! matchings for all eight algorithms.
+
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
@@ -75,7 +83,10 @@ impl SweepEngine {
         gt: &GroundTruth,
         grid: &ThresholdGrid,
     ) -> Vec<SweepResult> {
-        let units: Vec<Unit> = AlgorithmKind::ALL.into_iter().flat_map(units_of).collect();
+        let units: Vec<Unit> = AlgorithmKind::ALL
+            .into_iter()
+            .flat_map(|kind| self.units_of(kind, grid))
+            .collect();
         let outcomes = self.run_units(&units, g, gt, grid);
         AlgorithmKind::ALL
             .into_iter()
@@ -93,9 +104,43 @@ impl SweepEngine {
         gt: &GroundTruth,
         grid: &ThresholdGrid,
     ) -> SweepResult {
-        let units = units_of(kind);
+        let units = self.units_of(kind, grid);
         let outcomes = self.run_units(&units, g, gt, grid);
         combine(kind, &units, &outcomes)
+    }
+
+    /// A kind's units. BMC gets one whole-grid unit per basis. BAH gets
+    /// one unit per contiguous slice of the descending grid, as many as
+    /// there are workers but never more than grid points: its step costs
+    /// one full swap search whatever the step admits, so a slice that
+    /// starts mid-grid repeats only its first step's map build. Every
+    /// other kind gets one whole-grid unit: UMC's steps continue one
+    /// greedy fold that a slice would redo from the top, and slicing the
+    /// replay matchers measured slower (DESIGN.md §9).
+    fn units_of(&self, kind: AlgorithmKind, grid: &ThresholdGrid) -> Vec<Unit> {
+        let whole = 0..grid.len();
+        match kind {
+            AlgorithmKind::Bmc => Basis::both()
+                .into_iter()
+                .map(|b| Unit {
+                    kind,
+                    basis: Some(b),
+                    points: whole.clone(),
+                })
+                .collect(),
+            AlgorithmKind::Bah => grid_slices(grid.len(), self.threads)
+                .map(|points| Unit {
+                    kind,
+                    basis: None,
+                    points,
+                })
+                .collect(),
+            _ => vec![Unit {
+                kind,
+                basis: None,
+                points: whole,
+            }],
+        }
     }
 
     /// Fan the units out over scoped worker threads; results keep unit
@@ -116,62 +161,53 @@ impl SweepEngine {
     }
 }
 
-/// One schedulable piece of grid work: an algorithm under a fixed basis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One schedulable piece of grid work: an algorithm under a fixed basis,
+/// over a contiguous run of the descending grid's points.
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Unit {
     kind: AlgorithmKind,
     basis: Option<Basis>,
+    /// Indexes into [`ThresholdGrid::values_desc`].
+    points: Range<usize>,
 }
 
-/// BMC contributes two units (one per basis); everything else one.
-fn units_of(kind: AlgorithmKind) -> Vec<Unit> {
-    if kind == AlgorithmKind::Bmc {
-        Basis::both()
-            .into_iter()
-            .map(|b| Unit {
-                kind,
-                basis: Some(b),
-            })
-            .collect()
-    } else {
-        vec![Unit { kind, basis: None }]
-    }
+/// Cut `len` descending grid points into `min(slices, len)` contiguous,
+/// non-empty runs, in grid order, whose lengths differ by at most one
+/// (one run when `len` is 0).
+fn grid_slices(len: usize, slices: usize) -> impl Iterator<Item = Range<usize>> {
+    let n = slices.clamp(1, len.max(1));
+    (0..n).map(move |k| k * len / n..(k + 1) * len / n)
 }
 
-/// Collapse a kind's unit outcomes into its final [`SweepResult`] (the BMC
-/// dual-basis selection of §3 for BMC, identity otherwise).
+/// Collapse a kind's unit outcomes, in unit order, into its final
+/// [`SweepResult`]: BMC's dual-basis selection of §3, the fold of BAH's
+/// grid slices, identity for a single unit.
 fn combine(kind: AlgorithmKind, units: &[Unit], outcomes: &[SweepResult]) -> SweepResult {
-    let mut picked: Option<(Basis, SweepResult)> = None;
+    let mut picked: Option<(&Unit, &SweepResult)> = None;
     for (u, r) in units.iter().zip(outcomes) {
         if u.kind != kind {
             continue;
         }
-        let Some(basis) = u.basis else {
-            return r.clone();
-        };
-        picked = Some(match picked {
-            None => (basis, r.clone()),
-            Some((cur_basis, cur)) => {
-                if basis_beats(r, &cur) {
-                    (basis, r.clone())
-                } else {
-                    (cur_basis, cur)
-                }
-            }
-        });
+        if picked.is_none_or(|(_, cur)| beats(r, cur)) {
+            picked = Some((u, r));
+        }
     }
-    let (basis, mut winner) = picked.expect("kind has at least one unit");
-    winner.bmc_basis_right = Some(basis == Basis::Right);
+    let (unit, winner) = picked.expect("kind has at least one unit");
+    let mut winner = winner.clone();
+    winner.bmc_basis_right = unit.basis.map(|b| b == Basis::Right);
     winner.algorithm = kind;
     winner
 }
 
-/// The documented BMC basis selection rule (§3 evaluates both bases and
-/// retains the better): **higher best-F1 wins; on an F1 tie the basis with
-/// the larger optimal threshold wins** (mirroring the protocol's "largest
-/// threshold achieving the highest F-Measure"); a full tie keeps the left
-/// basis. Deterministic by construction.
-fn basis_beats(challenger: &SweepResult, incumbent: &SweepResult) -> bool {
+/// The one selection rule between unit outcomes: **higher best-F1 wins;
+/// on an F1 tie the larger optimal threshold wins** (the protocol's
+/// "largest threshold achieving the highest F-Measure"); a full tie keeps
+/// the incumbent. For BMC's two bases (§3 evaluates both and retains the
+/// better) a full tie thus keeps the left basis. BAH's slices arrive in
+/// descending grid order, so a later slice's thresholds are all smaller
+/// and only a strictly higher F1 lets it win — exactly the single pass's
+/// strict `>` over the concatenated grid.
+fn beats(challenger: &SweepResult, incumbent: &SweepResult) -> bool {
     challenger.best.f1 > incumbent.best.f1
         || (challenger.best.f1 == incumbent.best.f1
             && challenger.best_threshold > incumbent.best_threshold)
@@ -197,7 +233,8 @@ fn sweep_unit(
     let mut best_threshold = 0.0;
     let mut best = PrecisionRecall::zero(gt.len());
     let mut have_any = false;
-    for t in grid.values_desc() {
+    let points = &unit.points;
+    for t in grid.values_desc().skip(points.start).take(points.len()) {
         matcher.step(g, t);
         let e = evaluate(&matcher.matching(), gt);
         // Strict ">" keeps the *largest* optimal threshold, as the grid
@@ -243,7 +280,7 @@ pub fn sweep_naive(
         };
         let left = run(Basis::Left);
         let right = run(Basis::Right);
-        let mut winner = if basis_beats(&right, &left) {
+        let mut winner = if beats(&right, &left) {
             let mut r = right;
             r.bmc_basis_right = Some(true);
             r
@@ -376,20 +413,9 @@ mod tests {
         // can't produce such a tie organically on a BMC graph — whichever
         // edge blocks the true pair at a high threshold still blocks it at
         // every lower one — so the unit outcomes are constructed directly.
-        let units = units_of(AlgorithmKind::Bmc);
-        let outcome = |t: f64| SweepResult {
-            algorithm: AlgorithmKind::Bmc,
-            best_threshold: t,
-            best: PrecisionRecall {
-                precision: 1.0,
-                recall: 1.0,
-                f1: 1.0,
-                true_positives: 1,
-                output_pairs: 1,
-                ground_truth_pairs: 1,
-            },
-            bmc_basis_right: None,
-        };
+        let units =
+            SweepEngine::new(AlgorithmConfig::default()).units_of(AlgorithmKind::Bmc, &grid);
+        let outcome = |t: f64| outcome(AlgorithmKind::Bmc, t, 1.0);
         // units_of lists Left before Right.
         let pick = |left_t: f64, right_t: f64| {
             combine(
@@ -416,6 +442,89 @@ mod tests {
             Some(false),
             "full tie keeps the left basis"
         );
+    }
+
+    /// A unit outcome with the given best threshold and F1.
+    fn outcome(algorithm: AlgorithmKind, best_threshold: f64, f1: f64) -> SweepResult {
+        SweepResult {
+            algorithm,
+            best_threshold,
+            best: PrecisionRecall {
+                precision: f1,
+                recall: f1,
+                f1,
+                true_positives: 1,
+                output_pairs: 1,
+                ground_truth_pairs: 1,
+            },
+            bmc_basis_right: None,
+        }
+    }
+
+    #[test]
+    fn bah_grid_slices_are_contiguous_and_non_empty() {
+        for len in [20, 2, 1] {
+            for threads in [1, 2, 3, 4, 8, 32] {
+                let slices: Vec<Range<usize>> = grid_slices(len, threads).collect();
+                assert_eq!(
+                    slices.len(),
+                    threads.min(len),
+                    "{len} points, {threads} workers"
+                );
+                assert!(slices.iter().all(|s| !s.is_empty()), "{slices:?}");
+                assert_eq!(slices[0].start, 0);
+                assert_eq!(slices.last().unwrap().end, len);
+                assert!(
+                    slices.windows(2).all(|w| w[0].end == w[1].start),
+                    "{slices:?}"
+                );
+            }
+        }
+        // Every other kind keeps one whole-grid unit (two for BMC).
+        let grid = ThresholdGrid::paper();
+        let engine = SweepEngine::new(AlgorithmConfig::default()).with_threads(8);
+        for kind in AlgorithmKind::ALL {
+            let units = engine.units_of(kind, &grid);
+            let want = match kind {
+                AlgorithmKind::Bah => 8,
+                AlgorithmKind::Bmc => 2,
+                _ => 1,
+            };
+            assert_eq!(units.len(), want, "{kind}");
+            if kind != AlgorithmKind::Bah {
+                assert!(units.iter().all(|u| u.points == (0..grid.len())), "{kind}");
+            }
+        }
+    }
+
+    #[test]
+    fn bah_slice_f1_tie_prefers_the_higher_threshold_slice() {
+        // Two slices of the descending paper grid: the first covers
+        // 1.0 ..= 0.55, the second 0.5 ..= 0.05. Both tie on F1 across the
+        // boundary, so the single pass keeps the first slice's (larger)
+        // threshold; only a strictly higher F1 lets the second slice win.
+        let grid = ThresholdGrid::paper();
+        let units = SweepEngine::new(AlgorithmConfig::default())
+            .with_threads(2)
+            .units_of(AlgorithmKind::Bah, &grid);
+        assert_eq!(units.len(), 2);
+        let pick = |hi: (f64, f64), lo: (f64, f64)| {
+            combine(
+                AlgorithmKind::Bah,
+                &units,
+                &[
+                    outcome(AlgorithmKind::Bah, hi.0, hi.1),
+                    outcome(AlgorithmKind::Bah, lo.0, lo.1),
+                ],
+            )
+        };
+        let r = pick((0.55, 0.8), (0.5, 0.8));
+        assert_eq!(r.best_threshold, 0.55, "F1 tie keeps the higher slice");
+        assert_eq!(r.bmc_basis_right, None);
+        let r = pick((0.55, 0.8), (0.3, 0.9));
+        assert_eq!(r.best_threshold, 0.3, "higher F1 in the lower slice wins");
+        let r = pick((0.9, 0.9), (0.5, 0.8));
+        assert_eq!(r.best_threshold, 0.9, "lower F1 in the lower slice loses");
     }
 
     #[test]

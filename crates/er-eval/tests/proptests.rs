@@ -272,3 +272,55 @@ proptest! {
         prop_assert!((s.std - base.std).abs() < 1e-6);
     }
 }
+
+proptest! {
+    // Each case runs 36 engine sweeps (6 worker counts × 3 grids, alone and
+    // in `sweep_all`), so 64 cases keep this property's run time near the
+    // suite's 256-case ones.
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// BAH's grid is cut into one slice per worker, each stepping its own
+    /// matcher from the slice's first threshold. At every worker count —
+    /// fewer slices than points, as many, and more workers than points —
+    /// the folded slices equal the naive re-run, alone and inside
+    /// `sweep_all`, on the paper grid and on 2- and 1-point grids.
+    #[test]
+    fn bah_grid_slices_equal_naive_rerun_at_1_to_32_workers(
+        g in arb_graph(),
+        gt in arb_ground_truth(),
+    ) {
+        let pg = PreparedGraph::new(&g);
+        let config = sweep_config();
+        let grids = [
+            ThresholdGrid::paper(),
+            ThresholdGrid::new(0.45, 0.5, 0.05),
+            ThresholdGrid::new(0.5, 0.5, 0.05),
+        ];
+        for grid in &grids {
+            let naive: Vec<_> = AlgorithmKind::ALL
+                .into_iter()
+                .map(|kind| sweep_naive(kind, &config, &pg, &gt, grid))
+                .collect();
+            let bah = AlgorithmKind::ALL.iter().position(|&k| k == AlgorithmKind::Bah).unwrap();
+            for threads in [1, 2, 3, 4, 8, 32] {
+                let engine = SweepEngine::new(config).with_threads(threads);
+                let alone = engine.sweep_algorithm(AlgorithmKind::Bah, &pg, &gt, grid);
+                let all = engine.sweep_all(&pg, &gt, grid);
+                for (fast, slow) in std::iter::once((&alone, &naive[bah])).chain(all.iter().zip(&naive)) {
+                    prop_assert_eq!(fast.algorithm, slow.algorithm);
+                    prop_assert_eq!(
+                        fast.best_threshold, slow.best_threshold,
+                        "{} best threshold drifted at {} workers, {} points",
+                        fast.algorithm, threads, grid.len()
+                    );
+                    prop_assert_eq!(
+                        fast.best, slow.best,
+                        "{} P/R/F1 drifted at {} workers, {} points",
+                        fast.algorithm, threads, grid.len()
+                    );
+                    prop_assert_eq!(fast.bmc_basis_right, slow.bmc_basis_right);
+                }
+            }
+        }
+    }
+}

@@ -125,6 +125,15 @@ pub(crate) fn search(
     let mut partner: Vec<Option<u32>> = (0..n_big)
         .map(|i| (i < n_small).then_some(i as u32))
         .collect();
+    // `cur[i] == contrib(i, partner[i])`, updated with every accepted
+    // swap, so a move looks up only its two cross pairs. The values are
+    // the lookups' own, so each delta sums the same operands in the same
+    // order as one that looks up all four pairs.
+    let mut cur: Vec<f64> = partner
+        .iter()
+        .enumerate()
+        .map(|(i, &p)| contrib(i as u32, p))
+        .collect();
 
     let mut rng = StdRng::seed_from_u64(config.seed);
     let start = Instant::now();
@@ -144,15 +153,20 @@ pub(crate) fn search(
                 j
             };
             let (pi, pj) = (partner[i], partner[j]);
+            // The contributions i and j would have after the swap.
+            let (mut ci, mut cj) = (0.0, 0.0);
             let mut delta = 0.0;
             if pi.is_some() {
-                delta += contrib(j as u32, pi) - contrib(i as u32, pi);
+                cj = contrib(j as u32, pi);
+                delta += cj - cur[i];
             }
             if pj.is_some() {
-                delta += contrib(i as u32, pj) - contrib(j as u32, pj);
+                ci = contrib(i as u32, pj);
+                delta += ci - cur[j];
             }
             if delta >= 0.0 {
                 partner.swap(i, j);
+                (cur[i], cur[j]) = (ci, cj);
             }
         }
     }
@@ -185,6 +199,127 @@ mod tests {
 
     fn bah() -> Bah {
         Bah::with_seed(7)
+    }
+
+    /// The four-lookup swap search: every move looks up both partners'
+    /// current and crossed contributions. The oracle for [`search`],
+    /// which carries the current ones from move to move.
+    fn search_reference(
+        n_left: u32,
+        n_right: u32,
+        d: &FxHashMap<(u32, u32), f64>,
+        config: BahConfig,
+    ) -> Matching {
+        let left_drives = left_drives(n_left, n_right);
+        let (n_big, n_small) = if left_drives {
+            (n_left as usize, n_right as usize)
+        } else {
+            (n_right as usize, n_left as usize)
+        };
+        if n_small == 0 {
+            return Matching::empty();
+        }
+        let contrib = |big: u32, small: Option<u32>| -> f64 {
+            small.and_then(|s| d.get(&(big, s))).copied().unwrap_or(0.0)
+        };
+        let mut partner: Vec<Option<u32>> = (0..n_big)
+            .map(|i| (i < n_small).then_some(i as u32))
+            .collect();
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let start = Instant::now();
+        if n_big >= 2 {
+            for step in 0..config.max_moves {
+                if step % 256 == 0 && start.elapsed() > config.time_limit {
+                    break;
+                }
+                let i = rng.gen_range(0..n_big);
+                let j = {
+                    let mut j = rng.gen_range(0..n_big - 1);
+                    if j >= i {
+                        j += 1;
+                    }
+                    j
+                };
+                let (pi, pj) = (partner[i], partner[j]);
+                let mut delta = 0.0;
+                if pi.is_some() {
+                    delta += contrib(j as u32, pi) - contrib(i as u32, pi);
+                }
+                if pj.is_some() {
+                    delta += contrib(i as u32, pj) - contrib(j as u32, pj);
+                }
+                if delta >= 0.0 {
+                    partner.swap(i, j);
+                }
+            }
+        }
+        let mut pairs = Vec::new();
+        for (i, p) in partner.iter().enumerate() {
+            if let Some(s) = p {
+                if d.contains_key(&(i as u32, *s)) {
+                    pairs.push(driver_key(i as u32, *s, left_drives));
+                }
+            }
+        }
+        Matching::new(pairs)
+    }
+
+    /// A random contribution map over `n_left × n_right`, keyed by the
+    /// driver orientation. Weights sit on a 0.05 grid, so plateau moves
+    /// (`Δ == 0`) are common.
+    fn random_map(rng: &mut StdRng, n_left: u32, n_right: u32) -> FxHashMap<(u32, u32), f64> {
+        let drives = left_drives(n_left, n_right);
+        let density = rng.gen_range(0.0..0.6);
+        let mut d = FxHashMap::default();
+        for l in 0..n_left {
+            for r in 0..n_right {
+                if rng.gen_bool(density) {
+                    let w = rng.gen_range(1..=20u32) as f64 * 0.05;
+                    d.insert(driver_key(l, r, drives), w);
+                }
+            }
+        }
+        d
+    }
+
+    #[test]
+    fn two_lookup_search_matches_the_four_lookup_reference() {
+        let mut rng = StdRng::seed_from_u64(0xba4);
+        for case in 0..40u32 {
+            let small = rng.gen_range(1..30u32);
+            let big = small + rng.gen_range(0..30u32);
+            // Even cases: the left side drives. Odd cases: the right side.
+            let (n_left, n_right) = if case % 2 == 0 {
+                (big, small)
+            } else {
+                (small, big + 1)
+            };
+            assert_eq!(left_drives(n_left, n_right), case % 2 == 0);
+            let d = random_map(&mut rng, n_left, n_right);
+            for max_moves in [0, 1, 300, 10_000] {
+                for seed in 0..3 {
+                    let config = BahConfig {
+                        max_moves,
+                        seed,
+                        ..BahConfig::default()
+                    };
+                    assert_eq!(
+                        search(n_left, n_right, &d, config),
+                        search_reference(n_left, n_right, &d, config),
+                        "case {case} ({n_left}x{n_right}), max_moves {max_moves}, seed {seed}"
+                    );
+                }
+            }
+            let stopped = BahConfig {
+                time_limit: Duration::ZERO,
+                ..BahConfig::default()
+            };
+            assert_eq!(
+                search(n_left, n_right, &d, stopped),
+                search_reference(n_left, n_right, &d, stopped),
+                "case {case}: zero time limit"
+            );
+        }
     }
 
     #[test]
@@ -241,7 +376,7 @@ mod tests {
         // The wall-clock budget binds before any move is attempted, so the
         // output equals the filtered initial assignment.
         let cfg = BahConfig {
-            time_limit: std::time::Duration::ZERO,
+            time_limit: Duration::ZERO,
             ..BahConfig::default()
         };
         let mut b = GraphBuilder::new(2, 2);
