@@ -8,18 +8,19 @@
 //! The default execution path is the [`SweepEngine`], which makes the
 //! `(algorithm × threshold)` grid **incremental and parallel**:
 //!
-//! * each unit steps its own incremental matcher
+//! * each whole-grid unit steps its own incremental matcher
 //!   ([`er_matchers::DeltaMatcher`], the same one a resident service
-//!   feeds graph deltas) down its run of the grid in *descending*
-//!   threshold order, so "edges above t" is a prefix slice of the
-//!   prepared graph's sorted edge view and a step only admits the edges
-//!   past the previous grid point: UMC continues its greedy fold, BAH
-//!   extends its contribution map, and the other matchers re-run only
-//!   when the view moved;
+//!   feeds graph deltas) down the grid in *descending* threshold order,
+//!   so "edges above t" is a prefix slice of the prepared graph's sorted
+//!   edge view and a step only admits the edges past the previous grid
+//!   point: UMC continues its greedy fold, BAH extends its contribution
+//!   map, and the other matchers re-run only when the view moved;
 //! * a unit is an algorithm over the whole grid — BMC once per basis —
 //!   except BAH, whose step costs one full swap search whatever it
-//!   admits: its grid is cut into one contiguous slice per worker, each
-//!   stepped by its own matcher from the slice's first threshold;
+//!   admits: with more than one worker its grid is cut into one
+//!   contiguous slice per worker, and the slices search one shared
+//!   contribution map ([`er_matchers::BahMap`]) instead of stepping a
+//!   matcher each;
 //! * the units fan out over the workers of the `er_core::par` pool (the
 //!   same pool `er-pipeline`'s corpus runner uses), and one selection
 //!   rule folds each algorithm's unit outcomes back into its result.
@@ -30,11 +31,12 @@
 //! matchings for all eight algorithms.
 
 use std::ops::Range;
+use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 
-use er_core::{par, GroundTruth, ThresholdGrid};
-use er_matchers::{AlgorithmConfig, AlgorithmKind, Basis, PreparedGraph};
+use er_core::{par, GroundTruth, Matching, ThresholdGrid};
+use er_matchers::{AlgorithmConfig, AlgorithmKind, BahMap, Basis, PreparedGraph};
 
 use crate::metrics::{evaluate, PrecisionRecall};
 
@@ -112,11 +114,11 @@ impl SweepEngine {
     /// A kind's units. BMC gets one whole-grid unit per basis. BAH gets
     /// one unit per contiguous slice of the descending grid, as many as
     /// there are workers but never more than grid points: its step costs
-    /// one full swap search whatever the step admits, so a slice that
-    /// starts mid-grid repeats only its first step's map build. Every
-    /// other kind gets one whole-grid unit: UMC's steps continue one
-    /// greedy fold that a slice would redo from the top, and slicing the
-    /// replay matchers measured slower (DESIGN.md §9).
+    /// one full swap search whatever the step admits, and the slices share
+    /// one map, so a slice repeats nothing. Every other kind gets one
+    /// whole-grid unit: UMC's steps continue one greedy fold that a slice
+    /// would redo from the top, and slicing the replay matchers measured
+    /// slower (DESIGN.md §9).
     fn units_of(&self, kind: AlgorithmKind, grid: &ThresholdGrid) -> Vec<Unit> {
         let whole = 0..grid.len();
         match kind {
@@ -144,7 +146,8 @@ impl SweepEngine {
     }
 
     /// Fan the units out over scoped worker threads; results keep unit
-    /// order regardless of completion order.
+    /// order regardless of completion order. BAH's slices share one map,
+    /// built by the first slice to start and dropped with the fan-out.
     fn run_units(
         &self,
         units: &[Unit],
@@ -152,11 +155,12 @@ impl SweepEngine {
         gt: &GroundTruth,
         grid: &ThresholdGrid,
     ) -> Vec<SweepResult> {
+        let bah_map = OnceLock::new();
         par::map_indexed(
             units.len(),
             self.threads,
             || (),
-            |_, idx| sweep_unit(&units[idx], &self.config, g, gt, grid),
+            |_, idx| sweep_unit(&units[idx], &self.config, g, gt, grid, &bah_map),
         )
     }
 }
@@ -213,14 +217,15 @@ fn beats(challenger: &SweepResult, incumbent: &SweepResult) -> bool {
             && challenger.best_threshold > incumbent.best_threshold)
 }
 
-/// Step one unit's incremental matcher down the grid, keeping the largest
-/// threshold that achieves the maximum F1.
+/// Step one unit down its run of the grid, keeping the largest threshold
+/// that achieves the maximum F1.
 fn sweep_unit(
     unit: &Unit,
     config: &AlgorithmConfig,
     g: &PreparedGraph<'_>,
     gt: &GroundTruth,
     grid: &ThresholdGrid,
+    bah_map: &OnceLock<BahMap>,
 ) -> SweepResult {
     let config = match unit.basis {
         Some(basis) => AlgorithmConfig {
@@ -229,14 +234,37 @@ fn sweep_unit(
         },
         None => *config,
     };
-    let mut matcher = config.delta_matcher(unit.kind);
+    let mut matching_at: Box<dyn FnMut(f64) -> Matching + '_> =
+        if unit.kind == AlgorithmKind::Bah && unit.points.len() < grid.len() {
+            // A slice searches the map shared by all slices, which holds
+            // every edge above the grid's lowest point, and searches again
+            // only where the step admitted edges (as `BahDelta` does).
+            let floor = grid.values().next().expect("a grid is never empty");
+            let map = bah_map.get_or_init(|| BahMap::new(g, floor));
+            let mut searched: Option<(usize, Matching)> = None;
+            Box::new(move |t| {
+                let admitted = g.edges_above(t).len();
+                match &searched {
+                    Some((n, m)) if *n == admitted => m.clone(),
+                    _ => searched
+                        .insert((admitted, map.search(t, config.bah)))
+                        .1
+                        .clone(),
+                }
+            })
+        } else {
+            let mut matcher = config.delta_matcher(unit.kind);
+            Box::new(move |t| {
+                matcher.step(g, t);
+                matcher.matching()
+            })
+        };
     let mut best_threshold = 0.0;
     let mut best = PrecisionRecall::zero(gt.len());
     let mut have_any = false;
     let points = &unit.points;
     for t in grid.values_desc().skip(points.start).take(points.len()) {
-        matcher.step(g, t);
-        let e = evaluate(&matcher.matching(), gt);
+        let e = evaluate(&matching_at(t), gt);
         // Strict ">" keeps the *largest* optimal threshold, as the grid
         // descends — the mirror of the naive ascending ">=" rule.
         if !have_any || e.f1 > best.f1 {

@@ -279,8 +279,8 @@ proptest! {
     // suite's 256-case ones.
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// BAH's grid is cut into one slice per worker, each stepping its own
-    /// matcher from the slice's first threshold. At every worker count —
+    /// BAH's grid is cut into one slice per worker, the slices searching
+    /// one shared contribution map at their points. At every worker count —
     /// fewer slices than points, as many, and more workers than points —
     /// the folded slices equal the naive re-run, alone and inside
     /// `sweep_all`, on the paper grid and on 2- and 1-point grids.

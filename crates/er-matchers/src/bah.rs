@@ -19,7 +19,7 @@ use er_core::{FxHashMap, Matching};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::matcher::{EdgeView, Matcher};
+use crate::matcher::{EdgeView, Matcher, PreparedGraph};
 
 /// Budgets and seed for the random search (Table 1's BAH parameters).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,17 +67,58 @@ impl Matcher for Bah {
     }
 
     fn run_view(&self, view: &EdgeView<'_, '_>) -> Matching {
-        // Pair contribution d(big, small): the edge weight when it exceeds
-        // the threshold, else 0 (absent from the map). The strict prefix of
-        // the sorted view is exactly the retained edge set.
-        let left_drives = left_drives(view.n_left(), view.n_right());
-        let mut d: FxHashMap<(u32, u32), f64> = FxHashMap::default();
-        d.reserve(view.edges().len());
-        for e in view.edges() {
+        let t = view.threshold();
+        BahMap::new(view.prepared(), t).search(t, self.config)
+    }
+}
+
+/// BAH's contribution map over every edge of a graph above a floor
+/// threshold, built once and searched read-only at any threshold at or
+/// above the floor.
+///
+/// Pair contribution d(big, small) is the edge weight when it exceeds the
+/// threshold searched at, else 0, so a search at `t` counts the entries
+/// at or below `t` as absent and returns exactly [`Bah`]'s matching at
+/// `t`. Searches at different thresholds — the sweep engine's BAH grid
+/// slices, run concurrently — thus share one map instead of each
+/// building its own.
+pub struct BahMap {
+    n_left: u32,
+    n_right: u32,
+    floor: f64,
+    d: FxHashMap<(u32, u32), f64>,
+}
+
+impl BahMap {
+    /// The map of `g`'s edges with `weight > floor`.
+    pub fn new(g: &PreparedGraph<'_>, floor: f64) -> Self {
+        let (n_left, n_right) = (g.n_left(), g.n_right());
+        let left_drives = left_drives(n_left, n_right);
+        let edges = g.edges_above(floor);
+        let mut d = FxHashMap::default();
+        d.reserve(edges.len());
+        for e in edges {
             d.insert(driver_key(e.left, e.right, left_drives), e.weight);
         }
-        search(view.n_left(), view.n_right(), &d, self.config)
+        BahMap {
+            n_left,
+            n_right,
+            floor,
+            d,
+        }
     }
+
+    /// BAH's matching at threshold `t`, which must not lie below the
+    /// map's floor.
+    pub fn search(&self, t: f64, config: BahConfig) -> Matching {
+        debug_assert!(t >= self.floor, "search below the map's floor");
+        search(self.n_left, self.n_right, above(&self.d, t), config)
+    }
+}
+
+/// The lookup of `d`'s entries with `weight > t`.
+fn above(d: &FxHashMap<(u32, u32), f64>, t: f64) -> impl Fn(u32, u32) -> Option<f64> + '_ {
+    move |big, small| d.get(&(big, small)).copied().filter(|&w| w > t)
 }
 
 /// Orientation: the "driver" side is the larger collection, as in the
@@ -97,14 +138,16 @@ pub(crate) fn driver_key(left: u32, right: u32, left_drives: bool) -> (u32, u32)
     }
 }
 
-/// The swap search proper, over a prebuilt contribution map. Shared by the
-/// one-shot [`Matcher`] path and the incremental
-/// [`crate::delta::BahDelta`], which maintains `d` across threshold steps
-/// and graph deltas.
+/// The swap search proper, over a contribution lookup: `weight(big,
+/// small)` is the retained edge's weight, `None` when the pair has none.
+/// Shared by [`BahMap`] (hence the one-shot [`Matcher`] path), whose
+/// lookup skips the entries at or below the searched threshold, and the
+/// incremental [`crate::delta::BahDelta`], which maintains a map of
+/// exactly the retained edges across threshold steps and graph deltas.
 pub(crate) fn search(
     n_left: u32,
     n_right: u32,
-    d: &FxHashMap<(u32, u32), f64>,
+    weight: impl Fn(u32, u32) -> Option<f64>,
     config: BahConfig,
 ) -> Matching {
     let left_drives = left_drives(n_left, n_right);
@@ -117,9 +160,8 @@ pub(crate) fn search(
         return Matching::empty();
     }
 
-    let contrib = |big: u32, small: Option<u32>| -> f64 {
-        small.and_then(|s| d.get(&(big, s))).copied().unwrap_or(0.0)
-    };
+    let contrib =
+        |big: u32, small: Option<u32>| -> f64 { small.and_then(|s| weight(big, s)).unwrap_or(0.0) };
 
     // Initial assignment: identity pairing of the first n_small drivers.
     let mut partner: Vec<Option<u32>> = (0..n_big)
@@ -176,7 +218,7 @@ pub(crate) fn search(
     let mut pairs = Vec::new();
     for (i, p) in partner.iter().enumerate() {
         if let Some(s) = p {
-            if d.contains_key(&(i as u32, *s)) {
+            if weight(i as u32, *s).is_some() {
                 let pair = if left_drives {
                     (i as u32, *s)
                 } else {
@@ -192,7 +234,6 @@ pub(crate) fn search(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matcher::PreparedGraph;
     use crate::mcf::mcf_matching;
     use crate::testkit::{diamond, figure1};
     use er_core::GraphBuilder;
@@ -201,9 +242,11 @@ mod tests {
         Bah::with_seed(7)
     }
 
-    /// The four-lookup swap search: every move looks up both partners'
-    /// current and crossed contributions. The oracle for [`search`],
-    /// which carries the current ones from move to move.
+    /// The four-lookup swap search over a map holding only the retained
+    /// edges: every move looks up both partners' current and crossed
+    /// contributions. The oracle for [`search`], which carries the current
+    /// ones from move to move and skips the entries at or below its
+    /// threshold.
     fn search_reference(
         n_left: u32,
         n_right: u32,
@@ -296,28 +339,52 @@ mod tests {
             };
             assert_eq!(left_drives(n_left, n_right), case % 2 == 0);
             let d = random_map(&mut rng, n_left, n_right);
-            for max_moves in [0, 1, 300, 10_000] {
-                for seed in 0..3 {
-                    let config = BahConfig {
-                        max_moves,
-                        seed,
-                        ..BahConfig::default()
-                    };
-                    assert_eq!(
-                        search(n_left, n_right, &d, config),
-                        search_reference(n_left, n_right, &d, config),
-                        "case {case} ({n_left}x{n_right}), max_moves {max_moves}, seed {seed}"
-                    );
+            // At 0.0 every entry is retained; at 0.5 the search skips the
+            // entries the reference's map no longer holds.
+            for t in [0.0, 0.5] {
+                let mut cut = d.clone();
+                cut.retain(|_, w| *w > t);
+                for max_moves in [0, 1, 300, 10_000] {
+                    for seed in 0..3 {
+                        let config = BahConfig {
+                            max_moves,
+                            seed,
+                            ..BahConfig::default()
+                        };
+                        assert_eq!(
+                            search(n_left, n_right, above(&d, t), config),
+                            search_reference(n_left, n_right, &cut, config),
+                            "case {case} ({n_left}x{n_right}), t {t}, max_moves {max_moves}, \
+                             seed {seed}"
+                        );
+                    }
                 }
+                let stopped = BahConfig {
+                    time_limit: Duration::ZERO,
+                    ..BahConfig::default()
+                };
+                assert_eq!(
+                    search(n_left, n_right, above(&d, t), stopped),
+                    search_reference(n_left, n_right, &cut, stopped),
+                    "case {case}, t {t}: zero time limit"
+                );
             }
-            let stopped = BahConfig {
-                time_limit: Duration::ZERO,
-                ..BahConfig::default()
-            };
+        }
+    }
+
+    #[test]
+    fn a_map_built_at_a_lower_floor_searches_like_one_built_at_t() {
+        // What lets the sweep's grid slices share one map: entries at or
+        // below the searched threshold count as absent.
+        let g = figure1();
+        let pg = PreparedGraph::new(&g);
+        let shared = BahMap::new(&pg, 0.0);
+        for t in [0.0, 0.3, 0.5, 0.6, 0.7, 0.9, 1.0] {
+            let config = bah().config;
             assert_eq!(
-                search(n_left, n_right, &d, stopped),
-                search_reference(n_left, n_right, &d, stopped),
-                "case {case}: zero time limit"
+                shared.search(t, config),
+                BahMap::new(&pg, t).search(t, config),
+                "t = {t}"
             );
         }
     }

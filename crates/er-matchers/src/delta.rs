@@ -409,7 +409,12 @@ impl BahDelta {
     }
 
     fn solve(&mut self) {
-        self.solved = Solved::new(search(self.n_left, self.n_right, &self.d, self.config));
+        self.solved = Solved::new(search(
+            self.n_left,
+            self.n_right,
+            |big, small| self.d.get(&(big, small)).copied(),
+            self.config,
+        ));
     }
 }
 

@@ -40,7 +40,7 @@ pub mod registry;
 pub mod rsr;
 pub mod umc;
 
-pub use bah::{Bah, BahConfig};
+pub use bah::{Bah, BahConfig, BahMap};
 pub use bmc::{Basis, Bmc};
 pub use cnc::Cnc;
 pub use delta::{BahDelta, DeltaMatcher, ReplayDelta, UmcDelta};
