@@ -55,7 +55,9 @@ pub fn dot_batch(a: &DenseVector, bs: &[&DenseVector], out: &mut [f64]) {
     for b in bs {
         assert_eq!(a.dim(), b.dim(), "dimension mismatch");
     }
-    let mut acc = [0.0f64; LANE_WIDTH];
+    // `-0.0`, as the scalar `.sum()` starts: a sum of `-0.0` products
+    // stays `-0.0` there, where a `+0.0` start would make it `+0.0`.
+    let mut acc = [-0.0f64; LANE_WIDTH];
     for (i, &av) in a.0.iter().enumerate() {
         let av = av as f64;
         for l in 0..n {
@@ -77,8 +79,9 @@ pub fn cosine_batch(a: &DenseVector, bs: &[&DenseVector], out: &mut [f64]) {
         assert_eq!(a.dim(), b.dim(), "dimension mismatch");
     }
     let norm_a = a.norm();
-    let mut dot = [0.0f64; LANE_WIDTH];
-    let mut sq = [0.0f64; LANE_WIDTH];
+    // Both start at `-0.0`, as the scalar sums do (see `dot_batch`).
+    let mut dot = [-0.0f64; LANE_WIDTH];
+    let mut sq = [-0.0f64; LANE_WIDTH];
     for (i, &av) in a.0.iter().enumerate() {
         let av = av as f64;
         for l in 0..n {
@@ -283,6 +286,30 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Every product `-0.0`: the scalar sum keeps the sign of the zero,
+    /// and so must the lanes (dot, and cosine through its dot).
+    #[test]
+    fn all_negative_zero_products_keep_the_sign() {
+        let a = DenseVector(vec![-1.0, -2.5, -0.0]);
+        let bs = [
+            DenseVector::zeros(3),
+            DenseVector(vec![0.0, 0.0, 4.0]),
+            DenseVector(vec![0.0, 0.0, 1e30]),
+        ];
+        let refs: Vec<&DenseVector> = bs.iter().collect();
+        let mut out = [0.0f64; LANE_WIDTH];
+        dot_batch(&a, &refs, &mut out);
+        for (l, b) in bs.iter().enumerate() {
+            assert_eq!(a.dot(b).to_bits(), (-0.0f64).to_bits(), "scalar lane {l}");
+            assert_eq!(out[l].to_bits(), a.dot(b).to_bits(), "dot lane {l}");
+        }
+        let nonzero = DenseVector(vec![-1.0, 0.0]);
+        let b = DenseVector(vec![0.0, -1.0]);
+        cosine_batch(&nonzero, &[&b], &mut out);
+        assert_eq!(nonzero.cosine(&b).to_bits(), (-0.0f64).to_bits());
+        assert_eq!(out[0].to_bits(), nonzero.cosine(&b).to_bits(), "cosine");
     }
 
     #[test]

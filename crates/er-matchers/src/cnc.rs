@@ -7,10 +7,16 @@
 //! example: the 4-node component `{A1, B1, A5, B3}` produces no output).
 //!
 //! Complexity: `O(m · α(n))` with union-find ≈ `O(m)`.
+//!
+//! The retained set only grows as the threshold falls, so components only
+//! merge: `CncFold` folds edges into one union-find and keeps the edges
+//! that still form a two-node component. A one-shot run folds the whole
+//! inclusive prefix from empty; [`crate::delta::CncDelta`] continues the
+//! same fold down a descending threshold grid.
 
 use er_core::{Matching, UnionFind};
 
-use crate::matcher::{EdgeView, Matcher};
+use crate::matcher::{EdgeSeq, EdgeView, Matcher};
 
 /// Connected Components clustering.
 #[derive(Debug, Clone, Copy, Default)]
@@ -22,25 +28,70 @@ impl Matcher for Cnc {
     }
 
     fn run_view(&self, view: &EdgeView<'_, '_>) -> Matching {
-        let n_left = view.n_left();
-        let n = n_left as usize + view.n_right() as usize;
-        let mut uf = UnionFind::new(n);
         // Algorithm 2 removes edges with sim < t, so the inclusive prefix
-        // is the retained edge set. Right node j maps to id n_left + j.
-        let retained = view.edges_inclusive();
-        for e in retained {
-            uf.union(e.left, n_left + e.right);
+        // is the retained edge set.
+        let mut fold = CncFold::new(view.n_left(), view.n_right());
+        fold.admit(view.edges_inclusive());
+        fold.matching()
+    }
+}
+
+/// Algorithm 2 as a fold over a growing prefix of the weight-descending
+/// edge order: one union-find over all `n_left + n_right` nodes (right
+/// node `j` is id `n_left + j`) and the edges that form a two-node
+/// component.
+///
+/// A two-node component of a simple bipartite graph is exactly one edge,
+/// and that edge's `union` joined two singletons. So the fold records
+/// each edge whose `union` joins two singletons, and drops a recorded
+/// edge once its component grows. Union-find components do not depend on
+/// merge order, so folding a prefix in steps gives the pairs of folding
+/// it at once.
+pub(crate) struct CncFold {
+    n_left: u32,
+    uf: UnionFind,
+    /// Edges of the prefix folded so far.
+    admitted: usize,
+    /// `(left, right)` of every edge that is its own component.
+    pairs: Vec<(u32, u32)>,
+}
+
+impl CncFold {
+    /// A fold over an `n_left × n_right` graph with no edge admitted.
+    pub(crate) fn new(n_left: u32, n_right: u32) -> Self {
+        CncFold {
+            n_left,
+            uf: UnionFind::new(n_left as usize + n_right as usize),
+            admitted: 0,
+            pairs: Vec::new(),
         }
-        // A valid output pair is a retained edge whose component has exactly
-        // two members; since the graph is bipartite and simple, that
-        // component is precisely {left, right} of this edge.
-        let mut pairs = Vec::new();
-        for e in retained {
-            if uf.set_size(e.left) == 2 {
-                pairs.push((e.left, e.right));
+    }
+
+    /// Fold the edges of `prefix` past those already admitted; `prefix`
+    /// must extend every prefix admitted before. Returns whether any
+    /// edge was admitted.
+    pub(crate) fn admit(&mut self, prefix: EdgeSeq<'_>) -> bool {
+        let tail = prefix.tail(self.admitted);
+        if tail.is_empty() {
+            return false;
+        }
+        for e in tail {
+            let (l, r) = (e.left, self.n_left + e.right);
+            let singletons = self.uf.set_size(l) == 1 && self.uf.set_size(r) == 1;
+            self.uf.union(l, r);
+            if singletons {
+                self.pairs.push((e.left, e.right));
             }
         }
-        Matching::new(pairs)
+        self.admitted += tail.len();
+        let uf = &mut self.uf;
+        self.pairs.retain(|&(l, _)| uf.set_size(l) == 2);
+        true
+    }
+
+    /// The pairs that are their own component.
+    pub(crate) fn matching(&self) -> Matching {
+        Matching::new(self.pairs.clone())
     }
 }
 

@@ -15,7 +15,7 @@
 //!   ([`apply_delta`](DeltaMatcher::apply_delta)); re-matching after one
 //!   record arrives must not cost a full `O(m log m)` re-run.
 //!
-//! Three strategies behind one trait:
+//! Four strategies behind one trait:
 //!
 //! * [`UmcDelta`] — true incremental repair. UMC's greedy matching is the
 //!   unique fixpoint of "each edge, in [`edge_key_desc`] order, matches
@@ -30,7 +30,13 @@
 //!   re-run the bounded swap search (whose cost is governed by its move
 //!   budget, not the graph) only when the map or the dimensions change.
 //!   The search restarts its RNG stream each time, as a fresh run does.
-//! * [`ReplayDelta`] — the fallback for the six algorithms whose outputs
+//! * [`CncDelta`] — incremental fold, replayed delta. A grid step only
+//!   merges components, so it continues one union-find fold over the
+//!   newly admitted edges of the inclusive prefix and drops the two-node
+//!   components that grew. A delta can split a component, which a
+//!   union-find cannot undo: it re-runs [`Cnc`] over the store and drops
+//!   the fold, so the next step refolds from the graph it is given.
+//! * [`ReplayDelta`] — the fallback for the five algorithms whose outputs
 //!   have no known local repair rule: re-run the wrapped [`Matcher`], on
 //!   a grid step only when the view's prefix lengths moved (for a fixed
 //!   graph every matcher's output is a function of the strict/inclusive
@@ -38,9 +44,9 @@
 //!   comparisons), after a delta always, over the store.
 //!
 //! No matcher keeps a graph. UMC's state is its two match arrays, BAH's
-//! its contribution map, replay's the last assignment: a delta goes
-//! through the caller's store, and the repair reads what the store now
-//! holds.
+//! its contribution map, CNC's its union-find over node ids, replay's the
+//! last assignment: a delta goes through the caller's store, and the
+//! repair reads what the store now holds.
 //!
 //! **Contract**: a matcher tracks one graph. Step it only over that
 //! graph, with thresholds that never increase, and feed it every delta
@@ -64,6 +70,7 @@ use er_core::float::edge_key_desc;
 use er_core::{CsrGraph, FxHashMap, Matching, Result};
 
 use crate::bah::{driver_key, left_drives, search, BahConfig};
+use crate::cnc::{Cnc, CncFold};
 use crate::matcher::{Matcher, PreparedGraph};
 
 /// A matcher that keeps its assignment current across threshold steps
@@ -480,6 +487,82 @@ impl DeltaMatcher for BahDelta {
 }
 
 // ----------------------------------------------------------------------
+// CNC: union-find fold.
+// ----------------------------------------------------------------------
+
+/// Incremental Connected Components clustering.
+///
+/// A grid step continues one union-find fold: it admits only the edges
+/// of the inclusive prefix (`weight >= t`) past those already folded,
+/// then drops the pairs whose component grew. Components only merge as
+/// the threshold falls, and they do not depend on merge order, so the
+/// fold equals [`Cnc`]'s one-shot run, which is the same fold from
+/// empty. The assignment is rebuilt only when the prefix moved.
+///
+/// A delta can split components, which a union-find cannot undo: it
+/// re-runs [`Cnc`] over the store at the current threshold and drops the
+/// fold, so the next step refolds from the graph it is given.
+pub struct CncDelta {
+    t: f64,
+    /// `None` before the first step and after a delta.
+    fold: Option<CncFold>,
+    solved: Solved,
+}
+
+impl Default for CncDelta {
+    fn default() -> Self {
+        CncDelta {
+            t: f64::INFINITY,
+            fold: None,
+            solved: Solved::new(Matching::empty()),
+        }
+    }
+}
+
+impl CncDelta {
+    /// A matcher with no edge admitted yet.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+impl DeltaMatcher for CncDelta {
+    fn name(&self) -> &'static str {
+        "CNC"
+    }
+
+    fn threshold(&self) -> f64 {
+        self.t
+    }
+
+    fn step(&mut self, g: &PreparedGraph<'_>, t: f64) {
+        debug_assert!(t <= self.t, "thresholds must be non-increasing");
+        self.t = t;
+        let fold = self
+            .fold
+            .get_or_insert_with(|| CncFold::new(g.n_left(), g.n_right()));
+        if fold.admit(g.edges_at_least(t)) {
+            self.solved = Solved::new(fold.matching());
+        }
+    }
+
+    fn apply_delta(&mut self, store: &mut CsrGraph, delta: &RowDelta) -> Result<Vec<(u32, f64)>> {
+        let removed = store.apply(delta)?;
+        self.fold = None;
+        self.solved = Solved::new(Cnc.run(&PreparedGraph::from_csr(store), self.t));
+        Ok(removed)
+    }
+
+    fn matching(&self) -> Matching {
+        self.solved.matching.clone()
+    }
+
+    fn partner(&self, side: Side, id: u32) -> Option<u32> {
+        self.solved.partner(side, id)
+    }
+}
+
+// ----------------------------------------------------------------------
 // Fallback: re-match.
 // ----------------------------------------------------------------------
 
@@ -573,7 +656,9 @@ mod tests {
     }
 
     /// Every matcher stepped down a descending grid must match a fresh
-    /// per-threshold run.
+    /// per-threshold run. The grid is the paper's plus every distinct edge
+    /// weight, so some steps land exactly on an edge (CNC and RCA retain
+    /// it, the others do not).
     #[test]
     fn steps_match_fresh_runs_descending() {
         let config = AlgorithmConfig {
@@ -585,12 +670,15 @@ mod tests {
         };
         for g in [figure1(), diamond()] {
             let pg = PreparedGraph::new(&g);
-            let grid = ThresholdGrid::paper();
+            let mut grid: Vec<f64> = ThresholdGrid::paper().values().collect();
+            grid.extend(g.edges().iter().map(|e| e.weight));
+            grid.sort_by(|a, b| b.total_cmp(a));
+            grid.dedup();
             for kind in AlgorithmKind::ALL {
                 let matcher = config.build(kind);
                 let mut incremental = config.delta_matcher(kind);
                 assert_eq!(incremental.name(), kind.name());
-                for t in grid.values_desc() {
+                for &t in &grid {
                     incremental.step(&pg, t);
                     let fresh = matcher.run(&pg, t);
                     assert_eq!(
@@ -617,6 +705,64 @@ mod tests {
         // A repeated threshold is a no-op.
         s.step(&pg, 0.5);
         assert_eq!(s.matching().pairs(), &[(1, 1), (2, 3), (4, 0)]);
+    }
+
+    #[test]
+    fn cnc_step_at_an_edge_weight_retains_the_edge() {
+        let g = figure1();
+        let pg = PreparedGraph::new(&g);
+        let mut s = CncDelta::new();
+        s.step(&pg, 0.75);
+        assert_eq!(s.matching().pairs(), &[(4, 0)]);
+        // A2-B2 weighs exactly 0.7: admitted, as its own component.
+        s.step(&pg, 0.7);
+        assert_eq!(s.matching().pairs(), &[(1, 1), (4, 0)]);
+    }
+
+    /// A two-node component that grows to four between steps loses its
+    /// pair, and the pair never returns as the threshold falls further.
+    #[test]
+    fn cnc_pair_vanishes_when_its_component_grows() {
+        let g = figure1();
+        let pg = PreparedGraph::new(&g);
+        let mut s = CncDelta::new();
+        s.step(&pg, 0.9);
+        assert_eq!(s.matching().pairs(), &[(4, 0)]);
+        // The 0.6 edges A1-B1 and A5-B3 join A5-B1's component.
+        s.step(&pg, 0.6);
+        assert_eq!(s.matching().pairs(), &[(1, 1), (2, 3)]);
+        s.step(&pg, 0.0);
+        assert_eq!(s.matching().pairs(), &[(1, 1), (2, 3)]);
+
+        // The same in diamond: (0, 0) at 0.9, then both 0.8 edges.
+        let g = diamond();
+        let pg = PreparedGraph::new(&g);
+        let mut s = CncDelta::new();
+        s.step(&pg, 0.9);
+        assert_eq!(s.matching().pairs(), &[(0, 0)]);
+        s.step(&pg, 0.8);
+        assert!(s.matching().is_empty());
+    }
+
+    /// A delta drops the fold: the next step refolds from the mutated
+    /// store, so a split component's pair can surface.
+    #[test]
+    fn cnc_steps_after_a_delta_refold_the_store() {
+        let mut csr = csr_figure1();
+        let mut s = seeded(CncDelta::new(), &csr, 0.9);
+        s.step(&PreparedGraph::from_csr(&csr), 0.6);
+        assert_eq!(s.matching().pairs(), &[(1, 1), (2, 3)]);
+        // Deleting A5 splits {A1, B1, A5, B3}, leaving A1-B1 alone.
+        s.apply_delta(&mut csr, &RowDelta::delete_left(4)).unwrap();
+        let fresh = |csr: &CsrGraph, t| Cnc.run(&PreparedGraph::from_csr(csr), t);
+        assert_eq!(s.matching(), fresh(&csr, 0.6));
+        assert_eq!(s.matching().pairs(), &[(0, 0), (1, 1), (2, 3)]);
+        for t in [0.6, 0.5, 0.3] {
+            s.step(&PreparedGraph::from_csr(&csr), t);
+            assert_eq!(s.matching(), fresh(&csr, t), "t={t}");
+        }
+        // A4-B3 (0.3) is its own component once A5 is gone.
+        assert_eq!(s.matching().pairs(), &[(0, 0), (1, 1), (2, 3), (3, 2)]);
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub mod umc;
 pub use bah::{Bah, BahConfig, BahMap};
 pub use bmc::{Basis, Bmc};
 pub use cnc::Cnc;
-pub use delta::{BahDelta, DeltaMatcher, ReplayDelta, UmcDelta};
+pub use delta::{BahDelta, CncDelta, DeltaMatcher, ReplayDelta, UmcDelta};
 pub use exc::Exc;
 pub use krc::Krc;
 pub use matcher::{EdgeSeq, EdgeSeqIter, EdgeView, Matcher, PreparedGraph};

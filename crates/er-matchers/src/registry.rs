@@ -11,7 +11,7 @@ use er_core::Matching;
 use crate::bah::{Bah, BahConfig};
 use crate::bmc::{Basis, Bmc};
 use crate::cnc::Cnc;
-use crate::delta::{BahDelta, DeltaMatcher, ReplayDelta, UmcDelta};
+use crate::delta::{BahDelta, CncDelta, DeltaMatcher, ReplayDelta, UmcDelta};
 use crate::exc::Exc;
 use crate::krc::Krc;
 use crate::matcher::{Matcher, PreparedGraph};
@@ -177,11 +177,13 @@ impl AlgorithmConfig {
     /// threshold grid, or step it once to a service's threshold and feed
     /// it the deltas of that graph's store. UMC folds and repairs its
     /// greedy assignment along a cascade, BAH maintains its contribution
-    /// map, everything else re-runs when its input moved.
+    /// map, CNC continues one union-find fold down the grid and re-runs
+    /// after a delta, everything else re-runs when its input moved.
     /// Result-equivalent to calling [`Matcher::run`] fresh after every
     /// update.
     pub fn delta_matcher(&self, kind: AlgorithmKind) -> Box<dyn DeltaMatcher> {
         match kind {
+            AlgorithmKind::Cnc => Box::new(CncDelta::new()),
             AlgorithmKind::Umc => Box::new(UmcDelta::new()),
             AlgorithmKind::Bah => Box::new(BahDelta::new(self.bah)),
             _ => Box::new(ReplayDelta::new(self.build(kind))),

@@ -6,8 +6,10 @@
 //! the threshold, leaves its [`DeltaMatcher::matching`] equal to a
 //! from-scratch [`Matcher::run`] on the mutated store — after **every**
 //! step, not just at the end. UMC exercises the cascade repair over the
-//! store, BAH the contribution-map maintenance, and the other six the
-//! replay fallback.
+//! store, BAH the contribution-map maintenance, CNC the re-run that drops
+//! its union-find fold, and the other five the replay fallback. Threshold
+//! steps between the deltas check that every matcher continues from the
+//! mutated store.
 
 use er_core::{CoreError, CsrGraph, GraphBuilder, RowDelta, SimilarityGraph};
 use er_matchers::{AlgorithmConfig, AlgorithmKind, DeltaMatcher, PreparedGraph};
@@ -131,6 +133,46 @@ proptest! {
                     cfg.run(kind, &pg, t),
                     "{} diverged after {:?} on ({:?}, {})",
                     kind, delta.op, delta.side, delta.id
+                );
+            }
+        }
+    }
+
+    /// Threshold steps and deltas interleave, as in a service that lowers
+    /// its threshold between updates: after every non-increasing step
+    /// (a repeated threshold included) and every delta, each algorithm's
+    /// incremental matching equals a fresh run on the mutated store. A
+    /// step after a delta must continue from the store as it now is —
+    /// for CNC, a refold, since a delete can split a component.
+    #[test]
+    fn steps_interleaved_with_deltas_track_fresh_runs_for_all_eight(
+        g in arb_graph(),
+        start in 0u32..=20,
+        drops in proptest::collection::vec(0u32..=3, 8),
+        ops in arb_ops(),
+    ) {
+        let seed = CsrGraph::from_graph(&g);
+        let cfg = AlgorithmConfig::default();
+        for kind in AlgorithmKind::ALL {
+            let mut csr = seed.clone();
+            let mut dm = cfg.delta_matcher(kind);
+            let mut level = start;
+            for ((sel, raw), drop) in ops.iter().zip(&drops) {
+                level = level.saturating_sub(*drop);
+                let t = level as f64 * 0.05;
+                dm.step(&PreparedGraph::from_csr(&csr), t);
+                prop_assert_eq!(
+                    dm.matching(),
+                    cfg.run(kind, &PreparedGraph::from_csr(&csr), t),
+                    "{} diverged after a step to {}", kind, t
+                );
+                let Some(delta) = materialize(&csr, *sel, raw) else { continue };
+                dm.apply_delta(&mut csr, &delta).expect("interpreted delta is valid");
+                prop_assert_eq!(
+                    dm.matching(),
+                    cfg.run(kind, &PreparedGraph::from_csr(&csr), t),
+                    "{} diverged after {:?} on ({:?}, {}) at {}",
+                    kind, delta.op, delta.side, delta.id, t
                 );
             }
         }

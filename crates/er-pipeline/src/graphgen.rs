@@ -1887,8 +1887,14 @@ impl RowScorer for VectorScorer {
                 );
             }
             CandidateSource::Blocked(lists) => {
-                for &j in lists.row(li) {
-                    score(j);
+                // The walks pair only vectors that share a term, so a
+                // pair with an empty side is never scored.
+                if !lv.is_empty() {
+                    for &j in lists.row(li) {
+                        if !target[j as usize].is_empty() {
+                            score(j);
+                        }
+                    }
                 }
             }
         }
@@ -2008,8 +2014,14 @@ impl RowScorer for GraphModelScorer {
             CandidateSource::Enumerate => &self.postings,
             CandidateSource::Index(postings) => postings,
             CandidateSource::Blocked(lists) => {
-                for &j in lists.row(li) {
-                    score(j);
+                // The walks pair only graphs that share an edge, so a
+                // pair with an empty side is never scored.
+                if !g.is_empty() {
+                    for &j in lists.row(li) {
+                        if !target[j as usize].is_empty() {
+                            score(j);
+                        }
+                    }
                 }
                 return;
             }
@@ -3281,6 +3293,44 @@ mod tests {
         );
         assert!(!direct.is_empty());
         weights_in_bounds(&direct);
+    }
+
+    /// A blocked pair whose n-gram graphs or term vectors are empty is no
+    /// edge: two empty sides would score 1, but the walks pair only
+    /// profiles that share a graph edge or a term, and the restricted
+    /// build skips the same pairs.
+    #[test]
+    fn restricted_build_skips_pairs_with_an_empty_side() {
+        let collection = |texts: [&str; 2]| EntityCollection {
+            profiles: texts
+                .iter()
+                .enumerate()
+                .map(|(i, t)| EntityProfile::new(i as u32, vec![("name".into(), t.to_string())]))
+                .collect(),
+            attribute_names: vec!["name".into()],
+        };
+        let (left, right) = (
+            collection(["", "hello world"]),
+            collection(["", "hello world"]),
+        );
+        let every_pair: FxHashSet<(u32, u32)> =
+            [(0, 0), (0, 1), (1, 0), (1, 1)].into_iter().collect();
+        let cfg = PipelineConfig::default();
+        for f in [
+            SimilarityFunction::SchemaAgnosticGraph {
+                scheme: NGramScheme::Char(3),
+                measure: GraphSimilarity::Value,
+            },
+            SimilarityFunction::SchemaAgnosticVector {
+                scheme: NGramScheme::Token(1),
+                measure: VectorMeasure::CosineTf,
+            },
+        ] {
+            let full = build_graph_over(&left, &right, &f, &cfg);
+            let direct = build_graph_restricted(&left, &right, &f, &every_pair, &cfg);
+            assert_eq!(edge_bits(&direct), edge_bits(&full), "{}", f.name());
+            assert!(direct.weight_of(0, 0).is_none(), "{}", f.name());
+        }
     }
 
     #[test]
