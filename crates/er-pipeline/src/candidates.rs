@@ -64,7 +64,7 @@
 //! [`LengthBucketIndex`]: er_textsim::LengthBucketIndex
 //! [`VectorBallIndex`]: er_embed::VectorBallIndex
 
-use er_core::{FxHashMap, FxHashSet};
+use er_core::FxHashSet;
 use er_embed::{DenseVector, VectorBallIndex};
 use er_textsim::{CharMeasure, LengthBucketIndex, ProbePlan};
 
@@ -170,7 +170,8 @@ impl CandidateLists {
 }
 
 /// Prefix-filtered token-measure generation: probe the right-side postings
-/// in [`ProbePlan`] order, deduplicate via `stamp`/`mark`, and hand each
+/// in [`ProbePlan`] order — `postings(p)` lists the ids holding the probe
+/// term at position `p` — deduplicate via `stamp`/`mark`, and hand each
 /// newly discovered right id to `score`, which must score it and return
 /// the sink's updated admission bound.
 ///
@@ -179,10 +180,9 @@ impl CandidateLists {
 /// candidate shares terms only among steps `i..` (otherwise an earlier
 /// posting probe would have discovered it), so its similarity is dominated
 /// by the suffix bound and it could never be admitted.
-pub(crate) fn generate_token_candidates(
+pub(crate) fn generate_token_candidates<'p>(
     plan: &ProbePlan,
-    probe_terms: &[(u64, f64)],
-    postings: &FxHashMap<u64, Vec<u32>>,
+    postings: impl Fn(usize) -> &'p [u32],
     stamp: &mut [u32],
     mark: u32,
     mut bound: f64,
@@ -192,14 +192,11 @@ pub(crate) fn generate_token_candidates(
         if bound != f64::NEG_INFINITY && plan.suffix_bound(i) < bound {
             return;
         }
-        let (term, _) = probe_terms[plan.term_position(i)];
-        if let Some(js) = postings.get(&term) {
-            for &j in js {
-                let s = &mut stamp[j as usize];
-                if *s != mark {
-                    *s = mark;
-                    bound = score(j);
-                }
+        for &j in postings(plan.term_position(i)) {
+            let s = &mut stamp[j as usize];
+            if *s != mark {
+                *s = mark;
+                bound = score(j);
             }
         }
     }
@@ -293,8 +290,14 @@ pub(crate) fn generate_ball_candidates(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use er_core::FxHashMap;
     use er_embed::inverse_distance_bound;
     use er_textsim::{CharTable, SparseVector, VectorMeasure};
+
+    /// The postings of `term`; none for a term no vector holds.
+    fn postings_of(postings: &FxHashMap<u64, Vec<u32>>, term: u64) -> &[u32] {
+        postings.get(&term).map_or(&[], Vec::as_slice)
+    }
 
     /// With no live bound (`-∞`), the token generator discovers exactly
     /// the term-sharing pairs — the dense inverted-index candidate set.
@@ -321,8 +324,7 @@ mod tests {
         let mut seen = Vec::new();
         generate_token_candidates(
             &plan,
-            probe.terms(),
-            &postings,
+            |p| postings_of(&postings, probe.terms()[p].0),
             &mut stamp,
             1,
             f64::NEG_INFINITY,
@@ -356,7 +358,8 @@ mod tests {
         let plan = VectorMeasure::CosineTf.probe_plan(&probe, None);
         let mut stamp = vec![0u32; vecs.len()];
         let mut generated = 0usize;
-        generate_token_candidates(&plan, probe.terms(), &postings, &mut stamp, 1, 0.9, |_| {
+        let terms = |p: usize| postings_of(&postings, probe.terms()[p].0);
+        generate_token_candidates(&plan, terms, &mut stamp, 1, 0.9, |_| {
             generated += 1;
             0.9
         });

@@ -15,16 +15,18 @@
 //! # The parallel construction engine
 //!
 //! Construction of one graph is split into a **prepare** phase that
-//! builds the immutable read-side structures — DF indexes, the inverted
-//! index, encoded vectors / n-gram graphs, the interned WMD token table —
-//! and a **score** phase that shards the left-entity rows over
-//! `cfg.effective_threads()` workers of the `er_core::par` pool. Prepare
-//! is serial except for the semantic branches, whose collection encode
-//! spreads the distinct token units over the same workers. Workers share the
-//! prepared state read-only (plain `&` reads, no locks on the hot path),
-//! keep their own scratch (probe stamps, WMD row tables), claim
-//! contiguous row chunks through an atomic cursor, and emit local triple
-//! buffers that a deterministic chunk-order merge feeds into
+//! builds the immutable read-side structures — the interned term arenas
+//! and their DF statistics, the inverted index, encoded vectors / n-gram
+//! graphs, the interned WMD token table — and a **score** phase that
+//! shards the left-entity rows over `cfg.effective_threads()` workers of
+//! the `er_core::par` pool. Prepare is serial except for the per-text
+//! term frequencies of the token-vector branch and the collection encode
+//! of the semantic branches, which spread over the same workers. Workers
+//! share the prepared state read-only (plain `&` reads, no locks on the
+//! hot path), keep their own scratch (probe stamps, dense join probes,
+//! WMD row tables), claim contiguous row chunks through an atomic
+//! cursor, and emit local triple buffers that a deterministic
+//! chunk-order merge feeds into
 //! [`GraphBuilder`] — so results are **bit-identical** to the serial path
 //! for any thread count (property-tested in `tests/graphgen_props.rs`).
 //!
@@ -83,7 +85,7 @@
 //! measure and thread count). [`BuildStats`] reports the
 //! offered/pruned/scored accounting.
 
-use std::hash::{Hash, Hasher};
+use std::hash::Hasher;
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -101,8 +103,8 @@ use er_embed::{
 };
 use er_textsim::lanes::{self, MyersBatch, LANE_WIDTH};
 use er_textsim::{
-    CharMeasure, CharScratch, CharTable, DfIndex, GraphSimilarity, LengthBucketIndex, NGramGraph,
-    NGramScheme, SchemaBasedMeasure, SparseVector, TermWeighting, VectorMeasure, VectorModel,
+    CharMeasure, CharScratch, CharTable, DenseProbe, GraphSimilarity, LengthBucketIndex,
+    NGramGraph, NGramScheme, SchemaBasedMeasure, TermArena, TermVocab, VectorMeasure, VectorModel,
 };
 use serde::Serialize;
 
@@ -551,15 +553,16 @@ pub fn build_graph_restricted(
 ///
 /// [`score_row`]: RowScorer::score_row
 pub(crate) trait RowScorer: Send + Sync {
-    /// Per-worker mutable scratch (probe stamps, WMD row tables).
+    /// Per-worker mutable scratch (probe stamps, dense join probes, WMD
+    /// row tables).
     type Scratch: Send + Sync;
 
     /// The candidate index the `Index` source walks; `()` for branches
     /// without one.
     type Index: Send + Sync;
 
-    /// What turns a profile into an entry: the token family's frozen
-    /// vectorizer, the schema-based families' attribute, the n-gram
+    /// What turns a profile into an entry: the token family's n-gram
+    /// model, the schema-based families' attribute, the n-gram
     /// scheme, the semantic families' encoder and scope. The dispatch
     /// ([`with_scorer`]) hands one out with every scorer; batch builds
     /// drop it, and only the resident scorer keeps one.
@@ -850,9 +853,9 @@ pub(crate) fn with_scorer<U: ScorerUse>(
             ),
         },
         SimilarityFunction::SchemaAgnosticVector { scheme, measure } => {
-            let (scorer, vectorizer) =
-                VectorScorer::prepare(left, right, *scheme, *measure, source);
-            user.prepared(scorer, vectorizer)
+            let (scorer, model) =
+                VectorScorer::prepare(left, right, *scheme, *measure, source, cfg);
+            user.prepared(scorer, model)
         }
         SimilarityFunction::SchemaAgnosticGraph { scheme, measure } => user.prepared(
             GraphModelScorer::prepare(left, right, *scheme, *measure, source),
@@ -1604,37 +1607,32 @@ impl RowScorer for CharScorer {
 pub(crate) struct ProbeScratch {
     stamp: Vec<u32>,
     candidates: Vec<u32>,
-    /// Per-right-id dot accumulators of the lane cosine walk (empty
-    /// otherwise). A slot is zeroed when its candidate is first
-    /// discovered, so no end-of-row sweep is needed.
-    acc: Vec<f64>,
 }
 
 impl ProbeScratch {
-    fn new(n_right: usize, n_acc: usize) -> Self {
+    fn new(n_right: usize) -> Self {
         ProbeScratch {
             stamp: vec![0u32; n_right],
             candidates: Vec::new(),
-            acc: vec![0.0; n_acc],
         }
     }
 
-    /// The distinct right ids the postings of `keys` list, in discovery
-    /// order.
-    fn discover<K: Hash + Eq>(
-        &mut self,
-        mark: u32,
-        keys: impl Iterator<Item = K>,
-        postings: &FxHashMap<K, Vec<u32>>,
-    ) -> &[u32] {
+    /// Grow the stamp array to cover a side of `len` entries (a resident
+    /// side grows past it).
+    fn cover(&mut self, len: usize) {
+        if self.stamp.len() < len {
+            self.stamp.resize(len, 0);
+        }
+    }
+
+    /// The distinct ids the postings `lists` hold, in discovery order.
+    fn discover<'a>(&mut self, mark: u32, lists: impl Iterator<Item = &'a [u32]>) -> &[u32] {
         self.candidates.clear();
-        for key in keys {
-            if let Some(js) = postings.get(&key) {
-                for &j in js {
-                    if self.stamp[j as usize] != mark {
-                        self.stamp[j as usize] = mark;
-                        self.candidates.push(j);
-                    }
+        for js in lists {
+            for &j in js {
+                if self.stamp[j as usize] != mark {
+                    self.stamp[j as usize] = mark;
+                    self.candidates.push(j);
                 }
             }
         }
@@ -1642,60 +1640,46 @@ impl ProbeScratch {
     }
 }
 
-/// Inverted postings over the right vectors: `entry(j, weight)` per
-/// term of right vector `j`, in ascending `j` order.
-fn postings_of<T>(vecs: &[SparseVector], entry: impl Fn(u32, f64) -> T) -> FxHashMap<u64, Vec<T>> {
-    let mut postings: FxHashMap<u64, Vec<T>> = FxHashMap::default();
-    for (j, v) in vecs.iter().enumerate() {
-        for &(t, w) in v.terms() {
-            postings.entry(t).or_default().push(entry(j as u32, w));
-        }
-    }
-    postings
+/// The postings of term `id`; none for a term the side has never held.
+#[inline]
+fn postings_at(postings: &[Vec<u32>], id: u32) -> &[u32] {
+    postings.get(id as usize).map_or(&[], Vec::as_slice)
 }
 
-/// The right-side postings the `Enumerate` source walks.
+/// The right-side postings the `Enumerate` source walks, by term id.
 enum TermPostings {
-    /// Right ids per term, scored through the per-pair measure kernels
+    /// Right rows per term, each candidate scored through the arena join
     /// (every measure but the cosines).
-    Plain(FxHashMap<u64, Vec<u32>>),
-    /// `(right id, weight)` per term for the cosine measures' walk: one
+    Plain(Vec<Vec<u32>>),
+    /// `(right row, weight)` per term for the cosine measures' walk: one
     /// pass over these accumulates every candidate's dot product in the
-    /// probe's term order — the **same ascending-term-id order** (and
-    /// hence the same f64 addition sequence, bit for bit) that
+    /// probe's term order — the **same ascending-term order** (and hence
+    /// the same f64 addition sequence, bit for bit) that
     /// `SparseVector::dot`'s sorted merge join produces per pair.
-    /// `right_norms[j]` caches `right_vecs[j].norm()` — recomputing a
-    /// norm is deterministic, so the cached value equals the per-pair
-    /// measure's recomputation bit for bit.
-    Weighted {
-        postings: FxHashMap<u64, Vec<(u32, f64)>>,
-        right_norms: Vec<f64>,
-    },
+    Weighted(Vec<Vec<(u32, f64)>>),
 }
 
-/// The token-vector family's vectorizer: the model, the measure's term
-/// weighting and the union DF statistics (TF-IDF). Prepare vectorizes
-/// both sides through it; only the resident scorer keeps it, to
-/// vectorize inserts under the frozen statistics.
-pub(crate) struct Vectorizer {
-    model: VectorModel,
-    weighting: TermWeighting,
-    df_union: DfIndex,
+/// Per-worker scratch of the token-vector walks.
+pub(crate) struct VectorScratch {
+    /// Candidate stamps over the opposite side's rows.
+    probe: ProbeScratch,
+    /// Per-right-row dot accumulators of the weighted cosine walk (empty
+    /// otherwise). A slot is zeroed when its candidate is first
+    /// discovered, so no end-of-row sweep is needed.
+    acc: Vec<f64>,
+    /// The probe row, scattered for the arena join.
+    join: DenseProbe,
 }
 
-impl Vectorizer {
-    fn vector(&self, text: &str) -> SparseVector {
-        self.model
-            .vector(text, self.weighting, Some(&self.df_union))
-    }
-}
-
-/// Inverted-index scoring of n-gram vector models.
+/// Inverted-index scoring of n-gram vector models, from one interned term
+/// arena per side.
 pub(crate) struct VectorScorer {
-    /// Per side (`Side as usize`): the profiles' vectors.
-    vecs: [Vec<SparseVector>; 2],
-    df_left: DfIndex,
-    df_right: DfIndex,
+    /// The terms of both sides, with their document frequencies in either
+    /// collection. Frozen statistics: inserts intern their unseen terms
+    /// but count no documents.
+    vocab: TermVocab,
+    /// Per side (`Side as usize`): the profiles' weighted term rows.
+    rows: [TermArena; 2],
     /// The `Enumerate` walk's postings; empty under the other sources
     /// (the `Index` source owns its postings, `Blocked` reads none).
     postings: TermPostings,
@@ -1703,195 +1687,182 @@ pub(crate) struct VectorScorer {
 }
 
 impl VectorScorer {
-    /// The scorer and the vectorizer its entries came from (see
-    /// [`Vectorizer`]).
+    /// The scorer, with the model its entries are vectorized by: each
+    /// text's term frequencies once, over the workers, then the
+    /// vocabulary and both arenas from them, serially in collection order
+    /// ([`TermVocab::build`]).
     pub(crate) fn prepare(
         left: &EntityCollection,
         right: &EntityCollection,
         scheme: NGramScheme,
         measure: VectorMeasure,
         source: SourceKind<'_>,
-    ) -> (Self, Vectorizer) {
+        cfg: &PipelineConfig,
+    ) -> (Self, VectorModel) {
         let model = VectorModel::new(scheme);
+        let profiles: Vec<&EntityProfile> = left.profiles.iter().chain(&right.profiles).collect();
+        let threads = cfg.effective_threads();
+        let chunk = par::chunk_len(profiles.len(), threads);
+        let tfs = par::map_indexed(
+            profiles.len().div_ceil(chunk),
+            threads,
+            || (),
+            |_, c| {
+                profiles[c * chunk..profiles.len().min((c + 1) * chunk)]
+                    .iter()
+                    .map(|p| model.sorted_term_frequencies(&p.all_values_text()))
+                    .collect::<Vec<_>>()
+            },
+        );
 
-        // Per-collection DF indexes (ARCS) and the union index (TF-IDF).
-        let mut df_left = DfIndex::new();
-        let mut df_right = DfIndex::new();
-        let mut df_union = DfIndex::new();
-        let texts = |c: &EntityCollection| -> Vec<String> {
-            c.profiles
-                .iter()
-                .map(EntityProfile::all_values_text)
-                .collect()
-        };
-        let texts = [texts(left), texts(right)];
-        for (side, df) in texts.iter().zip([&mut df_left, &mut df_right]) {
-            for t in side {
-                let terms: Vec<u64> = model.term_frequencies(t).keys().copied().collect();
-                df.add_document(terms.iter().copied());
-                df_union.add_document(terms);
-            }
-        }
-
-        let vectorizer = Vectorizer {
-            model,
-            weighting: measure.weighting(),
-            df_union,
-        };
-        let vecs = texts.map(|side| {
-            side.iter()
-                .map(|t| vectorizer.vector(t))
-                .collect::<Vec<_>>()
-        });
-
+        let (vocab, rows) =
+            TermVocab::build(tfs.into_iter().flatten(), left.len(), measure.weighting());
         let cosine = matches!(
             measure,
             VectorMeasure::CosineTf | VectorMeasure::CosineTfIdf
         );
-        let right_vecs = &vecs[Side::Right as usize];
+        let right_rows = &rows[Side::Right as usize];
         let postings = match source {
-            CandidateSource::Enumerate if cosine => TermPostings::Weighted {
-                postings: postings_of(right_vecs, |j, w| (j, w)),
-                right_norms: right_vecs.iter().map(SparseVector::norm).collect(),
-            },
-            CandidateSource::Enumerate => TermPostings::Plain(postings_of(right_vecs, |j, _| j)),
-            _ => TermPostings::Plain(FxHashMap::default()),
+            CandidateSource::Enumerate if cosine => {
+                TermPostings::Weighted(right_rows.postings(vocab.len(), |j, w| (j, w)))
+            }
+            CandidateSource::Enumerate => {
+                TermPostings::Plain(right_rows.postings(vocab.len(), |j, _| j))
+            }
+            _ => TermPostings::Plain(Vec::new()),
         };
-
         let scorer = VectorScorer {
-            vecs,
-            df_left,
-            df_right,
+            vocab,
+            rows,
             postings,
             measure,
         };
-        (scorer, vectorizer)
-    }
-
-    #[inline]
-    fn dfs(&self) -> Option<(&DfIndex, &DfIndex)> {
-        Some((&self.df_left, &self.df_right))
+        (scorer, model)
     }
 }
 
 impl RowScorer for VectorScorer {
-    type Scratch = ProbeScratch;
-    /// One side's ids per term, probed in [`er_textsim::ProbePlan`] order
-    /// by the prefix filter.
-    type Index = FxHashMap<u64, Vec<u32>>;
-    type ProfileEncoder = Vectorizer;
+    type Scratch = VectorScratch;
+    /// One side's rows per term id, probed in [`er_textsim::ProbePlan`]
+    /// order by the prefix filter.
+    type Index = Vec<Vec<u32>>;
+    /// The n-gram model inserts are vectorized by, under the vocabulary's
+    /// frozen document frequencies.
+    type ProfileEncoder = VectorModel;
 
     fn n_rows(&self) -> usize {
-        self.vecs[Side::Left as usize].len()
+        self.rows[Side::Left as usize].len()
     }
 
-    fn scratch(&self) -> ProbeScratch {
-        let n_right = self.vecs[Side::Right as usize].len();
+    fn scratch(&self) -> VectorScratch {
+        let n_right = self.rows[Side::Right as usize].len();
         let n_acc = match self.postings {
-            TermPostings::Weighted { .. } => n_right,
+            TermPostings::Weighted(_) => n_right,
             TermPostings::Plain(_) => 0,
         };
-        ProbeScratch::new(n_right, n_acc)
+        VectorScratch {
+            probe: ProbeScratch::new(n_right),
+            acc: vec![0.0; n_acc],
+            join: DenseProbe::new(),
+        }
     }
 
-    fn index(&self, side: Side) -> FxHashMap<u64, Vec<u32>> {
-        postings_of(&self.vecs[side as usize], |j, _| j)
+    fn index(&self, side: Side) -> Vec<Vec<u32>> {
+        self.rows[side as usize].postings(self.vocab.len(), |j, _| j)
     }
 
     fn score_row<O: EdgeSink>(
         &self,
         side: Side,
         row: usize,
-        source: CandidateSource<'_, &FxHashMap<u64, Vec<u32>>>,
-        scratch: &mut ProbeScratch,
+        source: CandidateSource<'_, &Vec<Vec<u32>>>,
+        scratch: &mut VectorScratch,
         out: &mut O,
     ) {
-        let lv = &self.vecs[side as usize][row];
-        let target = &self.vecs[side.opposite() as usize];
+        let probe = self.rows[side as usize].row(row);
+        let target = &self.rows[side.opposite() as usize];
         let li = row as u32;
         let mark = li + 1;
-        // A resident side grows past the scratch's stamp array.
-        if scratch.stamp.len() < target.len() {
-            scratch.stamp.resize(target.len(), 0);
+        let VectorScratch {
+            probe: stamps,
+            acc,
+            join,
+        } = scratch;
+        stamps.cover(target.len());
+        if let (CandidateSource::Enumerate, TermPostings::Weighted(postings)) =
+            (source, &self.postings)
+        {
+            // Candidate `j`'s products arrive in ascending probe-term
+            // order — exactly the order `SparseVector::dot`'s sorted
+            // merge adds them — from an accumulator zeroed at discovery.
+            // Its +0.0 start gives the bits of the dot's −0.0 start
+            // because no product of two weights is −0.0 (DESIGN.md §19),
+            // so `acc[j]` equals the per-pair dot bit for bit; the cached
+            // norms and the `denom == 0 → 0` / clamp steps replicate
+            // `VectorMeasure::similarity`'s cosine arm exactly.
+            let ProbeScratch { stamp, candidates } = stamps;
+            candidates.clear();
+            for (&id, &wa) in probe.ids().iter().zip(probe.weights()) {
+                for &(j, wb) in &postings[id as usize] {
+                    let ju = j as usize;
+                    if stamp[ju] != mark {
+                        stamp[ju] = mark;
+                        candidates.push(j);
+                        acc[ju] = 0.0;
+                    }
+                    acc[ju] += wa * wb;
+                }
+            }
+            for &j in candidates.iter() {
+                out.note_generated();
+                let denom = probe.norm() * target.row(j as usize).norm();
+                let w = if denom == 0.0 {
+                    0.0
+                } else {
+                    (acc[j as usize] / denom).clamp(0.0, 1.0)
+                };
+                out.scored(li, j, w);
+            }
+            return;
         }
+        join.scatter(side, probe, self.vocab.len());
         let bound = out.admission_bound();
         let mut score = |j: u32| {
             if !out.takes(j) {
                 return out.admission_bound();
             }
             out.note_generated();
-            let (a, b) = oriented(side, lv, &target[j as usize]);
-            let w = self.measure.similarity(a, b, self.dfs());
+            let w = join.similarity(self.measure, target.row(j as usize), &self.vocab);
             out.scored(li, j, w);
             out.admission_bound()
         };
         match source {
-            CandidateSource::Enumerate => match &self.postings {
-                TermPostings::Plain(postings) => {
-                    let terms = lv.terms().iter().map(|&(t, _)| t);
-                    for &j in scratch.discover(mark, terms, postings) {
-                        score(j);
-                    }
+            CandidateSource::Enumerate => {
+                let TermPostings::Plain(postings) = &self.postings else {
+                    unreachable!("the weighted walk returned above");
+                };
+                let lists = probe.ids().iter().map(|&id| postings_at(postings, id));
+                for &j in stamps.discover(mark, lists) {
+                    score(j);
                 }
-                TermPostings::Weighted {
-                    postings,
-                    right_norms,
-                } => {
-                    // Candidate `j`'s products arrive in ascending probe-term
-                    // order — exactly the order `SparseVector::dot`'s sorted
-                    // merge adds them — from an accumulator zeroed at
-                    // discovery, so `acc[j]` equals the per-pair dot bit
-                    // for bit; the cached norms and the
-                    // `denom == 0 → 0` / clamp steps replicate
-                    // `VectorMeasure::similarity`'s cosine arm exactly.
-                    let ProbeScratch {
-                        stamp,
-                        candidates,
-                        acc,
-                    } = scratch;
-                    candidates.clear();
-                    for &(t, wa) in lv.terms() {
-                        for &(j, wb) in postings.get(&t).into_iter().flatten() {
-                            let ju = j as usize;
-                            if stamp[ju] != mark {
-                                stamp[ju] = mark;
-                                candidates.push(j);
-                                acc[ju] = 0.0;
-                            }
-                            acc[ju] += wa * wb;
-                        }
-                    }
-                    let norm_a = lv.norm();
-                    for &j in candidates.iter() {
-                        out.note_generated();
-                        let denom = norm_a * right_norms[j as usize];
-                        let w = if denom == 0.0 {
-                            0.0
-                        } else {
-                            (acc[j as usize] / denom).clamp(0.0, 1.0)
-                        };
-                        out.scored(li, j, w);
-                    }
-                }
-            },
+            }
             CandidateSource::Index(postings) => {
-                let plan = self.measure.probe_plan(lv, self.dfs());
+                let plan = self.measure.arena_probe_plan(probe, &self.vocab);
                 generate_token_candidates(
                     &plan,
-                    lv.terms(),
-                    postings,
-                    &mut scratch.stamp,
+                    |p| postings_at(postings, probe.ids()[p]),
+                    &mut stamps.stamp,
                     mark,
                     bound,
                     &mut score,
                 );
             }
             CandidateSource::Blocked(lists) => {
-                // The walks pair only vectors that share a term, so a
-                // pair with an empty side is never scored.
-                if !lv.is_empty() {
+                // The walks pair only rows that share a term, so a pair
+                // with an empty side is never scored.
+                if !probe.is_empty() {
                     for &j in lists.row(li) {
-                        if !target[j as usize].is_empty() {
+                        if !target.row(j as usize).is_empty() {
                             score(j);
                         }
                     }
@@ -1900,15 +1871,23 @@ impl RowScorer for VectorScorer {
         }
     }
 
-    fn append(&mut self, enc: &Vectorizer, side: Side, profile: &EntityProfile) -> Option<usize> {
-        let vecs = &mut self.vecs[side as usize];
-        vecs.push(enc.vector(&profile.all_values_text()));
-        Some(vecs.len() - 1)
+    fn append(
+        &mut self,
+        model: &VectorModel,
+        side: Side,
+        profile: &EntityProfile,
+    ) -> Option<usize> {
+        let tf = model.sorted_term_frequencies(&profile.all_values_text());
+        let weighting = self.measure.weighting();
+        Some(self.rows[side as usize].push_row(&mut self.vocab, &tf, weighting))
     }
 
-    fn index_appended(&self, side: Side, row: usize, postings: &mut FxHashMap<u64, Vec<u32>>) {
-        for &(t, _) in self.vecs[side as usize][row].terms() {
-            postings.entry(t).or_default().push(row as u32);
+    fn index_appended(&self, side: Side, row: usize, postings: &mut Vec<Vec<u32>>) {
+        for &id in self.rows[side as usize].row(row).ids() {
+            if postings.len() <= id as usize {
+                postings.resize_with(id as usize + 1, Vec::new);
+            }
+            postings[id as usize].push(row as u32);
         }
     }
 }
@@ -1980,7 +1959,7 @@ impl RowScorer for GraphModelScorer {
     }
 
     fn scratch(&self) -> ProbeScratch {
-        ProbeScratch::new(self.graphs[Side::Right as usize].len(), 0)
+        ProbeScratch::new(self.graphs[Side::Right as usize].len())
     }
 
     fn index(&self, side: Side) -> Self::Index {
@@ -1998,10 +1977,7 @@ impl RowScorer for GraphModelScorer {
         let g = &self.graphs[side as usize][row];
         let target = &self.graphs[side.opposite() as usize];
         let li = row as u32;
-        // A resident side grows past the scratch's stamp array.
-        if scratch.stamp.len() < target.len() {
-            scratch.stamp.resize(target.len(), 0);
-        }
+        scratch.cover(target.len());
         let mut score = |j: u32| {
             if !out.takes(j) {
                 return;
@@ -2026,7 +2002,11 @@ impl RowScorer for GraphModelScorer {
                 return;
             }
         };
-        for &j in scratch.discover(li + 1, g.edge_keys(), postings) {
+        let lists = g
+            .edge_keys()
+            .filter_map(|k| postings.get(&k))
+            .map(Vec::as_slice);
+        for &j in scratch.discover(li + 1, lists) {
             score(j);
         }
     }
@@ -2784,7 +2764,7 @@ mod tests {
     use super::*;
     use er_datasets::DatasetId;
     use er_embed::EmbeddingModel;
-    use er_textsim::CharMeasure;
+    use er_textsim::{CharMeasure, SparseVector};
 
     fn tiny() -> Dataset {
         er_datasets::Dataset::generate(DatasetId::D1, 0.03, 42)

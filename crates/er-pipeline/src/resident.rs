@@ -7,9 +7,10 @@
 //! state of one similarity function alive between calls — for every
 //! family, **the batch scorer's prepared state**:
 //!
-//! * **token-vector measures** — the frozen vectorizer (model, weighting,
-//!   union DF statistics), both sides' vectors and per-side term
-//!   postings; a probe walks the opposite side's postings in
+//! * **token-vector measures** — the n-gram model, the term vocabulary
+//!   with its frozen DF statistics, both sides' term arenas and per-side
+//!   term postings; an insert interns its unseen terms, and a probe walks
+//!   the opposite side's postings in
 //!   [`ProbePlan`](er_textsim::ProbePlan) order;
 //! * **character measures** — both sides' interned char tables and
 //!   per-side [`LengthBucketIndex`](er_textsim::LengthBucketIndex)es;

@@ -408,7 +408,8 @@ mod tests {
     use super::*;
     use er_datasets::{Dataset, DatasetId};
     use er_pipeline::{build_graph_topk, CandidateMode};
-    use er_textsim::{NGramScheme, VectorMeasure};
+    use er_textsim::vector::term_id;
+    use er_textsim::{DfIndex, NGramScheme, TermWeighting, VectorMeasure, VectorModel};
 
     fn service() -> (ErService, Dataset) {
         let d = Dataset::generate(DatasetId::D1, 0.02, 11);
@@ -482,6 +483,42 @@ mod tests {
             assert!(col.contains(&(p.id, w)), "column sees the new record");
         }
         assert!(s.neighbors(Side::Left, 10_000).is_empty());
+    }
+
+    /// A left insert carrying a token neither collection holds interns it;
+    /// a right insert sharing that token then finds the left insert, at
+    /// the frozen vectorizer's per-pair cosine mapped through the
+    /// service's frame.
+    #[test]
+    fn inserts_meet_through_a_term_unseen_at_load() {
+        let (mut s, d) = service();
+        let model = VectorModel::new(NGramScheme::Token(1));
+        let mut df_union = DfIndex::new();
+        for p in d.left.profiles.iter().chain(&d.right.profiles) {
+            df_union.add_document(model.term_frequencies(&p.all_values_text()).into_keys());
+        }
+        let unseen = "zqxjvk";
+        assert_eq!(df_union.df(term_id(unseen)), 0, "in neither collection");
+
+        let lp = EntityProfile::new(
+            s.next_id(Side::Left),
+            vec![("name".into(), format!("{unseen} acme"))],
+        );
+        s.insert(Side::Left, &lp).unwrap();
+        let rp = EntityProfile::new(
+            s.next_id(Side::Right),
+            vec![("name".into(), unseen.to_string())],
+        );
+        let delta = s.insert(Side::Right, &rp).unwrap();
+
+        let vector = |p: &EntityProfile| {
+            model.vector(&p.all_values_text(), TermWeighting::TfIdf, Some(&df_union))
+        };
+        let raw = VectorMeasure::CosineTfIdf.similarity(&vector(&lp), &vector(&rp), None);
+        assert!(raw > 0.0);
+        let w = s.scorer.frame().apply(raw);
+        assert!(delta.edges.contains(&(lp.id, w)), "{:?}", delta.edges);
+        assert!(s.neighbors(Side::Left, lp.id).contains(&(rp.id, w)));
     }
 
     #[test]

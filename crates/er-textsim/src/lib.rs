@@ -15,7 +15,8 @@
 //!   unified by [`SchemaBasedMeasure`].
 //! * **Schema-agnostic n-gram vector models** ([`vector`]): character
 //!   n∈{2,3,4} and token n∈{1,2,3} bag models with TF/TF-IDF weights and the
-//!   ARCS / cosine / Jaccard / generalized-Jaccard similarities.
+//!   ARCS / cosine / Jaccard / generalized-Jaccard similarities, and the
+//!   interned [`TermArena`] the construction engine scores them from.
 //! * **Schema-agnostic n-gram graph models** ([`graphmodel`]): the JInsect
 //!   n-gram graphs with containment / value / normalized value / overall
 //!   similarity.
@@ -56,8 +57,8 @@ pub use measure::SchemaBasedMeasure;
 pub use tokenize::{char_ngrams, normalize_text, token_ngrams, tokens, NGramScheme};
 pub use tokenlevel::TokenMeasure;
 pub use vector::{
-    DfIndex, ProbePlan, SparseVector, TermWeighting, VectorMeasure, VectorModel,
-    SUFFIX_BOUND_MARGIN,
+    ArenaRow, DenseProbe, DfIndex, ProbePlan, SparseVector, TermArena, TermVocab, TermWeighting,
+    VectorMeasure, VectorModel, SUFFIX_BOUND_MARGIN,
 };
 
 #[cfg(test)]
@@ -77,6 +78,8 @@ mod sync_tests {
         assert_shared_read_side::<CharTable>();
         assert_shared_read_side::<DfIndex>();
         assert_shared_read_side::<SparseVector>();
+        assert_shared_read_side::<TermArena>();
+        assert_shared_read_side::<TermVocab>();
         assert_shared_read_side::<VectorModel>();
         assert_shared_read_side::<NGramGraph>();
         assert_shared_read_side::<SchemaBasedMeasure>();

@@ -10,6 +10,7 @@
 //! Jaccard (set), generalized Jaccard (TF / TF-IDF) — six similarity
 //! functions per scheme, matching Figure 6.
 
+use er_core::delta::Side;
 use er_core::hash::seeded_hash64;
 use er_core::FxHashMap;
 use serde::{Deserialize, Serialize};
@@ -178,13 +179,16 @@ impl DfIndex {
     /// `IDF(t) = ln(|E| / (df(t) + 1))`, clamped at 0 (the paper's
     /// Appendix B.2.1 formula; frequent terms approach zero weight).
     pub fn idf(&self, term: u64) -> f64 {
-        if self.n_docs == 0 {
-            return 0.0;
-        }
-        (self.n_docs as f64 / (self.df(term) as f64 + 1.0))
-            .ln()
-            .max(0.0)
+        idf_of(self.n_docs, self.df(term))
     }
+}
+
+/// `IDF = ln(n_docs / (df + 1))`, clamped at 0; 0 over no documents.
+fn idf_of(n_docs: usize, df: u32) -> f64 {
+    if n_docs == 0 {
+        return 0.0;
+    }
+    (n_docs as f64 / (df as f64 + 1.0)).ln().max(0.0)
 }
 
 /// A bag-of-n-grams representation model for one scheme.
@@ -202,18 +206,34 @@ impl VectorModel {
 
     /// Normalized term frequencies of a text: `TF(t) = f_t / N`.
     pub fn term_frequencies(&self, text: &str) -> FxHashMap<u64, f64> {
-        let grams = self.scheme.extract(text);
-        let n = grams.len() as f64;
-        let mut counts: FxHashMap<u64, f64> = FxHashMap::default();
-        for g in &grams {
-            *counts.entry(term_id(g)).or_insert(0.0) += 1.0;
-        }
-        if n > 0.0 {
-            for w in counts.values_mut() {
-                *w /= n;
+        self.sorted_term_frequencies(text).into_iter().collect()
+    }
+
+    /// [`term_frequencies`](Self::term_frequencies) as `(term, TF)` pairs
+    /// in ascending term order — the order of a [`SparseVector`] and of a
+    /// [`TermArena`] row.
+    pub fn sorted_term_frequencies(&self, text: &str) -> Vec<(u64, f64)> {
+        let mut ids: Vec<u64> = self
+            .scheme
+            .extract(text)
+            .iter()
+            .map(|g| term_id(g))
+            .collect();
+        let n = ids.len() as f64;
+        ids.sort_unstable();
+        let mut tf: Vec<(u64, f64)> = Vec::new();
+        for t in ids {
+            match tf.last_mut() {
+                Some(last) if last.0 == t => last.1 += 1.0,
+                _ => tf.push((t, 1.0)),
             }
         }
-        counts
+        // Counts are exact integers, so one division gives each term the
+        // bits a running `+= 1.0` then `/= N` gives.
+        for (_, w) in &mut tf {
+            *w /= n;
+        }
+        tf
     }
 
     /// Build the entity vector under a weighting scheme.
@@ -225,8 +245,8 @@ impl VectorModel {
         weighting: TermWeighting,
         df: Option<&DfIndex>,
     ) -> SparseVector {
-        let tf = self.term_frequencies(text);
-        let pairs = tf
+        let pairs = self
+            .sorted_term_frequencies(text)
             .into_iter()
             .map(|(t, w)| {
                 let w = match weighting {
@@ -449,7 +469,39 @@ impl VectorMeasure {
     /// used as a postings-cost heuristic by set Jaccard, ignored otherwise.
     pub fn probe_plan(&self, probe: &SparseVector, dfs: Option<(&DfIndex, &DfIndex)>) -> ProbePlan {
         let terms = probe.terms();
-        let n = terms.len();
+        self.plan(
+            terms.len(),
+            |i| terms[i].1,
+            dfs.map(|(df1, df2)| move |i: usize| (df1.df(terms[i].0), df2.df(terms[i].0))),
+            probe.norm(),
+            probe.weight_sum(),
+        )
+    }
+
+    /// [`probe_plan`](Self::probe_plan) for row `row` of a [`TermArena`],
+    /// reading the DF statistics of `vocab` and the row's cached norm and
+    /// weight sum: the plan `probe_plan` builds for the row's vector, bit
+    /// for bit.
+    pub fn arena_probe_plan(&self, row: ArenaRow<'_>, vocab: &TermVocab) -> ProbePlan {
+        self.plan(
+            row.len(),
+            |i| row.weights[i],
+            Some(|i: usize| vocab.df_pair(row.ids[i])),
+            row.norm,
+            row.weight_sum,
+        )
+    }
+
+    /// The plan over `n` probe terms: term `i` has weight `weight(i)` and
+    /// `(left, right)` document frequencies `dfs(i)`.
+    fn plan(
+        &self,
+        n: usize,
+        weight: impl Fn(usize) -> f64,
+        dfs: Option<impl Fn(usize) -> (u32, u32)>,
+        norm: f64,
+        wsum: f64,
+    ) -> ProbePlan {
         if n == 0 {
             return ProbePlan {
                 order: Vec::new(),
@@ -459,18 +511,22 @@ impl VectorMeasure {
         // Additive per-term contribution to the shared-term bound.
         let contrib: Vec<f64> = match self {
             VectorMeasure::Arcs => {
-                let (df1, df2) = dfs.expect("ARCS requires per-collection DF indexes");
-                terms
-                    .iter()
-                    .map(|&(t, _)| arcs_term_weight(df1.df(t), df2.df(t)))
+                let dfs = dfs
+                    .as_ref()
+                    .expect("ARCS requires per-collection DF indexes");
+                (0..n)
+                    .map(|i| {
+                        let (df1, df2) = dfs(i);
+                        arcs_term_weight(df1, df2)
+                    })
                     .collect()
             }
             VectorMeasure::CosineTf | VectorMeasure::CosineTfIdf => {
-                terms.iter().map(|&(_, w)| w * w).collect()
+                (0..n).map(|i| weight(i) * weight(i)).collect()
             }
             VectorMeasure::Jaccard => vec![1.0; n],
             VectorMeasure::GeneralizedJaccardTf | VectorMeasure::GeneralizedJaccardTfIdf => {
-                terms.iter().map(|&(_, w)| w).collect()
+                (0..n).map(weight).collect()
             }
         };
         let mut order: Vec<u32> = (0..n as u32).collect();
@@ -478,8 +534,8 @@ impl VectorMeasure {
             // Uniform contributions: any order yields the same bounds, so
             // visit rare right-side terms (short postings) first.
             VectorMeasure::Jaccard => {
-                if let Some((_, df2)) = dfs {
-                    order.sort_by_key(|&i| (df2.df(terms[i as usize].0), i));
+                if let Some(dfs) = dfs {
+                    order.sort_by_key(|&i| (dfs(i as usize).1, i));
                 }
             }
             _ => order.sort_by(|&i, &j| {
@@ -489,8 +545,6 @@ impl VectorMeasure {
                     .then(i.cmp(&j))
             }),
         }
-        let norm = probe.norm();
-        let wsum = probe.weight_sum();
         let mut suffix_bounds = vec![0.0; n + 1];
         let mut acc = 0.0f64;
         suffix_bounds[n] = self.suffix_bound_of(acc, n, 0, norm, wsum);
@@ -535,6 +589,406 @@ impl VectorMeasure {
             }
         };
         raw * (1.0 + SUFFIX_BOUND_MARGIN)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The interned term arena and its dense-probe join.
+// ---------------------------------------------------------------------------
+
+/// The vocabulary both sides' [`TermArena`]s intern their terms into:
+/// each distinct `u64` term gets the next `u32` id, with its document
+/// frequency in the left and in the right collection.
+#[derive(Debug, Clone, Default)]
+pub struct TermVocab {
+    ids: FxHashMap<u64, u32>,
+    /// Per id: the document frequency on each side (`Side as usize`).
+    df: Vec<[u32; 2]>,
+    /// Documents counted on each side.
+    n_docs: [usize; 2],
+}
+
+impl TermVocab {
+    /// Number of interned terms; every id is below it.
+    pub fn len(&self) -> usize {
+        self.df.len()
+    }
+
+    /// Whether no term is interned.
+    pub fn is_empty(&self) -> bool {
+        self.df.is_empty()
+    }
+
+    /// The vocabulary and both sides' arenas of two collections, from
+    /// each text's [`VectorModel::sorted_term_frequencies`] in collection
+    /// order: the `n_left` left texts, then the right ones. Each text
+    /// counts as one document of its side; its weights are its TFs, times
+    /// each term's IDF over both collections under
+    /// [`TermWeighting::TfIdf`] — the bits of [`VectorModel::vector`]
+    /// with the union of the two collections' [`DfIndex`]es.
+    pub fn build(
+        tfs: impl IntoIterator<Item = Vec<(u64, f64)>>,
+        n_left: usize,
+        weighting: TermWeighting,
+    ) -> (TermVocab, [TermArena; 2]) {
+        let mut vocab = TermVocab::default();
+        let mut arenas: [TermArena; 2] = Default::default();
+        for (i, tf) in tfs.into_iter().enumerate() {
+            let side = if i < n_left { Side::Left } else { Side::Right };
+            let arena = &mut arenas[side as usize];
+            let row = arena.push_row(&mut vocab, &tf, TermWeighting::Tf);
+            vocab.add_document(side, arena.row(row).ids());
+        }
+        if weighting == TermWeighting::TfIdf {
+            for arena in &mut arenas {
+                arena.reweight(|id, w| w * vocab.idf(id));
+            }
+        }
+        (vocab, arenas)
+    }
+
+    /// The id of `term`, interning it (with no documents) when unseen.
+    fn intern(&mut self, term: u64) -> u32 {
+        let next = self.df.len() as u32;
+        let id = *self.ids.entry(term).or_insert(next);
+        if id == next {
+            self.df.push([0, 0]);
+        }
+        id
+    }
+
+    /// Count one document of `side` whose distinct term ids are `ids`, as
+    /// [`DfIndex::add_document`] does.
+    fn add_document(&mut self, side: Side, ids: &[u32]) {
+        self.n_docs[side as usize] += 1;
+        for &id in ids {
+            self.df[id as usize][side as usize] += 1;
+        }
+    }
+
+    /// The `(left, right)` document frequencies of term `id`.
+    #[inline]
+    fn df_pair(&self, id: u32) -> (u32, u32) {
+        let [l, r] = self.df[id as usize];
+        (l, r)
+    }
+
+    /// The IDF of term `id` over both collections: the bits
+    /// [`DfIndex::idf`] gives on one index that counted every document of
+    /// either side.
+    fn idf(&self, id: u32) -> f64 {
+        let (l, r) = self.df_pair(id);
+        idf_of(self.n_docs[0] + self.n_docs[1], l + r)
+    }
+}
+
+/// One row of a [`TermArena`]: term ids and weights in ascending `u64`
+/// term order, with the row's cached norm and weight sum.
+#[derive(Debug, Clone, Copy)]
+pub struct ArenaRow<'a> {
+    ids: &'a [u32],
+    weights: &'a [f64],
+    norm: f64,
+    weight_sum: f64,
+}
+
+impl<'a> ArenaRow<'a> {
+    /// The row's term ids, in ascending `u64` term order.
+    #[inline]
+    pub fn ids(&self) -> &'a [u32] {
+        self.ids
+    }
+
+    /// The row's weights, one per id.
+    #[inline]
+    pub fn weights(&self) -> &'a [f64] {
+        self.weights
+    }
+
+    /// Number of terms.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Whether the row has no terms.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// Euclidean norm: [`SparseVector::norm`]'s bits.
+    #[inline]
+    pub fn norm(&self) -> f64 {
+        self.norm
+    }
+
+    /// Sum of weights: [`SparseVector::weight_sum`]'s bits.
+    #[inline]
+    pub fn weight_sum(&self) -> f64 {
+        self.weight_sum
+    }
+}
+
+/// One side's term vectors in one flat store: row offsets, interned term
+/// ids, weights, and a cached norm and weight sum per row.
+///
+/// A row keeps its terms in ascending `u64` term order — the order of
+/// its [`SparseVector`], not of the ids — so a walk over its terms adds
+/// in the order [`SparseVector`]'s merge join does.
+#[derive(Debug, Clone)]
+pub struct TermArena {
+    /// Row `r` is `ids[offsets[r]..offsets[r + 1]]`.
+    offsets: Vec<usize>,
+    ids: Vec<u32>,
+    weights: Vec<f64>,
+    norms: Vec<f64>,
+    sums: Vec<f64>,
+}
+
+impl Default for TermArena {
+    fn default() -> Self {
+        TermArena {
+            offsets: vec![0],
+            ids: Vec::new(),
+            weights: Vec::new(),
+            norms: Vec::new(),
+            sums: Vec::new(),
+        }
+    }
+}
+
+impl TermArena {
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.norms.len()
+    }
+
+    /// Whether the arena has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.norms.is_empty()
+    }
+
+    /// Append a row of `(term, TF)` pairs in strictly ascending term
+    /// order ([`VectorModel::sorted_term_frequencies`]), interning its
+    /// unseen terms into `vocab` with no documents counted, weighted under
+    /// `weighting` by `vocab`'s document frequencies as they stand; return
+    /// the row's index.
+    pub fn push_row(
+        &mut self,
+        vocab: &mut TermVocab,
+        tf: &[(u64, f64)],
+        weighting: TermWeighting,
+    ) -> usize {
+        debug_assert!(tf.windows(2).all(|w| w[0].0 < w[1].0));
+        for &(t, w) in tf {
+            let id = vocab.intern(t);
+            self.ids.push(id);
+            self.weights.push(match weighting {
+                TermWeighting::Tf => w,
+                TermWeighting::TfIdf => w * vocab.idf(id),
+            });
+        }
+        self.offsets.push(self.ids.len());
+        self.norms.push(0.0);
+        self.sums.push(0.0);
+        let row = self.len() - 1;
+        self.seal(row);
+        row
+    }
+
+    /// Row `r`.
+    #[inline]
+    pub fn row(&self, r: usize) -> ArenaRow<'_> {
+        let span = self.offsets[r]..self.offsets[r + 1];
+        ArenaRow {
+            ids: &self.ids[span.clone()],
+            weights: &self.weights[span],
+            norm: self.norms[r],
+            weight_sum: self.sums[r],
+        }
+    }
+
+    /// Postings over the rows, indexed by term id below `n_terms`:
+    /// `entry(r, weight)` per term of row `r`, in ascending `r` order.
+    /// Each list is allocated at its exact length.
+    pub fn postings<T>(&self, n_terms: usize, entry: impl Fn(u32, f64) -> T) -> Vec<Vec<T>> {
+        let mut lens = vec![0usize; n_terms];
+        for &id in &self.ids {
+            lens[id as usize] += 1;
+        }
+        let mut postings: Vec<Vec<T>> = lens.into_iter().map(Vec::with_capacity).collect();
+        for r in 0..self.len() {
+            let row = self.row(r);
+            for (&id, &w) in row.ids.iter().zip(row.weights) {
+                postings[id as usize].push(entry(r as u32, w));
+            }
+        }
+        postings
+    }
+
+    /// Replace each weight `w` of term `id` by `weight(id, w)`, and
+    /// recompute every row's norm and sum.
+    fn reweight(&mut self, weight: impl Fn(u32, f64) -> f64) {
+        for r in 0..self.len() {
+            let span = self.offsets[r]..self.offsets[r + 1];
+            for (w, &id) in self.weights[span.clone()].iter_mut().zip(&self.ids[span]) {
+                *w = weight(id, *w);
+            }
+            self.seal(r);
+        }
+    }
+
+    /// Cache row `r`'s norm and weight sum, summed as [`SparseVector`]
+    /// sums them.
+    fn seal(&mut self, r: usize) {
+        let weights = &self.weights[self.offsets[r]..self.offsets[r + 1]];
+        self.norms[r] = weights.iter().map(|&w| w * w).sum::<f64>().sqrt();
+        self.sums[r] = weights.iter().sum();
+    }
+}
+
+/// The per-worker scratch of the arena join: one probe row scattered into
+/// a dense, vocabulary-indexed weight array, NaN where the probe holds no
+/// term (arena weights are never NaN).
+///
+/// [`similarity`](Self::similarity) then walks a candidate row's terms in
+/// order and meets the probe's weight on each common term — the common
+/// terms in ascending `u64` order, as the merge join of
+/// [`VectorMeasure::similarity`] meets them — so every sum adds the same
+/// values in the same order from the same `-0.0` start, and each measure
+/// keeps its bits.
+#[derive(Debug, Clone)]
+pub struct DenseProbe {
+    /// Per term id: the probe's weight, or NaN.
+    weights: Vec<f64>,
+    /// The probe's term ids, reset to NaN by the next scatter.
+    held: Vec<u32>,
+    /// The side the probe row belongs to.
+    side: Side,
+    norm: f64,
+    weight_sum: f64,
+}
+
+impl Default for DenseProbe {
+    fn default() -> Self {
+        DenseProbe {
+            weights: Vec::new(),
+            held: Vec::new(),
+            side: Side::Left,
+            norm: 0.0,
+            weight_sum: 0.0,
+        }
+    }
+}
+
+impl DenseProbe {
+    /// A scratch with no row scattered.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Scatter `row` of `side`, replacing the previous probe. `n_terms`
+    /// is the vocabulary's length: every id of the row and of the
+    /// candidates it meets must be below it. The scratch grows with the
+    /// vocabulary.
+    pub fn scatter(&mut self, side: Side, row: ArenaRow<'_>, n_terms: usize) {
+        if self.weights.len() < n_terms {
+            self.weights.resize(n_terms, f64::NAN);
+        }
+        for &id in &self.held {
+            self.weights[id as usize] = f64::NAN;
+        }
+        self.held.clear();
+        self.held.extend_from_slice(row.ids);
+        for (&id, &w) in row.ids.iter().zip(row.weights) {
+            self.weights[id as usize] = w;
+        }
+        self.side = side;
+        self.norm = row.norm;
+        self.weight_sum = row.weight_sum;
+    }
+
+    /// The common terms of the probe and `cand` (a row of the opposite
+    /// side) in `cand`'s term order, as `(id, probe weight, candidate
+    /// weight)`.
+    #[inline]
+    fn common<'a>(&'a self, cand: ArenaRow<'a>) -> impl Iterator<Item = (u32, f64, f64)> + 'a {
+        cand.ids.iter().zip(cand.weights).filter_map(|(&id, &wc)| {
+            let wp = self.weights[id as usize];
+            (!wp.is_nan()).then_some((id, wp, wc))
+        })
+    }
+
+    /// `measure` between the scattered probe and `cand`, a row of the
+    /// opposite side, with the left row as the first argument: the bits of
+    /// [`VectorMeasure::similarity`] on the two rows' vectors, with
+    /// `vocab`'s document frequencies as the per-collection indexes.
+    ///
+    /// # Panics
+    ///
+    /// If an id of `cand` is at or past the `n_terms` of the last
+    /// [`scatter`](Self::scatter).
+    #[inline]
+    pub fn similarity(&self, measure: VectorMeasure, cand: ArenaRow<'_>, vocab: &TermVocab) -> f64 {
+        let probe = (self.held.len(), self.norm, self.weight_sum);
+        let candidate = (cand.len(), cand.norm, cand.weight_sum);
+        let ((len_a, norm_a, sum_a), (len_b, norm_b, sum_b)) = match self.side {
+            Side::Left => (probe, candidate),
+            Side::Right => (candidate, probe),
+        };
+        if len_a == 0 && len_b == 0 {
+            return match measure {
+                VectorMeasure::Arcs => 0.0,
+                _ => 1.0,
+            };
+        }
+        if len_a == 0 || len_b == 0 {
+            return 0.0;
+        }
+        match measure {
+            VectorMeasure::Arcs => self
+                .common(cand)
+                .map(|(id, _, _)| {
+                    let (df1, df2) = vocab.df_pair(id);
+                    arcs_term_weight(df1, df2)
+                })
+                .sum(),
+            VectorMeasure::CosineTf | VectorMeasure::CosineTfIdf => {
+                let denom = norm_a * norm_b;
+                if denom == 0.0 {
+                    0.0
+                } else {
+                    // `wa·wb` and `wb·wa` are the same bits.
+                    let dot: f64 = self.common(cand).map(|(_, wp, wc)| wp * wc).sum();
+                    (dot / denom).clamp(0.0, 1.0)
+                }
+            }
+            VectorMeasure::Jaccard => {
+                let inter = self.common(cand).count();
+                let union = len_a + len_b - inter;
+                if union == 0 {
+                    1.0
+                } else {
+                    inter as f64 / union as f64
+                }
+            }
+            VectorMeasure::GeneralizedJaccardTf | VectorMeasure::GeneralizedJaccardTfIdf => {
+                let min_sum: f64 = self
+                    .common(cand)
+                    .map(|(_, wp, wc)| match self.side {
+                        Side::Left => wp.min(wc),
+                        Side::Right => wc.min(wp),
+                    })
+                    .sum();
+                let max_sum = sum_a + sum_b - min_sum;
+                if max_sum <= 0.0 {
+                    1.0
+                } else {
+                    (min_sum / max_sum).clamp(0.0, 1.0)
+                }
+            }
+        }
     }
 }
 

@@ -3,13 +3,15 @@
 //! plus the **candidate-index filter kernels** (probe-plan suffix bounds,
 //! length buckets, counting filters) behind index-driven generation:
 //! none of them may ever drop a pair whose true similarity meets the
-//! admission bound.
+//! admission bound — and the interned term arena's join and probe plans,
+//! which must keep the per-pair vector measures' bits.
 
+use er_core::delta::Side;
 use er_textsim::{
     char_ngrams, levenshtein_distance_classic, normalize_text, osa_bounded, sorted_common_count,
-    token_ngrams, BandRows, CharMeasure, CharScratch, CharTable, DfIndex, GraphSimilarity,
-    LengthBucketIndex, MyersBatch, MyersPattern, NGramGraph, NGramScheme, SchemaBasedMeasure,
-    SparseVector, TermWeighting, VectorMeasure, VectorModel,
+    token_ngrams, BandRows, CharMeasure, CharScratch, CharTable, DenseProbe, DfIndex,
+    GraphSimilarity, LengthBucketIndex, MyersBatch, MyersPattern, NGramGraph, NGramScheme,
+    SchemaBasedMeasure, SparseVector, TermVocab, TermWeighting, VectorMeasure, VectorModel,
 };
 use proptest::prelude::*;
 
@@ -449,6 +451,123 @@ proptest! {
             let mut again = [0usize; 8];
             batch.distances(&refs, &mut again);
             prop_assert_eq!(&again[..refs.len()], &batch_ref[..refs.len()]);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The interned term arena the construction engine scores token vectors
+// from: its dense-probe join and its probe plans are the per-pair vector
+// measures' bits.
+// ---------------------------------------------------------------------------
+
+/// Collection words, few enough that pairs often share terms and a term
+/// held by (nearly) every document gets IDF 0, hence TF-IDF weight 0.
+const WORDS: [&str; 6] = ["acme", "corp", "ltd", "blue", "x", "9"];
+
+/// Words of rows appended after the build: two no collection text holds.
+const LATE_WORDS: [&str; 3] = ["zeta", "omega", "acme"];
+
+/// Up to four words of `words` (the empty text included).
+fn arb_words(words: &'static [&'static str]) -> impl Strategy<Value = String> {
+    proptest::collection::vec(0..words.len(), 0..5)
+        .prop_map(move |ix| ix.iter().map(|&i| words[i]).collect::<Vec<_>>().join(" "))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// For all six measures, the arena join of a probe row scattered from
+    /// either side with every row of the other side ≡
+    /// `VectorMeasure::similarity` on the two rows' vectors, bit for bit;
+    /// each row's weights, norm and weight sum are its vector's bits, and
+    /// its arena probe plan is the vector's plan. Rows appended after the
+    /// build intern their unseen terms under the frozen DF statistics, as
+    /// a resident insert does. `shared == 1` puts one word in every
+    /// collection text, so its IDF is 0.
+    #[test]
+    fn arena_join_matches_the_merge_join_bit_for_bit(
+        left in proptest::collection::vec(arb_words(&WORDS), 0..5),
+        right in proptest::collection::vec(arb_words(&WORDS), 0..5),
+        late in proptest::collection::vec((0u8..2, arb_words(&LATE_WORDS)), 0..4),
+        shared in 0u8..2,
+    ) {
+        let prefixed = |texts: Vec<String>| -> Vec<String> {
+            texts
+                .into_iter()
+                .map(|t| if shared == 1 { format!("acme {t}") } else { t })
+                .collect()
+        };
+        let collections = [prefixed(left), prefixed(right)];
+        for scheme in [NGramScheme::Token(1), NGramScheme::Char(3)] {
+            let model = VectorModel::new(scheme);
+            // The oracle's statistics, counted over the collections only:
+            // per-side DF (ARCS and the plans) and union DF (TF-IDF).
+            let mut dfs = [DfIndex::new(), DfIndex::new()];
+            let mut df_union = DfIndex::new();
+            for (df, texts) in dfs.iter_mut().zip(&collections) {
+                for text in texts {
+                    let terms: Vec<u64> = model.term_frequencies(text).into_keys().collect();
+                    df.add_document(terms.iter().copied());
+                    df_union.add_document(terms);
+                }
+            }
+            let stats = Some((&dfs[0], &dfs[1]));
+            let tfs = |texts: &[String]| -> Vec<Vec<(u64, f64)>> {
+                texts.iter().map(|t| model.sorted_term_frequencies(t)).collect()
+            };
+            let [l, r] = &collections;
+            for m in VectorMeasure::all() {
+                let (mut vocab, mut rows) =
+                    TermVocab::build(tfs(l).into_iter().chain(tfs(r)), l.len(), m.weighting());
+                let mut texts = collections.clone();
+                for (on_left, text) in &late {
+                    let side = if *on_left == 1 { Side::Left } else { Side::Right };
+                    let tf = model.sorted_term_frequencies(text);
+                    rows[side as usize].push_row(&mut vocab, &tf, m.weighting());
+                    texts[side as usize].push(text.clone());
+                }
+                let vectors = texts.map(|side| {
+                    side.iter()
+                        .map(|t| model.vector(t, m.weighting(), Some(&df_union)))
+                        .collect::<Vec<_>>()
+                });
+                let mut probe = DenseProbe::new();
+                for side in [Side::Left, Side::Right] {
+                    let other = side.opposite() as usize;
+                    for (p, pv) in vectors[side as usize].iter().enumerate() {
+                        let row = rows[side as usize].row(p);
+                        let weight_bits: Vec<u64> = pv.terms().iter().map(|&(_, w)| w.to_bits()).collect();
+                        let row_bits: Vec<u64> = row.weights().iter().map(|w| w.to_bits()).collect();
+                        prop_assert_eq!(row_bits, weight_bits);
+                        prop_assert_eq!(row.norm().to_bits(), pv.norm().to_bits());
+                        prop_assert_eq!(row.weight_sum().to_bits(), pv.weight_sum().to_bits());
+                        let (want, got) = (m.probe_plan(pv, stats), m.arena_probe_plan(row, &vocab));
+                        prop_assert_eq!(got.len(), want.len());
+                        for i in 0..want.len() {
+                            prop_assert_eq!(got.term_position(i), want.term_position(i));
+                        }
+                        for i in 0..=want.len() {
+                            prop_assert_eq!(got.suffix_bound(i).to_bits(), want.suffix_bound(i).to_bits());
+                        }
+                        probe.scatter(side, row, vocab.len());
+                        for (c, cv) in vectors[other].iter().enumerate() {
+                            let (a, b) = match side {
+                                Side::Left => (pv, cv),
+                                Side::Right => (cv, pv),
+                            };
+                            let want = m.similarity(a, b, stats);
+                            let got = probe.similarity(m, rows[other].row(c), &vocab);
+                            prop_assert_eq!(
+                                got.to_bits(),
+                                want.to_bits(),
+                                "{} {:?} probe {} vs {}: {} != {}",
+                                m.name(), side, p, c, got, want
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 }
