@@ -1,7 +1,7 @@
 //! `match_edges` — run a bipartite matching algorithm on an edge-list file.
 //!
 //! The adoption-path CLI: feed it the scored candidate pairs your own
-//! blocking/matching pipeline produced, get back the resolved pairs.
+//! pipeline produced, get back the resolved pairs.
 //!
 //! ```text
 //! match_edges <edges.tsv|edges.bin> [--algorithm UMC] [--threshold 0.5] [--seed N]

@@ -3,7 +3,6 @@
 //! Every experiment is a pure function `&RunData -> String` (Table 1 is
 //! static), so outputs are reproducible from a cached record set.
 
-pub mod blocking;
 pub mod conclusions;
 pub mod fig3;
 pub mod fig4;
@@ -21,7 +20,6 @@ pub mod table7;
 pub mod table8;
 pub mod table9;
 pub mod tradeoff;
-pub mod transfer;
 
 use er_matchers::AlgorithmKind;
 

@@ -8,8 +8,6 @@
 //!   fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10
 //!   conclusions      extension: the paper's §7 claims as executable checks
 //!   oracle           extension: heuristics vs the exact (min-cost-flow) optimum
-//!   blocking         extension: the blocking stack vs the unblocked protocol
-//!   transfer         extension: threshold transfer across algorithms
 //!   export           write the generated datasets as TSV under --out
 //!   all              everything, written under --out
 //!
@@ -39,7 +37,7 @@ fn main() {
     if args.is_empty() {
         eprintln!("usage: repro [--scale f] [--seed n] [--reps n] [--quick] [--fresh] [--out dir] [--datasets D1,D2] <command>...");
         eprintln!("commands: table1..table9, fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10,");
-        eprintln!("          conclusions oracle blocking transfer export, all");
+        eprintln!("          conclusions oracle export, all");
         std::process::exit(2);
     }
 
@@ -102,11 +100,11 @@ fn main() {
         }
     }
 
-    // Table 1, Figure 6 and the oracle/blocking extensions are
-    // self-contained; only load run data when something needs it.
+    // Table 1, Figure 6 and the oracle extension are self-contained;
+    // only load run data when something needs it.
     let needs_data = commands
         .iter()
-        .any(|c| !matches!(c.as_str(), "table1" | "fig6" | "oracle" | "blocking"));
+        .any(|c| !matches!(c.as_str(), "table1" | "fig6" | "oracle"));
     let data = if needs_data {
         Some(load_or_run(&cfg, &out_dir, fresh))
     } else {
@@ -132,7 +130,7 @@ fn main() {
 /// What `all` expands to, in the paper's presentation order. This is the
 /// single roster of dispatchable commands: the upfront typo check accepts
 /// exactly these plus the meta commands `export` and `all`.
-const ALL_EXPANSION: [&str; 22] = [
+const ALL_EXPANSION: [&str; 20] = [
     "table1",
     "table2",
     "table3",
@@ -152,9 +150,7 @@ const ALL_EXPANSION: [&str; 22] = [
     "fig9",
     "fig10",
     "oracle",
-    "blocking",
     "conclusions",
-    "transfer",
 ];
 
 fn is_known_command(cmd: &str) -> bool {
@@ -185,9 +181,7 @@ fn run_command(cmd: &str, data: Option<&RunData>) -> String {
         "fig9" => experiments::fig9::render(data("fig9")),
         "fig10" => experiments::tradeoff::render_fig10(data("fig10")),
         "oracle" => experiments::oracle::render(17),
-        "blocking" => experiments::blocking::render(17),
         "conclusions" => experiments::conclusions::render(data("conclusions")),
-        "transfer" => experiments::transfer::render(data("transfer")),
         other => die(&format!("unknown command {other}")),
     }
 }

@@ -34,7 +34,6 @@ pub mod quartiles;
 pub mod report;
 pub mod sweep;
 pub mod timing;
-pub mod transfer;
 
 pub use aggregate::{mean_std, MeanStd};
 pub use category::{top_counts, TopCounts};
@@ -47,4 +46,3 @@ pub use quartiles::Quartiles;
 pub use report::Table;
 pub use sweep::{sweep_naive, SweepEngine, SweepResult};
 pub use timing::{time_algorithm, TimingStats};
-pub use transfer::ThresholdTransfer;

@@ -7,14 +7,12 @@
 //! * `Enumerate` — the branch's own enumeration (the full cross product,
 //!   or every term-sharing pair for the inverted-index branches);
 //! * `Index` — generation from the branch's prepared candidate index
-//!   under the sink's admission bound ([`CandidateMode::Indexed`]);
-//! * `Blocked` — the per-row lists of a blocked candidate set
-//!   (`CandidateLists`).
+//!   under the sink's admission bound ([`CandidateMode::Indexed`]).
 //!
-//! All three hand each candidate `j` to the scorer's one `score(j)`
-//! callback. The index generators below also take the sink's refreshed
-//! admission bound back from it (`score(j) -> bound`), so their pruning
-//! tightens as the row's heap fills; the two list walks ignore it.
+//! Both hand each candidate `j` to the scorer's one `score(j)` callback.
+//! The index generators below also take the sink's refreshed admission
+//! bound back from it (`score(j) -> bound`), so their pruning tightens
+//! as the row's heap fills; the enumeration ignores it.
 //!
 //! The bound-driven engine prunes candidates *after* enumerating them —
 //! the scored volume shrinks but the generated volume stays `Θ(n²)`. The
@@ -64,7 +62,6 @@
 //! [`LengthBucketIndex`]: er_textsim::LengthBucketIndex
 //! [`VectorBallIndex`]: er_embed::VectorBallIndex
 
-use er_core::FxHashSet;
 use er_embed::{DenseVector, VectorBallIndex};
 use er_textsim::{CharMeasure, LengthBucketIndex, ProbePlan};
 
@@ -92,22 +89,20 @@ pub enum CandidateMode {
 /// row walks); a scorer builds it only for the `Index` source, so a walk
 /// can never reach an index that was not prepared.
 #[derive(Clone, Copy)]
-pub(crate) enum CandidateSource<'a, I> {
+pub(crate) enum CandidateSource<I> {
     /// The branch's own enumeration.
     Enumerate,
     /// Generation from the branch's candidate index under the sink's
     /// admission bound. Branches without an index (`I = ()`) walk their
     /// own enumeration — still correct, just not sub-quadratic.
     Index(I),
-    /// Only the pairs of a blocked candidate set.
-    Blocked(&'a CandidateLists),
 }
 
 /// A candidate-source request, made before any scorer (and with it the
 /// index) exists.
-pub(crate) type SourceKind<'a> = CandidateSource<'a, ()>;
+pub(crate) type SourceKind = CandidateSource<()>;
 
-impl<'a> SourceKind<'a> {
+impl SourceKind {
     /// The source a streaming top-k build in `mode` walks.
     pub(crate) fn of_mode(mode: CandidateMode) -> Self {
         match mode {
@@ -117,55 +112,22 @@ impl<'a> SourceKind<'a> {
     }
 
     /// The prepared source: an `Index` request receives the index
-    /// `build` produces; the other sources carry over unchanged.
-    pub(crate) fn with_index<I>(self, build: impl FnOnce() -> I) -> CandidateSource<'a, I> {
+    /// `build` produces; `Enumerate` carries over unchanged.
+    pub(crate) fn with_index<I>(self, build: impl FnOnce() -> I) -> CandidateSource<I> {
         match self {
             CandidateSource::Enumerate => CandidateSource::Enumerate,
             CandidateSource::Index(()) => CandidateSource::Index(build()),
-            CandidateSource::Blocked(lists) => CandidateSource::Blocked(lists),
         }
     }
 }
 
-impl<'a, I> CandidateSource<'a, I> {
+impl<I> CandidateSource<I> {
     /// The same source with the index borrowed — what the row walks take.
-    pub(crate) fn as_ref(&self) -> CandidateSource<'a, &I> {
+    pub(crate) fn as_ref(&self) -> CandidateSource<&I> {
         match self {
             CandidateSource::Enumerate => CandidateSource::Enumerate,
             CandidateSource::Index(index) => CandidateSource::Index(index),
-            CandidateSource::Blocked(lists) => CandidateSource::Blocked(lists),
         }
-    }
-}
-
-/// Per-left-entity candidate lists (right ids, ascending) of the
-/// `Blocked` source, built once from the blocked pair set.
-pub(crate) struct CandidateLists {
-    rows: Vec<Vec<u32>>,
-}
-
-impl CandidateLists {
-    /// Group `pairs` by left id; pairs referencing out-of-range entity
-    /// ids are dropped.
-    pub(crate) fn new(n_left: u32, n_right: u32, pairs: &FxHashSet<(u32, u32)>) -> Self {
-        let mut rows = vec![Vec::new(); n_left as usize];
-        for &(l, r) in pairs {
-            if l < n_left && r < n_right {
-                rows[l as usize].push(r);
-            }
-        }
-        for row in &mut rows {
-            row.sort_unstable();
-        }
-        CandidateLists { rows }
-    }
-
-    /// The candidate right ids of left entity `left_id`, ascending.
-    #[inline]
-    pub(crate) fn row(&self, left_id: u32) -> &[u32] {
-        self.rows
-            .get(left_id as usize)
-            .map_or(&[], |row| row.as_slice())
     }
 }
 

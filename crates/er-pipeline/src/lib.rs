@@ -23,9 +23,7 @@
 //!   as they need algorithm sweeps;
 //! * a **parallel construction engine** ([`graphgen`]): per-graph
 //!   left-row sharding over scoped workers with bit-identical results to
-//!   the serial path, a candidate-restricted fast path
-//!   ([`build_graph_restricted`]) for blocking-first pipelines, a
-//!   **streaming top-k path** ([`build_graph_topk`]) that bounds peak
+//!   the serial path, a **streaming top-k path** ([`build_graph_topk`]) that bounds peak
 //!   memory at `O(n_left × k)` edges by pruning during the score phase,
 //!   and a prepared output ([`build_prepared`]) whose emit-time sorted
 //!   edge view is shared with threshold sweeps (one sort across
@@ -48,13 +46,12 @@
 //!
 //! # Entry points
 //!
-//! Construction has six public functions, one per capability:
+//! Construction has five public functions, one per capability:
 //!
 //! | function | output |
 //! |---|---|
 //! | [`build_graph`] / [`build_graph_over`] | dense graph over a [`Dataset`](er_datasets::Dataset) / two bare collections |
 //! | [`build_prepared`] | dense graph plus its sorted edge view |
-//! | [`build_graph_restricted`] | dense graph over blocked candidate pairs |
 //! | [`build_graph_topk`] | in-RAM top-k graph, [`BuildStats`], [`NormFrame`] |
 //! | [`build_graph_sharded`] | out-of-core top-k store, [`BuildStats`], [`NormFrame`] |
 //!
@@ -69,7 +66,6 @@
 //! the row and thread counts, spilling always overlaps scoring, and the
 //! merge is one in-order pass.
 
-pub mod blocking;
 pub mod candidates;
 pub mod cleaning;
 pub mod config;
@@ -79,15 +75,12 @@ pub mod runner;
 pub mod sharded;
 pub mod taxonomy;
 
-pub use blocking::{
-    blocking_quality, restrict_graph, token_blocking, Block, BlockCollection, BlockingQuality,
-};
 pub use candidates::CandidateMode;
 pub use cleaning::{clean_graphs, CleaningOutcome};
 pub use config::PipelineConfig;
 pub use graphgen::{
-    build_graph, build_graph_over, build_graph_restricted, build_graph_topk, build_prepared,
-    BuildStats, BuiltGraph, GeneratedGraph, NormFrame, WMD_TOKEN_CAP,
+    build_graph, build_graph_over, build_graph_topk, build_prepared, BuildStats, BuiltGraph,
+    GeneratedGraph, NormFrame, WMD_TOKEN_CAP,
 };
 pub use resident::ResidentScorer;
 pub use runner::generate_corpus;

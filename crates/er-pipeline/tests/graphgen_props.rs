@@ -5,31 +5,28 @@
 //! 1. parallel construction is **bit-identical** to the serial path
 //!    (same edges, same order, same weight bits) for every branch of the
 //!    similarity-function taxonomy, across thread counts;
-//! 2. the candidate-restricted fast path scores exactly the candidate
-//!    edge set (equal to `restrict_graph` over the full build) and is
-//!    itself bit-identical across thread counts;
-//! 3. the prepared output's sorted edge view equals a from-scratch
+//! 2. the prepared output's sorted edge view equals a from-scratch
 //!    `sorted_edges()` of the same graph;
-//! 4. every normalized weight is finite, in `[0, 1]`, and positive (the
+//! 3. every normalized weight is finite, in `[0, 1]`, and positive (the
 //!    positivity filter and the 0.0-floor normalization contract);
-//! 5. the streaming top-k path is bit-identical to dense-then-prune
+//! 4. the streaming top-k path is bit-identical to dense-then-prune
 //!    (`build_graph` + `pruned_top_k`) for finite `k`, reproduces the
 //!    dense edge set at `k = ∞`, holds its `O(n_left × k)` peak-resident
 //!    bound, and is itself bit-identical across thread counts;
-//! 6. **bound-driven scoring is exact**: for every character-level
+//! 5. **bound-driven scoring is exact**: for every character-level
 //!    measure and the Word Mover's branch — the scorers that prune
 //!    candidates against the sink's admission bound (length/bag filters,
 //!    banded edit-distance cutoffs, centroid bounds, transport
 //!    short-circuits) — the pruned top-k build remains bit-identical to
 //!    dense-then-prune for `threads ∈ {1, 4}`, and the offered/pruned/
 //!    scored accounting stays consistent;
-//! 7. **the lane builds equal the scalar oracle**: the top-k graphs
+//! 6. **the lane builds equal the scalar oracle**: the top-k graphs
 //!    every bounded scorer builds (batched screens, multi-text Myers,
 //!    lane-parallel dense kernels, WMD row tables filled by the
 //!    interleaved block kernel, the weighted-postings cosine walk) equal
 //!    the brute-force scalar oracle (`oracle/mod.rs`) bit for bit, across
 //!    both candidate modes and `threads ∈ {1, 4}`;
-//! 8. **the thread-count surface is flat in the bits on a realistic
+//! 7. **the thread-count surface is flat in the bits on a realistic
 //!    corpus** (fixed seed): on the generated movies linkage (D7 at scale
 //!    0.05), every `threads ∈ {1, 2, 4}` cell of an indexed Levenshtein
 //!    and an enumerated cosine top-3 build equals the brute-force scalar
@@ -39,13 +36,12 @@
 
 mod oracle;
 
-use er_core::{FxHashSet, GroundTruth, SimilarityGraph};
+use er_core::{GroundTruth, SimilarityGraph};
 use er_datasets::{Dataset, DatasetId, DatasetSpec, EntityCollection, EntityProfile};
 use er_embed::{EmbeddingModel, SemanticMeasure};
-use er_pipeline::blocking::{restrict_graph, token_blocking};
 use er_pipeline::{
-    build_graph_over, build_graph_restricted, build_graph_topk, build_prepared, BuildStats,
-    CandidateMode, PipelineConfig, SemanticScope, SimilarityFunction,
+    build_graph_over, build_graph_topk, build_prepared, BuildStats, CandidateMode, PipelineConfig,
+    SemanticScope, SimilarityFunction,
 };
 use er_textsim::{CharMeasure, GraphSimilarity, NGramScheme, SchemaBasedMeasure, VectorMeasure};
 use proptest::prelude::*;
@@ -167,7 +163,7 @@ fn assert_weights_normalized(g: &SimilarityGraph, what: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Invariants 1 and 4: parallel ≡ serial, bit for bit, for every
+    /// Invariants 1 and 3: parallel ≡ serial, bit for bit, for every
     /// taxonomy branch, under an oversubscribed thread count (forcing
     /// multi-chunk merges).
     #[test]
@@ -185,44 +181,7 @@ proptest! {
         }
     }
 
-    /// Invariant 2: the restricted fast path scores exactly the candidate
-    /// edges of the full graph, and parallel restricted ≡ serial
-    /// restricted bit for bit.
-    #[test]
-    fn restricted_path_matches_full_restriction(
-        left in arb_collection(6),
-        right in arb_collection(6),
-        threads in 2usize..=4,
-    ) {
-        let candidates = token_blocking(&left, &right).candidate_pairs();
-        for function in branch_representatives() {
-            let serial =
-                build_graph_restricted(&left, &right, &function, &candidates, &cfg(1));
-            let parallel = build_graph_restricted(
-                &left,
-                &right,
-                &function,
-                &candidates,
-                &cfg(threads),
-            );
-            assert_bit_identical(&serial, &parallel, &function.name());
-
-            let full = build_graph_over(&left, &right, &function, &cfg(1));
-            let via_restrict = restrict_graph(&full, &candidates);
-            let pair_set = |g: &SimilarityGraph| -> FxHashSet<(u32, u32)> {
-                g.edges().iter().map(|e| (e.left, e.right)).collect()
-            };
-            assert_eq!(
-                pair_set(&serial),
-                pair_set(&via_restrict),
-                "{}: restricted edge set equals full ∩ candidates",
-                function.name()
-            );
-            assert_weights_normalized(&serial, &function.name());
-        }
-    }
-
-    /// Invariant 5: streaming top-k ≡ dense-then-prune for every branch,
+    /// Invariant 4: streaming top-k ≡ dense-then-prune for every branch,
     /// bit for bit; `k = ∞` reproduces the dense edge set; parallel ≡
     /// serial; the peak-resident accounting never exceeds `n_left × k`.
     #[test]
@@ -272,7 +231,7 @@ proptest! {
         }
     }
 
-    /// Invariant 6: prune-aware scoring never changes a bit. Every
+    /// Invariant 5: prune-aware scoring never changes a bit. Every
     /// measure with upper bounds (all 7 character measures, Word
     /// Mover's) builds the same top-k graph as the unpruned
     /// dense-then-prune flow, serially and with 4 workers; small `k`
@@ -326,7 +285,7 @@ proptest! {
         }
     }
 
-    /// Invariant 7: the lane kernels never change a bit. For every
+    /// Invariant 6: the lane kernels never change a bit. For every
     /// bounded scorer family (all 7 character measures, Word Mover's,
     /// dense cosine) and both token-vector cosines, `build_graph_topk`
     /// equals the brute-force scalar oracle bit for bit — across both
@@ -390,7 +349,7 @@ proptest! {
         }
     }
 
-    /// Invariant 3: the prepared output's sorted view is exactly the
+    /// Invariant 2: the prepared output's sorted view is exactly the
     /// graph's sorted edge view — no divergence from sorting at emit time.
     #[test]
     fn prepared_output_sorted_view_is_canonical(
@@ -418,7 +377,7 @@ proptest! {
     }
 }
 
-/// Invariant 8. The cosine build runs enumerated on purpose: the indexed
+/// Invariant 7. The cosine build runs enumerated on purpose: the indexed
 /// prefix-filter walk scores one candidate at a time, so enumerated
 /// candidates are where the weighted-postings accumulator engages.
 #[test]

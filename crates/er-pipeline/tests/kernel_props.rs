@@ -17,17 +17,17 @@
 //!   measures (cosine, Euclidean, Word Mover's) and both token-vector
 //!   cosines, dense and top-k builds equal the brute-force scalar oracle
 //!   (`oracle/mod.rs`: every pair scored by the public per-pair measure)
-//!   bit for bit — over every candidate source: the branch's own
-//!   enumeration and its candidate index (top-k), and blocked candidate
-//!   lists (`token_blocking`, dense).
+//!   bit for bit — over both candidate sources (the branch's own
+//!   enumeration and its candidate index), and on right sides wide
+//!   enough to fill whole lanes as well as ragged tails.
 
 mod oracle;
 
 use er_datasets::{EntityCollection, EntityProfile};
 use er_embed::{lanes as embed_lanes, DenseVector, EmbeddingModel, SemanticMeasure};
 use er_pipeline::{
-    build_graph_over, build_graph_restricted, build_graph_topk, token_blocking, CandidateMode,
-    PipelineConfig, SemanticScope, SimilarityFunction,
+    build_graph_over, build_graph_topk, CandidateMode, PipelineConfig, SemanticScope,
+    SimilarityFunction,
 };
 use er_textsim::lanes::{
     bag_upper_bounds_from_common, length_upper_bounds, sorted_common_counts, MyersBatch, LANE_WIDTH,
@@ -68,8 +68,8 @@ fn arb_unicode_collection(max_entities: usize) -> impl Strategy<Value = EntityCo
 }
 
 /// [`arb_unicode_collection`] with spaces between the characters, so
-/// values split into short tokens that `token_blocking` can share across
-/// sides — enough blocked candidates per row to fill whole lanes.
+/// values split into short tokens that the two sides share — enough
+/// token-vector candidates per row to reach the postings walks.
 fn arb_tokenized_collection(max_entities: usize) -> impl Strategy<Value = EntityCollection> {
     let alphabet: Vec<char> = ALPHABET.iter().copied().chain([' ', ' ', ' ']).collect();
     let text = proptest::collection::vec(proptest::sample::select(alphabet), 0..=70)
@@ -287,19 +287,20 @@ proptest! {
     /// scalar oracle bit for bit. The unicode collections include
     /// > 64-char values (multi-block Myers) and supplementary-plane
     /// chars; right-side counts indivisible by the lane width exercise
-    /// ragged tails through every chunked path. The blocked build
-    /// (`build_graph_restricted`) runs over separate space-separated
-    /// collections whose `token_blocking` candidates fill whole lanes.
+    /// ragged tails through every chunked path. A second pair of
+    /// space-separated collections, with up to 12 right entities, runs
+    /// whole 8-wide lanes through the same comparisons and shares tokens
+    /// across sides.
     #[test]
     fn lane_builds_match_the_scalar_oracle(
         left in arb_unicode_collection(5),
         right in arb_unicode_collection(7),
-        blocked_left in arb_tokenized_collection(5),
-        blocked_right in arb_tokenized_collection(12),
+        tokenized_left in arb_tokenized_collection(5),
+        tokenized_right in arb_tokenized_collection(12),
         k in 1usize..=2,
     ) {
         let cfg = PipelineConfig { threads: 1 };
-        let candidates = token_blocking(&blocked_left, &blocked_right).candidate_pairs();
+        let inputs = [(&left, &right), (&tokenized_left, &tokenized_right)];
         let mut functions: Vec<SimilarityFunction> = CharMeasure::all()
             .into_iter()
             .map(|m| SimilarityFunction::SchemaBasedSyntactic {
@@ -330,31 +331,28 @@ proptest! {
         });
         for function in functions {
             let name = function.name();
-            prop_assert_eq!(
-                oracle::edge_bits(&build_graph_over(&left, &right, &function, &cfg)),
-                oracle::dense(&left, &right, &function),
-                "{} dense",
-                name
-            );
-            let want = oracle::topk(&left, &right, &function, k);
-            for mode in [CandidateMode::Enumerated, CandidateMode::Indexed] {
-                let (g, _, _) = build_graph_topk(&left, &right, &function, k, mode, &cfg);
+            for (input, &(left, right)) in inputs.iter().enumerate() {
                 prop_assert_eq!(
-                    oracle::edge_bits(&g),
-                    want.clone(),
-                    "{} topk k={} mode={:?}",
+                    oracle::edge_bits(&build_graph_over(left, right, &function, &cfg)),
+                    oracle::dense(left, right, &function),
+                    "{} dense input={}",
                     name,
-                    k,
-                    mode
+                    input
                 );
+                let want = oracle::topk(left, right, &function, k);
+                for mode in [CandidateMode::Enumerated, CandidateMode::Indexed] {
+                    let (g, _, _) = build_graph_topk(left, right, &function, k, mode, &cfg);
+                    prop_assert_eq!(
+                        oracle::edge_bits(&g),
+                        want.clone(),
+                        "{} topk k={} mode={:?} input={}",
+                        name,
+                        k,
+                        mode,
+                        input
+                    );
+                }
             }
-            let (bl, br) = (&blocked_left, &blocked_right);
-            prop_assert_eq!(
-                oracle::edge_bits(&build_graph_restricted(bl, br, &function, &candidates, &cfg)),
-                oracle::restricted(bl, br, &function, &candidates),
-                "{} restricted",
-                name
-            );
         }
     }
 }

@@ -12,7 +12,7 @@
 
 #![allow(dead_code)]
 
-use er_core::{FxHashSet, SimilarityGraph};
+use er_core::SimilarityGraph;
 use er_datasets::{EntityCollection, EntityProfile};
 use er_pipeline::{SemanticScope, SimilarityFunction, WMD_TOKEN_CAP};
 use er_textsim::{DfIndex, VectorModel};
@@ -195,17 +195,4 @@ pub fn topk(
         }
     }
     normalized(kept)
-}
-
-/// The restricted graph: only the positive pairs in `candidates`,
-/// normalized over that set.
-pub fn restricted(
-    left: &EntityCollection,
-    right: &EntityCollection,
-    function: &SimilarityFunction,
-    candidates: &FxHashSet<(u32, u32)>,
-) -> Vec<EdgeBits> {
-    let mut raw = raw_scores(left, right, function);
-    raw.retain(|&(l, r, _)| candidates.contains(&(l, r)));
-    normalized(raw)
 }

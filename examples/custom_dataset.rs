@@ -6,18 +6,17 @@
 //!
 //! The full adoption path for real datasets (e.g. the JedAI benchmark
 //! files the paper evaluates): two collection TSVs plus a ground-truth
-//! TSV are imported, blocked, scored, matched and evaluated — no
-//! generated `Dataset` involved. For demonstration the example first
-//! *writes* a small dataset to a temp directory, standing in for your own
-//! files on disk.
+//! TSV are imported, scored by the indexed top-k build, swept over the
+//! paper's threshold grid and evaluated — no generated `Dataset`
+//! involved. For demonstration the example first *writes* a small
+//! dataset to a temp directory, standing in for your own files on disk.
 
 use ccer::core::ThresholdGrid;
 use ccer::datasets::export::export_dataset;
 use ccer::datasets::{import_dataset, Dataset, DatasetId};
-use ccer::eval::evaluate;
-use ccer::matchers::{AlgorithmConfig, AlgorithmKind, PreparedGraph};
-use ccer::pipeline::blocking::{blocking_quality, restrict_graph, token_blocking};
-use ccer::pipeline::{build_graph_over, PipelineConfig, SimilarityFunction};
+use ccer::eval::sweep::SweepEngine;
+use ccer::matchers::{AlgorithmConfig, PreparedGraph};
+use ccer::pipeline::{build_graph_topk, CandidateMode, PipelineConfig, SimilarityFunction};
 use ccer::textsim::{NGramScheme, VectorMeasure};
 
 fn main() {
@@ -42,64 +41,51 @@ fn main() {
         data.ground_truth.len()
     );
 
-    // 2. Block: token blocking + purging cuts the search space.
-    let blocks = token_blocking(&data.left, &data.right);
-    let candidates = blocks.purge(500).candidate_pairs();
-    let quality = blocking_quality(
-        &candidates,
-        &data.ground_truth,
-        data.left.len() as u32,
-        data.right.len() as u32,
-    );
-    println!(
-        "blocking: {} candidates (PC {:.3}, RR {:.3})",
-        quality.n_candidates, quality.pairs_completeness, quality.reduction_ratio
-    );
-
-    // 3. Score: schema-agnostic TF-IDF cosine over the whole profiles,
-    //    restricted to the blocked candidates.
+    // 2. Score: schema-agnostic TF-IDF cosine over the whole profiles.
+    //    The indexed top-k build keeps each left entity's `k` best
+    //    candidates and generates candidates from a prefix-filtered
+    //    inverted index, so pairs that cannot make a row's top k are
+    //    never scored — the graph equals the enumerated build's.
     let function = SimilarityFunction::SchemaAgnosticVector {
         scheme: NGramScheme::Token(1),
         measure: VectorMeasure::CosineTfIdf,
     };
-    let scored = build_graph_over(
+    let k = 10;
+    let (graph, stats, _) = build_graph_topk(
         &data.left,
         &data.right,
         &function,
+        k,
+        CandidateMode::Indexed,
         &PipelineConfig::default(),
     );
-    let graph = restrict_graph(&scored, &candidates);
     println!(
-        "similarity graph: {} edges after blocking\n",
-        graph.n_edges()
+        "similarity graph: {} edges (top {k} per left entity), {} of {} pairs generated\n",
+        graph.n_edges(),
+        stats.generated_pairs,
+        data.left.len() * data.right.len()
     );
 
-    // 4. Match: sweep the paper's threshold grid with KRC and UMC, report
-    //    the best configuration of each.
+    // 3. Match: sweep all eight algorithms over the paper's threshold
+    //    grid and report each one's best configuration.
     let prepared = PreparedGraph::new(&graph);
-    let cfg = AlgorithmConfig::default();
+    let results = SweepEngine::new(AlgorithmConfig::default()).sweep_all(
+        &prepared,
+        &data.ground_truth,
+        &ThresholdGrid::paper(),
+    );
     println!(
         "{:<6} {:>7} {:>10} {:>8} {:>8}",
         "algo", "best t", "precision", "recall", "F1"
     );
-    for kind in [AlgorithmKind::Krc, AlgorithmKind::Umc, AlgorithmKind::Exc] {
-        let (t, scores) = ThresholdGrid::paper()
-            .values()
-            .map(|t| {
-                (
-                    t,
-                    evaluate(&cfg.run(kind, &prepared, t), &data.ground_truth),
-                )
-            })
-            .max_by(|a, b| a.1.f1.total_cmp(&b.1.f1))
-            .expect("grid is non-empty");
+    for r in &results {
         println!(
             "{:<6} {:>7.2} {:>10.3} {:>8.3} {:>8.3}",
-            kind.name(),
-            t,
-            scores.precision,
-            scores.recall,
-            scores.f1
+            r.algorithm.name(),
+            r.best_threshold,
+            r.best.precision,
+            r.best.recall,
+            r.best.f1
         );
     }
 }
