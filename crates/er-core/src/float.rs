@@ -84,11 +84,18 @@ pub fn edge_key_desc(a: (f64, u32, u32), b: (f64, u32, u32)) -> Ordering {
 /// ```
 #[inline]
 pub fn edge_sort_key(e: &Edge) -> u128 {
-    let bits = e.weight.to_bits();
+    (u128::from(weight_sort_key(e.weight)) << 64) | (u128::from(e.left) << 32) | u128::from(e.right)
+}
+
+/// The weight half of [`edge_sort_key`]: comparing two keys as unsigned
+/// integers orders their weights as [`total_cmp_desc`] does, `-0.0`/`0.0`
+/// included.
+#[inline]
+pub(crate) fn weight_sort_key(w: f64) -> u64 {
+    let bits = w.to_bits();
     // Negative: flip every bit; non-negative: flip the sign bit. Unsigned
     // order is then `total_cmp` order, and `!` makes it descending.
-    let ascending = bits ^ (((bits as i64) >> 63) as u64 | 1 << 63);
-    (u128::from(!ascending) << 64) | (u128::from(e.left) << 32) | u128::from(e.right)
+    !(bits ^ (((bits as i64) >> 63) as u64 | 1 << 63))
 }
 
 #[cfg(test)]

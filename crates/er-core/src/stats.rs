@@ -45,9 +45,10 @@ pub struct ConstructionCounters {
     pruned: AtomicUsize,
     /// Candidates fully scored (then emitted or positivity-dropped).
     scored: AtomicUsize,
-    /// Bytes written to shard spill files by an out-of-core build.
+    /// Bytes an out-of-core build wrote for its shards' rows before the
+    /// frame was known.
     spilled_bytes: AtomicUsize,
-    /// Bytes written to the merged on-disk graph by an out-of-core build.
+    /// Bytes of the store file an out-of-core build wrote.
     merged_bytes: AtomicUsize,
 }
 
@@ -90,12 +91,12 @@ impl ConstructionCounters {
         }
     }
 
-    /// Add to the spill-file byte tally.
+    /// Add to the shard-row byte tally.
     pub fn add_spilled_bytes(&self, n: usize) {
         self.spilled_bytes.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Add to the merged-output byte tally.
+    /// Add to the store-file byte tally.
     pub fn add_merged_bytes(&self, n: usize) {
         self.merged_bytes.fetch_add(n, Ordering::Relaxed);
     }
@@ -135,12 +136,12 @@ impl ConstructionCounters {
         self.scored.load(Ordering::Relaxed)
     }
 
-    /// Bytes spilled to shard files.
+    /// Bytes written for shard rows.
     pub fn spilled_bytes(&self) -> usize {
         self.spilled_bytes.load(Ordering::Relaxed)
     }
 
-    /// Bytes written to the merged on-disk graph.
+    /// Bytes of the finished store file.
     pub fn merged_bytes(&self) -> usize {
         self.merged_bytes.load(Ordering::Relaxed)
     }

@@ -37,10 +37,12 @@
 //! total edge order — [`edge_key_desc`](crate::float::edge_key_desc):
 //! weight descending under `f64::total_cmp`, ties by `(left, right)`
 //! ascending. Because the slab itself is laid out `(left asc, right
-//! asc)`, that tie-break is exactly *ascending slab index*, which is how
-//! the column is validated: adjacent entries must descend by weight and
-//! break weight ties by ascending index, and the entries must form a
-//! permutation of `0..n_edges`. With the column present, "the edges
+//! asc)`, that tie-break is exactly *ascending slab index*. One packed
+//! key per entry states the rule — the weight half of
+//! [`edge_sort_key`](crate::float::edge_sort_key) above the slab index —
+//! and both sides use it: the writer sorts by it, and the reader requires
+//! the keys of adjacent entries to strictly ascend, which also makes the
+//! entries a permutation of `0..n_edges`. With the column present, "the edges
 //! above `t`" is a **prefix of a file-backed column** — a reader can
 //! binary-search the threshold and stream the prefix without sorting
 //! (or even materializing) the edge set in RAM. Version 1 — the same
@@ -59,8 +61,9 @@
 //! few, and a dense bitmap over `u32::MAX` columns would cost 512 MiB
 //! before the first edge.
 //!
-//! [`SlabWriter`] streams rows out in `O(n_left)` writer memory (the
-//! offset column; weights detour through a sibling temp file so both
+//! [`SlabWriter`] is the one producer of store files: it streams rows
+//! out in `O(n_left + run_len)` writer memory (the offset column and one
+//! bounded sort run; weights detour through a temp file so both
 //! variable-width sections can stream in one pass). [`MappedCsr`] is
 //! the read side: a file-backed byte view (`memmap2`, see the vendor
 //! shim) validated once at open — magic, version, section lengths,
@@ -69,6 +72,8 @@
 //! straight from the view. Corruption of any kind is an [`StoreError`],
 //! never a panic.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -76,6 +81,7 @@ use std::path::{Path, PathBuf};
 use memmap2::Mmap;
 
 use crate::csr::CsrGraph;
+use crate::float::weight_sort_key;
 use crate::graph::Edge;
 
 /// Magic bytes opening every columnar store file.
@@ -223,43 +229,160 @@ pub struct StoreMeta {
 // Writer.
 // ----------------------------------------------------------------------
 
-/// How the writer produces the sort-order column.
-enum PermPlan {
-    /// Order computed at finish from weights the writer kept resident
-    /// (8 B/edge writer memory — fine for anything that fits the in-RAM
-    /// build anyway).
-    InRam(Vec<f64>),
-    /// Order streamed into
-    /// [`finish_with_order`](SlabWriter::finish_with_order) by a caller
-    /// that sorted out of core.
-    Streamed,
+/// The key of slab index `idx`, stored weight `w`, in the sort-order
+/// column: `edge_key_desc` packed like
+/// [`edge_sort_key`](crate::float::edge_sort_key) — weight descending
+/// under `total_cmp`, then slab index ascending, which over the
+/// `(left, right)`-ascending slab is the `(left, right)` tie-break. The
+/// writer sorts by this key and [`MappedCsr::open`] validates against it.
+#[inline]
+fn perm_key(w: f64, idx: u64) -> u128 {
+    (u128::from(weight_sort_key(w)) << 64) | u128::from(idx)
 }
 
-/// Streaming writer of the columnar format.
+/// A scratch file, removed when dropped — on success and on every error
+/// path alike.
+struct TempFile(PathBuf);
+
+impl Drop for TempFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+/// Bounded-memory sorter of the sort-order column: buffers
+/// [`perm_key`]s up to `run_len`, writes each full buffer out as a
+/// sorted run, and k-way-merges the runs with the resident tail. A write
+/// whose edges fit one run never touches disk.
+struct RunSorter {
+    /// Run file prefix: the temp directory joined with the store's file
+    /// name.
+    stem: PathBuf,
+    run_len: usize,
+    buf: Vec<u128>,
+    runs: Vec<TempFile>,
+}
+
+impl RunSorter {
+    fn push(&mut self, key: u128) -> Result<(), StoreError> {
+        self.buf.push(key);
+        if self.buf.len() >= self.run_len {
+            self.buf.sort_unstable();
+            let run = TempFile(suffixed(
+                &self.stem,
+                &format!(".run-{}.tmp", self.runs.len()),
+            ));
+            let mut out = BufWriter::new(File::create(&run.0)?);
+            self.runs.push(run);
+            for k in &self.buf {
+                out.write_all(&k.to_le_bytes())?;
+            }
+            out.flush()?;
+            self.buf.clear();
+        }
+        Ok(())
+    }
+
+    /// The merged order: every pushed slab index, in key order.
+    fn into_order(mut self) -> Result<RunMerge, StoreError> {
+        self.buf.sort_unstable();
+        let mut readers = Vec::with_capacity(self.runs.len());
+        for run in &self.runs {
+            readers.push(BufReader::new(File::open(&run.0)?));
+        }
+        let mut merge = RunMerge {
+            heap: BinaryHeap::with_capacity(readers.len() + 1),
+            readers,
+            tail: self.buf.into_iter(),
+            _runs: self.runs,
+        };
+        for src in 0..=merge.readers.len() {
+            if let Some(key) = merge.pop(src)? {
+                merge.heap.push(Reverse((key, src)));
+            }
+        }
+        Ok(merge)
+    }
+}
+
+/// The k-way merge of a [`RunSorter`]'s runs (sources `0..runs`) and its
+/// sorted resident tail (source `runs`): one resident key per source.
+struct RunMerge {
+    readers: Vec<BufReader<File>>,
+    tail: std::vec::IntoIter<u128>,
+    heap: BinaryHeap<Reverse<(u128, usize)>>,
+    /// Kept so the run files live until the merge is done.
+    _runs: Vec<TempFile>,
+}
+
+impl RunMerge {
+    fn pop(&mut self, src: usize) -> Result<Option<u128>, StoreError> {
+        let Some(rd) = self.readers.get_mut(src) else {
+            return Ok(self.tail.next());
+        };
+        let mut buf = [0u8; 16];
+        match rd.read_exact(&mut buf) {
+            Ok(()) => Ok(Some(u128::from_le_bytes(buf))),
+            // A run cut short ends early here, and the seal's count check
+            // then rejects the short order.
+            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(None),
+            Err(e) => Err(e.into()),
+        }
+    }
+}
+
+impl Iterator for RunMerge {
+    type Item = Result<u64, StoreError>;
+
+    fn next(&mut self) -> Option<Result<u64, StoreError>> {
+        let Reverse((key, src)) = self.heap.pop()?;
+        match self.pop(src) {
+            Ok(Some(next)) => self.heap.push(Reverse((next, src))),
+            Ok(None) => {}
+            Err(e) => return Some(Err(e)),
+        }
+        // The low 64 bits of a key are its slab index.
+        Some(Ok(key as u64))
+    }
+}
+
+/// `path` with `suffix` appended to its last component.
+fn suffixed(path: &Path, suffix: &str) -> PathBuf {
+    let mut os = path.as_os_str().to_os_string();
+    os.push(suffix);
+    PathBuf::from(os)
+}
+
+/// Streaming writer of the columnar format — the one producer of store
+/// files, sort-order column included.
 ///
 /// Rows must arrive in left-id order, one call per row id `0..n_left`
 /// ([`append_row`](Self::append_row) for live rows — possibly empty —
-/// and [`append_dead_row`](Self::append_dead_row) for tombstoned ones);
-/// [`finish`](Self::finish) seals the file. Writer memory is
-/// `O(n_left)` — the offset column plus the tombstone lists — no matter
-/// how many edges stream through: column ids go straight to the final
-/// file while weights detour through a sibling `.weights.tmp` file that
-/// is concatenated and deleted at finish.
+/// and [`append_dead_row`](Self::append_dead_row) for tombstoned ones),
+/// with **raw** weights: finite and non-negative, but not yet in
+/// `[0, 1]`. [`finish`](Self::finish) seals the file, mapping every raw
+/// weight through a caller-given function into the stored one.
 ///
-/// [`create`](Self::create) keeps one `f64` per edge resident to
-/// compute the sort-order column at finish.
-/// [`create_streamed`](Self::create_streamed) takes the order supplied
-/// externally via [`finish_with_order`](Self::finish_with_order) — for
-/// out-of-core builders that sort the column on disk.
-///
-/// An abandoned writer (dropped without `finish`) leaves the partial
-/// final file and the temp file behind; callers that care should write
-/// into a scratch directory they clean up.
+/// Writer memory is `O(n_left + run_len)` however many edges stream
+/// through: the offset column, the tombstone lists and one sort run.
+/// Column ids go straight to the final file; raw weights detour through
+/// a `.weights.tmp` file in the temp directory. At finish, the weights
+/// are mapped on their way into place and each `(stored weight, slab
+/// index)` pair enters a sort run of at most `run_len` entries; full
+/// runs go to `.run-<i>.tmp` files in the temp directory and are
+/// merged into the sort-order column. Every temp file is removed when
+/// the writer finishes or is dropped; an abandoned writer leaves only
+/// the partial store file behind.
 pub struct SlabWriter {
     path: PathBuf,
-    tmp_path: PathBuf,
+    /// Temp directory joined with the store's file name: the prefix of
+    /// every temp file.
+    stem: PathBuf,
+    run_len: usize,
     out: BufWriter<File>,
     weights: BufWriter<File>,
+    /// Kept so the weights temp file goes with the writer.
+    _weights_tmp: TempFile,
     n_left: u32,
     n_right: u32,
     offsets: Vec<u64>,
@@ -267,49 +390,22 @@ pub struct SlabWriter {
     dead_right: Vec<u32>,
     rows_written: u32,
     n_edges: u64,
-    perm: PermPlan,
 }
 
 impl SlabWriter {
-    /// Open a writer for a graph with `n_left` rows and `n_right`
-    /// columns, of which the sorted `dead_right` ids are tombstoned.
-    /// Appended rows are checked against `dead_right` — the format
-    /// forbids slab entries pointing at dead columns. The sort-order
-    /// column is computed at finish.
+    /// Open a writer of a store at `path` for a graph with `n_left` rows
+    /// and `n_right` columns, of which the sorted `dead_right` ids are
+    /// tombstoned. Appended rows are checked against `dead_right` — the
+    /// format forbids slab entries pointing at dead columns. Temp files
+    /// go to `tmp_dir`, which must exist; the sort-order column is sorted
+    /// in runs of at most `run_len` entries (16 B each).
     pub fn create(
         path: &Path,
         n_left: u32,
         n_right: u32,
         dead_right: Vec<u32>,
-    ) -> Result<SlabWriter, StoreError> {
-        Self::create_with_plan(
-            path,
-            n_left,
-            n_right,
-            dead_right,
-            PermPlan::InRam(Vec::new()),
-        )
-    }
-
-    /// Like [`create`](Self::create), but the file must be sealed with
-    /// [`finish_with_order`](Self::finish_with_order): the caller
-    /// supplies the weight-descending permutation, so the writer keeps
-    /// no per-edge state at all.
-    pub fn create_streamed(
-        path: &Path,
-        n_left: u32,
-        n_right: u32,
-        dead_right: Vec<u32>,
-    ) -> Result<SlabWriter, StoreError> {
-        Self::create_with_plan(path, n_left, n_right, dead_right, PermPlan::Streamed)
-    }
-
-    fn create_with_plan(
-        path: &Path,
-        n_left: u32,
-        n_right: u32,
-        dead_right: Vec<u32>,
-        perm: PermPlan,
+        tmp_dir: &Path,
+        run_len: usize,
     ) -> Result<SlabWriter, StoreError> {
         for pair in dead_right.windows(2) {
             if pair[0] >= pair[1] {
@@ -321,11 +417,10 @@ impl SlabWriter {
                 return format_err(format!("dead right id {last} out of bounds ({n_right})"));
             }
         }
-        let tmp_path = {
-            let mut os = path.as_os_str().to_os_string();
-            os.push(".weights.tmp");
-            PathBuf::from(os)
+        let Some(name) = path.file_name() else {
+            return format_err(format!("store path {} names no file", path.display()));
         };
+        let stem = tmp_dir.join(name);
         // Read access is needed too: `finish` re-reads the payload for
         // the checksum pass.
         let file = std::fs::OpenOptions::new()
@@ -345,12 +440,20 @@ impl SlabWriter {
             out.write_all(&zeros[..n])?;
             left -= n;
         }
-        let weights = BufWriter::new(File::create(&tmp_path)?);
+        let weights_tmp = TempFile(suffixed(&stem, ".weights.tmp"));
+        let weights = std::fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&weights_tmp.0)?;
         Ok(SlabWriter {
             path: path.to_path_buf(),
-            tmp_path,
+            stem,
+            run_len: run_len.max(1),
             out,
-            weights,
+            weights: BufWriter::new(weights),
+            _weights_tmp: weights_tmp,
             n_left,
             n_right,
             offsets: vec![0],
@@ -358,13 +461,12 @@ impl SlabWriter {
             dead_right,
             rows_written: 0,
             n_edges: 0,
-            perm,
         })
     }
 
-    /// Append the next live row: `(right id, weight)` pairs, right ids
-    /// strictly ascending, weights finite in `[0, 1]`. Empty rows are
-    /// fine — a live left entity with no edges.
+    /// Append the next live row: `(right id, raw weight)` pairs, right
+    /// ids strictly ascending, raw weights finite and non-negative.
+    /// Empty rows are fine — a live left entity with no edges.
     pub fn append_row(&mut self, row: &[(u32, f64)]) -> Result<(), StoreError> {
         if self.rows_written == self.n_left {
             return format_err(format!("more than n_left = {} rows appended", self.n_left));
@@ -382,17 +484,14 @@ impl SlabWriter {
             if self.dead_right.binary_search(&r).is_ok() {
                 return format_err(format!("edge points at tombstoned right id {r}"));
             }
-            if !(w.is_finite() && (0.0..=1.0).contains(&w)) {
-                return format_err(format!("weight {w} outside [0, 1]"));
+            if !(w.is_finite() && w >= 0.0) {
+                return format_err(format!("raw weight {w} is not finite and non-negative"));
             }
             prev = Some(r);
         }
         for &(r, w) in row {
             self.out.write_all(&r.to_le_bytes())?;
             self.weights.write_all(&w.to_le_bytes())?;
-            if let PermPlan::InRam(seen) = &mut self.perm {
-                seen.push(w);
-            }
         }
         self.n_edges += row.len() as u64;
         self.offsets.push(self.n_edges);
@@ -412,54 +511,20 @@ impl SlabWriter {
         Ok(())
     }
 
-    /// Seal the file: concatenate the weight column, write the liveness
-    /// sections and the sort-order column, backfill offsets and header,
-    /// checksum the payload. A [`create_streamed`](Self::create_streamed)
-    /// writer must use [`finish_with_order`](Self::finish_with_order)
-    /// instead.
-    pub fn finish(mut self) -> Result<StoreMeta, StoreError> {
-        match std::mem::replace(&mut self.perm, PermPlan::Streamed) {
-            PermPlan::InRam(weights) => {
-                // Slab order is (left asc, right asc), so sorting slab
-                // indices by (weight total_cmp desc, index asc) is
-                // exactly the workspace `edge_key_desc` order.
-                let mut order: Vec<u64> = (0..weights.len() as u64).collect();
-                order.sort_unstable_by(|&a, &b| {
-                    weights[b as usize]
-                        .total_cmp(&weights[a as usize])
-                        .then_with(|| a.cmp(&b))
-                });
-                self.seal(order.into_iter().map(Ok))
-            }
-            PermPlan::Streamed => {
-                format_err("a streamed writer must be sealed with finish_with_order")
-            }
-        }
+    /// Seal the file: copy the weight column into place, each raw weight
+    /// mapped through `map` (a result outside `[0, 1]`, NaN included, is
+    /// a [`StoreError::Format`]); write the liveness sections and the
+    /// sort-order column of the mapped weights; backfill offsets and
+    /// header; checksum the payload.
+    pub fn finish(mut self, map: impl Fn(f64) -> f64) -> Result<StoreMeta, StoreError> {
+        let order = self.place_weights(map)?;
+        self.seal(order)
     }
 
-    /// Seal a [`create_streamed`](Self::create_streamed) writer with an
-    /// externally sorted order: `order` yields every slab index
-    /// `0..n_edges` exactly once, in weight-descending
-    /// (`edge_key_desc`) order. Bounds and bijectivity are checked
-    /// here; the weight ordering itself is re-validated whenever the
-    /// file is opened, so a caller that merges sorted runs wrong cannot
-    /// produce a silently mis-sorted store.
-    pub fn finish_with_order<I>(self, order: I) -> Result<StoreMeta, StoreError>
-    where
-        I: IntoIterator<Item = Result<u64, StoreError>>,
-    {
-        match self.perm {
-            PermPlan::Streamed => self.seal(order),
-            PermPlan::InRam(_) => {
-                format_err("finish_with_order requires a writer from create_streamed")
-            }
-        }
-    }
-
-    fn seal(
-        mut self,
-        order: impl IntoIterator<Item = Result<u64, StoreError>>,
-    ) -> Result<StoreMeta, StoreError> {
+    /// Pad the column ids, then copy the weights temp file into place
+    /// through `map`, feeding every stored weight to the sort-order
+    /// column's run sorter; returns the sorted order.
+    fn place_weights(&mut self, map: impl Fn(f64) -> f64) -> Result<RunMerge, StoreError> {
         if self.rows_written != self.n_left {
             return format_err(format!(
                 "{} rows appended, n_left = {}",
@@ -469,11 +534,38 @@ impl SlabWriter {
         if self.n_edges % 2 == 1 {
             self.out.write_all(&[0u8; 4])?;
         }
-        // Weight column: flush the temp stream and concatenate it.
         self.weights.flush()?;
-        let mut wtmp = File::open(&self.tmp_path)?;
-        io::copy(&mut wtmp, &mut self.out)?;
-        drop(wtmp);
+        let mut raw = BufReader::new(self.weights.get_ref());
+        raw.seek(SeekFrom::Start(0))?;
+        let mut sorter = RunSorter {
+            stem: self.stem.clone(),
+            run_len: self.run_len,
+            buf: Vec::with_capacity(self.run_len.min(self.n_edges as usize)),
+            runs: Vec::new(),
+        };
+        let mut buf = [0u8; 8];
+        for idx in 0..self.n_edges {
+            raw.read_exact(&mut buf)?;
+            let w = map(f64::from_le_bytes(buf));
+            // NaN and the infinities fail the range test too.
+            if !(0.0..=1.0).contains(&w) {
+                return format_err(format!("mapped weight {w} outside [0, 1]"));
+            }
+            self.out.write_all(&w.to_le_bytes())?;
+            sorter.push(perm_key(w, idx))?;
+        }
+        sorter.into_order()
+    }
+
+    /// Write the liveness sections and the sort-order column, backfill
+    /// offsets and header, checksum the payload. `order` must yield
+    /// every slab index `0..n_edges` exactly once; bounds and repeats are
+    /// checked here, and the weight order itself whenever the file is
+    /// opened.
+    fn seal(
+        mut self,
+        order: impl IntoIterator<Item = Result<u64, StoreError>>,
+    ) -> Result<StoreMeta, StoreError> {
         // Left liveness bitmap, all-live words with dead bits cleared.
         let words = (self.n_left as usize).div_ceil(64);
         let mut bitmap = vec![u64::MAX; words];
@@ -570,7 +662,6 @@ impl SlabWriter {
         file.sync_all()?;
 
         let file_bytes = file.metadata()?.len();
-        std::fs::remove_file(&self.tmp_path)?;
         debug_assert_eq!(
             file_bytes,
             layout(self.n_left, self.n_edges, self.dead_right.len() as u64)
@@ -595,7 +686,16 @@ impl SlabWriter {
 /// therefore yields the graph in its compacted form — byte-identical to
 /// `{ let mut c = csr.clone(); c.compact(); c }`.
 pub fn write_csr(csr: &CsrGraph, path: &Path) -> Result<StoreMeta, StoreError> {
-    let mut w = SlabWriter::create(path, csr.n_left(), csr.n_right(), csr.dead_right().to_vec())?;
+    // One sort run holds every edge, so nothing spills; the weights temp
+    // file sits beside the output.
+    let mut w = SlabWriter::create(
+        path,
+        csr.n_left(),
+        csr.n_right(),
+        csr.dead_right().to_vec(),
+        path.parent().unwrap_or(Path::new("")),
+        csr.n_edges(),
+    )?;
     let mut row: Vec<(u32, f64)> = Vec::new();
     for l in 0..csr.n_left() {
         if !csr.is_live_left(l) {
@@ -606,7 +706,7 @@ pub fn write_csr(csr: &CsrGraph, path: &Path) -> Result<StoreMeta, StoreError> {
         row.extend(csr.live_row(l));
         w.append_row(&row)?;
     }
-    w.finish()
+    w.finish(|w| w)
 }
 
 // ----------------------------------------------------------------------
@@ -761,48 +861,34 @@ impl MappedCsr {
             return format_err("offset column does not close at n_edges");
         }
 
-        // Sort-order column: a permutation of 0..n_edges in
-        // strict edge_key_desc order — weight descending under
-        // total_cmp, weight ties ascending by slab index (the slab is
-        // (left, right)-asc, so index order IS the id tie-break).
+        // Sort-order column: in-bounds slab indices whose `perm_key`s
+        // strictly ascend. Strictly ascending keys are distinct, so the
+        // m entries are distinct indices below m — a permutation.
         let perm_wide = perm_entry_bytes(n_edges) == 8;
-        let m = n_edges as usize;
         let entry = if perm_wide { 8 } else { 4 };
-        let perm_idx = |i: usize| -> u64 {
-            if perm_wide {
+        let mut prev: Option<u128> = None;
+        for i in 0..n_edges as usize {
+            let p = if perm_wide {
                 u64_at(lay.perm_at + entry * i)
             } else {
                 u32_at(lay.perm_at + entry * i) as u64
-            }
-        };
-        let mut seen = vec![0u64; m.div_ceil(64)];
-        let mut prev: Option<(f64, usize)> = None;
-        for i in 0..m {
-            let p = perm_idx(i);
+            };
             if p >= n_edges {
                 return format_err(format!("sort-order index {p} out of bounds ({n_edges})"));
             }
-            let p = p as usize;
-            if seen[p / 64] >> (p % 64) & 1 == 1 {
-                return format_err(format!("sort-order index {p} repeated"));
+            let w = f64::from_le_bytes(
+                map[lay.weights_at + 8 * p as usize..][..8]
+                    .try_into()
+                    .unwrap(),
+            );
+            let key = perm_key(w, p);
+            if prev.is_some_and(|k| k >= key) {
+                return format_err("sort order is not edge_key_desc order, or repeats an index");
             }
-            seen[p / 64] |= 1 << (p % 64);
-            let w = f64::from_le_bytes(map[lay.weights_at + 8 * p..][..8].try_into().unwrap());
-            if let Some((pw, pp)) = prev {
-                match pw.total_cmp(&w) {
-                    std::cmp::Ordering::Less => {
-                        return format_err("sort order is not weight-descending");
-                    }
-                    std::cmp::Ordering::Equal if pp >= p => {
-                        return format_err("sort-order weight ties do not ascend by slab index");
-                    }
-                    _ => {}
-                }
-            }
-            prev = Some((w, p));
+            prev = Some(key);
         }
-        // All m entries distinct and < m ⇒ a bijection; the padding
-        // word (if any) is covered by the checksum like all padding.
+        // The padding word (if any) is covered by the checksum like all
+        // padding.
 
         Ok(MappedCsr {
             map,
@@ -1133,7 +1219,7 @@ mod tests {
     fn writer_rejects_bad_rows() {
         let dir = scratch_dir();
         let path = dir.join("reject.slab");
-        let mut w = SlabWriter::create(&path, 2, 3, vec![1]).unwrap();
+        let mut w = SlabWriter::create(&path, 2, 3, vec![1], &dir, 16).unwrap();
         assert!(matches!(
             w.append_row(&[(3, 0.5)]),
             Err(StoreError::Format(_))
@@ -1146,19 +1232,48 @@ mod tests {
             w.append_row(&[(1, 0.5)]),
             Err(StoreError::Format(_)),
         ));
-        assert!(matches!(
-            w.append_row(&[(0, 1.5)]),
-            Err(StoreError::Format(_))
-        ));
-        w.append_row(&[(0, 0.5)]).unwrap();
+        // Raw weights need only be finite and non-negative.
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.5] {
+            assert!(
+                matches!(w.append_row(&[(0, bad)]), Err(StoreError::Format(_))),
+                "raw weight {bad}"
+            );
+        }
+        w.append_row(&[(0, 1.5)]).unwrap();
         w.append_row(&[]).unwrap();
         assert!(matches!(w.append_row(&[]), Err(StoreError::Format(_))));
-        w.finish().unwrap();
+        w.finish(|w| w / 2.0).unwrap();
+        assert_eq!(MappedCsr::open(&path).unwrap().weight_of(0, 0), Some(0.75));
         std::fs::remove_file(&path).ok();
-        let short = SlabWriter::create(&path, 2, 3, vec![]).unwrap();
-        assert!(matches!(short.finish(), Err(StoreError::Format(_))));
+        let short = SlabWriter::create(&path, 2, 3, vec![], &dir, 16).unwrap();
+        assert!(matches!(short.finish(|w| w), Err(StoreError::Format(_))));
         std::fs::remove_file(&path).ok();
-        std::fs::remove_file(path.with_extension("slab.weights.tmp")).ok();
+        assert!(
+            !dir.join("reject.slab.weights.tmp").exists(),
+            "the weights temp file goes with the writer"
+        );
+    }
+
+    #[test]
+    fn finish_rejects_mapped_weights_outside_the_unit_range() {
+        let dir = scratch_dir();
+        let path = dir.join("mapped.slab");
+        let maps: [fn(f64) -> f64; 4] =
+            [|_| f64::NAN, |w| w + 1.0, |w| -w - 0.25, |_| f64::INFINITY];
+        for map in maps {
+            let mut w = SlabWriter::create(&path, 1, 2, vec![], &dir, 1).unwrap();
+            w.append_row(&[(0, 0.5), (1, 0.25)]).unwrap();
+            assert!(matches!(w.finish(map), Err(StoreError::Format(_))));
+        }
+        std::fs::remove_file(&path).ok();
+        assert!(
+            std::fs::read_dir(&dir).unwrap().all(|e| !e
+                .unwrap()
+                .file_name()
+                .to_string_lossy()
+                .starts_with("mapped.slab.")),
+            "a failed finish leaves no temp file"
+        );
     }
 
     #[test]
@@ -1199,55 +1314,76 @@ mod tests {
     }
 
     #[test]
-    fn streamed_order_is_validated() {
+    fn seal_validates_the_order() {
         let dir = scratch_dir();
         let rows: &[&[(u32, f64)]] = &[&[(1, 0.5), (3, 0.9)], &[], &[(0, 0.7)]];
         let write = |name: &str| -> SlabWriter {
-            let mut w = SlabWriter::create_streamed(&dir.join(name), 3, 4, vec![]).unwrap();
+            let mut w = SlabWriter::create(&dir.join(name), 3, 4, vec![], &dir, 8).unwrap();
             for row in rows {
                 w.append_row(row).unwrap();
             }
+            w.place_weights(|w| w).unwrap();
             w
         };
-        // A streamed writer refuses a plain finish.
-        assert!(matches!(
-            write("a.slab").finish(),
-            Err(StoreError::Format(_))
-        ));
         // Out-of-bounds, repeated, and short orders are rejected.
         assert!(matches!(
-            write("b.slab").finish_with_order([Ok(0), Ok(1), Ok(3)]),
+            write("b.slab").seal([Ok(0), Ok(1), Ok(3)]),
             Err(StoreError::Format(_))
         ));
         assert!(matches!(
-            write("c.slab").finish_with_order([Ok(1), Ok(1), Ok(0)]),
+            write("c.slab").seal([Ok(1), Ok(1), Ok(0)]),
             Err(StoreError::Format(_))
         ));
         assert!(matches!(
-            write("d.slab").finish_with_order([Ok(1), Ok(2)]),
+            write("d.slab").seal([Ok(1), Ok(2)]),
             Err(StoreError::Format(_))
         ));
         // The weight order itself is enforced at open: a valid
         // permutation in the wrong order fails validation there.
-        write("e.slab")
-            .finish_with_order([Ok(0), Ok(1), Ok(2)])
-            .unwrap();
+        write("e.slab").seal([Ok(0), Ok(1), Ok(2)]).unwrap();
         assert!(matches!(
             MappedCsr::open(&dir.join("e.slab")),
             Err(StoreError::Format(_))
         ));
         // The true edge_key_desc order round-trips.
-        write("f.slab")
-            .finish_with_order([Ok(1), Ok(2), Ok(0)])
-            .unwrap();
+        write("f.slab").seal([Ok(1), Ok(2), Ok(0)]).unwrap();
         let mapped = MappedCsr::open(&dir.join("f.slab")).unwrap();
         assert_eq!(mapped.sorted_edge(0), Edge::new(0, 3, 0.9));
         assert_eq!(mapped.sorted_edge(1), Edge::new(2, 0, 0.7));
         assert_eq!(mapped.sorted_edge(2), Edge::new(0, 1, 0.5));
-        for name in ["a", "b", "c", "d", "e", "f"] {
+        for name in ["b", "c", "d", "e", "f"] {
             std::fs::remove_file(dir.join(format!("{name}.slab"))).ok();
-            std::fs::remove_file(dir.join(format!("{name}.slab.weights.tmp"))).ok();
         }
+    }
+
+    #[test]
+    fn several_sort_runs_write_the_bytes_of_one_run() {
+        let dir = scratch_dir();
+        let mut b = GraphBuilder::new(40, 30);
+        for l in 0..40u32 {
+            for r in (l % 3..30).step_by(4) {
+                // Coarse weights, so many ties cross run boundaries.
+                b.add_edge(l, r, f64::from((l * 7 + r * 13) % 5) / 4.0)
+                    .unwrap();
+            }
+        }
+        let csr = CsrGraph::from_graph(&b.build());
+        write_csr(&csr, &dir.join("one-run.slab")).unwrap();
+        let want = std::fs::read(dir.join("one-run.slab")).unwrap();
+        for run_len in [1, 2, 7, csr.n_edges() - 1] {
+            let path = dir.join("runs.slab");
+            let mut w = SlabWriter::create(&path, 40, 30, vec![], &dir, run_len).unwrap();
+            let mut row = Vec::new();
+            for l in 0..40 {
+                row.clear();
+                row.extend(csr.live_row(l));
+                w.append_row(&row).unwrap();
+            }
+            w.finish(|w| w).unwrap();
+            assert!(std::fs::read(&path).unwrap() == want, "run_len {run_len}");
+        }
+        std::fs::remove_file(dir.join("one-run.slab")).ok();
+        std::fs::remove_file(dir.join("runs.slab")).ok();
     }
 
     #[test]

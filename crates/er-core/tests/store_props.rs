@@ -20,7 +20,10 @@
 //!    `StoreError::Format`, never a panic;
 //! 5. **version 1 is rejected**: a version-1 file (the layout without the
 //!    sort-order column) is a `StoreError::Format` at open, never a
-//!    panic.
+//!    panic;
+//! 6. **bounded sort runs change no byte**: a `SlabWriter` fed raw
+//!    weights and sorting its sort-order column in runs of any length
+//!    writes the bytes `write_csr` writes.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -122,6 +125,42 @@ proptest! {
         assert_mapped_agrees(&mapped, &csr);
         std::fs::remove_file(&path).ok();
     }
+
+    /// Invariant 6: rows of raw weights at twice the stored ones, mapped
+    /// back at seal (`x / 2.0` undoes `w * 2.0` exactly), in sort runs
+    /// of any length — one entry per run up to one run for all — write
+    /// `write_csr`'s bytes.
+    #[test]
+    fn sort_runs_and_the_seal_map_write_write_csr_bytes(
+        g in arb_graph(),
+        dead_left in proptest::collection::vec(0u32..16, 0..3),
+        run_len in 1usize..=50,
+    ) {
+        let mut csr = CsrGraph::from_graph(&g);
+        for l in dead_left {
+            if l < csr.n_left() && csr.is_live_left(l) {
+                csr.remove_left(l).unwrap();
+            }
+        }
+        let want_path = scratch_file("runs-want");
+        write_csr(&csr, &want_path).unwrap();
+        let path = scratch_file("runs");
+        let mut w =
+            SlabWriter::create(&path, csr.n_left(), csr.n_right(), vec![], path.parent().unwrap(), run_len)
+                .unwrap();
+        for l in 0..csr.n_left() {
+            if csr.is_live_left(l) {
+                let raw: Vec<(u32, f64)> = csr.live_row(l).map(|(r, w)| (r, w * 2.0)).collect();
+                w.append_row(&raw).unwrap();
+            } else {
+                w.append_dead_row().unwrap();
+            }
+        }
+        w.finish(|x| x / 2.0).unwrap();
+        prop_assert!(std::fs::read(&path).unwrap() == std::fs::read(&want_path).unwrap());
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&want_path).ok();
+    }
 }
 
 #[test]
@@ -184,11 +223,19 @@ fn max_u32_column_ids_round_trip() {
     // space can span all of u32; the writer must accept ids at the top.
     let top = u32::MAX - 1;
     let path = scratch_file("max-col");
-    let mut w = SlabWriter::create(&path, 3, u32::MAX, vec![7, u32::MAX - 2]).unwrap();
+    let mut w = SlabWriter::create(
+        &path,
+        3,
+        u32::MAX,
+        vec![7, u32::MAX - 2],
+        path.parent().unwrap(),
+        3,
+    )
+    .unwrap();
     w.append_row(&[(0, 0.5), (top, 1.0)]).unwrap();
     w.append_dead_row().unwrap();
     w.append_row(&[(top, 0.125)]).unwrap();
-    let meta = w.finish().unwrap();
+    let meta = w.finish(|w| w).unwrap();
     assert_eq!(meta.n_edges, 3);
     let mapped = MappedCsr::open(&path).unwrap();
     assert_eq!(mapped.n_right(), u32::MAX);

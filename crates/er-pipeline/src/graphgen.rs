@@ -429,7 +429,7 @@ pub fn build_graph_topk(
 /// counter is 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct BuildStats {
-    /// Shards scored (and, out of core, spilled); 1 in RAM.
+    /// Shards scored (and, out of core, written); 1 in RAM.
     pub shards: usize,
     /// Candidate pairs the scorers **generated** — materialized and
     /// handed to a measure, after which each was either bound-pruned or
@@ -465,12 +465,15 @@ pub struct BuildStats {
     /// `pruned_pairs + scored_pairs` is the candidate volume a
     /// bound-aware scorer faced; the prune rate is their ratio.
     pub scored_pairs: usize,
-    /// Triples written to spill files (every one already passed the
-    /// positivity filter).
+    /// Triples the out-of-core build wrote to the store writer as soon
+    /// as their shard finished (every one already passed the positivity
+    /// filter).
     pub spilled_triples: usize,
-    /// Bytes written to spill files.
+    /// Bytes those triples cost before the frame was known: 12 per
+    /// triple, a 4 B column id into the store file plus an 8 B raw
+    /// weight into the writer's temp file.
     pub spilled_bytes: usize,
-    /// Bytes of the merged on-disk graph (the final store file).
+    /// Bytes of the finished store file.
     pub merged_bytes: usize,
 }
 
@@ -841,7 +844,7 @@ pub(crate) fn with_scorer<U: ScorerUse>(
 /// The score phase runs over the prepared scorer: it builds the source's
 /// right-side index (if any), then [`run_over`](ScorePhase::run_over)s
 /// it. Batch builds drop the encoder.
-impl<F: FnMut(usize, Vec<Vec<Triple>>)> ScorerUse for ScorePhase<'_, F> {
+impl<F: FnMut(Vec<Vec<Triple>>)> ScorerUse for ScorePhase<'_, F> {
     type Output = ();
 
     fn prepared<S: RowScorer + 'static>(self, scorer: S, _: S::ProfileEncoder) {
@@ -850,12 +853,12 @@ impl<F: FnMut(usize, Vec<Vec<Triple>>)> ScorerUse for ScorePhase<'_, F> {
     }
 }
 
-impl<F: FnMut(usize, Vec<Vec<Triple>>)> ScorePhase<'_, F> {
+impl<F: FnMut(Vec<Vec<Triple>>)> ScorePhase<'_, F> {
     /// Score the rows `shard_rows` at a time, handing each shard's chunk
     /// buffers to `on_shard` before the next shard starts.
     fn run_over<S: RowScorer>(mut self, scorer: &S, source: CandidateSource<&S::Index>) {
         let n_rows = scorer.n_rows();
-        for (shard, start) in (0..n_rows).step_by(self.shard_rows).enumerate() {
+        for start in (0..n_rows).step_by(self.shard_rows) {
             let rows = start..n_rows.min(start.saturating_add(self.shard_rows));
             let bufs = match self.mode {
                 ScoreMode::Dense => score_rows(scorer, source, self.cfg, rows, Vec::new),
@@ -863,7 +866,7 @@ impl<F: FnMut(usize, Vec<Vec<Triple>>)> ScorePhase<'_, F> {
                     score_rows(scorer, source, self.cfg, rows, || TopKSink::new(k, acct))
                 }
             };
-            (self.on_shard)(shard, bufs);
+            (self.on_shard)(bufs);
         }
     }
 }
@@ -887,7 +890,7 @@ pub(crate) fn build_topk_prepared<S: RowScorer>(
         cfg,
         mode: ScoreMode::TopK { k, acct: &acct },
         shard_rows: usize::MAX,
-        on_shard: |_, bufs| shards.extend(bufs),
+        on_shard: |bufs| shards.extend(bufs),
     }
     .run_over(scorer, CandidateSource::Index(index));
     finalize(left, right, shards)
@@ -915,7 +918,7 @@ pub(crate) fn score_sharded(
     cfg: &PipelineConfig,
     mode: ScoreMode<'_>,
     shard_rows: usize,
-    on_shard: impl FnMut(usize, Vec<Vec<Triple>>),
+    on_shard: impl FnMut(Vec<Vec<Triple>>),
 ) {
     let phase = ScorePhase {
         source,
@@ -945,7 +948,7 @@ pub(crate) fn score_shards(
         cfg,
         mode,
         usize::MAX,
-        |_, bufs| all.extend(bufs),
+        |bufs| all.extend(bufs),
     );
     all
 }

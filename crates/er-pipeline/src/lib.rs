@@ -35,11 +35,11 @@
 //!   [`CandidateMode::Indexed`] — so ruled-out pairs are never
 //!   materialized while graphs stay bit-identical to enumeration;
 //! * an **out-of-core build** ([`sharded`]): [`build_graph_sharded`]
-//!   scores bounded left-row shards through the same engine, spills each
-//!   finished shard, and externally merges the spills into a columnar
-//!   on-disk store (`er_core::store`) read back as a file-backed
-//!   `MappedCsr` — peak resident edges drop to `2 × shard_rows × k` (one
-//!   shard scored while the previous one spills) while the store file
+//!   scores bounded left-row shards through the same engine and appends
+//!   each finished shard's rows straight to the columnar store writer
+//!   (`er_core::store`), read back as a file-backed `MappedCsr` — peak
+//!   resident edges drop to `2 × shard_rows × k` (one shard scored while
+//!   the previous one is written) while the store file
 //!   stays byte-identical to `write_csr` of the in-RAM top-k build;
 //! * a parallel [`runner`] that generates a dataset's whole
 //!   graph corpus, dividing its thread budget with the per-graph engine.
@@ -59,12 +59,12 @@
 //! build is its single-shard case.
 //!
 //! A build takes one setting ([`PipelineConfig`]): the thread budget.
-//! The out-of-core build adds its shard size and spill directory
-//! ([`ShardedConfig`]). The engine fixes the rest: the positivity filter
+//! The out-of-core build adds its shard size and the directory for the
+//! store writer's temp files ([`ShardedConfig`]). The engine fixes the rest: the positivity filter
 //! is always on, the Word Mover's bags keep [`WMD_TOKEN_CAP`] tokens,
 //! candidates are scored through the lane kernels, chunk sizes follow
-//! the row and thread counts, spilling always overlaps scoring, and the
-//! merge is one in-order pass.
+//! the row and thread counts, writing always overlaps scoring, and the
+//! store writer's sort runs follow the shard budget.
 
 pub mod candidates;
 pub mod cleaning;

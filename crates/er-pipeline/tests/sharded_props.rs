@@ -13,12 +13,13 @@
 //!    over its raw `f64` field, so this is a bitwise statement);
 //! 3. **resident budget**: peak resident edges never exceed the
 //!    admission budget (`2 × shard_rows × k`: one shard scored while the
-//!    previous one spills), the spill/merge accounting is consistent
-//!    with the retained edge count, and the flow counters (generated,
+//!    previous one is written), the spill accounting is consistent with
+//!    the retained edge count, the spill directory is empty after the
+//!    build, and the flow counters (generated,
 //!    offered, pruned, scored, retained) equal the in-RAM build's — its
 //!    single-shard case;
 //! 4. **one byte format from both store writers**: at one to four
-//!    scoring threads, the store file the sharded merge writes is
+//!    scoring threads, the store file the sharded build writes is
 //!    *byte-identical* to `write_csr` of the in-RAM build — sort-order
 //!    column, checksum and all;
 //! 5. **the budget bites on a realistic corpus** (fixed seed): on the
@@ -35,7 +36,7 @@ use er_pipeline::{
 };
 use er_textsim::{CharMeasure, GraphSimilarity, NGramScheme, SchemaBasedMeasure, VectorMeasure};
 use proptest::prelude::*;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 static NEXT_DIR: AtomicUsize = AtomicUsize::new(0);
@@ -94,6 +95,12 @@ fn branch_representatives() -> Vec<SimilarityFunction> {
             scheme: NGramScheme::Token(1),
             measure: VectorMeasure::CosineTfIdf,
         },
+        // Unbounded raw scores: raw weights above 1 reach the store
+        // writer, which maps them through the frame at seal.
+        SimilarityFunction::SchemaAgnosticVector {
+            scheme: NGramScheme::Token(1),
+            measure: VectorMeasure::Arcs,
+        },
         SimilarityFunction::SchemaAgnosticGraph {
             scheme: NGramScheme::Char(3),
             measure: GraphSimilarity::Value,
@@ -117,6 +124,18 @@ fn cfg(threads: usize) -> PipelineConfig {
     PipelineConfig { threads }
 }
 
+/// A successful build leaves none of its temp files behind.
+fn assert_spill_dir_is_empty(spill_dir: &Path) {
+    let left: Vec<_> = std::fs::read_dir(spill_dir)
+        .expect("the build creates its spill directory")
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert!(
+        left.is_empty(),
+        "temp files left in the spill directory: {left:?}"
+    );
+}
+
 /// Exact comparison of the read-back store against the in-RAM build.
 fn assert_sharded_matches_ram(
     left: &EntityCollection,
@@ -137,6 +156,7 @@ fn assert_sharded_matches_ram(
     let (mapped, stats, frame) =
         build_graph_sharded(left, right, function, k, mode, config, &sharding, &out)
             .expect("sharded build succeeds");
+    assert_spill_dir_is_empty(&sharding.spill_dir);
 
     let what = format!(
         "{} k={k} shard_rows={shard_rows} mode={mode:?}",
@@ -177,7 +197,7 @@ fn assert_sharded_matches_ram(
         stats.spilled_triples, stats.retained_edges,
         "{what}: every retained edge passed through a spill"
     );
-    assert_eq!(stats.spilled_bytes, stats.spilled_triples * 16);
+    assert_eq!(stats.spilled_bytes, stats.spilled_triples * 12);
     // The scorer's row count can undershoot `left.len()` (schema-based
     // branches skip rows without the focus attribute), so the shard
     // count is bounded, not exact.
@@ -216,6 +236,7 @@ fn assert_store_bytes_match_write_csr(
             function.name()
         );
         let out = dir.join(format!("sharded-{t}.slab"));
+        let sharding = ShardedConfig::new(shard_rows, dir.join(format!("spills-{t}")));
         let (mapped, stats, frame) = build_graph_sharded(
             left,
             right,
@@ -223,11 +244,12 @@ fn assert_store_bytes_match_write_csr(
             k,
             CandidateMode::Indexed,
             &cfg(t),
-            &ShardedConfig::new(shard_rows, dir.join(format!("spills-{t}"))),
+            &sharding,
             &out,
         )
         .unwrap_or_else(|e| panic!("{what}: sharded build failed: {e}"));
         drop(mapped);
+        assert_spill_dir_is_empty(&sharding.spill_dir);
         assert!(
             std::fs::read(&out).unwrap() == want,
             "{what}: store bytes differ from write_csr of the in-RAM build"
@@ -276,7 +298,7 @@ proptest! {
     }
 
     /// Indexed candidate generation and multi-threaded scoring change
-    /// nothing: the spilled/merged store still equals the in-RAM graph.
+    /// nothing: the written store still equals the in-RAM graph.
     #[test]
     fn sharded_build_is_stable_across_modes_and_threads(
         left in arb_collection(6),
@@ -320,13 +342,13 @@ proptest! {
     }
 
     /// Regression: a schema-based scorer skips entities that lack its
-    /// attribute, so its shards cut scorer rows, not left ids. A merge
-    /// that assumed shard `s` started at left id `s · shard_rows` once
-    /// rejected such builds with "spill records outside the left id
-    /// space". Every thread count must accept them and write
-    /// `write_csr`'s bytes.
+    /// attribute, so its shards cut scorer rows, not left ids, and the
+    /// skipped ids become empty rows. A build that assumed shard `s`
+    /// started at left id `s · shard_rows` once rejected such builds.
+    /// Every thread count must accept them and write `write_csr`'s
+    /// bytes.
     #[test]
-    fn merge_accepts_schema_based_shards(
+    fn sharded_build_accepts_schema_based_shards(
         left in arb_collection(10),
         right in arb_collection(6),
         shard_rows in 1usize..=3,
