@@ -4,19 +4,23 @@
 //! pipeline produced, get back the resolved pairs.
 //!
 //! ```text
-//! match_edges <edges.tsv|edges.bin> [--algorithm UMC] [--threshold 0.5] [--seed N]
+//! match_edges <edges.tsv|graph.slab> [--algorithm UMC] [--threshold 0.5] [--seed N]
 //! ```
 //!
 //! Input: `left <TAB> right <TAB> weight` lines (optionally a
-//! `# nodes <TAB> n1 <TAB> n2` header), or the binary format written by
-//! `er_core::io`. Output: `left <TAB> right` matched pairs on stdout.
+//! `# nodes <TAB> n1 <TAB> n2` header), or a columnar store written by
+//! `er_core::write_csr` or a sharded build (recognized by its `CCERSLAB`
+//! magic, and swept straight off the file). Output: `left <TAB> right`
+//! matched pairs on stdout.
 //!
 //! Besides the paper's eight algorithms, `--algorithm` accepts `MCF`, the
 //! exact max-weight oracle (sparse min-cost flow, `O(n+m)` memory).
 
-use std::path::PathBuf;
+use std::io::Read;
+use std::path::{Path, PathBuf};
 
 use er_core::io::load;
+use er_core::MappedCsr;
 use er_matchers::{mcf_matching, AlgorithmConfig, AlgorithmKind, BahConfig, PreparedGraph};
 
 /// What to run: one of the evaluated eight, or the exact oracle.
@@ -71,7 +75,7 @@ fn main() {
             }
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: match_edges <edges.tsv|edges.bin> [--algorithm UMC] [--threshold 0.5] [--seed N]"
+                    "usage: match_edges <edges.tsv|graph.slab> [--algorithm UMC] [--threshold 0.5] [--seed N]"
                 );
                 return;
             }
@@ -83,28 +87,43 @@ fn main() {
     }
     let path = path.unwrap_or_else(|| die("missing input file (see --help)"));
 
-    let graph =
-        load(&path).unwrap_or_else(|e| die(&format!("cannot load {}: {e}", path.display())));
-    eprintln!(
-        "loaded {}x{} graph with {} edges; running {} at t = {threshold}",
-        graph.n_left(),
-        graph.n_right(),
-        graph.n_edges(),
-        algorithm.name()
-    );
-    let matching = match algorithm {
-        Chosen::Evaluated(kind) => {
-            let prepared = PreparedGraph::new(&graph);
-            let config = AlgorithmConfig {
-                bah: BahConfig {
-                    seed,
-                    ..BahConfig::default()
-                },
-                ..AlgorithmConfig::default()
-            };
-            config.run(kind, &prepared, threshold)
+    let config = AlgorithmConfig {
+        bah: BahConfig {
+            seed,
+            ..BahConfig::default()
+        },
+        ..AlgorithmConfig::default()
+    };
+    let matching = if is_store(&path) {
+        let mapped = MappedCsr::open(&path)
+            .unwrap_or_else(|e| die(&format!("cannot open {}: {e}", path.display())));
+        announce(
+            mapped.n_left(),
+            mapped.n_right(),
+            mapped.n_edges(),
+            &algorithm,
+            threshold,
+        );
+        match algorithm {
+            Chosen::Evaluated(kind) => {
+                config.run(kind, &PreparedGraph::from_mapped(&mapped), threshold)
+            }
+            Chosen::McfOracle => mcf_matching(&mapped.to_csr().to_graph(), threshold),
         }
-        Chosen::McfOracle => mcf_matching(&graph, threshold),
+    } else {
+        let graph =
+            load(&path).unwrap_or_else(|e| die(&format!("cannot load {}: {e}", path.display())));
+        announce(
+            graph.n_left(),
+            graph.n_right(),
+            graph.n_edges(),
+            &algorithm,
+            threshold,
+        );
+        match algorithm {
+            Chosen::Evaluated(kind) => config.run(kind, &PreparedGraph::new(&graph), threshold),
+            Chosen::McfOracle => mcf_matching(&graph, threshold),
+        }
     };
     use std::io::Write;
     let stdout = std::io::stdout();
@@ -114,6 +133,22 @@ fn main() {
     }
     out.flush().expect("flush stdout");
     eprintln!("{} pairs matched", matching.len());
+}
+
+/// Whether `path` starts with the columnar store's magic.
+fn is_store(path: &Path) -> bool {
+    let mut magic = [0u8; 8];
+    std::fs::File::open(path)
+        .and_then(|mut f| f.read_exact(&mut magic))
+        .is_ok()
+        && &magic == b"CCERSLAB"
+}
+
+fn announce(n_left: u32, n_right: u32, n_edges: usize, algorithm: &Chosen, threshold: f64) {
+    eprintln!(
+        "loaded {n_left}x{n_right} graph with {n_edges} edges; running {} at t = {threshold}",
+        algorithm.name()
+    );
 }
 
 fn die(msg: &str) -> ! {

@@ -91,11 +91,22 @@ pub fn edge_sort_key(e: &Edge) -> u128 {
 /// integers orders their weights as [`total_cmp_desc`] does, `-0.0`/`0.0`
 /// included.
 #[inline]
-pub(crate) fn weight_sort_key(w: f64) -> u64 {
+fn weight_sort_key(w: f64) -> u64 {
     let bits = w.to_bits();
     // Negative: flip every bit; non-negative: flip the sign bit. Unsigned
     // order is then `total_cmp` order, and `!` makes it descending.
     !(bits ^ (((bits as i64) >> 63) as u64 | 1 << 63))
+}
+
+/// The edge an [`edge_sort_key`] was packed from — the key's exact
+/// inverse, weight bits included.
+#[inline]
+pub(crate) fn edge_from_sort_key(key: u128) -> Edge {
+    let x = !((key >> 64) as u64);
+    // A set top bit marks a non-negative weight (its sign bit was
+    // flipped); otherwise every bit was.
+    let bits = if x >> 63 == 1 { x ^ 1 << 63 } else { !x };
+    Edge::new((key >> 32) as u32, key as u32, f64::from_bits(bits))
 }
 
 #[cfg(test)]
@@ -168,6 +179,12 @@ mod tests {
         }
         // Distinct weight bits never share a key: the sign of zero counts.
         assert!(edge_sort_key(&Edge::new(0, 0, 0.0)) < edge_sort_key(&Edge::new(0, 0, -0.0)));
+        // The key is lossless: it decodes back to its edge, bit for bit.
+        for e in &edges {
+            let back = edge_from_sort_key(edge_sort_key(e));
+            assert_eq!((back.left, back.right), (e.left, e.right));
+            assert_eq!(back.weight.to_bits(), e.weight.to_bits(), "{e:?}");
+        }
     }
 
     #[test]

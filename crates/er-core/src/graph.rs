@@ -340,7 +340,11 @@ impl SimilarityGraph {
     /// assert_eq!(b.build().adjacency().left(0)[0].node, 1);
     /// ```
     pub fn adjacency(&self) -> Adjacency {
-        Adjacency::from_sorted(self.n_left, self.n_right, self.sorted_edges().all())
+        Adjacency::from_sorted(
+            self.n_left,
+            self.n_right,
+            self.sorted_edges().all().iter().copied(),
+        )
     }
 
     /// Build the weight-descending sorted edge view (see [`SortedEdges`]).
@@ -705,12 +709,12 @@ pub struct Adjacency {
 /// then each edge appended to its node's slice in input order.
 fn scatter_side(
     n: usize,
-    sorted: &[Edge],
+    sorted: impl Iterator<Item = Edge> + Clone,
     key: impl Fn(&Edge) -> (u32, u32),
 ) -> (Vec<u32>, Vec<Neighbor>) {
     let mut offsets = vec![0u32; n + 1];
-    for e in sorted {
-        offsets[key(e).0 as usize + 1] += 1;
+    for e in sorted.clone() {
+        offsets[key(&e).0 as usize + 1] += 1;
     }
     for i in 1..offsets.len() {
         offsets[i] += offsets[i - 1];
@@ -721,10 +725,10 @@ fn scatter_side(
             node: 0,
             weight: 0.0
         };
-        sorted.len()
+        offsets[n] as usize
     ];
     for e in sorted {
-        let (from, to) = key(e);
+        let (from, to) = key(&e);
         let slot = &mut cursor[from as usize];
         neighbors[*slot as usize] = Neighbor {
             node: to,
@@ -736,9 +740,11 @@ fn scatter_side(
 }
 
 impl Adjacency {
-    /// Derive the adjacency from a weight-descending sorted edge list
-    /// (the [`SortedEdges`] order) with explicit dimensions — the one
-    /// adjacency builder, used for every edge store.
+    /// Derive the adjacency from weight-descending sorted edges (the
+    /// [`SortedEdges`] order) with explicit dimensions — the one
+    /// adjacency builder, used for every edge store. `sorted` is walked
+    /// four times (a count and a placement per side), so a file-backed
+    /// edge section scatters straight from the file.
     ///
     /// A stable counting scatter, `O(n + m)`, with no per-node sort: a
     /// left row receives its edges in sorted order, i.e. (weight desc,
@@ -749,20 +755,26 @@ impl Adjacency {
     /// ```
     /// # use er_core::{Adjacency, Edge, SortedEdges};
     /// let sorted = SortedEdges::from_edges(vec![Edge::new(1, 0, 0.8), Edge::new(0, 0, 0.9)]);
-    /// let adj = Adjacency::from_sorted(2, 2, sorted.all());
+    /// let adj = Adjacency::from_sorted(2, 2, sorted.all().iter().copied());
     /// assert_eq!(adj.right(0)[0].node, 0, "heaviest first");
     /// assert_eq!(adj.left(1)[0].node, 0);
     /// ```
-    pub fn from_sorted(n_left: u32, n_right: u32, sorted: &[Edge]) -> Self {
+    pub fn from_sorted(
+        n_left: u32,
+        n_right: u32,
+        sorted: impl Iterator<Item = Edge> + Clone,
+    ) -> Self {
         use crate::float::edge_sort_key;
         debug_assert!(
             sorted
-                .windows(2)
-                .all(|w| edge_sort_key(&w[0]) < edge_sort_key(&w[1])),
+                .clone()
+                .map(|e| edge_sort_key(&e))
+                .try_fold(None, |prev, k| (prev < Some(k)).then_some(Some(k)))
+                .is_some(),
             "adjacency input must be strictly in edge_sort_key order"
         );
         let (left_offsets, left_neighbors) =
-            scatter_side(n_left as usize, sorted, |e| (e.left, e.right));
+            scatter_side(n_left as usize, sorted.clone(), |e| (e.left, e.right));
         let (right_offsets, right_neighbors) =
             scatter_side(n_right as usize, sorted, |e| (e.right, e.left));
         Adjacency {
@@ -778,7 +790,7 @@ impl Adjacency {
     ///
     /// ```
     /// # use er_core::{Adjacency, Edge};
-    /// let adj = Adjacency::from_sorted(2, 2, &[Edge::new(1, 0, 0.8)]);
+    /// let adj = Adjacency::from_sorted(2, 2, [Edge::new(1, 0, 0.8)].into_iter());
     /// assert_eq!(adj.n_entries(), 2);
     /// ```
     #[inline]

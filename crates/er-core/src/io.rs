@@ -1,21 +1,14 @@
-//! Similarity graph persistence.
-//!
-//! Two formats:
-//!
-//! * a **text edge list** (`left <TAB> right <TAB> weight` per line, `#`
-//!   comments) for interoperability with external pipelines — the format
-//!   most ER toolkits exchange candidate pairs in;
-//! * a **compact binary** format (magic + sizes + fixed-width edge
-//!   records, little-endian) for fast reload of large graphs.
+//! Similarity graph persistence as a **text edge list** (`left <TAB>
+//! right <TAB> weight` per line, `#` comments) for interoperability with
+//! external pipelines — the format most ER toolkits exchange candidate
+//! pairs in. The one binary graph format is the columnar store
+//! ([`crate::store`]).
 
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 use crate::error::CoreError;
 use crate::graph::{GraphBuilder, SimilarityGraph};
-
-/// Magic bytes of the binary graph format ("CCER" + version 1).
-const MAGIC: &[u8; 8] = b"CCERGR\x00\x01";
 
 /// Errors raised by graph (de)serialization.
 #[derive(Debug)]
@@ -125,83 +118,14 @@ fn parse<T: std::str::FromStr>(tok: Option<&str>, lineno: usize, what: &str) -> 
         .map_err(|_| IoError::Format(format!("line {}: invalid {what}", lineno + 1)))
 }
 
-/// Write a graph in the compact binary format.
-pub fn write_binary<W: Write>(g: &SimilarityGraph, w: W) -> Result<(), IoError> {
-    let mut out = BufWriter::new(w);
-    out.write_all(MAGIC)?;
-    out.write_all(&g.n_left().to_le_bytes())?;
-    out.write_all(&g.n_right().to_le_bytes())?;
-    out.write_all(&(g.n_edges() as u64).to_le_bytes())?;
-    for e in g.edges() {
-        out.write_all(&e.left.to_le_bytes())?;
-        out.write_all(&e.right.to_le_bytes())?;
-        out.write_all(&e.weight.to_le_bytes())?;
-    }
-    out.flush()?;
-    Ok(())
-}
-
-/// Read a graph from the compact binary format, validating every edge.
-pub fn read_binary<R: Read>(r: R) -> Result<SimilarityGraph, IoError> {
-    let mut input = BufReader::new(r);
-    let mut magic = [0u8; 8];
-    input.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(IoError::Format("bad magic: not a ccer graph file".into()));
-    }
-    let n_left = read_u32(&mut input)?;
-    let n_right = read_u32(&mut input)?;
-    let n_edges = read_u64(&mut input)?;
-    // Sanity cap on the header. It still admits counts far beyond any real
-    // file, so nothing is reserved from it: a lying header must run into a
-    // truncated body (`IoError::Io`), not a multi-terabyte allocation.
-    if n_edges > (n_left as u64) * (n_right as u64) {
-        return Err(IoError::Format(format!(
-            "edge count {n_edges} exceeds the {n_left}x{n_right} Cartesian product"
-        )));
-    }
-    let mut b = GraphBuilder::new(n_left, n_right);
-    for _ in 0..n_edges {
-        let l = read_u32(&mut input)?;
-        let r = read_u32(&mut input)?;
-        let mut wb = [0u8; 8];
-        input.read_exact(&mut wb)?;
-        b.add_edge(l, r, f64::from_le_bytes(wb))?;
-    }
-    Ok(b.build())
-}
-
-fn read_u32<R: Read>(r: &mut R) -> Result<u32, IoError> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64<R: Read>(r: &mut R) -> Result<u64, IoError> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-/// Save a graph to a path, picking the format by extension: `.bin` →
-/// binary, anything else → text edge list.
+/// Save a graph to a path as a text edge list.
 pub fn save(g: &SimilarityGraph, path: &Path) -> Result<(), IoError> {
-    let file = std::fs::File::create(path)?;
-    if path.extension().is_some_and(|e| e == "bin") {
-        write_binary(g, file)
-    } else {
-        write_edge_list(g, file)
-    }
+    write_edge_list(g, std::fs::File::create(path)?)
 }
 
-/// Load a graph from a path, picking the format by extension.
+/// Load a graph from a text edge list at a path.
 pub fn load(path: &Path) -> Result<SimilarityGraph, IoError> {
-    let file = std::fs::File::open(path)?;
-    if path.extension().is_some_and(|e| e == "bin") {
-        read_binary(file)
-    } else {
-        read_edge_list(file)
-    }
+    read_edge_list(std::fs::File::open(path)?)
 }
 
 #[cfg(test)]
@@ -260,54 +184,14 @@ mod tests {
     }
 
     #[test]
-    fn binary_round_trip() {
-        let g = sample();
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
-        let back = read_binary(&buf[..]).unwrap();
-        assert_eq!(back.n_edges(), g.n_edges());
-        assert_eq!(back.weight_of(2, 1), Some(1.0));
-    }
-
-    #[test]
-    fn binary_rejects_corruption() {
-        let g = sample();
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
-        // Wrong magic.
-        let mut bad = buf.clone();
-        bad[0] = b'X';
-        assert!(matches!(read_binary(&bad[..]), Err(IoError::Format(_))));
-        // Truncated payload.
-        let short = &buf[..buf.len() - 4];
-        assert!(matches!(read_binary(short), Err(IoError::Io(_))));
-        // Absurd edge count.
-        let mut huge = buf.clone();
-        huge[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(matches!(read_binary(&huge[..]), Err(IoError::Format(_))));
-        // A 28-byte file whose header passes the cap (u32::MAX x u32::MAX,
-        // 2^40 edges) and half an edge: the truncated body is the error,
-        // not an up-front reservation of 2^40 edges that aborts.
-        let mut lying = MAGIC.to_vec();
-        lying.extend_from_slice(&u32::MAX.to_le_bytes());
-        lying.extend_from_slice(&u32::MAX.to_le_bytes());
-        lying.extend_from_slice(&(1u64 << 40).to_le_bytes());
-        lying.extend_from_slice(&0u32.to_le_bytes());
-        assert_eq!(lying.len(), 28);
-        assert!(matches!(read_binary(&lying[..]), Err(IoError::Io(_))));
-    }
-
-    #[test]
-    fn save_load_by_extension() {
+    fn save_load_round_trip() {
         let dir = std::env::temp_dir().join("ccer-io-test");
         std::fs::create_dir_all(&dir).unwrap();
         let g = sample();
-        for name in ["g.tsv", "g.bin"] {
-            let path = dir.join(name);
-            save(&g, &path).unwrap();
-            let back = load(&path).unwrap();
-            assert_eq!(back.n_edges(), g.n_edges(), "{name}");
-            std::fs::remove_file(&path).ok();
-        }
+        let path = dir.join("g.tsv");
+        save(&g, &path).unwrap();
+        let back = load(&path).unwrap();
+        assert_eq!(back.n_edges(), g.n_edges());
+        std::fs::remove_file(&path).ok();
     }
 }

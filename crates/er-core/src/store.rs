@@ -1,7 +1,7 @@
 //! Columnar on-disk storage for [`CsrGraph`] — the durable twin of the
 //! in-RAM slab store.
 //!
-//! # Format (version 2)
+//! # Format (version 3)
 //!
 //! One file, little-endian throughout, fixed-width columns so every
 //! section is directly addressable from a file-backed byte view:
@@ -9,7 +9,7 @@
 //! ```text
 //! offset  size  field
 //!      0     8  magic            b"CCERSLAB"
-//!      8     4  version          u32 = 2
+//!      8     4  version          u32 = 3
 //!     12     4  n_left           u32 (next left append id)
 //!     16     4  n_right          u32 (next right append id)
 //!     20     4  (reserved)       u32 = 0
@@ -26,29 +26,25 @@
 //!                                bit set ⇔ row live; tail bits zero
 //!            ── dead right ids   n_dead_right × u32, sorted strictly
 //!                                ascending, zero-padded to 8 bytes
-//!            ── sort order       n_edges permutation
-//!                                indices into the edge slab (u32 while
-//!                                n_edges fits, else u64; u32 entries
-//!                                zero-padded to 8 bytes), listing the
-//!                                edges in weight-descending order
+//!            ── sorted edges     n_edges × 16 B records
+//!                                (left u32, right u32, weight f64),
+//!                                in edge_sort_key order
 //! ```
 //!
-//! The **sort-order column** persists the workspace's one
-//! total edge order — [`edge_key_desc`](crate::float::edge_key_desc):
-//! weight descending under `f64::total_cmp`, ties by `(left, right)`
-//! ascending. Because the slab itself is laid out `(left asc, right
-//! asc)`, that tie-break is exactly *ascending slab index*. One packed
-//! key per entry states the rule — the weight half of
-//! [`edge_sort_key`](crate::float::edge_sort_key) above the slab index —
-//! and both sides use it: the writer sorts by it, and the reader requires
-//! the keys of adjacent entries to strictly ascend, which also makes the
-//! entries a permutation of `0..n_edges`. With the column present, "the edges
-//! above `t`" is a **prefix of a file-backed column** — a reader can
-//! binary-search the threshold and stream the prefix without sorting
-//! (or even materializing) the edge set in RAM. Version 1 — the same
-//! layout without the column — is no longer read: [`MappedCsr::open`]
-//! rejects it as a [`StoreError::Format`], so every opened store carries
-//! the column.
+//! The **sorted edge section** persists the workspace's one total edge
+//! order, [`edge_sort_key`]: weight descending under `f64::total_cmp`,
+//! ties by `(left, right)` ascending. It holds the edges themselves, so
+//! "the edges above `t`" is a **prefix of a file-backed section**: a
+//! reader binary-searches the threshold on the records' weight fields
+//! and streams the prefix record by record, with no row search and no
+//! read into the slab. Both sides state the
+//! order through the one key: the writer sorts by it, and the reader
+//! requires the keys of adjacent records to strictly ascend and every
+//! record to name a slab entry with a bit-identical weight — with the
+//! record count fixed by `n_edges`, a bijection with the slab. Versions 1
+//! and 2 (no sorted section, and a permutation of slab indices in its
+//! place) are no longer read: [`MappedCsr::open`] rejects them as a
+//! [`StoreError::Format`].
 //!
 //! The on-disk form is always **folded**: [`write_csr`] streams
 //! [`CsrGraph::live_row`], so tombstone-masked slab entries and pending
@@ -63,14 +59,14 @@
 //!
 //! [`SlabWriter`] is the one producer of store files: it streams rows
 //! out in `O(n_left + run_len)` writer memory (the offset column and one
-//! bounded sort run; weights detour through a temp file so both
+//! bounded sort run; raw weights detour through a temp file so both
 //! variable-width sections can stream in one pass). [`MappedCsr`] is
 //! the read side: a file-backed byte view (`memmap2`, see the vendor
 //! shim) validated once at open — magic, version, section lengths,
 //! checksum, offset monotonicity, per-row ordering, liveness
-//! consistency — after which every access decodes fixed-width fields
-//! straight from the view. Corruption of any kind is an [`StoreError`],
-//! never a panic.
+//! consistency, the sorted section's order and bijection — after which
+//! every access decodes fixed-width fields straight from the view.
+//! Corruption of any kind is an [`StoreError`], never a panic.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -81,17 +77,20 @@ use std::path::{Path, PathBuf};
 use memmap2::Mmap;
 
 use crate::csr::CsrGraph;
-use crate::float::weight_sort_key;
+use crate::float::{edge_from_sort_key, edge_sort_key};
 use crate::graph::Edge;
 
 /// Magic bytes opening every columnar store file.
 const MAGIC: &[u8; 8] = b"CCERSLAB";
 
 /// The format version every writer emits and the reader accepts.
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 
 /// Byte length of the fixed header preceding the payload.
 const HEADER_LEN: usize = 56;
+
+/// Byte length of one sorted-edge record: `(left u32, right u32, weight f64)`.
+const RECORD_LEN: usize = 16;
 
 /// Errors raised by the columnar store.
 #[derive(Debug)]
@@ -164,8 +163,8 @@ struct Layout {
     weights_at: usize,
     bitmap_at: usize,
     dead_right_at: usize,
-    /// Start of the sort-order column.
-    perm_at: usize,
+    /// Start of the sorted edge section.
+    sorted_at: usize,
     total_len: usize,
 }
 
@@ -178,16 +177,6 @@ fn pad4(count: u64) -> u64 {
     }
 }
 
-/// Byte width of one sort-order entry: u32 while slab indices fit,
-/// u64 beyond. Writer and reader derive it identically from `n_edges`.
-fn perm_entry_bytes(n_edges: u64) -> u64 {
-    if n_edges > u32::MAX as u64 {
-        8
-    } else {
-        4
-    }
-}
-
 fn layout(n_left: u32, n_edges: u64, n_dead_right: u64) -> Option<Layout> {
     let offsets_at = HEADER_LEN as u64;
     let rights_at = offsets_at.checked_add((n_left as u64 + 1).checked_mul(8)?)?;
@@ -197,21 +186,17 @@ fn layout(n_left: u32, n_edges: u64, n_dead_right: u64) -> Option<Layout> {
     let bitmap_at = weights_at.checked_add(n_edges.checked_mul(8)?)?;
     let words = (n_left as u64).div_ceil(64);
     let dead_right_at = bitmap_at.checked_add(words.checked_mul(8)?)?;
-    let perm_at = dead_right_at
+    let sorted_at = dead_right_at
         .checked_add(n_dead_right.checked_mul(4)?)?
         .checked_add(pad4(n_dead_right))?;
-    let entry = perm_entry_bytes(n_edges);
-    let mut total_len = perm_at.checked_add(n_edges.checked_mul(entry)?)?;
-    if entry == 4 {
-        total_len = total_len.checked_add(pad4(n_edges))?;
-    }
+    let total_len = sorted_at.checked_add(n_edges.checked_mul(RECORD_LEN as u64)?)?;
     Some(Layout {
         offsets_at: usize::try_from(offsets_at).ok()?,
         rights_at: usize::try_from(rights_at).ok()?,
         weights_at: usize::try_from(weights_at).ok()?,
         bitmap_at: usize::try_from(bitmap_at).ok()?,
         dead_right_at: usize::try_from(dead_right_at).ok()?,
-        perm_at: usize::try_from(perm_at).ok()?,
+        sorted_at: usize::try_from(sorted_at).ok()?,
         total_len: usize::try_from(total_len).ok()?,
     })
 }
@@ -229,17 +214,6 @@ pub struct StoreMeta {
 // Writer.
 // ----------------------------------------------------------------------
 
-/// The key of slab index `idx`, stored weight `w`, in the sort-order
-/// column: `edge_key_desc` packed like
-/// [`edge_sort_key`](crate::float::edge_sort_key) — weight descending
-/// under `total_cmp`, then slab index ascending, which over the
-/// `(left, right)`-ascending slab is the `(left, right)` tie-break. The
-/// writer sorts by this key and [`MappedCsr::open`] validates against it.
-#[inline]
-fn perm_key(w: f64, idx: u64) -> u128 {
-    (u128::from(weight_sort_key(w)) << 64) | u128::from(idx)
-}
-
 /// A scratch file, removed when dropped — on success and on every error
 /// path alike.
 struct TempFile(PathBuf);
@@ -250,10 +224,11 @@ impl Drop for TempFile {
     }
 }
 
-/// Bounded-memory sorter of the sort-order column: buffers
-/// [`perm_key`]s up to `run_len`, writes each full buffer out as a
+/// Bounded-memory sorter of the sorted edge section: buffers
+/// [`edge_sort_key`]s up to `run_len`, writes each full buffer out as a
 /// sorted run, and k-way-merges the runs with the resident tail. A write
-/// whose edges fit one run never touches disk.
+/// whose edges fit one run never touches disk. The key is lossless, so
+/// the merged keys are the sorted edges themselves.
 struct RunSorter {
     /// Run file prefix: the temp directory joined with the store's file
     /// name.
@@ -283,7 +258,7 @@ impl RunSorter {
         Ok(())
     }
 
-    /// The merged order: every pushed slab index, in key order.
+    /// The merged order: every pushed key, ascending.
     fn into_order(mut self) -> Result<RunMerge, StoreError> {
         self.buf.sort_unstable();
         let mut readers = Vec::with_capacity(self.runs.len());
@@ -332,17 +307,16 @@ impl RunMerge {
 }
 
 impl Iterator for RunMerge {
-    type Item = Result<u64, StoreError>;
+    type Item = Result<u128, StoreError>;
 
-    fn next(&mut self) -> Option<Result<u64, StoreError>> {
+    fn next(&mut self) -> Option<Result<u128, StoreError>> {
         let Reverse((key, src)) = self.heap.pop()?;
         match self.pop(src) {
             Ok(Some(next)) => self.heap.push(Reverse((next, src))),
             Ok(None) => {}
             Err(e) => return Some(Err(e)),
         }
-        // The low 64 bits of a key are its slab index.
-        Some(Ok(key as u64))
+        Some(Ok(key))
     }
 }
 
@@ -354,7 +328,7 @@ fn suffixed(path: &Path, suffix: &str) -> PathBuf {
 }
 
 /// Streaming writer of the columnar format — the one producer of store
-/// files, sort-order column included.
+/// files, sorted edge section included.
 ///
 /// Rows must arrive in left-id order, one call per row id `0..n_left`
 /// ([`append_row`](Self::append_row) for live rows — possibly empty —
@@ -366,13 +340,14 @@ fn suffixed(path: &Path, suffix: &str) -> PathBuf {
 /// Writer memory is `O(n_left + run_len)` however many edges stream
 /// through: the offset column, the tombstone lists and one sort run.
 /// Column ids go straight to the final file; raw weights detour through
-/// a `.weights.tmp` file in the temp directory. At finish, the weights
-/// are mapped on their way into place and each `(stored weight, slab
-/// index)` pair enters a sort run of at most `run_len` entries; full
-/// runs go to `.run-<i>.tmp` files in the temp directory and are
-/// merged into the sort-order column. Every temp file is removed when
-/// the writer finishes or is dropped; an abandoned writer leaves only
-/// the partial store file behind.
+/// a `.weights.tmp` file in the temp directory, each beside its right
+/// id. At finish, the weights are mapped on their way into place and
+/// each stored edge — its left id taken from the offset column — enters
+/// a sort run of at most `run_len` [`edge_sort_key`]s; full runs go to
+/// `.run-<i>.tmp` files in the temp directory and are merged into the
+/// sorted edge section. Every temp file is removed when the writer
+/// finishes or is dropped; an abandoned writer leaves only the partial
+/// store file behind.
 pub struct SlabWriter {
     path: PathBuf,
     /// Temp directory joined with the store's file name: the prefix of
@@ -397,8 +372,8 @@ impl SlabWriter {
     /// and `n_right` columns, of which the sorted `dead_right` ids are
     /// tombstoned. Appended rows are checked against `dead_right` — the
     /// format forbids slab entries pointing at dead columns. Temp files
-    /// go to `tmp_dir`, which must exist; the sort-order column is sorted
-    /// in runs of at most `run_len` entries (16 B each).
+    /// go to `tmp_dir`, which must exist; the sorted edge section is
+    /// sorted in runs of at most `run_len` entries (16 B each).
     pub fn create(
         path: &Path,
         n_left: u32,
@@ -491,6 +466,7 @@ impl SlabWriter {
         }
         for &(r, w) in row {
             self.out.write_all(&r.to_le_bytes())?;
+            self.weights.write_all(&r.to_le_bytes())?;
             self.weights.write_all(&w.to_le_bytes())?;
         }
         self.n_edges += row.len() as u64;
@@ -514,7 +490,7 @@ impl SlabWriter {
     /// Seal the file: copy the weight column into place, each raw weight
     /// mapped through `map` (a result outside `[0, 1]`, NaN included, is
     /// a [`StoreError::Format`]); write the liveness sections and the
-    /// sort-order column of the mapped weights; backfill offsets and
+    /// sorted edge section of the mapped weights; backfill offsets and
     /// header; checksum the payload.
     pub fn finish(mut self, map: impl Fn(f64) -> f64) -> Result<StoreMeta, StoreError> {
         let order = self.place_weights(map)?;
@@ -522,8 +498,8 @@ impl SlabWriter {
     }
 
     /// Pad the column ids, then copy the weights temp file into place
-    /// through `map`, feeding every stored weight to the sort-order
-    /// column's run sorter; returns the sorted order.
+    /// through `map`, feeding every stored edge to the sorted section's
+    /// run sorter; returns the sorted keys.
     fn place_weights(&mut self, map: impl Fn(f64) -> f64) -> Result<RunMerge, StoreError> {
         if self.rows_written != self.n_left {
             return format_err(format!(
@@ -543,28 +519,31 @@ impl SlabWriter {
             buf: Vec::with_capacity(self.run_len.min(self.n_edges as usize)),
             runs: Vec::new(),
         };
-        let mut buf = [0u8; 8];
-        for idx in 0..self.n_edges {
-            raw.read_exact(&mut buf)?;
-            let w = map(f64::from_le_bytes(buf));
-            // NaN and the infinities fail the range test too.
-            if !(0.0..=1.0).contains(&w) {
-                return format_err(format!("mapped weight {w} outside [0, 1]"));
+        let mut buf = [0u8; 12];
+        for (left, row) in self.offsets.windows(2).enumerate() {
+            for _ in row[0]..row[1] {
+                raw.read_exact(&mut buf)?;
+                let right = u32::from_le_bytes(buf[..4].try_into().unwrap());
+                let w = map(f64::from_le_bytes(buf[4..].try_into().unwrap()));
+                // NaN and the infinities fail the range test too.
+                if !(0.0..=1.0).contains(&w) {
+                    return format_err(format!("mapped weight {w} outside [0, 1]"));
+                }
+                self.out.write_all(&w.to_le_bytes())?;
+                sorter.push(edge_sort_key(&Edge::new(left as u32, right, w)))?;
             }
-            self.out.write_all(&w.to_le_bytes())?;
-            sorter.push(perm_key(w, idx))?;
         }
         sorter.into_order()
     }
 
-    /// Write the liveness sections and the sort-order column, backfill
-    /// offsets and header, checksum the payload. `order` must yield
-    /// every slab index `0..n_edges` exactly once; bounds and repeats are
-    /// checked here, and the weight order itself whenever the file is
-    /// opened.
+    /// Write the liveness sections and the sorted edge section, backfill
+    /// offsets and header, checksum the payload. `order` must yield the
+    /// [`edge_sort_key`] of every slab edge, strictly ascending; the
+    /// ascent and the count are checked here, and that the keys name the
+    /// slab's edges whenever the file is opened.
     fn seal(
         mut self,
-        order: impl IntoIterator<Item = Result<u64, StoreError>>,
+        order: impl IntoIterator<Item = Result<u128, StoreError>>,
     ) -> Result<StoreMeta, StoreError> {
         // Left liveness bitmap, all-live words with dead bits cleared.
         let words = (self.n_left as usize).div_ceil(64);
@@ -588,38 +567,26 @@ impl SlabWriter {
         if self.dead_right.len() % 2 == 1 {
             self.out.write_all(&[0u8; 4])?;
         }
-        // Sort-order column: every slab index exactly once.
-        let entry = perm_entry_bytes(self.n_edges);
-        let mut seen = vec![0u64; (self.n_edges as usize).div_ceil(64)];
+        // Sorted edge section: the decoded keys, strictly ascending.
+        let mut prev: Option<u128> = None;
         let mut written = 0u64;
-        for idx in order {
-            let idx = idx?;
-            if idx >= self.n_edges {
-                return format_err(format!(
-                    "sort-order index {idx} out of bounds ({})",
-                    self.n_edges
-                ));
+        for key in order {
+            let key = key?;
+            if prev.is_some_and(|p| p >= key) {
+                return format_err("sorted edges not strictly ascending under edge_sort_key");
             }
-            let (word, bit) = ((idx / 64) as usize, idx % 64);
-            if seen[word] >> bit & 1 == 1 {
-                return format_err(format!("sort-order index {idx} repeated"));
-            }
-            seen[word] |= 1 << bit;
-            if entry == 4 {
-                self.out.write_all(&(idx as u32).to_le_bytes())?;
-            } else {
-                self.out.write_all(&idx.to_le_bytes())?;
-            }
+            prev = Some(key);
+            let e = edge_from_sort_key(key);
+            self.out.write_all(&e.left.to_le_bytes())?;
+            self.out.write_all(&e.right.to_le_bytes())?;
+            self.out.write_all(&e.weight.to_le_bytes())?;
             written += 1;
         }
         if written != self.n_edges {
             return format_err(format!(
-                "sort order lists {written} of {} edges",
+                "sorted section lists {written} of {} edges",
                 self.n_edges
             ));
-        }
-        if entry == 4 && self.n_edges % 2 == 1 {
-            self.out.write_all(&[0u8; 4])?;
         }
         self.out.flush()?;
         let mut file = self.out.into_inner().map_err(|e| e.into_error())?;
@@ -677,8 +644,8 @@ impl SlabWriter {
     }
 }
 
-/// Persist a [`CsrGraph`] at `path` in the columnar format (sort-order
-/// column included).
+/// Persist a [`CsrGraph`] at `path` in the columnar format (sorted edge
+/// section included).
 ///
 /// Streams [`CsrGraph::live_row`], so pending deltas are folded on the
 /// way out: masked slab entries and the patch never reach the file,
@@ -719,7 +686,8 @@ pub fn write_csr(csr: &CsrGraph, path: &Path) -> Result<StoreMeta, StoreError> {
 /// Opening validates the whole file once (magic, version, declared
 /// section lengths against the file length, payload checksum, offset
 /// monotonicity, per-row right-id ordering and bounds, liveness
-/// consistency, weight range); every read after that decodes fixed-width
+/// consistency, weight range, the sorted section's order and bijection
+/// with the slab); every read after that decodes fixed-width
 /// little-endian fields straight out of the map. The view mirrors the
 /// read surface of [`CsrGraph`] — `n_left` / `n_right` / `n_edges`,
 /// [`degree`](Self::degree), [`live_row`](Self::live_row),
@@ -735,10 +703,8 @@ pub struct MappedCsr {
     rights_at: usize,
     weights_at: usize,
     bitmap_at: usize,
-    /// Start of the sort-order column.
-    perm_at: usize,
-    /// Whether sort-order entries are u64 (true) or u32 (false).
-    perm_wide: bool,
+    /// Start of the sorted edge section.
+    sorted_at: usize,
     /// Decoded eagerly: tombstones are sparse and binary-searched hot.
     dead_right: Vec<u32>,
 }
@@ -861,36 +827,7 @@ impl MappedCsr {
             return format_err("offset column does not close at n_edges");
         }
 
-        // Sort-order column: in-bounds slab indices whose `perm_key`s
-        // strictly ascend. Strictly ascending keys are distinct, so the
-        // m entries are distinct indices below m — a permutation.
-        let perm_wide = perm_entry_bytes(n_edges) == 8;
-        let entry = if perm_wide { 8 } else { 4 };
-        let mut prev: Option<u128> = None;
-        for i in 0..n_edges as usize {
-            let p = if perm_wide {
-                u64_at(lay.perm_at + entry * i)
-            } else {
-                u32_at(lay.perm_at + entry * i) as u64
-            };
-            if p >= n_edges {
-                return format_err(format!("sort-order index {p} out of bounds ({n_edges})"));
-            }
-            let w = f64::from_le_bytes(
-                map[lay.weights_at + 8 * p as usize..][..8]
-                    .try_into()
-                    .unwrap(),
-            );
-            let key = perm_key(w, p);
-            if prev.is_some_and(|k| k >= key) {
-                return format_err("sort order is not edge_key_desc order, or repeats an index");
-            }
-            prev = Some(key);
-        }
-        // The padding word (if any) is covered by the checksum like all
-        // padding.
-
-        Ok(MappedCsr {
+        let mapped = MappedCsr {
             map,
             n_left,
             n_right,
@@ -900,10 +837,33 @@ impl MappedCsr {
             rights_at: lay.rights_at,
             weights_at: lay.weights_at,
             bitmap_at: lay.bitmap_at,
-            perm_at: lay.perm_at,
-            perm_wide,
+            sorted_at: lay.sorted_at,
             dead_right,
-        })
+        };
+
+        // Sorted edge section: records whose `edge_sort_key`s strictly
+        // ascend, each naming a slab edge of bit-identical weight.
+        // Distinct records then name distinct edges (equal ids would need
+        // equal weights, hence equal keys), and there are n_edges of
+        // them — a bijection with the slab.
+        let mut prev: Option<u128> = None;
+        for rank in 0..mapped.n_edges {
+            let e = mapped.sorted_edge(rank);
+            let key = edge_sort_key(&e);
+            if prev.is_some_and(|k| k >= key) {
+                return format_err(format!(
+                    "sorted edge {rank} does not strictly ascend under edge_sort_key"
+                ));
+            }
+            prev = Some(key);
+            if mapped.weight_of(e.left, e.right).map(f64::to_bits) != Some(e.weight.to_bits()) {
+                return format_err(format!(
+                    "sorted edge {rank} ({}, {}, {}) is not a slab edge",
+                    e.left, e.right, e.weight
+                ));
+            }
+        }
+        Ok(mapped)
     }
 
     #[inline]
@@ -921,55 +881,28 @@ impl MappedCsr {
         f64::from_le_bytes(self.map[self.weights_at + 8 * i..][..8].try_into().unwrap())
     }
 
-    /// Slab index of the edge at sorted rank `rank`.
+    /// Weight field of the record at sorted rank `rank` (0 = heaviest),
+    /// without decoding the endpoint ids — the probe for threshold
+    /// binary searches.
     #[inline]
-    fn perm(&self, rank: usize) -> usize {
-        if self.perm_wide {
-            u64::from_le_bytes(self.map[self.perm_at + 8 * rank..][..8].try_into().unwrap())
-                as usize
-        } else {
-            u32::from_le_bytes(self.map[self.perm_at + 4 * rank..][..4].try_into().unwrap())
-                as usize
-        }
+    fn sorted_weight(&self, rank: usize) -> f64 {
+        let at = self.sorted_at + RECORD_LEN * rank + 8;
+        f64::from_le_bytes(self.map[at..at + 8].try_into().unwrap())
     }
 
-    /// Left id owning slab index `i` — one binary search over the
-    /// file-backed offset column.
-    #[inline]
-    fn row_of(&self, i: usize) -> u32 {
-        // First l with offset(l + 1) > i; valid because offsets are
-        // monotone and close at n_edges (validated at open).
-        let (mut lo, mut hi) = (0u32, self.n_left);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.offset(mid as usize + 1) <= i {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    }
-
-    /// Weight of the edge at sorted rank `rank` (0 = heaviest), without
-    /// decoding the endpoint ids — the probe for threshold binary
-    /// searches. Panics if `rank` is out of bounds.
-    #[inline]
-    pub fn sorted_weight(&self, rank: usize) -> f64 {
-        assert!(rank < self.n_edges, "sorted rank {rank} out of bounds");
-        self.weight_at(self.perm(rank))
-    }
-
-    /// The edge at sorted rank `rank` in the workspace `edge_key_desc`
-    /// order (weight descending, ties `(left, right)` ascending). The
-    /// left id costs one `O(log n_left)` search over the offset column;
-    /// everything decodes straight from the map — no resident edge
-    /// copy. Panics like [`sorted_weight`](Self::sorted_weight).
+    /// The edge at sorted rank `rank` in the workspace [`edge_sort_key`]
+    /// order (weight descending, ties `(left, right)` ascending): one
+    /// 16 B record decoded straight from the map — no search, no
+    /// resident edge copy. Panics if `rank` is out of bounds.
     #[inline]
     pub fn sorted_edge(&self, rank: usize) -> Edge {
         assert!(rank < self.n_edges, "sorted rank {rank} out of bounds");
-        let i = self.perm(rank);
-        Edge::new(self.row_of(i), self.right_at(i), self.weight_at(i))
+        let r = &self.map[self.sorted_at + RECORD_LEN * rank..][..RECORD_LEN];
+        Edge::new(
+            u32::from_le_bytes(r[0..4].try_into().unwrap()),
+            u32::from_le_bytes(r[4..8].try_into().unwrap()),
+            f64::from_le_bytes(r[8..16].try_into().unwrap()),
+        )
     }
 
     /// How many edges have weight strictly above `t` — mirrors
@@ -991,7 +924,7 @@ impl MappedCsr {
         let (mut lo, mut hi) = (0usize, self.n_edges);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            if pred(self.weight_at(self.perm(mid))) {
+            if pred(self.sorted_weight(mid)) {
                 lo = mid + 1;
             } else {
                 hi = mid;
@@ -1153,14 +1086,40 @@ mod tests {
     use super::*;
     use crate::graph::GraphBuilder;
 
-    fn scratch_dir() -> PathBuf {
+    /// A per-thread scratch directory, removed with its contents when
+    /// the test passes; a failing test leaves it for inspection.
+    struct ScratchDir(PathBuf);
+
+    impl std::ops::Deref for ScratchDir {
+        type Target = Path;
+
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl AsRef<Path> for ScratchDir {
+        fn as_ref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for ScratchDir {
+        fn drop(&mut self) {
+            if !std::thread::panicking() {
+                let _ = std::fs::remove_dir_all(&self.0);
+            }
+        }
+    }
+
+    fn scratch_dir() -> ScratchDir {
         let dir = std::env::temp_dir().join(format!(
             "ccer-store-unit-{}-{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
         std::fs::create_dir_all(&dir).unwrap();
-        dir
+        ScratchDir(dir)
     }
 
     fn sample_csr() -> CsrGraph {
@@ -1277,16 +1236,14 @@ mod tests {
     }
 
     #[test]
-    fn sort_order_column_round_trips() {
+    fn sorted_edge_section_round_trips() {
         let dir = scratch_dir();
         let path = dir.join("sorted.slab");
         let csr = sample_csr();
         write_csr(&csr, &path).unwrap();
         let mapped = MappedCsr::open(&path).unwrap();
         let mut expect: Vec<Edge> = mapped.iter().collect();
-        expect.sort_by(|a, b| {
-            crate::float::edge_key_desc((a.weight, a.left, a.right), (b.weight, b.left, b.right))
-        });
+        expect.sort_unstable_by_key(edge_sort_key);
         let got: Vec<Edge> = (0..mapped.n_edges())
             .map(|i| mapped.sorted_edge(i))
             .collect();
@@ -1302,15 +1259,20 @@ mod tests {
     }
 
     #[test]
-    fn version_1_header_is_a_format_error() {
+    fn version_1_and_2_headers_are_format_errors() {
         let dir = scratch_dir();
-        let path = dir.join("v1.slab");
+        let path = dir.join("old.slab");
         write_csr(&sample_csr(), &path).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(MappedCsr::open(&path), Err(StoreError::Format(_))));
-        std::fs::remove_file(&path).ok();
+        let current = std::fs::read(&path).unwrap();
+        for version in [1u32, 2] {
+            let mut bytes = current.clone();
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(
+                matches!(MappedCsr::open(&path), Err(StoreError::Format(_))),
+                "version {version}"
+            );
+        }
     }
 
     #[test]
@@ -1325,35 +1287,37 @@ mod tests {
             w.place_weights(|w| w).unwrap();
             w
         };
-        // Out-of-bounds, repeated, and short orders are rejected.
-        assert!(matches!(
-            write("b.slab").seal([Ok(0), Ok(1), Ok(3)]),
-            Err(StoreError::Format(_))
-        ));
-        assert!(matches!(
-            write("c.slab").seal([Ok(1), Ok(1), Ok(0)]),
-            Err(StoreError::Format(_))
-        ));
-        assert!(matches!(
-            write("d.slab").seal([Ok(1), Ok(2)]),
-            Err(StoreError::Format(_))
-        ));
-        // The weight order itself is enforced at open: a valid
-        // permutation in the wrong order fails validation there.
-        write("e.slab").seal([Ok(0), Ok(1), Ok(2)]).unwrap();
+        let key = |l, r, w| edge_sort_key(&Edge::new(l, r, w));
+        let (a, b, c) = (key(0, 3, 0.9), key(2, 0, 0.7), key(0, 1, 0.5));
+        // Repeated, descending and short orders are rejected.
+        for (name, order) in [
+            ("b", vec![a, b, b]),
+            ("c", vec![a, c, b]),
+            ("d", vec![a, b]),
+        ] {
+            assert!(
+                matches!(
+                    write(&format!("{name}.slab")).seal(order.into_iter().map(Ok)),
+                    Err(StoreError::Format(_))
+                ),
+                "{name}"
+            );
+        }
+        // That the keys are the slab's edges is enforced at open: an
+        // ascending set naming another edge fails validation there.
+        write("e.slab")
+            .seal([a, b, key(0, 1, 0.25)].map(Ok))
+            .unwrap();
         assert!(matches!(
             MappedCsr::open(&dir.join("e.slab")),
             Err(StoreError::Format(_))
         ));
-        // The true edge_key_desc order round-trips.
-        write("f.slab").seal([Ok(1), Ok(2), Ok(0)]).unwrap();
+        // The slab's edges in edge_sort_key order round-trip.
+        write("f.slab").seal([a, b, c].map(Ok)).unwrap();
         let mapped = MappedCsr::open(&dir.join("f.slab")).unwrap();
         assert_eq!(mapped.sorted_edge(0), Edge::new(0, 3, 0.9));
         assert_eq!(mapped.sorted_edge(1), Edge::new(2, 0, 0.7));
         assert_eq!(mapped.sorted_edge(2), Edge::new(0, 1, 0.5));
-        for name in ["b", "c", "d", "e", "f"] {
-            std::fs::remove_file(dir.join(format!("{name}.slab"))).ok();
-        }
     }
 
     #[test]

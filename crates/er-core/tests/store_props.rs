@@ -13,19 +13,20 @@
 //!    version, truncation at any boundary, header fields that disagree
 //!    with the file length (including overflow-inducing ones), and
 //!    payload bit flips are all rejected by `MappedCsr::open`;
-//! 4. **the version-2 sort-order column is validated, not trusted**:
-//!    truncating the file at the column's boundary, flipping its bits,
-//!    or rewriting it (checksum re-fixed) into out-of-range indices,
-//!    non-permutations, or orders that are not weight-descending are all
-//!    `StoreError::Format`, never a panic;
-//! 5. **version 1 is rejected**: a version-1 file (the layout without the
-//!    sort-order column) is a `StoreError::Format` at open, never a
-//!    panic;
+//! 4. **the version-3 sorted edge section is validated, not trusted**:
+//!    truncating the file at the section's boundary, flipping its bits,
+//!    or rewriting it (checksum re-fixed) into out-of-range ids,
+//!    repeated records, orders that are not `edge_sort_key` order,
+//!    weights that differ from the slab's, or edges the slab lacks are
+//!    all `StoreError::Format`, never a panic;
+//! 5. **versions 1 and 2 are rejected**: a version-1 file (no sorted
+//!    section) and a version-2 file (a permutation column in its place)
+//!    are a `StoreError::Format` at open, never a panic;
 //! 6. **bounded sort runs change no byte**: a `SlabWriter` fed raw
-//!    weights and sorting its sort-order column in runs of any length
+//!    weights and sorting its sorted edge section in runs of any length
 //!    writes the bytes `write_csr` writes.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use er_core::{write_csr, CsrGraph, GraphBuilder, MappedCsr, SimilarityGraph, SlabWriter};
@@ -33,15 +34,46 @@ use proptest::prelude::*;
 
 static NEXT_FILE: AtomicUsize = AtomicUsize::new(0);
 
-/// A fresh path in a per-process scratch directory; proptest shrinks
-/// re-enter the test body, so every invocation gets its own file.
-fn scratch_file(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ccer-store-props-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(format!(
-        "{tag}-{}.slab",
+/// A scratch file path in a directory of its own, which goes with the
+/// guard when the test passes; a failing test leaves it for inspection.
+struct ScratchFile {
+    dir: PathBuf,
+    path: PathBuf,
+}
+
+impl std::ops::Deref for ScratchFile {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.path
+    }
+}
+
+impl AsRef<Path> for ScratchFile {
+    fn as_ref(&self) -> &Path {
+        &self.path
+    }
+}
+
+impl Drop for ScratchFile {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            let _ = std::fs::remove_dir_all(&self.dir);
+        }
+    }
+}
+
+/// A fresh scratch file; proptest shrinks re-enter the test body, so
+/// every invocation gets its own.
+fn scratch_file(tag: &str) -> ScratchFile {
+    let dir = std::env::temp_dir().join(format!(
+        "ccer-store-props-{}-{}",
+        std::process::id(),
         NEXT_FILE.fetch_add(1, Ordering::Relaxed)
-    ))
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("{tag}.slab"));
+    ScratchFile { dir, path }
 }
 
 fn arb_graph() -> impl Strategy<Value = SimilarityGraph> {
@@ -123,7 +155,6 @@ proptest! {
         prop_assert_eq!(meta.n_edges as usize, csr.n_edges());
         prop_assert_eq!(meta.file_bytes as usize, mapped.file_bytes());
         assert_mapped_agrees(&mapped, &csr);
-        std::fs::remove_file(&path).ok();
     }
 
     /// Invariant 6: rows of raw weights at twice the stored ones, mapped
@@ -158,8 +189,6 @@ proptest! {
         }
         w.finish(|x| x / 2.0).unwrap();
         prop_assert!(std::fs::read(&path).unwrap() == std::fs::read(&want_path).unwrap());
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&want_path).ok();
     }
 }
 
@@ -179,7 +208,6 @@ fn empty_rows_round_trip() {
     assert_eq!(mapped.degree(4), 0);
     assert!(mapped.is_live_left(0), "empty is not dead");
     assert_mapped_agrees(&mapped, &csr);
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -200,7 +228,6 @@ fn all_rows_tombstoned_round_trip() {
     assert_eq!(mapped.n_dead_left(), 4);
     assert!((0..4).all(|l| !mapped.is_live_left(l)));
     assert_mapped_agrees(&mapped, &csr);
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -213,7 +240,6 @@ fn zero_edge_and_zero_node_graphs_round_trip() {
         assert_eq!(mapped.n_edges(), 0, "{nl}x{nr}");
         assert!(mapped.is_empty());
         assert_mapped_agrees(&mapped, &csr);
-        std::fs::remove_file(&path).ok();
     }
 }
 
@@ -245,7 +271,6 @@ fn max_u32_column_ids_round_trip() {
     assert!(!mapped.is_live_right(u32::MAX - 2));
     assert!(mapped.is_live_right(top));
     assert_eq!(mapped.weight_of(0, 7), None, "dead column answers nothing");
-    std::fs::remove_file(&path).ok();
 }
 
 /// Write a valid store once, then re-open arbitrarily mutated copies.
@@ -261,16 +286,13 @@ fn corrupted_files_are_rejected_not_panicked_on() {
     let path = scratch_file("corrupt-base");
     write_csr(&csr, &path).unwrap();
     let base = std::fs::read(&path).unwrap();
-    std::fs::remove_file(&path).ok();
 
     let open_mutated = |mutate: &dyn Fn(&mut Vec<u8>)| {
         let mut bytes = base.clone();
         mutate(&mut bytes);
         let p = scratch_file("corrupt");
         std::fs::write(&p, &bytes).unwrap();
-        let r = MappedCsr::open(&p);
-        std::fs::remove_file(&p).ok();
-        r
+        MappedCsr::open(&p)
     };
 
     // Pristine copy sanity check.
@@ -306,8 +328,8 @@ fn corrupted_files_are_rejected_not_panicked_on() {
 }
 
 /// The test's own FNV-1a 64 (the store's checksum function), so the
-/// sort-order fuzz below can hand `open` *checksum-consistent* files —
-/// exercising the semantic perm validation, not just the checksum.
+/// sorted-section fuzz below can hand `open` *checksum-consistent* files
+/// — exercising the semantic validation, not just the checksum.
 fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -317,13 +339,15 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Satellite fuzz for the v2 sort-order column: every way the column can
-/// lie — missing bytes, flipped bits, out-of-range entries, repeated
-/// entries, wrong order — must be a `Format` error, never a panic.
+/// Satellite fuzz for the v3 sorted edge section: every way the section
+/// can lie — missing bytes, flipped bits, out-of-range ids, repeated
+/// records, wrong order, a weight or an edge the slab does not hold —
+/// must be a `Format` error, never a panic.
 #[test]
-fn sort_order_column_corruption_is_rejected_not_panicked_on() {
-    // Two live edges: slab order (0,1,w=0.5), (2,2,w=1.0); the correct
-    // weight-descending perm is therefore [1, 0] — 8 trailing bytes.
+fn sorted_edge_section_corruption_is_rejected_not_panicked_on() {
+    // Two live edges: (0, 1, 0.5) and (2, 2, 1.0); (1, 0, 0.25) goes with
+    // its dead column. The section is therefore the records
+    // (2, 2, 1.0), (0, 1, 0.5) — 32 trailing bytes.
     let mut b = GraphBuilder::new(3, 3);
     b.add_edge(0, 1, 0.5).unwrap();
     b.add_edge(1, 0, 0.25).unwrap();
@@ -331,61 +355,111 @@ fn sort_order_column_corruption_is_rejected_not_panicked_on() {
     let mut csr = CsrGraph::from_graph(&b.build());
     csr.remove_right(0).unwrap();
     assert_eq!(csr.n_edges(), 2);
-    let path = scratch_file("perm-base");
+    let path = scratch_file("sorted-base");
     write_csr(&csr, &path).unwrap();
     let base = std::fs::read(&path).unwrap();
-    std::fs::remove_file(&path).ok();
-    let perm_at = base.len() - 8;
+    let sorted_at = base.len() - 32;
 
     let open_mutated = |mutate: &dyn Fn(&mut Vec<u8>)| {
         let mut bytes = base.clone();
         mutate(&mut bytes);
-        let p = scratch_file("perm-fuzz");
+        let p = scratch_file("sorted-fuzz");
         std::fs::write(&p, &bytes).unwrap();
-        let r = MappedCsr::open(&p);
-        std::fs::remove_file(&p).ok();
-        r
+        MappedCsr::open(&p)
     };
-    // Rewrite the two perm entries and re-fix the checksum, so only the
+    // Rewrite the two records and re-fix the checksum, so only the
     // semantic validation can object.
-    let with_perm = |a: u32, bb: u32| {
+    let with_records = |a: (u32, u32, f64), bb: (u32, u32, f64)| {
         move |bytes: &mut Vec<u8>| {
-            bytes[perm_at..perm_at + 4].copy_from_slice(&a.to_le_bytes());
-            bytes[perm_at + 4..perm_at + 8].copy_from_slice(&bb.to_le_bytes());
+            for (i, (l, r, w)) in [a, bb].into_iter().enumerate() {
+                let at = sorted_at + 16 * i;
+                bytes[at..at + 4].copy_from_slice(&l.to_le_bytes());
+                bytes[at + 4..at + 8].copy_from_slice(&r.to_le_bytes());
+                bytes[at + 8..at + 16].copy_from_slice(&w.to_le_bytes());
+            }
             let sum = fnv1a64(&bytes[56..]);
             bytes[48..56].copy_from_slice(&sum.to_le_bytes());
         }
     };
+    let is_format = |r: Result<MappedCsr, er_core::StoreError>| matches!(r, Err(er_core::StoreError::Format(msg)) if !msg.is_empty());
 
-    open_mutated(&|_| {}).expect("pristine v2 file opens");
+    open_mutated(&|_| {}).expect("pristine v3 file opens");
 
-    // Checksum-fixing round-trip sanity: rewriting the *correct* perm
+    // Checksum-fixing round-trip sanity: rewriting the *correct* records
     // through the mutator must still open.
-    assert!(open_mutated(&with_perm(1, 0)).is_ok());
+    assert!(open_mutated(&with_records((2, 2, 1.0), (0, 1, 0.5))).is_ok());
 
-    // Truncation exactly at (and within) the column boundary.
-    assert!(open_mutated(&|b| b.truncate(perm_at)).is_err());
-    assert!(open_mutated(&|b| b.truncate(perm_at + 4)).is_err());
-    // Bit flip inside the column fails the checksum.
-    assert!(open_mutated(&|b| b[perm_at] ^= 0x01).is_err());
-    // Out-of-range index (checksum consistent).
-    assert!(open_mutated(&with_perm(1, 7)).is_err());
-    assert!(open_mutated(&with_perm(u32::MAX, 0)).is_err());
-    // Not a permutation: a repeated index.
-    assert!(open_mutated(&with_perm(1, 1)).is_err());
-    assert!(open_mutated(&with_perm(0, 0)).is_err());
-    // A valid permutation in the wrong (weight-ascending) order.
-    assert!(open_mutated(&with_perm(0, 1)).is_err());
-    // All rejections are Format errors with a message, never panics.
-    match open_mutated(&with_perm(0, 1)) {
-        Err(er_core::StoreError::Format(msg)) => {
-            assert!(!msg.is_empty());
-        }
+    // Truncation exactly at (and within) the section boundary.
+    assert!(open_mutated(&|b| b.truncate(sorted_at)).is_err());
+    assert!(open_mutated(&|b| b.truncate(sorted_at + 16)).is_err());
+    // Bit flip inside the section fails the checksum.
+    assert!(open_mutated(&|b| b[sorted_at] ^= 0x01).is_err());
+    // Out-of-range left and right ids (checksum consistent).
+    assert!(is_format(open_mutated(&with_records(
+        (7, 2, 1.0),
+        (0, 1, 0.5)
+    ))));
+    assert!(is_format(open_mutated(&with_records(
+        (u32::MAX, 2, 1.0),
+        (0, 1, 0.5)
+    ))));
+    assert!(is_format(open_mutated(&with_records(
+        (2, 2, 1.0),
+        (0, 9, 0.5)
+    ))));
+    // A repeated record.
+    assert!(is_format(open_mutated(&with_records(
+        (2, 2, 1.0),
+        (2, 2, 1.0)
+    ))));
+    assert!(is_format(open_mutated(&with_records(
+        (0, 1, 0.5),
+        (0, 1, 0.5)
+    ))));
+    // The valid set in the wrong (weight-ascending) order.
+    assert!(is_format(open_mutated(&with_records(
+        (0, 1, 0.5),
+        (2, 2, 1.0)
+    ))));
+    // A record whose weight differs from its slab entry.
+    assert!(is_format(open_mutated(&with_records(
+        (2, 2, 0.75),
+        (0, 1, 0.5)
+    ))));
+    assert!(is_format(open_mutated(&with_records(
+        (2, 2, 1.0),
+        (0, 1, 0.25)
+    ))));
+    // A record naming an (l, r) the slab does not hold — the edge that
+    // went with its dead column included.
+    assert!(is_format(open_mutated(&with_records(
+        (2, 2, 1.0),
+        (1, 1, 0.5)
+    ))));
+    assert!(is_format(open_mutated(&with_records(
+        (2, 2, 1.0),
+        (1, 0, 0.25)
+    ))));
+    // Every byte of the section flipped one at a time: never a panic.
+    for i in sorted_at..base.len() {
+        let _ = open_mutated(&|b| b[i] ^= 0xA5);
+    }
+}
+
+/// Open `bytes` as a store: a `Format` error with a message, never a
+/// panic — and every truncation of it an error too.
+fn assert_rejected_as_format_error(bytes: &[u8]) {
+    let open_bytes = |bytes: &[u8]| {
+        let p = scratch_file("old");
+        std::fs::write(&p, bytes).unwrap();
+        MappedCsr::open(&p)
+    };
+    match open_bytes(bytes) {
+        Err(er_core::StoreError::Format(msg)) => assert!(!msg.is_empty()),
         other => panic!("expected Format error, got {other:?}"),
     }
-    // Every byte of the column flipped one at a time: never a panic.
-    for i in perm_at..base.len() {
-        let _ = open_mutated(&|b| b[i] ^= 0xA5);
+    for len in 0..bytes.len() {
+        assert!(open_bytes(&bytes[..len]).is_err(), "truncated at {len}");
     }
 }
 
@@ -410,18 +484,28 @@ const V1_FILE: [u8; 144] = [
 /// it.
 #[test]
 fn v1_files_are_rejected_as_format_errors() {
-    let open_bytes = |bytes: &[u8]| {
-        let p = scratch_file("v1");
-        std::fs::write(&p, bytes).unwrap();
-        let r = MappedCsr::open(&p);
-        std::fs::remove_file(&p).ok();
-        r
-    };
-    match open_bytes(&V1_FILE) {
-        Err(er_core::StoreError::Format(msg)) => assert!(!msg.is_empty()),
-        other => panic!("expected Format error, got {other:?}"),
-    }
-    for len in 0..V1_FILE.len() {
-        assert!(open_bytes(&V1_FILE[..len]).is_err(), "truncated at {len}");
-    }
+    assert_rejected_as_format_error(&V1_FILE);
+}
+
+/// The same graph as a version-2 file, as the last writer of that format
+/// emitted it: the v1 layout plus the u32 sort-order permutation
+/// `[2, 0, 1]` and its padding word.
+const V2_FILE: [u8; 160] = [
+    0x43, 0x43, 0x45, 0x52, 0x53, 0x4c, 0x41, 0x42, 0x02, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00,
+    0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x5c, 0x88, 0x13, 0x6a, 0x0b, 0x28, 0xb9, 0x11, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x03, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe8, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x3f, 0x0f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+];
+
+/// Version 2 is no longer read either: a genuine v2 file is a
+/// `StoreError::Format`, never a panic, as is every truncation of it.
+#[test]
+fn v2_files_are_rejected_as_format_errors() {
+    assert_rejected_as_format_error(&V2_FILE);
 }

@@ -124,7 +124,7 @@ fn check_views(g: &SimilarityGraph, seed: u64) -> Result<(), TestCaseError> {
     for (name, adj) in [
         (
             "from_sorted",
-            Adjacency::from_sorted(g.n_left(), g.n_right(), built.all()),
+            Adjacency::from_sorted(g.n_left(), g.n_right(), built.all().iter().copied()),
         ),
         ("SimilarityGraph::adjacency", g.adjacency()),
     ] {

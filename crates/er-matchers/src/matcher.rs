@@ -53,23 +53,22 @@ impl GraphStore<'_> {
 /// Where the weight-descending total order lives.
 ///
 /// `Ram` is a heap-resident [`SortedEdges`]; `Mapped` means the order is
-/// the **sort-order column of the file itself** — prefixes are decoded
+/// the **sorted edge section of the file itself** — prefixes are decoded
 /// straight from the map and no edge copy ever materializes.
-enum SortedStore {
+enum SortedStore<'g> {
     Ram(SortedEdges),
-    /// The backing [`GraphStore`] is guaranteed `Mapped`.
-    Mapped,
+    Mapped(&'g MappedCsr),
 }
 
 /// A weight-descending edge sequence: either a resident prefix slice or
-/// a zero-copy window over a mapped store's sort-order column. `Copy`,
+/// a zero-copy window over a mapped store's sorted edge section. `Copy`,
 /// so matchers pass it around like the slices it replaces; iteration
 /// yields [`Edge`]s by value either way.
 #[derive(Clone, Copy)]
 pub enum EdgeSeq<'a> {
     /// A resident sorted prefix (the classic path).
     Ram(&'a [Edge]),
-    /// Ranks `start..end` of a mapped store's sort-order column.
+    /// Ranks `start..end` of a mapped store's sorted edge section.
     Mapped {
         /// The file-backed store; edges decode from the map per access.
         store: &'a MappedCsr,
@@ -191,8 +190,8 @@ impl<'a> IntoIterator for &EdgeSeq<'a> {
 /// ([`PreparedGraph::from_csr`], no expansion), or from the columnar
 /// on-disk store ([`PreparedGraph::from_mapped`], file-backed) — the
 /// matchers and the sweep engine are oblivious to the source. For a
-/// mapped store the sorted view **is the file's sort-order column**: the
-/// prepared graph keeps zero resident edge copies.
+/// mapped store the sorted view **is the file's sorted edge section**:
+/// the prepared graph keeps zero resident edge copies.
 ///
 /// Whatever the store, the adjacency (which only RSR, RCA, BMC, EXC and
 /// KRC consume) is built lazily on first use by one `O(n + m)` scatter
@@ -201,11 +200,11 @@ impl<'a> IntoIterator for &EdgeSeq<'a> {
 pub struct PreparedGraph<'g> {
     graph: GraphStore<'g>,
     adjacency: OnceLock<Adjacency>,
-    sorted: SortedStore,
+    sorted: SortedStore<'g>,
 }
 
 impl<'g> PreparedGraph<'g> {
-    fn with_sorted(graph: GraphStore<'g>, sorted: SortedStore) -> Self {
+    fn with_sorted(graph: GraphStore<'g>, sorted: SortedStore<'g>) -> Self {
         PreparedGraph {
             graph,
             adjacency: OnceLock::new(),
@@ -269,13 +268,13 @@ impl<'g> PreparedGraph<'g> {
 
     /// Prepare a **file-backed** columnar store ([`MappedCsr`]) without
     /// materializing it as an in-RAM `CsrGraph` or `SimilarityGraph`:
-    /// the weight-descending view **is the file's sort-order column**, so
-    /// "edges above `t`" decodes straight from the map with zero resident
-    /// edge copies.
+    /// the weight-descending view **is the file's sorted edge section**,
+    /// so "edges above `t`" decodes straight from the map with zero
+    /// resident edge copies.
     ///
     /// The views are identical to [`PreparedGraph::from_csr`] on the
-    /// store's in-RAM twin — the persisted column is validated at open
-    /// against the same `edge_key_desc` total order the resident sort
+    /// store's in-RAM twin — the persisted section is validated at open
+    /// against the same `edge_sort_key` total order the resident sort
     /// uses — so threshold sweeps over an out-of-core graph produce
     /// bit-identical matchings.
     ///
@@ -289,17 +288,7 @@ impl<'g> PreparedGraph<'g> {
     /// # let _ = matching;
     /// ```
     pub fn from_mapped(mapped: &MappedCsr) -> PreparedGraph<'_> {
-        PreparedGraph::with_sorted(GraphStore::Mapped(mapped), SortedStore::Mapped)
-    }
-
-    /// The backing mapped store — only called when `sorted` is
-    /// `SortedStore::Mapped`, which `from_mapped` establishes.
-    #[inline]
-    fn mapped(&self) -> &'g MappedCsr {
-        match self.graph {
-            GraphStore::Mapped(m) => m,
-            _ => unreachable!("mapped sort order without a mapped store"),
-        }
+        PreparedGraph::with_sorted(GraphStore::Mapped(mapped), SortedStore::Mapped(mapped))
     }
 
     /// Number of edges in the prepared graph.
@@ -307,7 +296,7 @@ impl<'g> PreparedGraph<'g> {
     pub fn n_edges(&self) -> usize {
         match &self.sorted {
             SortedStore::Ram(s) => s.len(),
-            SortedStore::Mapped => self.mapped().n_edges(),
+            SortedStore::Mapped(m) => m.n_edges(),
         }
     }
 
@@ -319,7 +308,7 @@ impl<'g> PreparedGraph<'g> {
     pub fn resident_edge_copies(&self) -> usize {
         let sorted = match &self.sorted {
             SortedStore::Ram(s) => s.len(),
-            SortedStore::Mapped => 0,
+            SortedStore::Mapped(_) => 0,
         };
         sorted + self.adjacency.get().map_or(0, |a| a.n_entries())
     }
@@ -338,7 +327,7 @@ impl<'g> PreparedGraph<'g> {
     /// the full view build again — for timing harnesses that need to
     /// measure preparation cost per run. Nothing is shared with `self`:
     /// the sorted view is re-sorted from the store (for a mapped store
-    /// it is the file's column, as in
+    /// it is the file's sorted section, as in
     /// [`from_mapped`](Self::from_mapped)), and the adjacency is
     /// re-scattered from it on first use.
     pub fn reprepare(&self) -> PreparedGraph<'g> {
@@ -352,18 +341,21 @@ impl<'g> PreparedGraph<'g> {
     /// The adjacency view (neighbors sorted by descending weight).
     /// Built lazily — and thread-safely — by one scatter of the sorted
     /// view, so only algorithms that actually consume adjacency pay for
-    /// it. A mapped sort-order column is decoded into a transient edge
-    /// list for the scatter and dropped.
+    /// it. A mapped store scatters straight from its sorted edge section,
+    /// with no transient edge list.
     #[inline]
     pub fn adjacency(&self) -> &Adjacency {
         self.adjacency.get_or_init(|| {
             let (n_left, n_right) = (self.n_left(), self.n_right());
-            match &self.sorted {
-                SortedStore::Ram(s) => Adjacency::from_sorted(n_left, n_right, s.all()),
-                SortedStore::Mapped => {
-                    let sorted: Vec<Edge> = self.edges_all().iter().collect();
-                    Adjacency::from_sorted(n_left, n_right, &sorted)
+            match self.sorted {
+                SortedStore::Ram(ref s) => {
+                    Adjacency::from_sorted(n_left, n_right, s.all().iter().copied())
                 }
+                SortedStore::Mapped(m) => Adjacency::from_sorted(
+                    n_left,
+                    n_right,
+                    (0..m.n_edges()).map(|i| m.sorted_edge(i)),
+                ),
             }
         })
     }
@@ -379,8 +371,8 @@ impl<'g> PreparedGraph<'g> {
     fn seq_prefix(&self, end: usize) -> EdgeSeq<'_> {
         match &self.sorted {
             SortedStore::Ram(s) => EdgeSeq::Ram(&s.all()[..end]),
-            SortedStore::Mapped => EdgeSeq::Mapped {
-                store: self.mapped(),
+            SortedStore::Mapped(store) => EdgeSeq::Mapped {
+                store,
                 start: 0,
                 end,
             },
@@ -391,7 +383,7 @@ impl<'g> PreparedGraph<'g> {
     fn count_above(&self, t: f64) -> usize {
         match &self.sorted {
             SortedStore::Ram(s) => s.count_above(t),
-            SortedStore::Mapped => self.mapped().sorted_count_above(t),
+            SortedStore::Mapped(m) => m.sorted_count_above(t),
         }
     }
 
@@ -399,7 +391,7 @@ impl<'g> PreparedGraph<'g> {
     fn count_at_least(&self, t: f64) -> usize {
         match &self.sorted {
             SortedStore::Ram(s) => s.count_at_least(t),
-            SortedStore::Mapped => self.mapped().sorted_count_at_least(t),
+            SortedStore::Mapped(m) => m.sorted_count_at_least(t),
         }
     }
 
@@ -642,7 +634,7 @@ mod tests {
         assert_eq!(via_map.n_right(), via_csr.n_right());
         assert_eq!(via_map.n_edges(), via_csr.n_edges());
         assert_eq!(via_map.store_bytes(), mapped.file_bytes());
-        // A v2 store sweeps straight off the file: no resident copy.
+        // A store sweeps straight off the file: no resident copy.
         assert_eq!(via_map.resident_edge_copies(), 0);
         for (a, b) in via_csr.edges_all().iter().zip(via_map.edges_all()) {
             assert_eq!((a.left, a.right), (b.left, b.right));

@@ -8,7 +8,7 @@
 //!    matcher —
 //!    produces the *identical* matching over the mapped store as over
 //!    the resident graph, at every threshold of the paper's grid;
-//! 2. **zero edge copies**: the store persists its sort-order column, so
+//! 2. **zero edge copies**: the store persists its sorted edges, so
 //!    the prepared graph reports `resident_edge_copies() == 0` until an
 //!    adjacency-consuming algorithm materializes its CSR — the
 //!    weight-descending sweep itself reads the file;
@@ -69,9 +69,9 @@ proptest! {
     #[test]
     fn mapped_sweeps_are_bit_identical_to_resident(g in arb_graph()) {
         let csr = CsrGraph::from_graph(&g);
-        let v2 = scratch_file("v2");
-        write_csr(&csr, &v2).unwrap();
-        let m2 = MappedCsr::open(&v2).unwrap();
+        let store = scratch_file("store");
+        write_csr(&csr, &store).unwrap();
+        let m2 = MappedCsr::open(&store).unwrap();
 
         let pg_ram = PreparedGraph::new(&g);
         let pg_map = PreparedGraph::from_mapped(&m2);
@@ -107,7 +107,7 @@ proptest! {
             sw_umc.step(&pg_umc, t);
         }
         prop_assert_eq!(pg_umc.resident_edge_copies(), 0, "the UMC sweep copied edges");
-        std::fs::remove_file(&v2).ok();
+        std::fs::remove_file(&store).ok();
     }
 }
 

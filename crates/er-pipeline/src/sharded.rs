@@ -12,8 +12,8 @@
 //! full collections**, and appends each finished shard's rows to one
 //! [`SlabWriter`] — column ids into the store file, raw weights into the
 //! writer's temp file. At seal the writer maps every raw weight through
-//! the normalization frame and sorts the weight-descending sort-order
-//! column in bounded runs, so the finished version-2 [`MappedCsr`]
+//! the normalization frame and sorts the weight-descending sorted edge
+//! section in bounded runs, so the finished version-3 [`MappedCsr`]
 //! store can be swept mmap-native without ever hydrating. Peak resident
 //! edges stay bounded by the shard budget (see below) — the corpus's
 //! dense edge set, and even its pruned top-k edge set, never needs to
@@ -60,8 +60,8 @@
 //!    rows are written right-ascending, which is exactly the canonical
 //!    order `CsrGraph::from_graph` produces. Same edges, same weights,
 //!    same layout: every row's bytes are a function of that row's
-//!    triples alone, however the rows were sharded. The sort-order
-//!    column is sorted by the *stored* (normalized) weights under the
+//!    triples alone, however the rows were sharded. The sorted edge
+//!    section is sorted by the *stored* (normalized) weights under the
 //!    store's one order key, which `MappedCsr::open` re-validates.
 //!
 //! DESIGN.md §18 and §20 spell the argument out against the on-disk
@@ -198,7 +198,7 @@ impl SpillState {
 /// Build the top-k graph of `function` **out of core**: bounded shards
 /// through the streaming engine, their rows written straight into a
 /// columnar on-disk store at `out_path` — opened and returned as a
-/// file-backed [`MappedCsr`] view (sort-order column included),
+/// file-backed [`MappedCsr`] view (sorted edge section included),
 /// bit-identical to what the in-RAM
 /// [`build_graph_topk`](crate::build_graph_topk) path would have
 /// produced (see the module docs for the argument), with the frame and

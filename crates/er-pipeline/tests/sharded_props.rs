@@ -20,8 +20,8 @@
 //!    single-shard case;
 //! 4. **one byte format from both store writers**: at one to four
 //!    scoring threads, the store file the sharded build writes is
-//!    *byte-identical* to `write_csr` of the in-RAM build — sort-order
-//!    column, checksum and all;
+//!    *byte-identical* to `write_csr` of the in-RAM build — sorted edge
+//!    section, checksum and all;
 //! 5. **the budget bites on a realistic corpus** (fixed seed): on the
 //!    generated movies linkage (D7 at scale 0.05), the shard budget is
 //!    strictly below the stored edge count, so the build really holds
