@@ -185,13 +185,16 @@ mod tests {
 
     #[test]
     fn save_load_round_trip() {
-        let dir = std::env::temp_dir().join("ccer-io-test");
+        // Removed once the test passes; a failing run leaves it, and its
+        // captured output names it.
+        let dir = std::env::temp_dir().join(format!("ccer-io-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
+        eprintln!("scratch directory {}", dir.display());
         let g = sample();
         let path = dir.join("g.tsv");
         save(&g, &path).unwrap();
         let back = load(&path).unwrap();
         assert_eq!(back.n_edges(), g.n_edges());
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -11,7 +11,7 @@
 //! behaviour behind the paper's weak schema-agnostic semantic results.
 
 use crate::dense::{normalize_slice, scale_slice, DenseVector};
-use crate::hashing::{anisotropy_direction, pseudo_unit_vector_into};
+use crate::hashing::{anisotropy_direction, pseudo_unit_vectors_into};
 use crate::vocab::{self, KernelScratch, UnitModel};
 
 pub(crate) const ALBERT_SEED: u64 = 0xa1be_0007;
@@ -77,7 +77,8 @@ impl UnitModel for AlbertLike {
     }
 
     /// `0.6·e(token) + 0.2·e(prev⊕token) + 0.2·e(token⊕next)`, normalized,
-    /// into `out`; each signature is hashed from one reused key buffer.
+    /// into `out`; both signatures sit in one reused key buffer, and the
+    /// three vectors come from one lane-kernel call.
     fn unit_vector_into(
         &self,
         [prev, tok, next]: [&str; 3],
@@ -85,16 +86,22 @@ impl UnitModel for AlbertLike {
         out: &mut [f32],
     ) {
         let KernelScratch { key, unit, .. } = s;
-        unit.resize(self.dim, 0.0);
-        pseudo_unit_vector_into(tok.as_bytes(), ALBERT_SEED, out);
+        key.clear();
+        key.push_str(prev);
+        key.push('\u{1}');
+        key.push_str(tok);
+        let split = key.len();
+        key.push_str(tok);
+        key.push('\u{1}');
+        key.push_str(next);
+        let (before, after) = key.as_bytes().split_at(split);
+        let dim = self.dim;
+        unit.resize(3 * dim, 0.0);
+        pseudo_unit_vectors_into(&[tok.as_bytes(), before, after], ALBERT_SEED, unit);
+        out.copy_from_slice(&unit[..dim]);
         scale_slice(out, 0.6);
-        for (a, b) in [(prev, tok), (tok, next)] {
-            key.clear();
-            key.push_str(a);
-            key.push('\u{1}');
-            key.push_str(b);
-            pseudo_unit_vector_into(key.as_bytes(), ALBERT_SEED, unit);
-            for (o, &u) in out.iter_mut().zip(unit.iter()) {
+        for context in [&unit[dim..2 * dim], &unit[2 * dim..]] {
+            for (o, &u) in out.iter_mut().zip(context) {
                 *o += 0.2 * u;
             }
         }

@@ -9,7 +9,7 @@
 //! sub-word units.
 
 use crate::dense::{normalize_slice, scale_slice, DenseVector};
-use crate::hashing::{anisotropy_direction, pseudo_unit_vector_into};
+use crate::hashing::{anisotropy_direction, pseudo_unit_vectors_into, KERNEL_LANES};
 use crate::vocab::{self, KernelScratch, UnitModel};
 
 pub(crate) const FASTTEXT_SEED: u64 = 0xfa57_7e87;
@@ -76,9 +76,11 @@ impl UnitModel for FastTextLike {
 
     /// Embed one token into `out`: the normalized sum of its
     /// boundary-marked character 3–6-gram vectors plus the full-word
-    /// vector. Every n-gram is hashed as a byte slice of the marked token (cut at char boundaries, so
-    /// the bytes equal the `String` the n-gram's chars would collect
-    /// into) and its unit vector added straight into the sum.
+    /// vector. Every n-gram is hashed as a byte slice of the marked token
+    /// (cut at char boundaries, so the bytes equal the `String` the
+    /// n-gram's chars would collect into). The n-grams go through the
+    /// lane kernel in groups of [`KERNEL_LANES`], and their vectors are
+    /// added into the sum in n-gram order.
     fn unit_vector_into(&self, token: &str, s: &mut KernelScratch, out: &mut [f32]) {
         let KernelScratch { key, bounds, unit } = s;
         key.clear();
@@ -89,27 +91,36 @@ impl UnitModel for FastTextLike {
         bounds.extend(key.char_indices().map(|(i, _)| i));
         bounds.push(key.len());
         let n_chars = bounds.len() - 1;
-        unit.resize(self.dim, 0.0);
+        let dim = self.dim;
+        unit.resize(KERNEL_LANES * dim, 0.0);
         out.fill(0.0);
-        let mut add = |bytes: &[u8]| {
-            pseudo_unit_vector_into(bytes, FASTTEXT_SEED, unit);
-            for (a, &b) in out.iter_mut().zip(unit.iter()) {
-                *a += b;
+        let mut add = |grams: &[&[u8]]| {
+            let vectors = &mut unit[..grams.len() * dim];
+            pseudo_unit_vectors_into(grams, FASTTEXT_SEED, vectors);
+            for k in 0..grams.len() {
+                for (a, &b) in out.iter_mut().zip(&vectors[k * dim..(k + 1) * dim]) {
+                    *a += b;
+                }
             }
         };
-        let mut parts = 0usize;
-        for n in 3..=6 {
-            if n_chars < n {
-                break;
-            }
-            for start in 0..=n_chars - n {
-                add(&key.as_bytes()[bounds[start]..bounds[start + n]]);
-                parts += 1;
+        let key = key.as_bytes();
+        // The whole word is always one of the units, after the n-grams.
+        let grams = (3..=n_chars.min(6))
+            .flat_map(|n| (0..=n_chars - n).map(move |start| (start, n)))
+            .map(|(start, n)| &key[bounds[start]..bounds[start + n]])
+            .chain(std::iter::once(key));
+        let mut group: [&[u8]; KERNEL_LANES] = [&[]; KERNEL_LANES];
+        let (mut len, mut parts) = (0, 0usize);
+        for gram in grams {
+            group[len] = gram;
+            len += 1;
+            parts += 1;
+            if len == KERNEL_LANES {
+                add(&group);
+                len = 0;
             }
         }
-        // The whole word is always one of the units.
-        add(key.as_bytes());
-        parts += 1;
+        add(&group[..len]);
         scale_slice(out, 1.0 / parts as f32);
         normalize_slice(out);
     }

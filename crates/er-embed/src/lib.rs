@@ -28,10 +28,11 @@
 //!
 //! # Encoding at kernel speed
 //!
-//! The hash kernels write each n-gram / context-signature unit vector
-//! into a reused buffer ([`hashing::pseudo_unit_vector_into`]): an n-gram
-//! is hashed as a byte slice of the marked token, cut at char
-//! boundaries, with no `String` or `Vec` per n-gram. Over a collection,
+//! The hash kernels write the n-gram / context-signature unit vectors,
+//! up to eight keys interleaved per call, into a reused buffer
+//! ([`hashing::pseudo_unit_vectors_into`]): an n-gram is hashed as a
+//! byte slice of the marked token, cut at char boundaries, with no
+//! `String` or `Vec` per n-gram. Over a collection,
 //! [`Encoder::encode_all`](measures::Encoder::encode_all) and
 //! [`Encoder::token_units`](measures::Encoder::token_units) ([`vocab`])
 //! number the distinct token *units* — fastText tokens, ALBERT

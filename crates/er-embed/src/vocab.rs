@@ -18,9 +18,9 @@ use er_textsim::normalize_text;
 
 use crate::dense::DenseVector;
 
-/// Reusable buffers of the unit kernels: the key being hashed (marked
-/// token or context signature), the marked token's char boundaries, and
-/// one hashed unit vector.
+/// Reusable buffers of the unit kernels: the keys being hashed (marked
+/// token or context signatures), the marked token's char boundaries, and
+/// the hash kernel's output, one vector per lane.
 #[derive(Default)]
 pub(crate) struct KernelScratch {
     pub(crate) key: String,

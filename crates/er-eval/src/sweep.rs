@@ -19,8 +19,8 @@
 //!   except BAH, whose step costs one full swap search whatever it
 //!   admits: with more than one worker its grid is cut into one
 //!   contiguous slice per worker, and the slices search one shared
-//!   contribution map ([`er_matchers::BahMap`]) instead of stepping a
-//!   matcher each;
+//!   contribution table and replay one move stream
+//!   ([`er_matchers::BahMap`]) instead of stepping a matcher each;
 //! * the units fan out over the workers of the `er_core::par` pool (the
 //!   same pool `er-pipeline`'s corpus runner uses), and one selection
 //!   rule folds each algorithm's unit outcomes back into its result.
@@ -240,16 +240,13 @@ fn sweep_unit(
             // every edge above the grid's lowest point, and searches again
             // only where the step admitted edges (as `BahDelta` does).
             let floor = grid.values().next().expect("a grid is never empty");
-            let map = bah_map.get_or_init(|| BahMap::new(g, floor));
+            let map = bah_map.get_or_init(|| BahMap::new(g, floor, config.bah));
             let mut searched: Option<(usize, Matching)> = None;
             Box::new(move |t| {
                 let admitted = g.edges_above(t).len();
                 match &searched {
                     Some((n, m)) if *n == admitted => m.clone(),
-                    _ => searched
-                        .insert((admitted, map.search(t, config.bah)))
-                        .1
-                        .clone(),
+                    _ => searched.insert((admitted, map.search(t))).1.clone(),
                 }
             })
         } else {

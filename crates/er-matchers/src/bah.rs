@@ -49,18 +49,6 @@ pub struct Bah {
     pub config: BahConfig,
 }
 
-impl Bah {
-    /// BAH with a specific seed and the paper's default budgets.
-    pub fn with_seed(seed: u64) -> Self {
-        Bah {
-            config: BahConfig {
-                seed,
-                ..BahConfig::default()
-            },
-        }
-    }
-}
-
 impl Matcher for Bah {
     fn name(&self) -> &'static str {
         "BAH"
@@ -68,51 +56,115 @@ impl Matcher for Bah {
 
     fn run_view(&self, view: &EdgeView<'_, '_>) -> Matching {
         let t = view.threshold();
-        BahMap::new(view.prepared(), t).search(t, self.config)
+        BahMap::new(view.prepared(), t, self.config).search(t)
     }
 }
 
-/// BAH's contribution map over every edge of a graph above a floor
-/// threshold, built once and searched read-only at any threshold at or
-/// above the floor.
+/// The most moves a [`BahMap`] keeps drawn: 8 MiB of `(i, j)` pairs.
+/// Past them a search draws on from a saved clone of the generator, so
+/// memory stays bounded for any `max_moves`.
+const MOVE_PREFIX_CAP: usize = 1 << 20;
+
+/// BAH's contributions over every edge of a graph above a floor
+/// threshold, and its move stream, built once and searched read-only at
+/// any threshold at or above the floor.
 ///
 /// Pair contribution d(big, small) is the edge weight when it exceeds the
 /// threshold searched at, else 0, so a search at `t` counts the entries
 /// at or below `t` as absent and returns exactly [`Bah`]'s matching at
-/// `t`. Searches at different thresholds — the sweep engine's BAH grid
-/// slices, run concurrently — thus share one map instead of each
-/// building its own.
+/// `t`. The moves — the random `(i, j)` pairs of driver entities — depend
+/// only on the seed and the driver side's size, never on `t`, so every
+/// search replays one stream. Searches at different thresholds — the
+/// sweep engine's BAH grid slices, run concurrently — thus share one
+/// table and one stream instead of each building and drawing its own.
 pub struct BahMap {
     n_left: u32,
     n_right: u32,
     floor: f64,
-    d: FxHashMap<(u32, u32), f64>,
+    config: BahConfig,
+    d: Contributions,
+    moves: MoveStream,
 }
 
-impl BahMap {
-    /// The map of `g`'s edges with `weight > floor`.
-    pub fn new(g: &PreparedGraph<'_>, floor: f64) -> Self {
+/// The contribution lookup of a [`BahMap`], keyed by the driver
+/// orientation.
+enum Contributions {
+    /// Row-major `n_big × n_small` weights, −∞ where the pair has no
+    /// edge above the floor.
+    Dense { n_small: usize, w: Vec<f64> },
+    /// The edges above the floor.
+    Map(FxHashMap<(u32, u32), f64>),
+}
+
+impl Contributions {
+    /// The dense table when it has at most two cells per edge — 16 bytes
+    /// an edge, never more than the map's 16-byte entries plus control
+    /// bytes at its load factor — else the map.
+    fn new(g: &PreparedGraph<'_>, floor: f64) -> Self {
+        let cells = u64::from(g.n_left()) * u64::from(g.n_right());
+        if cells <= 2 * g.edges_above(floor).len() as u64 {
+            Self::dense(g, floor)
+        } else {
+            Self::map(g, floor)
+        }
+    }
+
+    fn dense(g: &PreparedGraph<'_>, floor: f64) -> Self {
         let (n_left, n_right) = (g.n_left(), g.n_right());
         let left_drives = left_drives(n_left, n_right);
+        let (_, n_small) = sides(n_left, n_right);
+        let mut w = vec![f64::NEG_INFINITY; n_left as usize * n_right as usize];
+        for e in g.edges_above(floor) {
+            let (big, small) = driver_key(e.left, e.right, left_drives);
+            w[big as usize * n_small + small as usize] = e.weight;
+        }
+        Contributions::Dense { n_small, w }
+    }
+
+    fn map(g: &PreparedGraph<'_>, floor: f64) -> Self {
+        let left_drives = left_drives(g.n_left(), g.n_right());
         let edges = g.edges_above(floor);
         let mut d = FxHashMap::default();
         d.reserve(edges.len());
         for e in edges {
             d.insert(driver_key(e.left, e.right, left_drives), e.weight);
         }
+        Contributions::Map(d)
+    }
+}
+
+impl BahMap {
+    /// The contributions of `g`'s edges with `weight > floor`, and the
+    /// move stream of `config`.
+    pub fn new(g: &PreparedGraph<'_>, floor: f64, config: BahConfig) -> Self {
+        let (n_left, n_right) = (g.n_left(), g.n_right());
+        let (n_big, _) = sides(n_left, n_right);
         BahMap {
             n_left,
             n_right,
             floor,
-            d,
+            config,
+            d: Contributions::new(g, floor),
+            moves: MoveStream::new(config, n_big, MOVE_PREFIX_CAP),
         }
     }
 
     /// BAH's matching at threshold `t`, which must not lie below the
     /// map's floor.
-    pub fn search(&self, t: f64, config: BahConfig) -> Matching {
+    pub fn search(&self, t: f64) -> Matching {
         debug_assert!(t >= self.floor, "search below the map's floor");
-        search(self.n_left, self.n_right, above(&self.d, t), config)
+        let (n_left, n_right, moves) = (self.n_left, self.n_right, self.moves.replay());
+        match &self.d {
+            Contributions::Dense { n_small, w } => {
+                let n_small = *n_small;
+                let weight = move |big: u32, small: u32| {
+                    let w = w[big as usize * n_small + small as usize];
+                    (w > t).then_some(w)
+                };
+                search(n_left, n_right, weight, moves, self.config)
+            }
+            Contributions::Map(d) => search(n_left, n_right, above(d, t), moves, self.config),
+        }
     }
 }
 
@@ -121,11 +173,74 @@ fn above(d: &FxHashMap<(u32, u32), f64>, t: f64) -> impl Fn(u32, u32) -> Option<
     move |big, small| d.get(&(big, small)).copied().filter(|&w| w > t)
 }
 
+/// The first `min(max_moves, cap)` moves of a seed's stream, drawn once,
+/// and the generator's state after them.
+struct MoveStream {
+    n_big: usize,
+    prefix: Vec<(u32, u32)>,
+    rest: StdRng,
+}
+
+impl MoveStream {
+    fn new(config: BahConfig, n_big: usize, cap: usize) -> Self {
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        // A driver side of fewer than two entities makes no move.
+        let len = if n_big < 2 {
+            0
+        } else {
+            usize::try_from(config.max_moves).map_or(cap, |m| m.min(cap))
+        };
+        let prefix = (0..len)
+            .map(|_| {
+                let (i, j) = draw(&mut rng, n_big);
+                (i as u32, j as u32)
+            })
+            .collect();
+        MoveStream {
+            n_big,
+            prefix,
+            rest: rng,
+        }
+    }
+
+    /// The stream from its first move.
+    fn replay(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let prefix = self.prefix.iter().map(|&(i, j)| (i as usize, j as usize));
+        prefix.chain(moves(self.rest.clone(), self.n_big))
+    }
+}
+
+/// The move stream of a generator over `n_big` driver entities.
+pub(crate) fn moves(mut rng: StdRng, n_big: usize) -> impl Iterator<Item = (usize, usize)> {
+    std::iter::repeat_with(move || draw(&mut rng, n_big))
+}
+
+/// One move: two distinct driver entities, uniformly at random.
+#[inline]
+fn draw(rng: &mut StdRng, n_big: usize) -> (usize, usize) {
+    let i = rng.gen_range(0..n_big);
+    let mut j = rng.gen_range(0..n_big - 1);
+    if j >= i {
+        j += 1;
+    }
+    (i, j)
+}
+
 /// Orientation: the "driver" side is the larger collection, as in the
 /// pseudocode (|V1| > |V2|); ties keep the left side as driver.
 #[inline]
 pub(crate) fn left_drives(n_left: u32, n_right: u32) -> bool {
     n_left >= n_right
+}
+
+/// `(n_big, n_small)`: the driver side's size, then the other side's.
+#[inline]
+pub(crate) fn sides(n_left: u32, n_right: u32) -> (usize, usize) {
+    if left_drives(n_left, n_right) {
+        (n_left as usize, n_right as usize)
+    } else {
+        (n_right as usize, n_left as usize)
+    }
 }
 
 /// The contribution-map key for an edge under the given orientation.
@@ -138,24 +253,24 @@ pub(crate) fn driver_key(left: u32, right: u32, left_drives: bool) -> (u32, u32)
     }
 }
 
-/// The swap search proper, over a contribution lookup: `weight(big,
-/// small)` is the retained edge's weight, `None` when the pair has none.
-/// Shared by [`BahMap`] (hence the one-shot [`Matcher`] path), whose
-/// lookup skips the entries at or below the searched threshold, and the
+/// The swap search proper, over a contribution lookup and a move
+/// stream: `weight(big, small)` is the retained edge's weight, `None`
+/// when the pair has none, and `moves` yields the seed's `(i, j)` pairs
+/// (see [`moves`]). Shared by [`BahMap`] (hence the one-shot [`Matcher`]
+/// path), whose lookup skips the entries at or below the searched
+/// threshold and whose moves replay one drawn stream, and the
 /// incremental [`crate::delta::BahDelta`], which maintains a map of
-/// exactly the retained edges across threshold steps and graph deltas.
+/// exactly the retained edges across threshold steps and graph deltas
+/// and draws its moves afresh.
 pub(crate) fn search(
     n_left: u32,
     n_right: u32,
     weight: impl Fn(u32, u32) -> Option<f64>,
+    mut moves: impl Iterator<Item = (usize, usize)>,
     config: BahConfig,
 ) -> Matching {
     let left_drives = left_drives(n_left, n_right);
-    let (n_big, n_small) = if left_drives {
-        (n_left as usize, n_right as usize)
-    } else {
-        (n_right as usize, n_left as usize)
-    };
+    let (n_big, n_small) = sides(n_left, n_right);
     if n_small == 0 {
         return Matching::empty();
     }
@@ -177,7 +292,6 @@ pub(crate) fn search(
         .map(|(i, &p)| contrib(i as u32, p))
         .collect();
 
-    let mut rng = StdRng::seed_from_u64(config.seed);
     let start = Instant::now();
     if n_big >= 2 {
         for step in 0..config.max_moves {
@@ -186,14 +300,7 @@ pub(crate) fn search(
             if step % 256 == 0 && start.elapsed() > config.time_limit {
                 break;
             }
-            let i = rng.gen_range(0..n_big);
-            let j = {
-                let mut j = rng.gen_range(0..n_big - 1);
-                if j >= i {
-                    j += 1;
-                }
-                j
-            };
+            let (i, j) = moves.next().expect("the move stream is endless");
             let (pi, pj) = (partner[i], partner[j]);
             // The contributions i and j would have after the swap.
             let (mut ci, mut cj) = (0.0, 0.0);
@@ -236,10 +343,16 @@ mod tests {
     use super::*;
     use crate::mcf::mcf_matching;
     use crate::testkit::{diamond, figure1};
-    use er_core::GraphBuilder;
+    use er_core::{GraphBuilder, SimilarityGraph};
+    use proptest::prelude::*;
 
     fn bah() -> Bah {
-        Bah::with_seed(7)
+        Bah {
+            config: BahConfig {
+                seed: 7,
+                ..BahConfig::default()
+            },
+        }
     }
 
     /// The four-lookup swap search over a map holding only the retained
@@ -325,6 +438,83 @@ mod tests {
         d
     }
 
+    fn n_big(n_left: u32, n_right: u32) -> usize {
+        sides(n_left, n_right).0
+    }
+
+    /// A graph of 0–21 entities a side (so a smaller side of 0 or 1 and a
+    /// driver side of 1 occur, and so do graphs large enough that every
+    /// move of the stream shapes the result) with weights on a 0.05 grid,
+    /// at a density drawn from 0 to 1, so graphs fall on both sides of
+    /// the dense table's two-cells-per-edge rule.
+    fn arb_graph() -> impl Strategy<Value = SimilarityGraph> {
+        let side = || proptest::sample::select(vec![0u32, 1, 1, 2, 3, 5, 8, 13, 21]);
+        (side(), side(), 0.0f64..=1.0, 0u64..u64::MAX).prop_map(|(nl, nr, density, seed)| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut b = GraphBuilder::new(nl, nr);
+            for l in 0..nl {
+                for r in 0..nr {
+                    if rng.gen_bool(density) {
+                        b.add_edge(l, r, f64::from(rng.gen_range(1..=20u32)) / 20.0)
+                            .unwrap();
+                    }
+                }
+            }
+            b.build()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Both of [`BahMap`]'s tables, built below every searched
+        /// threshold and replaying a move stream whose drawn prefix
+        /// (`cap` moves) may end before, at or after the budget, search
+        /// exactly like the four-lookup reference over the edges above
+        /// `t` — for `t` below, at and above the weights.
+        #[test]
+        fn bah_map_tables_match_the_four_lookup_reference(
+            g in arb_graph(),
+            max_moves in proptest::sample::select(vec![0u64, 1, 255, 257, 10_000]),
+            cap in 0usize..300,
+            seed in 0u64..4,
+        ) {
+            let pg = PreparedGraph::new(&g);
+            let (n_left, n_right) = (g.n_left(), g.n_right());
+            let drives = left_drives(n_left, n_right);
+            let config = BahConfig { max_moves, seed, ..BahConfig::default() };
+            let cells = u64::from(n_left) * u64::from(n_right);
+            let chosen = BahMap::new(&pg, 0.0, config);
+            prop_assert_eq!(
+                matches!(chosen.d, Contributions::Dense { .. }),
+                cells <= 2 * g.n_edges() as u64
+            );
+            let table = |d| BahMap {
+                n_left,
+                n_right,
+                floor: 0.0,
+                config,
+                d,
+                moves: MoveStream::new(config, n_big(n_left, n_right), cap),
+            };
+            let dense = table(Contributions::dense(&pg, 0.0));
+            let map = table(Contributions::map(&pg, 0.0));
+            let at_a_weight = g.edges().get(g.n_edges() / 2).map_or(0.5, |e| e.weight);
+            for t in [0.0, at_a_weight, 0.5, 1.0] {
+                let retained: FxHashMap<(u32, u32), f64> = g
+                    .edges()
+                    .iter()
+                    .filter(|e| e.weight > t)
+                    .map(|e| (driver_key(e.left, e.right, drives), e.weight))
+                    .collect();
+                let want = search_reference(n_left, n_right, &retained, config);
+                prop_assert_eq!(&dense.search(t), &want, "dense table, t {}", t);
+                prop_assert_eq!(&map.search(t), &want, "map, t {}", t);
+                prop_assert_eq!(&chosen.search(t), &want, "rule's choice, t {}", t);
+            }
+        }
+    }
+
     #[test]
     fn two_lookup_search_matches_the_four_lookup_reference() {
         let mut rng = StdRng::seed_from_u64(0xba4);
@@ -351,8 +541,9 @@ mod tests {
                             seed,
                             ..BahConfig::default()
                         };
+                        let drawn = moves(StdRng::seed_from_u64(seed), n_big(n_left, n_right));
                         assert_eq!(
-                            search(n_left, n_right, above(&d, t), config),
+                            search(n_left, n_right, above(&d, t), drawn, config),
                             search_reference(n_left, n_right, &cut, config),
                             "case {case} ({n_left}x{n_right}), t {t}, max_moves {max_moves}, \
                              seed {seed}"
@@ -363,8 +554,9 @@ mod tests {
                     time_limit: Duration::ZERO,
                     ..BahConfig::default()
                 };
+                let drawn = moves(StdRng::seed_from_u64(stopped.seed), n_big(n_left, n_right));
                 assert_eq!(
-                    search(n_left, n_right, above(&d, t), stopped),
+                    search(n_left, n_right, above(&d, t), drawn, stopped),
                     search_reference(n_left, n_right, &cut, stopped),
                     "case {case}, t {t}: zero time limit"
                 );
@@ -378,12 +570,12 @@ mod tests {
         // below the searched threshold count as absent.
         let g = figure1();
         let pg = PreparedGraph::new(&g);
-        let shared = BahMap::new(&pg, 0.0);
+        let config = bah().config;
+        let shared = BahMap::new(&pg, 0.0, config);
         for t in [0.0, 0.3, 0.5, 0.6, 0.7, 0.9, 1.0] {
-            let config = bah().config;
             assert_eq!(
-                shared.search(t, config),
-                BahMap::new(&pg, t).search(t, config),
+                shared.search(t),
+                BahMap::new(&pg, t, config).search(t),
                 "t = {t}"
             );
         }
@@ -417,8 +609,14 @@ mod tests {
     fn deterministic_per_seed() {
         let g = diamond();
         let pg = PreparedGraph::new(&g);
-        let a = Bah::with_seed(99).run(&pg, 0.1);
-        let b = Bah::with_seed(99).run(&pg, 0.1);
+        let seeded = Bah {
+            config: BahConfig {
+                seed: 99,
+                ..BahConfig::default()
+            },
+        };
+        let a = seeded.run(&pg, 0.1);
+        let b = seeded.run(&pg, 0.1);
         assert_eq!(a, b);
     }
 
@@ -481,7 +679,13 @@ mod tests {
         let g = figure1();
         let pg = PreparedGraph::new(&g);
         for seed in 0..5 {
-            let m = Bah::with_seed(seed).run(&pg, 0.2);
+            let seeded = Bah {
+                config: BahConfig {
+                    seed,
+                    ..BahConfig::default()
+                },
+            };
+            let m = seeded.run(&pg, 0.2);
             assert!(m.is_unique_mapping(), "seed {seed}");
         }
     }

@@ -68,8 +68,10 @@ use std::sync::OnceLock;
 use er_core::delta::{DeltaOp, RowDelta, Side};
 use er_core::float::edge_key_desc;
 use er_core::{CsrGraph, FxHashMap, Matching, Result};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
-use crate::bah::{driver_key, left_drives, search, BahConfig};
+use crate::bah::{driver_key, left_drives, moves, search, sides, BahConfig};
 use crate::cnc::{Cnc, CncFold};
 use crate::matcher::{Matcher, PreparedGraph};
 
@@ -416,10 +418,12 @@ impl BahDelta {
     }
 
     fn solve(&mut self) {
+        let (n_big, _) = sides(self.n_left, self.n_right);
         self.solved = Solved::new(search(
             self.n_left,
             self.n_right,
             |big, small| self.d.get(&(big, small)).copied(),
+            moves(StdRng::seed_from_u64(self.config.seed), n_big),
             self.config,
         ));
     }

@@ -16,7 +16,7 @@
 //!    sweeps from multiple threads (the mmap read surface is `Sync`),
 //!    each bit-identical to the resident reference.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use er_core::{write_csr, CsrGraph, GraphBuilder, MappedCsr, SimilarityGraph, ThresholdGrid};
@@ -26,13 +26,24 @@ use proptest::prelude::*;
 
 static NEXT_FILE: AtomicUsize = AtomicUsize::new(0);
 
+/// A store path in a fresh scratch directory (proptest shrinks re-enter
+/// the test body, so every invocation gets its own). The test removes the
+/// directory with [`remove_scratch`] once it passes; a failing test
+/// leaves it, and its captured output names it.
 fn scratch_file(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ccer-mapped-sweep-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(format!(
-        "{tag}-{}.slab",
+    let dir = std::env::temp_dir().join(format!(
+        "ccer-mapped-sweep-{}-{}",
+        std::process::id(),
         NEXT_FILE.fetch_add(1, Ordering::Relaxed)
-    ))
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    eprintln!("scratch directory {}", dir.display());
+    dir.join(format!("{tag}.slab"))
+}
+
+/// Remove a passing test's scratch directory.
+fn remove_scratch(file: &Path) {
+    std::fs::remove_dir_all(file.parent().expect("a scratch file has a directory")).unwrap();
 }
 
 fn arb_graph() -> impl Strategy<Value = SimilarityGraph> {
@@ -107,7 +118,7 @@ proptest! {
             sw_umc.step(&pg_umc, t);
         }
         prop_assert_eq!(pg_umc.resident_edge_copies(), 0, "the UMC sweep copied edges");
-        std::fs::remove_file(&store).ok();
+        remove_scratch(&store);
     }
 }
 
@@ -170,5 +181,5 @@ fn concurrent_readers_share_one_mapped_store() {
             });
         }
     });
-    std::fs::remove_file(&path).ok();
+    remove_scratch(&path);
 }

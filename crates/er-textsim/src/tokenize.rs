@@ -105,6 +105,54 @@ impl NGramScheme {
         }
     }
 
+    /// Call `f` with each n-gram [`extract`](Self::extract) returns, in
+    /// its order and with its bytes, but with no `String` per n-gram: a
+    /// char n-gram is a slice of `s` cut at char boundaries, a token
+    /// 1-gram is the token, and a longer token n-gram is joined by single
+    /// spaces into one reused buffer.
+    pub fn for_each_ngram(&self, s: &str, mut f: impl FnMut(&str)) {
+        match *self {
+            NGramScheme::Char(n) => {
+                assert!(n > 0, "n-gram size must be positive");
+                if s.is_empty() {
+                    return;
+                }
+                let bounds = || s.char_indices().map(|(i, _)| i).chain([s.len()]);
+                let mut ends = bounds().skip(n).peekable();
+                if ends.peek().is_none() {
+                    // Fewer than `n` chars: the whole string.
+                    return f(s);
+                }
+                for (start, end) in bounds().zip(ends) {
+                    f(&s[start..end]);
+                }
+            }
+            NGramScheme::Token(n) => {
+                assert!(n > 0, "n-gram size must be positive");
+                let toks = tokens(s);
+                if toks.is_empty() {
+                    return;
+                }
+                let mut joined = String::new();
+                // At most `n` tokens: one n-gram of them all.
+                for w in toks.windows(n.min(toks.len())) {
+                    if let [t] = w {
+                        f(t);
+                        continue;
+                    }
+                    joined.clear();
+                    for (k, t) in w.iter().enumerate() {
+                        if k > 0 {
+                            joined.push(' ');
+                        }
+                        joined.push_str(t);
+                    }
+                    f(&joined);
+                }
+            }
+        }
+    }
+
     /// Short display name, e.g. `c3` or `t2`.
     pub fn short_name(&self) -> String {
         match *self {

@@ -213,12 +213,8 @@ impl VectorModel {
     /// in ascending term order — the order of a [`SparseVector`] and of a
     /// [`TermArena`] row.
     pub fn sorted_term_frequencies(&self, text: &str) -> Vec<(u64, f64)> {
-        let mut ids: Vec<u64> = self
-            .scheme
-            .extract(text)
-            .iter()
-            .map(|g| term_id(g))
-            .collect();
+        let mut ids: Vec<u64> = Vec::new();
+        self.scheme.for_each_ngram(text, |g| ids.push(term_id(g)));
         let n = ids.len() as f64;
         ids.sort_unstable();
         let mut tf: Vec<(u64, f64)> = Vec::new();

@@ -7,6 +7,7 @@
 //! which must keep the per-pair vector measures' bits.
 
 use er_core::delta::Side;
+use er_textsim::vector::term_id;
 use er_textsim::{
     char_ngrams, levenshtein_distance_classic, normalize_text, osa_bounded, sorted_common_count,
     token_ngrams, BandRows, CharMeasure, CharScratch, CharTable, DenseProbe, DfIndex,
@@ -568,6 +569,50 @@ proptest! {
                     }
                 }
             }
+        }
+    }
+}
+
+/// Texts over letters of every UTF-8 width, a scalar whose lowercase
+/// changes length (`İ`), punctuation and whitespace of several kinds and
+/// widths (space, tab, newline, U+0085, U+3000), so texts with runs of
+/// spaces, leading and trailing whitespace, tokens joined by other
+/// whitespace, fewer chars or tokens than `n`, and empty texts all occur.
+fn arb_spaced_text() -> impl Strategy<Value = String> {
+    let alphabet = vec![
+        'a', 'b', 'é', '漢', '🦀', 'İ', '-', ' ', ' ', ' ', '\t', '\n', '\u{85}', '\u{3000}',
+    ];
+    proptest::collection::vec(proptest::sample::select(alphabet), 0..24)
+        .prop_map(|cs| cs.into_iter().collect())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// For all six schemes, the TF list hashed straight from the text ≡
+    /// the TF list of `extract`'s `String`s, bit for bit, and the n-grams
+    /// the walk hashes are `extract`'s.
+    #[test]
+    fn text_walk_tf_matches_the_extracted_ngrams_tf(text in arb_spaced_text()) {
+        for scheme in NGramScheme::all() {
+            let grams = scheme.extract(&text);
+            let mut walked = Vec::new();
+            scheme.for_each_ngram(&text, |g| walked.push(g.to_string()));
+            prop_assert_eq!(&walked, &grams, "{:?} of {:?}", scheme, text);
+            let mut counts = std::collections::BTreeMap::<u64, f64>::new();
+            for g in &grams {
+                *counts.entry(term_id(g)).or_insert(0.0) += 1.0;
+            }
+            let want: Vec<(u64, u64)> = counts
+                .into_iter()
+                .map(|(t, c)| (t, (c / grams.len() as f64).to_bits()))
+                .collect();
+            let got: Vec<(u64, u64)> = VectorModel::new(scheme)
+                .sorted_term_frequencies(&text)
+                .into_iter()
+                .map(|(t, w)| (t, w.to_bits()))
+                .collect();
+            prop_assert_eq!(got, want, "{:?} of {:?}", scheme, text);
         }
     }
 }
