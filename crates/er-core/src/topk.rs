@@ -127,6 +127,7 @@ impl TopKRow {
     /// assert!(row.offer(2, 0.8), "better weight displaces the survivor");
     /// assert!(!row.offer(9, 0.1), "worse candidates are rejected");
     /// ```
+    #[inline]
     pub fn offer(&mut self, right: u32, weight: f64) -> bool {
         if self.k == 0 {
             return false;

@@ -107,5 +107,6 @@ mod tests {
             assert!(p.exists(), "{} missing", p.display());
             std::fs::remove_file(p).ok();
         }
+        std::fs::remove_dir(&dir).ok();
     }
 }

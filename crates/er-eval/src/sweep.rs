@@ -17,8 +17,8 @@
 //!   map, and the other matchers re-run only when the view moved;
 //! * a unit is an algorithm over the whole grid — BMC once per basis —
 //!   except BAH, whose step costs one full swap search whatever it
-//!   admits: with more than one worker its grid is cut into one
-//!   contiguous slice per worker, and the slices search one shared
+//!   admits: its grid is cut into one contiguous slice per worker (one
+//!   whole-grid slice for one worker), and the slices search one shared
 //!   contribution table and replay one move stream
 //!   ([`er_matchers::BahMap`]) instead of stepping a matcher each;
 //! * the units fan out over the workers of the `er_core::par` pool (the
@@ -234,28 +234,27 @@ fn sweep_unit(
         },
         None => *config,
     };
-    let mut matching_at: Box<dyn FnMut(f64) -> Matching + '_> =
-        if unit.kind == AlgorithmKind::Bah && unit.points.len() < grid.len() {
-            // A slice searches the map shared by all slices, which holds
-            // every edge above the grid's lowest point, and searches again
-            // only where the step admitted edges (as `BahDelta` does).
-            let floor = grid.values().next().expect("a grid is never empty");
-            let map = bah_map.get_or_init(|| BahMap::new(g, floor, config.bah));
-            let mut searched: Option<(usize, Matching)> = None;
-            Box::new(move |t| {
-                let admitted = g.edges_above(t).len();
-                match &searched {
-                    Some((n, m)) if *n == admitted => m.clone(),
-                    _ => searched.insert((admitted, map.search(t))).1.clone(),
-                }
-            })
-        } else {
-            let mut matcher = config.delta_matcher(unit.kind);
-            Box::new(move |t| {
-                matcher.step(g, t);
-                matcher.matching()
-            })
-        };
+    let mut matching_at: Box<dyn FnMut(f64) -> Matching + '_> = if unit.kind == AlgorithmKind::Bah {
+        // A slice searches the map shared by all slices, which holds
+        // every edge above the grid's lowest point, and searches again
+        // only where the step admitted edges (as `BahDelta` does).
+        let floor = grid.values().next().expect("a grid is never empty");
+        let map = bah_map.get_or_init(|| BahMap::new(g, floor, config.bah));
+        let mut searched: Option<(usize, Matching)> = None;
+        Box::new(move |t| {
+            let admitted = g.edges_above(t).len();
+            match &searched {
+                Some((n, m)) if *n == admitted => m.clone(),
+                _ => searched.insert((admitted, map.search(t))).1.clone(),
+            }
+        })
+    } else {
+        let mut matcher = config.delta_matcher(unit.kind);
+        Box::new(move |t| {
+            matcher.step(g, t);
+            matcher.matching()
+        })
+    };
     let mut best_threshold = 0.0;
     let mut best = PrecisionRecall::zero(gt.len());
     let mut have_any = false;

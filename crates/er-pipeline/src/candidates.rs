@@ -24,7 +24,10 @@
 //!   the [`ProbePlan`] order over the right-side inverted index, and
 //!   generation stops at the first plan step whose *suffix bound* (the
 //!   best similarity any still-undiscovered candidate could reach) falls
-//!   strictly below the sink's admission bound.
+//!   strictly below the sink's admission bound. Batch builds of the two
+//!   cosines skip it for their weighted postings walk
+//!   (`SourceKind::for_build`); a resident service's cosine probes
+//!   still take it.
 //! * **Character edit measures** (`generate_char_candidates`) — the
 //!   length-difference and char-bag counting filters inverted into a
 //!   [`LengthBucketIndex`]: whole length buckets are skipped via the
@@ -63,7 +66,9 @@
 //! [`VectorBallIndex`]: er_embed::VectorBallIndex
 
 use er_embed::{DenseVector, VectorBallIndex};
-use er_textsim::{CharMeasure, LengthBucketIndex, ProbePlan};
+use er_textsim::{CharMeasure, LengthBucketIndex, ProbePlan, VectorMeasure};
+
+use crate::taxonomy::SimilarityFunction;
 
 /// How a streaming top-k construction produces its candidate pairs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -79,6 +84,15 @@ pub enum CandidateMode {
     /// admission bound: the generated pair count itself is `o(n²)` while
     /// the finished graph stays bit-identical to [`Enumerated`]
     /// (property-proven in `tests/candidates_props.rs`).
+    ///
+    /// The two cosine vector measures (`CosineTf`, `CosineTfIdf`) are the
+    /// exception: in both modes they walk the weighted right-side
+    /// postings, accumulating each term-sharing candidate's dot product
+    /// term-at-a-time. That walk generates every term-sharing pair, but
+    /// scores each for a few nanoseconds instead of a full arena join,
+    /// and it is faster than their prefix filter on every scheme measured
+    /// (DESIGN.md §14). Only a resident service's probes walk the cosine
+    /// prefix filter.
     ///
     /// [`Enumerated`]: CandidateMode::Enumerated
     Indexed,
@@ -103,11 +117,24 @@ pub(crate) enum CandidateSource<I> {
 pub(crate) type SourceKind = CandidateSource<()>;
 
 impl SourceKind {
-    /// The source a streaming top-k build in `mode` walks.
-    pub(crate) fn of_mode(mode: CandidateMode) -> Self {
+    /// The source a streaming top-k batch build of `function` in `mode`
+    /// walks — the one place the rule lives. `Indexed` takes the branch's
+    /// candidate index, except on the two cosine vector measures: their
+    /// enumeration is the weighted postings walk, which accumulates every
+    /// term-sharing candidate's dot product term-at-a-time and beats the
+    /// prefix filter's per-candidate arena join on every scheme measured
+    /// (DESIGN.md §14). Both sources emit the same graph bit for bit.
+    pub(crate) fn for_build(mode: CandidateMode, function: &SimilarityFunction) -> Self {
+        let cosine = matches!(
+            function,
+            SimilarityFunction::SchemaAgnosticVector {
+                measure: VectorMeasure::CosineTf | VectorMeasure::CosineTfIdf,
+                ..
+            }
+        );
         match mode {
-            CandidateMode::Enumerated => CandidateSource::Enumerate,
-            CandidateMode::Indexed => CandidateSource::Index(()),
+            CandidateMode::Indexed if !cosine => CandidateSource::Index(()),
+            _ => CandidateSource::Enumerate,
         }
     }
 
@@ -252,9 +279,14 @@ pub(crate) fn generate_ball_candidates(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use er_core::FxHashMap;
+    use er_core::{FxHashMap, Side, TopKRow};
+    use er_datasets::{EntityCollection, EntityProfile};
     use er_embed::inverse_distance_bound;
-    use er_textsim::{CharTable, SparseVector, VectorMeasure};
+    use er_textsim::{CharTable, NGramScheme, SparseVector};
+    use proptest::prelude::*;
+
+    use crate::config::PipelineConfig;
+    use crate::graphgen::{EdgeSink, RowScorer, Triple, VectorScorer};
 
     /// The postings of `term`; none for a term no vector holds.
     fn postings_of(postings: &FxHashMap<u64, Vec<u32>>, term: u64) -> &[u32] {
@@ -429,5 +461,110 @@ mod tests {
         );
         near.sort_unstable();
         assert_eq!(near, vec![0, 1], "far ball must be cut off");
+    }
+
+    /// A one-row top-k sink, as the batch build's and a resident probe's
+    /// sinks keep a row: its admission bound is the heap's k-th weight.
+    struct RowSink(TopKRow);
+
+    impl EdgeSink for RowSink {
+        fn emit(&mut self, _: u32, other: u32, weight: f64) {
+            self.0.offer(other, weight);
+        }
+
+        fn admission_bound(&self) -> f64 {
+            self.0.admission_bound()
+        }
+
+        fn into_triples(mut self) -> Vec<Triple> {
+            let mut row = Vec::new();
+            self.0.drain_sorted_into(&mut row);
+            row.into_iter().map(|(j, w)| (0, j, w)).collect()
+        }
+    }
+
+    /// Every row of `side`, each through a fresh `k`-row sink, as
+    /// `(other, weight bits)` in the sink's order.
+    fn topk_rows(
+        scorer: &VectorScorer,
+        side: Side,
+        n_rows: usize,
+        source: CandidateSource<&Vec<Vec<u32>>>,
+        k: usize,
+    ) -> Vec<Vec<(u32, u64)>> {
+        let mut scratch = scorer.scratch();
+        (0..n_rows)
+            .map(|row| {
+                let mut sink = RowSink(TopKRow::new(k));
+                scorer.score_row(side, row, source, &mut scratch, &mut sink);
+                let triples = sink.into_triples();
+                triples.iter().map(|&(_, j, w)| (j, w.to_bits())).collect()
+            })
+            .collect()
+    }
+
+    /// Texts of up to four tokens over a small vocabulary, so rows share
+    /// terms, tie and come out empty.
+    fn arb_collection() -> impl Strategy<Value = EntityCollection> {
+        const WORDS: [&str; 7] = ["ab", "abc", "bcd", "cde", "x", "xy", "abcd"];
+        proptest::collection::vec(proptest::collection::vec(0usize..WORDS.len(), 0..5), 1..=7)
+            .prop_map(|texts| EntityCollection {
+                profiles: texts
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, words)| {
+                        let text: Vec<&str> = words.into_iter().map(|w| WORDS[w]).collect();
+                        EntityProfile::new(i as u32, vec![("name".into(), text.join(" "))])
+                    })
+                    .collect(),
+                attribute_names: vec!["name".into()],
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// The cosines' prefix filter, which only a resident service's
+        /// probes still walk, keeps what the batch builds' weighted
+        /// postings walk keeps: for both cosines, two schemes, either
+        /// probe side and k ∈ {0, 1, 2, 3, ∞}, every row probed through
+        /// the `Index` source equals the weighted walk's top-k row bit for
+        /// bit. The weighted walk probes only left rows against right
+        /// postings, so a right row's walk runs on the scorer of the
+        /// swapped pair — the same TF and IDF bits (the IDF counts both
+        /// sides), and products and norms that only trade operands.
+        #[test]
+        fn cosine_prefix_filter_rows_equal_the_weighted_walk(
+            left in arb_collection(),
+            right in arb_collection(),
+        ) {
+            let cfg = PipelineConfig { threads: 1 };
+            for scheme in [NGramScheme::Token(1), NGramScheme::Char(3)] {
+                for measure in [VectorMeasure::CosineTf, VectorMeasure::CosineTfIdf] {
+                    let prepare = |a, b, source| {
+                        VectorScorer::prepare(a, b, scheme, measure, source, &cfg).0
+                    };
+                    let indexed = prepare(&left, &right, CandidateSource::Index(()));
+                    let walks = [
+                        prepare(&left, &right, CandidateSource::Enumerate),
+                        prepare(&right, &left, CandidateSource::Enumerate),
+                    ];
+                    for side in [Side::Left, Side::Right] {
+                        let n_rows = [left.len(), right.len()][side as usize];
+                        let index = indexed.index(side.opposite());
+                        for k in [0, 1, 2, 3, usize::MAX] {
+                            let source = CandidateSource::Index(&index);
+                            let probed = topk_rows(&indexed, side, n_rows, source, k);
+                            let walk = &walks[side as usize];
+                            let source = CandidateSource::Enumerate;
+                            let walked = topk_rows(walk, Side::Left, n_rows, source, k);
+                            prop_assert_eq!(
+                                probed, walked, "{:?} {:?} {:?} k={}", scheme, measure, side, k
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -347,7 +347,8 @@ pub fn build_graph_over(
 /// walks each branch's own enumeration (the full cross product, or
 /// every term-sharing pair). [`CandidateMode::Indexed`] replaces it with
 /// index-driven generation under the sink's admission bound
-/// (prefix-filtered postings for the token-vector measures, length
+/// (prefix-filtered postings for the token-vector measures but the two
+/// cosines, which walk their weighted postings in both modes, length
 /// buckets with counting filters for the character measures, centroid
 /// balls for the semantic measures — see [`crate::candidates`]): pairs
 /// an index rules out are never materialized, so
@@ -400,7 +401,7 @@ pub fn build_graph_topk(
         left,
         right,
         function,
-        SourceKind::of_mode(mode),
+        SourceKind::for_build(mode, function),
         cfg,
         ScoreMode::TopK { k, acct: &acct },
     );
@@ -1568,7 +1569,9 @@ fn postings_at(postings: &[Vec<u32>], id: u32) -> &[u32] {
     postings.get(id as usize).map_or(&[], Vec::as_slice)
 }
 
-/// The right-side postings the `Enumerate` source walks, by term id.
+/// The right-side postings the `Enumerate` source walks, by term id —
+/// for the cosines also the `Indexed` batch build's walk
+/// (`SourceKind::for_build`).
 enum TermPostings {
     /// Right rows per term, each candidate scored through the arena join
     /// (every measure but the cosines).
@@ -1721,7 +1724,11 @@ impl RowScorer for VectorScorer {
             // because no product of two weights is −0.0 (DESIGN.md §19),
             // so `acc[j]` equals the per-pair dot bit for bit; the cached
             // norms and the `denom == 0 → 0` / clamp steps replicate
-            // `VectorMeasure::similarity`'s cosine arm exactly.
+            // `VectorMeasure::similarity`'s cosine arm exactly. A row
+            // that admits nothing (`k = 0`) generates nothing.
+            if out.admission_bound() == f64::INFINITY {
+                return;
+            }
             let ProbeScratch { stamp, candidates } = stamps;
             candidates.clear();
             for (&id, &wa) in probe.ids().iter().zip(probe.weights()) {
@@ -1737,7 +1744,7 @@ impl RowScorer for VectorScorer {
             }
             for &j in candidates.iter() {
                 out.note_generated();
-                let denom = probe.norm() * target.row(j as usize).norm();
+                let denom = probe.norm() * target.norm(j as usize);
                 let w = if denom == 0.0 {
                     0.0
                 } else {
@@ -3261,15 +3268,28 @@ mod tests {
 
     #[test]
     fn topk_zero_keeps_nothing() {
+        // A term-sharing enumeration scored through the arena join ignores
+        // the sink's bound; the cosines' weighted walk returns at row start
+        // when the bound is `+∞`, so it generates nothing.
         let d = tiny();
         let f = SimilarityFunction::SchemaAgnosticVector {
             scheme: NGramScheme::Token(1),
-            measure: VectorMeasure::CosineTfIdf,
+            measure: VectorMeasure::Jaccard,
         };
         let (g, stats) = topk(&d, &f, 0, &PipelineConfig::default());
         assert!(g.is_empty());
         assert_eq!(stats.peak_resident_edges, 0);
         assert!(stats.offered_edges > 0, "candidates were still scored");
+        let cosine = SimilarityFunction::SchemaAgnosticVector {
+            scheme: NGramScheme::Token(1),
+            measure: VectorMeasure::CosineTfIdf,
+        };
+        let (g, stats) = topk(&d, &cosine, 0, &PipelineConfig::default());
+        assert!(g.is_empty());
+        assert_eq!(
+            stats.generated_pairs, 0,
+            "the weighted walk skips k = 0 rows"
+        );
     }
 
     #[test]

@@ -33,7 +33,9 @@
 //!   postings, length buckets with counting filters, centroid balls)
 //!   under the sink's admission bound — [`build_graph_topk`] with
 //!   [`CandidateMode::Indexed`] — so ruled-out pairs are never
-//!   materialized while graphs stay bit-identical to enumeration;
+//!   materialized while graphs stay bit-identical to enumeration (the
+//!   two cosine vector measures walk their weighted postings instead,
+//!   which is faster than their prefix filter);
 //! * an **out-of-core build** ([`sharded`]): [`build_graph_sharded`]
 //!   scores bounded left-row shards through the same engine and appends
 //!   each finished shard's rows straight to the columnar store writer

@@ -232,7 +232,7 @@ impl SpillState {
 /// assert_eq!(mapped.to_csr(), er_core::CsrGraph::from_graph(&g));
 /// assert!(stats.peak_resident_edges <= stats.resident_budget_edges);
 /// assert_eq!(std::fs::read_dir(&sharding.spill_dir).unwrap().count(), 0);
-/// # std::fs::remove_file(&out).ok();
+/// # std::fs::remove_dir_all(&dir).ok();
 /// ```
 #[allow(clippy::too_many_arguments)]
 pub fn build_graph_sharded(
@@ -287,7 +287,7 @@ pub fn build_graph_sharded(
             left,
             right,
             function,
-            SourceKind::of_mode(mode),
+            SourceKind::for_build(mode, function),
             cfg,
             ScoreMode::TopK { k, acct: &acct },
             sharding.shard_rows,

@@ -4,15 +4,21 @@
 //!
 //! Invariants:
 //! 1. **Completeness / bit-identity**: for every branch of the taxonomy —
-//!    all 7 character measures over their length-bucket index, all 6
-//!    n-gram vector measures over the prefix-filtered inverted index, the
-//!    semantic cosine/Euclidean/Word-Mover's branches over their centroid
-//!    balls, the n-gram graph models over their edge-key postings, and
-//!    the schema-based token measures, which walk their enumeration — the indexed
-//!    build is **bit-identical** to the enumerated build, serially and
-//!    with 4 workers, for every `k`. An index may only *skip* pairs whose
-//!    exact upper bound falls strictly below the sink's admission bound,
-//!    so no retained edge can ever be lost.
+//!    all 7 character measures over their length-bucket index, the four
+//!    non-cosine n-gram vector measures over the prefix-filtered inverted
+//!    index, the semantic cosine/Euclidean/Word-Mover's branches over
+//!    their centroid balls, the n-gram graph models over their edge-key
+//!    postings, and the schema-based token measures, which walk their
+//!    enumeration — the indexed build is **bit-identical** to the
+//!    enumerated build, serially and with 4 workers, for every `k`. An
+//!    index may only *skip* pairs whose exact upper bound falls strictly
+//!    below the sink's admission bound, so no retained edge can ever be
+//!    lost. The two cosine vector measures walk their weighted postings
+//!    under both modes, so their cases compare that walk with itself;
+//!    their prefix filter, which only resident probes still walk, is
+//!    pinned to the weighted walk by the unit property
+//!    `cosine_prefix_filter_rows_equal_the_weighted_walk` in
+//!    `src/candidates.rs`.
 //! 2. **Counter consistency** (`BuildStats`): `generated_pairs ==
 //!    pruned_pairs + scored_pairs` on both modes (every generated
 //!    candidate is pruned or scored, never both, never dropped);
@@ -27,10 +33,11 @@
 //!    lets a generator skip (the bound stays `-∞`), reproducing the dense
 //!    edge set.
 //! 5. **The indexes prune on a realistic corpus** (fixed seed): on the
-//!    generated movies linkage (D7 at scale 0.05), the edit-distance and
-//!    token-cosine indexes materialize strictly fewer pairs than the
-//!    cross product. No proptest can state this on random collections,
-//!    where a degenerate index that generates every pair is still correct.
+//!    generated movies linkage (D7 at scale 0.05), the edit-distance
+//!    index and the token cosine's weighted postings walk (both modes)
+//!    materialize strictly fewer pairs than the cross product. No
+//!    proptest can state this on random collections, where a degenerate
+//!    index that generates every pair is still correct.
 
 use er_core::SimilarityGraph;
 use er_datasets::{Dataset, DatasetId, EntityCollection, EntityProfile};

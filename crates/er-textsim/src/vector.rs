@@ -793,6 +793,13 @@ impl TermArena {
         row
     }
 
+    /// Row `r`'s norm: [`ArenaRow::norm`] without the row's slices,
+    /// for walks that need only the norm.
+    #[inline]
+    pub fn norm(&self, r: usize) -> f64 {
+        self.norms[r]
+    }
+
     /// Row `r`.
     #[inline]
     pub fn row(&self, r: usize) -> ArenaRow<'_> {

@@ -42,10 +42,10 @@ fn main() {
     );
 
     // 2. Score: schema-agnostic TF-IDF cosine over the whole profiles.
-    //    The indexed top-k build keeps each left entity's `k` best
-    //    candidates and generates candidates from a prefix-filtered
-    //    inverted index, so pairs that cannot make a row's top k are
-    //    never scored — the graph equals the enumerated build's.
+    //    The top-k build keeps each left entity's `k` best candidates.
+    //    For the cosines it walks the weighted inverted index once per
+    //    row, accumulating every term-sharing pair's dot product term by
+    //    term, so pairs that share no term are never generated.
     let function = SimilarityFunction::SchemaAgnosticVector {
         scheme: NGramScheme::Token(1),
         measure: VectorMeasure::CosineTfIdf,
